@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke debugtag hotpath perf-gate vet fmt fuzz figures experiments clean
+.PHONY: all build test race bench bench-smoke bench-check debugtag hotpath perf-gate vet fmt fuzz figures experiments clean
 
 all: build test
 
@@ -30,11 +30,20 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 
+# The regression benchmark (bench/, a module of its own that `go test ./...`
+# never sees): its own tests — BENCHMARK.json against spec.go, the span and
+# statistics code — then every workload once at smoke size against its
+# oracle, so the benchmark's schema and oracles cannot rot between the PRs
+# that run it in full.
+bench-check:
+	(cd bench && $(GO) test ./...) && bash bench/run.sh -short
+
 # View-lifetime enforcement build: the doocdebug tag turns zero-copy views
-# into tracked copies poisoned on lease release, so use-after-release reads
-# fail loudly.
+# (float64 views of lease bytes in storage, CRS block views in sparse) into
+# private copies poisoned on lease release, so use-after-release reads fail
+# loudly.
 debugtag:
-	$(GO) test -tags doocdebug ./internal/storage/ ./internal/core/
+	$(GO) test -tags doocdebug ./internal/storage/ ./internal/core/ ./internal/sparse/
 
 # Re-measure the steady-state allocation hot path and refresh the committed
 # artifact (compare against the previous BENCH_hotpath.json before and after

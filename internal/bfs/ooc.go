@@ -1,7 +1,6 @@
 package bfs
 
 import (
-	"bytes"
 	"fmt"
 
 	"dooc/internal/core"
@@ -199,12 +198,7 @@ func (d *Driver) executors() map[string]core.Executor {
 		"bfs-expand": func(ctx *core.ExecContext) error {
 			t := ctx.Task
 			aRef, fRef, outRef := t.Inputs[0], t.Inputs[1], t.Outputs[0]
-			aLease, err := ctx.Store.RequestBlock(aRef.Array, 0, storage.PermRead)
-			if err != nil {
-				return err
-			}
-			adj, err := sparse.ReadCRS(bytes.NewReader(aLease.Data))
-			aLease.Release()
+			adj, err := ctx.Matrix(aRef.Array)
 			if err != nil {
 				return err
 			}

@@ -458,7 +458,7 @@ func (n *Node) maybeDead(id string) {
 }
 
 // markDead removes a peer from membership, bumps the view version, and
-// fires the OnDeath hook. Idempotent.
+// runs the death path. Idempotent.
 func (n *Node) markDead(id string) {
 	n.mu.Lock()
 	if _, ok := n.members[id]; !ok || id == n.cfg.Self.ID {
@@ -469,13 +469,23 @@ func (n *Node) markDead(id string) {
 	n.dead[id] = true
 	n.version++
 	n.rebuildRingLocked()
-	cb := n.cfg.OnDeath
 	n.mu.Unlock()
+	n.died(id)
+}
+
+// died is the death path past the membership change, shared by a death this
+// node's own probe found (markDead) and one it learned by gossip
+// (mergeView): count it, drop the pooled connection, fire OnDeath. Callers
+// have already removed id from n.members under n.mu, which is what makes
+// the hook fire once per observer — the later of the two finds no member
+// to remove. Pending deletes owed by id stay queued: a peer that rejoins
+// with its state must still be told.
+func (n *Node) died(id string) {
 	n.peerDeaths.Add(1)
 	n.metrics.peerDeaths.Inc()
 	n.logf("cluster: peer %s declared dead; view now v%d", id, n.Version())
 	n.dropClient(id)
-	if cb != nil {
+	if cb := n.cfg.OnDeath; cb != nil {
 		go cb(id)
 	}
 }
@@ -565,12 +575,15 @@ func (n *Node) wireView() remote.PeerView {
 
 // mergeView folds a received view into ours. A strictly newer view is
 // adopted wholesale (self is always re-added — a node never removes
-// itself from its own view); otherwise an unknown sender is admitted as a
-// join or rejoin with a version bump, which is how a freshly (re)started
-// peer propagates into an established cluster whose version has moved on.
+// itself from its own view), and every member it drops is declared dead
+// here exactly as if this node's own probe had failed; otherwise an unknown
+// sender is admitted as a join or rejoin with a version bump, which is how
+// a freshly (re)started peer propagates into an established cluster whose
+// version has moved on.
 func (n *Node) mergeView(v remote.PeerView) {
 	n.mu.Lock()
 	changed := false
+	var removed []string
 	if v.Version > n.version {
 		nm := make(map[string]Member, len(v.Members)+1)
 		for _, m := range v.Members {
@@ -580,6 +593,14 @@ func (n *Node) mergeView(v remote.PeerView) {
 		if _, ok := nm[n.cfg.Self.ID]; !ok {
 			nm[n.cfg.Self.ID] = n.cfg.Self
 			version++
+		}
+		// A member the newer view no longer lists died where another peer
+		// could see it first; it takes the same death path as markDead.
+		for id := range n.members {
+			if _, ok := nm[id]; !ok {
+				n.dead[id] = true
+				removed = append(removed, id)
+			}
 		}
 		n.members = nm
 		n.version = version
@@ -607,6 +628,9 @@ func (n *Node) mergeView(v remote.PeerView) {
 		n.rebuildRingLocked()
 	}
 	n.mu.Unlock()
+	for _, id := range removed {
+		n.died(id)
+	}
 	if changed {
 		n.logf("cluster: view now v%d with %d members", n.Version(), len(n.LiveMembers()))
 	}

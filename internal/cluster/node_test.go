@@ -675,3 +675,63 @@ func TestNodeClosedRefuses(t *testing.T) {
 		t.Fatalf("closed PeerGet err = %v", err)
 	}
 }
+
+// TestGossipLearnedDeathRunsDeathPath forces the ordering the failover test
+// only hits by chance: the survivor hears of a death from a peer's newer
+// view before its own probe fails. No network and no prober tick are
+// involved — the view is merged by hand — so the order is the one written.
+func TestGossipLearnedDeathRunsDeathPath(t *testing.T) {
+	deaths := make(chan string, 4)
+	n, err := NewNode(Config{
+		Self:          Member{ID: "n0", Addr: "127.0.0.1:1"},
+		Peers:         []Member{{ID: "n1", Addr: "127.0.0.1:2"}, {ID: "n2", Addr: "127.0.0.1:3"}},
+		ProbeInterval: time.Hour,
+		OnDeath:       func(id string) { deaths <- id },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	// n1 saw n2 die and gossips the view it moved to.
+	n.mergeView(remote.PeerView{From: "n1", Version: 2, Members: []remote.PeerMember{
+		{ID: "n0", Addr: "127.0.0.1:1"}, {ID: "n1", Addr: "127.0.0.1:2"},
+	}})
+	st := n.Status()
+	if len(st.Dead) != 1 || st.Dead[0] != "n2" {
+		t.Fatalf("dead list after adopting the view = %v, want [n2]", st.Dead)
+	}
+	if len(st.Members) != 2 || st.Version != 2 {
+		t.Fatalf("view = v%d %v, want v2 with n0 and n1", st.Version, st.Members)
+	}
+	if got := st.Counters.PeerDeaths; got != 1 {
+		t.Fatalf("PeerDeaths = %d, want 1", got)
+	}
+	if id := <-deaths; id != "n2" {
+		t.Fatalf("OnDeath(%q), want n2", id)
+	}
+
+	// The observer's own probe fails afterwards, and the same view arrives
+	// again: neither may run the hook a second time.
+	n.markSeen("n2")
+	n.maybeDead("n2")
+	n.mergeView(remote.PeerView{From: "n1", Version: 2, Members: []remote.PeerMember{
+		{ID: "n0", Addr: "127.0.0.1:1"}, {ID: "n1", Addr: "127.0.0.1:2"},
+	}})
+	if got := n.Counters().PeerDeaths; got != 1 {
+		t.Fatalf("PeerDeaths = %d after the late probe, want 1", got)
+	}
+	select {
+	case id := <-deaths:
+		t.Fatalf("second OnDeath(%q)", id)
+	default:
+	}
+
+	// A newer view that lists n2 again is a rejoin, not a death.
+	n.mergeView(remote.PeerView{From: "n2", Version: 5, Members: []remote.PeerMember{
+		{ID: "n0", Addr: "127.0.0.1:1"}, {ID: "n1", Addr: "127.0.0.1:2"}, {ID: "n2", Addr: "127.0.0.1:3"},
+	}})
+	if st := n.Status(); len(st.Dead) != 0 || len(st.Members) != 3 {
+		t.Fatalf("after rejoin: dead %v, members %v", st.Dead, st.Members)
+	}
+}

@@ -110,6 +110,7 @@ type System struct {
 	cluster *simnet.Cluster
 	stores  []*storage.Store
 	decode  []*decodeCache // per node; nil entries when disabled
+	valid   validMemo      // blocks the uncached matrix path has validated
 
 	// Kernel layer: one persistent stripe pool per computing filter (indexed
 	// node*WorkersPerNode+lane, started once and parked between multiplies)
@@ -180,6 +181,16 @@ func NewSystem(opts Options) (*System, error) {
 		sys.kern[i] = p
 	}
 	return sys, nil
+}
+
+// invalidateDecoded drops what the engine derived from an array's bytes — a
+// decoded copy in any node's cache, the validated-checksum memo — ahead of
+// the array's deletion.
+func (s *System) invalidateDecoded(name string) {
+	for _, c := range s.decode {
+		c.invalidate(name)
+	}
+	s.valid.forget(name)
 }
 
 // nodeCounter registers a per-node counter on the system registry (nil when

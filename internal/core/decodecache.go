@@ -176,3 +176,36 @@ func (c *decodeCache) stats() (hits, misses int64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
+
+// validMemo remembers, per matrix array, the checksum of the block bytes
+// that last passed the O(nnz) structural walk (sparse's Validate). Arrays
+// are immutable, so a lease whose CRC — verified on every lease — equals
+// the remembered one holds the same bytes and needs no second walk. An
+// entry is forgotten wherever the decode cache's is invalidated: a deleted
+// name may come back with other bytes.
+type validMemo struct {
+	mu  sync.Mutex
+	crc map[string]uint32
+}
+
+func (v *validMemo) has(array string, crc uint32) bool {
+	v.mu.Lock()
+	got, ok := v.crc[array]
+	v.mu.Unlock()
+	return ok && got == crc
+}
+
+func (v *validMemo) record(array string, crc uint32) {
+	v.mu.Lock()
+	if v.crc == nil {
+		v.crc = make(map[string]uint32)
+	}
+	v.crc[array] = crc
+	v.mu.Unlock()
+}
+
+func (v *validMemo) forget(array string) {
+	v.mu.Lock()
+	delete(v.crc, array)
+	v.mu.Unlock()
+}

@@ -24,9 +24,17 @@ type ExecContext struct {
 	Task    *dag.Task
 
 	cache   *decodeCache
+	valid   *validMemo
 	pool    *sparse.Pool
 	pipe    *decodePipeline
 	scratch execScratch
+
+	// The uncached matrix path: the read lease under the view Matrix handed
+	// out, the view itself, and the scratch its unaligned sections live in.
+	// Held from Matrix until the executor returns.
+	matLease *storage.Lease
+	mat      *sparse.CSR
+	view     sparse.ViewScratch
 
 	mu     sync.Mutex
 	leases []*storage.Lease
@@ -68,15 +76,50 @@ func (c *ExecContext) reset(t *dag.Task) {
 	c.mu.Unlock()
 }
 
-// Matrix returns the decoded CRS block stored in `array`, consulting the
-// node's decode cache when Options.DecodeCacheBytes enabled one. Under
-// RunSpec.DecodeAhead the request also consults the node's decode pipeline,
-// waiting on an in-flight background decode instead of duplicating it.
+// Matrix returns the CRS block stored in `array`, valid until the executor
+// returns. With a decode cache (Options.DecodeCacheBytes) it is the cached
+// decoded copy — under RunSpec.DecodeAhead by way of the node's decode
+// pipeline, waiting on an in-flight background decode instead of
+// duplicating it. Without one, nothing is decoded: the block's read lease
+// stays held until the executor returns and the matrix is a view whose
+// RowPtr, ColIdx and Val alias the leased bytes (sparse.ViewCRSBytes), so
+// the kernel runs on memory the storage budget already accounts for. The
+// CRC is checked on every lease; the structural walk runs once per block
+// content (validMemo). Executors must not keep the matrix, or anything
+// sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 	if c.pipe != nil {
 		return c.pipe.matrix(c.Store, array)
 	}
-	return c.cache.matrix(c.Store, array)
+	if c.cache != nil || c.matLease != nil {
+		// A second view in one task finds the scratch taken and gets an
+		// owning copy instead.
+		return c.cache.matrix(c.Store, array)
+	}
+	lease, err := c.Store.RequestBlock(array, 0, storage.PermRead)
+	if err != nil {
+		return nil, err
+	}
+	m, crc, err := sparse.ViewCRSBytes(lease.Data, &c.view, func(crc uint32) bool { return c.valid.has(array, crc) })
+	if err != nil {
+		lease.Release()
+		return nil, err
+	}
+	c.valid.record(array, crc)
+	c.matLease, c.mat = lease, m
+	return m, nil
+}
+
+// releaseMatrix ends the view Matrix handed out, if any, and returns the
+// lease under it. The worker calls it when the executor returns, however it
+// returns.
+func (c *ExecContext) releaseMatrix() {
+	if c.matLease == nil {
+		return
+	}
+	sparse.ReleaseView(c.mat)
+	c.matLease.Release()
+	c.matLease, c.mat = nil, nil
 }
 
 // Pool returns the computing filter's persistent kernel pool (never nil;
@@ -167,8 +210,9 @@ type RunSpec struct {
 	// DecodeAhead routes the prefetch order into the node decode pipelines,
 	// so heavy blocks are codec-decoded and CSR-materialized concurrently
 	// with compute. Only set it for programs whose heavy refs are CRS blocks
-	// (the SpMV family); requires Options.DecodeCacheBytes > 0 to have any
-	// effect.
+	// (the SpMV family). It has an effect only with Options.DecodeCacheBytes
+	// > 0: without a decode cache there is no decoded form to produce ahead
+	// of use — ExecContext.Matrix multiplies out of the lease itself.
 	DecodeAhead bool
 }
 
@@ -438,6 +482,7 @@ func (r *engineRun) worker(node, lane int) {
 		Workers: r.sys.opts.WorkersPerNode,
 		Store:   store,
 		cache:   cache,
+		valid:   &r.sys.valid,
 		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
 	}
 	if r.spec.DecodeAhead {
@@ -495,6 +540,7 @@ func (r *engineRun) worker(node, lane int) {
 		}
 		ctx.reset(task)
 		err := executeTask(r.spec.Executors[task.Kind], ctx)
+		ctx.releaseMatrix()
 		ev.End = time.Now()
 		if r.trace.Enabled() {
 			args := map[string]any{"kind": task.Kind, "ok": err == nil}
@@ -534,6 +580,7 @@ func (r *engineRun) worker(node, lane int) {
 		// Reclaim dead ephemeral arrays outside the lock.
 		for _, name := range dead {
 			r.sys.decode[node].invalidate(name)
+			r.sys.valid.forget(name)
 			// Deletion failures (e.g. a concurrent late reader) are not
 			// fatal; the array simply lives a little longer.
 			_ = store.Delete(name)

@@ -270,9 +270,7 @@ func DeleteSpMVArraysKeep(sys *System, cfg SpMVConfig, keep func(name string) bo
 		if keep != nil && keep(name) {
 			return
 		}
-		for node := range sys.decode {
-			sys.decode[node].invalidate(name)
-		}
+		sys.invalidateDecoded(name)
 		_ = owner.Delete(name)
 	}
 	for u := 0; u < cfg.K; u++ {
@@ -336,9 +334,7 @@ func CollectIterate(sys *System, cfg SpMVConfig, t int) ([]float64, error) {
 // invalidating decode caches first. Best-effort — the proxy registry's
 // reclaim hook.
 func DropArray(sys *System, name string) {
-	for node := range sys.decode {
-		sys.decode[node].invalidate(name)
-	}
+	sys.invalidateDecoded(name)
 	for node := 0; node < sys.Nodes(); node++ {
 		if sys.Store(node).Delete(name) == nil {
 			return

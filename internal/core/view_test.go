@@ -1,0 +1,299 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"dooc/internal/dag"
+	"dooc/internal/sparse"
+	"dooc/internal/spmv"
+	"dooc/internal/storage"
+)
+
+func shaOf(x []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// requireNoMatrixLeases fails unless every block of the staged matrix can be
+// deleted: a delete is refused on every node while any lease on the array is
+// outstanding anywhere.
+func requireNoMatrixLeases(t *testing.T, sys *System, k int) {
+	t.Helper()
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			if err := sys.Store(0).Delete(spmv.MatrixArray(u, v)); err != nil {
+				t.Errorf("after the run: %v", err)
+			}
+		}
+	}
+}
+
+// TestViewRunMatchesCachedRun: multiplying out of the lease (tight budget, no
+// decode cache) and multiplying a cached decoded copy produce the same bits,
+// for V1 and V2 blocks, whole and split multiplies, one and two computing
+// filters per node; afterwards no lease on a matrix block is left behind.
+func TestViewRunMatchesCachedRun(t *testing.T) {
+	const dim, k, nodes, iters = 420, 3, 2, 3
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := randVec(rand.New(rand.NewSource(3)), dim)
+
+	run := func(t *testing.T, compressed bool, split, workers int, cacheBytes int64) string {
+		root := t.TempDir()
+		cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes, SplitWays: split}
+		stage := StageMatrix
+		if compressed {
+			stage = StageMatrixCompressed
+		}
+		if err := stage(root, m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		info, err := DiscoverStagedMatrix(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(Options{
+			Nodes:            nodes,
+			WorkersPerNode:   workers,
+			MemoryBudget:     2*info.Bytes/int64(k*k) + 1<<13,
+			ScratchRoot:      root,
+			PrefetchWindow:   2,
+			Reorder:          true,
+			DecodeCacheBytes: cacheBytes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		res, err := RunIteratedSpMV(sys, cfg, x0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cacheBytes == 0 && res.Stats.BytesReadDisk() <= info.Bytes {
+			t.Errorf("tight run read %d bytes for a %d-byte matrix: it was not out of core", res.Stats.BytesReadDisk(), info.Bytes)
+		}
+		requireNoMatrixLeases(t, sys, k)
+		return shaOf(res.X)
+	}
+
+	for _, compressed := range []bool{false, true} {
+		for _, split := range []int{1, 2} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("v2=%v/split=%d/workers=%d", compressed, split, workers), func(t *testing.T) {
+					viewed := run(t, compressed, split, workers, 0)
+					cached := run(t, compressed, split, workers, 1<<24)
+					if viewed != cached {
+						t.Fatalf("view run %s, cached run %s", viewed[:16], cached[:16])
+					}
+				})
+			}
+		}
+	}
+}
+
+// viewTestSystem is a one-node system without a decode cache holding the
+// matrix array "M" and the written vector "x".
+func viewTestSystem(t *testing.T, m *sparse.CSR, x []float64) *System {
+	t.Helper()
+	sys, err := NewSystem(Options{Nodes: 1, Reorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	stageBlockArray(t, sys, "M", m)
+	raw := make([]byte, 8*len(x))
+	storage.EncodeFloat64s(raw, x)
+	if err := sys.Store(0).WriteArray("x", raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestViewLeaseReturnedOnEveryExit: an executor that fails after taking the
+// matrix view, and one that panics with it, leave no lease behind; the third
+// execution multiplies and the answer is the in-core one.
+func TestViewLeaseReturnedOnEveryExit(t *testing.T) {
+	m := testMatrix(t, 3)
+	x := randVec(rand.New(rand.NewSource(9)), m.Cols)
+	sys := viewTestSystem(t, m, x)
+	st := sys.Store(0)
+	if err := st.Create("y", int64(8*m.Rows), int64(8*m.Rows)); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	attempts := 0
+	flaky := func(ctx *ExecContext) error {
+		mu.Lock()
+		attempts++
+		n := attempts
+		mu.Unlock()
+		if n <= 2 {
+			a, err := ctx.Matrix("M")
+			if err != nil {
+				return err
+			}
+			if a.Rows != m.Rows {
+				return fmt.Errorf("view has %d rows, want %d", a.Rows, m.Rows)
+			}
+			if n == 1 {
+				return errors.New("injected failure with the view held")
+			}
+			panic("injected panic with the view held")
+		}
+		return execMultiply(ctx)
+	}
+	tasks := []*dag.Task{{
+		ID: "mult", Kind: "multiply",
+		Inputs:  []dag.Ref{{Array: "M", Block: 0, Bytes: 1}, {Array: "x", Block: 0, Bytes: 1}},
+		Outputs: []dag.Ref{{Array: "y", Block: 0, Bytes: 1}},
+	}}
+	stats, err := sys.Run(RunSpec{Tasks: tasks, Executors: map[string]Executor{"multiply": flaky}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TaskRetries != 2 {
+		t.Errorf("TaskRetries = %d, want 2", stats.TaskRetries)
+	}
+	got := make([]float64, m.Rows)
+	if err := st.ReadFloat64s("y", got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, m.Rows)
+	sparse.MulVec(m, x, want)
+	if shaOf(got) != shaOf(want) {
+		t.Fatal("result after two failed executions differs from the in-core product")
+	}
+	for _, name := range []string{"M", "x", "y"} {
+		if err := st.Delete(name); err != nil {
+			t.Errorf("lease left behind: %v", err)
+		}
+	}
+}
+
+// TestSecondViewInOneTaskIsACopy: the scratch backs one view; a second
+// Matrix call in the same task must not invalidate the first.
+func TestSecondViewInOneTaskIsACopy(t *testing.T) {
+	m := testMatrix(t, 4)
+	sys := viewTestSystem(t, m, make([]float64, m.Cols))
+	ctx := &ExecContext{Store: sys.Store(0), valid: &sys.valid}
+	first, err := ctx.Matrix("M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ctx.Matrix("M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == second {
+		t.Fatal("second Matrix call returned the first call's view")
+	}
+	if first.Validate() != nil || second.Validate() != nil || first.NNZ() != m.NNZ() || second.NNZ() != m.NNZ() {
+		t.Fatal("one of two views taken in one task is damaged")
+	}
+	ctx.releaseMatrix()
+	if err := sys.Store(0).Delete("M"); err != nil {
+		t.Fatalf("lease left behind: %v", err)
+	}
+}
+
+// corruptStructure returns block bytes that pass the CRC but name a column
+// outside the matrix.
+func corruptStructure(t *testing.T, m *sparse.CSR) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sparse.WriteCRS(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	binary.LittleEndian.PutUint32(enc[sparse.HeaderBytes+8*(m.Rows+1):], uint32(m.Cols+7))
+	body := len(enc) - 4
+	binary.LittleEndian.PutUint32(enc[body:], crc32.Checksum(enc[:body], crc32.MakeTable(crc32.Castagnoli)))
+	return enc
+}
+
+// TestValidateOncePerContent: the structural walk is skipped only for bytes
+// already walked under that name. An invalid block with a correct CRC is
+// refused on first sight; a name deleted and rewritten with other bytes is
+// walked again — whether the memo was told (DropArray) or not.
+func TestValidateOncePerContent(t *testing.T) {
+	m := testMatrix(t, 5)
+	sys := viewTestSystem(t, m, make([]float64, m.Cols))
+	st := sys.Store(0)
+	ctx := &ExecContext{Store: st, valid: &sys.valid}
+	view := func(name string) error {
+		_, err := ctx.Matrix(name)
+		ctx.releaseMatrix()
+		return err
+	}
+
+	if err := st.WriteArray("bad", corruptStructure(t, m), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := view("bad"); err == nil || !strings.Contains(err.Error(), "invalid CRS payload") {
+		t.Fatalf("invalid block with a correct CRC on first sight: %v", err)
+	}
+	sys.valid.mu.Lock()
+	_, remembered := sys.valid.crc["bad"]
+	sys.valid.mu.Unlock()
+	if remembered {
+		t.Fatal("a refused block was remembered as validated")
+	}
+
+	if err := view("M"); err != nil {
+		t.Fatal(err)
+	}
+	sys.valid.mu.Lock()
+	crc, remembered := sys.valid.crc["M"]
+	sys.valid.mu.Unlock()
+	if !remembered || !sys.valid.has("M", crc) || sys.valid.has("M", crc+1) {
+		t.Fatal("memo does not hold exactly M's checksum after a successful view")
+	}
+	if err := view("M"); err != nil {
+		t.Fatalf("second view of validated bytes: %v", err)
+	}
+
+	// Same name, other bytes, memo not told: the checksum differs, so the
+	// walk runs and refuses.
+	if err := st.Delete("M"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteArray("M", corruptStructure(t, m), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := view("M"); err == nil {
+		t.Fatal("rewritten invalid bytes under a validated name were accepted")
+	}
+
+	// The deletion path the engine uses forgets the name.
+	if err := view("x"); err == nil {
+		t.Fatal("a vector passed for a CRS block")
+	}
+	stageBlockArray(t, sys, "N", m)
+	if err := view("N"); err != nil {
+		t.Fatal(err)
+	}
+	DropArray(sys, "N")
+	sys.valid.mu.Lock()
+	_, remembered = sys.valid.crc["N"]
+	sys.valid.mu.Unlock()
+	if remembered {
+		t.Fatal("DropArray left the validated checksum behind")
+	}
+}

@@ -94,90 +94,14 @@ func WriteCRS(w io.Writer, m *CSR) error {
 	return err
 }
 
-// ReadCRS reads a binary CRS matrix from r, verifying structure and CRC.
-//
-// The CRC is computed over exactly the bytes consumed before the trailing
-// checksum (a bufio read-ahead must not contaminate the sum, so we hash the
-// bytes explicitly rather than tee the underlying reader).
+// ReadCRS reads a binary CRS matrix (either format) from r to its end and
+// decodes it with DecodeCRSBytes, verifying structure and CRC.
 func ReadCRS(r io.Reader) (*CSR, error) {
-	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, HeaderBytes)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("sparse: short CRS header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("sparse: reading CRS: %w", err)
 	}
-	crc.Write(hdr)
-	switch string(hdr[:8]) {
-	case crsMagic:
-	case crsMagicV2:
-		return readCRS2(br, crc, hdr)
-	default:
-		return nil, fmt.Errorf("sparse: bad CRS magic %q", hdr[:8])
-	}
-	rows := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	cols := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	nnz := int64(binary.LittleEndian.Uint64(hdr[24:]))
-	const maxDim = 1 << 40
-	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim || nnz > maxDim {
-		return nil, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
-	}
-	m := &CSR{
-		Rows:   int(rows),
-		Cols:   int(cols),
-		RowPtr: make([]int64, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
-	}
-	// Decode in slabs; each slab is hashed after the read so the CRC covers
-	// exactly the consumed payload.
-	const slabElems = 64 << 10
-	slab := make([]byte, 8*slabElems)
-	for off := 0; off < len(m.RowPtr); off += slabElems {
-		end := min(off+slabElems, len(m.RowPtr))
-		chunk := slab[:8*(end-off)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("sparse: short row pointers: %w", err)
-		}
-		crc.Write(chunk)
-		for i := off; i < end; i++ {
-			m.RowPtr[i] = int64(binary.LittleEndian.Uint64(chunk[8*(i-off):]))
-		}
-	}
-	for off := 0; off < len(m.ColIdx); off += slabElems {
-		end := min(off+slabElems, len(m.ColIdx))
-		chunk := slab[:4*(end-off)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("sparse: short column indices: %w", err)
-		}
-		crc.Write(chunk)
-		for i := off; i < end; i++ {
-			m.ColIdx[i] = int32(binary.LittleEndian.Uint32(chunk[4*(i-off):]))
-		}
-	}
-	for off := 0; off < len(m.Val); off += slabElems {
-		end := min(off+slabElems, len(m.Val))
-		chunk := slab[:8*(end-off)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("sparse: short values: %w", err)
-		}
-		crc.Write(chunk)
-		for i := off; i < end; i++ {
-			m.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*(i-off):]))
-		}
-	}
-	want := crc.Sum32()
-	crcBytes := make([]byte, 4)
-	if _, err := io.ReadFull(br, crcBytes); err != nil {
-		return nil, fmt.Errorf("sparse: missing CRS checksum: %w", err)
-	}
-	got := binary.LittleEndian.Uint32(crcBytes)
-	if got != want {
-		return nil, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", got, want)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("sparse: invalid CRS payload: %w", err)
-	}
-	return m, nil
+	return DecodeCRSBytes(data)
 }
 
 // WriteCRSFile writes m to path atomically (via a temp file + rename).
@@ -201,12 +125,11 @@ func WriteCRSFile(path string, m *CSR) error {
 
 // ReadCRSFile reads a binary CRS matrix from path.
 func ReadCRSFile(path string) (*CSR, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	m, err := ReadCRS(f)
+	m, err := DecodeCRSBytes(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

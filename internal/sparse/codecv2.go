@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -123,75 +122,32 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	return err
 }
 
-// readCRS2 finishes a ReadCRS whose 32-byte header carried the V2 magic;
-// hdr is already hashed into crc.
-func readCRS2(br *bufio.Reader, crc hash.Hash32, hdr []byte) (*CSR, error) {
-	rows := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	cols := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	nnz := int64(binary.LittleEndian.Uint64(hdr[24:]))
-	const maxDim = 1 << 40
-	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim || nnz > maxDim {
-		return nil, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
+// crs2Section decodes section i of a V2 block held in memory. body starts at
+// the section's length prefix; the frame is sliced out of it where it lies
+// and the codec's output — fresh memory nothing else references — is the
+// section. rest is what follows the frame.
+func crs2Section(i int, body []byte, rawLen int64) (raw, rest []byte, err error) {
+	if len(body) < 8 {
+		return nil, nil, fmt.Errorf("sparse: short section %d length", i)
 	}
-	m := &CSR{
-		Rows:   int(rows),
-		Cols:   int(cols),
-		RowPtr: make([]int64, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
+	frameLen := binary.LittleEndian.Uint64(body)
+	body = body[8:]
+	// Adaptive encoding never produces a frame larger than raw plus the
+	// frame header, so anything bigger is corruption, not data.
+	if frameLen > uint64(rawLen)+compress.FrameHeaderLen {
+		return nil, nil, fmt.Errorf("sparse: section %d frame claims %d bytes for a %d-byte section", i, frameLen, rawLen)
 	}
-	var lenBuf [8]byte
-	for i := 0; i < 3; i++ {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("sparse: short section %d length: %w", i, err)
-		}
-		crc.Write(lenBuf[:])
-		frameLen := binary.LittleEndian.Uint64(lenBuf[:])
-		rawLen := sectionRawLen(i, rows, nnz)
-		// Adaptive encoding never produces a frame larger than raw plus
-		// the frame header, so anything bigger is corruption, not data.
-		if frameLen > uint64(rawLen)+compress.FrameHeaderLen {
-			return nil, fmt.Errorf("sparse: section %d frame claims %d bytes for a %d-byte section", i, frameLen, rawLen)
-		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return nil, fmt.Errorf("sparse: short section %d frame: %w", i, err)
-		}
-		crc.Write(frame)
-		data, _, err := compress.DecodeFrame(frame)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: section %d: %w", i, err)
-		}
-		if int64(len(data)) != rawLen {
-			return nil, fmt.Errorf("sparse: section %d decoded to %d bytes, want %d", i, len(data), rawLen)
-		}
-		switch i {
-		case 0:
-			for j := range m.RowPtr {
-				m.RowPtr[j] = int64(binary.LittleEndian.Uint64(data[8*j:]))
-			}
-		case 1:
-			for j := range m.ColIdx {
-				m.ColIdx[j] = int32(binary.LittleEndian.Uint32(data[4*j:]))
-			}
-		default:
-			for j := range m.Val {
-				m.Val[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
-			}
-		}
+	if frameLen > uint64(len(body)) {
+		return nil, nil, fmt.Errorf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
 	}
-	want := crc.Sum32()
-	crcBytes := make([]byte, 4)
-	if _, err := io.ReadFull(br, crcBytes); err != nil {
-		return nil, fmt.Errorf("sparse: missing CRS checksum: %w", err)
+	raw, _, err = compress.DecodeFrame(body[:frameLen])
+	if err != nil {
+		return nil, nil, fmt.Errorf("sparse: section %d: %w", i, err)
 	}
-	if got := binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", got, want)
+	if int64(len(raw)) != rawLen {
+		return nil, nil, fmt.Errorf("sparse: section %d decoded to %d bytes, want %d", i, len(raw), rawLen)
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("sparse: invalid CRS payload: %w", err)
-	}
-	return m, nil
+	return raw, body[frameLen:], nil
 }
 
 // WriteCRS2File writes m to path atomically in V2 format.

@@ -1,21 +1,19 @@
 package sparse
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"slices"
 	"unsafe"
 )
 
-// Bulk in-memory CRS decoding. ReadCRS is shaped for streaming from files
-// (buffered reader, per-slab hashing); when a block already sits in memory —
-// the common case for staged sub-matrices resident in the storage layer —
-// that shape costs a 1 MiB buffer plus per-element conversion loops per
-// decode. DecodeCRSBytes instead validates the CRC in one shot and bulk-
-// copies each section into the typed slices, which on little-endian hardware
-// compiles to three memcpys.
+// In-memory CRS parsing: the one parser of each format. A block that sits in
+// memory — a staged sub-matrix resident in the storage layer, or a file
+// ReadCRS has read whole — is checked against its CRC in one pass and its
+// three sections become typed slices either by copy (DecodeCRSBytes, whose
+// result owns its memory) or in place (ViewCRSBytes, whose result aliases
+// the caller's bytes and dies with them).
 
 var crsLittleEndian = func() bool {
 	var x uint16 = 1
@@ -24,85 +22,136 @@ var crsLittleEndian = func() bool {
 
 var crsCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// copyToInt64s fills dst from little-endian src bytes (len(src) == 8*len(dst)).
-func copyToInt64s(dst []int64, src []byte) {
-	if crsLittleEndian && len(dst) > 0 {
-		db := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst))
-		copy(db, src)
-		return
-	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-	}
+// ViewScratch is one worker's reusable backing for ViewCRSBytes: the CSR
+// header a view is returned in, and grow-only buffers for the sections of a
+// block that cannot alias its bytes. The zero value is ready. A scratch
+// backs one live view at a time — the next ViewCRSBytes on it overwrites
+// the previous view.
+type ViewScratch struct {
+	m      CSR
+	rowPtr []int64
+	colIdx []int32
+	val    []float64
 }
 
-// copyToInt32s fills dst from little-endian src bytes (len(src) == 4*len(dst)).
-func copyToInt32s(dst []int32, src []byte) {
-	if crsLittleEndian && len(dst) > 0 {
-		db := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst))
-		copy(db, src)
-		return
+// crsSection returns the n little-endian elements encoded in src as a []T.
+// With alias set it reinterprets src in place when the host is little-endian
+// and src's base is aligned for T — the guard storage.castFloat64s applies,
+// and the one checkptr enforces under -race. Otherwise it copies into *buf,
+// which grows to the largest section it has held and never shrinks.
+func crsSection[T int32 | int64 | float64](src []byte, n int, alias bool, buf *[]T) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	if alias && crsLittleEndian && n > 0 {
+		if p := unsafe.Pointer(unsafe.SliceData(src)); uintptr(p)%uintptr(size) == 0 {
+			return unsafe.Slice((*T)(p), n)
+		}
 	}
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
+	dst := (*buf)[:n]
+	if n == 0 {
+		return dst
+	}
+	db := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), size*n)
+	copy(db, src)
+	if !crsLittleEndian {
+		for i := 0; i < len(db); i += size {
+			slices.Reverse(db[i : i+size])
+		}
+	}
+	return dst
 }
 
-// copyToFloat64s fills dst from little-endian src bytes (len(src) == 8*len(dst)).
-func copyToFloat64s(dst []float64, src []byte) {
-	if crsLittleEndian && len(dst) > 0 {
-		db := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst))
-		copy(db, src)
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-}
-
-// DecodeCRSBytes decodes a binary CRS block held entirely in memory,
-// verifying structure and CRC exactly like ReadCRS. V2 (section-compressed)
-// blocks fall back to the streaming reader.
-func DecodeCRSBytes(data []byte) (*CSR, error) {
+// decodeCRS parses a V1 or V2 block into s.m, verifying shape and CRC but
+// not structure; it returns the block's checksum. alias lets V1 sections
+// point into data. V2 sections always adopt the codec's freshly decoded
+// output, which nothing else references.
+func decodeCRS(data []byte, s *ViewScratch, alias bool) (*CSR, uint32, error) {
 	if len(data) < HeaderBytes+4 {
-		return nil, fmt.Errorf("sparse: %d bytes is shorter than a CRS header", len(data))
+		return nil, 0, fmt.Errorf("sparse: %d bytes is shorter than a CRS header", len(data))
 	}
-	switch string(data[:8]) {
-	case crsMagic:
-	case crsMagicV2:
-		return ReadCRS(bytes.NewReader(data))
-	default:
-		return nil, fmt.Errorf("sparse: bad CRS magic %q", data[:8])
+	magic := string(data[:8])
+	if magic != crsMagic && magic != crsMagicV2 {
+		return nil, 0, fmt.Errorf("sparse: bad CRS magic %q", data[:8])
 	}
 	rows := int64(binary.LittleEndian.Uint64(data[8:]))
 	cols := int64(binary.LittleEndian.Uint64(data[16:]))
 	nnz := int64(binary.LittleEndian.Uint64(data[24:]))
 	const maxDim = 1 << 40
 	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim || nnz > maxDim {
-		return nil, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
+		return nil, 0, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
 	}
-	if want := FileBytes(int(rows), nnz); int64(len(data)) != want {
-		return nil, fmt.Errorf("sparse: CRS block is %d bytes, shape says %d", len(data), want)
+	if want := FileBytes(int(rows), nnz); magic == crsMagic && int64(len(data)) != want {
+		return nil, 0, fmt.Errorf("sparse: CRS block is %d bytes, shape says %d", len(data), want)
 	}
-	body := len(data) - 4
-	if got, want := binary.LittleEndian.Uint32(data[body:]), crc32.Checksum(data[:body], crsCRCTable); got != want {
-		return nil, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", got, want)
+	body := data[HeaderBytes : len(data)-4]
+	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if want := crc32.Checksum(data[:len(data)-4], crsCRCTable); crc != want {
+		return nil, 0, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", crc, want)
 	}
-	m := &CSR{
-		Rows:   int(rows),
-		Cols:   int(cols),
-		RowPtr: make([]int64, rows+1),
-		ColIdx: make([]int32, nnz),
-		Val:    make([]float64, nnz),
+	for i := 0; i < 3; i++ {
+		rawLen := sectionRawLen(i, rows, nnz)
+		var raw []byte
+		if magic == crsMagic {
+			raw, body = body[:rawLen], body[rawLen:] // in range: the size check above
+		} else {
+			var err error
+			if raw, body, err = crs2Section(i, body, rawLen); err != nil {
+				return nil, 0, err
+			}
+			alias = true
+		}
+		switch i {
+		case 0:
+			s.m.RowPtr = crsSection(raw, int(rows+1), alias, &s.rowPtr)
+		case 1:
+			s.m.ColIdx = crsSection(raw, int(nnz), alias, &s.colIdx)
+		default:
+			s.m.Val = crsSection(raw, int(nnz), alias, &s.val)
+		}
 	}
-	off := int64(HeaderBytes)
-	copyToInt64s(m.RowPtr, data[off:off+8*(rows+1)])
-	off += 8 * (rows + 1)
-	copyToInt32s(m.ColIdx, data[off:off+4*nnz])
-	off += 4 * nnz
-	copyToFloat64s(m.Val, data[off:off+8*nnz])
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("sparse: invalid CRS payload: %w", err)
+	if len(body) != 0 {
+		return nil, 0, fmt.Errorf("sparse: %d stray bytes after the CRS sections", len(body))
 	}
-	return m, nil
+	s.m.Rows, s.m.Cols = int(rows), int(cols)
+	return &s.m, crc, nil
+}
+
+// DecodeCRSBytes decodes a binary CRS block (V1 or section-compressed V2)
+// held entirely in memory, verifying CRC and structure. The result owns its
+// memory and outlives data.
+func DecodeCRSBytes(data []byte) (*CSR, error) {
+	m, _, err := ViewCRSBytes(data, nil, nil)
+	return m, err
+}
+
+// ViewCRSBytes is DecodeCRSBytes without the copy: on a little-endian host
+// the RowPtr, ColIdx and Val of a V1 block alias data wherever the section
+// is aligned for its element type (Val is not when nnz is odd) and are
+// copied into s otherwise, so a steady stream of views allocates nothing.
+// The returned matrix is valid only while data is, and only until the next
+// ViewCRSBytes on s; ReleaseView ends it. A nil s, like DecodeCRSBytes,
+// copies every section into fresh memory.
+//
+// The CRC is verified on every call. The O(nnz) structural walk (Validate)
+// is skipped when validated reports that a block with this checksum has
+// already passed it — same checksum, same bytes, same verdict; a nil
+// validated always walks. The block's checksum is returned for the caller
+// to remember.
+func ViewCRSBytes(data []byte, s *ViewScratch, validated func(crc uint32) bool) (*CSR, uint32, error) {
+	alias := s != nil && !viewDebugForceCopy
+	if !alias {
+		s = new(ViewScratch)
+	}
+	m, crc, err := decodeCRS(data, s, alias)
+	if err != nil {
+		return nil, 0, err
+	}
+	if validated == nil || !validated(crc) {
+		if err := m.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("sparse: invalid CRS payload: %w", err)
+		}
+	}
+	return m, crc, nil
 }

@@ -1028,6 +1028,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 	b.buf = data
 	st.tick++
 	b.loadTick = st.tick
+	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
 	st.stats.BlockLoads++
 	s.metrics.blockLoads.Inc()
 	// A durable or remote copy is by definition fully written; restore both
