@@ -110,8 +110,7 @@ func hotpathRun() error {
 	blockBytes := info.Bytes / int64(k*k)
 	// Decoded blocks are ~the same size as their encoded frames; five slots
 	// per node keep every block of the node's row stripe decoded after the
-	// first sweep, so steady-state iterations touch only resident CSR and
-	// the pipeline exists purely to absorb the cold-start decodes.
+	// first sweep, so steady-state iterations touch only resident CSR.
 	decodedBlock := m.Bytes()/int64(k*k) + 1<<14
 	sys, err := core.NewSystem(core.Options{
 		Nodes:            nodes,
@@ -199,10 +198,6 @@ func hotpathRun() error {
 	fmt.Printf("  GC cycles %d   GC pause total %v   zero-copy views %v\n",
 		rep.NumGC, time.Duration(rep.GCPauseNs), rep.ZeroCopyViews)
 	fmt.Printf("  result sha256 %s (bit-identical across %d runs)\n", refSum, runs+1)
-	km := benchObs.Totals()
-	fmt.Printf("  pipeline decodes %d   stalls %d   waits %d   overlap %d\n",
-		km["dooc_kernel_pipeline_decodes_total"], km["dooc_kernel_pipeline_stalls_total"],
-		km["dooc_kernel_pipeline_waits_total"], km["dooc_kernel_pipeline_overlap_total"])
 
 	roofline, err := rooflineSweep(dim)
 	if err != nil {

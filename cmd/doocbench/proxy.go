@@ -120,7 +120,7 @@ func proxyRun() error {
 		clObs := obs.NewRegistry()
 		cls := make([]*remote.Client, consumers)
 		for i := range cls {
-			cl, err := remote.DialOptions(srv.Addr(), remote.Options{Handshake: true, Obs: clObs})
+			cl, err := remote.DialOptions(srv.Addr(), remote.Options{Obs: clObs})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -185,7 +185,7 @@ func proxyRun() error {
 	var hChain proxy.Handle
 	hopBytes, err := func() (int64, error) {
 		clObs := obs.NewRegistry()
-		cl, err := remote.DialOptions(srv.Addr(), remote.Options{Handshake: true, Obs: clObs})
+		cl, err := remote.DialOptions(srv.Addr(), remote.Options{Obs: clObs})
 		if err != nil {
 			return 0, err
 		}

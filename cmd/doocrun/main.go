@@ -221,7 +221,6 @@ func submitJob(addr, tenant string, priority, iters int, seed, jobMem, jobScratc
 		Key:          key,
 		Trace:        root,
 	}
-	needProxy := proxyOut || inputRef != ""
 	if inputRef != "" {
 		ref, err := proxy.ParseRef(inputRef)
 		if err != nil {
@@ -230,12 +229,10 @@ func submitJob(addr, tenant string, priority, iters int, seed, jobMem, jobScratc
 		req.Input = ref
 	}
 	clientStart := time.Now()
-	// The proxy verbs need the capability handshake to detect a legacy
-	// server; the plain result path keeps the zero-negotiation dial. The
-	// client's own registry counts received payload bytes, so the
+	// The client's own registry counts received payload bytes, so the
 	// by-reference path can PROVE no result vector crossed this link.
 	clObs := obs.NewRegistry()
-	cl, err := remote.DialOptions(addr, remote.Options{Handshake: needProxy, Obs: clObs})
+	cl, err := remote.DialOptions(addr, remote.Options{Obs: clObs})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -303,7 +300,7 @@ func submitJob(addr, tenant string, priority, iters int, seed, jobMem, jobScratc
 // a handle's payload summary (the bytes cross the wire once, on demand);
 // -release drops a reference and prints what remains.
 func proxyVerb(addr, resolveRef, releaseRef string) {
-	cl, err := remote.DialOptions(addr, remote.Options{Handshake: true})
+	cl, err := remote.Dial(addr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,11 +15,11 @@
 //     compress-negotiated remote clients, a prober that detects peer
 //     death, and the owner-aware forwarding used by the storage layer
 //     (storage.ShardBackend);
-//   - table.go holds the blocks this peer stores on behalf of the ring —
-//     epoch-tagged so a deleted-and-recreated array can never serve stale
-//     bytes;
-//   - replica.go caches hot blocks on the reading side, invalidated by
-//     epoch bump on write-back.
+//   - table.go is the tier's one cache type, an epoch-tagged byte-budgeted
+//     LRU: one instance holds the blocks this peer stores on behalf of the
+//     ring — epoch-tagged so a deleted-and-recreated array can never serve
+//     stale bytes — and a second caches hot blocks on the reading side,
+//     invalidated by epoch bump on write-back.
 //
 // Failure model: a peer that stops answering is marked dead, the view
 // version is bumped and gossiped, and the ring rehashes its keys onto
@@ -33,10 +33,9 @@ package cluster
 import "errors"
 
 // ErrLegacyPeer reports a peer whose handshake does not advertise the
-// cluster protocol capability (a pre-cluster binary, or one started
-// without -peers). Such peers would decode peer verbs as garbage or
-// reject them with opaque strings, so ring membership refuses them with
-// this typed error instead.
+// cluster protocol capability (a server started without -node-id/-peers).
+// Such a peer would reject peer verbs with opaque strings, so ring
+// membership refuses it with this typed error instead.
 var ErrLegacyPeer = errors.New("cluster: peer does not speak the cluster protocol")
 
 // ErrNotMember reports an operation addressed to a node ID outside the

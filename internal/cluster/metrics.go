@@ -3,8 +3,8 @@ package cluster
 import "dooc/internal/obs"
 
 // nodeMetrics are one cluster node's dooc_cluster_* series, resolved once
-// at construction. With a nil registry every field is nil and every
-// operation a no-op (obs types are nil-safe).
+// at construction. They are the node's only event counts: Node.Counters
+// reads them back, registry or no registry.
 type nodeMetrics struct {
 	forwardedReads    *obs.Counter
 	forwardedReadMiss *obs.Counter

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dooc/internal/compress"
@@ -26,10 +25,10 @@ type Config struct {
 	// it must match the doocserve listen address.
 	Self Member
 	// Peers are the other expected members at startup. Peers that turn out
-	// to be legacy binaries are rejected from membership on first contact
-	// (ErrLegacyPeer); peers that never answer are marked dead only after
-	// they have been seen alive once, so a slow-starting cluster does not
-	// eat spurious deaths.
+	// to be servers without the cluster role are rejected from membership
+	// on first contact (ErrLegacyPeer); peers that never answer are marked
+	// dead only after they have been seen alive once, so a slow-starting
+	// cluster does not eat spurious deaths.
 	Peers []Member
 	// Scope, when non-empty, namespaces every array name this node
 	// originates (FetchBlock/PushBlock/InvalidateArray) as
@@ -81,8 +80,8 @@ const (
 	fetchCandidates = 3
 )
 
-// Counters is an atomic snapshot of a node's event counts; the same
-// increments feed the dooc_cluster_* obs series, so the two reconcile.
+// Counters is a snapshot of a node's event counts, read from the node's
+// dooc_cluster_* obs series (which count with or without a registry).
 type Counters struct {
 	ForwardedReads      int64
 	ForwardedReadMisses int64
@@ -131,8 +130,8 @@ type arrayEpochs struct {
 // InvalidateArray). All methods are safe for concurrent use.
 type Node struct {
 	cfg      Config
-	table    *BlockTable
-	replicas *ReplicaCache
+	table    *BlockTable // owner copies held for the ring; durable puts are pinned
+	replicas *BlockTable // hot-block read replicas; nothing is pinned
 	metrics  nodeMetrics
 
 	mu      sync.Mutex
@@ -157,21 +156,6 @@ type Node struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-
-	forwardedReads      atomic.Int64
-	forwardedReadMisses atomic.Int64
-	forwardedBytes      atomic.Int64
-	pushes              atomic.Int64
-	pushAcks            atomic.Int64
-	pushBytes           atomic.Int64
-	replicaHits         atomic.Int64
-	replicaStale        atomic.Int64
-	replicaFills        atomic.Int64
-	peerDeaths          atomic.Int64
-	legacyRejections    atomic.Int64
-	servedGets          atomic.Int64
-	servedPuts          atomic.Int64
-	viewExchanges       atomic.Int64
 }
 
 // NewNode builds and starts a cluster node. The prober begins gossiping
@@ -189,10 +173,13 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 2 * time.Second
 	}
+	if cfg.ReplicaBytes <= 0 {
+		cfg.ReplicaBytes = DefaultReplicaBytes
+	}
 	n := &Node{
 		cfg:        cfg,
 		table:      NewBlockTable(cfg.TableBytes),
-		replicas:   NewReplicaCache(cfg.ReplicaBytes),
+		replicas:   NewBlockTable(cfg.ReplicaBytes),
 		metrics:    newNodeMetrics(cfg.Obs, cfg.Self.ID),
 		members:    make(map[string]Member),
 		dead:       make(map[string]bool),
@@ -294,21 +281,22 @@ func (n *Node) Version() uint64 {
 
 // Counters snapshots the node's event counts.
 func (n *Node) Counters() Counters {
+	m := &n.metrics
 	return Counters{
-		ForwardedReads:      n.forwardedReads.Load(),
-		ForwardedReadMisses: n.forwardedReadMisses.Load(),
-		ForwardedBytes:      n.forwardedBytes.Load(),
-		Pushes:              n.pushes.Load(),
-		PushAcks:            n.pushAcks.Load(),
-		PushBytes:           n.pushBytes.Load(),
-		ReplicaHits:         n.replicaHits.Load(),
-		ReplicaStale:        n.replicaStale.Load(),
-		ReplicaFills:        n.replicaFills.Load(),
-		PeerDeaths:          n.peerDeaths.Load(),
-		LegacyRejections:    n.legacyRejections.Load(),
-		ServedGets:          n.servedGets.Load(),
-		ServedPuts:          n.servedPuts.Load(),
-		ViewExchanges:       n.viewExchanges.Load(),
+		ForwardedReads:      m.forwardedReads.Value(),
+		ForwardedReadMisses: m.forwardedReadMiss.Value(),
+		ForwardedBytes:      m.forwardedBytes.Value(),
+		Pushes:              m.pushes.Value(),
+		PushAcks:            m.pushAcks.Value(),
+		PushBytes:           m.pushBytes.Value(),
+		ReplicaHits:         m.replicaHits.Value(),
+		ReplicaStale:        m.replicaStale.Value(),
+		ReplicaFills:        m.replicaFills.Value(),
+		PeerDeaths:          m.peerDeaths.Value(),
+		LegacyRejections:    m.legacyRejections.Value(),
+		ServedGets:          m.servedGets.Value(),
+		ServedPuts:          m.servedPuts.Value(),
+		ViewExchanges:       m.viewExchanges.Value(),
 	}
 }
 
@@ -363,7 +351,8 @@ type clientEntry struct {
 
 // client returns a connected, cluster-capable client for a member,
 // dialing lazily. A member whose handshake lacks the cluster capability
-// is expelled from membership and reported as ErrLegacyPeer.
+// (a server started without the peer role) is expelled from membership and
+// reported as ErrLegacyPeer.
 func (n *Node) client(id string) (*remote.Client, error) {
 	n.mu.Lock()
 	m, ok := n.members[id]
@@ -388,7 +377,6 @@ func (n *Node) client(id string) (*remote.Client, error) {
 		return e.cl, nil
 	}
 	cl, err := remote.DialOptions(m.Addr, remote.Options{
-		Handshake:  true,
 		Codec:      n.cfg.Codec,
 		Timeout:    n.cfg.RPCTimeout,
 		MaxRetries: 1,
@@ -481,7 +469,6 @@ func (n *Node) markDead(id string) {
 // to remove. Pending deletes owed by id stay queued: a peer that rejoins
 // with its state must still be told.
 func (n *Node) died(id string) {
-	n.peerDeaths.Add(1)
 	n.metrics.peerDeaths.Inc()
 	n.logf("cluster: peer %s declared dead; view now v%d", id, n.Version())
 	n.dropClient(id)
@@ -503,8 +490,8 @@ func (n *Node) expelLegacy(id string) {
 	n.dead[id] = true
 	n.version++
 	n.rebuildRingLocked()
-	// A legacy peer never held ring blocks and can never ack, so it owes
-	// no deletes.
+	// Such a peer never held ring blocks and can never ack, so it owes no
+	// deletes.
 	for array, owing := range n.pendingDel {
 		delete(owing, id)
 		if len(owing) == 0 {
@@ -512,7 +499,6 @@ func (n *Node) expelLegacy(id string) {
 		}
 	}
 	n.mu.Unlock()
-	n.legacyRejections.Add(1)
 	n.metrics.legacyRejections.Inc()
 	n.logf("cluster: peer %s rejected: %v", id, ErrLegacyPeer)
 }
@@ -553,7 +539,6 @@ func (n *Node) gossipOnce() {
 			continue
 		}
 		n.markSeen(m.ID)
-		n.viewExchanges.Add(1)
 		n.metrics.viewExchanges.Inc()
 		n.mergeView(theirs)
 	}
@@ -739,14 +724,16 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 	array = n.scoped(array)
 	want := n.epochOf(array, block)
 	if hot {
-		data, ok, stale := n.replicas.Get(array, block, want)
-		if ok {
-			n.replicaHits.Add(1)
-			n.metrics.replicaHits.Inc()
-			return data, true
-		}
-		if stale {
-			n.replicaStale.Add(1)
+		// A replica serves only at exactly the epoch this node last pushed or
+		// observed (0 = no knowledge, any epoch will do); one at any other
+		// epoch is stale — dropped here, refetched from the owner below. This
+		// is the write-back invalidation path.
+		if data, epoch, ok := n.replicas.Get(array, block); ok {
+			if want == 0 || epoch == want {
+				n.metrics.replicaHits.Inc()
+				return data, true
+			}
+			n.replicas.Delete(array, block)
 			n.metrics.replicaStale.Inc()
 			n.syncStorageGauges()
 		}
@@ -780,20 +767,16 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 		if !held || (want != 0 && epoch < want) {
 			continue
 		}
-		n.forwardedReads.Add(1)
-		n.forwardedBytes.Add(int64(len(data)))
 		n.metrics.forwardedReads.Inc()
 		n.metrics.forwardedBytes.Add(int64(len(data)))
 		n.noteEpoch(array, block, epoch)
 		if hot {
-			n.replicas.Put(array, block, epoch, data)
-			n.replicaFills.Add(1)
+			n.replicas.Put(array, block, epoch, data, false)
 			n.metrics.replicaFills.Inc()
 			n.syncStorageGauges()
 		}
 		return data, true
 	}
-	n.forwardedReadMisses.Add(1)
 	n.metrics.forwardedReadMiss.Inc()
 	return nil, false
 }
@@ -811,13 +794,11 @@ func (n *Node) PushBlock(array string, block int, data []byte) bool {
 	}
 	array = n.scoped(array)
 	epoch := n.bumpEpoch(array, block)
-	n.replicas.Invalidate(array, block)
+	n.replicas.Delete(array, block)
 	ring := n.currentRing()
 	if ring == nil || len(ring.Members()) == 0 {
 		return false
 	}
-	n.pushes.Add(1)
-	n.pushBytes.Add(int64(len(data)))
 	n.metrics.pushes.Inc()
 	n.metrics.pushBytes.Add(int64(len(data)))
 	remoteAcks := 0
@@ -852,7 +833,6 @@ func (n *Node) PushBlock(array string, block int, data []byte) bool {
 		n.markSeen(id)
 		if ok {
 			remoteAcks++
-			n.pushAcks.Add(1)
 			n.metrics.pushAcks.Inc()
 		}
 	}
@@ -874,7 +854,7 @@ func (n *Node) InvalidateArray(array string) {
 	array = n.scoped(array)
 	n.foldEpochs(array)
 	n.table.DeleteArray(array)
-	n.replicas.InvalidateArray(array)
+	n.replicas.DeleteArray(array)
 	n.syncStorageGauges()
 	// Record the members owing an ack, then kick one immediate round. The
 	// closed-check and wg.Add are one critical section with Close's setting
@@ -950,7 +930,6 @@ func (n *Node) PeerPut(array string, block int, epoch uint64, data []byte, durab
 	}
 	ok := n.table.Put(array, block, epoch, data, durable)
 	if ok {
-		n.servedPuts.Add(1)
 		n.metrics.servedPuts.Inc()
 	}
 	n.syncStorageGauges()
@@ -966,7 +945,6 @@ func (n *Node) PeerGet(array string, block int) ([]byte, uint64, bool, error) {
 	if !ok {
 		return nil, 0, false, nil
 	}
-	n.servedGets.Add(1)
 	n.metrics.servedGets.Inc()
 	return data, epoch, true, nil
 }
@@ -979,7 +957,7 @@ func (n *Node) PeerDelete(array string) error {
 	}
 	n.foldEpochs(array)
 	n.table.DeleteArray(array)
-	n.replicas.InvalidateArray(array)
+	n.replicas.DeleteArray(array)
 	n.syncStorageGauges()
 	return nil
 }
@@ -988,7 +966,6 @@ func (n *Node) PeerDelete(array string) error {
 // server half of a gossip round.
 func (n *Node) PeerViewExchange(v remote.PeerView) remote.PeerView {
 	n.mergeView(v)
-	n.viewExchanges.Add(1)
 	n.metrics.viewExchanges.Inc()
 	return n.wireView()
 }

@@ -2,14 +2,18 @@ package cluster
 
 import "sync"
 
-// BlockTable is the peer-side shard store: the blocks this process holds
-// on behalf of the ring (its own pushes included when it owns the key).
-// Entries are epoch-tagged — a put with an older epoch than the resident
-// entry is refused, so a late replay can never roll a block back — and the
-// table is bounded: over budget, the least recently served entries are
-// dropped (they are a cache tier over the pusher's durability path, never
-// the only copy unless the pusher marked them durable, in which case two
-// distinct peers hold them).
+// BlockTable is an epoch-tagged, byte-budgeted LRU of blocks, and the one
+// cache type of the cluster tier. A Node holds two: the shard table — the
+// blocks this process holds on behalf of the ring (its own pushes included
+// when it owns the key), where a pusher may pin an entry as durable — and
+// the replica cache — read replicas of hot blocks on the reading side (the
+// SpMV input vector is read K times per iteration, so a forwarded fetch that
+// will repeat is worth keeping), where nothing is pinned. A put with an
+// older epoch than the resident entry is refused, so a late replay can never
+// roll a block back; over budget, the least recently served unpinned entries
+// are dropped (they are a cache tier over the pusher's durability path,
+// never the only copy unless the pusher marked them durable, in which case
+// two distinct peers hold them).
 type BlockTable struct {
 	mu     sync.Mutex
 	budget int64
@@ -30,8 +34,12 @@ type tableEntry struct {
 }
 
 // DefaultTableBytes bounds a peer's shard table when the caller does not
-// choose: 256 MiB of remote blocks.
-const DefaultTableBytes = 256 << 20
+// choose: 256 MiB of remote blocks. DefaultReplicaBytes does the same for
+// its replica cache: 64 MiB of hot blocks.
+const (
+	DefaultTableBytes   = 256 << 20
+	DefaultReplicaBytes = 64 << 20
+)
 
 // NewBlockTable builds a table bounded to budget bytes (DefaultTableBytes
 // when <= 0).
@@ -115,6 +123,17 @@ func (t *BlockTable) Get(array string, block int) (data []byte, epoch uint64, ok
 	return e.data, e.epoch, true
 }
 
+// Delete drops one block (a write-back supersedes a replica, or a reader
+// found it at the wrong epoch). Deleting an absent block is a no-op.
+func (t *BlockTable) Delete(array string, block int) {
+	key := BlockKey(array, block)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.blocks[key]; ok {
+		t.dropLocked(key, e)
+	}
+}
+
 // DeleteArray drops every block of an array (the pusher deleted it).
 func (t *BlockTable) DeleteArray(array string) int {
 	t.mu.Lock()
@@ -123,16 +142,10 @@ func (t *BlockTable) DeleteArray(array string) int {
 	if !ok {
 		return 0
 	}
-	n := 0
+	n := len(byBlock)
 	for block, e := range byBlock {
-		delete(t.blocks, BlockKey(array, block))
-		t.used -= int64(len(e.data))
-		if e.pinned {
-			t.pinned -= int64(len(e.data))
-		}
-		n++
+		t.dropLocked(BlockKey(array, block), e)
 	}
-	delete(t.arrays, array)
 	return n
 }
 
@@ -168,13 +181,21 @@ func (t *BlockTable) reclaimLocked() {
 		if victim == nil {
 			return
 		}
-		delete(t.blocks, BlockKey(victim.array, victim.block))
-		if byBlock, ok := t.arrays[victim.array]; ok {
-			delete(byBlock, victim.block)
-			if len(byBlock) == 0 {
-				delete(t.arrays, victim.array)
-			}
+		t.dropLocked(BlockKey(victim.array, victim.block), victim)
+	}
+}
+
+// dropLocked unlinks one entry from both indexes and the byte accounting.
+func (t *BlockTable) dropLocked(key string, e *tableEntry) {
+	delete(t.blocks, key)
+	if byBlock, ok := t.arrays[e.array]; ok {
+		delete(byBlock, e.block)
+		if len(byBlock) == 0 {
+			delete(t.arrays, e.array)
 		}
-		t.used -= int64(len(victim.data))
+	}
+	t.used -= int64(len(e.data))
+	if e.pinned {
+		t.pinned -= int64(len(e.data))
 	}
 }

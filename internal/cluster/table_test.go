@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -134,4 +135,81 @@ func TestTableDeleteArrayAccounting(t *testing.T) {
 	if tb.Len() != 4 || tb.Bytes() != 200 {
 		t.Fatalf("after delete: len=%d bytes=%d, want 4/200", tb.Len(), tb.Bytes())
 	}
+	// Delete drops one block — the replica instance's write-back and stale
+	// paths — and nothing else; an absent block is a no-op.
+	tb.Delete("kept", 1)
+	tb.Delete("kept", 1)
+	tb.Delete("never", 0)
+	if _, _, ok := tb.Get("kept", 1); ok {
+		t.Fatal("deleted block still resident")
+	}
+	if tb.Len() != 3 || tb.Bytes() != 150 {
+		t.Fatalf("after Delete: len=%d bytes=%d, want 3/150", tb.Len(), tb.Bytes())
+	}
+	// Deleting a pinned block frees its pinned bytes: a durable put that
+	// fills the whole pinned budget fits again afterwards.
+	pinned := NewBlockTable(100)
+	if !pinned.Put("P", 0, 1, tableData(100, 1), true) {
+		t.Fatal("durable put refused under budget")
+	}
+	pinned.Delete("P", 0)
+	if !pinned.Put("P", 1, 1, tableData(100, 2), true) {
+		t.Fatal("durable put refused after the pinned block was deleted")
+	}
+	// The last block of an array takes the array index entry with it.
+	if n := pinned.DeleteArray("P"); n != 1 {
+		t.Fatalf("DeleteArray after Delete dropped %d blocks, want 1", n)
+	}
+}
+
+// TestTableConcurrent hammers one unpinned instance — the replica cache's
+// shape — with concurrent fills at rising epochs, reads, and single-block
+// and whole-array deletes: the -race exercise for the replica path. Readers
+// assert self-consistency: whatever epoch a read lands on, the bytes must be
+// that epoch's fill pattern (entries are replaced wholesale, never written
+// in place).
+func TestTableConcurrent(t *testing.T) {
+	c := NewBlockTable(1 << 20)
+	const (
+		blocks  = 8
+		rounds  = 200
+		readers = 4
+	)
+	var wg sync.WaitGroup
+	wg.Add(1 + readers + 1)
+	go func() { // writer: rising epochs per block
+		defer wg.Done()
+		for e := uint64(1); e <= rounds; e++ {
+			for b := 0; b < blocks; b++ {
+				c.Put("x_t", b, e, tableData(64, byte(e)), false)
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds*blocks; i++ {
+				data, epoch, ok := c.Get("x_t", i%blocks)
+				if !ok {
+					continue
+				}
+				for _, by := range data {
+					if by != byte(epoch) {
+						t.Errorf("read at epoch %d returned %v", epoch, data[:8])
+						return
+					}
+				}
+			}
+		}()
+	}
+	go func() { // invalidator: the write-back and delete paths
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			c.Delete("x_t", i%blocks)
+			if i%32 == 0 {
+				c.DeleteArray("x_t")
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -113,11 +113,8 @@ type System struct {
 	valid   validMemo      // blocks the uncached matrix path has validated
 
 	// Kernel layer: one persistent stripe pool per computing filter (indexed
-	// node*WorkersPerNode+lane, started once and parked between multiplies)
-	// and one decode pipeline per node (only when the decode cache is on).
-	kern    []*sparse.Pool
-	pipes   []*decodePipeline
-	kernObs kernelMetrics
+	// node*WorkersPerNode+lane, started once and parked between multiplies).
+	kern []*sparse.Pool
 
 	// Failure registry. FailNode marks a node dead: active runs stop its
 	// workers and reassign its incomplete tasks; runs started afterwards
@@ -159,25 +156,18 @@ func NewSystem(opts Options) (*System, error) {
 		runs:        make(map[*engineRun]struct{}),
 		failedNodes: make(map[int]bool),
 	}
-	sys.kernObs = newKernelMetrics(opts.Obs)
 	sys.decode = make([]*decodeCache, opts.Nodes)
-	sys.pipes = make([]*decodePipeline, opts.Nodes)
 	for i := range sys.decode {
-		c := newDecodeCache(opts.DecodeCacheBytes)
-		sys.decode[i] = c
-		if c != nil {
-			c.obsHits = sys.nodeCounter("dooc_core_decode_cache_hits_total", "decoded-block cache hits", i)
-			c.obsMisses = sys.nodeCounter("dooc_core_decode_cache_misses_total", "decoded-block cache misses (synchronous decodes)", i)
-			c.obsOverlap = sys.kernObs.pipeOverlap
-			sys.pipes[i] = newDecodePipeline(stores[i], c, sys.kernObs)
-		}
+		sys.decode[i] = newDecodeCache(opts.DecodeCacheBytes, opts.Obs, i)
 	}
+	// The dooc_kernel_* dispatch counts, shared by every pool of the system.
+	fused := opts.Obs.Counter("dooc_kernel_fused_calls_total", "fused SpMV+AXPY/dot kernel invocations")
+	blocked := opts.Obs.Counter("dooc_kernel_blocked_dispatch_total", "SpMV dispatches taking the cache-blocked traversal")
+	scalar := opts.Obs.Counter("dooc_kernel_scalar_dispatch_total", "SpMV dispatches taking the row-serial traversal")
 	sys.kern = make([]*sparse.Pool, opts.Nodes*opts.WorkersPerNode)
 	for i := range sys.kern {
 		p := sparse.NewPool(opts.WorkersPerNode)
-		p.Fused = sys.kernObs.fused
-		p.Blocked = sys.kernObs.blocked
-		p.Scalar = sys.kernObs.scalar
+		p.Fused, p.Blocked, p.Scalar = fused, blocked, scalar
 		sys.kern[i] = p
 	}
 	return sys, nil
@@ -191,12 +181,6 @@ func (s *System) invalidateDecoded(name string) {
 		c.invalidate(name)
 	}
 	s.valid.forget(name)
-}
-
-// nodeCounter registers a per-node counter on the system registry (nil when
-// observability is off).
-func (s *System) nodeCounter(name, help string, node int) *obs.Counter {
-	return s.opts.Obs.Counter(name, help, obs.L("node", fmt.Sprint(node)))
 }
 
 // Nodes returns the cluster size.
@@ -249,12 +233,8 @@ func (s *System) FailedNodes() []int {
 	return out
 }
 
-// Close shuts all nodes down: decode pipelines first (they read through
-// storage), then the kernel pools, then the storage filters.
+// Close shuts all nodes down: the kernel pools, then the storage filters.
 func (s *System) Close() {
-	for _, p := range s.pipes {
-		p.close()
-	}
 	for _, p := range s.kern {
 		p.Close()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"dooc/internal/obs"
@@ -21,30 +22,28 @@ type decodeCache struct {
 	tick    int64
 	entries map[string]*decEntry
 
-	hits, misses int64
-
-	// Observability mirrors of hits/misses plus the pipeline-overlap credit
-	// (nil counters are no-ops; wired by NewSystem when Options.Obs is set).
-	obsHits, obsMisses, obsOverlap *obs.Counter
+	// The node's dooc_core_decode_cache_* series; stats reads them back.
+	hits, misses *obs.Counter
 }
 
 type decEntry struct {
 	m       *sparse.CSR
 	bytes   int64
 	lastUse int64
-	// pipelined marks an entry decoded ahead of use by the decode pipeline
-	// and not yet consumed: the first hit credits a fully-overlapped decode.
-	// A consumer that had to wait on the in-flight decode clears the flag
-	// first, so the overlap counter only counts decodes that finished before
-	// anyone asked.
-	pipelined bool
 }
 
-func newDecodeCache(capBytes int64) *decodeCache {
+// newDecodeCache returns node's cache, nil (disabled) when capBytes <= 0.
+func newDecodeCache(capBytes int64, reg *obs.Registry, node int) *decodeCache {
 	if capBytes <= 0 {
 		return nil
 	}
-	return &decodeCache{cap: capBytes, entries: make(map[string]*decEntry)}
+	l := obs.L("node", fmt.Sprint(node))
+	return &decodeCache{
+		cap:     capBytes,
+		entries: make(map[string]*decEntry),
+		hits:    reg.Counter("dooc_core_decode_cache_hits_total", "decoded-block cache hits", l),
+		misses:  reg.Counter("dooc_core_decode_cache_misses_total", "decoded-block cache misses (synchronous decodes)", l),
+	}
 }
 
 // matrix returns the decoded block for `array`, reading through the store
@@ -53,13 +52,14 @@ func (c *decodeCache) matrix(store *storage.Store, array string) (*sparse.CSR, e
 	if c != nil {
 		c.mu.Lock()
 		if e, ok := c.entries[array]; ok {
-			m := c.hitLocked(e)
+			c.tick++
+			e.lastUse = c.tick
 			c.mu.Unlock()
-			return m, nil
+			c.hits.Inc()
+			return e.m, nil
 		}
-		c.misses++
-		c.obsMisses.Inc()
 		c.mu.Unlock()
+		c.misses.Inc()
 	}
 	lease, err := store.RequestBlock(array, 0, storage.PermRead)
 	if err != nil {
@@ -76,23 +76,9 @@ func (c *decodeCache) matrix(store *storage.Store, array string) (*sparse.CSR, e
 	return m, nil
 }
 
-// hitLocked records a cache hit and returns the entry's matrix; caller
-// holds c.mu.
-func (c *decodeCache) hitLocked(e *decEntry) *sparse.CSR {
-	c.tick++
-	e.lastUse = c.tick
-	c.hits++
-	c.obsHits.Inc()
-	if e.pipelined {
-		e.pipelined = false
-		c.obsOverlap.Inc()
-	}
-	return e.m
-}
-
 // peek reports residency without touching recency or hit/miss accounting —
-// used by the scheduler's residency scoring and by the pipeline to skip
-// already-decoded blocks.
+// used by the scheduler's residency scoring and to skip the storage
+// prefetch of an already-decoded block.
 func (c *decodeCache) peek(array string) bool {
 	if c == nil {
 		return false
@@ -103,29 +89,7 @@ func (c *decodeCache) peek(array string) bool {
 	return ok
 }
 
-// clearPipelined removes the overlap credit from an entry whose consumer
-// had to wait for the in-flight decode.
-func (c *decodeCache) clearPipelined(array string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[array]; ok {
-		e.pipelined = false
-	}
-	c.mu.Unlock()
-}
-
 func (c *decodeCache) put(array string, m *sparse.CSR) {
-	c.insert(array, m, false)
-}
-
-// putPipelined inserts a block decoded ahead of use by the pipeline.
-func (c *decodeCache) putPipelined(array string, m *sparse.CSR) {
-	c.insert(array, m, true)
-}
-
-func (c *decodeCache) insert(array string, m *sparse.CSR, pipelined bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[array]; dup {
@@ -133,7 +97,7 @@ func (c *decodeCache) insert(array string, m *sparse.CSR, pipelined bool) {
 	}
 	sz := m.Bytes()
 	c.tick++
-	c.entries[array] = &decEntry{m: m, bytes: sz, lastUse: c.tick, pipelined: pipelined}
+	c.entries[array] = &decEntry{m: m, bytes: sz, lastUse: c.tick}
 	c.used += sz
 	for c.used > c.cap && len(c.entries) > 1 {
 		victim := ""
@@ -172,9 +136,7 @@ func (c *decodeCache) stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Value(), c.misses.Value()
 }
 
 // validMemo remembers, per matrix array, the checksum of the block bytes

@@ -26,7 +26,6 @@ type ExecContext struct {
 	cache   *decodeCache
 	valid   *validMemo
 	pool    *sparse.Pool
-	pipe    *decodePipeline
 	scratch execScratch
 
 	// The uncached matrix path: the read lease under the view Matrix handed
@@ -78,9 +77,7 @@ func (c *ExecContext) reset(t *dag.Task) {
 
 // Matrix returns the CRS block stored in `array`, valid until the executor
 // returns. With a decode cache (Options.DecodeCacheBytes) it is the cached
-// decoded copy — under RunSpec.DecodeAhead by way of the node's decode
-// pipeline, waiting on an in-flight background decode instead of
-// duplicating it. Without one, nothing is decoded: the block's read lease
+// decoded copy. Without one, nothing is decoded: the block's read lease
 // stays held until the executor returns and the matrix is a view whose
 // RowPtr, ColIdx and Val alias the leased bytes (sparse.ViewCRSBytes), so
 // the kernel runs on memory the storage budget already accounts for. The
@@ -88,9 +85,6 @@ func (c *ExecContext) reset(t *dag.Task) {
 // content (validMemo). Executors must not keep the matrix, or anything
 // sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
-	if c.pipe != nil {
-		return c.pipe.matrix(c.Store, array)
-	}
 	if c.cache != nil || c.matLease != nil {
 		// A second view in one task finds the scratch taken and gets an
 		// owning copy instead.
@@ -207,13 +201,6 @@ type RunSpec struct {
 	// IterOf maps a task ID to its iteration index; tasks it recognizes
 	// parent under a per-iteration span instead of directly under Span.
 	IterOf func(taskID string) (int, bool)
-	// DecodeAhead routes the prefetch order into the node decode pipelines,
-	// so heavy blocks are codec-decoded and CSR-materialized concurrently
-	// with compute. Only set it for programs whose heavy refs are CRS blocks
-	// (the SpMV family). It has an effect only with Options.DecodeCacheBytes
-	// > 0: without a decode cache there is no decoded form to produce ahead
-	// of use — ExecContext.Matrix multiplies out of the lease itself.
-	DecodeAhead bool
 }
 
 // Run executes the program to completion and returns statistics.
@@ -278,11 +265,6 @@ func (s *System) Run(spec RunSpec) (*RunStats, error) {
 		p.Picks = s.opts.Obs.Counter("dooc_sched_picks_total", "local-scheduler task selections", node)
 		p.Reorders = s.opts.Obs.Counter("dooc_sched_reorders_total", "picks where the data-aware score overrode FIFO order", node)
 		p.PrefetchRefs = s.opts.Obs.Counter("dooc_sched_prefetch_refs_total", "data refs handed to the prefetcher", node)
-		if c := s.decode[i]; c != nil {
-			// Blocks already decoded past the storage tier never burn a
-			// prefetch-window slot.
-			p.Decoded = c.peek
-		}
 		run.policies[i] = p
 	}
 	run.cond = sync.NewCond(&run.mu)
@@ -485,9 +467,6 @@ func (r *engineRun) worker(node, lane int) {
 		valid:   &r.sys.valid,
 		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
 	}
-	if r.spec.DecodeAhead {
-		ctx.pipe = r.sys.pipes[node]
-	}
 	var deadScratch []string
 	for {
 		r.mu.Lock()
@@ -511,13 +490,11 @@ func (r *engineRun) worker(node, lane int) {
 				}
 				task = r.policies[node].Pick(mine, resident)
 				// Keep the prefetch window full with the runner-up tasks'
-				// heavy data; the decode pipeline rides the same order, and
-				// blocks it already holds decoded skip the storage prefetch.
+				// heavy data. `resident` counts a block the decode cache
+				// holds, so none burns a window slot or a storage prefetch.
 				if w := r.sys.opts.PrefetchWindow; w > 0 {
 					for _, ref := range r.policies[node].PrefetchTargets(mine, resident, w) {
-						if ctx.pipe.wants(ref.Array) {
-							store.PrefetchBlock(ref.Array, blockOrZero(ref))
-						}
+						store.PrefetchBlock(ref.Array, blockOrZero(ref))
 					}
 				}
 				store.RecycleMap(rm)

@@ -138,36 +138,24 @@ func TestObsReconcilesAcrossLayers(t *testing.T) {
 		t.Errorf("lease-wait observations (%d) != total requests", got)
 	}
 
-	// Decode-cache layer: the per-node dooc_core_decode_cache series mirror
-	// each cache's own stats(), and every Matrix lookup lands as exactly one
-	// hit or one miss. The pipeline's background decodes are accounted
-	// separately (dooc_kernel_pipeline_decodes_total), never as cache misses.
-	var decodeHits, decodeMisses int64
-	for n := 0; n < nodes; n++ {
-		hits, misses := sys.decode[n].stats()
-		if got := obsSeriesValue(snap, "dooc_core_decode_cache_hits_total", n); got != hits {
-			t.Errorf("node %d: decode_cache_hits = %d, stats says %d", n, got, hits)
+	// Decode-cache layer: every Matrix lookup — one per multiply execution —
+	// lands as exactly one hit or one miss (hits + misses == touches).
+	var touches int64
+	for _, ev := range st.Events {
+		if ev.Kind == "multiply" || ev.Kind == "multiply-part" {
+			touches++
 		}
-		if got := obsSeriesValue(snap, "dooc_core_decode_cache_misses_total", n); got != misses {
-			t.Errorf("node %d: decode_cache_misses = %d, stats says %d", n, got, misses)
-		}
-		decodeHits += hits
-		decodeMisses += misses
 	}
-	if decodeHits+decodeMisses == 0 {
-		t.Error("decode cache saw no lookups despite DecodeCacheBytes being set")
+	decodeHits := reg.Sum("dooc_core_decode_cache_hits_total")
+	decodeMisses := reg.Sum("dooc_core_decode_cache_misses_total")
+	if touches == 0 || decodeHits+decodeMisses != touches {
+		t.Errorf("decode cache hits(%d)+misses(%d) != multiply executions (%d)", decodeHits, decodeMisses, touches)
 	}
 	// Kernel layer: every multiply dispatch is counted once, scalar or
-	// blocked, and pipeline accounting stays internally consistent.
+	// blocked.
 	dispatches := reg.Sum("dooc_kernel_scalar_dispatch_total") + reg.Sum("dooc_kernel_blocked_dispatch_total")
 	if dispatches == 0 {
 		t.Error("kernel layer recorded no SpMV dispatches")
-	}
-	if overlap := reg.Sum("dooc_kernel_pipeline_overlap_total"); overlap > reg.Sum("dooc_kernel_pipeline_decodes_total") {
-		t.Errorf("pipeline overlap (%d) exceeds pipeline decodes (%d)", overlap, reg.Sum("dooc_kernel_pipeline_decodes_total"))
-	}
-	if stalls := reg.Sum("dooc_kernel_pipeline_stalls_total"); stalls > decodeMisses {
-		t.Errorf("pipeline stalls (%d) exceed synchronous decodes (%d)", stalls, decodeMisses)
 	}
 
 	// RunStats deltas derived from the same counters must agree with a

@@ -470,9 +470,6 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 		Ephemeral:  ephemeral,
 		Cancel:     opts.cancel,
 		Span:       cfg.Trace,
-		// Every heavy ref in the SpMV program is a CRS block: let the node
-		// decode pipelines materialize them concurrently with compute.
-		DecodeAhead: true,
 	}
 	if cfg.Trace.Valid() {
 		// Task IDs carry segment-relative iteration indices; the base shift

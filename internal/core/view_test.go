@@ -117,7 +117,7 @@ func viewTestSystem(t *testing.T, m *sparse.CSR, x []float64) *System {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	stageBlockArray(t, sys, "M", m)
+	stageRaw(t, sys.Store(0), "M", m)
 	raw := make([]byte, 8*len(x))
 	storage.EncodeFloat64s(raw, x)
 	if err := sys.Store(0).WriteArray("x", raw, 0); err != nil {
@@ -285,7 +285,7 @@ func TestValidateOncePerContent(t *testing.T) {
 	if err := view("x"); err == nil {
 		t.Fatal("a vector passed for a CRS block")
 	}
-	stageBlockArray(t, sys, "N", m)
+	stageRaw(t, sys.Store(0), "N", m)
 	if err := view("N"); err != nil {
 		t.Fatal(err)
 	}

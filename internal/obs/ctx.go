@@ -13,8 +13,8 @@ import (
 // Trace context: the causal identity a job carries across process
 // boundaries. A TraceID names one causal tree end-to-end (client submit →
 // queue → run → iterations → tasks → result); a SpanID names one node in
-// that tree. Both travel over the gob wire as plain uint64 words so legacy
-// peers, which never look at the fields, interoperate unchanged.
+// that tree. Both travel over the gob wire as plain uint64 words; all-zero
+// means untraced.
 
 // TraceID is a 128-bit trace identifier. The zero value means "untraced".
 type TraceID [16]byte

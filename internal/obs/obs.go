@@ -13,7 +13,11 @@
 //
 // All types are nil-safe: methods on a nil *Registry, *Counter, *Gauge,
 // *Histogram, or *Tracer are no-ops, so instrumentation call sites never
-// branch on whether observability is enabled.
+// branch on whether observability is enabled. A nil *Registry still hands
+// out live counters and gauges — unregistered, so no export or Totals sees
+// them — which lets a layer keep exactly one count per event: the accessor
+// that reports it (cluster.Node.Counters, remote.Server.Requests) reads the
+// same instrument the exposition does.
 package obs
 
 import (
@@ -250,18 +254,20 @@ func (r *Registry) lookupLocked(name, help string, kind metricKind, labels []Lab
 	return s
 }
 
-// Counter registers (or finds) a counter series.
+// Counter registers (or finds) a counter series. A nil registry returns a
+// live counter that belongs to no family.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
-		return nil
+		return &Counter{}
 	}
 	return r.lookup(name, help, counterKind, labels).counter
 }
 
-// Gauge registers (or finds) a gauge series.
+// Gauge registers (or finds) a gauge series. A nil registry returns a live
+// gauge that belongs to no family.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
-		return nil
+		return &Gauge{}
 	}
 	return r.lookup(name, help, gaugeKind, labels).gauge
 }

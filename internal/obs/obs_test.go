@@ -166,10 +166,10 @@ func TestSnapshot(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var reg *Registry
-	c := reg.Counter("x", "")
-	g := reg.Gauge("x", "")
-	h := reg.Histogram("x", "", nil)
+	// Nil instruments are no-ops that read zero.
+	var c *Counter
+	var g *Gauge
+	var h *Histogram
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
@@ -178,12 +178,39 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
-	if reg.Sum("x") != 0 || reg.Snapshot() != nil {
+
+	// A nil registry hands out live counters and gauges — each call a fresh,
+	// unregistered one — so a layer without a registry still has its counts,
+	// and nothing about them is exported.
+	var reg *Registry
+	rc := reg.Counter("dooc_x_total", "")
+	rg := reg.Gauge("dooc_x", "")
+	rc.Inc()
+	rc.Add(5)
+	rg.Set(3)
+	rg.Add(-1)
+	if rc.Value() != 6 || rg.Value() != 2 {
+		t.Fatalf("nil-registry counter = %d, gauge = %d, want 6 and 2", rc.Value(), rg.Value())
+	}
+	if reg.Counter("dooc_x_total", "") == rc {
+		t.Fatal("a nil registry must not share series between callers")
+	}
+	if rh := reg.Histogram("dooc_x_seconds", "", nil); rh != nil {
+		t.Fatal("nil registry histogram must stay nil")
+	}
+	if reg.Sum("dooc_x_total") != 0 || reg.Snapshot() != nil || reg.Totals() != nil {
 		t.Fatal("nil registry must read empty")
 	}
 	if err := reg.WritePrometheus(nil); err != nil {
 		t.Fatal("nil registry WritePrometheus must be a no-op")
 	}
+	// A live registry's Totals never picks up an unregistered counter.
+	live := NewRegistry()
+	live.Counter("dooc_registered_total", "").Inc()
+	if tot := live.Totals(); len(tot) != 1 || tot["dooc_registered_total"] != 1 {
+		t.Fatalf("Totals = %v, want only the registered family", tot)
+	}
+
 	var tr *Tracer
 	tr.Span("a", "b", 0, 0, timeZero(), timeZero(), nil)
 	tr.Instant("a", "b", 0, 0, timeZero(), nil)

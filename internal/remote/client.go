@@ -33,17 +33,15 @@ type Options struct {
 	// Obs, when non-nil, receives the client's RPC metrics
 	// (dooc_remote_client_*).
 	Obs *obs.Registry
-	// Codec, when non-nil, opens the connection with a capability handshake
-	// and compresses payloads both ways with any codec the peer's mask
-	// admits. Against a legacy server the client transparently falls back
-	// to the plain protocol (NegotiatedCodec reports nil).
+	// Codec, when non-nil, is the client's preferred wire codec: payloads
+	// are compressed both ways when the server's hello mask admits it
+	// (NegotiatedCodec reports what was agreed).
 	Codec compress.Codec
 	// CompressMin is the smallest payload worth compressing (default 1 KiB).
 	CompressMin int
-	// Handshake forces the capability hello even without a codec, so the
-	// client learns the server's full capability mask (ClusterCapable).
-	// Against a legacy server the client still falls back to the plain
-	// protocol; the mask then stays zero.
+	// Handshake is inert: every connection opens with the capability hello,
+	// so the server's mask (ClusterCapable, ProxyCapable) is always known.
+	// The field stays declared only because bench/ sets it.
 	Handshake bool
 }
 
@@ -105,8 +103,8 @@ type Client struct {
 	pending    map[uint64]*pendingCall
 	closed     bool
 	reconnects int64
-	negotiated compress.Codec // wire codec agreed at handshake; nil = plain
-	peerMask   uint8          // server capability mask from the handshake; 0 = plain/legacy
+	negotiated compress.Codec // wire codec agreed at handshake; nil = uncompressed
+	peerMask   uint8          // server capability mask from the handshake
 
 	metrics clientMetrics
 
@@ -134,32 +132,22 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return cl, nil
 }
 
-// dialConn dials the server and, when a codec is configured, runs the
-// capability handshake. A peer that does not speak the handshake drops the
-// connection (or stays silent past the deadline); the client then redials
-// and talks the plain protocol, so old servers keep working uncompressed.
+// dialConn dials the server and runs the capability handshake. A peer that
+// does not answer the hello with its own is not a server this client can
+// talk to: the dial fails.
 func (cl *Client) dialConn() (*conn, error) {
 	raw, err := net.Dial("tcp", cl.addr)
 	if err != nil {
 		return nil, err
 	}
-	var negotiated compress.Codec
-	var peerMask uint8
 	codec := cl.opts.Codec
 	if codec != nil && codec.ID() == (compress.Raw{}).ID() {
 		codec = nil
 	}
-	if codec != nil || cl.opts.Handshake {
-		neg, mask, herr := clientHandshake(raw, codec)
-		if herr != nil {
-			raw.Close()
-			raw, err = net.Dial("tcp", cl.addr)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			negotiated, peerMask = neg, mask
-		}
+	negotiated, peerMask, err := clientHandshake(raw, codec)
+	if err != nil {
+		raw.Close()
+		return nil, fmt.Errorf("remote: handshake with %s: %w", cl.addr, err)
 	}
 	c := newFaultyConn(raw, cl.opts.Faults)
 	c.codec = negotiated
@@ -173,7 +161,7 @@ func (cl *Client) dialConn() (*conn, error) {
 }
 
 // NegotiatedCodec returns the wire codec agreed with the server at the last
-// (re)connect, or nil when the connection speaks the plain protocol.
+// (re)connect, or nil when payloads travel uncompressed.
 func (cl *Client) NegotiatedCodec() compress.Codec {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()

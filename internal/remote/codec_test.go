@@ -3,9 +3,13 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
+	"time"
 
 	"dooc/internal/compress"
 	"dooc/internal/obs"
@@ -49,34 +53,51 @@ func startCodecServer(t *testing.T, reg *obs.Registry, srvOpts ServerOptions, cl
 	return srv, cl
 }
 
-// TestWireCompressionRoundTrip negotiates the default codec and moves a
-// compressible payload both ways: the data must round-trip exactly while the
-// wire carries fewer payload bytes than the logical interval.
+// TestWireCompressionRoundTrip moves a compressible payload both ways under
+// each pairing of client and server codec preference: the data must round-
+// trip exactly, and a direction carries fewer payload bytes than the logical
+// interval exactly when its sender has a codec the receiver's hello admits —
+// a client that asked for no codec still decodes what a codec-configured
+// server sends it.
 func TestWireCompressionRoundTrip(t *testing.T) {
-	srv, cl := startCodecServer(t, nil, ServerOptions{}, Options{Codec: compress.Default()})
-	if got := cl.NegotiatedCodec(); got == nil || got.ID() != compress.Default().ID() {
-		t.Fatalf("NegotiatedCodec() = %v, want %s", got, compress.Default().Name())
-	}
+	for _, tc := range []struct {
+		name                string
+		client, server      compress.Codec
+		negotiated          bool
+		requestsCompressed  bool
+		responsesCompressed bool
+	}{
+		{name: "client codec", client: compress.Default(), negotiated: true, requestsCompressed: true, responsesCompressed: true},
+		{name: "server codec only", server: compress.Default(), responsesCompressed: true},
+		{name: "no codec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, cl := startCodecServer(t, nil, ServerOptions{Codec: tc.server}, Options{Codec: tc.client})
+			if got := cl.NegotiatedCodec(); (got != nil) != tc.negotiated || (got != nil && got.ID() != tc.client.ID()) {
+				t.Fatalf("NegotiatedCodec() = %v, want negotiated=%v", got, tc.negotiated)
+			}
 
-	payload := wirePayload(64 << 10)
-	if err := cl.Create("v", int64(len(payload)), int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteInterval("v", 0, int64(len(payload)), payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.ReadInterval("v", 0, int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("compressed wire round trip corrupted the payload")
-	}
-	if in := srv.BytesIn(); in >= int64(len(payload)) {
-		t.Errorf("server received %d wire bytes for a %d-byte write: not compressed", in, len(payload))
-	}
-	if out := srv.BytesOut(); out >= int64(len(payload)) {
-		t.Errorf("server sent %d wire bytes for a %d-byte read: not compressed", out, len(payload))
+			payload := wirePayload(64 << 10)
+			if err := cl.Create("v", int64(len(payload)), int64(len(payload))); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.WriteInterval("v", 0, int64(len(payload)), payload); err != nil {
+				t.Fatal(err)
+			}
+			got, err := cl.ReadInterval("v", 0, int64(len(payload)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatal("wire round trip corrupted the payload")
+			}
+			if in := srv.BytesIn(); (in < int64(len(payload))) != tc.requestsCompressed {
+				t.Errorf("server received %d wire bytes for a %d-byte write, want compressed=%v", in, len(payload), tc.requestsCompressed)
+			}
+			if out := srv.BytesOut(); (out < int64(len(payload))) != tc.responsesCompressed {
+				t.Errorf("server sent %d wire bytes for a %d-byte read, want compressed=%v", out, len(payload), tc.responsesCompressed)
+			}
+		})
 	}
 }
 
@@ -115,55 +136,68 @@ func TestWireCompressionBailsOutOnRandomPayload(t *testing.T) {
 	}
 }
 
-// TestLegacyServerFallback dials a codec-configured client against a server
-// that drops handshake hellos the way a pre-compression binary's gob decoder
-// would: the client must transparently fall back to the plain protocol.
-func TestLegacyServerFallback(t *testing.T) {
-	srv, cl := startCodecServer(t, nil, ServerOptions{Legacy: true}, Options{Codec: compress.Default()})
-	if got := cl.NegotiatedCodec(); got != nil {
-		t.Fatalf("NegotiatedCodec() = %s against a legacy server", got.Name())
+// TestServerDropsPeerWithoutHello writes raw bytes to a live server: a peer
+// that opens with anything but a well-formed hello is outside input, and the
+// server must close the connection without replying, counting a request or
+// letting a byte of it reach the store.
+func TestServerDropsPeerWithoutHello(t *testing.T) {
+	var gobFirst bytes.Buffer
+	if err := gob.NewEncoder(&gobFirst).Encode(&request{ID: 1, Op: opCreate, Array: "smuggled", Size: 8, BlockSize: 8}); err != nil {
+		t.Fatal(err)
 	}
+	hello := helloFrame(compress.Mask(), 0)
+	versionZero := append([]byte(nil), hello...)
+	versionZero[5] = 0
 
-	payload := wirePayload(16 << 10)
-	if err := cl.Create("p", int64(len(payload)), int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteInterval("p", 0, int64(len(payload)), payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.ReadInterval("p", 0, int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("fallback round trip corrupted the payload")
-	}
-	// Nothing was compressed: wire bytes equal logical bytes.
-	if in := srv.BytesIn(); in != int64(len(payload)) {
-		t.Errorf("server received %d wire bytes, want plain %d", in, len(payload))
-	}
-}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"gob-first client", gobFirst.Bytes()},
+		{"truncated hello", hello[:helloLen-3]},
+		{"hello with version 0", append(versionZero, gobFirst.Bytes()...)},
+		{"hello marker then gob", append([]byte{helloByte}, gobFirst.Bytes()...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 20, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			srv, err := Listen(st, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-// TestLegacyClientAgainstCodecServer checks the other direction: a client
-// that never sends a hello gets plain payloads from a codec-capable server.
-func TestLegacyClientAgainstCodecServer(t *testing.T) {
-	srv, cl := startCodecServer(t, nil, ServerOptions{Codec: compress.Default()}, Options{})
-	payload := wirePayload(16 << 10)
-	if err := cl.Create("q", int64(len(payload)), int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteInterval("q", 0, int64(len(payload)), payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.ReadInterval("q", 0, int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("legacy-client round trip corrupted the payload")
-	}
-	if out := srv.BytesOut(); out < int64(len(payload)) {
-		t.Errorf("server sent %d wire bytes to a legacy client: compressed without negotiation", out)
+			raw, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if _, err := raw.Write(tc.raw); err != nil {
+				t.Fatal(err)
+			}
+			// End of input: a server still waiting for the rest of a hello
+			// sees it now.
+			if err := raw.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			reply, err := io.ReadAll(raw)
+			if err != nil {
+				t.Fatalf("server did not close the connection: %v", err)
+			}
+			if len(reply) != 0 {
+				t.Errorf("server answered a malformed opening with % x", reply)
+			}
+			if n := srv.Requests(); n != 0 {
+				t.Errorf("server counted %d requests from a peer it never shook hands with", n)
+			}
+			if _, err := st.Info("smuggled"); err == nil {
+				t.Error("a request from a peer without a hello reached the store")
+			}
+		})
 	}
 }
 

@@ -35,14 +35,13 @@ type jobWire struct {
 	// TraceHi/TraceLo/TraceSpan carry the submitter's trace context (the
 	// 128-bit trace ID and the client root span) so the server's job spans
 	// join the client's causal tree. All-zero means untraced; gob omits
-	// zero fields, so legacy peers on either side interoperate unchanged.
+	// zero fields.
 	TraceHi, TraceLo, TraceSpan uint64
 	// Offset/Limit paginate the history verb.
 	Offset int
 	Limit  int
 	// InputProxy is the submit verb's chained input handle in its
 	// "name@epoch[@scope]" string form ("" = seed-derived start vector).
-	// Gob omits the empty string, so legacy peers never see the field.
 	InputProxy string
 }
 
@@ -170,7 +169,8 @@ func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 	}}
 	if req.Input.Valid() {
 		// A chained input is a proxy-plane feature: refuse locally rather
-		// than let a legacy server silently run from the seed vector.
+		// than let a server without the plane silently run from the seed
+		// vector.
 		if !cl.ProxyCapable() {
 			return jobs.JobStatus{}, fmt.Errorf("%w (submit with -input-proxy)", ErrLegacyProxy)
 		}

@@ -8,8 +8,9 @@ import (
 	"dooc/internal/obs"
 )
 
-// serverMetrics are one server's series in the shared obs registry. With a
-// nil registry every field is nil and every operation a no-op.
+// serverMetrics are one server's series in the shared obs registry; the
+// Server's Requests/BytesIn/BytesOut accessors and its Shutdown drain read
+// the same instruments.
 type serverMetrics struct {
 	requests      *obs.Counter
 	bytesIn       *obs.Counter

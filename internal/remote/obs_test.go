@@ -60,9 +60,6 @@ func TestRemoteMetricsReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, want := reg.Sum("dooc_remote_server_requests_total"), srv.Requests(); got != want {
-		t.Errorf("server requests metric = %d, Server.Requests() = %d", got, want)
-	}
 	// Clean connection, no retries: one client round trip per server request.
 	if got, want := reg.Sum("dooc_remote_client_rpc_seconds"), srv.Requests(); got != want {
 		t.Errorf("client observed %d round trips, server received %d", got, want)
@@ -82,6 +79,13 @@ func TestRemoteMetricsReconcile(t *testing.T) {
 	}
 	if fails := reg.Sum("dooc_remote_server_checksum_failures_total") + reg.Sum("dooc_remote_client_checksum_failures_total"); fails != 0 {
 		t.Errorf("clean run recorded %d checksum failures", fails)
+	}
+	// A request stays active until its reply is on the wire — that is what
+	// Shutdown drains — so the gauge may trail the last reply by the moment
+	// the handler takes to return.
+	deadline := time.Now().Add(2 * time.Second)
+	for reg.Sum("dooc_remote_server_active_requests") != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if active := reg.Sum("dooc_remote_server_active_requests"); active != 0 {
 		t.Errorf("active-request gauge = %d after all replies", active)

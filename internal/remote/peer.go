@@ -7,11 +7,10 @@
 // compression and checksum protection for free.
 //
 // Capability gating: a cluster-enabled server advertises ClusterCapBit in
-// its handshake hello mask. Peers that do not (legacy pre-cluster
-// binaries, or current ones started without a peer role) are detected at
-// dial time — Client.ClusterCapable reports false — and the cluster layer
-// rejects them from ring membership with a typed error instead of ever
-// sending them a peer verb they would garble.
+// its handshake hello mask. Peers that do not (servers started without a
+// peer role) are detected at dial time — Client.ClusterCapable reports
+// false — and the cluster layer rejects them from ring membership with a
+// typed error instead of ever sending them a peer verb they would refuse.
 
 package remote
 
@@ -93,9 +92,8 @@ func (s *Server) dispatchPeer(req *request) *response {
 }
 
 // ClusterCapable reports whether the server at the other end advertised
-// the cluster peer verbs in the last (re)connect's handshake. False for
-// legacy binaries (the handshake itself fell back to the plain protocol)
-// and for current binaries running without a peer role.
+// the cluster peer verbs in the last (re)connect's handshake. False for a
+// server running without a peer role.
 func (cl *Client) ClusterCapable() bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()

@@ -81,7 +81,7 @@ func startPeerServer(t *testing.T, h PeerHandler) (*Server, *Client) {
 		st.Close()
 		t.Fatal(err)
 	}
-	cl, err := DialOptions(srv.Addr(), Options{Handshake: true, Timeout: 2 * time.Second})
+	cl, err := DialOptions(srv.Addr(), Options{Timeout: 2 * time.Second})
 	if err != nil {
 		srv.Close()
 		st.Close()
@@ -167,7 +167,7 @@ func TestPeerCapabilityGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := DialOptions(srv.Addr(), Options{Handshake: true, Timeout: 2 * time.Second})
+	cl, err := DialOptions(srv.Addr(), Options{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

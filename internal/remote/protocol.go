@@ -26,6 +26,7 @@ import (
 	"dooc/internal/compress"
 	"dooc/internal/faults"
 	"dooc/internal/jobs"
+	"dooc/internal/obs"
 	"dooc/internal/proxy"
 	"dooc/internal/storage"
 )
@@ -49,8 +50,7 @@ const (
 	opJobCancel
 	opJobResult
 	opJobList
-	// opJobHistory pages through terminal jobs (appended last for wire
-	// compatibility with older peers).
+	// opJobHistory pages through terminal jobs.
 	opJobHistory
 	// Cluster peer verbs (server must be constructed with
 	// ServerOptions.Peer; gated by ClusterCapBit in the handshake mask).
@@ -59,8 +59,7 @@ const (
 	opPeerDel
 	opPeerView
 	// Proxy-object verbs (server's job service must have a proxy registry;
-	// gated by ProxyCapBit in the handshake mask). Appended last for wire
-	// compatibility with older peers.
+	// gated by ProxyCapBit in the handshake mask).
 	opProxyStat
 	opProxyAddRef
 	opProxyRelease
@@ -138,7 +137,7 @@ type request struct {
 	Enc             bool
 	Sum             uint32
 	// Job carries the job-verb parameters (gob omits the zero value for
-	// storage verbs; old peers simply never see the field).
+	// storage verbs).
 	Job jobWire
 	// Cluster peer-verb parameters: the block epoch and durability pin for
 	// peer-put, and the gossiped membership view for peer-view. Gob omits
@@ -177,13 +176,12 @@ type response struct {
 	Total int64
 }
 
-// Wire-compression handshake. A gob stream's first byte is a message length
-// prefix, which is never zero, so a leading 0x00 unambiguously marks a
-// capability hello. A codec-configured client opens with a hello; a current
-// server consumes it and replies in kind, after which both sides may send
-// compressed payloads the peer's mask admits. A legacy server's gob decoder
-// chokes on the 0x00 and drops the connection, and the client falls back to
-// redialing the plain protocol — old peers keep working, just uncompressed.
+// Capability handshake. Every connection opens with the client's hello —
+// marker byte, magic, protocol version, capability mask, preferred codec —
+// and the server replies in kind before the first gob message; after that
+// both sides may send compressed payloads the peer's mask admits. There is
+// no plain-gob connection: a server drops a peer whose first bytes are not a
+// well-formed hello, and a client fails the dial when the reply is not one.
 const (
 	helloByte    = 0x00
 	helloLen     = 8
@@ -230,10 +228,9 @@ func parseHello(b []byte) (mask, pref uint8, err error) {
 // clientHandshake sends a hello and waits (bounded) for the server's reply.
 // It returns the negotiated encode codec (nil when no codec was requested
 // or the server cannot decode it) and the server's raw capability mask —
-// codec bits plus ClusterCapBit and ProxyCapBit. An error means the peer did not speak the
-// handshake — the caller must discard the connection and redial plain.
-// codec may be nil: the hello is then a pure capability probe (the cluster
-// layer dials with no codec but still needs the mask).
+// codec bits plus ClusterCapBit and ProxyCapBit. An error means the peer
+// did not answer with a hello; the caller must discard the connection.
+// codec may be nil: the hello is then a pure capability probe.
 func clientHandshake(raw net.Conn, codec compress.Codec) (compress.Codec, uint8, error) {
 	pref := (compress.Raw{}).ID()
 	if codec != nil {
@@ -297,9 +294,9 @@ type conn struct {
 	faults *faults.Injector
 
 	// codec, when non-nil, compresses outgoing payloads of at least
-	// compressMin bytes into adaptive frames (Enc=true). It is set only
-	// after a successful capability handshake, so a frame is never sent to
-	// a peer that cannot decode it.
+	// compressMin bytes into adaptive frames (Enc=true). It is one the
+	// peer's hello mask admits, so a frame is never sent to a peer that
+	// cannot decode it.
 	codec       compress.Codec
 	compressMin int
 	wire        *wireCompressMetrics
@@ -397,9 +394,11 @@ func (c *conn) sendRequest(r *request) (int, error) {
 	return n, err
 }
 
-// sendResponse encodes and sends a response, returning the payload's wire
-// length.
-func (c *conn) sendResponse(r *response) (int, error) {
+// sendResponse encodes and sends a response. The payload's wire length is
+// added to sent before the frame goes onto the wire: the client may act on
+// the response the moment it arrives, and whatever it then reads from the
+// server's count must already include it.
+func (c *conn) sendResponse(r *response, sent *obs.Counter) error {
 	out := *r
 	var fbuf *[]byte
 	out.Data, out.Enc, fbuf = c.encodePayload(r.Data)
@@ -407,15 +406,15 @@ func (c *conn) sendResponse(r *response) (int, error) {
 	if c.faults.Drop() {
 		putFrame(fbuf)
 		c.raw.Close()
-		return 0, fmt.Errorf("remote: send response: %w: connection dropped", faults.ErrInjected)
+		return fmt.Errorf("remote: send response: %w: connection dropped", faults.ErrInjected)
 	}
 	out.Data = c.corruptCopy(out.Data)
-	n := len(out.Data)
+	sent.Add(int64(len(out.Data)))
 	c.mu.Lock()
 	err := c.enc.Encode(&out)
 	c.mu.Unlock()
 	putFrame(fbuf)
-	return n, err
+	return err
 }
 
 func (c *conn) close() error { return c.raw.Close() }

@@ -8,10 +8,10 @@
 // for free; the whole reassembled payload is additionally verified against
 // the handle's registered SHA-256, end to end.
 //
-// Capability gating mirrors the cluster tier: a legacy peer (pre-proxy
-// binary, or a current one running without a registry) never advertises the
-// bit, and every client proxy verb fails fast with the typed ErrLegacyProxy
-// instead of sending an opcode the peer would garble.
+// Capability gating mirrors the cluster tier: a server running without a
+// registry never advertises the bit, and every client proxy verb fails fast
+// with the typed ErrLegacyProxy instead of sending an opcode the server
+// would refuse.
 
 package remote
 
@@ -29,8 +29,7 @@ import (
 const ProxyCapBit uint8 = 1 << 6
 
 // ErrLegacyProxy reports a proxy verb aimed at a server that did not
-// advertise ProxyCapBit — a legacy binary, a server without a proxy
-// registry, or a connection dialed without the capability handshake.
+// advertise ProxyCapBit: one running without a proxy registry.
 var ErrLegacyProxy = fmt.Errorf("remote: server does not speak the proxy-object verbs")
 
 // resolveChunk is the payload size of one proxy-resolve round-trip. Result
@@ -81,10 +80,8 @@ func (s *Server) dispatchProxy(req *request) *response {
 }
 
 // ProxyCapable reports whether the server at the other end advertised the
-// proxy-object verbs in the last (re)connect's handshake. False for legacy
-// binaries and for servers running without a proxy registry. Like
-// ClusterCapable it needs the capability handshake — dial with a codec or
-// Options.Handshake.
+// proxy-object verbs in the last (re)connect's handshake. False for a
+// server running without a proxy registry.
 func (cl *Client) ProxyCapable() bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()

@@ -17,7 +17,7 @@ func newProxyServer(t *testing.T, clObs *obs.Registry) (*Client, *jobs.SolverSer
 	reg := proxy.NewRegistry(proxy.Config{Scope: "nodeA"})
 	t.Cleanup(reg.Close)
 	_, svc, _, addr := newJobServer(t, jobs.Config{MaxRunning: 2, QueueDepth: 16, Proxy: reg})
-	cl, err := DialOptions(addr, Options{Handshake: true, Obs: clObs})
+	cl, err := DialOptions(addr, Options{Obs: clObs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,44 +181,31 @@ func bServerRef(t *testing.T, svc *jobs.SolverService, iters int, seed int64) in
 	return st.ID
 }
 
-// TestProxyLegacyRejection: every proxy verb fails fast with the typed
-// ErrLegacyProxy when the capability was not negotiated — a client dialed
-// without the handshake, and a handshaking client against a server whose
-// proxy plane is off.
+// TestProxyLegacyRejection: against a server whose proxy plane is off, the
+// hello carries no ProxyCapBit and every proxy verb fails fast, client-side,
+// with the typed ErrLegacyProxy.
 func TestProxyLegacyRejection(t *testing.T) {
-	// Proxy-enabled server, legacy client (no handshake).
-	_, _, addr := newProxyServer(t, nil)
-	legacy, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	ref := proxy.Ref{Name: "job1", Epoch: 1}
-	if _, _, err := legacy.ProxyStat(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("stat on legacy conn: %v", err)
-	}
-	if _, _, err := legacy.ResolveProxy(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("resolve on legacy conn: %v", err)
-	}
-	if _, _, err := legacy.JobProxy(1); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("job-proxy on legacy conn: %v", err)
-	}
-	if _, err := legacy.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Input: ref}); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("chained submit on legacy conn: %v", err)
-	}
-
-	// Proxy-less server, handshaking client: capability absent.
 	_, _, _, plainAddr := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4})
-	hs, err := DialOptions(plainAddr, Options{Handshake: true})
+	cl, err := Dial(plainAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hs.Close()
-	if hs.ProxyCapable() {
+	defer cl.Close()
+	if cl.ProxyCapable() {
 		t.Fatal("proxy-less server advertised ProxyCapBit")
 	}
-	if _, _, err := hs.ProxyStat(ref); !errors.Is(err, ErrLegacyProxy) {
+	ref := proxy.Ref{Name: "job1", Epoch: 1}
+	if _, _, err := cl.ProxyStat(ref); !errors.Is(err, ErrLegacyProxy) {
 		t.Fatalf("stat against proxy-less server: %v", err)
+	}
+	if _, _, err := cl.ResolveProxy(ref); !errors.Is(err, ErrLegacyProxy) {
+		t.Fatalf("resolve against proxy-less server: %v", err)
+	}
+	if _, _, err := cl.JobProxy(1); !errors.Is(err, ErrLegacyProxy) {
+		t.Fatalf("job-proxy against proxy-less server: %v", err)
+	}
+	if _, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Input: ref}); !errors.Is(err, ErrLegacyProxy) {
+		t.Fatalf("chained submit against proxy-less server: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dooc/internal/compress"
@@ -23,17 +22,12 @@ type ServerOptions struct {
 	// Obs, when non-nil, receives the server's RPC metrics
 	// (dooc_remote_server_*).
 	Obs *obs.Registry
-	// Codec, when non-nil, compresses response payloads to clients that
-	// negotiated the capability. When nil, responses to such clients use
-	// the client's preferred codec instead; legacy clients always get plain
-	// payloads.
+	// Codec, when non-nil, compresses response payloads to clients whose
+	// hello mask admits it. When nil, responses use the client's preferred
+	// codec instead.
 	Codec compress.Codec
 	// CompressMin is the smallest payload worth compressing (default 1 KiB).
 	CompressMin int
-	// Legacy emulates a pre-compression peer for compatibility tests: a
-	// connection opening with a capability hello is dropped, exactly as an
-	// old binary's gob decoder would drop it.
-	Legacy bool
 	// Jobs, when non-nil, enables the job-service verbs (submit, status,
 	// cancel, result, list) against this solver service. When nil those
 	// verbs fail cleanly; plain storage servers are unaffected.
@@ -56,11 +50,6 @@ type Server struct {
 	conns  map[*conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	requests atomic.Int64
-	bytesOut atomic.Int64
-	bytesIn  atomic.Int64
-	active   atomic.Int64 // requests decoded but not yet answered
 
 	metrics serverMetrics
 }
@@ -98,13 +87,13 @@ func ListenOptions(store *storage.Store, addr string, opts ServerOptions) (*Serv
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Requests returns the number of requests served.
-func (s *Server) Requests() int64 { return s.requests.Load() }
+func (s *Server) Requests() int64 { return s.metrics.requests.Value() }
 
 // BytesOut returns payload bytes sent to clients.
-func (s *Server) BytesOut() int64 { return s.bytesOut.Load() }
+func (s *Server) BytesOut() int64 { return s.metrics.bytesOut.Value() }
 
 // BytesIn returns payload bytes received from clients.
-func (s *Server) BytesIn() int64 { return s.bytesIn.Load() }
+func (s *Server) BytesIn() int64 { return s.metrics.bytesIn.Value() }
 
 // Close stops accepting, closes all connections, and waits for handlers.
 func (s *Server) Close() {
@@ -138,7 +127,7 @@ func (s *Server) Shutdown(timeout time.Duration) {
 	s.mu.Unlock()
 
 	deadline := time.Now().Add(timeout)
-	for s.active.Load() > 0 && time.Now().Before(deadline) {
+	for s.metrics.active.Value() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
@@ -173,21 +162,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// negotiate handles an optional capability hello at the head of a fresh
-// connection. A legacy client opens straight with gob (never a 0x00 byte),
-// so the peek is unambiguous; the server replies with its own hello and
-// enables compressed responses the client's mask admits.
+// negotiate consumes the capability hello every connection opens with,
+// replies with the server's own, and enables compressed responses the
+// client's mask admits. Anything else at the head of a connection — input
+// from outside the program — is an error, and the caller drops the
+// connection before a single byte of it reaches the gob decoder.
 func (s *Server) negotiate(c *conn) error {
-	b, err := c.br.Peek(1)
-	if err != nil {
-		return err
-	}
-	if b[0] != helloByte {
-		return nil // legacy client: plain protocol
-	}
-	if s.opts.Legacy {
-		return fmt.Errorf("remote: legacy server dropping handshake hello")
-	}
 	buf := make([]byte, helloLen)
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		return err
@@ -242,17 +222,11 @@ func (s *Server) handleConn(c *conn) {
 		if err := c.dec.Decode(&req); err != nil {
 			return
 		}
-		s.requests.Add(1)
 		s.metrics.requests.Inc()
-		s.bytesIn.Add(int64(len(req.Data)))
 		s.metrics.bytesIn.Add(int64(len(req.Data)))
-		s.active.Add(1)
 		s.metrics.active.Add(1)
 		go func(req request) {
-			defer func() {
-				s.active.Add(-1)
-				s.metrics.active.Add(-1)
-			}()
+			defer s.metrics.active.Add(-1)
 			var resp *response
 			if err := verifyRequest(&req); err != nil {
 				// A corrupted payload must never reach the store: reject it
@@ -277,9 +251,7 @@ func (s *Server) handleConn(c *conn) {
 			resp.ID = req.ID
 			// A failed send means the connection died; the decode loop will
 			// notice and tear down.
-			n, _ := c.sendResponse(resp)
-			s.bytesOut.Add(int64(n))
-			s.metrics.bytesOut.Add(int64(n))
+			_ = c.sendResponse(resp, s.metrics.bytesOut)
 		}(req)
 	}
 }

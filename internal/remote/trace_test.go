@@ -73,7 +73,7 @@ func TestTracePropagatesOverWire(t *testing.T) {
 	}
 }
 
-// TestUntracedClientInterop: a legacy-style submission (zero trace words on
+// TestUntracedClientInterop: an untraced submission (zero trace words on
 // the wire) still works against a tracing server — the server mints its own
 // identity and the result round-trip is unaffected.
 func TestUntracedClientInterop(t *testing.T) {

@@ -114,12 +114,6 @@ type Policy struct {
 	Picks        *obs.Counter
 	Reorders     *obs.Counter
 	PrefetchRefs *obs.Counter
-	// Decoded, when non-nil, reports arrays already materialized past the
-	// storage tier (e.g. the engine's decoded-block cache). PrefetchTargets
-	// skips them: a block the compute stage can consume directly must not
-	// burn a prefetch-window slot, which hands the slot to the next block
-	// the decode pipeline actually needs.
-	Decoded func(array string) bool
 }
 
 // NewPolicy returns a reordering policy.
@@ -263,9 +257,6 @@ func (p *Policy) PrefetchTargets(ready []*dag.Task, resident func(dag.Ref) bool,
 	for _, t := range p.Order(ready, resident) {
 		for _, r := range t.HeavyInputs() {
 			if resident(r) || seen[keyOf(r)] {
-				continue
-			}
-			if p.Decoded != nil && p.Decoded(r.Array) {
 				continue
 			}
 			seen[keyOf(r)] = true
