@@ -515,7 +515,7 @@ func (n *Node) probeLoop() {
 			return
 		case <-t.C:
 			n.gossipOnce()
-			n.flushDeletes()
+			n.flushDeletes("")
 		}
 	}
 }
@@ -879,21 +879,27 @@ func (n *Node) InvalidateArray(array string) {
 	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
-		n.flushDeletes()
+		n.flushDeletes(array)
 	}()
 }
 
-// flushDeletes retries every pending delete against its still-owing live
-// members, clearing acked entries. Called from the probe loop each tick
-// and once immediately per InvalidateArray. Members that are currently
+// flushDeletes retries pending deletes against their still-owing live
+// members, clearing acked entries: every pending array from the probe loop
+// each tick (only == ""), the one array just invalidated from
+// InvalidateArray's immediate kick. The kick must not retry the others: with
+// p arrays pending, p kicks each retrying all p is p² RPCs, and a delete
+// rate that once outruns the acks never recovers. Members that are currently
 // dead are skipped but stay owed — if they gossip back in with their
 // table intact, the next tick reaches them; a restarted peer acks the
 // no-op delete and clears itself.
-func (n *Node) flushDeletes() {
+func (n *Node) flushDeletes(only string) {
 	type target struct{ array, id string }
 	n.mu.Lock()
 	var work []target
 	for array, owing := range n.pendingDel {
+		if only != "" && array != only {
+			continue
+		}
 		for id := range owing {
 			if _, live := n.members[id]; live {
 				work = append(work, target{array, id})

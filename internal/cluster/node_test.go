@@ -402,8 +402,9 @@ func TestNodeScopeIsolation(t *testing.T) {
 // fan-out runs.
 type denyDeletes struct {
 	remote.PeerHandler
-	mu   sync.Mutex
-	deny bool
+	mu    sync.Mutex
+	deny  bool
+	calls int // PeerDelete RPCs received, denied or not
 }
 
 func (d *denyDeletes) setDeny(v bool) {
@@ -415,6 +416,7 @@ func (d *denyDeletes) setDeny(v bool) {
 func (d *denyDeletes) PeerDelete(array string) error {
 	d.mu.Lock()
 	deny := d.deny
+	d.calls++
 	d.mu.Unlock()
 	if deny {
 		return fmt.Errorf("injected delete failure")
@@ -465,6 +467,40 @@ func TestNodeDeleteRetryAndStaleEpochGuard(t *testing.T) {
 		_, _, ok := peers[1].node.table.Get("gone", 0)
 		return !ok
 	})
+}
+
+// TestInvalidateKicksOnlyItsOwnDelete: the immediate delete fan-out of one
+// InvalidateArray reaches each peer once, however many earlier deletes are
+// still owed. When every kick retried every pending array, p unacknowledged
+// deletes cost p² RPCs and a run that deleted arrays faster than a peer acked
+// them — spmv-ring, once the iteration got faster — piled up thousands of
+// goroutines and never caught up. The prober (off here) retries the backlog.
+func TestInvalidateKicksOnlyItsOwnDelete(t *testing.T) {
+	peers := startTestCluster(t, 3, nil)
+	deny := &denyDeletes{PeerHandler: peers[1].node}
+	deny.setDeny(true)
+	peers[1].late.set(deny)
+
+	const arrays = 8
+	for i := 0; i < arrays; i++ {
+		peers[0].node.InvalidateArray(fmt.Sprintf("gone%d", i))
+	}
+	delivered := func() int {
+		deny.mu.Lock()
+		defer deny.mu.Unlock()
+		return deny.calls
+	}
+	waitFor(t, 5*time.Second, "every kick to reach the peer", func() bool { return delivered() >= arrays })
+	peers[0].node.Close() // waits for whatever the kicks still had to send
+	if calls := delivered(); calls != arrays {
+		t.Fatalf("%d invalidated arrays cost the unreachable peer %d delete RPCs, want one each", arrays, calls)
+	}
+	peers[0].node.mu.Lock()
+	owed := len(peers[0].node.pendingDel)
+	peers[0].node.mu.Unlock()
+	if owed != arrays {
+		t.Fatalf("%d deletes still owed, want all %d: the denying peer acked none", owed, arrays)
+	}
 }
 
 // TestNodeDeathFailover kills one peer (SIGKILL-style: TCP gone, no

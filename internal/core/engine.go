@@ -81,9 +81,9 @@ func (c *ExecContext) reset(t *dag.Task) {
 // stays held until the executor returns and the matrix is a view whose
 // RowPtr, ColIdx and Val alias the leased bytes (sparse.ViewCRSBytes), so
 // the kernel runs on memory the storage budget already accounts for. The
-// CRC is checked on every lease; the structural walk runs once per block
-// content (validMemo). Executors must not keep the matrix, or anything
-// sliced from it, past their return.
+// CRC is checked once per residency of the block on this node, the
+// structural walk once per block content (validMemo). Executors must not
+// keep the matrix, or anything sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 	if c.cache != nil || c.matLease != nil {
 		// A second view in one task finds the scratch taken and gets an
@@ -94,12 +94,15 @@ func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, crc, err := sparse.ViewCRSBytes(lease.Data, &c.view, func(crc uint32) bool { return c.valid.has(array, crc) })
+	known := c.valid.get(c.Node, array)
+	m, crc, err := sparse.ViewCRSBytes(lease.Data, &c.view, func(crc uint32) sparse.Trust { return known.trust(lease.Gen, crc) })
 	if err != nil {
 		lease.Release()
 		return nil, err
 	}
-	c.valid.record(array, crc)
+	if known.gen != lease.Gen {
+		c.valid.put(c.Node, array, validRec{gen: lease.Gen, crc: crc})
+	}
 	c.matLease, c.mat = lease, m
 	return m, nil
 }

@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -249,21 +251,19 @@ func TestValidateOncePerContent(t *testing.T) {
 	if err := view("bad"); err == nil || !strings.Contains(err.Error(), "invalid CRS payload") {
 		t.Fatalf("invalid block with a correct CRC on first sight: %v", err)
 	}
-	sys.valid.mu.Lock()
-	_, remembered := sys.valid.crc["bad"]
-	sys.valid.mu.Unlock()
-	if remembered {
+	if sys.valid.get(0, "bad") != (validRec{}) {
 		t.Fatal("a refused block was remembered as validated")
 	}
 
 	if err := view("M"); err != nil {
 		t.Fatal(err)
 	}
-	sys.valid.mu.Lock()
-	crc, remembered := sys.valid.crc["M"]
-	sys.valid.mu.Unlock()
-	if !remembered || !sys.valid.has("M", crc) || sys.valid.has("M", crc+1) {
+	rec := sys.valid.get(0, "M")
+	if rec.gen == 0 || rec.trust(rec.gen+1, rec.crc) != sparse.TrustStructure || rec.trust(rec.gen+1, rec.crc+1) != sparse.TrustNothing {
 		t.Fatal("memo does not hold exactly M's checksum after a successful view")
+	}
+	if sys.valid.get(1, "M") != (validRec{}) {
+		t.Fatal("node 0's view vouches for node 1's bytes")
 	}
 	if err := view("M"); err != nil {
 		t.Fatalf("second view of validated bytes: %v", err)
@@ -290,10 +290,106 @@ func TestValidateOncePerContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	DropArray(sys, "N")
-	sys.valid.mu.Lock()
-	_, remembered = sys.valid.crc["N"]
-	sys.valid.mu.Unlock()
-	if remembered {
+	if sys.valid.get(0, "N") != (validRec{}) {
 		t.Fatal("DropArray left the validated checksum behind")
+	}
+}
+
+// TestChecksumOncePerResidency: the CRC pass runs when a block's bytes come
+// to rest in memory — a load, a reload after eviction, a new array under an
+// old name — and not again while they stay there. The test plays the fault
+// itself: a byte flipped in the resident buffer between two views goes
+// unseen, which is what "not again" means; a byte flipped on scratch between
+// two residencies is a checksum error at the next view.
+func TestChecksumOncePerResidency(t *testing.T) {
+	m := testMatrix(t, 6)
+	var enc bytes.Buffer
+	if err := sparse.WriteCRS(&enc, m); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	path := filepath.Join(root, "node0", "M.arr")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Options{Nodes: 1, Reorder: true, ScratchRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	st := sys.Store(0)
+	ctx := &ExecContext{Store: st, valid: &sys.valid}
+	view := func() (int64, error) {
+		a, err := ctx.Matrix("M")
+		if err != nil {
+			return 0, err
+		}
+		defer ctx.releaseMatrix()
+		if a.NNZ() != m.NNZ() {
+			t.Fatalf("view has %d nonzeros, want %d", a.NNZ(), m.NNZ())
+		}
+		return ctx.matLease.Gen, nil
+	}
+	// flipResident flips one bit of a value where the block lies in memory.
+	flipResident := func() {
+		l, err := st.RequestBlock("M", 0, storage.PermRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Data[len(l.Data)-12] ^= 1
+		l.Release()
+	}
+	evict := func() {
+		t.Helper()
+		if err := st.Evict("M", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first, err := view()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipResident()
+	if gen, err := view(); err != nil || gen != first {
+		t.Fatalf("second view of a still-resident block: generation %d (first %d), err %v; want the same residency and no second CRC pass", gen, first, err)
+	}
+	flipResident() // back
+
+	// Evicted and read back unchanged: a new residency, checksummed again (it
+	// passes), not walked again.
+	evict()
+	second, err := view()
+	if err != nil || second == first {
+		t.Fatalf("view after evict + reload: generation %d (first %d), err %v", second, first, err)
+	}
+
+	// Damaged on scratch between two residencies.
+	damaged := append([]byte(nil), enc.Bytes()...)
+	damaged[len(damaged)-12] ^= 1
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("view of a block damaged on scratch: %v", err)
+	}
+	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("second view of the damaged residency: %v", err)
+	}
+
+	// Deleted and created again under the same name, the memo not told: the
+	// new bytes are checksummed on first sight.
+	if err := st.Delete("M"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteArray("M", damaged, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("view of damaged bytes under a verified name: %v", err)
 	}
 }

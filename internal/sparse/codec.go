@@ -24,17 +24,28 @@ import (
 //	24      8     nnz   (int64)
 //	32      8*(rows+1)  row pointers (int64)
 //	...     4*nnz       column indices (int32)
+//	...     0 or 4      zero pad to an 8-byte boundary (4 when nnz is odd)
 //	...     8*nnz       values (float64)
 //	last    4     CRC32 (Castagnoli) of everything before it
+//
+// The pad puts the values at a multiple of 8 from the start of the block, so
+// a block resident in an aligned buffer is multiplied where it lies
+// (ViewCRSBytes). Files written before the pad existed have none; the reader
+// tells the two apart by length — the shape fixes both sizes, and they differ
+// exactly when nnz is odd.
 const crsMagic = "DOOCCRS1"
 
 // HeaderBytes is the size of the fixed CRS header.
 const HeaderBytes = 32
 
+// crsPadBytes is the zero pad between the column indices and the values.
+func crsPadBytes(nnz int64) int64 { return 4 * (nnz & 1) }
+
 // FileBytes returns the exact on-disk size of a CRS file with the given
-// shape, including header and trailing CRC.
+// shape as WriteCRS writes it, including header, alignment pad and trailing
+// CRC.
 func FileBytes(rows int, nnz int64) int64 {
-	return HeaderBytes + 8*int64(rows+1) + 12*nnz + 4
+	return HeaderBytes + 8*int64(rows+1) + 12*nnz + crsPadBytes(nnz) + 4
 }
 
 // WriteCRS writes m to w in binary CRS format.
@@ -74,6 +85,10 @@ func WriteCRS(w io.Writer, m *CSR) error {
 		if _, err := bw.Write(slab[:4*(end-off)]); err != nil {
 			return err
 		}
+	}
+	var pad [4]byte
+	if _, err := bw.Write(pad[:crsPadBytes(m.NNZ())]); err != nil {
+		return err
 	}
 	for off := 0; off < len(m.Val); off += slabElems {
 		end := min(off+slabElems, len(m.Val))

@@ -63,11 +63,27 @@ func crsSection[T int32 | int64 | float64](src []byte, n int, alias bool, buf *[
 	return dst
 }
 
-// decodeCRS parses a V1 or V2 block into s.m, verifying shape and CRC but
-// not structure; it returns the block's checksum. alias lets V1 sections
-// point into data. V2 sections always adopt the codec's freshly decoded
-// output, which nothing else references.
-func decodeCRS(data []byte, s *ViewScratch, alias bool) (*CSR, uint32, error) {
+// Trust is how much of a block's verification a caller of ViewCRSBytes takes
+// on itself.
+type Trust int
+
+const (
+	// TrustNothing verifies the CRC and walks the structure.
+	TrustNothing Trust = iota
+	// TrustStructure verifies the CRC and skips the O(nnz) structural walk:
+	// bytes with this checksum have passed it — same checksum, same bytes,
+	// same verdict.
+	TrustStructure
+	// TrustBytes parses the shape only: these very bytes — this buffer,
+	// unchanged since — have passed both checks already.
+	TrustBytes
+)
+
+// decodeCRS parses a V1 or V2 block into s.m, verifying shape and — with
+// checkCRC — checksum, but not structure; it returns the checksum the block
+// carries. alias lets V1 sections point into data. V2 sections always adopt
+// the codec's freshly decoded output, which nothing else references.
+func decodeCRS(data []byte, s *ViewScratch, alias, checkCRC bool) (*CSR, uint32, error) {
 	if len(data) < HeaderBytes+4 {
 		return nil, 0, fmt.Errorf("sparse: %d bytes is shorter than a CRS header", len(data))
 	}
@@ -82,19 +98,37 @@ func decodeCRS(data []byte, s *ViewScratch, alias bool) (*CSR, uint32, error) {
 	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim || nnz > maxDim {
 		return nil, 0, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
 	}
-	if want := FileBytes(int(rows), nnz); magic == crsMagic && int64(len(data)) != want {
-		return nil, 0, fmt.Errorf("sparse: CRS block is %d bytes, shape says %d", len(data), want)
+	// A V1 block is exactly as long as its shape says, with the alignment
+	// pad or — a file written before the pad existed — without it.
+	var pad int64
+	if magic == crsMagic {
+		want := FileBytes(int(rows), nnz)
+		switch pad = crsPadBytes(nnz); int64(len(data)) {
+		case want:
+		case want - pad:
+			pad = 0
+		default:
+			return nil, 0, fmt.Errorf("sparse: CRS block is %d bytes, shape says %d", len(data), want)
+		}
 	}
 	body := data[HeaderBytes : len(data)-4]
 	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if want := crc32.Checksum(data[:len(data)-4], crsCRCTable); crc != want {
-		return nil, 0, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", crc, want)
+	if checkCRC {
+		if want := crc32.Checksum(data[:len(data)-4], crsCRCTable); crc != want {
+			return nil, 0, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", crc, want)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		rawLen := sectionRawLen(i, rows, nnz)
 		var raw []byte
 		if magic == crsMagic {
 			raw, body = body[:rawLen], body[rawLen:] // in range: the size check above
+			if i == 1 && pad != 0 {
+				if binary.LittleEndian.Uint32(body) != 0 {
+					return nil, 0, fmt.Errorf("sparse: CRS alignment pad is not zero")
+				}
+				body = body[pad:]
+			}
 		} else {
 			var err error
 			if raw, body, err = crs2Section(i, body, rawLen); err != nil {
@@ -118,9 +152,9 @@ func decodeCRS(data []byte, s *ViewScratch, alias bool) (*CSR, uint32, error) {
 	return &s.m, crc, nil
 }
 
-// DecodeCRSBytes decodes a binary CRS block (V1 or section-compressed V2)
-// held entirely in memory, verifying CRC and structure. The result owns its
-// memory and outlives data.
+// DecodeCRSBytes decodes a binary CRS block (V1, padded or legacy, or
+// section-compressed V2) held entirely in memory, verifying CRC and
+// structure. The result owns its memory and outlives data.
 func DecodeCRSBytes(data []byte) (*CSR, error) {
 	m, _, err := ViewCRSBytes(data, nil, nil)
 	return m, err
@@ -128,27 +162,31 @@ func DecodeCRSBytes(data []byte) (*CSR, error) {
 
 // ViewCRSBytes is DecodeCRSBytes without the copy: on a little-endian host
 // the RowPtr, ColIdx and Val of a V1 block alias data wherever the section
-// is aligned for its element type (Val is not when nnz is odd) and are
-// copied into s otherwise, so a steady stream of views allocates nothing.
-// The returned matrix is valid only while data is, and only until the next
-// ViewCRSBytes on s; ReleaseView ends it. A nil s, like DecodeCRSBytes,
-// copies every section into fresh memory.
+// is aligned for its element type — every section of a block WriteCRS wrote,
+// held in an 8-byte-aligned buffer — and are copied into s otherwise (a
+// misaligned buffer, the Val of a legacy unpadded block with odd nnz), so a
+// steady stream of views allocates nothing. The returned matrix is valid
+// only while data is, and only until the next ViewCRSBytes on s; ReleaseView
+// ends it. A nil s, like DecodeCRSBytes, copies every section into fresh
+// memory.
 //
-// The CRC is verified on every call. The O(nnz) structural walk (Validate)
-// is skipped when validated reports that a block with this checksum has
-// already passed it — same checksum, same bytes, same verdict; a nil
-// validated always walks. The block's checksum is returned for the caller
-// to remember.
-func ViewCRSBytes(data []byte, s *ViewScratch, validated func(crc uint32) bool) (*CSR, uint32, error) {
+// trust is asked once, with the checksum the block carries, how much of the
+// verification the caller has already seen done (see Trust); a nil trust
+// verifies everything. The checksum is returned for the caller to remember.
+func ViewCRSBytes(data []byte, s *ViewScratch, trust func(crc uint32) Trust) (*CSR, uint32, error) {
 	alias := s != nil && !viewDebugForceCopy
 	if !alias {
 		s = new(ViewScratch)
 	}
-	m, crc, err := decodeCRS(data, s, alias)
+	trusted := TrustNothing
+	if trust != nil && len(data) >= 4 {
+		trusted = trust(binary.LittleEndian.Uint32(data[len(data)-4:]))
+	}
+	m, crc, err := decodeCRS(data, s, alias, trusted != TrustBytes)
 	if err != nil {
 		return nil, 0, err
 	}
-	if validated == nil || !validated(crc) {
+	if trusted == TrustNothing {
 		if err := m.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("sparse: invalid CRS payload: %w", err)
 		}

@@ -214,9 +214,14 @@ type blockState struct {
 	fetching       bool // disk read or directed fetch in flight
 	probing        bool // random-peer probe in flight
 	flushing       bool
-	// prefetched marks a block whose in-flight fetch was initiated by a
-	// prefetch; the first resident read hit consumes it (a prefetch hit).
+	// prefetched marks a block a prefetch is bringing in or has brought in
+	// and nobody has read yet. The first lease granted on the block clears
+	// it, whichever path grants it; it is a prefetch hit only when the block
+	// was already resident when that request arrived.
 	prefetched bool
+	// reserved caches whether the block's bytes are counted in
+	// loopState.reserved (see reserve).
+	reserved bool
 	// Shard-tier state: shardBacked+shardDurable mark a block whose bytes
 	// enough remote cluster peers acknowledged to survive any single peer
 	// death — such a block is evictable without a local disk spill and is
@@ -271,17 +276,55 @@ type loopState struct {
 	quotas  map[string]*quotaState // keyed by array-name prefix
 	stats   Stats
 	tick    int64
+	// resident is the sum of len(buf) over every block, kept by setBuf.
+	resident int64
+	// reserved is the sum of the full sizes of the blocks whose bytes a
+	// prefetch may not claim, kept by reserve.
+	reserved int64
 }
 
-// loop is the store's actor: it owns all state and processes messages one
-// at a time. No other goroutine touches loopState.
-func (s *Store) loop() {
-	st := &loopState{
+// setBuf is the one place a block's buffer changes hands, so that
+// st.resident — and the gauge that publishes it — always equals the bytes
+// held.
+func (s *Store) setBuf(st *loopState, b *blockState, buf []byte) {
+	st.resident += int64(len(buf)) - int64(len(b.buf))
+	b.buf = buf
+	s.metrics.memUsed.Set(st.resident)
+}
+
+// reserve re-derives whether block bi's bytes are spoken for: under a lease
+// (a writer holds one too), on their way in a fetch, or prefetched and not
+// yet read. st.reserved sums the full size of every such block; a prefetch
+// is admitted only if its block fits in the memory budget beside that sum,
+// because reclamation could make room for it only by evicting one of them or
+// not at all. Call after any change to refcnt, fetching, probing or
+// prefetched.
+func (st *loopState) reserve(info ArrayInfo, bi int, b *blockState) {
+	want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched
+	if want == b.reserved {
+		return
+	}
+	b.reserved = want
+	if bs := info.BlockSpan(bi); want {
+		st.reserved += bs.Hi - bs.Lo
+	} else {
+		st.reserved -= bs.Hi - bs.Lo
+	}
+}
+
+func newLoopState() *loopState {
+	return &loopState{
 		arrays:  make(map[string]*arrayState),
 		dir:     make(map[blockKey]*dirEntry),
 		flushes: make(map[string]*flushState),
 		quotas:  make(map[string]*quotaState),
 	}
+}
+
+// loop is the store's actor: it owns all state and processes messages one
+// at a time. No other goroutine touches loopState.
+func (s *Store) loop() {
+	st := newLoopState()
 	defer close(s.done)
 	for {
 		m, ok := s.inbox.get()
@@ -289,72 +332,76 @@ func (s *Store) loop() {
 			s.teardown(st)
 			return
 		}
-		switch m := m.(type) {
-		case *cmdRequest:
-			s.handleRequest(st, m)
-			*m = cmdRequest{}
-			reqPool.Put(m)
-		case *cmdRelease:
-			s.handleRelease(st, m)
-			*m = cmdRelease{}
-			relPool.Put(m)
-		case *cmdPrefetch:
-			s.handlePrefetch(st, m)
-			*m = cmdPrefetch{}
-			prefetchPool.Put(m)
-		case cmdFlush:
-			s.handleFlush(st, m)
-		case cmdMap:
-			m.reply <- s.buildMap(st)
-		case cmdInfo:
-			if ast, ok := st.arrays[m.array]; ok {
-				m.reply <- infoResult{info: ast.info}
-			} else {
-				m.reply <- infoResult{err: fmt.Errorf("storage: unknown array %q", m.array)}
-			}
-		case cmdEvict:
-			m.reply <- s.handleEvict(st, m)
-		case cmdStats:
-			st.stats.MemUsed = s.memUsed(st)
-			s.metrics.memUsed.Set(st.stats.MemUsed)
-			m.reply <- st.stats
-		case *msgCreateArr:
-			m.ack <- s.handleCreate(st, m.info)
-			*m = msgCreateArr{}
-			createPool.Put(m)
-		case *msgDeleteArr:
-			m.ack <- s.handleDelete(st, m.name)
-			*m = msgDeleteArr{}
-			deletePool.Put(m)
-		case msgAnnounce:
-			s.handleAnnounce(st, m)
-		case *msgQuery:
-			s.handleQuery(st, *m)
-			*m = msgQuery{}
-			queryPool.Put(m)
-		case *msgQueryReply:
-			s.handleQueryReply(st, *m)
-			*m = msgQueryReply{}
-			queryReplyPool.Put(m)
-		case msgNotify:
-			s.handleNotify(st, m)
-		case ioDone:
-			s.handleIODone(st, m)
-		case ioWrote:
-			s.handleIOWrote(st, m)
-		case shardDone:
-			s.handleShardDone(st, m)
-		case shardPushed:
-			s.handleShardPushed(st, m)
-		case cmdSetQuota:
-			s.handleSetQuota(st, m)
-		case cmdClearQuota:
-			s.handleClearQuota(st, m)
-		case cmdQuotaStats:
-			s.handleQuotaStats(st, m)
-		default:
-			panic(fmt.Sprintf("storage: unknown message %T", m))
+		s.dispatch(st, m)
+	}
+}
+
+// dispatch handles one message.
+func (s *Store) dispatch(st *loopState, m any) {
+	switch m := m.(type) {
+	case *cmdRequest:
+		s.handleRequest(st, m)
+		*m = cmdRequest{}
+		reqPool.Put(m)
+	case *cmdRelease:
+		s.handleRelease(st, m)
+		*m = cmdRelease{}
+		relPool.Put(m)
+	case *cmdPrefetch:
+		s.handlePrefetch(st, m)
+		*m = cmdPrefetch{}
+		prefetchPool.Put(m)
+	case cmdFlush:
+		s.handleFlush(st, m)
+	case cmdMap:
+		m.reply <- s.buildMap(st)
+	case cmdInfo:
+		if ast, ok := st.arrays[m.array]; ok {
+			m.reply <- infoResult{info: ast.info}
+		} else {
+			m.reply <- infoResult{err: fmt.Errorf("storage: unknown array %q", m.array)}
 		}
+	case cmdEvict:
+		m.reply <- s.handleEvict(st, m)
+	case cmdStats:
+		st.stats.MemUsed = st.resident
+		m.reply <- st.stats
+	case *msgCreateArr:
+		m.ack <- s.handleCreate(st, m.info)
+		*m = msgCreateArr{}
+		createPool.Put(m)
+	case *msgDeleteArr:
+		m.ack <- s.handleDelete(st, m.name)
+		*m = msgDeleteArr{}
+		deletePool.Put(m)
+	case msgAnnounce:
+		s.handleAnnounce(st, m)
+	case *msgQuery:
+		s.handleQuery(st, *m)
+		*m = msgQuery{}
+		queryPool.Put(m)
+	case *msgQueryReply:
+		s.handleQueryReply(st, *m)
+		*m = msgQueryReply{}
+		queryReplyPool.Put(m)
+	case msgNotify:
+		s.handleNotify(st, m)
+	case ioDone:
+		s.handleIODone(st, m)
+	case ioWrote:
+		s.handleIOWrote(st, m)
+	case shardDone:
+		s.handleShardDone(st, m)
+	case shardPushed:
+		s.handleShardPushed(st, m)
+	case cmdSetQuota:
+		s.handleSetQuota(st, m)
+	case cmdClearQuota:
+		s.handleClearQuota(st, m)
+	case cmdQuotaStats:
+		s.handleQuotaStats(st, m)
+	default:
+		panic(fmt.Sprintf("storage: unknown message %T", m))
 	}
 }
 
@@ -373,16 +420,6 @@ func (s *Store) teardown(st *loopState) {
 			f.reply <- ErrClosed
 		}
 	}
-}
-
-func (s *Store) memUsed(st *loopState) int64 {
-	var n int64
-	for _, ast := range st.arrays {
-		for _, b := range ast.blocks {
-			n += int64(len(b.buf))
-		}
-	}
-	return n
 }
 
 func (s *Store) getBlock(ast *arrayState, idx int) *blockState {
@@ -491,9 +528,13 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	}
 	// Recycle the blocks' buffers and state: the preconditions above
 	// guarantee nothing aliases them.
-	for _, b := range ast.blocks {
+	for idx, b := range ast.blocks {
 		sharedArena.Put(b.buf)
-		b.buf = nil
+		s.setBuf(st, b, nil)
+		// No lease and no disk fetch, checked above; a probe's reply will
+		// find no array and an unread prefetch has nothing left to read.
+		b.probing, b.prefetched = false, false
+		st.reserve(ast.info, idx, b)
 		s.recycleBlockState(b)
 	}
 	delete(st.arrays, name)
@@ -596,7 +637,6 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 			st.stats.Hits++
 			s.metrics.hits.Inc()
 			if b.prefetched {
-				b.prefetched = false
 				st.stats.PrefetchHits++
 				s.metrics.prefetchHits.Inc()
 			}
@@ -633,7 +673,7 @@ func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState
 	}
 	if b.buf == nil {
 		bs := ast.info.BlockSpan(bi)
-		b.buf = sharedArena.Get(int(bs.Hi - bs.Lo))
+		s.setBuf(st, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
 		// Recycled buffers carry stale bytes; a fresh write block must start
 		// from zeroes (the abandon path and partial writers rely on it).
 		clear(b.buf)
@@ -658,6 +698,8 @@ func (b *blockState) overlapsAny(rs span) bool {
 func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, b *blockState, want span, perm Perm) *Lease {
 	rs := relSpan(ast.info, bi, want)
 	b.refcnt++
+	b.prefetched = false // the first lease on the block spends the prefetch
+	st.reserve(ast.info, bi, b)
 	st.tick++
 	b.lastUse = st.tick
 	return &Lease{
@@ -667,6 +709,7 @@ func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, 
 		Lo:    want.Lo,
 		Hi:    want.Hi,
 		Data:  b.buf[rs.Lo:rs.Hi],
+		Gen:   b.loadTick,
 		block: bi,
 	}
 }
@@ -682,6 +725,7 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 		return
 	}
 	b.refcnt--
+	st.reserve(ast.info, l.block, b)
 	st.tick++
 	b.lastUse = st.tick
 	if l.Perm == PermWrite {
@@ -757,6 +801,14 @@ func (s *Store) ensureBlockData(st *loopState, ast *arrayState, bi int, b *block
 	if len(b.writing) > 0 {
 		return
 	}
+	s.startFetch(st, ast, bi, b)
+	st.reserve(ast.info, bi, b)
+}
+
+// startFetch picks the source block bi comes from — local scratch, the shard
+// tier, a holder the directory knows, a random peer — and sets the fetch
+// going.
+func (s *Store) startFetch(st *loopState, ast *arrayState, bi int, b *blockState) {
 	name := ast.info.Name
 	if b.persistedLocal || ast.diskNodes[s.cfg.NodeID] {
 		b.fetching = true
@@ -954,6 +1006,7 @@ func (s *Store) handleQueryReply(st *loopState, m msgQueryReply) {
 		b.fetching = true
 		s.postQuery(m.holder, m.array, m.block, queryFetch)
 	}
+	st.reserve(ast.info, m.block, b)
 }
 
 func (s *Store) handleNotify(st *loopState, m msgNotify) {
@@ -992,6 +1045,7 @@ func (s *Store) wakePending(st *loopState, k blockKey, de *dirEntry) {
 				b := s.getBlock(ast, k.block)
 				if b.buf == nil && !b.fetching {
 					b.fetching = true
+					st.reserve(ast.info, k.block, b)
 					s.postQuery(holder, k.array, k.block, queryFetch)
 				}
 			}
@@ -1025,7 +1079,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 			sharedArena.Put(b.buf)
 		}
 	}
-	b.buf = data
+	s.setBuf(st, b, data)
 	st.tick++
 	b.loadTick = st.tick
 	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
@@ -1065,25 +1119,19 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 // and which are not currently used"). protect identifies a block that must
 // survive this pass (typically the one just installed).
 func (s *Store) reclaim(st *loopState, protectArray string, protectBlock int) {
-	used := s.memUsed(st)
-	s.metrics.memUsed.Set(used)
-	if used <= s.cfg.MemoryBudget {
+	if st.resident <= s.cfg.MemoryBudget {
 		return
 	}
-	victims := s.collectVictims(st, protectArray, protectBlock, nil)
-	for _, v := range victims {
-		if used <= s.cfg.MemoryBudget {
-			s.metrics.memUsed.Set(used)
-			return
+	for _, v := range s.collectVictims(st, protectArray, protectBlock, nil) {
+		if st.resident <= s.cfg.MemoryBudget {
+			break
 		}
-		used -= int64(len(v.b.buf))
-		s.dropBlock(st, v.name, v.idx, v.b)
+		s.dropBlock(st, v.ast.info, v.idx, v.b)
 		st.stats.Evictions++
 		s.metrics.evictions.Inc()
 		s.traceEvict(v.name, v.idx)
 	}
-	s.metrics.memUsed.Set(used)
-	if used > s.cfg.MemoryBudget {
+	if st.resident > s.cfg.MemoryBudget {
 		st.stats.OverBudgetAllocs++
 	}
 }
@@ -1132,13 +1180,19 @@ func (s *Store) collectVictims(st *loopState, protectArray string, protectBlock 
 	return victims
 }
 
-// victimSlice sorts by policy key, then name, then index — a named type so
-// sorting needs no reflection-based swapper.
+// victimSlice sorts blocks a prefetch brought in and nobody has read yet
+// behind all others — admission promised them their room, and only a demand
+// load that finds nothing else to evict takes it back — then by policy key,
+// then name, then index. A named type, so sorting needs no reflection-based
+// swapper.
 type victimSlice []victim
 
 func (v victimSlice) Len() int      { return len(v) }
 func (v victimSlice) Swap(i, j int) { v[i], v[j] = v[j], v[i] }
 func (v victimSlice) Less(i, j int) bool {
+	if v[i].b.prefetched != v[j].b.prefetched {
+		return v[j].b.prefetched
+	}
 	if v[i].key != v[j].key {
 		return v[i].key < v[j].key
 	}
@@ -1150,13 +1204,15 @@ func (v victimSlice) Less(i, j int) bool {
 
 // dropBlock releases a block's buffer and retracts this node from the
 // block's directory entry. Callers account the eviction.
-func (s *Store) dropBlock(st *loopState, name string, idx int, b *blockState) {
+func (s *Store) dropBlock(st *loopState, info ArrayInfo, idx int, b *blockState) {
 	// Eviction preconditions (no leases, waiters, writers, or I/O in flight)
 	// mean nothing aliases buf; recycle it.
 	sharedArena.Put(b.buf)
-	b.buf = nil
+	s.setBuf(st, b, nil)
 	b.resident.spans = b.resident.spans[:0]
 	b.prefetched = false
+	st.reserve(info, idx, b)
+	name := info.Name
 	home := s.homeOf(name, idx)
 	if home == s.cfg.NodeID {
 		delete(s.dirOf(st, blockKey{name, idx}).mem, s.cfg.NodeID)
@@ -1186,7 +1242,7 @@ func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 	if !(b.persistedLocal || b.remoteBacked || ast.diskNodes[s.cfg.NodeID] || (b.shardBacked && b.shardDurable)) {
 		return fmt.Errorf("storage: %q block %d is the only copy (flush it first)", m.array, m.block)
 	}
-	s.dropBlock(st, m.array, m.block, b)
+	s.dropBlock(st, ast.info, m.block, b)
 	st.stats.Evictions++
 	s.metrics.evictions.Inc()
 	s.traceEvict(m.array, m.block)
@@ -1195,6 +1251,13 @@ func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 
 // ---- prefetch, flush, map ----
 
+// handlePrefetch starts fetching the blocks a prefetch names, each only if
+// it is admitted: the block must fit in the memory budget beside the bytes no
+// eviction may make room with — st.reserved. A block that does not fit is
+// dropped, not queued: whoever issued the prefetch (the engine, at its next
+// pick) asks again, and a demand read needs no admission. Without this a
+// window of prefetches over a budget of as many blocks evicts its own unread
+// predecessors and every one of them is read from scratch twice.
 func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 	ast, ok := st.arrays[c.array]
 	if !ok {
@@ -1217,15 +1280,19 @@ func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 	for bi := first; bi <= last; bi++ {
 		b := s.getBlock(ast, bi)
 		bs := ast.info.BlockSpan(bi)
-		if b.buf != nil && b.resident.full(bs.Hi-bs.Lo) {
+		// Already resident, or already on its way (a block in flight from a
+		// demand miss stays a plain miss): nothing to start, nothing to credit.
+		if (b.buf != nil && b.resident.full(bs.Hi-bs.Lo)) || b.fetching || b.probing {
 			continue
 		}
-		wasInFlight := b.fetching || b.probing
+		if st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
+			st.stats.PrefetchDeferred++
+			s.metrics.prefetchDeferred.Inc()
+			continue
+		}
 		s.ensureBlockData(st, ast, bi, b)
-		// Credit this prefetch only when it initiated the fetch; a block
-		// already in flight from a demand miss stays a plain miss.
-		if !wasInFlight && (b.fetching || b.probing) && !b.prefetched {
-			b.prefetched = true
+		if b.fetching || b.probing {
+			b.prefetched = true // reserved already: it is in flight
 			st.stats.PrefetchLoads++
 			s.metrics.prefetchLoads.Inc()
 		}
@@ -1359,6 +1426,10 @@ func (s *Store) handleIODone(st *loopState, m ioDone) {
 	}
 	b := s.getBlock(ast, m.block)
 	b.fetching = false
+	if m.err != nil {
+		b.prefetched = false // nothing arrived to be read
+	}
+	st.reserve(ast.info, m.block, b)
 	st.stats.IORetries += int64(m.retries)
 	s.metrics.ioRetries.Add(int64(m.retries))
 	if m.err != nil {
@@ -1451,6 +1522,7 @@ func (s *Store) buildMap(st *loopState) ResidencyMap {
 		rm.Blocks = make(map[string][]int, len(st.arrays))
 	}
 	rm.Budget = s.cfg.MemoryBudget
+	rm.MemUsed = st.resident
 	// One backing slice serves every array's index list: the map is a
 	// snapshot handed to the scheduler, sub-sliced here and never appended
 	// to, so per-array allocations would be pure overhead.
@@ -1462,7 +1534,6 @@ func (s *Store) buildMap(st *loopState) ResidencyMap {
 			if b.buf != nil && b.resident.full(bs.Hi-bs.Lo) {
 				backing = append(backing, idx)
 			}
-			rm.MemUsed += int64(len(b.buf))
 		}
 		if end := len(backing); end > start {
 			idxs := backing[start:end:end]

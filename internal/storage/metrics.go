@@ -11,21 +11,22 @@ import (
 // resolved once at construction so the hot paths touch only atomics. With a
 // nil registry every field is nil and every operation a no-op.
 type storeMetrics struct {
-	readReqs        *obs.Counter
-	writeReqs       *obs.Counter
-	hits            *obs.Counter
-	misses          *obs.Counter
-	evictions       *obs.Counter
-	blockLoads      *obs.Counter
-	prefetchIssued  *obs.Counter
-	prefetchLoads   *obs.Counter
-	prefetchHits    *obs.Counter
-	peerProbes      *obs.Counter
-	peerProbeMisses *obs.Counter
-	diskReadBytes   *obs.Counter
-	diskWriteBytes  *obs.Counter
-	peerBytes       *obs.Counter
-	ioRetries       *obs.Counter
+	readReqs         *obs.Counter
+	writeReqs        *obs.Counter
+	hits             *obs.Counter
+	misses           *obs.Counter
+	evictions        *obs.Counter
+	blockLoads       *obs.Counter
+	prefetchIssued   *obs.Counter
+	prefetchLoads    *obs.Counter
+	prefetchHits     *obs.Counter
+	prefetchDeferred *obs.Counter
+	peerProbes       *obs.Counter
+	peerProbeMisses  *obs.Counter
+	diskReadBytes    *obs.Counter
+	diskWriteBytes   *obs.Counter
+	peerBytes        *obs.Counter
+	ioRetries        *obs.Counter
 
 	compressBailouts *obs.Counter
 
@@ -115,6 +116,7 @@ func newStoreMetrics(reg *obs.Registry, node int) storeMetrics {
 		prefetchIssued:   reg.Counter("dooc_storage_prefetch_issued_total", "prefetch requests received", l),
 		prefetchLoads:    reg.Counter("dooc_storage_prefetch_loads_total", "block fetches initiated by prefetch", l),
 		prefetchHits:     reg.Counter("dooc_storage_prefetch_hits_total", "cache hits on prefetched blocks", l),
+		prefetchDeferred: reg.Counter("dooc_storage_prefetch_deferred_total", "prefetched blocks dropped at admission: no room in the budget beside leased, in-flight and unread prefetched bytes", l),
 		peerProbes:       reg.Counter("dooc_storage_peer_probes_total", "random-peer probe messages sent", l),
 		peerProbeMisses:  reg.Counter("dooc_storage_peer_probe_misses_total", "probes answered \"not here\"", l),
 		diskReadBytes:    reg.Counter("dooc_storage_disk_read_bytes_total", "scratch-dir bytes read", l),

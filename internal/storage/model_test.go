@@ -13,6 +13,73 @@ import (
 // evict, flush, and fetch however it likes — every read must still return
 // exactly the bytes the oracle says were written.
 
+// accountingError recomputes the loop's byte counters from their definitions
+// by a full walk — the walk the counters replaced — and reports the first
+// disagreement: st.resident against Σ len(buf), st.reserved against the full
+// size of every block that is leased, in flight or prefetched and unread, and
+// each block's cached reserved flag against the same definition.
+func accountingError(st *loopState) error {
+	var resident, reserved int64
+	for name, ast := range st.arrays {
+		for idx, b := range ast.blocks {
+			resident += int64(len(b.buf))
+			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched
+			if b.reserved != want {
+				return fmt.Errorf("%s[%d]: reserved flag %v, definition says %v (refcnt %d fetching %v probing %v prefetched %v)",
+					name, idx, b.reserved, want, b.refcnt, b.fetching, b.probing, b.prefetched)
+			}
+			if want {
+				bs := ast.info.BlockSpan(idx)
+				reserved += bs.Hi - bs.Lo
+			}
+			if b.refcnt > 0 && b.prefetched {
+				return fmt.Errorf("%s[%d]: leased and still marked prefetched-unread", name, idx)
+			}
+		}
+	}
+	if st.resident != resident {
+		return fmt.Errorf("resident counter %d, blocks hold %d bytes", st.resident, resident)
+	}
+	if st.reserved != reserved {
+		return fmt.Errorf("reserved counter %d, definition sums to %d", st.reserved, reserved)
+	}
+	return nil
+}
+
+// newCheckedLocal is NewLocal with the test playing the actor loop: the same
+// dispatch, and after every single message the accounting invariants. The
+// first violation fails the test.
+func newCheckedLocal(t *testing.T, cfg Config) *Store {
+	t.Helper()
+	cfg.NodeID = 0
+	s, err := newStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.peers = []*Store{s}
+	s.io.start()
+	go func() {
+		st := newLoopState()
+		defer close(s.done)
+		failed := false
+		for {
+			m, ok := s.inbox.get()
+			if !ok {
+				s.teardown(st)
+				return
+			}
+			kind := fmt.Sprintf("%T", m) // before dispatch recycles a pooled message
+			s.dispatch(st, m)
+			if err := accountingError(st); err != nil && !failed {
+				failed = true
+				t.Errorf("after %s: %v", kind, err)
+			}
+		}
+	}()
+	s.announceScanned()
+	return s
+}
+
 // cellBytes is the granularity of the modeled intervals.
 const cellBytes = 16
 
@@ -69,21 +136,18 @@ func TestStorageAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		s, err := NewLocal(Config{
+		s := newCheckedLocal(t, Config{
 			MemoryBudget: 512, // tiny: constant eviction churn
 			ScratchDir:   dir,
 			Seed:         seed,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		defer s.Close()
 
 		oracle := map[string]*modelArray{}
 		names := []string{}
 		const ops = 120
 		for op := 0; op < ops; op++ {
-			switch choice := rng.Intn(10); {
+			switch choice := rng.Intn(12); {
 			case choice == 0 || len(names) == 0: // create
 				name := fmt.Sprintf("m%d", len(names))
 				blocks := 1 + rng.Intn(3)
@@ -145,6 +209,9 @@ func TestStorageAgainstOracle(t *testing.T) {
 			case choice == 9: // explicit evict of a random block (best effort)
 				ma := oracle[names[rng.Intn(len(names))]]
 				_ = s.Evict(ma.info.Name, rng.Intn(ma.info.NumBlocks()))
+			case choice >= 10: // prefetch a random block: admitted, deferred or moot
+				ma := oracle[names[rng.Intn(len(names))]]
+				s.PrefetchBlock(ma.info.Name, rng.Intn(ma.info.NumBlocks()))
 			}
 		}
 		// Final sweep: every fully-written block must read back verbatim.

@@ -122,9 +122,40 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Release()
 
+	// Every outcome a prefetched block can have, with block 0 still leased in
+	// a two-block budget. One-block requests, so requests count blocks.
+	prefetch := func(block int, wantLoad bool) {
+		t.Helper()
+		before := s.Stats().BlockLoads
+		s.PrefetchBlock("a", block)
+		for wantLoad && s.Stats().BlockLoads == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("prefetch never loaded block %d", block)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	mid := s.Stats()
+	prefetch(0, false) // resident
+	prefetch(5, true)  // admitted beside the leased block
+	prefetch(6, false) // deferred: a leased and an unread block fill the budget
+	prefetch(5, false) // resident
+	r.Release()
+	if r, err = s.Request("a", 5*blockSize, 6*blockSize, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	prefetch(6, true)  // admitted now
+	prefetch(6, false) // resident
 	st := s.Stats()
+	if issued, loads, deferred := st.PrefetchIssued-mid.PrefetchIssued, st.PrefetchLoads-mid.PrefetchLoads, st.PrefetchDeferred-mid.PrefetchDeferred; issued != 6 || loads != 2 || deferred != 1 {
+		t.Errorf("6 prefetched blocks, 3 of them resident: issued %d = loads %d + deferred %d + 3?", issued, loads, deferred)
+	}
+	if got := st.PrefetchHits - mid.PrefetchHits; got != 1 {
+		t.Errorf("prefetch hits = %d, want 1: block 5 was read once, resident", got)
+	}
+
 	snap := reg.Snapshot()
 	counters := []struct {
 		name string
@@ -139,6 +170,8 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		{"dooc_storage_prefetch_issued_total", st.PrefetchIssued},
 		{"dooc_storage_prefetch_loads_total", st.PrefetchLoads},
 		{"dooc_storage_prefetch_hits_total", st.PrefetchHits},
+		{"dooc_storage_prefetch_deferred_total", st.PrefetchDeferred},
+		{"dooc_storage_mem_used_bytes", st.MemUsed},
 		{"dooc_storage_disk_read_bytes_total", st.BytesReadDisk},
 		{"dooc_storage_disk_write_bytes_total", st.BytesWrittenDisk},
 		{"dooc_storage_peer_fetch_bytes_total", st.BytesFetchedPeer},

@@ -69,6 +69,10 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 	}
 	b := s.getBlock(ast, m.block)
 	b.fetching = false
+	if !m.ok && len(b.waiters) == 0 {
+		b.prefetched = false // a prefetch alone does not chase the block further
+	}
+	st.reserve(ast.info, m.block, b)
 	if m.ok {
 		st.stats.ShardFetches++
 		st.stats.BytesFetchedShard += int64(len(m.data))

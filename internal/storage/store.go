@@ -160,6 +160,13 @@ type Lease struct {
 	Lo, Hi int64
 	// Data is the interval's bytes: len(Data) == Hi-Lo.
 	Data []byte
+	// Gen names the residency Data lies in: it changes whenever the store
+	// loads or allocates the block's buffer anew — after an eviction, after
+	// the array is deleted and created again — and never otherwise. Arrays
+	// are immutable, so two read leases of a whole block from the same store
+	// with equal Gen held the same bytes in the same memory; what was
+	// verified under the first need not be verified under the second.
+	Gen int64
 
 	block    int
 	released bool
@@ -218,6 +225,7 @@ type Stats struct {
 	PrefetchIssued    int64
 	PrefetchLoads     int64 // block fetches initiated by prefetch
 	PrefetchHits      int64 // cache hits on blocks a prefetch brought in
+	PrefetchDeferred  int64 // prefetched blocks not admitted: no room beside reserved bytes
 	ImplicitDiskReads int64
 	IORetries         int64 // transient disk errors survived by the retry policy
 
