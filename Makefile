@@ -15,10 +15,11 @@ test:
 race:
 	$(GO) test -race ./internal/obs/ ./internal/storage/ ./internal/core/ ./internal/datacutter/ ./internal/simnet/ ./internal/mfdn/ ./internal/bfs/ ./internal/remote/ ./internal/scheduler/ ./internal/faults/ ./internal/compress/ ./internal/jobs/ ./internal/jobstore/ ./internal/cluster/ ./internal/proxy/ ./internal/sparse/ ./internal/lanczos/
 
-# Short fuzz pass over every codec round trip, the frame decoder and the CRS
-# block parser.
+# Short fuzz pass over every codec round trip, the frame decoder, the
+# word-at-a-time delta-varint decoder against its byte-at-a-time oracle, and
+# the CRS block parser.
 fuzz:
-	for target in FuzzRawRoundTrip FuzzDeltaVarint64RoundTrip FuzzDeltaVarint32RoundTrip FuzzFloatShuffleRoundTrip FuzzLZDecode FuzzDecodeFrame; do \
+	for target in FuzzRawRoundTrip FuzzDeltaVarint64RoundTrip FuzzDeltaVarint32RoundTrip FuzzFloatShuffleRoundTrip FuzzLZDecode FuzzDecodeFrame FuzzDeltaVarintDecodeInto; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/compress/ || exit 1; \
 	done
 	$(GO) test -run '^FuzzDecodeCRS$$' -fuzz '^FuzzDecodeCRS$$' -fuzztime 10s ./internal/sparse/
@@ -59,9 +60,13 @@ hotpath:
 # the budget — the committed allocs_per_iter (558.2) + 10 %; re-derive it
 # whenever `make hotpath` moves that number. Wall-clock is reported but
 # deliberately not gated (CI runners have no stable clock); bit-identity is
-# deterministic and the allocation count repeats to within ±5.
+# deterministic and the allocation count repeats to within ±5. A view of a
+# staged DOOCCRS2 block, multiplied, must report 0 allocs/op: the compressed
+# sections decode into the worker's scratch, the raw ones alias the block.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
+	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
+		awk '{print} /^BenchmarkViewCRS2/ {seen = 1; if ($$(NF-1) > 0) bad = 1} END {exit !seen || bad}'
 
 vet:
 	$(GO) vet ./...

@@ -28,9 +28,12 @@ import (
 )
 
 // Codec is one pluggable block transform. Encode appends the encoded form
-// of src to dst and returns the extended slice; Decode reverses it given
-// the original length. Implementations must tolerate arbitrary src bytes in
-// Decode: corrupt input returns an error, never panics.
+// of src to dst and returns the extended slice; DecodeInto reverses it into
+// memory the caller supplies, so where the decoded bytes live — a worker's
+// scratch, an arena buffer about to become a resident block — is the
+// caller's choice and decoding allocates nothing for them. Implementations
+// must tolerate arbitrary src bytes in DecodeInto: corrupt input returns an
+// error wrapping ErrCorrupt, never panics, never writes outside dst.
 type Codec interface {
 	// ID is the codec's wire identity, carried in every frame header.
 	ID() uint8
@@ -38,8 +41,14 @@ type Codec interface {
 	Name() string
 	// Encode appends the encoded src to dst.
 	Encode(dst, src []byte) []byte
-	// Decode decodes src, whose original form was rawLen bytes.
-	Decode(src []byte, rawLen int) ([]byte, error)
+	// DecodeInto decodes src into dst; len(dst) is the original length. On
+	// success every byte of dst has been written; on error dst holds
+	// garbage.
+	DecodeInto(dst, src []byte) error
+	// MaxDecodedLen bounds the original length of any srcLen-byte encoding.
+	// FrameRawLen holds a frame header's claim against it, so a forged
+	// length is refused before a buffer is sized from it.
+	MaxDecodedLen(srcLen int) int
 }
 
 // Well-known codec IDs. IDs are wire format: never renumber.
@@ -154,13 +163,17 @@ func (Raw) Name() string { return "raw" }
 // Encode appends src unchanged.
 func (Raw) Encode(dst, src []byte) []byte { return append(dst, src...) }
 
-// Decode verifies the length and returns src.
-func (Raw) Decode(src []byte, rawLen int) ([]byte, error) {
-	if len(src) != rawLen {
-		return nil, fmt.Errorf("%w: raw payload is %d bytes, header says %d", ErrCorrupt, len(src), rawLen)
+// DecodeInto verifies the length and copies src.
+func (Raw) DecodeInto(dst, src []byte) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("%w: raw payload is %d bytes, header says %d", ErrCorrupt, len(src), len(dst))
 	}
-	return append([]byte(nil), src...), nil
+	copy(dst, src)
+	return nil
 }
+
+// MaxDecodedLen is srcLen: the identity.
+func (Raw) MaxDecodedLen(srcLen int) int { return srcLen }
 
 // ---- framed container ----
 
@@ -177,10 +190,6 @@ const (
 	frameMagic     = "DOZ1"
 	FrameHeaderLen = 18
 )
-
-// maxFrameRawLen bounds the decoded size a frame may claim, so a corrupt
-// header cannot drive a multi-gigabyte allocation.
-const maxFrameRawLen = 1 << 40
 
 // EncodeFrame encodes src with c inside a self-describing frame.
 func EncodeFrame(c Codec, src []byte) []byte {
@@ -225,36 +234,94 @@ func AppendFrameAdaptive(dst []byte, c Codec, src []byte) ([]byte, Codec) {
 	return AppendFrame(out[:base], Raw{}, src), Raw{}
 }
 
-// DecodeFrame decodes a framed block, returning the original bytes and the
-// codec that produced them. Every failure wraps ErrCorrupt.
-func DecodeFrame(frame []byte) ([]byte, Codec, error) {
+// FrameRawLen checks a frame's header and returns the codec that wrote it and
+// the original length it claims, which is what DecodeFrameInto's dst must be
+// sized to. A length no encoding of the payload's size can decode to is
+// refused here, so a forged header never sizes a buffer.
+func FrameRawLen(frame []byte) (Codec, int, error) {
 	if len(frame) < FrameHeaderLen {
-		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(frame), FrameHeaderLen)
+		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(frame), FrameHeaderLen)
 	}
 	if string(frame[:4]) != frameMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, frame[:4])
+		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, frame[:4])
 	}
 	if frame[5] != 0 {
-		return nil, nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, frame[5])
-	}
-	rawLen := binary.LittleEndian.Uint64(frame[6:])
-	if rawLen > maxFrameRawLen {
-		return nil, nil, fmt.Errorf("%w: implausible original length %d", ErrCorrupt, rawLen)
+		return nil, 0, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, frame[5])
 	}
 	c, ok := ByID(frame[4])
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: unknown codec ID %d", ErrCorrupt, frame[4])
+		return nil, 0, fmt.Errorf("%w: unknown codec ID %d", ErrCorrupt, frame[4])
 	}
-	out, err := c.Decode(frame[FrameHeaderLen:], int(rawLen))
+	rawLen := binary.LittleEndian.Uint64(frame[6:])
+	if rawLen > uint64(c.MaxDecodedLen(len(frame)-FrameHeaderLen)) {
+		return c, 0, fmt.Errorf("%w: codec %s: %d payload bytes cannot decode to %d", ErrCorrupt, c.Name(), len(frame)-FrameHeaderLen, rawLen)
+	}
+	return c, int(rawLen), nil
+}
+
+// DecodeFrameInto decodes a framed block into dst, which the caller sized
+// from FrameRawLen, and returns the codec that produced the frame. With
+// verify the decoded bytes are held against the frame's CRC; a caller passes
+// false only when a checksum over the frame itself has already vouched for
+// these bytes (sparse's block CRC under TrustStructure). Every failure wraps
+// ErrCorrupt and leaves dst holding garbage.
+func DecodeFrameInto(dst, frame []byte, verify bool) (Codec, error) {
+	c, rawLen, err := FrameRawLen(frame)
 	if err != nil {
-		return nil, c, fmt.Errorf("codec %s: %w", c.Name(), err)
+		return c, err
 	}
-	if len(out) != int(rawLen) {
-		return nil, c, fmt.Errorf("%w: codec %s produced %d bytes, header says %d", ErrCorrupt, c.Name(), len(out), rawLen)
+	if len(dst) != rawLen {
+		return c, fmt.Errorf("%w: codec %s frame holds %d bytes, caller expects %d", ErrCorrupt, c.Name(), rawLen, len(dst))
 	}
+	if err := c.DecodeInto(dst, frame[FrameHeaderLen:]); err != nil {
+		return c, fmt.Errorf("codec %s: %w", c.Name(), err)
+	}
+	if verify {
+		return c, checkFrameCRC(frame, dst, c)
+	}
+	return c, nil
+}
+
+// checkFrameCRC holds a frame's decoded bytes against the CRC in its header.
+func checkFrameCRC(frame, decoded []byte, c Codec) error {
 	want := binary.LittleEndian.Uint32(frame[14:])
-	if got := crc32.Checksum(out, crcTable); got != want {
-		return nil, c, fmt.Errorf("%w: codec %s CRC mismatch (frame %08x, decoded %08x)", ErrCorrupt, c.Name(), want, got)
+	if got := crc32.Checksum(decoded, crcTable); got != want {
+		return fmt.Errorf("%w: codec %s CRC mismatch (frame %08x, decoded %08x)", ErrCorrupt, c.Name(), want, got)
+	}
+	return nil
+}
+
+// RawPayload returns the original bytes of a frame the Raw codec wrote —
+// what adaptive encoding leaves of incompressible data — where they lie
+// inside it, held against the frame's CRC with verify. A caller that can use
+// the bytes in place reads such a frame without decoding it.
+func RawPayload(frame []byte, verify bool) ([]byte, error) {
+	c, rawLen, err := FrameRawLen(frame)
+	if err != nil {
+		return nil, err
+	}
+	payload := frame[FrameHeaderLen:]
+	if c.ID() != IDRaw || len(payload) != rawLen {
+		return nil, fmt.Errorf("%w: codec %s frame of %d payload bytes is not %d bytes stored raw", ErrCorrupt, c.Name(), len(payload), rawLen)
+	}
+	if verify {
+		if err := checkFrameCRC(frame, payload, c); err != nil {
+			return nil, err
+		}
+	}
+	return payload, nil
+}
+
+// DecodeFrame is DecodeFrameInto into fresh memory, for callers with nowhere
+// to put the result (tools, probes, tests).
+func DecodeFrame(frame []byte) ([]byte, Codec, error) {
+	c, rawLen, err := FrameRawLen(frame)
+	if err != nil {
+		return nil, c, err
+	}
+	out := make([]byte, rawLen)
+	if _, err := DecodeFrameInto(out, frame, true); err != nil {
+		return nil, c, err
 	}
 	return out, c, nil
 }

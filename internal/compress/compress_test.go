@@ -198,8 +198,8 @@ func TestLZOverlappingMatch(t *testing.T) {
 	if len(enc) >= len(src)/2 {
 		t.Errorf("run of identical bytes barely compressed: %d -> %d", len(src), len(enc))
 	}
-	got, err := lzDecode(enc, len(src))
-	if err != nil || !bytes.Equal(got, src) {
+	got := make([]byte, len(src))
+	if err := lzDecode(got, enc); err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("overlap round trip failed: %v", err)
 	}
 }
@@ -239,4 +239,28 @@ func BenchmarkAppendFrameAdaptiveReuse(b *testing.B) {
 		buf, _ = AppendFrameAdaptive(buf[:0], Default(), src)
 	}
 	_ = buf
+}
+
+// BenchmarkDecodeDeltaColIdx decodes what the delta32 section of a staged
+// DOOCCRS2 block holds: sorted column indices, gaps of one byte, a two-byte
+// step back at each row start.
+func BenchmarkDecodeDeltaColIdx(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([]byte, 0, 4*64<<10)
+	for col := int32(0); len(src) < cap(src); {
+		src = binary.LittleEndian.AppendUint32(src, uint32(col))
+		if col += 1 + rng.Int31n(16); col >= 750 {
+			col = rng.Int31n(16)
+		}
+	}
+	c, _ := ByID(IDDeltaVarint3)
+	frame := EncodeFrame(c, src)
+	dst := make([]byte, len(src))
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeFrameInto(dst, frame, false); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // DeltaVarint encodes the payload as a stream of fixed-width little-endian
@@ -52,42 +53,91 @@ func (d DeltaVarint) Encode(dst, src []byte) []byte {
 	return append(dst, src[n*w:]...)
 }
 
-// Decode reverses Encode. It validates that the varint stream is well
-// formed and that exactly rawLen bytes are reconstructed.
-func (d DeltaVarint) Decode(src []byte, rawLen int) ([]byte, error) {
+// MaxDecodedLen: every word costs at least one varint byte, and the tail is
+// shorter than a word.
+func (d DeltaVarint) MaxDecodedLen(srcLen int) int { return (srcLen + 1) * d.Width }
+
+// putWord stores v, or its low half, as word i of dst.
+func (d DeltaVarint) putWord(dst []byte, i int, v uint64) {
+	if d.Width == 8 {
+		binary.LittleEndian.PutUint64(dst[8*i:], v)
+	} else {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+	}
+}
+
+// SWAR masks over the eight bytes of a 64-bit load.
+const (
+	continues = 0x8080808080808080 // a varint's continuation bit, per byte
+	lowBits   = 0x0101010101010101
+	magnitude = 0x3f3f3f3f3f3f3f3f // a one-byte zigzag value shifted right by one
+)
+
+// DecodeInto reverses Encode, writing each reconstructed word to its place
+// in dst. It validates that the varint stream is well formed and fills dst
+// exactly. CRS gaps are one byte except at row starts, so the loop loads 64
+// bits of varints at a time, un-zigzags all eight bytes at once and stores
+// as many words as there are one-byte varints ahead of the first that
+// continues — all eight, usually — then takes that one by itself.
+func (d DeltaVarint) DecodeInto(dst, src []byte) error {
 	w := d.Width
-	if rawLen < 0 {
-		return nil, fmt.Errorf("%w: negative length", ErrCorrupt)
-	}
-	// Every decoded word consumes at least one varint byte, so the input
-	// bounds the output; rejecting a larger claim here keeps a forged frame
-	// header from driving the allocation below.
-	if maxOut := (len(src) + 1) * w; rawLen > maxOut {
-		return nil, fmt.Errorf("%w: %d input bytes cannot decode to %d", ErrCorrupt, len(src), rawLen)
-	}
-	n := rawLen / w
-	tail := rawLen % w
-	out := make([]byte, 0, rawLen)
+	n := len(dst) / w
 	var prev uint64
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
+		if n-i >= 8 && len(src) >= 8 {
+			g := binary.LittleEndian.Uint64(src)
+			// Byte k of deltas is the delta of varint k as an int8, should
+			// varint k be one byte long: lowBits*0xff spreads each sign bit
+			// over its byte without carrying into the next.
+			deltas := g>>1&magnitude ^ g&lowBits*0xff
+			ones := bits.TrailingZeros64(g&continues) / 8
+			// The width-4 chain runs in 64 bits too and stores the low half:
+			// the low 32 bits of a sum are the sum of the low 32 bits.
+			if ones == 8 && w == 4 {
+				out := dst[4*i : 4*i+32]
+				prev += uint64(int64(int8(deltas)))
+				binary.LittleEndian.PutUint32(out[0:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 8)))
+				binary.LittleEndian.PutUint32(out[4:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 16)))
+				binary.LittleEndian.PutUint32(out[8:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 24)))
+				binary.LittleEndian.PutUint32(out[12:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 32)))
+				binary.LittleEndian.PutUint32(out[16:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 40)))
+				binary.LittleEndian.PutUint32(out[20:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 48)))
+				binary.LittleEndian.PutUint32(out[24:], uint32(prev))
+				prev += uint64(int64(int8(deltas >> 56)))
+				binary.LittleEndian.PutUint32(out[28:], uint32(prev))
+				src = src[8:]
+				i += 8
+				continue
+			}
+			for k := 0; k < ones; k++ {
+				prev += uint64(int64(int8(deltas >> (8 * k))))
+				d.putWord(dst, i, prev)
+				i++
+			}
+			src = src[ones:]
+			if ones == 8 {
+				continue
+			}
+		}
 		zz, used := binary.Uvarint(src)
 		if used <= 0 {
-			return nil, fmt.Errorf("%w: truncated or overlong varint at word %d", ErrCorrupt, i)
+			return fmt.Errorf("%w: truncated or overlong varint at word %d", ErrCorrupt, i)
 		}
 		src = src[used:]
-		delta := int64(zz>>1) ^ -int64(zz&1)
-		var word [8]byte
-		if w == 8 {
-			prev += uint64(delta)
-			binary.LittleEndian.PutUint64(word[:], prev)
-		} else {
-			prev = uint64(uint32(prev) + uint32(delta))
-			binary.LittleEndian.PutUint32(word[:], uint32(prev))
-		}
-		out = append(out, word[:w]...)
+		prev += zz>>1 ^ -(zz & 1)
+		d.putWord(dst, i, prev)
+		i++
 	}
-	if len(src) != tail {
-		return nil, fmt.Errorf("%w: %d trailing bytes, want %d", ErrCorrupt, len(src), tail)
+	tail := dst[n*w:]
+	if len(src) != len(tail) {
+		return fmt.Errorf("%w: %d trailing bytes, want %d", ErrCorrupt, len(src), len(tail))
 	}
-	return append(out, src...), nil
+	copy(tail, src)
+	return nil
 }

@@ -28,15 +28,20 @@ func (FloatShuffle) Encode(dst, src []byte) []byte {
 	return lzEncode(dst, shuffle(src))
 }
 
-// Decode reverses Encode, validating every match reference against the
-// already-produced output.
-func (FloatShuffle) Decode(src []byte, rawLen int) ([]byte, error) {
-	planes, err := lzDecode(src, rawLen)
-	if err != nil {
-		return nil, err
+// DecodeInto reverses Encode, validating every match reference against the
+// already-produced output. The byte planes are expanded into a transient
+// buffer the size of dst and transposed from there.
+func (FloatShuffle) DecodeInto(dst, src []byte) error {
+	planes := make([]byte, len(dst))
+	if err := lzDecode(planes, src); err != nil {
+		return err
 	}
-	return unshuffle(planes), nil
+	unshuffle(dst, planes)
+	return nil
 }
+
+// MaxDecodedLen: a 3-byte match token expands to at most lzMaxMatch bytes.
+func (FloatShuffle) MaxDecodedLen(srcLen int) int { return (srcLen/3 + 1) * lzMaxMatch }
 
 // shuffle transposes src into 8 byte planes; the tail (len%8) is appended
 // verbatim.
@@ -53,18 +58,20 @@ func shuffle(src []byte) []byte {
 	return out
 }
 
-// unshuffle inverts shuffle.
-func unshuffle(src []byte) []byte {
+// unshuffle inverts shuffle into out, which is as long as src: one pass that
+// gathers byte i of every plane into word i, so out is written once, in
+// order, a word at a time.
+func unshuffle(out, src []byte) {
 	n := len(src) / 8
-	out := make([]byte, len(src))
-	for k := 0; k < 8; k++ {
-		plane := src[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			out[i*8+k] = plane[i]
-		}
+	plane := func(k int) []byte { return src[k*n:][:n] }
+	p0, p1, p2, p3, p4, p5, p6, p7 := plane(0), plane(1), plane(2), plane(3), plane(4), plane(5), plane(6), plane(7)
+	words := out[:8*n]
+	for i := 0; i < n; i++ {
+		w := uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
+			uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56
+		binary.LittleEndian.PutUint64(words[8*i:], w)
 	}
 	copy(out[8*n:], src[8*n:])
-	return out
 }
 
 // ---- small LZ window matcher ----
@@ -131,54 +138,48 @@ func lzEncode(dst, src []byte) []byte {
 	return dst
 }
 
-// lzDecode expands a token stream to exactly rawLen bytes, rejecting any
-// token that reads before the output start or past rawLen.
-func lzDecode(src []byte, rawLen int) ([]byte, error) {
-	if rawLen < 0 {
-		return nil, fmt.Errorf("%w: negative length", ErrCorrupt)
-	}
-	// A 3-byte match token expands to at most lzMaxMatch bytes, so the input
-	// bounds the output; rejecting a larger claim here keeps a forged frame
-	// header from driving the allocation below.
-	if maxOut := (len(src)/3 + 1) * lzMaxMatch; rawLen > maxOut {
-		return nil, fmt.Errorf("%w: %d input bytes cannot decode to %d", ErrCorrupt, len(src), rawLen)
-	}
-	out := make([]byte, 0, rawLen)
+// lzDecode expands a token stream to exactly len(out) bytes, rejecting any
+// token that reads before the output start or writes past its end.
+func lzDecode(out, src []byte) error {
+	n := 0 // bytes of out produced
 	for len(src) > 0 {
 		ctrl := src[0]
 		src = src[1:]
 		if ctrl < 0x80 {
 			run := int(ctrl) + 1
 			if run > len(src) {
-				return nil, fmt.Errorf("%w: literal run of %d overruns input", ErrCorrupt, run)
+				return fmt.Errorf("%w: literal run of %d overruns input", ErrCorrupt, run)
 			}
-			if len(out)+run > rawLen {
-				return nil, fmt.Errorf("%w: output exceeds declared length %d", ErrCorrupt, rawLen)
+			if n+run > len(out) {
+				return fmt.Errorf("%w: output exceeds declared length %d", ErrCorrupt, len(out))
 			}
-			out = append(out, src[:run]...)
+			n += copy(out[n:], src[:run])
 			src = src[run:]
 			continue
 		}
 		if len(src) < 2 {
-			return nil, fmt.Errorf("%w: truncated match token", ErrCorrupt)
+			return fmt.Errorf("%w: truncated match token", ErrCorrupt)
 		}
 		length := int(ctrl&0x7F) + lzMinMatch
 		offset := int(binary.LittleEndian.Uint16(src))
 		src = src[2:]
-		if offset == 0 || offset > len(out) {
-			return nil, fmt.Errorf("%w: match offset %d outside %d decoded bytes", ErrCorrupt, offset, len(out))
+		if offset == 0 || offset > n {
+			return fmt.Errorf("%w: match offset %d outside %d decoded bytes", ErrCorrupt, offset, n)
 		}
-		if len(out)+length > rawLen {
-			return nil, fmt.Errorf("%w: output exceeds declared length %d", ErrCorrupt, rawLen)
+		if n+length > len(out) {
+			return fmt.Errorf("%w: output exceeds declared length %d", ErrCorrupt, len(out))
 		}
-		// Byte-at-a-time: matches may overlap their own output.
-		pos := len(out) - offset
-		for j := 0; j < length; j++ {
-			out = append(out, out[pos+j])
+		if offset >= length {
+			n += copy(out[n:n+length], out[n-offset:])
+			continue
+		}
+		// Byte-at-a-time: the match overlaps its own output.
+		for end := n + length; n < end; n++ {
+			out[n] = out[n-offset]
 		}
 	}
-	if len(out) != rawLen {
-		return nil, fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, len(out), rawLen)
+	if n != len(out) {
+		return fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, n, len(out))
 	}
-	return out, nil
+	return nil
 }

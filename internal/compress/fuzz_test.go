@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -84,9 +85,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// guard is what the decode-into fuzz targets fence their output with.
+var guard = [8]byte{0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5}
+
 // FuzzLZDecode throws arbitrary token streams and length claims at the LZ
-// decoder: no panics, no out-of-bounds reads, output never exceeds the
-// declared length.
+// decoder: no panics, no out-of-bounds reads, no write outside the declared
+// length.
 func FuzzLZDecode(f *testing.F) {
 	f.Add([]byte(nil), 0)
 	f.Add([]byte{0x00, 'a'}, 1)
@@ -96,9 +100,91 @@ func FuzzLZDecode(f *testing.F) {
 		if rawLen < 0 || rawLen > 1<<20 {
 			return
 		}
-		out, err := lzDecode(data, rawLen)
-		if err == nil && len(out) != rawLen {
-			t.Fatalf("accepted stream decoded to %d bytes, want %d", len(out), rawLen)
+		// Guard bytes either side of out catch a write outside it.
+		buf := bytes.Repeat([]byte{0xA5}, rawLen+16)
+		_ = lzDecode(buf[8:8+rawLen], data)
+		if !bytes.Equal(buf[:8], guard[:]) || !bytes.Equal(buf[8+rawLen:], guard[:]) {
+			t.Fatal("lzDecode wrote outside its output")
+		}
+	})
+}
+
+// refDeltaDecode is the byte-at-a-time delta-varint decoder DecodeInto
+// replaced, kept as the differential oracle: one binary.Uvarint and one
+// staged word per element.
+func refDeltaDecode(w int, src []byte, rawLen int) ([]byte, bool) {
+	n, tail := rawLen/w, rawLen%w
+	out := make([]byte, 0, rawLen)
+	var prev uint64
+	for i := 0; i < n; i++ {
+		zz, used := binary.Uvarint(src)
+		if used <= 0 {
+			return nil, false
+		}
+		src = src[used:]
+		delta := int64(zz>>1) ^ -int64(zz&1)
+		var word [8]byte
+		if w == 8 {
+			prev += uint64(delta)
+			binary.LittleEndian.PutUint64(word[:], prev)
+		} else {
+			prev = uint64(uint32(prev) + uint32(delta))
+			binary.LittleEndian.PutUint32(word[:], uint32(prev))
+		}
+		out = append(out, word[:w]...)
+	}
+	if len(src) != tail {
+		return nil, false
+	}
+	return append(out, src...), true
+}
+
+// FuzzDeltaVarintDecodeInto holds the word-at-a-time decoder against the
+// byte-at-a-time one on arbitrary streams and length claims: same verdict
+// (any refusal is ErrCorrupt), same bytes when accepted, nothing written
+// outside dst, no panic — in particular on truncated and overlong varints
+// that straddle an 8-byte group.
+func FuzzDeltaVarintDecodeInto(f *testing.F) {
+	d64, d32 := mustByID(f, IDDeltaVarint), mustByID(f, IDDeltaVarint3)
+	gaps := make([]byte, 0, 40*4)
+	for i := 0; i < 40; i++ {
+		var w [4]byte
+		binary.LittleEndian.PutUint32(w[:], uint32(i*7%90))
+		gaps = append(gaps, w[:]...)
+	}
+	f.Add(d32.Encode(nil, gaps), len(gaps), false)
+	f.Add(d64.Encode(nil, gaps), len(gaps), true)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 0x80}, 32, false)                              // truncated varint ends a group
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 0x80, 1, 1, 1, 1, 1, 1, 1, 1}, 64, true)       // two-byte varint straddles groups
+	f.Add(append(bytes.Repeat([]byte{0xFF}, 10), 1, 1, 1, 1, 1, 1, 1, 1), 36, false) // overlong varint
+	f.Add(append(bytes.Repeat([]byte{3}, 17), 9, 9, 9), 17*4+3, false)               // tail bytes
+	f.Add(bytes.Repeat([]byte{3}, 16), 15*8, true)                                   // one byte too many
+	f.Fuzz(func(t *testing.T, src []byte, rawLen int, wide bool) {
+		if rawLen < 0 || rawLen > 1<<16 {
+			return
+		}
+		c := d32.(DeltaVarint)
+		if wide {
+			c = d64.(DeltaVarint)
+		}
+		want, ok := refDeltaDecode(c.Width, src, rawLen)
+		buf := bytes.Repeat([]byte{0xA5}, rawLen+16)
+		dst := buf[8 : 8+rawLen]
+		err := c.DecodeInto(dst, src)
+		if !bytes.Equal(buf[:8], guard[:]) || !bytes.Equal(buf[8+rawLen:], guard[:]) {
+			t.Fatal("DecodeInto wrote outside dst")
+		}
+		if (err == nil) != ok {
+			t.Fatalf("width %d, %d bytes to %d: DecodeInto err=%v, reference accepted=%v", c.Width, len(src), rawLen, err, ok)
+		}
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("refusal does not wrap ErrCorrupt: %v", err)
+		}
+		if ok && !bytes.Equal(dst, want) {
+			t.Fatalf("width %d: DecodeInto differs from the reference decoder", c.Width)
+		}
+		if ok && rawLen > c.MaxDecodedLen(len(src)) {
+			t.Fatalf("width %d: %d bytes decoded to %d, MaxDecodedLen says %d", c.Width, len(src), rawLen, c.MaxDecodedLen(len(src)))
 		}
 	})
 }

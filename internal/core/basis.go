@@ -24,6 +24,8 @@ type BasisStore struct {
 	Spill bool
 
 	count int
+	dim   int       // length of every stored vector
+	buf   []float64 // what Vector returns, reused from call to call
 }
 
 // name returns the array name of basis vector j.
@@ -37,6 +39,9 @@ func (b *BasisStore) name(j int) string {
 
 // Append implements lanczos.Basis.
 func (b *BasisStore) Append(v []float64) error {
+	if b.count > 0 && len(v) != b.dim {
+		return fmt.Errorf("core: basis vector %d has %d elements, the basis holds vectors of %d", b.count, len(v), b.dim)
+	}
 	name := b.name(b.count)
 	size := int64(8 * len(v))
 	if err := b.Store.Create(name, size, size); err != nil {
@@ -56,7 +61,7 @@ func (b *BasisStore) Append(v []float64) error {
 			return err
 		}
 	}
-	b.count++
+	b.count, b.dim = b.count+1, len(v)
 	return nil
 }
 
@@ -64,16 +69,21 @@ func (b *BasisStore) Append(v []float64) error {
 func (b *BasisStore) Len() int { return b.count }
 
 // Vector implements lanczos.Basis. Evicted vectors are transparently
-// re-read from scratch by the storage layer.
+// re-read from scratch by the storage layer. The result is the store's one
+// read buffer, decoded into straight from the lease: as the interface says,
+// it is valid until the next call.
 func (b *BasisStore) Vector(j int) ([]float64, error) {
 	if j < 0 || j >= b.count {
 		return nil, fmt.Errorf("core: basis vector %d out of [0,%d)", j, b.count)
 	}
-	raw, err := b.Store.ReadAll(b.name(j))
-	if err != nil {
+	if cap(b.buf) < b.dim {
+		b.buf = make([]float64, b.dim)
+	}
+	v := b.buf[:b.dim]
+	if err := b.Store.ReadFloat64s(b.name(j), v); err != nil {
 		return nil, err
 	}
-	return storage.DecodeFloat64s(raw), nil
+	return v, nil
 }
 
 // Close deletes all stored vectors.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"dooc/internal/lanczos"
@@ -48,6 +49,67 @@ func TestBasisStoreRoundTrip(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Fatal("Close did not reset")
+	}
+}
+
+// TestBasisVectorReusesItsBuffer: reading a basis vector allocates nothing
+// sized by the vector — reorthogonalisation reads every stored vector twice
+// per step — and every read lands in the same buffer.
+func TestBasisVectorReusesItsBuffer(t *testing.T) {
+	s, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 20, ScratchDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const dim, vectors = 3000, 4
+	b := &BasisStore{Store: s, Spill: true}
+	v := make([]float64, dim)
+	for j := 0; j < vectors; j++ {
+		for i := range v {
+			v[i] = float64(j*dim + i)
+		}
+		if err := b.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := b.Vector(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		j    int
+		got  []float64
+		rerr error
+	)
+	read := func() { got, rerr = b.Vector(j % vectors); j++ }
+	check := func() {
+		t.Helper()
+		last := float64((j-1)%vectors*dim + dim - 1)
+		if rerr != nil || &got[0] != &first[0] || got[dim-1] != last {
+			t.Fatalf("read %d: err %v, same buffer %v, last element %v want %v", j, rerr, &got[0] == &first[0], got[dim-1], last)
+		}
+	}
+	// What is left is what the store's own read into a caller's buffer
+	// costs — the lease, its request and reply — and the array's name.
+	own := make([]float64, dim)
+	floor := testing.AllocsPerRun(50, func() { rerr = s.ReadFloat64s(b.name(j%vectors), own); j++ })
+	if allocs := testing.AllocsPerRun(50, read); allocs > floor {
+		t.Errorf("a basis read allocates %v times, a store read into a buffer %v", allocs, floor)
+	}
+	check()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reads = 50
+	for i := 0; i < reads; i++ {
+		read()
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / reads; perRead >= 8*dim/4 {
+		t.Errorf("a read of a %d-byte vector allocates %d bytes", 8*dim, perRead)
+	}
+	if err := b.Append(make([]float64, dim+1)); err == nil {
+		t.Error("a vector of another length was appended")
 	}
 }
 

@@ -116,6 +116,16 @@ type System struct {
 	// node*WorkersPerNode+lane, started once and parked between multiplies).
 	kern []*sparse.Pool
 
+	// View scratches between runs. ExecContext is built per Run, and a
+	// scratch regrown from nothing on every Operator.Apply would allocate a
+	// block's decoded sections per solver step; a worker takes one when it
+	// starts and returns it when it exits, so it is never shared by two
+	// concurrent runs and the list is as long as the most workers that ever
+	// ran at once.
+	scratchMu  sync.Mutex
+	scratches  []*sparse.ViewScratch
+	viewCopied *obs.Counter
+
 	// Failure registry. FailNode marks a node dead: active runs stop its
 	// workers and reassign its incomplete tasks; runs started afterwards
 	// never schedule onto it.
@@ -164,6 +174,7 @@ func NewSystem(opts Options) (*System, error) {
 	fused := opts.Obs.Counter("dooc_kernel_fused_calls_total", "fused SpMV+AXPY/dot kernel invocations")
 	blocked := opts.Obs.Counter("dooc_kernel_blocked_dispatch_total", "SpMV dispatches taking the cache-blocked traversal")
 	scalar := opts.Obs.Counter("dooc_kernel_scalar_dispatch_total", "SpMV dispatches taking the row-serial traversal")
+	sys.viewCopied = opts.Obs.Counter("dooc_kernel_view_copied_bytes_total", "matrix-section bytes a block view materialised (codec decode or realign copy) instead of aliasing the lease")
 	sys.kern = make([]*sparse.Pool, opts.Nodes*opts.WorkersPerNode)
 	for i := range sys.kern {
 		p := sparse.NewPool(opts.WorkersPerNode)
@@ -171,6 +182,26 @@ func NewSystem(opts Options) (*System, error) {
 		sys.kern[i] = p
 	}
 	return sys, nil
+}
+
+// takeScratch hands a starting worker a view scratch: one a finished worker
+// left, grown to the blocks it viewed, or a new one.
+func (s *System) takeScratch() *sparse.ViewScratch {
+	s.scratchMu.Lock()
+	defer s.scratchMu.Unlock()
+	if n := len(s.scratches); n > 0 {
+		v := s.scratches[n-1]
+		s.scratches = s.scratches[:n-1]
+		return v
+	}
+	return new(sparse.ViewScratch)
+}
+
+// putScratch takes an exiting worker's scratch back.
+func (s *System) putScratch(v *sparse.ViewScratch) {
+	s.scratchMu.Lock()
+	s.scratches = append(s.scratches, v)
+	s.scratchMu.Unlock()
 }
 
 // invalidateDecoded drops what the engine derived from an array's bytes — a

@@ -29,11 +29,14 @@ type ExecContext struct {
 	scratch execScratch
 
 	// The uncached matrix path: the read lease under the view Matrix handed
-	// out, the view itself, and the scratch its unaligned sections live in.
-	// Held from Matrix until the executor returns.
+	// out, the view itself, and the scratch the sections that cannot alias
+	// the lease live in — the worker's for as long as it runs, the system's
+	// between runs (System.takeScratch). Held from Matrix until the executor
+	// returns.
 	matLease *storage.Lease
 	mat      *sparse.CSR
-	view     sparse.ViewScratch
+	view     *sparse.ViewScratch
+	copied   *obs.Counter // dooc_kernel_view_copied_bytes_total
 
 	mu     sync.Mutex
 	leases []*storage.Lease
@@ -95,11 +98,12 @@ func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 		return nil, err
 	}
 	known := c.valid.get(c.Node, array)
-	m, crc, err := sparse.ViewCRSBytes(lease.Data, &c.view, func(crc uint32) sparse.Trust { return known.trust(lease.Gen, crc) })
+	m, crc, err := sparse.ViewCRSBytes(lease.Data, c.view, func(crc uint32) sparse.Trust { return known.trust(lease.Gen, crc) })
 	if err != nil {
 		lease.Release()
 		return nil, err
 	}
+	c.copied.Add(c.view.CopiedBytes())
 	if known.gen != lease.Gen {
 		c.valid.put(c.Node, array, validRec{gen: lease.Gen, crc: crc})
 	}
@@ -469,7 +473,10 @@ func (r *engineRun) worker(node, lane int) {
 		cache:   cache,
 		valid:   &r.sys.valid,
 		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
+		view:    r.sys.takeScratch(),
+		copied:  r.sys.viewCopied,
 	}
+	defer r.sys.putScratch(ctx.view)
 	var deadScratch []string
 	for {
 		r.mu.Lock()

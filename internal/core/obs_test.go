@@ -238,3 +238,66 @@ func TestObsCountsNodeDeathRecovery(t *testing.T) {
 		t.Errorf("dead node 2 completed %d tasks", done)
 	}
 }
+
+// TestObsViewCopiedBytes reconciles dooc_kernel_view_copied_bytes_total with
+// the shapes of the blocks multiplied out of their leases: a V1 block costs
+// nothing, a V2 block the row pointers and column indices its codecs have to
+// decode — the values, which the adaptive encoder leaves raw, alias the
+// lease — and the doocdebug build, whose views are private copies, every
+// section of either.
+func TestObsViewCopiedBytes(t *testing.T) {
+	const dim, k, nodes, iters = 300, 3, 2, 2
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := &sparse.CSR{RowPtr: []int64{0}}
+	sparse.ReleaseView(released)
+	viewsAreCopies := !sparse.ViewValid(released)
+
+	cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes}
+	p, err := cfg.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var structure, values int64 // per iteration: every block is multiplied once
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			b, err := sparse.Block(m, p, u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			structure += 8*int64(b.Rows+1) + 4*b.NNZ()
+			values += 8 * b.NNZ()
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		stage func(string, *sparse.CSR, SpMVConfig) error
+		want  int64
+	}{
+		{"v1", StageMatrix, 0},
+		{"v2", StageMatrixCompressed, iters * structure},
+	} {
+		root := t.TempDir()
+		if err := c.stage(root, m, cfg); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root, Reorder: true, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunIteratedSpMV(sys, cfg, randVec(rand.New(rand.NewSource(1)), dim)); err != nil {
+			t.Fatal(err)
+		}
+		sys.Close()
+		want := c.want
+		if viewsAreCopies {
+			want = iters * (structure + values)
+		}
+		if got := reg.Sum("dooc_kernel_view_copied_bytes_total"); got != want {
+			t.Errorf("%s: view_copied_bytes = %d, the block shapes say %d", c.name, got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
@@ -12,11 +13,17 @@ import (
 
 // TestMatrixViewDiesWithExecutor: an executor that keeps the matrix it was
 // handed finds it poisoned once it has returned — the doocdebug build makes
-// the lifetime rule of ExecContext.Matrix checkable.
+// the lifetime rule of ExecContext.Matrix checkable, for a V1 block and for a
+// V2 block alike.
 func TestMatrixViewDiesWithExecutor(t *testing.T) {
+	t.Run("v1", func(t *testing.T) { testMatrixViewDiesWithExecutor(t, sparse.WriteCRS) })
+	t.Run("v2", func(t *testing.T) { testMatrixViewDiesWithExecutor(t, sparse.WriteCRS2) })
+}
+
+func testMatrixViewDiesWithExecutor(t *testing.T, write func(io.Writer, *sparse.CSR) error) {
 	m := testMatrix(t, 6)
 	x := randVec(rand.New(rand.NewSource(1)), m.Cols)
-	sys := viewTestSystem(t, m, x)
+	sys := viewTestSystem(t, m, x, write)
 	if err := sys.Store(0).Create("y", int64(8*m.Rows), int64(8*m.Rows)); err != nil {
 		t.Fatal(err)
 	}

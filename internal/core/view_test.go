@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -111,15 +112,21 @@ func TestViewRunMatchesCachedRun(t *testing.T) {
 }
 
 // viewTestSystem is a one-node system without a decode cache holding the
-// matrix array "M" and the written vector "x".
-func viewTestSystem(t *testing.T, m *sparse.CSR, x []float64) *System {
+// matrix array "M", in the format write emits, and the written vector "x".
+func viewTestSystem(t *testing.T, m *sparse.CSR, x []float64, write func(io.Writer, *sparse.CSR) error) *System {
 	t.Helper()
 	sys, err := NewSystem(Options{Nodes: 1, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	stageRaw(t, sys.Store(0), "M", m)
+	var buf bytes.Buffer
+	if err := write(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Store(0).WriteArray("M", buf.Bytes(), 0); err != nil {
+		t.Fatal(err)
+	}
 	raw := make([]byte, 8*len(x))
 	storage.EncodeFloat64s(raw, x)
 	if err := sys.Store(0).WriteArray("x", raw, 0); err != nil {
@@ -134,7 +141,7 @@ func viewTestSystem(t *testing.T, m *sparse.CSR, x []float64) *System {
 func TestViewLeaseReturnedOnEveryExit(t *testing.T) {
 	m := testMatrix(t, 3)
 	x := randVec(rand.New(rand.NewSource(9)), m.Cols)
-	sys := viewTestSystem(t, m, x)
+	sys := viewTestSystem(t, m, x, sparse.WriteCRS)
 	st := sys.Store(0)
 	if err := st.Create("y", int64(8*m.Rows), int64(8*m.Rows)); err != nil {
 		t.Fatal(err)
@@ -193,8 +200,8 @@ func TestViewLeaseReturnedOnEveryExit(t *testing.T) {
 // Matrix call in the same task must not invalidate the first.
 func TestSecondViewInOneTaskIsACopy(t *testing.T) {
 	m := testMatrix(t, 4)
-	sys := viewTestSystem(t, m, make([]float64, m.Cols))
-	ctx := &ExecContext{Store: sys.Store(0), valid: &sys.valid}
+	sys := viewTestSystem(t, m, make([]float64, m.Cols), sparse.WriteCRS)
+	ctx := &ExecContext{Store: sys.Store(0), valid: &sys.valid, view: sys.takeScratch()}
 	first, err := ctx.Matrix("M")
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +243,9 @@ func corruptStructure(t *testing.T, m *sparse.CSR) []byte {
 // walked again — whether the memo was told (DropArray) or not.
 func TestValidateOncePerContent(t *testing.T) {
 	m := testMatrix(t, 5)
-	sys := viewTestSystem(t, m, make([]float64, m.Cols))
+	sys := viewTestSystem(t, m, make([]float64, m.Cols), sparse.WriteCRS)
 	st := sys.Store(0)
-	ctx := &ExecContext{Store: st, valid: &sys.valid}
+	ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
 	view := func(name string) error {
 		_, err := ctx.Matrix(name)
 		ctx.releaseMatrix()
@@ -321,7 +328,7 @@ func TestChecksumOncePerResidency(t *testing.T) {
 	}
 	defer sys.Close()
 	st := sys.Store(0)
-	ctx := &ExecContext{Store: st, valid: &sys.valid}
+	ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
 	view := func() (int64, error) {
 		a, err := ctx.Matrix("M")
 		if err != nil {
@@ -391,5 +398,85 @@ func TestChecksumOncePerResidency(t *testing.T) {
 	}
 	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("view of damaged bytes under a verified name: %v", err)
+	}
+}
+
+// TestViewScratchOutlivesRun: a worker's view scratch goes back to the system
+// when its run ends and the next run's worker takes it, grown, so a solver
+// that submits a run per step decodes every step into the same memory; runs
+// in flight at once each hold their own, and the list never grows past the
+// most workers that ran together.
+func TestViewScratchOutlivesRun(t *testing.T) {
+	const dim, k, nodes = 240, 2, 2
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 3, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	cfg := SpMVConfig{Dim: dim, K: k, Iters: 1, Nodes: nodes}
+	if err := StageMatrixCompressed(root, m, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root, Reorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	x := randVec(rand.New(rand.NewSource(2)), dim)
+	want := make([]float64, dim)
+	sparse.MulVec(m, x, want)
+
+	parked := func() map[*sparse.ViewScratch]bool {
+		sys.scratchMu.Lock()
+		defer sys.scratchMu.Unlock()
+		set := make(map[*sparse.ViewScratch]bool)
+		for _, s := range sys.scratches {
+			set[s] = true
+		}
+		if len(set) != len(sys.scratches) {
+			t.Fatalf("a scratch is on the free list twice: %d entries, %d distinct", len(sys.scratches), len(set))
+		}
+		return set
+	}
+	apply := func(op *Operator) {
+		y, err := op.Apply(x)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if d := maxAbsDiff(y, want); d > 1e-12 {
+			t.Errorf("A·x is off by %v", d)
+		}
+	}
+
+	op := &Operator{Sys: sys, Cfg: cfg}
+	apply(op)
+	first := parked()
+	if len(first) != nodes {
+		t.Fatalf("%d scratches parked after a run of %d workers", len(first), nodes)
+	}
+	apply(op)
+	for s := range parked() {
+		if !first[s] {
+			t.Fatal("the second run grew a scratch of its own instead of taking a parked one")
+		}
+	}
+
+	const concurrent = 3
+	var wg sync.WaitGroup
+	for i := 0; i < concurrent; i++ {
+		op := &Operator{Sys: sys, Cfg: cfg}
+		op.Cfg.Tag = fmt.Sprintf("job%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step := 0; step < 3; step++ {
+				apply(op)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(parked()); n < nodes || n > concurrent*nodes {
+		t.Fatalf("%d scratches parked after %d concurrent runs of %d workers", n, concurrent, nodes)
 	}
 }

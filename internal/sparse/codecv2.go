@@ -26,15 +26,28 @@ import (
 //	8       8     rows  (int64)
 //	16      8     cols  (int64)
 //	24      8     nnz   (int64)
-//	32      8     row-pointer frame length, then the frame
-//	...     8     column-index frame length, then the frame
-//	...     8     value frame length, then the frame
+//	32      8     row-pointer section prefix, 0–7 zero pad bytes, the frame
+//	...     8     column-index section prefix, pad, frame
+//	...     8     value section prefix, pad, frame
 //	last    4     CRC32 (Castagnoli) of everything before it
+//
+// A section prefix is a little-endian uint64: the frame length in the low 56
+// bits and the pad count in the top byte. The pad puts the frame's payload —
+// the bytes after its 18-byte header — at a multiple of 8 from the start of
+// the block, so a section the adaptive encoder left raw is multiplied where
+// it lies in an aligned buffer, like a V1 section (ViewCRSBytes). Files
+// written before the pad existed carry 0 in the top byte, which a frame
+// length never reached, and no pad: they decode as ever, a raw section
+// whose payload is not aligned being copied into the scratch.
 //
 // The file CRC covers the compressed bytes (cheap, catches truncation);
 // each frame additionally carries a CRC of its decoded bytes, so a decode
 // can never silently return wrong data.
 const crsMagicV2 = "DOOCCRS2"
+
+// crs2PadBytes is the pad after a section prefix that ends pos bytes into
+// the block.
+func crs2PadBytes(pos int64) int64 { return -(pos + compress.FrameHeaderLen) & 7 }
 
 // sectionCodec returns the preferred codec for section i (0 = row
 // pointers, 1 = column indices, 2 = values).
@@ -102,16 +115,23 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	var lenBuf [8]byte
+	var prefix, zeros [8]byte
+	pos := int64(HeaderBytes)
 	for i := 0; i < 3; i++ {
 		frame, _ := compress.EncodeAdaptive(sectionCodec(i), sectionBytes(i, m))
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(frame)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
+		pos += 8
+		pad := crs2PadBytes(pos)
+		binary.LittleEndian.PutUint64(prefix[:], uint64(pad)<<56|uint64(len(frame)))
+		if _, err := bw.Write(prefix[:]); err != nil {
+			return err
+		}
+		if _, err := bw.Write(zeros[:pad]); err != nil {
 			return err
 		}
 		if _, err := bw.Write(frame); err != nil {
 			return err
 		}
+		pos += pad + int64(len(frame))
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -122,16 +142,29 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	return err
 }
 
-// crs2Section decodes section i of a V2 block held in memory. body starts at
-// the section's length prefix; the frame is sliced out of it where it lies
-// and the codec's output — fresh memory nothing else references — is the
-// section. rest is what follows the frame.
-func crs2Section(i int, body []byte, rawLen int64) (raw, rest []byte, err error) {
+// crs2Frame slices the frame of section i out of a V2 block. body starts at
+// the section's prefix, pos bytes into the block; rest is what follows the
+// frame. The pad is none (a file that predates it) or exactly what the
+// position calls for, and zero.
+func crs2Frame(i int, body []byte, pos, rawLen int64) (frame, rest []byte, err error) {
 	if len(body) < 8 {
 		return nil, nil, fmt.Errorf("sparse: short section %d length", i)
 	}
-	frameLen := binary.LittleEndian.Uint64(body)
+	prefix := binary.LittleEndian.Uint64(body)
+	pad, frameLen := int64(prefix>>56), prefix&(1<<56-1)
 	body = body[8:]
+	if pad != 0 && pad != crs2PadBytes(pos+8) {
+		return nil, nil, fmt.Errorf("sparse: section %d claims a %d-byte pad at offset %d", i, pad, pos+8)
+	}
+	if pad > int64(len(body)) {
+		return nil, nil, fmt.Errorf("sparse: section %d pad runs past the block", i)
+	}
+	for _, b := range body[:pad] {
+		if b != 0 {
+			return nil, nil, fmt.Errorf("sparse: section %d alignment pad is not zero", i)
+		}
+	}
+	body = body[pad:]
 	// Adaptive encoding never produces a frame larger than raw plus the
 	// frame header, so anything bigger is corruption, not data.
 	if frameLen > uint64(rawLen)+compress.FrameHeaderLen {
@@ -140,14 +173,7 @@ func crs2Section(i int, body []byte, rawLen int64) (raw, rest []byte, err error)
 	if frameLen > uint64(len(body)) {
 		return nil, nil, fmt.Errorf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
 	}
-	raw, _, err = compress.DecodeFrame(body[:frameLen])
-	if err != nil {
-		return nil, nil, fmt.Errorf("sparse: section %d: %w", i, err)
-	}
-	if int64(len(raw)) != rawLen {
-		return nil, nil, fmt.Errorf("sparse: section %d decoded to %d bytes, want %d", i, len(raw), rawLen)
-	}
-	return raw, body[frameLen:], nil
+	return body[:frameLen], body[frameLen:], nil
 }
 
 // WriteCRS2File writes m to path atomically in V2 format.

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"slices"
 	"unsafe"
+
+	"dooc/internal/compress"
 )
 
 // In-memory CRS parsing: the one parser of each format. A block that sits in
@@ -24,43 +26,67 @@ var crsCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ViewScratch is one worker's reusable backing for ViewCRSBytes: the CSR
 // header a view is returned in, and grow-only buffers for the sections of a
-// block that cannot alias its bytes. The zero value is ready. A scratch
-// backs one live view at a time — the next ViewCRSBytes on it overwrites
-// the previous view.
+// block that cannot alias its bytes — a compressed V2 section is decoded
+// straight into them, a misaligned one copied. The zero value is ready. A
+// scratch backs one live view at a time — the next ViewCRSBytes on it
+// overwrites the previous view — and belongs to whoever runs the views: it
+// is not safe for concurrent use.
 type ViewScratch struct {
 	m      CSR
 	rowPtr []int64
 	colIdx []int32
 	val    []float64
+	copied int64
 }
 
-// crsSection returns the n little-endian elements encoded in src as a []T.
-// With alias set it reinterprets src in place when the host is little-endian
-// and src's base is aligned for T — the guard storage.castFloat64s applies,
-// and the one checkptr enforces under -race. Otherwise it copies into *buf,
-// which grows to the largest section it has held and never shrinks.
-func crsSection[T int32 | int64 | float64](src []byte, n int, alias bool, buf *[]T) []T {
+// CopiedBytes is how many section bytes the last view on s had to
+// materialise in the scratch — decoded by a codec or copied to realign —
+// instead of aliasing the block: 0 for a block WriteCRS wrote, the RowPtr
+// and ColIdx bytes of a typical WriteCRS2 block.
+func (s *ViewScratch) CopiedBytes() int64 { return s.copied }
+
+// crsSection returns the n little-endian elements of one section as a []T.
+// The section is either raw, its bytes where they lie in the block, or — with
+// frame non-nil — the compress frame that decodes to them. A raw section on
+// a little-endian host, its base aligned for T — the guard
+// storage.castFloat64s applies, and the one checkptr enforces under -race —
+// is reinterpreted in place: with alias set that is the result, without it
+// the result is its copy. Anything else is materialised in *buf byte by
+// byte: a raw section by copy, a frame by decoding into it, its CRC checked
+// with verify. *buf grows to the largest section it has held and never
+// shrinks.
+func crsSection[T int32 | int64 | float64](s *ViewScratch, raw, frame []byte, n int, alias, verify bool, buf *[]T) ([]T, error) {
 	size := int(unsafe.Sizeof(*new(T)))
-	if alias && crsLittleEndian && n > 0 {
-		if p := unsafe.Pointer(unsafe.SliceData(src)); uintptr(p)%uintptr(size) == 0 {
-			return unsafe.Slice((*T)(p), n)
+	if frame == nil && crsLittleEndian && n > 0 {
+		if p := unsafe.Pointer(unsafe.SliceData(raw)); uintptr(p)%uintptr(size) == 0 {
+			v := unsafe.Slice((*T)(p), n)
+			if alias {
+				return v, nil
+			}
+			// append, unlike make, does not clear what it is about to
+			// overwrite: an owning decode of a block writes each byte once.
+			*buf = append((*buf)[:0], v...)
+			s.copied += int64(size * n)
+			return *buf, nil
 		}
 	}
 	if cap(*buf) < n {
 		*buf = make([]T, n)
 	}
 	dst := (*buf)[:n]
-	if n == 0 {
-		return dst
-	}
 	db := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), size*n)
-	copy(db, src)
+	if frame == nil {
+		copy(db, raw)
+	} else if _, err := compress.DecodeFrameInto(db, frame, verify); err != nil {
+		return nil, err
+	}
+	s.copied += int64(len(db))
 	if !crsLittleEndian {
 		for i := 0; i < len(db); i += size {
 			slices.Reverse(db[i : i+size])
 		}
 	}
-	return dst
+	return dst, nil
 }
 
 // Trust is how much of a block's verification a caller of ViewCRSBytes takes
@@ -79,11 +105,14 @@ const (
 	TrustBytes
 )
 
-// decodeCRS parses a V1 or V2 block into s.m, verifying shape and — with
-// checkCRC — checksum, but not structure; it returns the checksum the block
-// carries. alias lets V1 sections point into data. V2 sections always adopt
-// the codec's freshly decoded output, which nothing else references.
-func decodeCRS(data []byte, s *ViewScratch, alias, checkCRC bool) (*CSR, uint32, error) {
+// decodeCRS parses a V1 or V2 block into s.m, verifying shape and — as far
+// as trusted leaves it to do — checksums, but not structure; it returns the
+// checksum the block carries. alias lets raw sections point into data: every
+// V1 section, and a V2 section the adaptive encoder stored verbatim. A
+// compressed V2 section is decoded into s on every call, whatever the trust:
+// TrustStructure skips only the frame CRCs (the block CRC has just vouched
+// for the very bytes they were decoded from), TrustBytes the block CRC too.
+func decodeCRS(data []byte, s *ViewScratch, alias bool, trusted Trust) (*CSR, uint32, error) {
 	if len(data) < HeaderBytes+4 {
 		return nil, 0, fmt.Errorf("sparse: %d bytes is shorter than a CRS header", len(data))
 	}
@@ -113,14 +142,16 @@ func decodeCRS(data []byte, s *ViewScratch, alias, checkCRC bool) (*CSR, uint32,
 	}
 	body := data[HeaderBytes : len(data)-4]
 	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if checkCRC {
+	if trusted != TrustBytes {
 		if want := crc32.Checksum(data[:len(data)-4], crsCRCTable); crc != want {
 			return nil, 0, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", crc, want)
 		}
 	}
+	verify := trusted == TrustNothing
+	s.copied = 0
 	for i := 0; i < 3; i++ {
 		rawLen := sectionRawLen(i, rows, nnz)
-		var raw []byte
+		var raw, frame []byte
 		if magic == crsMagic {
 			raw, body = body[:rawLen], body[rawLen:] // in range: the size check above
 			if i == 1 && pad != 0 {
@@ -131,18 +162,35 @@ func decodeCRS(data []byte, s *ViewScratch, alias, checkCRC bool) (*CSR, uint32,
 			}
 		} else {
 			var err error
-			if raw, body, err = crs2Section(i, body, rawLen); err != nil {
+			pos := int64(len(data) - 4 - len(body))
+			if frame, body, err = crs2Frame(i, body, pos, rawLen); err != nil {
 				return nil, 0, err
 			}
-			alias = true
+			// The shape, not the frame, sizes the section: a frame that
+			// claims any other length is refused before the scratch grows.
+			c, n, err := compress.FrameRawLen(frame)
+			if err == nil && int64(n) != rawLen {
+				err = fmt.Errorf("frame holds %d bytes, shape says %d", n, rawLen)
+			}
+			if err == nil && c.ID() == compress.IDRaw {
+				raw, err = compress.RawPayload(frame, verify)
+				frame = nil
+			}
+			if err != nil {
+				return nil, 0, fmt.Errorf("sparse: section %d: %w", i, err)
+			}
 		}
+		var err error
 		switch i {
 		case 0:
-			s.m.RowPtr = crsSection(raw, int(rows+1), alias, &s.rowPtr)
+			s.m.RowPtr, err = crsSection(s, raw, frame, int(rows+1), alias, verify, &s.rowPtr)
 		case 1:
-			s.m.ColIdx = crsSection(raw, int(nnz), alias, &s.colIdx)
+			s.m.ColIdx, err = crsSection(s, raw, frame, int(nnz), alias, verify, &s.colIdx)
 		default:
-			s.m.Val = crsSection(raw, int(nnz), alias, &s.val)
+			s.m.Val, err = crsSection(s, raw, frame, int(nnz), alias, verify, &s.val)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("sparse: section %d: %w", i, err)
 		}
 	}
 	if len(body) != 0 {
@@ -161,28 +209,35 @@ func DecodeCRSBytes(data []byte) (*CSR, error) {
 }
 
 // ViewCRSBytes is DecodeCRSBytes without the copy: on a little-endian host
-// the RowPtr, ColIdx and Val of a V1 block alias data wherever the section
-// is aligned for its element type — every section of a block WriteCRS wrote,
-// held in an 8-byte-aligned buffer — and are copied into s otherwise (a
-// misaligned buffer, the Val of a legacy unpadded block with odd nnz), so a
+// a section stored verbatim — every section of a V1 block, a V2 section the
+// adaptive encoder left raw — aliases data wherever it is aligned for its
+// element type, which is everywhere in a block WriteCRS or WriteCRS2 wrote
+// held in an 8-byte-aligned buffer. Any other section is materialised in s:
+// a compressed V2 section decoded straight into it, a misaligned one (a
+// misaligned buffer, a file written before its format's pad) copied, so a
 // steady stream of views allocates nothing. The returned matrix is valid
 // only while data is, and only until the next ViewCRSBytes on s; ReleaseView
-// ends it. A nil s, like DecodeCRSBytes, copies every section into fresh
-// memory.
+// ends it. A nil s, like DecodeCRSBytes, puts every section in fresh memory
+// the result owns.
 //
 // trust is asked once, with the checksum the block carries, how much of the
 // verification the caller has already seen done (see Trust); a nil trust
 // verifies everything. The checksum is returned for the caller to remember.
 func ViewCRSBytes(data []byte, s *ViewScratch, trust func(crc uint32) Trust) (*CSR, uint32, error) {
-	alias := s != nil && !viewDebugForceCopy
-	if !alias {
-		s = new(ViewScratch)
-	}
 	trusted := TrustNothing
 	if trust != nil && len(data) >= 4 {
 		trusted = trust(binary.LittleEndian.Uint32(data[len(data)-4:]))
 	}
-	m, crc, err := decodeCRS(data, s, alias, trusted != TrustBytes)
+	// An owning decode and a doocdebug view get memory of their own; what
+	// the latter copied is still reported through the caller's scratch.
+	into := s
+	if s == nil || viewDebugForceCopy {
+		into = new(ViewScratch)
+	}
+	m, crc, err := decodeCRS(data, into, into == s, trusted)
+	if s != nil {
+		s.copied = into.copied
+	}
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,7 +10,12 @@ import (
 // TestReleasedViewIsPoisoned: under doocdebug a view is a private copy, and
 // ending it leaves nothing a kernel could multiply with.
 func TestReleasedViewIsPoisoned(t *testing.T) {
-	data := atOffset(encodeCRS(t, FromDense(2, 2, []float64{1, 2, 3, 4}), false), 0)
+	t.Run("v1", func(t *testing.T) { testReleasedViewIsPoisoned(t, false) })
+	t.Run("v2", func(t *testing.T) { testReleasedViewIsPoisoned(t, true) })
+}
+
+func testReleasedViewIsPoisoned(t *testing.T, v2 bool) {
+	data := atOffset(encodeCRS(t, FromDense(2, 2, []float64{1, 2, 3, 4}), v2), 0)
 	var s ViewScratch
 	m, _, err := ViewCRSBytes(data, &s, nil)
 	if err != nil {

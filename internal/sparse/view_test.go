@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"dooc/internal/compress"
 )
 
 // encodeCRS returns m in the V1 or V2 format.
@@ -37,6 +39,38 @@ func legacyCRS(t testing.TB, m *CSR) []byte {
 	body := len(enc) - 4
 	binary.LittleEndian.PutUint32(enc[body:], crc32.Checksum(enc[:body], crsCRCTable))
 	return enc
+}
+
+// crs2Sections walks a V2 block: where each section's frame starts, how long
+// it is, and — for a section the adaptive encoder stored verbatim — where its
+// payload lies in the block (-1 for a compressed one).
+func crs2Sections(enc []byte) (frameOff, frameLen, rawOff [3]int) {
+	pos := HeaderBytes
+	for i := range rawOff {
+		prefix := binary.LittleEndian.Uint64(enc[pos:])
+		pad, n := int(prefix>>56), int(prefix&(1<<56-1))
+		frameOff[i], frameLen[i], rawOff[i] = pos+8+pad, n, -1
+		if c, err := compress.FrameCodec(enc[frameOff[i]:][:n]); err == nil && c.ID() == compress.IDRaw {
+			rawOff[i] = frameOff[i] + compress.FrameHeaderLen
+		}
+		pos = frameOff[i] + n
+	}
+	return
+}
+
+// legacyCRS2 returns m as a DOOCCRS2 block written before the alignment pads
+// existed — each section a bare length and its frame, the top byte of the
+// length 0 — which is every V2 file staged before WriteCRS2 padded.
+func legacyCRS2(t testing.TB, m *CSR) []byte {
+	t.Helper()
+	enc := encodeCRS(t, m, true)
+	frameOff, frameLen, _ := crs2Sections(enc)
+	out := append([]byte(nil), enc[:HeaderBytes]...)
+	for i, off := range frameOff {
+		out = binary.LittleEndian.AppendUint64(out, uint64(frameLen[i]))
+		out = append(out, enc[off:][:frameLen[i]]...)
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crsCRCTable))
 }
 
 // atOffset copies data so that its first byte sits k bytes past an 8-byte
@@ -99,12 +133,14 @@ func viewTestMatrices() []*CSR {
 // TestViewMatchesDecode: a view and a decode of the same bytes are the same
 // matrix, whatever the format, the parity of nnz or the alignment of the
 // bytes, and a scratch carried from block to block never leaks one block
-// into the next. Every block WriteCRS emits, held in an aligned buffer, is
-// viewed without copying a byte; the realign copy is left to misaligned
-// buffers and to legacy blocks without the pad.
+// into the next. Every section a writer stored verbatim — all of a WriteCRS
+// block, what the adaptive encoder left raw of a WriteCRS2 block — is viewed
+// in an aligned buffer without copying a byte; the realign copy is left to
+// misaligned buffers and to legacy blocks without their format's pad, the
+// decode into the scratch to compressed sections.
 func TestViewMatchesDecode(t *testing.T) {
 	var s ViewScratch
-	odd, even := 0, 0
+	odd, even, rawV2 := 0, 0, 0
 	for _, m := range viewTestMatrices() {
 		if m.NNZ()%2 == 1 {
 			odd++
@@ -115,20 +151,32 @@ func TestViewMatchesDecode(t *testing.T) {
 		if got, want := int64(len(padded)), FileBytes(m.Rows, m.NNZ()); got != want {
 			t.Fatalf("WriteCRS wrote %d bytes for nnz %d, FileBytes says %d", got, m.NNZ(), want)
 		}
-		paddedValOff := len(padded) - 4 - 8*int(m.NNZ())
-		if paddedValOff%8 != 0 {
-			t.Fatalf("nnz %d: WriteCRS put the values %d bytes into the block", m.NNZ(), paddedValOff)
+		if valOff := len(padded) - 4 - 8*int(m.NNZ()); valOff%8 != 0 {
+			t.Fatalf("nnz %d: WriteCRS put the values %d bytes into the block", m.NNZ(), valOff)
+		}
+		colOff := HeaderBytes + 8*len(m.RowPtr)
+		v2, legacyV2 := encodeCRS(t, m, true), legacyCRS2(t, m)
+		_, _, v2Off := crs2Sections(v2)
+		_, _, legacyV2Off := crs2Sections(legacyV2)
+		for i, off := range v2Off {
+			if off >= 0 {
+				rawV2++
+				if off%8 != 0 {
+					t.Fatalf("nnz %d: WriteCRS2 put raw section %d %d bytes into the block", m.NNZ(), i, off)
+				}
+			}
 		}
 		for _, f := range []struct {
 			name string
 			enc  []byte
-			v1   bool
-			// valOff is where the values lie in a V1 block.
-			valOff int
+			// off is where each section's bytes lie in the block, -1 for a
+			// compressed section.
+			off [3]int
 		}{
-			{"v1", padded, true, paddedValOff},
-			{"legacy v1", legacyCRS(t, m), true, HeaderBytes + 8*len(m.RowPtr) + 4*int(m.NNZ())},
-			{"v2", encodeCRS(t, m, true), false, 0},
+			{"v1", padded, [3]int{HeaderBytes, colOff, len(padded) - 4 - 8*int(m.NNZ())}},
+			{"legacy v1", legacyCRS(t, m), [3]int{HeaderBytes, colOff, colOff + 4*int(m.NNZ())}},
+			{"v2", v2, v2Off},
+			{"legacy v2", legacyV2, legacyV2Off},
 		} {
 			enc := f.enc
 			want, err := DecodeCRSBytes(enc)
@@ -150,25 +198,45 @@ func TestViewMatchesDecode(t *testing.T) {
 				if wantCRC := binary.LittleEndian.Uint32(enc[len(enc)-4:]); crc != wantCRC {
 					t.Fatalf("view reports crc %08x, block carries %08x", crc, wantCRC)
 				}
-				// Where the bytes allow it the view is the bytes: an aligned
-				// V1 block is never copied, nor is any section whose own
-				// offset happens to be aligned.
-				aliases := crsLittleEndian && !viewDebugForceCopy && f.v1
-				if got, want := within(got.RowPtr, data), aliases && k == 0; got != want {
-					t.Fatalf("%s offset %d: RowPtr aliases the block = %v, want %v", f.name, k, got, want)
+				// Where the bytes allow it the view is the bytes: a section
+				// stored verbatim whose place in memory is aligned for its
+				// element type is never copied.
+				aliases := func(i, size, n int) bool {
+					return crsLittleEndian && !viewDebugForceCopy && f.off[i] >= 0 && (k+f.off[i])%size == 0 && n > 0
 				}
-				if got, want := within(got.ColIdx, data), aliases && k%4 == 0 && m.NNZ() > 0; got != want {
-					t.Fatalf("%s offset %d: ColIdx aliases the block = %v, want %v", f.name, k, got, want)
+				var copied int64
+				for i, sec := range []struct {
+					name          string
+					aliased       bool
+					size, n       int
+					insideScratch bool
+				}{
+					{"RowPtr", within(got.RowPtr, data), 8, len(got.RowPtr), inside(got.RowPtr, nil, s.rowPtr)},
+					{"ColIdx", within(got.ColIdx, data), 4, len(got.ColIdx), inside(got.ColIdx, nil, s.colIdx)},
+					{"Val", within(got.Val, data), 8, len(got.Val), inside(got.Val, nil, s.val)},
+				} {
+					want := aliases(i, sec.size, sec.n)
+					if sec.aliased != want {
+						t.Fatalf("%s offset %d nnz %d: %s aliases the block = %v, want %v", f.name, k, m.NNZ(), sec.name, sec.aliased, want)
+					}
+					if !want {
+						copied += int64(sec.size * sec.n)
+						if !viewDebugForceCopy && !sec.insideScratch {
+							t.Fatalf("%s offset %d: %s lies in neither the block nor the scratch", f.name, k, sec.name)
+						}
+					}
 				}
-				valAligned := (k+f.valOff)%8 == 0
-				if got, want := within(got.Val, data), aliases && valAligned && m.NNZ() > 0; got != want {
-					t.Fatalf("%s offset %d nnz %d: Val aliases the block = %v, want %v", f.name, k, m.NNZ(), got, want)
+				if s.CopiedBytes() != copied {
+					t.Fatalf("%s offset %d nnz %d: CopiedBytes = %d, sections not aliased hold %d", f.name, k, m.NNZ(), s.CopiedBytes(), copied)
 				}
 			}
 		}
 	}
 	if odd == 0 || even == 0 {
 		t.Fatalf("matrices cover %d odd and %d even nnz; need both", odd, even)
+	}
+	if rawV2 == 0 {
+		t.Fatal("no V2 block has a section stored verbatim: the aliasing of raw sections went untested")
 	}
 }
 
@@ -299,12 +367,165 @@ func TestViewChecksWhatIsNotVouchedFor(t *testing.T) {
 	}
 }
 
+// TestDecodeOwnsRawV2Section: the owning decode copies even the section a
+// view would alias. The decode cache keeps its result long after the lease it
+// was read under is gone and the arena has handed the buffer to someone else.
+func TestDecodeOwnsRawV2Section(t *testing.T) {
+	m, err := GapMatrix(GapGenConfig{Rows: 40, Cols: 40, D: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := atOffset(encodeCRS(t, m, true), 0)
+	if _, _, rawOff := crs2Sections(data); rawOff[2] < 0 {
+		t.Fatal("the value section was compressed: nothing a decode could wrongly alias")
+	}
+	got, err := DecodeCRSBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xEE
+	}
+	if !sameCSR(got, m) {
+		t.Fatal("the decoded matrix changed when the bytes it was decoded from were overwritten")
+	}
+}
+
+// TestViewCRS2InPlace: a view of a block WriteCRS2 wrote, held in an aligned
+// buffer, is built in one pass without allocating: a section stored verbatim
+// is the block's own bytes, a compressed one is decoded into the scratch, at
+// every level of trust.
+func TestViewCRS2InPlace(t *testing.T) {
+	if viewDebugForceCopy || !crsLittleEndian {
+		t.Skip("views are copies in this build")
+	}
+	gap := func(rows, cols, d int, seed int64) *CSR {
+		m, err := GapMatrix(GapGenConfig{Rows: rows, Cols: cols, D: d, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	odd := gap(50, 60, 2, 1)
+	for seed := int64(2); odd.NNZ()%2 == 0; seed++ {
+		odd = gap(50, 60, 2, seed)
+	}
+	even := gap(50, 60, 2, 21)
+	for seed := int64(22); even.NNZ()%2 == 1; seed++ {
+		even = gap(50, 60, 2, seed)
+	}
+	// One entry per row, anywhere in 2^30 columns: consecutive column
+	// indices differ by five-byte varints, and delta32 loses to raw.
+	rng := rand.New(rand.NewSource(5))
+	scattered := &CSR{Rows: 64, Cols: 1 << 30, RowPtr: make([]int64, 65), ColIdx: make([]int32, 64), Val: make([]float64, 64)}
+	for i := range scattered.ColIdx {
+		scattered.RowPtr[i+1] = int64(i + 1)
+		scattered.ColIdx[i] = rng.Int31n(1 << 30)
+		scattered.Val[i] = rng.NormFloat64()
+	}
+	var s ViewScratch
+	for _, c := range []struct {
+		name string
+		m    *CSR
+		raw  [3]bool // which sections the adaptive encoder stores verbatim
+	}{
+		{"odd nnz", odd, [3]bool{false, false, true}},
+		{"even nnz", even, [3]bool{false, false, true}},
+		{"zero nnz", &CSR{Rows: 40, Cols: 40, RowPtr: make([]int64, 41)}, [3]bool{false, true, true}},
+		{"raw ColIdx", scattered, [3]bool{false, true, true}},
+	} {
+		data := atOffset(encodeCRS(t, c.m, true), 0)
+		_, _, rawOff := crs2Sections(data)
+		for i, off := range rawOff {
+			if (off >= 0) != c.raw[i] {
+				t.Fatalf("%s: section %d stored verbatim = %v, the case wants %v", c.name, i, off >= 0, c.raw[i])
+			}
+		}
+		for _, trust := range []Trust{TrustNothing, TrustStructure, TrustBytes} {
+			view := func() (*CSR, error) {
+				m, _, err := ViewCRSBytes(data, &s, func(uint32) Trust { return trust })
+				return m, err
+			}
+			got, err := view()
+			if err != nil {
+				t.Fatalf("%s, trust %d: %v", c.name, trust, err)
+			}
+			if !sameCSR(got, c.m) {
+				t.Fatalf("%s, trust %d: the view is not the matrix written", c.name, trust)
+			}
+			if !inside(got.RowPtr, nil, s.rowPtr) {
+				t.Errorf("%s, trust %d: RowPtr was not decoded into the scratch", c.name, trust)
+			}
+			if nnz := c.m.NNZ(); nnz > 0 {
+				if within(got.ColIdx, data) != c.raw[1] || !inside(got.ColIdx, data, s.colIdx) {
+					t.Errorf("%s, trust %d: ColIdx aliases the block = %v, want %v", c.name, trust, within(got.ColIdx, data), c.raw[1])
+				}
+				if !within(got.Val, data) {
+					t.Errorf("%s, trust %d: Val does not alias the block", c.name, trust)
+				}
+			}
+			var want int64
+			for i, n := range []int{8 * len(got.RowPtr), 4 * len(got.ColIdx), 8 * len(got.Val)} {
+				if !c.raw[i] {
+					want += int64(n)
+				}
+			}
+			if s.CopiedBytes() != want {
+				t.Errorf("%s, trust %d: CopiedBytes = %d, the compressed sections hold %d", c.name, trust, s.CopiedBytes(), want)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { view() }); allocs != 0 {
+				t.Errorf("%s, trust %d: a steady-state view allocates %v times", c.name, trust, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkViewCRS2 is what a computing filter does with one staged V2 block
+// per multiply task out of core: view it (the block evicted and read back
+// since the last time, so its checksum is known and its bytes are not) and
+// multiply. SetBytes counts the staged bytes.
+func BenchmarkViewCRS2(b *testing.B) {
+	m, err := GapMatrix(GapGenConfig{Rows: 750, Cols: 750, D: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := atOffset(encodeCRS(b, m, true), 0)
+	x := make([]float64, m.Cols)
+	y := make([]float64, m.Rows)
+	for i := range x {
+		x[i] = float64(i%17) * 0.25
+	}
+	var s ViewScratch
+	trust := func(uint32) Trust { return TrustStructure }
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _, err := ViewCRSBytes(data, &s, trust)
+		if err != nil {
+			b.Fatal(err)
+		}
+		MulVec(v, x, y)
+	}
+}
+
 // FuzzDecodeCRS: on arbitrary bytes the one CRS parser never panics, the view
 // and the decode agree — both refuse, or both return the same valid matrix —
 // and a view's sections lie inside data or inside the scratch, nowhere else.
 func FuzzDecodeCRS(f *testing.F) {
 	for _, m := range viewTestMatrices()[:6] {
-		for _, enc := range [][]byte{encodeCRS(f, m, false), legacyCRS(f, m), encodeCRS(f, m, true)} {
+		v2 := encodeCRS(f, m, true)
+		frameOff, _, _ := crs2Sections(v2)
+		// A V2 block whose last section claims a pad reaching past the block,
+		// and one whose first pad is not zero, each with its CRC made good.
+		padPast := append([]byte(nil), v2...)
+		padPast[frameOff[2]-1] = 0xff
+		padSet := append([]byte(nil), v2...)
+		padSet[HeaderBytes+8] = 1
+		for _, enc := range [][]byte{padPast, padSet} {
+			binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.Checksum(enc[:len(enc)-4], crsCRCTable))
+		}
+		for _, enc := range [][]byte{encodeCRS(f, m, false), legacyCRS(f, m), v2, legacyCRS2(f, m), padPast, padSet} {
 			f.Add(enc)
 			f.Add(enc[:len(enc)/2])
 			f.Add(enc[:len(enc)-4])
@@ -331,9 +552,9 @@ func FuzzDecodeCRS(f *testing.F) {
 		if err := got.Validate(); err != nil {
 			t.Fatalf("accepted invalid matrix: %v", err)
 		}
-		// V2 sections are the codec's own output and a doocdebug view is a
-		// private copy: only a release-build V1 view has a place to be.
-		if string(data[:8]) == crsMagic && !viewDebugForceCopy {
+		// A doocdebug view is a private copy: only a release-build view has
+		// a place to be.
+		if !viewDebugForceCopy {
 			if !inside(got.RowPtr, data, s.rowPtr) || !inside(got.ColIdx, data, s.colIdx) || !inside(got.Val, data, s.val) {
 				t.Fatal("a section of the view lies outside both the block and the scratch")
 			}

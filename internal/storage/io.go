@@ -201,15 +201,23 @@ func (p *ioPool) readFramed(j ioJob, out *[]byte, cs *codecStats) error {
 	if _, err := io.ReadFull(f, frame); err != nil {
 		return err
 	}
-	decStart := time.Now()
-	data, used, err := compress.DecodeFrame(frame)
+	// The header sizes the buffer — a forged length is refused there — and
+	// the frame is decoded straight into what becomes the resident block.
+	_, rawLen, err := compress.FrameRawLen(frame)
 	if err != nil {
 		return err
 	}
-	p.store.metrics.decodeSeconds.Observe(time.Since(decStart).Seconds())
-	if int64(len(data)) != j.length {
-		return fmt.Errorf("%w: frame decodes to %d bytes, block is %d", compress.ErrCorrupt, len(data), j.length)
+	if int64(rawLen) != j.length {
+		return fmt.Errorf("%w: frame decodes to %d bytes, block is %d", compress.ErrCorrupt, rawLen, j.length)
 	}
+	data := sharedArena.Get(rawLen)
+	decStart := time.Now()
+	used, err := compress.DecodeFrameInto(data, frame, true)
+	if err != nil {
+		sharedArena.Put(data)
+		return err
+	}
+	p.store.metrics.decodeSeconds.Observe(time.Since(decStart).Seconds())
 	*out = data
 	*cs = codecStats{
 		framed:      true,
