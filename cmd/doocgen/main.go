@@ -91,6 +91,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("staged %dx%d %s blocks for %d node(s) under %s (%.1f MB on disk)\n",
-		*k, *k, format, *nodes, *out, float64(info.Bytes)/1e6)
+	fmt.Printf("staged %dx%d %s blocks for %d node(s) under %s (%.1f MB on disk; column indices stored as %v)\n",
+		*k, *k, format, *nodes, *out, float64(info.Bytes)/1e6, info.ColumnForms)
 }

@@ -209,9 +209,10 @@ func (d *Driver) executors() map[string]core.Executor {
 			frontier := append([]byte(nil), fLease.Data...)
 			fLease.Release()
 			next := make([]byte, BitsetBytes(adj.Rows))
+			cols := adj.Columns() // a compressed block is viewed as gaps
 			for i := 0; i < adj.Rows; i++ {
 				for k := adj.RowPtr[i]; k < adj.RowPtr[i+1]; k++ {
-					if GetBit(frontier, int(adj.ColIdx[k])) {
+					if GetBit(frontier, int(cols[k])) {
 						SetBit(next, i)
 						break
 					}

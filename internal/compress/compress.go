@@ -210,7 +210,8 @@ func AppendFrame(dst []byte, c Codec, src []byte) []byte {
 }
 
 // EncodeAdaptive encodes src with c but bails out to the Raw codec when the
-// result saves less than ~10% (raw/compressed ratio below 1.1): random or
+// result saves less than ~10% (raw/compressed ratio below 1.1) — or, for a
+// long block, when its head alone does (AppendFrameAdaptive): random or
 // already-dense blocks then cost one memcpy and 18 header bytes instead of
 // a pointless decode on every future read. It returns the frame and the
 // codec actually used.
@@ -218,17 +219,41 @@ func EncodeAdaptive(c Codec, src []byte) ([]byte, Codec) {
 	return AppendFrameAdaptive(nil, c, src)
 }
 
-// AppendFrameAdaptive is EncodeAdaptive appending into dst. On bail-out the
-// attempted frame is truncated in place and the raw frame written over it,
-// so the bail-out path costs no second buffer.
+// adaptiveProbeLen is the prefix of a block AppendFrameAdaptive encodes first
+// when the block is at least four times as long: a multiple of every
+// codec's word, long enough for the LZ window to find what repeats, short
+// enough that giving up on a block costs a fraction of encoding it.
+const adaptiveProbeLen = 4 << 10
+
+// KeepsCodec is the adaptive rule: an encoding is worth its decode on every
+// future read only when raw is at least 1.1 × what it takes, frame header
+// included.
+func KeepsCodec(rawLen, encodedLen int) bool {
+	return int64(rawLen)*10 >= int64(encodedLen)*11
+}
+
+// AppendFrameAdaptive is EncodeAdaptive appending into dst. A long block is
+// probed first: when its first adaptiveProbeLen bytes alone miss the ratio,
+// the rest is not run through the codec at all — a spilled vector of
+// full-mantissa floats costs the probe, not a shuffle and a match search
+// over every byte it holds. A block whose head compresses is encoded whole
+// and judged whole, as a short block is. On bail-out the attempted bytes are
+// truncated in place and the raw frame written over them, so the bail-out
+// path costs no second buffer.
 func AppendFrameAdaptive(dst []byte, c Codec, src []byte) ([]byte, Codec) {
 	if c == nil || c.ID() == IDRaw {
 		return AppendFrame(dst, Raw{}, src), Raw{}
 	}
 	base := len(dst)
+	if len(src) >= 4*adaptiveProbeLen {
+		probe := c.Encode(dst, src[:adaptiveProbeLen])
+		dst = probe[:base]
+		if !KeepsCodec(adaptiveProbeLen, len(probe)-base) {
+			return AppendFrame(dst, Raw{}, src), Raw{}
+		}
+	}
 	out := AppendFrame(dst, c, src)
-	// Keep the codec only when rawLen >= 1.1 * framedLen.
-	if int64(len(src))*10 >= int64(len(out)-base)*11 {
+	if KeepsCodec(len(src), len(out)-base) {
 		return out, c
 	}
 	return AppendFrame(out[:base], Raw{}, src), Raw{}

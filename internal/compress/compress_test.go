@@ -127,6 +127,79 @@ func TestEncodeAdaptiveBailsToRaw(t *testing.T) {
 	}
 }
 
+// encodeSpy is FloatShuffle, remembering the longest input it was asked to
+// encode.
+type encodeSpy struct {
+	Codec
+	longest *int
+}
+
+func (e encodeSpy) Encode(dst, src []byte) []byte {
+	*e.longest = max(*e.longest, len(src))
+	return e.Codec.Encode(dst, src)
+}
+
+// TestAppendFrameAdaptiveProbesLongBlocks pins both outcomes of the probe. A
+// long block whose head does not compress — a spilled vector of
+// full-mantissa floats — goes to the raw frame with only its head through
+// the codec. A long block whose head does compress — a V1 CRS block opens
+// with its header and row pointers — is encoded whole and yields byte for
+// byte the frame it always did, whether the whole then keeps the codec
+// (quantised values) or not (noise after the head). Either frame decodes
+// with the one decoder, and in none of these cases did the probe change the
+// frame: it is what encoding the whole block and applying the 1.1 rule gives.
+func TestAppendFrameAdaptiveProbesLongBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	floats := func(n int, f func(i int) float64) []byte {
+		out := make([]byte, 0, 8*n)
+		for i := 0; i < n; i++ {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f(i)))
+		}
+		return out
+	}
+	spilled := floats(3000, func(int) float64 { return rng.NormFloat64() })
+	rowPtrs := floats(800, func(i int) float64 { return 0 })
+	for i := 0; i < 800; i++ {
+		binary.LittleEndian.PutUint64(rowPtrs[8*i:], uint64(87*i))
+	}
+	quantised := append(append([]byte(nil), rowPtrs...), floats(3000, func(i int) float64 { return float64(i%64) / 1024 })...)
+	noisyTail := append(append([]byte(nil), rowPtrs...), make([]byte, 20*len(rowPtrs))...)
+	rng.Read(noisyTail[len(rowPtrs):])
+
+	var longest int
+	spy := encodeSpy{Default(), &longest}
+	for _, c := range []struct {
+		name      string
+		src       []byte
+		wantCodec uint8
+		wantWhole bool // the codec saw every byte
+	}{
+		{"spilled vector", spilled, IDRaw, false},
+		{"compressible head, compressible whole", quantised, IDFloatShuffle, true},
+		{"compressible head, noise after", noisyTail, IDRaw, true},
+		{"short noise", spilled[:4*adaptiveProbeLen-8], IDRaw, true},
+	} {
+		longest = 0
+		frame, used := AppendFrameAdaptive(nil, spy, c.src)
+		if used.ID() != c.wantCodec {
+			t.Errorf("%s: kept codec %s", c.name, used.Name())
+		}
+		if whole := longest == len(c.src); whole != c.wantWhole {
+			t.Errorf("%s: the codec was handed at most %d of %d bytes", c.name, longest, len(c.src))
+		}
+		full := EncodeFrame(Default(), c.src)
+		if !KeepsCodec(len(c.src), len(full)) {
+			full = EncodeFrame(Raw{}, c.src)
+		}
+		if !bytes.Equal(frame, full) {
+			t.Errorf("%s: the frame differs from the one a full encode and the 1.1 rule yield", c.name)
+		}
+		if got, _, err := DecodeFrame(frame); err != nil || !bytes.Equal(got, c.src) {
+			t.Errorf("%s: round trip failed: %v", c.name, err)
+		}
+	}
+}
+
 // TestDecodeFrameRejectsCorruption flips, truncates, and rewrites frames:
 // every mutation must surface ErrCorrupt, never wrong bytes.
 func TestDecodeFrameRejectsCorruption(t *testing.T) {

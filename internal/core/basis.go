@@ -13,6 +13,10 @@ import (
 // reorthogonalization, the natural next step after the paper's out-of-core
 // SpMV ("our out-of-core code does not implement the full Lanczos algorithm
 // required for MFDn computations").
+//
+// A vector is one block of an array that holds basisChunk of them, so a
+// step's append creates no array, no block directory and no sidecar of its
+// own — a chunk's first append does, once for all of them.
 type BasisStore struct {
 	// Store is the node-local storage filter holding the vectors.
 	Store *storage.Store
@@ -28,13 +32,17 @@ type BasisStore struct {
 	buf   []float64 // what Vector returns, reused from call to call
 }
 
-// name returns the array name of basis vector j.
-func (b *BasisStore) name(j int) string {
+// basisChunk is how many basis vectors share one storage array.
+const basisChunk = 32
+
+// place returns where basis vector j lives: the array of its chunk and its
+// block in it.
+func (b *BasisStore) place(j int) (array string, block int) {
 	p := b.Prefix
 	if p == "" {
 		p = "lanczos"
 	}
-	return fmt.Sprintf("%s:v%d", p, j)
+	return fmt.Sprintf("%s:c%d", p, j/basisChunk), j % basisChunk
 }
 
 // Append implements lanczos.Basis.
@@ -42,22 +50,26 @@ func (b *BasisStore) Append(v []float64) error {
 	if b.count > 0 && len(v) != b.dim {
 		return fmt.Errorf("core: basis vector %d has %d elements, the basis holds vectors of %d", b.count, len(v), b.dim)
 	}
-	name := b.name(b.count)
+	name, block := b.place(b.count)
 	size := int64(8 * len(v))
-	if err := b.Store.Create(name, size, size); err != nil {
-		return err
+	if block == 0 {
+		if err := b.Store.Create(name, basisChunk*size, size); err != nil {
+			return err
+		}
 	}
-	l, err := b.Store.Request(name, 0, size, storage.PermWrite)
+	l, err := b.Store.RequestBlock(name, block, storage.PermWrite)
 	if err != nil {
 		return err
 	}
 	storage.PutFloat64s(l, v)
 	l.Release()
 	if b.Spill {
+		// Every earlier block of the chunk is on scratch already: the
+		// flush writes this one alone.
 		if err := b.Store.Flush(name); err != nil {
 			return err
 		}
-		if err := b.Store.Evict(name, 0); err != nil {
+		if err := b.Store.Evict(name, block); err != nil {
 			return err
 		}
 	}
@@ -80,17 +92,22 @@ func (b *BasisStore) Vector(j int) ([]float64, error) {
 		b.buf = make([]float64, b.dim)
 	}
 	v := b.buf[:b.dim]
-	if err := b.Store.ReadFloat64s(b.name(j), v); err != nil {
+	name, block := b.place(j)
+	l, err := b.Store.RequestBlock(name, block, storage.PermRead)
+	if err != nil {
 		return nil, err
 	}
+	storage.DecodeFloat64sInto(v, l.Data)
+	l.Release()
 	return v, nil
 }
 
 // Close deletes all stored vectors.
 func (b *BasisStore) Close() error {
 	var first error
-	for j := 0; j < b.count; j++ {
-		if err := b.Store.Delete(b.name(j)); err != nil && first == nil {
+	for j := 0; j < b.count; j += basisChunk {
+		name, _ := b.place(j)
+		if err := b.Store.Delete(name); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -2,9 +2,13 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
+	"dooc/internal/compress"
 	"dooc/internal/lanczos"
 	"dooc/internal/sparse"
 	"dooc/internal/storage"
@@ -89,10 +93,16 @@ func TestBasisVectorReusesItsBuffer(t *testing.T) {
 			t.Fatalf("read %d: err %v, same buffer %v, last element %v want %v", j, rerr, &got[0] == &first[0], got[dim-1], last)
 		}
 	}
-	// What is left is what the store's own read into a caller's buffer
-	// costs — the lease, its request and reply — and the array's name.
-	own := make([]float64, dim)
-	floor := testing.AllocsPerRun(50, func() { rerr = s.ReadFloat64s(b.name(j%vectors), own); j++ })
+	// What is left is what a read lease on the vector's block costs — its
+	// request and reply — and the name of the chunk's array.
+	floor := testing.AllocsPerRun(50, func() {
+		name, block := b.place(j % vectors)
+		var l *storage.Lease
+		if l, rerr = s.RequestBlock(name, block, storage.PermRead); rerr == nil {
+			l.Release()
+		}
+		j++
+	})
 	if allocs := testing.AllocsPerRun(50, read); allocs > floor {
 		t.Errorf("a basis read allocates %v times, a store read into a buffer %v", allocs, floor)
 	}
@@ -226,5 +236,75 @@ func TestFullyOutOfCoreLanczos(t *testing.T) {
 	}
 	if err := basis.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBasisChunksShareOneArray: a solve's vectors are blocks of one array per
+// chunk, so what a step's spill adds to the scratch directory is one frame
+// file — the block directory and the sidecar are the chunk's, made by its
+// first append, and a flush that would write the same sidecar again writes
+// nothing. Vectors read back across the chunk boundary, Spill still leaves
+// nothing of the basis resident, and Close removes every file.
+func TestBasisChunksShareOneArray(t *testing.T) {
+	dir := t.TempDir()
+	s, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 20, ScratchDir: dir, Codec: compress.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const dim, vectors = 16, 2*basisChunk + 3
+	b := &BasisStore{Store: s, Spill: true}
+	entries := func() (names []string) {
+		t.Helper()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+	var sidecarWritten time.Time
+	v := make([]float64, dim)
+	for j := 0; j < vectors; j++ {
+		for i := range v {
+			v[i] = float64(j*dim+i) + 0.5
+		}
+		if err := b.Append(v); err != nil {
+			t.Fatal(err)
+		}
+		chunks := j/basisChunk + 1
+		if got := entries(); len(got) != 2*chunks {
+			t.Fatalf("after %d appends the scratch directory holds %v, want a block directory and a sidecar for each of %d chunks", j+1, got, chunks)
+		}
+		if st := s.Stats(); st.MemUsed != 0 {
+			t.Fatalf("after %d spilled appends %d bytes are resident", j+1, st.MemUsed)
+		}
+		// The first chunk's sidecar is written once, by the first append.
+		fi, err := os.Stat(filepath.Join(dir, "lanczos:c0.meta"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == 0 {
+			sidecarWritten = fi.ModTime()
+		} else if !fi.ModTime().Equal(sidecarWritten) {
+			t.Fatalf("append %d rewrote the first chunk's sidecar", j)
+		}
+	}
+	for _, j := range []int{0, basisChunk - 1, basisChunk, vectors - 1} {
+		got, err := b.Vector(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != dim || got[0] != float64(j*dim)+0.5 || got[dim-1] != float64(j*dim+dim-1)+0.5 {
+			t.Fatalf("vector %d read back as %v", j, got)
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := entries(); len(left) != 0 {
+		t.Fatalf("Close left %v in the scratch directory", left)
 	}
 }

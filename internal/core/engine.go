@@ -82,11 +82,14 @@ func (c *ExecContext) reset(t *dag.Task) {
 // returns. With a decode cache (Options.DecodeCacheBytes) it is the cached
 // decoded copy. Without one, nothing is decoded: the block's read lease
 // stays held until the executor returns and the matrix is a view whose
-// RowPtr, ColIdx and Val alias the leased bytes (sparse.ViewCRSBytes), so
-// the kernel runs on memory the storage budget already accounts for. The
-// CRC is checked once per residency of the block on this node, the
-// structural walk once per block content (validMemo). Executors must not
-// keep the matrix, or anything sliced from it, past their return.
+// sections alias the leased bytes (sparse.ViewCRSBytes), so the kernel runs
+// on memory the storage budget already accounts for. A view of a DOOCCRS2
+// block carries its columns the way the block does, as in-row gaps
+// (sparse.CSR.RowFirst) with ColIdx nil: Pool.MulVec and sparse.MulVecRows
+// multiply out of them, an executor that wants the indices themselves asks
+// CSR.Columns. The CRC is checked once per residency of the block on this
+// node, the structural walk once per block content (validMemo). Executors
+// must not keep the matrix, or anything sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 	if c.cache != nil || c.matLease != nil {
 		// A second view in one task finds the scratch taken and gets an

@@ -241,10 +241,10 @@ func TestObsCountsNodeDeathRecovery(t *testing.T) {
 
 // TestObsViewCopiedBytes reconciles dooc_kernel_view_copied_bytes_total with
 // the shapes of the blocks multiplied out of their leases: a V1 block costs
-// nothing, a V2 block the row pointers and column indices its codecs have to
-// decode — the values, which the adaptive encoder leaves raw, alias the
-// lease — and the doocdebug build, whose views are private copies, every
-// section of either.
+// nothing, a V2 block the row pointers its codec has to decode — the columns,
+// stored as in-row gaps, and the values, which the adaptive encoder leaves
+// raw, alias the lease — and the doocdebug build, whose views are private
+// copies, every section of either as it is stored.
 func TestObsViewCopiedBytes(t *testing.T) {
 	const dim, k, nodes, iters = 300, 3, 2, 2
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 3, Seed: 11})
@@ -260,24 +260,30 @@ func TestObsViewCopiedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var structure, values int64 // per iteration: every block is multiplied once
+	// Per iteration every block is multiplied once.
+	var rowPtrs, v1Rest, v2Gaps int64
 	for u := 0; u < k; u++ {
 		for v := 0; v < k; v++ {
 			b, err := sparse.Block(m, p, u, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			structure += 8*int64(b.Rows+1) + 4*b.NNZ()
-			values += 8 * b.NNZ()
+			width := sparse.ColGapWidth(b)
+			if width == 0 {
+				t.Fatalf("block %d,%d would be staged with delta32 columns: the test is about the gap form", u, v)
+			}
+			rowPtrs += 8 * int64(b.Rows+1)
+			v1Rest += (4 + 8) * b.NNZ()
+			v2Gaps += 4*int64(b.Rows) + (int64(width)+8)*b.NNZ()
 		}
 	}
 	for _, c := range []struct {
-		name  string
-		stage func(string, *sparse.CSR, SpMVConfig) error
-		want  int64
+		name         string
+		stage        func(string, *sparse.CSR, SpMVConfig) error
+		want, copies int64 // copied per iteration, in a release and in a doocdebug build
 	}{
-		{"v1", StageMatrix, 0},
-		{"v2", StageMatrixCompressed, iters * structure},
+		{"v1", StageMatrix, 0, rowPtrs + v1Rest},
+		{"v2", StageMatrixCompressed, rowPtrs, rowPtrs + v2Gaps},
 	} {
 		root := t.TempDir()
 		if err := c.stage(root, m, cfg); err != nil {
@@ -292,9 +298,9 @@ func TestObsViewCopiedBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Close()
-		want := c.want
+		want := iters * c.want
 		if viewsAreCopies {
-			want = iters * (structure + values)
+			want = iters * c.copies
 		}
 		if got := reg.Sum("dooc_kernel_view_copied_bytes_total"); got != want {
 			t.Errorf("%s: view_copied_bytes = %d, the block shapes say %d", c.name, got, want)

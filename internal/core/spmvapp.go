@@ -122,6 +122,11 @@ type StagedMatrixInfo struct {
 	NNZ int64
 	// Bytes is the total staged size.
 	Bytes int64
+	// ColumnForms counts the blocks by how they store their column indices
+	// (sparse.ReadCRSColumnForm): "int32" for a StageMatrix set; "gap8",
+	// "gap16", "delta32" or "raw" for the blocks of a StageMatrixCompressed
+	// one, each chosen from the block itself.
+	ColumnForms map[string]int
 }
 
 // DiscoverStagedMatrix inspects a StageMatrix layout under scratchRoot and
@@ -166,6 +171,7 @@ func DiscoverStagedMatrix(scratchRoot string) (StagedMatrixInfo, error) {
 	if info.K == 0 {
 		return info, fmt.Errorf("core: no staged blocks under %s", scratchRoot)
 	}
+	info.ColumnForms = make(map[string]int)
 	for u := 0; u < info.K; u++ {
 		for v := 0; v < info.K; v++ {
 			path, ok := blockPath[[2]int{u, v}]
@@ -180,6 +186,11 @@ func DiscoverStagedMatrix(scratchRoot string) (StagedMatrixInfo, error) {
 				info.Dim += rows
 			}
 			info.NNZ += nnz
+			form, err := sparse.ReadCRSColumnForm(path)
+			if err != nil {
+				return info, err
+			}
+			info.ColumnForms[form]++
 			// Stat rather than compute: V2 files are section-compressed, so
 			// their size is not a function of (rows, nnz).
 			fi, err := os.Stat(path)

@@ -14,13 +14,13 @@ import (
 // TestMatrixViewDiesWithExecutor: an executor that keeps the matrix it was
 // handed finds it poisoned once it has returned — the doocdebug build makes
 // the lifetime rule of ExecContext.Matrix checkable, for a V1 block and for a
-// V2 block alike.
+// V2 block, whose columns are viewed as in-row gaps, alike.
 func TestMatrixViewDiesWithExecutor(t *testing.T) {
-	t.Run("v1", func(t *testing.T) { testMatrixViewDiesWithExecutor(t, sparse.WriteCRS) })
-	t.Run("v2", func(t *testing.T) { testMatrixViewDiesWithExecutor(t, sparse.WriteCRS2) })
+	t.Run("v1", func(t *testing.T) { testMatrixViewDiesWithExecutor(t, sparse.WriteCRS, false) })
+	t.Run("v2", func(t *testing.T) { testMatrixViewDiesWithExecutor(t, sparse.WriteCRS2, true) })
 }
 
-func testMatrixViewDiesWithExecutor(t *testing.T, write func(io.Writer, *sparse.CSR) error) {
+func testMatrixViewDiesWithExecutor(t *testing.T, write func(io.Writer, *sparse.CSR) error, v2 bool) {
 	m := testMatrix(t, 6)
 	x := randVec(rand.New(rand.NewSource(1)), m.Cols)
 	sys := viewTestSystem(t, m, x, write)
@@ -53,5 +53,18 @@ func testMatrixViewDiesWithExecutor(t *testing.T, write func(io.Writer, *sparse.
 	}
 	if kept.Validate() == nil {
 		t.Fatal("matrix kept past the executor's return is still multipliable")
+	}
+	if v2 != (kept.RowFirst != nil) {
+		t.Fatalf("v2 = %v, the view carries its columns as gaps = %v", v2, kept.RowFirst != nil)
+	}
+	for i, c := range kept.RowFirst {
+		if c != -1 {
+			t.Fatalf("the kept view still opens row %d at column %d", i, c)
+		}
+	}
+	for _, g := range kept.Gap8 {
+		if g != 0 {
+			t.Fatalf("the kept view still holds gap %d", g)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -301,7 +302,14 @@ func (r *Registry) Sum(name string) int64 {
 		list = append(list, f.series...)
 	}
 	r.mu.Unlock()
-	var n int64
+	n, _ := sumSeries(list)
+	return n
+}
+
+// sumSeries adds up one family's series: the values of counters and gauges,
+// the observation counts of histograms — and what those observations add up
+// to.
+func sumSeries(list []*series) (n int64, observed float64) {
 	for _, s := range list {
 		switch s.kind {
 		case counterKind:
@@ -310,28 +318,37 @@ func (r *Registry) Sum(name string) int64 {
 			n += s.gauge.Value()
 		case histogramKind:
 			n += s.hist.Count()
+			observed += s.hist.Sum()
 		}
 	}
-	return n
+	return n, observed
 }
 
 // Totals snapshots every family's summed value keyed by family name —
 // counters and gauges sum their series, histograms their observation
-// counts. Benchmark reports embed it (BENCH_*.json) so a result JSON
-// carries the run's full counter state, diffable across PRs.
+// counts. A histogram family of durations (named …_seconds) also yields the
+// time it observed in all, as whole nanoseconds under <name>_sum_ns:
+// dooc_storage_lease_wait_seconds says how many leases waited,
+// dooc_storage_lease_wait_seconds_sum_ns for how long. Benchmark reports
+// embed it (BENCH_*.json) so a result JSON carries the run's full counter
+// state, diffable across PRs.
 func (r *Registry) Totals() map[string]int64 {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	families := make(map[string][]*series, len(r.families))
+	for name, f := range r.families {
+		families[name] = append([]*series(nil), f.series...)
 	}
 	r.mu.Unlock()
-	out := make(map[string]int64, len(names))
-	for _, name := range names {
-		out[name] = r.Sum(name)
+	out := make(map[string]int64, len(families))
+	for name, list := range families {
+		n, seconds := sumSeries(list)
+		out[name] = n
+		if len(list) > 0 && list[0].kind == histogramKind && strings.HasSuffix(name, "_seconds") {
+			out[name+"_sum_ns"] = int64(math.Round(seconds * 1e9))
+		}
 	}
 	return out
 }

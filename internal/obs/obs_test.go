@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -216,5 +217,49 @@ func TestNilSafety(t *testing.T) {
 	tr.Instant("a", "b", 0, 0, timeZero(), nil)
 	if tr.Len() != 0 {
 		t.Fatal("nil tracer must record nothing")
+	}
+}
+
+// TestTotalsReconcileHistogramSums: a histogram family of durations appears
+// in Totals twice — its observation count under its own name, and under
+// <name>_sum_ns the time observed across all its series, which is what the
+// series' own Sum()s add up to, in whole nanoseconds. Counters, gauges and a
+// histogram of anything but seconds get no such twin.
+func TestTotalsReconcileHistogramSums(t *testing.T) {
+	reg := NewRegistry()
+	waits := []*Histogram{
+		reg.Histogram("dooc_test_lease_wait_seconds", "lease waits", nil, L("node", "0")),
+		reg.Histogram("dooc_test_lease_wait_seconds", "lease waits", nil, L("node", "1")),
+	}
+	var wantNs int64
+	for i, ns := range []int64{250, 1_500, 40_000, 3_000_000, 7} {
+		waits[i%2].Observe(float64(ns) / 1e9)
+		wantNs += ns
+	}
+	reg.Histogram("dooc_test_batch_rows", "rows per batch", []float64{1, 10, 100}).Observe(42)
+	reg.Counter("dooc_test_total", "a counter").Add(3)
+	reg.Gauge("dooc_test_depth", "a gauge").Set(5)
+
+	tot := reg.Totals()
+	want := map[string]int64{
+		"dooc_test_lease_wait_seconds":        5,
+		"dooc_test_lease_wait_seconds_sum_ns": wantNs,
+		"dooc_test_batch_rows":                1,
+		"dooc_test_total":                     3,
+		"dooc_test_depth":                     5,
+	}
+	if len(tot) != len(want) {
+		t.Fatalf("Totals = %v, want %v", tot, want)
+	}
+	for name, v := range want {
+		if tot[name] != v {
+			t.Errorf("Totals[%s] = %d, want %d", name, tot[name], v)
+		}
+	}
+	if got := int64(math.Round((waits[0].Sum() + waits[1].Sum()) * 1e9)); got != tot["dooc_test_lease_wait_seconds_sum_ns"] {
+		t.Errorf("the series' sums add up to %d ns, Totals says %d", got, tot["dooc_test_lease_wait_seconds_sum_ns"])
+	}
+	if tot["dooc_test_lease_wait_seconds"] != reg.Sum("dooc_test_lease_wait_seconds") {
+		t.Error("Totals and Sum disagree on the observation count")
 	}
 }

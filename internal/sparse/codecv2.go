@@ -32,13 +32,28 @@ import (
 //	last    4     CRC32 (Castagnoli) of everything before it
 //
 // A section prefix is a little-endian uint64: the frame length in the low 56
-// bits and the pad count in the top byte. The pad puts the frame's payload —
+// bits, the pad count in the low nibble of the top byte and, for the column
+// section, its form in the high nibble. The pad puts the frame's payload —
 // the bytes after its 18-byte header — at a multiple of 8 from the start of
-// the block, so a section the adaptive encoder left raw is multiplied where
-// it lies in an aligned buffer, like a V1 section (ViewCRSBytes). Files
-// written before the pad existed carry 0 in the top byte, which a frame
-// length never reached, and no pad: they decode as ever, a raw section
-// whose payload is not aligned being copied into the scratch.
+// the block, so a section stored verbatim is multiplied where it lies in an
+// aligned buffer, like a V1 section (ViewCRSBytes). Files written before the
+// pad existed carry 0 in the top byte, which a frame length never reached,
+// and no pad: they decode as ever, a raw section whose payload is not
+// aligned being copied into the scratch.
+//
+// The column section has two forms. Form 0 is the int32 column indices
+// behind the delta32 codec, what every file written before the other
+// existed holds. Form 1 or 2 is the gap form, the number being the width of
+// a gap in bytes: a raw frame whose payload is the first column of every
+// row (int32, 0 for an empty row) and then, for every stored entry, its
+// distance from the entry before it in its row (0 for a row's first). No
+// codec touches it, so a view aliases it like the values and the kernel
+// multiplies out of the gaps (CSR.RowFirst, Gap8, Gap16): loop-invariant
+// indices are never inflated. WriteCRS2 takes the width from the block's
+// widest in-row gap and keeps the gap form when it clears the ratio every
+// adaptive frame must (1.1 against the int32 indices); a block with a gap
+// of 65536 or more, or with so few entries per row that the first columns
+// outweigh what the gaps save, stays in form 0.
 //
 // The file CRC covers the compressed bytes (cheap, catches truncation);
 // each frame additionally carries a CRC of its decoded bytes, so a decode
@@ -48,6 +63,56 @@ const crsMagicV2 = "DOOCCRS2"
 // crs2PadBytes is the pad after a section prefix that ends pos bytes into
 // the block.
 func crs2PadBytes(pos int64) int64 { return -(pos + compress.FrameHeaderLen) & 7 }
+
+// ColGapWidth is the form WriteCRS2 gives m's column section: the width in
+// bytes of one gap, 1 or 2, or 0 for delta32 over the int32 indices.
+func ColGapWidth(m *CSR) int {
+	width := 1
+	switch widest := widestGap(m); {
+	case widest > math.MaxUint16:
+		return 0
+	case widest > math.MaxUint8:
+		width = 2
+	}
+	// Held to the rule every adaptive frame is, against the int32 indices.
+	nnz := m.NNZ()
+	if !compress.KeepsCodec(int(4*nnz), compress.FrameHeaderLen+int(sectionRawLen(1, width, int64(m.Rows), nnz))) {
+		return 0
+	}
+	return width
+}
+
+// widestGap is the largest distance between neighbouring entries of a row.
+func widestGap(m *CSR) int32 {
+	var w int32
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i] + 1; k < m.RowPtr[i+1]; k++ {
+			w = max(w, m.ColIdx[k]-m.ColIdx[k-1])
+		}
+	}
+	return w
+}
+
+// gapSectionBytes serializes the columns of m in gap form.
+func gapSectionBytes(m *CSR, width int) []byte {
+	out := make([]byte, sectionRawLen(1, width, int64(m.Rows), m.NNZ()))
+	gaps := out[4*m.Rows:]
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		if lo == hi {
+			continue
+		}
+		binary.LittleEndian.PutUint32(out[4*i:], uint32(m.ColIdx[lo]))
+		for k := lo + 1; k < hi; k++ {
+			if g := m.ColIdx[k] - m.ColIdx[k-1]; width == 1 {
+				gaps[k] = uint8(g)
+			} else {
+				binary.LittleEndian.PutUint16(gaps[2*k:], uint16(g))
+			}
+		}
+	}
+	return out
+}
 
 // sectionCodec returns the preferred codec for section i (0 = row
 // pointers, 1 = column indices, 2 = values).
@@ -60,13 +125,16 @@ func sectionCodec(i int) compress.Codec {
 	return c
 }
 
-// sectionRawLen returns the decoded byte size of section i for a matrix
-// with the given shape.
-func sectionRawLen(i int, rows, nnz int64) int64 {
-	switch i {
-	case 0:
+// sectionRawLen returns the byte size of what section i's frame holds for a
+// matrix with the given shape; width is the gap width of a column section in
+// gap form, 0 for any other section.
+func sectionRawLen(i, width int, rows, nnz int64) int64 {
+	switch {
+	case i == 0:
 		return 8 * (rows + 1)
-	case 1:
+	case i == 1 && width != 0:
+		return 4*rows + int64(width)*nnz
+	case i == 1:
 		return 4 * nnz
 	default:
 		return 8 * nnz
@@ -103,6 +171,13 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	if err := m.Validate(); err != nil {
 		return fmt.Errorf("sparse: refusing to write invalid matrix: %w", err)
 	}
+	return writeCRS2(w, m, ColGapWidth(m))
+}
+
+// writeCRS2 writes the valid matrix m with its column section in the given
+// form; with width 0 the bytes are those every WriteCRS2 before the gap form
+// wrote.
+func writeCRS2(w io.Writer, m *CSR, width int) error {
 	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
 	if _, err := bw.WriteString(crsMagicV2); err != nil {
@@ -118,10 +193,17 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	var prefix, zeros [8]byte
 	pos := int64(HeaderBytes)
 	for i := 0; i < 3; i++ {
-		frame, _ := compress.EncodeAdaptive(sectionCodec(i), sectionBytes(i, m))
+		var frame []byte
+		form := 0
+		if i == 1 && width != 0 {
+			form = width
+			frame = compress.EncodeFrame(compress.Raw{}, gapSectionBytes(m, width))
+		} else {
+			frame, _ = compress.EncodeAdaptive(sectionCodec(i), sectionBytes(i, m))
+		}
 		pos += 8
 		pad := crs2PadBytes(pos)
-		binary.LittleEndian.PutUint64(prefix[:], uint64(pad)<<56|uint64(len(frame)))
+		binary.LittleEndian.PutUint64(prefix[:], uint64(form)<<60|uint64(pad)<<56|uint64(len(frame)))
 		if _, err := bw.Write(prefix[:]); err != nil {
 			return err
 		}
@@ -142,38 +224,45 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	return err
 }
 
-// crs2Frame slices the frame of section i out of a V2 block. body starts at
-// the section's prefix, pos bytes into the block; rest is what follows the
-// frame. The pad is none (a file that predates it) or exactly what the
-// position calls for, and zero.
-func crs2Frame(i int, body []byte, pos, rawLen int64) (frame, rest []byte, err error) {
+// crs2Frame slices the frame of section i out of a V2 block with the given
+// shape, and tells the section's form: width is 0, or the gap width of a
+// column section in gap form. body starts at the section's prefix, pos bytes
+// into the block; rest is what follows the frame. The pad is none (a file
+// that predates it) or exactly what the position calls for, and zero.
+func crs2Frame(i int, body []byte, pos, rows, nnz int64) (frame, rest []byte, width int, err error) {
 	if len(body) < 8 {
-		return nil, nil, fmt.Errorf("sparse: short section %d length", i)
+		return nil, nil, 0, fmt.Errorf("sparse: short section %d length", i)
 	}
 	prefix := binary.LittleEndian.Uint64(body)
-	pad, frameLen := int64(prefix>>56), prefix&(1<<56-1)
+	width, pad, frameLen := int(prefix>>60), int64(prefix>>56&15), prefix&(1<<56-1)
 	body = body[8:]
+	// The writer gives the gap form to no section but the columns, and to no
+	// block without an entry to save on.
+	if width > 2 || width != 0 && (i != 1 || nnz == 0 || rows == 0) {
+		return nil, nil, 0, fmt.Errorf("sparse: section %d of a %d-row block with %d entries claims form %d", i, rows, nnz, width)
+	}
 	if pad != 0 && pad != crs2PadBytes(pos+8) {
-		return nil, nil, fmt.Errorf("sparse: section %d claims a %d-byte pad at offset %d", i, pad, pos+8)
+		return nil, nil, 0, fmt.Errorf("sparse: section %d claims a %d-byte pad at offset %d", i, pad, pos+8)
 	}
 	if pad > int64(len(body)) {
-		return nil, nil, fmt.Errorf("sparse: section %d pad runs past the block", i)
+		return nil, nil, 0, fmt.Errorf("sparse: section %d pad runs past the block", i)
 	}
 	for _, b := range body[:pad] {
 		if b != 0 {
-			return nil, nil, fmt.Errorf("sparse: section %d alignment pad is not zero", i)
+			return nil, nil, 0, fmt.Errorf("sparse: section %d alignment pad is not zero", i)
 		}
 	}
 	body = body[pad:]
+	rawLen := sectionRawLen(i, width, rows, nnz)
 	// Adaptive encoding never produces a frame larger than raw plus the
 	// frame header, so anything bigger is corruption, not data.
 	if frameLen > uint64(rawLen)+compress.FrameHeaderLen {
-		return nil, nil, fmt.Errorf("sparse: section %d frame claims %d bytes for a %d-byte section", i, frameLen, rawLen)
+		return nil, nil, 0, fmt.Errorf("sparse: section %d frame claims %d bytes for a %d-byte section", i, frameLen, rawLen)
 	}
 	if frameLen > uint64(len(body)) {
-		return nil, nil, fmt.Errorf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
+		return nil, nil, 0, fmt.Errorf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
 	}
-	return body[:frameLen], body[frameLen:], nil
+	return body[:frameLen], body[frameLen:], width, nil
 }
 
 // WriteCRS2File writes m to path atomically in V2 format.
@@ -193,4 +282,46 @@ func WriteCRS2File(path string, m *CSR) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// ReadCRSColumnForm reports how the CRS file at path stores its column
+// indices, reading a few dozen bytes of it: "int32" for a DOOCCRS1 file; for
+// a DOOCCRS2 file "gap8" or "gap16" for the gap form, otherwise the codec its
+// column frame names ("delta32", or "raw" where that did not pay).
+func ReadCRSColumnForm(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var buf [HeaderBytes + 8]byte
+	if _, err := io.ReadFull(f, buf[:]); err != nil {
+		return "", fmt.Errorf("%s: short CRS header: %w", path, err)
+	}
+	switch string(buf[:8]) {
+	case crsMagic:
+		return "int32", nil
+	case crsMagicV2:
+	default:
+		return "", fmt.Errorf("%s: bad CRS magic %q", path, buf[:8])
+	}
+	// Skip the row pointers: their prefix says how far.
+	prefix := binary.LittleEndian.Uint64(buf[HeaderBytes:])
+	skip := int64(prefix>>56&15) + int64(prefix&(1<<56-1))
+	col := buf[:8+7+compress.FrameHeaderLen] // prefix, the longest pad, a frame header
+	if _, err := f.ReadAt(col, HeaderBytes+8+skip); err != nil {
+		return "", fmt.Errorf("%s: short column section: %w", path, err)
+	}
+	prefix = binary.LittleEndian.Uint64(col)
+	switch prefix >> 60 {
+	case 1:
+		return "gap8", nil
+	case 2:
+		return "gap16", nil
+	}
+	c, err := compress.FrameCodec(col[8+prefix>>56&15:])
+	if err != nil {
+		return "", fmt.Errorf("%s: column section: %w", path, err)
+	}
+	return c.Name(), nil
 }

@@ -15,12 +15,26 @@ import (
 // RowPtr has Rows+1 entries; the column indices and values of row i live in
 // ColIdx[RowPtr[i]:RowPtr[i+1]] and Val[RowPtr[i]:RowPtr[i+1]]. Column
 // indices within a row are strictly increasing.
+//
+// A view of a DOOCCRS2 block (ViewCRSBytes) may carry its columns in gap
+// form instead: ColIdx is nil, RowFirst holds the first column of every row
+// and exactly one of Gap8 and Gap16 the distance of every stored entry from
+// the entry before it in its row — 0 for a row's first entry, at least 1 for
+// any other. NNZ, Bytes, Validate, Columns, Pool.MulVec and MulVecRows
+// understand the gap form; everything else in this package wants ColIdx.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int64
 	ColIdx     []int32
 	Val        []float64
+
+	RowFirst []int32
+	Gap8     []uint8
+	Gap16    []uint16
 }
+
+// gapForm reports whether m carries its columns as in-row gaps.
+func (m *CSR) gapForm() bool { return m.RowFirst != nil }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int64 {
@@ -33,11 +47,12 @@ func (m *CSR) NNZ() int64 {
 // Bytes returns the in-memory footprint of the matrix payload
 // (row pointers + column indices + values).
 func (m *CSR) Bytes() int64 {
-	return int64(len(m.RowPtr))*8 + int64(len(m.ColIdx))*4 + int64(len(m.Val))*8
+	return int64(len(m.RowPtr))*8 + int64(len(m.ColIdx))*4 + int64(len(m.Val))*8 +
+		int64(len(m.RowFirst))*4 + int64(len(m.Gap8)) + int64(len(m.Gap16))*2
 }
 
-// Validate checks structural invariants and returns a descriptive error on
-// the first violation.
+// Validate checks structural invariants, of either column form, and returns
+// a descriptive error on the first violation.
 func (m *CSR) Validate() error {
 	if m.Rows < 0 || m.Cols < 0 {
 		return fmt.Errorf("sparse: negative dimensions %dx%d", m.Rows, m.Cols)
@@ -49,12 +64,23 @@ func (m *CSR) Validate() error {
 		return fmt.Errorf("sparse: RowPtr[0]=%d, want 0", m.RowPtr[0])
 	}
 	nnz := m.RowPtr[m.Rows]
+	if m.gapForm() {
+		if len(m.ColIdx) != 0 || len(m.RowFirst) != m.Rows || int64(len(m.Val)) != nnz ||
+			int64(len(m.Gap8)+len(m.Gap16)) != nnz || len(m.Gap8) != 0 && len(m.Gap16) != 0 {
+			return fmt.Errorf("sparse: gap form with len(ColIdx)=%d len(RowFirst)=%d len(Gap8)=%d len(Gap16)=%d len(Val)=%d, want 0, %d, and %d gaps of one width and values",
+				len(m.ColIdx), len(m.RowFirst), len(m.Gap8), len(m.Gap16), len(m.Val), m.Rows, nnz)
+		}
+		if len(m.Gap16) != 0 {
+			return validateGapRows(m, m.Gap16)
+		}
+		return validateGapRows(m, m.Gap8)
+	}
 	if int64(len(m.ColIdx)) != nnz || int64(len(m.Val)) != nnz {
 		return fmt.Errorf("sparse: len(ColIdx)=%d len(Val)=%d, want %d", len(m.ColIdx), len(m.Val), nnz)
 	}
 	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
-			return fmt.Errorf("sparse: RowPtr not monotone at row %d: %d > %d", i, m.RowPtr[i], m.RowPtr[i+1])
+		if m.RowPtr[i] > m.RowPtr[i+1] || m.RowPtr[i+1] > nnz {
+			return fmt.Errorf("sparse: RowPtr not monotone at row %d: %d, %d, last %d", i, m.RowPtr[i], m.RowPtr[i+1], nnz)
 		}
 		prev := int32(-1)
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -69,6 +95,61 @@ func (m *CSR) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateGapRows is Validate's walk over the gap form, one gap per stored
+// entry: a row opens at its RowFirst, inside the matrix, with a gap of 0;
+// every later entry adds a gap of at least 1 — a zero gap would repeat a
+// column — and stays inside.
+func validateGapRows[G uint8 | uint16](m *CSR, gaps []G) error {
+	nnz := m.RowPtr[m.Rows]
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		if lo > hi || hi > nnz {
+			return fmt.Errorf("sparse: RowPtr not monotone at row %d: %d, %d, last %d", i, lo, hi, nnz)
+		}
+		if lo == hi {
+			continue
+		}
+		c := int(m.RowFirst[i])
+		if c < 0 || c >= m.Cols || gaps[lo] != 0 {
+			return fmt.Errorf("sparse: row %d opens at column %d of %d with gap %d", i, c, m.Cols, gaps[lo])
+		}
+		for k := lo + 1; k < hi; k++ {
+			if gaps[k] == 0 {
+				return fmt.Errorf("sparse: row %d columns not strictly increasing at %d", i, c)
+			}
+			if c += int(gaps[k]); c >= m.Cols {
+				return fmt.Errorf("sparse: row %d col %d out of range [0,%d)", i, c, m.Cols)
+			}
+		}
+	}
+	return nil
+}
+
+// Columns returns the column index of every stored entry: ColIdx itself, or
+// — for a matrix in gap form — a fresh slice holding what its gaps add up to,
+// in one pass over the rows. The matrix must be valid.
+func (m *CSR) Columns() []int32 {
+	switch {
+	case !m.gapForm():
+		return m.ColIdx
+	case len(m.Gap16) != 0:
+		return gapColumns(m, m.Gap16, make([]int32, len(m.Gap16)))
+	}
+	return gapColumns(m, m.Gap8, make([]int32, len(m.Gap8)))
+}
+
+// gapColumns materialises the columns of a valid gap-form matrix into dst.
+func gapColumns[G uint8 | uint16](m *CSR, gaps []G, dst []int32) []int32 {
+	for i := 0; i < m.Rows; i++ {
+		c := m.RowFirst[i]
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			c += int32(gaps[k])
+			dst[k] = c
+		}
+	}
+	return dst
 }
 
 // Triplet is one (row, col, value) entry, used to assemble matrices.

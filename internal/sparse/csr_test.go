@@ -92,6 +92,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Fatal("expected validation error for non-monotone RowPtr")
 	}
+	// A row that ends past the last entry is an error, not an index out of
+	// range, whichever way the columns are held.
+	past := &CSR{Rows: 2, Cols: 8, RowPtr: []int64{0, 5, 3}, ColIdx: []int32{0, 1, 2}, Val: []float64{1, 2, 3}}
+	if err := past.Validate(); err == nil {
+		t.Fatal("expected validation error for a row running past the entries")
+	}
+	past.ColIdx, past.RowFirst, past.Gap8 = nil, []int32{0, 0}, []uint8{0, 1, 1}
+	if err := past.Validate(); err == nil {
+		t.Fatal("expected validation error for a row of gaps running past the entries")
+	}
 }
 
 func TestTransposeInvolution(t *testing.T) {

@@ -36,13 +36,17 @@ type ViewScratch struct {
 	rowPtr []int64
 	colIdx []int32
 	val    []float64
+	first  []int32
+	gap8   []uint8
+	gap16  []uint16
 	copied int64
 }
 
 // CopiedBytes is how many section bytes the last view on s had to
 // materialise in the scratch — decoded by a codec or copied to realign —
 // instead of aliasing the block: 0 for a block WriteCRS wrote, the RowPtr
-// and ColIdx bytes of a typical WriteCRS2 block.
+// bytes of a typical WriteCRS2 block, whose columns are gaps and whose
+// values are raw.
 func (s *ViewScratch) CopiedBytes() int64 { return s.copied }
 
 // crsSection returns the n little-endian elements of one section as a []T.
@@ -55,7 +59,7 @@ func (s *ViewScratch) CopiedBytes() int64 { return s.copied }
 // byte: a raw section by copy, a frame by decoding into it, its CRC checked
 // with verify. *buf grows to the largest section it has held and never
 // shrinks.
-func crsSection[T int32 | int64 | float64](s *ViewScratch, raw, frame []byte, n int, alias, verify bool, buf *[]T) ([]T, error) {
+func crsSection[T uint8 | uint16 | int32 | int64 | float64](s *ViewScratch, raw, frame []byte, n int, alias, verify bool, buf *[]T) ([]T, error) {
 	size := int(unsafe.Sizeof(*new(T)))
 	if frame == nil && crsLittleEndian && n > 0 {
 		if p := unsafe.Pointer(unsafe.SliceData(raw)); uintptr(p)%uintptr(size) == 0 {
@@ -108,11 +112,14 @@ const (
 // decodeCRS parses a V1 or V2 block into s.m, verifying shape and — as far
 // as trusted leaves it to do — checksums, but not structure; it returns the
 // checksum the block carries. alias lets raw sections point into data: every
-// V1 section, and a V2 section the adaptive encoder stored verbatim. A
-// compressed V2 section is decoded into s on every call, whatever the trust:
-// TrustStructure skips only the frame CRCs (the block CRC has just vouched
-// for the very bytes they were decoded from), TrustBytes the block CRC too.
-func decodeCRS(data []byte, s *ViewScratch, alias bool, trusted Trust) (*CSR, uint32, error) {
+// V1 section, and a V2 section stored verbatim — what the adaptive encoder
+// left raw, and a column section in gap form, which comes back as the gap
+// form of s.m. A compressed V2 section is decoded into s on every call,
+// whatever the trust: TrustStructure skips only the frame CRCs (the block
+// CRC has just vouched for the very bytes they were decoded from),
+// TrustBytes the block CRC too. aliasGaps lets a gap section alone point
+// into data: for a caller that will materialise it and let go.
+func decodeCRS(data []byte, s *ViewScratch, alias, aliasGaps bool, trusted Trust) (*CSR, uint32, error) {
 	if len(data) < HeaderBytes+4 {
 		return nil, 0, fmt.Errorf("sparse: %d bytes is shorter than a CRS header", len(data))
 	}
@@ -149,10 +156,12 @@ func decodeCRS(data []byte, s *ViewScratch, alias bool, trusted Trust) (*CSR, ui
 	}
 	verify := trusted == TrustNothing
 	s.copied = 0
+	s.m = CSR{Rows: int(rows), Cols: int(cols)}
 	for i := 0; i < 3; i++ {
-		rawLen := sectionRawLen(i, rows, nnz)
 		var raw, frame []byte
+		width := 0
 		if magic == crsMagic {
+			rawLen := sectionRawLen(i, 0, rows, nnz)
 			raw, body = body[:rawLen], body[rawLen:] // in range: the size check above
 			if i == 1 && pad != 0 {
 				if binary.LittleEndian.Uint32(body) != 0 {
@@ -163,17 +172,18 @@ func decodeCRS(data []byte, s *ViewScratch, alias bool, trusted Trust) (*CSR, ui
 		} else {
 			var err error
 			pos := int64(len(data) - 4 - len(body))
-			if frame, body, err = crs2Frame(i, body, pos, rawLen); err != nil {
+			if frame, body, width, err = crs2Frame(i, body, pos, rows, nnz); err != nil {
 				return nil, 0, err
 			}
 			// The shape, not the frame, sizes the section: a frame that
 			// claims any other length is refused before the scratch grows.
+			rawLen := sectionRawLen(i, width, rows, nnz)
 			c, n, err := compress.FrameRawLen(frame)
 			if err == nil && int64(n) != rawLen {
 				err = fmt.Errorf("frame holds %d bytes, shape says %d", n, rawLen)
 			}
-			if err == nil && c.ID() == compress.IDRaw {
-				raw, err = compress.RawPayload(frame, verify)
+			if err == nil && (c.ID() == compress.IDRaw || width != 0) {
+				raw, err = compress.RawPayload(frame, verify) // refuses a gap section behind a codec
 				frame = nil
 			}
 			if err != nil {
@@ -185,7 +195,18 @@ func decodeCRS(data []byte, s *ViewScratch, alias bool, trusted Trust) (*CSR, ui
 		case 0:
 			s.m.RowPtr, err = crsSection(s, raw, frame, int(rows+1), alias, verify, &s.rowPtr)
 		case 1:
-			s.m.ColIdx, err = crsSection(s, raw, frame, int(nnz), alias, verify, &s.colIdx)
+			if width == 0 {
+				s.m.ColIdx, err = crsSection(s, raw, frame, int(nnz), alias, verify, &s.colIdx)
+				break
+			}
+			if s.m.RowFirst, err = crsSection(s, raw[:4*rows], nil, int(rows), aliasGaps, verify, &s.first); err != nil {
+				break
+			}
+			if width == 1 {
+				s.m.Gap8, err = crsSection(s, raw[4*rows:], nil, int(nnz), aliasGaps, verify, &s.gap8)
+			} else {
+				s.m.Gap16, err = crsSection(s, raw[4*rows:], nil, int(nnz), aliasGaps, verify, &s.gap16)
+			}
 		default:
 			s.m.Val, err = crsSection(s, raw, frame, int(nnz), alias, verify, &s.val)
 		}
@@ -196,7 +217,6 @@ func decodeCRS(data []byte, s *ViewScratch, alias bool, trusted Trust) (*CSR, ui
 	if len(body) != 0 {
 		return nil, 0, fmt.Errorf("sparse: %d stray bytes after the CRS sections", len(body))
 	}
-	s.m.Rows, s.m.Cols = int(rows), int(cols)
 	return &s.m, crc, nil
 }
 
@@ -217,8 +237,9 @@ func DecodeCRSBytes(data []byte) (*CSR, error) {
 // misaligned buffer, a file written before its format's pad) copied, so a
 // steady stream of views allocates nothing. The returned matrix is valid
 // only while data is, and only until the next ViewCRSBytes on s; ReleaseView
-// ends it. A nil s, like DecodeCRSBytes, puts every section in fresh memory
-// the result owns.
+// ends it. A block whose column section is in gap form is viewed in the gap
+// form (CSR.RowFirst). A nil s, like DecodeCRSBytes, puts every section in
+// fresh memory the result owns, the columns always as ColIdx.
 //
 // trust is asked once, with the checksum the block carries, how much of the
 // verification the caller has already seen done (see Trust); a nil trust
@@ -234,7 +255,7 @@ func ViewCRSBytes(data []byte, s *ViewScratch, trust func(crc uint32) Trust) (*C
 	if s == nil || viewDebugForceCopy {
 		into = new(ViewScratch)
 	}
-	m, crc, err := decodeCRS(data, into, into == s, trusted)
+	m, crc, err := decodeCRS(data, into, into == s, into == s || s == nil, trusted)
 	if s != nil {
 		s.copied = into.copied
 	}
@@ -245,6 +266,10 @@ func ViewCRSBytes(data []byte, s *ViewScratch, trust func(crc uint32) Trust) (*C
 		if err := m.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("sparse: invalid CRS payload: %w", err)
 		}
+	}
+	if s == nil && m.gapForm() {
+		m.ColIdx = m.Columns()
+		m.RowFirst, m.Gap8, m.Gap16 = nil, nil, nil
 	}
 	return m, crc, nil
 }

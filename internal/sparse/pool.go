@@ -45,9 +45,10 @@ const blockedMinRowNNZ = 4
 
 // useBlockedTraversal reports whether the cache-blocked path pays off: the
 // input vector must outgrow one tile and rows must be dense enough to visit
-// most tiles.
+// most tiles. A matrix in gap form never takes it — the tiled traversal has
+// no gap variant — and runs row-serial whatever its shape.
 func useBlockedTraversal(a *CSR) bool {
-	return a.Cols > colTileFloats && a.Rows > 0 && a.NNZ() >= int64(a.Rows)*blockedMinRowNNZ
+	return !a.gapForm() && a.Cols > colTileFloats && a.Rows > 0 && a.NNZ() >= int64(a.Rows)*blockedMinRowNNZ
 }
 
 // Pool is a persistent striped worker pool for the CRS kernels. A Pool with
@@ -371,6 +372,14 @@ const ilpRows = 4
 // y[i-lo] = row i). The common prefix of each 4-row group runs interleaved;
 // the ragged tails finish per row.
 func mulVecRows(a *CSR, x, y []float64, lo, hi int) {
+	if a.gapForm() {
+		if len(a.Gap16) != 0 {
+			mulVecRowsGap(a, a.Gap16, x, y, lo, hi)
+		} else {
+			mulVecRowsGap(a, a.Gap8, x, y, lo, hi)
+		}
+		return
+	}
 	rp, ci, vs := a.RowPtr, a.ColIdx, a.Val
 	i := lo
 	for ; i+ilpRows <= hi; i += ilpRows {
@@ -419,6 +428,80 @@ func mulVecRows(a *CSR, x, y []float64, lo, hi int) {
 		var s float64
 		for k, e := rp[i], rp[i+1]; k < e; k++ {
 			s += vs[k] * x[ci[k]]
+		}
+		y[i-lo] = s
+	}
+}
+
+// mulVecRowsGap is mulVecRows over a matrix in gap form: the same 4-row
+// interleave, each row's running column carried beside its accumulator and
+// advanced by the entry's gap before the load it indexes. Every row still
+// folds `s += Val[k] * x[column of k]` left to right in ascending k, so the
+// result is bit-identical to mulVecRows over the materialised indices.
+func mulVecRowsGap[G uint8 | uint16](a *CSR, gaps []G, x, y []float64, lo, hi int) {
+	rp, first, vs := a.RowPtr, a.RowFirst, a.Val
+	// One gap per value: said this way, the bounds check on gaps[k] covers
+	// vs[k] and the loops below carry one length, not two (≈ 8 % of the
+	// kernel, where every register is taken).
+	gaps = gaps[:len(vs)]
+	i := lo
+	for ; i+ilpRows <= hi; i += ilpRows {
+		k0, k1, k2, k3 := rp[i], rp[i+1], rp[i+2], rp[i+3]
+		e0, e1, e2, e3 := rp[i+1], rp[i+2], rp[i+3], rp[i+4]
+		c0, c1, c2, c3 := int(first[i]), int(first[i+1]), int(first[i+2]), int(first[i+3])
+		var s0, s1, s2, s3 float64
+		n := e0 - k0
+		if m := e1 - k1; m < n {
+			n = m
+		}
+		if m := e2 - k2; m < n {
+			n = m
+		}
+		if m := e3 - k3; m < n {
+			n = m
+		}
+		for ; n > 0; n-- {
+			c0 += int(gaps[k0])
+			c1 += int(gaps[k1])
+			c2 += int(gaps[k2])
+			c3 += int(gaps[k3])
+			s0 += vs[k0] * x[c0]
+			s1 += vs[k1] * x[c1]
+			s2 += vs[k2] * x[c2]
+			s3 += vs[k3] * x[c3]
+			k0++
+			k1++
+			k2++
+			k3++
+		}
+		for ; k0 < e0; k0++ {
+			c0 += int(gaps[k0])
+			s0 += vs[k0] * x[c0]
+		}
+		for ; k1 < e1; k1++ {
+			c1 += int(gaps[k1])
+			s1 += vs[k1] * x[c1]
+		}
+		for ; k2 < e2; k2++ {
+			c2 += int(gaps[k2])
+			s2 += vs[k2] * x[c2]
+		}
+		for ; k3 < e3; k3++ {
+			c3 += int(gaps[k3])
+			s3 += vs[k3] * x[c3]
+		}
+		o := i - lo
+		y[o] = s0
+		y[o+1] = s1
+		y[o+2] = s2
+		y[o+3] = s3
+	}
+	for ; i < hi; i++ {
+		var s float64
+		c := int(first[i])
+		for k, e := rp[i], rp[i+1]; k < e; k++ {
+			c += int(gaps[k])
+			s += vs[k] * x[c]
 		}
 		y[i-lo] = s
 	}

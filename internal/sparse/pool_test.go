@@ -291,6 +291,108 @@ func TestMulVecRowsPartial(t *testing.T) {
 	}
 }
 
+// gapFormOf returns a in gap form of the given width, by the only road there
+// is: written as a V2 block and viewed.
+func gapFormOf(t *testing.T, a *CSR, width int) *CSR {
+	t.Helper()
+	g, _, err := ViewCRSBytes(atOffset(encodeCRS2Form(t, a, width), 0), new(ViewScratch), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.gapForm() || g.ColIdx != nil {
+		t.Fatalf("a view of a width-%d block is not in gap form", width)
+	}
+	return g
+}
+
+// TestMulVecGapBitIdentical: the gap kernel is mulVecRows bit for bit — over
+// whole blocks through every pool width, over every MulVecRows(r0, r1) split,
+// and beneath the fused kernels, which reach it through the same dispatch —
+// for one-byte and two-byte gaps alike, with empty rows and ragged 4-row
+// groups in play.
+func TestMulVecGapBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	pools := []*Pool{nil}
+	for w := 1; w <= 4; w++ {
+		p := NewPool(w)
+		defer p.Close()
+		pools = append(pools, p)
+	}
+	for trial := 0; trial < 28; trial++ {
+		n := 1 + rng.Intn(40)
+		a := randomPoolCSR(t, rng, n, n, trial)
+		if a.NNZ() == 0 {
+			continue
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		want := make([]float64, n)
+		mulVecRows(a, x, want, 0, n)
+		for _, width := range []int{1, 2} {
+			g := gapFormOf(t, a, width)
+			got := make([]float64, n)
+			for _, p := range pools {
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				p.MulVec(g, x, got)
+				bitsEqual(t, "Pool.MulVec over gaps", got, want)
+			}
+			for r0 := 0; r0 <= n; r0++ {
+				for r1 := r0; r1 <= n; r1++ {
+					part := got[:r1-r0]
+					for i := range part {
+						part[i] = math.NaN()
+					}
+					MulVecRows(g, x, part, r0, r1)
+					bitsEqual(t, "MulVecRows over gaps", part, want[r0:r1])
+				}
+			}
+			prev := make([]float64, n)
+			for i := range prev {
+				prev[i] = rng.NormFloat64()
+			}
+			yWant, yGot := make([]float64, n), make([]float64, n)
+			alphaWant := MulVecAxpyDot(a, x, prev, 0.375, yWant)
+			alphaGot := pools[2].MulVecAxpyDot(g, x, prev, 0.375, yGot)
+			if math.Float64bits(alphaGot) != math.Float64bits(alphaWant) {
+				t.Fatalf("MulVecAxpyDot over gaps: alpha %v, want %v", alphaGot, alphaWant)
+			}
+			bitsEqual(t, "MulVecAxpyDot over gaps", yGot, yWant)
+		}
+	}
+}
+
+// TestGapFormSkipsTiledTraversal: a matrix in gap form wide and dense enough
+// for the column-tiled traversal takes the row-serial gap kernel instead —
+// the tiled one reads ColIdx, which a gap view does not have.
+func TestGapFormSkipsTiledTraversal(t *testing.T) {
+	old := colTileFloats
+	colTileFloats = 8
+	defer func() { colTileFloats = old }()
+	rng := rand.New(rand.NewSource(49))
+	a := randomPoolCSR(t, rng, 30, 64, 1)
+	if !useBlockedTraversal(a) {
+		t.Fatal("the matrix does not qualify for the tiled traversal")
+	}
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	want, got := make([]float64, a.Rows), make([]float64, a.Rows)
+	MulVec(a, x, want)
+	p := NewPool(2)
+	defer p.Close()
+	g := gapFormOf(t, a, 1)
+	if useBlockedTraversal(g) {
+		t.Fatal("the gap view of the same matrix qualifies for the tiled traversal")
+	}
+	p.MulVec(g, x, got)
+	bitsEqual(t, "Pool.MulVec over a wide gap view", got, want)
+}
+
 // TestPoolConcurrentCallers hammers one pool from several goroutines; the
 // dispatch lock must serialize them without corrupting results (run under
 // -race in CI).

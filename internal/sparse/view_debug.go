@@ -25,6 +25,15 @@ func ReleaseView(m *CSR) {
 	for i := range m.ColIdx {
 		m.ColIdx[i] = -1
 	}
+	for i := range m.RowFirst {
+		m.RowFirst[i] = -1
+	}
+	for i := range m.Gap8 {
+		m.Gap8[i] = 0
+	}
+	for i := range m.Gap16 {
+		m.Gap16[i] = 0
+	}
 	for i := range m.Val {
 		m.Val[i] = math.Float64frombits(0x7FF8_DEAD_DEAD_DEAD)
 	}

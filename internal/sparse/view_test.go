@@ -7,8 +7,11 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dooc/internal/compress"
@@ -41,14 +44,36 @@ func legacyCRS(t testing.TB, m *CSR) []byte {
 	return enc
 }
 
+// encodeCRS2Form returns m as a V2 block with its column section in the
+// given form, whatever WriteCRS2 would have chosen: 0 is every V2 block
+// written before the gap form existed.
+func encodeCRS2Form(t testing.TB, m *CSR, width int) []byte {
+	t.Helper()
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeCRS2(&buf, m, width); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// colForm is the form nibble of a V2 block's column section.
+func colForm(enc []byte) int {
+	frameOff, frameLen, _ := crs2Sections(enc)
+	return int(enc[frameOff[0]+frameLen[0]+7] >> 4) // the prefix follows section 0's frame
+}
+
 // crs2Sections walks a V2 block: where each section's frame starts, how long
-// it is, and — for a section the adaptive encoder stored verbatim — where its
-// payload lies in the block (-1 for a compressed one).
+// it is, and — for a section stored verbatim, which a column section in gap
+// form always is — where its payload lies in the block (-1 for a compressed
+// one).
 func crs2Sections(enc []byte) (frameOff, frameLen, rawOff [3]int) {
 	pos := HeaderBytes
 	for i := range rawOff {
 		prefix := binary.LittleEndian.Uint64(enc[pos:])
-		pad, n := int(prefix>>56), int(prefix&(1<<56-1))
+		pad, n := int(prefix>>56&15), int(prefix&(1<<56-1))
 		frameOff[i], frameLen[i], rawOff[i] = pos+8+pad, n, -1
 		if c, err := compress.FrameCodec(enc[frameOff[i]:][:n]); err == nil && c.ID() == compress.IDRaw {
 			rawOff[i] = frameOff[i] + compress.FrameHeaderLen
@@ -63,7 +88,7 @@ func crs2Sections(enc []byte) (frameOff, frameLen, rawOff [3]int) {
 // length 0 — which is every V2 file staged before WriteCRS2 padded.
 func legacyCRS2(t testing.TB, m *CSR) []byte {
 	t.Helper()
-	enc := encodeCRS(t, m, true)
+	enc := encodeCRS2Form(t, m, 0)
 	frameOff, frameLen, _ := crs2Sections(enc)
 	out := append([]byte(nil), enc[:HeaderBytes]...)
 	for i, off := range frameOff {
@@ -83,10 +108,12 @@ func atOffset(data []byte, k int) []byte {
 	return buf[off : off+copy(buf[off:], data)]
 }
 
-// sameCSR compares field for field, values by bit pattern.
+// sameCSR compares two valid matrices field for field, values by bit
+// pattern, the columns of one in gap form by what its gaps add up to.
 func sameCSR(a, b *CSR) bool {
+	ac, bc := a.Columns(), b.Columns()
 	if a.Rows != b.Rows || a.Cols != b.Cols ||
-		len(a.RowPtr) != len(b.RowPtr) || len(a.ColIdx) != len(b.ColIdx) || len(a.Val) != len(b.Val) {
+		len(a.RowPtr) != len(b.RowPtr) || len(ac) != len(bc) || len(a.Val) != len(b.Val) || len(ac) != len(a.Val) {
 		return false
 	}
 	for i := range a.RowPtr {
@@ -95,7 +122,7 @@ func sameCSR(a, b *CSR) bool {
 		}
 	}
 	for i := range a.Val {
-		if a.ColIdx[i] != b.ColIdx[i] || math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
+		if ac[i] != bc[i] || math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
 			return false
 		}
 	}
@@ -112,10 +139,36 @@ func within[T any](s []T, data []byte) bool {
 	return p >= base && p < base+uintptr(len(data))
 }
 
+// spreadCSR is a rows × cols matrix of perRow entries a row, the first at
+// column r, the rest stride apart: every in-row gap is stride. The values
+// are full-mantissa noise, which fshuf leaves raw.
+func spreadCSR(rows, perRow, stride int) *CSR {
+	rng := rand.New(rand.NewSource(int64(rows*perRow + stride)))
+	var ts []Triplet
+	for r := 0; r < rows; r++ {
+		for j := 0; j < perRow; j++ {
+			ts = append(ts, Triplet{r, r + j*stride, rng.NormFloat64()})
+		}
+	}
+	m, err := FromTriplets(rows, rows+perRow*stride, ts)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // viewTestMatrices covers odd and even nnz, the empty matrix, a matrix with
-// empty rows and one-row matrices.
+// empty rows, one-row matrices, and — from index 6 — one block WriteCRS2
+// gives each form of column section: one-byte gaps, two-byte gaps, and
+// delta32 because a single gap is too wide for either (the last also has an
+// empty row).
 func viewTestMatrices() []*CSR {
 	rng := rand.New(rand.NewSource(7))
+	wide := spreadCSR(12, 9, 3)
+	wide.Cols = 1 << 17
+	wide.ColIdx[wide.RowPtr[5]-1] = 1<<17 - 1 // row 4 ends 65536 or more past its last but one
+	wide.RowPtr = append(wide.RowPtr[:7:7], wide.RowPtr[6:]...)
+	wide.Rows++ // row 6 is empty
 	ms := []*CSR{
 		{Rows: 0, Cols: 0, RowPtr: []int64{0}},
 		FromDense(3, 3, []float64{0, 0, 0, 0, 0, 0, 0, 0, 0}),
@@ -123,24 +176,110 @@ func viewTestMatrices() []*CSR {
 		FromDense(2, 2, []float64{1, 2, 3, math.Inf(1)}), // nnz 4
 		FromDense(1, 3, []float64{1, 2, 3}),              // one row, nnz 3
 		FromDense(1, 4, []float64{1, 0, 2, 0}),           // one row, nnz 2
+		spreadCSR(12, 9, 255),
+		spreadCSR(11, 9, 65535),
+		wide,
 	}
-	for len(ms) < 24 {
+	for len(ms) < 27 {
 		ms = append(ms, randomCSR(rng, 24))
 	}
 	return ms
 }
 
+// TestWriteCRS2ChoosesColumnForm: the form of the column section follows
+// from the block alone — its widest in-row gap, and whether the gap form
+// clears the ratio every adaptive frame must.
+func TestWriteCRS2ChoosesColumnForm(t *testing.T) {
+	oneRow := spreadCSR(1, 40, 2)
+	for _, c := range []struct {
+		name string
+		m    *CSR
+		want int
+	}{
+		{"gaps of 255", viewTestMatrices()[6], 1},
+		{"gaps of 256", spreadCSR(12, 9, 256), 2},
+		{"gaps of 65535", viewTestMatrices()[7], 2},
+		{"one gap of 65536 or more", viewTestMatrices()[8], 0},
+		{"one long row", oneRow, 1},
+		{"one entry a row: the first columns outweigh the gaps", spreadCSR(40, 1, 1), 0},
+		{"no entries", &CSR{Rows: 40, Cols: 40, RowPtr: make([]int64, 41)}, 0},
+	} {
+		if err := c.m.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := ColGapWidth(c.m); got != c.want {
+			t.Errorf("%s: ColGapWidth = %d, want %d", c.name, got, c.want)
+		}
+		enc := encodeCRS(t, c.m, true)
+		if got := colForm(enc); got != c.want {
+			t.Errorf("%s: WriteCRS2 wrote form %d, want %d", c.name, got, c.want)
+		}
+		// What a tool reports of the staged file, from its first bytes.
+		path := filepath.Join(t.TempDir(), "block.arr")
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantName := [3]string{"delta32", "gap8", "gap16"}[c.want]
+		if c.m.NNZ() == 0 {
+			wantName = "raw" // nothing for delta32 to save on
+		}
+		if got, err := ReadCRSColumnForm(path); err != nil || got != wantName {
+			t.Errorf("%s: ReadCRSColumnForm = %q, %v; want %q", c.name, got, err, wantName)
+		}
+	}
+	v1 := filepath.Join(t.TempDir(), "v1.arr")
+	if err := WriteCRSFile(v1, oneRow); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadCRSColumnForm(v1); err != nil || got != "int32" {
+		t.Errorf("ReadCRSColumnForm of a V1 file = %q, %v", got, err)
+	}
+}
+
+// TestParentCRS2FixtureStillReads: testdata/crs2_pr16.bin is what WriteCRS2
+// wrote at the commit before the gap form existed. It decodes and views to
+// the matrix it was written from, and form 0 of today's writer is those very
+// bytes — so every test over a form-0 block is a test over an old file.
+func TestParentCRS2FixtureStillReads(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/crs2_pr16.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := GapMatrix(GapGenConfig{Rows: 40, Cols: 50, D: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeCRS2Form(t, m, 0), fixture) {
+		t.Fatal("form 0 of writeCRS2 is not byte for byte what the parent's WriteCRS2 wrote")
+	}
+	got, err := DecodeCRSBytes(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s ViewScratch
+	view, _, err := ViewCRSBytes(atOffset(fixture, 0), &s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSR(got, m) || !sameCSR(view, m) || view.gapForm() {
+		t.Fatal("the parent's block does not read back as the matrix it was written from, columns as ColIdx")
+	}
+}
+
 // TestViewMatchesDecode: a view and a decode of the same bytes are the same
-// matrix, whatever the format, the parity of nnz or the alignment of the
-// bytes, and a scratch carried from block to block never leaks one block
-// into the next. Every section a writer stored verbatim — all of a WriteCRS
-// block, what the adaptive encoder left raw of a WriteCRS2 block — is viewed
-// in an aligned buffer without copying a byte; the realign copy is left to
+// matrix, whatever the format, the form of the column section, the parity of
+// nnz or the alignment of the bytes, and a scratch carried from block to
+// block never leaks one block into the next. Every section a writer stored
+// verbatim — all of a WriteCRS block; of a WriteCRS2 block what the adaptive
+// encoder left raw and a column section in gap form — is viewed in an
+// aligned buffer without copying a byte; the realign copy is left to
 // misaligned buffers and to legacy blocks without their format's pad, the
-// decode into the scratch to compressed sections.
+// decode into the scratch to compressed sections. A view keeps the gap form
+// it finds, a decode never does.
 func TestViewMatchesDecode(t *testing.T) {
 	var s ViewScratch
 	odd, even, rawV2 := 0, 0, 0
+	forms := map[int]int{}
 	for _, m := range viewTestMatrices() {
 		if m.NNZ()%2 == 1 {
 			odd++
@@ -155,36 +294,55 @@ func TestViewMatchesDecode(t *testing.T) {
 			t.Fatalf("nnz %d: WriteCRS put the values %d bytes into the block", m.NNZ(), valOff)
 		}
 		colOff := HeaderBytes + 8*len(m.RowPtr)
-		v2, legacyV2 := encodeCRS(t, m, true), legacyCRS2(t, m)
-		_, _, v2Off := crs2Sections(v2)
-		_, _, legacyV2Off := crs2Sections(legacyV2)
-		for i, off := range v2Off {
-			if off >= 0 {
-				rawV2++
-				if off%8 != 0 {
-					t.Fatalf("nnz %d: WriteCRS2 put raw section %d %d bytes into the block", m.NNZ(), i, off)
-				}
-			}
-		}
-		for _, f := range []struct {
+		type format struct {
 			name string
 			enc  []byte
 			// off is where each section's bytes lie in the block, -1 for a
-			// compressed section.
-			off [3]int
-		}{
-			{"v1", padded, [3]int{HeaderBytes, colOff, len(padded) - 4 - 8*int(m.NNZ())}},
-			{"legacy v1", legacyCRS(t, m), [3]int{HeaderBytes, colOff, colOff + 4*int(m.NNZ())}},
-			{"v2", v2, v2Off},
-			{"legacy v2", legacyV2, legacyV2Off},
-		} {
+			// compressed section; width the gap width of the column section.
+			off   [3]int
+			width int
+		}
+		formats := []format{
+			{"v1", padded, [3]int{HeaderBytes, colOff, len(padded) - 4 - 8*int(m.NNZ())}, 0},
+			{"legacy v1", legacyCRS(t, m), [3]int{HeaderBytes, colOff, colOff + 4*int(m.NNZ())}, 0},
+		}
+		v2 := []format{
+			{name: "v2", enc: encodeCRS(t, m, true)},
+			{name: "v2 delta32", enc: encodeCRS2Form(t, m, 0)},
+			{name: "legacy v2", enc: legacyCRS2(t, m)},
+		}
+		// Any block with an entry can be written in either gap form its gaps
+		// fit, also where WriteCRS2 would not have.
+		if maxGap := widestGap(m); m.NNZ() > 0 {
+			if maxGap <= math.MaxUint8 {
+				v2 = append(v2, format{name: "v2 gap8", enc: encodeCRS2Form(t, m, 1)})
+			}
+			if maxGap <= math.MaxUint16 {
+				v2 = append(v2, format{name: "v2 gap16", enc: encodeCRS2Form(t, m, 2)})
+			}
+		}
+		forms[colForm(v2[0].enc)]++
+		for _, f := range v2 {
+			_, _, f.off = crs2Sections(f.enc)
+			f.width = colForm(f.enc)
+			for i, off := range f.off {
+				if off >= 0 && f.name != "legacy v2" {
+					rawV2++
+					if off%8 != 0 {
+						t.Fatalf("nnz %d: %s put raw section %d %d bytes into the block", m.NNZ(), f.name, i, off)
+					}
+				}
+			}
+			formats = append(formats, f)
+		}
+		for _, f := range formats {
 			enc := f.enc
 			want, err := DecodeCRSBytes(enc)
 			if err != nil {
 				t.Fatalf("%s: %v", f.name, err)
 			}
-			if !sameCSR(want, m) {
-				t.Fatalf("decode of a %dx%d nnz %d block (%s) is not the matrix written", m.Rows, m.Cols, m.NNZ(), f.name)
+			if !sameCSR(want, m) || want.gapForm() {
+				t.Fatalf("decode of a %dx%d nnz %d block (%s) is not the matrix written, columns as ColIdx", m.Rows, m.Cols, m.NNZ(), f.name)
 			}
 			for k := 0; k < 8; k++ {
 				data := atOffset(enc, k)
@@ -195,27 +353,40 @@ func TestViewMatchesDecode(t *testing.T) {
 				if !sameCSR(got, want) {
 					t.Fatalf("view at offset %d (%s) differs from the decode", k, f.name)
 				}
+				if got.gapForm() != (f.width != 0) || len(got.Gap8) != 0 && f.width != 1 || len(got.Gap16) != 0 && f.width != 2 {
+					t.Fatalf("view at offset %d (%s): gap form %v with %d one-byte and %d two-byte gaps over a section of form %d",
+						k, f.name, got.gapForm(), len(got.Gap8), len(got.Gap16), f.width)
+				}
 				if wantCRC := binary.LittleEndian.Uint32(enc[len(enc)-4:]); crc != wantCRC {
 					t.Fatalf("view reports crc %08x, block carries %08x", crc, wantCRC)
 				}
 				// Where the bytes allow it the view is the bytes: a section
 				// stored verbatim whose place in memory is aligned for its
 				// element type is never copied.
-				aliases := func(i, size, n int) bool {
-					return crsLittleEndian && !viewDebugForceCopy && f.off[i] >= 0 && (k+f.off[i])%size == 0 && n > 0
-				}
-				var copied int64
-				for i, sec := range []struct {
+				type section struct {
 					name          string
 					aliased       bool
-					size, n       int
+					off, size, n  int
 					insideScratch bool
-				}{
-					{"RowPtr", within(got.RowPtr, data), 8, len(got.RowPtr), inside(got.RowPtr, nil, s.rowPtr)},
-					{"ColIdx", within(got.ColIdx, data), 4, len(got.ColIdx), inside(got.ColIdx, nil, s.colIdx)},
-					{"Val", within(got.Val, data), 8, len(got.Val), inside(got.Val, nil, s.val)},
-				} {
-					want := aliases(i, sec.size, sec.n)
+				}
+				secs := []section{
+					{"RowPtr", within(got.RowPtr, data), f.off[0], 8, len(got.RowPtr), inside(got.RowPtr, nil, s.rowPtr)},
+					{"Val", within(got.Val, data), f.off[2], 8, len(got.Val), inside(got.Val, nil, s.val)},
+				}
+				switch f.width {
+				case 0:
+					secs = append(secs, section{"ColIdx", within(got.ColIdx, data), f.off[1], 4, len(got.ColIdx), inside(got.ColIdx, nil, s.colIdx)})
+				case 1:
+					secs = append(secs, section{"Gap8", within(got.Gap8, data), f.off[1] + 4*m.Rows, 1, len(got.Gap8), inside(got.Gap8, nil, s.gap8)})
+				case 2:
+					secs = append(secs, section{"Gap16", within(got.Gap16, data), f.off[1] + 4*m.Rows, 2, len(got.Gap16), inside(got.Gap16, nil, s.gap16)})
+				}
+				if f.width != 0 {
+					secs = append(secs, section{"RowFirst", within(got.RowFirst, data), f.off[1], 4, len(got.RowFirst), inside(got.RowFirst, nil, s.first)})
+				}
+				var copied int64
+				for _, sec := range secs {
+					want := crsLittleEndian && !viewDebugForceCopy && sec.off >= 0 && (k+sec.off)%sec.size == 0 && sec.n > 0
 					if sec.aliased != want {
 						t.Fatalf("%s offset %d nnz %d: %s aliases the block = %v, want %v", f.name, k, m.NNZ(), sec.name, sec.aliased, want)
 					}
@@ -237,6 +408,9 @@ func TestViewMatchesDecode(t *testing.T) {
 	}
 	if rawV2 == 0 {
 		t.Fatal("no V2 block has a section stored verbatim: the aliasing of raw sections went untested")
+	}
+	if forms[0] == 0 || forms[1] == 0 || forms[2] == 0 {
+		t.Fatalf("WriteCRS2 chose column forms %v over the matrices; need all three", forms)
 	}
 }
 
@@ -393,8 +567,9 @@ func TestDecodeOwnsRawV2Section(t *testing.T) {
 
 // TestViewCRS2InPlace: a view of a block WriteCRS2 wrote, held in an aligned
 // buffer, is built in one pass without allocating: a section stored verbatim
-// is the block's own bytes, a compressed one is decoded into the scratch, at
-// every level of trust.
+// — raw values, columns in gap form — is the block's own bytes, a compressed
+// one is decoded into the scratch, at every level of trust. Of a typical
+// block only RowPtr is decoded.
 func TestViewCRS2InPlace(t *testing.T) {
 	if viewDebugForceCopy || !crsLittleEndian {
 		t.Skip("views are copies in this build")
@@ -425,14 +600,17 @@ func TestViewCRS2InPlace(t *testing.T) {
 	}
 	var s ViewScratch
 	for _, c := range []struct {
-		name string
-		m    *CSR
-		raw  [3]bool // which sections the adaptive encoder stores verbatim
+		name  string
+		m     *CSR
+		raw   [3]bool // which sections the writer stores verbatim
+		width int     // the gap width of the column section
 	}{
-		{"odd nnz", odd, [3]bool{false, false, true}},
-		{"even nnz", even, [3]bool{false, false, true}},
-		{"zero nnz", &CSR{Rows: 40, Cols: 40, RowPtr: make([]int64, 41)}, [3]bool{false, true, true}},
-		{"raw ColIdx", scattered, [3]bool{false, true, true}},
+		{"odd nnz", odd, [3]bool{false, true, true}, 1},
+		{"even nnz", even, [3]bool{false, true, true}, 1},
+		{"two-byte gaps", viewTestMatrices()[7], [3]bool{false, true, true}, 2},
+		{"delta32 ColIdx", viewTestMatrices()[8], [3]bool{false, false, true}, 0},
+		{"zero nnz", &CSR{Rows: 40, Cols: 40, RowPtr: make([]int64, 41)}, [3]bool{false, true, true}, 0},
+		{"raw ColIdx", scattered, [3]bool{false, true, true}, 0},
 	} {
 		data := atOffset(encodeCRS(t, c.m, true), 0)
 		_, _, rawOff := crs2Sections(data)
@@ -440,6 +618,9 @@ func TestViewCRS2InPlace(t *testing.T) {
 			if (off >= 0) != c.raw[i] {
 				t.Fatalf("%s: section %d stored verbatim = %v, the case wants %v", c.name, i, off >= 0, c.raw[i])
 			}
+		}
+		if got := colForm(data); got != c.width {
+			t.Fatalf("%s: column section of form %d, the case wants %d", c.name, got, c.width)
 		}
 		for _, trust := range []Trust{TrustNothing, TrustStructure, TrustBytes} {
 			view := func() (*CSR, error) {
@@ -457,11 +638,22 @@ func TestViewCRS2InPlace(t *testing.T) {
 				t.Errorf("%s, trust %d: RowPtr was not decoded into the scratch", c.name, trust)
 			}
 			if nnz := c.m.NNZ(); nnz > 0 {
-				if within(got.ColIdx, data) != c.raw[1] || !inside(got.ColIdx, data, s.colIdx) {
-					t.Errorf("%s, trust %d: ColIdx aliases the block = %v, want %v", c.name, trust, within(got.ColIdx, data), c.raw[1])
+				switch c.width {
+				case 0:
+					if within(got.ColIdx, data) != c.raw[1] || !inside(got.ColIdx, data, s.colIdx) {
+						t.Errorf("%s, trust %d: ColIdx aliases the block = %v, want %v", c.name, trust, within(got.ColIdx, data), c.raw[1])
+					}
+				case 1:
+					if !within(got.RowFirst, data) || !within(got.Gap8, data) || got.ColIdx != nil || got.Gap16 != nil {
+						t.Errorf("%s, trust %d: the view is not the block's own one-byte gaps", c.name, trust)
+					}
+				case 2:
+					if !within(got.RowFirst, data) || !within(got.Gap16, data) || got.ColIdx != nil || got.Gap8 != nil {
+						t.Errorf("%s, trust %d: the view is not the block's own two-byte gaps", c.name, trust)
+					}
 				}
-				if !within(got.Val, data) {
-					t.Errorf("%s, trust %d: Val does not alias the block", c.name, trust)
+				if within(got.Val, data) != c.raw[2] || !inside(got.Val, data, s.val) {
+					t.Errorf("%s, trust %d: Val aliases the block = %v, want %v", c.name, trust, within(got.Val, data), c.raw[2])
 				}
 			}
 			var want int64
@@ -483,13 +675,16 @@ func TestViewCRS2InPlace(t *testing.T) {
 // BenchmarkViewCRS2 is what a computing filter does with one staged V2 block
 // per multiply task out of core: view it (the block evicted and read back
 // since the last time, so its checksum is known and its bytes are not) and
-// multiply. SetBytes counts the staged bytes.
+// multiply. ns/op and MB/s (of staged bytes) are the V2 block's alone. The
+// same matrix staged as a V1 block is timed in the same loop, and "x-v1" is
+// the ratio of the two: the compressed block decodes RowPtr and nothing else,
+// so it must multiply at about the uncompressed one's speed on any machine
+// (make perf-gate). allocs/op counts both views.
 func BenchmarkViewCRS2(b *testing.B) {
 	m, err := GapMatrix(GapGenConfig{Rows: 750, Cols: 750, D: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := atOffset(encodeCRS(b, m, true), 0)
 	x := make([]float64, m.Cols)
 	y := make([]float64, m.Rows)
 	for i := range x {
@@ -497,15 +692,102 @@ func BenchmarkViewCRS2(b *testing.B) {
 	}
 	var s ViewScratch
 	trust := func(uint32) Trust { return TrustStructure }
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	viewAndMultiply := func(data []byte) {
 		v, _, err := ViewCRSBytes(data, &s, trust)
 		if err != nil {
 			b.Fatal(err)
 		}
-		MulVec(v, x, y)
+		(*Pool)(nil).MulVec(v, x, y)
+	}
+	v1, v2 := atOffset(encodeCRS(b, m, false), 0), atOffset(encodeCRS(b, m, true), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	// The two alternate, so whatever else the machine is doing falls on both.
+	var v1Time, v2Time time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		viewAndMultiply(v1)
+		t1 := time.Now()
+		viewAndMultiply(v2)
+		v1Time += t1.Sub(t0)
+		v2Time += time.Since(t1)
+	}
+	b.ReportMetric(float64(v2Time)/float64(b.N), "ns/op")
+	b.ReportMetric(float64(len(v2))*float64(b.N)/1e6/v2Time.Seconds(), "MB/s")
+	b.ReportMetric(float64(v2Time)/float64(v1Time), "x-v1")
+}
+
+// resealCRS2 makes the checksums of a doctored V2 block good again: the frame
+// CRC of every section stored verbatim, then the block's.
+func resealCRS2(enc []byte) []byte {
+	frameOff, frameLen, rawOff := crs2Sections(enc)
+	for i, off := range rawOff {
+		if off >= 0 {
+			binary.LittleEndian.PutUint32(enc[frameOff[i]+14:], crc32.Checksum(enc[off:frameOff[i]+frameLen[i]], crsCRCTable))
+		}
+	}
+	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.Checksum(enc[:len(enc)-4], crsCRCTable))
+	return enc
+}
+
+// badGapBlocks returns V2 blocks whose column section is in gap form and
+// whose every checksum is good, but whose gaps no matrix has. The matrix
+// under them is 3 × 210: row 0 holds columns 0, 100, 200, row 1 is empty,
+// row 2 holds 2, 102, 202.
+func badGapBlocks(t testing.TB) map[string][]byte {
+	t.Helper()
+	m := spreadCSR(3, 3, 100)
+	m.Cols = 210
+	copy(m.ColIdx[3:], m.ColIdx[6:])
+	copy(m.Val[3:], m.Val[6:])
+	m.ColIdx, m.Val = m.ColIdx[:6], m.Val[:6]
+	m.RowPtr = []int64{0, 3, 3, 6}
+	good := encodeCRS2Form(t, m, 1)
+	if _, err := DecodeCRSBytes(good); err != nil {
+		t.Fatal(err)
+	}
+	_, _, rawOff := crs2Sections(good)
+	first, gaps := rawOff[1], rawOff[1]+4*m.Rows
+	doctor := func(f func(enc []byte)) []byte {
+		enc := append([]byte(nil), good...)
+		f(enc)
+		return resealCRS2(enc)
+	}
+	// A gap section cut short: the frame, and the prefix before it, honestly
+	// describe one gap fewer than the shape calls for.
+	frameOff, frameLen, _ := crs2Sections(good)
+	end := frameOff[1] + frameLen[1]
+	short := append(append([]byte(nil), good[:end-1]...), good[end:]...)
+	binary.LittleEndian.PutUint64(short[frameOff[1]+6:], uint64(frameLen[1]-1-compress.FrameHeaderLen))
+	short[frameOff[0]+frameLen[0]]-- // low byte of the prefix: the frame length
+	return map[string][]byte{
+		"zero gap mid-row":              doctor(func(enc []byte) { enc[gaps+1] = 0 }),
+		"gap at a row's start":          doctor(func(enc []byte) { enc[gaps+3] = 1 }),
+		"running column reaches Cols":   doctor(func(enc []byte) { enc[gaps+5] = 210 - 102 }),
+		"first column out of range":     doctor(func(enc []byte) { binary.LittleEndian.PutUint32(enc[first:], 210) }),
+		"first column negative":         doctor(func(enc []byte) { binary.LittleEndian.PutUint32(enc[first+8:], 1<<31) }),
+		"truncated gap section":         resealCRS2(short),
+		"gap form claimed by section 0": doctor(func(enc []byte) { enc[HeaderBytes+7] |= 1 << 4 }),
+		"gap width 3":                   doctor(func(enc []byte) { enc[frameOff[0]+frameLen[0]+7] |= 3 << 4 }),
+	}
+}
+
+// TestGapSectionRejects: nothing vouched for, every bad gap block is refused
+// — by the decode and the view alike — and none panics at a lower trust,
+// where the block's own checksum is all that is asked of it.
+func TestGapSectionRejects(t *testing.T) {
+	var s ViewScratch
+	for name, enc := range badGapBlocks(t) {
+		_, derr := DecodeCRSBytes(enc)
+		_, _, verr := ViewCRSBytes(atOffset(enc, 0), &s, nil)
+		if derr == nil || verr == nil {
+			t.Errorf("%s: decode err %v, view err %v; want both to fail", name, derr, verr)
+		} else if derr.Error() != verr.Error() {
+			t.Errorf("%s: decode says %q, view says %q", name, derr, verr)
+		}
+		for _, trust := range []Trust{TrustStructure, TrustBytes} {
+			ViewCRSBytes(atOffset(enc, 0), &s, func(uint32) Trust { return trust })
+		}
 	}
 }
 
@@ -513,8 +795,16 @@ func BenchmarkViewCRS2(b *testing.B) {
 // and the decode agree — both refuse, or both return the same valid matrix —
 // and a view's sections lie inside data or inside the scratch, nowhere else.
 func FuzzDecodeCRS(f *testing.F) {
+	for _, enc := range badGapBlocks(f) {
+		f.Add(enc)
+	}
+	for _, m := range viewTestMatrices()[6:9] { // one-byte gaps, two-byte gaps, delta32 for a gap too wide
+		enc := encodeCRS(f, m, true)
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
 	for _, m := range viewTestMatrices()[:6] {
-		v2 := encodeCRS(f, m, true)
+		v2 := encodeCRS2Form(f, m, 0)
 		frameOff, _, _ := crs2Sections(v2)
 		// A V2 block whose last section claims a pad reaching past the block,
 		// and one whose first pad is not zero, each with its CRC made good.
@@ -525,7 +815,11 @@ func FuzzDecodeCRS(f *testing.F) {
 		for _, enc := range [][]byte{padPast, padSet} {
 			binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.Checksum(enc[:len(enc)-4], crsCRCTable))
 		}
-		for _, enc := range [][]byte{encodeCRS(f, m, false), legacyCRS(f, m), v2, legacyCRS2(f, m), padPast, padSet} {
+		seeds := [][]byte{encodeCRS(f, m, false), legacyCRS(f, m), v2, legacyCRS2(f, m), padPast, padSet}
+		if m.NNZ() > 0 {
+			seeds = append(seeds, encodeCRS2Form(f, m, 1), encodeCRS2Form(f, m, 2))
+		}
+		for _, enc := range seeds {
 			f.Add(enc)
 			f.Add(enc[:len(enc)/2])
 			f.Add(enc[:len(enc)-4])
@@ -555,7 +849,8 @@ func FuzzDecodeCRS(f *testing.F) {
 		// A doocdebug view is a private copy: only a release-build view has
 		// a place to be.
 		if !viewDebugForceCopy {
-			if !inside(got.RowPtr, data, s.rowPtr) || !inside(got.ColIdx, data, s.colIdx) || !inside(got.Val, data, s.val) {
+			if !inside(got.RowPtr, data, s.rowPtr) || !inside(got.ColIdx, data, s.colIdx) || !inside(got.Val, data, s.val) ||
+				!inside(got.RowFirst, data, s.first) || !inside(got.Gap8, data, s.gap8) || !inside(got.Gap16, data, s.gap16) {
 				t.Fatal("a section of the view lies outside both the block and the scratch")
 			}
 		}

@@ -149,7 +149,9 @@ type msgQueryReply struct {
 }
 
 // msgNotify updates the block's home directory: node now holds (or no
-// longer holds) the block; onDisk distinguishes a durable copy.
+// longer holds) the block; onDisk distinguishes a durable copy — on the
+// node's scratch, or one it pushed durably to the shard tier and will fetch
+// back for whoever asks.
 type msgNotify struct {
 	array  string
 	block  int
@@ -249,6 +251,10 @@ type arrayState struct {
 	// attribution carried to the group's ScratchUsed.
 	quota        *quotaState
 	scratchBytes int64
+	// sidecar is what this store last wrote to the array's sidecar file; a
+	// flush that would write the same again (every flush of an array but
+	// its first) writes nothing.
+	sidecar sidecar
 }
 
 type blockKey struct {
@@ -918,10 +924,11 @@ func (s *Store) handleQuery(st *loopState, m msgQuery) {
 				return
 			}
 		}
-		// Not resident but durable here: serve via an implicit disk read,
-		// then forward (the paper's storage reads from its file system
-		// implicitly when a non-resident interval is requested).
-		if ast.diskNodes[s.cfg.NodeID] || blockPersisted(ast, m.block) {
+		// Not resident but durable here — on local scratch, or on the shard
+		// tier, which only this node knows it pushed the block to: serve via
+		// an implicit read, then forward (the paper's storage reads from its
+		// file system implicitly when a non-resident interval is requested).
+		if ast.diskNodes[s.cfg.NodeID] || blockDurable(ast, m.block) {
 			b := s.getBlock(ast, m.block)
 			b.waiters = append(b.waiters, readWaiter{lo: ast.info.BlockSpan(m.block).Lo, hi: ast.info.BlockSpan(m.block).Hi, reply: s.forwardOnLoad(m)})
 			s.ensureBlockData(st, ast, m.block, b)
@@ -950,10 +957,11 @@ func (s *Store) handleQuery(st *loopState, m msgQuery) {
 	}
 }
 
-// blockPersisted reports whether block bi has a durable local copy.
-func blockPersisted(ast *arrayState, bi int) bool {
+// blockDurable reports whether block bi has a durable copy this node can
+// read back: on its scratch, or pushed durably to the shard tier.
+func blockDurable(ast *arrayState, bi int) bool {
 	b, ok := ast.blocks[bi]
-	return ok && b.persistedLocal
+	return ok && (b.persistedLocal || b.shardBacked && b.shardDurable)
 }
 
 // forwardOnLoad builds a one-shot waiter reply channel that, when the local
@@ -1014,6 +1022,9 @@ func (s *Store) handleNotify(st *loopState, m msgNotify) {
 	de := s.dirOf(st, k)
 	if m.gone {
 		delete(de.mem, m.node)
+		if m.onDisk {
+			delete(de.disk, m.node)
+		}
 		// A gone notice may strand pending requesters; re-resolve them.
 		s.wakePending(st, k, de)
 		return
@@ -1024,6 +1035,16 @@ func (s *Store) handleNotify(st *loopState, m msgNotify) {
 		de.mem[m.node] = true
 	}
 	s.wakePending(st, k, de)
+}
+
+// tellHome delivers a directory update to the block's home, which may be
+// this node.
+func (s *Store) tellHome(st *loopState, m msgNotify) {
+	if home := s.homeOf(m.array, m.block); home != s.cfg.NodeID {
+		s.peers[home].post(m)
+		return
+	}
+	s.handleNotify(st, m)
 }
 
 // wakePending redirects requesters queued at the home directory once a
@@ -1099,14 +1120,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 	b.remoteBacked = b.remoteBacked || remoteBacked
 	b.persistedLocal = b.persistedLocal || persisted
 	s.wakeWaiters(st, ast, bi, b)
-	home := s.homeOf(ast.info.Name, bi)
-	if home == s.cfg.NodeID {
-		de := s.dirOf(st, blockKey{ast.info.Name, bi})
-		de.mem[s.cfg.NodeID] = true
-		s.wakePending(st, blockKey{ast.info.Name, bi}, de)
-	} else {
-		s.peers[home].post(msgNotify{array: ast.info.Name, block: bi, node: s.cfg.NodeID})
-	}
+	s.tellHome(st, msgNotify{array: ast.info.Name, block: bi, node: s.cfg.NodeID})
 	s.reclaim(st, ast.info.Name, bi)
 	s.reclaimQuota(st, ast.quota, ast.info.Name, bi)
 }
@@ -1368,7 +1382,7 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 		return
 	}
 	st.flushes[c.array] = fs
-	s.writeSidecar(ast.info, useCodec)
+	s.writeSidecar(ast, useCodec)
 }
 
 // anyPersisted reports whether any block of the array has a durable local
@@ -1393,16 +1407,21 @@ func mergeErrChans(a, b chan error) chan error {
 	return ch
 }
 
-func (s *Store) writeSidecar(info ArrayInfo, compressed bool) {
-	sc := sidecar{Size: info.Size, BlockSize: info.BlockSize}
+func (s *Store) writeSidecar(ast *arrayState, compressed bool) {
+	sc := sidecar{Size: ast.info.Size, BlockSize: ast.info.BlockSize}
 	if compressed {
 		sc.Codec = codecName(s.cfg.Codec)
+	}
+	if sc == ast.sidecar {
+		return
 	}
 	raw, err := json.MarshalIndent(sc, "", "  ")
 	if err != nil {
 		return
 	}
-	_ = os.WriteFile(s.metaPath(info.Name), raw, 0o644)
+	if os.WriteFile(s.metaPath(ast.info.Name), raw, 0o644) == nil {
+		ast.sidecar = sc
+	}
 }
 
 // codecName names the configured codec for the sidecar; a store flushing a

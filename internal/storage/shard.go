@@ -86,6 +86,9 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 	// — and resume the normal path for the blocked waiters.
 	st.stats.ShardFallbacks++
 	s.metrics.shardFallbacks.Inc()
+	if b.shardDurable {
+		s.tellHome(st, msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true, gone: true})
+	}
 	b.shardBacked = false
 	b.shardDurable = false
 	if len(b.waiters) > 0 {
@@ -120,7 +123,10 @@ func (s *Store) maybeShardPush(st *loopState, ast *arrayState, bi int, b *blockS
 
 // handleShardPushed records a push's durability verdict. A durable block
 // gains the spill-free eviction right; reclamation is retried since the
-// block may be exactly what an over-budget store was waiting to shed.
+// block may be exactly what an over-budget store was waiting to shed. Once
+// dropped, the copy on the tier is one only this node knows of, so the
+// block's directory is told this node holds it durably: a peer's read is
+// redirected here and handleQuery fetches the block back on its behalf.
 func (s *Store) handleShardPushed(st *loopState, m shardPushed) {
 	ast, ok := st.arrays[m.array]
 	if !ok {
@@ -136,6 +142,7 @@ func (s *Store) handleShardPushed(st *loopState, m shardPushed) {
 		b.shardDurable = true
 		st.stats.ShardDurablePushes++
 		s.metrics.shardDurable.Inc()
+		s.tellHome(st, msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true})
 		s.reclaim(st, "", -1)
 	}
 }

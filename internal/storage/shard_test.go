@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -211,5 +212,75 @@ func TestShardInvalidateOnDelete(t *testing.T) {
 	shard.mu.Unlock()
 	if inv != 1 {
 		t.Fatalf("InvalidateArray called %d times, want 1", inv)
+	}
+}
+
+// TestShardDurableBlockServedToPeer is the storage-level form of the
+// two-engine-node ring deadlock: a node writes a block, the push to the shard
+// tier comes back durable, the node drops the block — its only other copy is
+// now on the tier, and only this node knows — and a second node reads it.
+// The second node's query must come back with the bytes wherever the block's
+// directory home is: at the writer (whose handleQuery used to find "not
+// resident, not on my disk", and parked the requester in a pending list
+// nothing wakes), or at the reader itself (whose directory never heard of a
+// durable copy).
+func TestShardDurableBlockServedToPeer(t *testing.T) {
+	const blockSize = 1024
+	for _, homeIsWriter := range []bool{true, false} {
+		t.Run(fmt.Sprintf("homeIsWriter=%v", homeIsWriter), func(t *testing.T) {
+			shard := newFakeShard(true)
+			stores, err := NewNetwork(2, func(node int, cfg *Config) { cfg.Shard = shard })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, s := range stores {
+					s.Close()
+				}
+			}()
+			writer, reader := stores[0], stores[1]
+			name := ""
+			for i := 0; name == ""; i++ {
+				if n := fmt.Sprintf("a%d", i); (writer.homeOf(n, 0) == 0) == homeIsWriter {
+					name = n
+				}
+			}
+			payload := writeShardArray(t, writer, name, 1, blockSize)
+			// The durable verdict reaches the writer's loop some time after
+			// PushBlock returns. Until it has, Evict refuses ("the only
+			// copy"); each refusal is a round trip through that loop, so
+			// this waits on the event itself, not on a clock.
+			for writer.Evict(name, 0) != nil {
+				runtime.Gosched()
+			}
+			if writer.Map().Resident(name, 0) {
+				t.Fatal("the writer still holds the block after Evict")
+			}
+			type result struct {
+				data []byte
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				lease, err := reader.Request(name, 0, blockSize, PermRead)
+				if err != nil {
+					done <- result{err: err}
+					return
+				}
+				done <- result{data: append([]byte(nil), lease.Data...)}
+				lease.Release()
+			}()
+			select {
+			case r := <-done:
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				if !bytes.Equal(r.data, payload[0]) {
+					t.Fatal("the peer read different bytes than were written")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the peer's read of a block whose only copy is on the shard tier never returned")
+			}
+		})
 	}
 }
