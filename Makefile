@@ -61,15 +61,15 @@ hotpath:
 # whenever `make hotpath` moves that number. Wall-clock is reported but
 # deliberately not gated (CI runners have no stable clock); bit-identity is
 # deterministic and the allocation count repeats to within ±5. A view of a
-# staged DOOCCRS2 block, multiplied, must report 0 allocs/op — RowPtr decodes
-# into the worker's scratch, the gaps and the raw values alias the block —
-# and, the one time gate, take at most 1.15 × what the same loop takes over
-# the same matrix staged uncompressed ("x-v1"): a ratio of two timings
-# interleaved in one process, so it holds on any machine.
+# staged DOOCCRS2 block, multiplied, must report 0 allocs/op — every section
+# of it aliases the block — and, the one time gate, take at most 1.05 × what
+# the same loop takes over the same matrix as an uncompressed DOOCCRS1 block
+# ("x-v1"): a ratio of two timings interleaved in one process, so it holds on
+# any machine.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
 	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
-		awk '{print} /^BenchmarkViewCRS2/ {seen = 1; if ($$(NF-1) > 0) bad = 1; for (i = 2; i <= NF; i++) if ($$i == "x-v1" && $$(i-1) > 1.15) bad = 1} END {exit !seen || bad}'
+		awk '{print} /^BenchmarkViewCRS2/ {seen = 1; if ($$(NF-1) > 0) bad = 1; for (i = 2; i <= NF; i++) if ($$i == "x-v1" && $$(i-1) > 1.05) bad = 1} END {exit !seen || bad}'
 
 vet:
 	$(GO) vet ./...

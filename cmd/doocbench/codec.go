@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"time"
 
 	"dooc/internal/compress"
@@ -14,13 +15,15 @@ import (
 	"dooc/internal/obs"
 	"dooc/internal/remote"
 	"dooc/internal/sparse"
+	"dooc/internal/spmv"
 	"dooc/internal/storage"
 )
 
 // codecRun quantifies the adaptive block-compression subsystem
 // (internal/compress) end to end: per-codec ratio and throughput on the
-// payloads the runtime actually moves, staged-matrix disk bytes (V1 vs the
-// section-compressed DOOCCRS2 container), spill traffic and iterate time
+// payloads the runtime actually moves, staged-matrix disk bytes (what
+// StageMatrix writes against the same blocks as uncompressed DOOCCRS1 files,
+// written here for the comparison), spill traffic and iterate time
 // under a compressed scratch store, and wire bytes between a remote client
 // and server that negotiated the default codec. The matrix values are
 // quantized to 1/1024 steps — the limited-precision structure of physical
@@ -95,7 +98,7 @@ func codecRun() error {
 			float64(len(colidx))/1e3, float64(len(colidx))/float64(stored), "-", "-", "first column per row + in-row gaps, never inflated")
 	}
 
-	// --- staged matrix: V1 vs section-compressed V2 ------------------------
+	// --- staged matrix: uncompressed baseline vs what StageMatrix writes ---
 	cfg := core.SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes, Tag: "codec"}
 	rawRoot, err := os.MkdirTemp("", "doocbench-codec-raw")
 	if err != nil {
@@ -107,10 +110,10 @@ func codecRun() error {
 		return err
 	}
 	defer os.RemoveAll(encRoot)
-	if err := core.StageMatrix(rawRoot, m, cfg); err != nil {
+	if err := stageUncompressed(rawRoot, m, cfg); err != nil {
 		return err
 	}
-	if err := core.StageMatrixCompressed(encRoot, m, cfg); err != nil {
+	if err := core.StageMatrix(encRoot, m, cfg); err != nil {
 		return err
 	}
 	rawInfo, err := core.DiscoverStagedMatrix(rawRoot)
@@ -122,8 +125,8 @@ func codecRun() error {
 		return err
 	}
 	fmt.Printf("\nstaged matrix on disk (K=%d, %d nodes):\n", k, nodes)
-	fmt.Printf("  V1 raw CRS          %8.2f MB\n", float64(rawInfo.Bytes)/1e6)
-	fmt.Printf("  V2 DOOCCRS2         %8.2f MB   (%.2fx smaller; readers auto-detect; column indices as %v)\n",
+	fmt.Printf("  uncompressed        %8.2f MB   (12 bytes a nonzero; no stager writes it, the reader still takes it)\n", float64(rawInfo.Bytes)/1e6)
+	fmt.Printf("  as staged           %8.2f MB   (%.2fx smaller; column indices as %v)\n",
 		float64(encInfo.Bytes)/1e6, float64(rawInfo.Bytes)/float64(encInfo.Bytes), encInfo.ColumnForms)
 
 	// --- end-to-end iterate: raw vs compressed scratch ---------------------
@@ -179,7 +182,8 @@ func codecRun() error {
 
 	// --- wire: negotiated codec vs plain TCP -------------------------------
 	// A single-node staging so one served scratch directory holds every
-	// block (the 2-node layout splits them across node dirs).
+	// block (the 2-node layout splits them across node dirs), uncompressed:
+	// blocks as staged leave the wire codec nothing to take.
 	wireRoot, err := os.MkdirTemp("", "doocbench-codec-wire")
 	if err != nil {
 		return err
@@ -187,7 +191,7 @@ func codecRun() error {
 	defer os.RemoveAll(wireRoot)
 	wireCfg := cfg
 	wireCfg.Nodes = 1
-	if err := core.StageMatrix(wireRoot, m, wireCfg); err != nil {
+	if err := stageUncompressed(wireRoot, m, wireCfg); err != nil {
 		return err
 	}
 	wire := func(codec compress.Codec) (int64, int64, error) {
@@ -242,6 +246,30 @@ func codecRun() error {
 	if float64(before) < 1.5*float64(after) {
 		return fmt.Errorf("combined reduction %.2fx is below the 1.5x the subsystem is designed to clear",
 			float64(before)/float64(after))
+	}
+	return nil
+}
+
+// stageUncompressed lays m's blocks out as StageMatrix does, each an
+// uncompressed DOOCCRS1 file: the baseline the staged bytes are held against.
+func stageUncompressed(root string, m *sparse.CSR, cfg core.SpMVConfig) error {
+	p, err := cfg.Partition()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < cfg.K*cfg.K; i++ {
+		u, v := i/cfg.K, i%cfg.K
+		b, err := sparse.Block(m, p, u, v)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Join(root, fmt.Sprintf("node%d", cfg.OwnerOf(u)))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		if err := sparse.WriteCRSFile(filepath.Join(dir, spmv.MatrixArray(u, v)+".arr"), b); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -38,7 +38,6 @@ func main() {
 		nmax      = flag.Int("nmax", 2, "CI: Nmax truncation")
 		mj2       = flag.Int("mj2", 1, "CI: twice the Mj projection")
 		mtx       = flag.String("mtx", "", "stage an existing MatrixMarket (.mtx) file instead of generating")
-		codec     = flag.String("codec", "", "stage section-compressed DOOCCRS2 blocks (any value enables; readers auto-detect)")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -80,17 +79,13 @@ func main() {
 		stats.Rows, stats.Cols, stats.NNZ, stats.AvgPerRow, float64(stats.Bytes)/1e6)
 
 	cfg := core.SpMVConfig{Dim: m.Rows, K: *k, Iters: 1, Nodes: *nodes}
-	stage, format := core.StageMatrix, "CRS"
-	if *codec != "" {
-		stage, format = core.StageMatrixCompressed, "DOOCCRS2"
-	}
-	if err := stage(*out, m, cfg); err != nil {
+	if err := core.StageMatrix(*out, m, cfg); err != nil {
 		log.Fatal(err)
 	}
 	info, err := core.DiscoverStagedMatrix(*out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("staged %dx%d %s blocks for %d node(s) under %s (%.1f MB on disk; column indices stored as %v)\n",
-		*k, *k, format, *nodes, *out, float64(info.Bytes)/1e6, info.ColumnForms)
+	fmt.Printf("staged %dx%d blocks for %d node(s) under %s (%.1f MB on disk; column indices stored as %v)\n",
+		*k, *k, *nodes, *out, float64(info.Bytes)/1e6, info.ColumnForms)
 }

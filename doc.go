@@ -55,12 +55,14 @@ type CSR = sparse.CSR
 func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
 
 // StageMatrix writes a matrix's K×K blocks into per-node scratch
-// directories for out-of-core execution.
+// directories for out-of-core execution, each a DOOCCRS2 block: the one
+// format blocks are staged in. Directories staged earlier with DOOCCRS1
+// files keep running as they are.
 func StageMatrix(scratchRoot string, m *CSR, cfg SpMVConfig) error {
 	return core.StageMatrix(scratchRoot, m, cfg)
 }
 
-// LoadMatrixInMemory stages blocks directly into a running system.
+// LoadMatrixInMemory stages the same blocks directly into a running system.
 func LoadMatrixInMemory(sys *System, m *CSR, cfg SpMVConfig) error {
 	return core.LoadMatrixInMemory(sys, m, cfg)
 }

@@ -111,22 +111,17 @@ func TestBitsetHelpers(t *testing.T) {
 
 // TestOutOfCoreBFSMatchesReference is the headline: BFS levels as DOoC task
 // programs over staged adjacency blocks, distances equal to the in-core
-// oracle, on an R-MAT (Graph500-style) graph — staged plain, and staged
-// compressed, where an adjacency block is viewed with its columns as in-row
-// gaps and the expansion reads them through CSR.Columns.
+// oracle, on an R-MAT (Graph500-style) graph. A staged adjacency block is
+// viewed with its columns as in-row gaps where its rows are long enough, and
+// the expansion reads them through CSR.Columns.
 func TestOutOfCoreBFSMatchesReference(t *testing.T) {
-	t.Run("v1", func(t *testing.T) { testOutOfCoreBFSMatchesReference(t, core.StageMatrix) })
-	t.Run("v2", func(t *testing.T) { testOutOfCoreBFSMatchesReference(t, core.StageMatrixCompressed) })
-}
-
-func testOutOfCoreBFSMatchesReference(t *testing.T, stage func(string, *sparse.CSR, core.SpMVConfig) error) {
 	g, err := RMAT(RMATConfig{Scale: 7, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
 	cfg := core.SpMVConfig{Dim: g.Rows, K: 3, Iters: 1, Nodes: 2, Tag: "t"}
-	if err := stage(root, g, cfg); err != nil {
+	if err := core.StageMatrix(root, g, cfg); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := core.NewSystem(core.Options{

@@ -536,10 +536,13 @@ func TestNodeDeathFailover(t *testing.T) {
 	}
 
 	peers[2].kill()
-	waitFor(t, 5*time.Second, "survivors to declare n2 dead", func() bool {
+	// OnDeath runs on its own goroutine: the view shrinking does not mean
+	// the callback has been through yet, so both are waited for.
+	waitFor(t, 5*time.Second, "survivors to declare n2 dead and say so", func() bool {
+		deathMu.Lock()
+		defer deathMu.Unlock()
 		for _, p := range peers[:2] {
-			live := p.node.LiveMembers()
-			if len(live) != 2 {
+			if len(p.node.LiveMembers()) != 2 || len(deaths[p.id]) == 0 {
 				return false
 			}
 		}

@@ -18,8 +18,8 @@ func quantize(m *sparse.CSR) {
 }
 
 // TestCompressedStagingAndSpillsMatchRaw runs the same iterated SpMV twice —
-// once with V1 staging and no codec, once with DOOCCRS2 staging and
-// compressed scratch spills — and requires bit-identical results alongside a
+// once over the blocks as uncompressed DOOCCRS1 files and no codec, once as
+// StageMatrix stages them and with compressed scratch spills — and requires bit-identical results alongside a
 // genuinely smaller staged set and spill traffic.
 func TestCompressedStagingAndSpillsMatchRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -43,9 +43,9 @@ func TestCompressedStagingAndSpillsMatchRaw(t *testing.T) {
 	// peer-backed and never writes them).
 	run := func(compressed bool) ([]float64, StagedMatrixInfo, *RunStats) {
 		root := t.TempDir()
-		stage := StageMatrix
+		stage := stageV1
 		if compressed {
-			stage = StageMatrixCompressed
+			stage = StageMatrix
 		}
 		if err := stage(root, m, cfg); err != nil {
 			t.Fatal(err)

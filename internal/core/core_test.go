@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"dooc/internal/dag"
 	"dooc/internal/sparse"
+	"dooc/internal/spmv"
 	"dooc/internal/storage"
 )
 
@@ -29,6 +32,41 @@ func randVec(rng *rand.Rand, n int) []float64 {
 		x[i] = rng.NormFloat64()
 	}
 	return x
+}
+
+// stageV1 lays m's blocks out as StageMatrix does, each an uncompressed
+// DOOCCRS1 file: what a set staged before DOOCCRS2 became the one staging
+// format holds, and the reference staged runs are held against.
+func stageV1(root string, m *sparse.CSR, cfg SpMVConfig) error {
+	return stageV1Where(root, m, cfg, func(u, v int) bool { return true })
+}
+
+// stageV1Where is stageV1 of the blocks pick names, over whatever root
+// already holds.
+func stageV1Where(root string, m *sparse.CSR, cfg SpMVConfig, pick func(u, v int) bool) error {
+	p, err := cfg.Partition()
+	if err != nil {
+		return err
+	}
+	for u := 0; u < cfg.K; u++ {
+		dir := filepath.Join(root, fmt.Sprintf("node%d", cfg.OwnerOf(u)))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		for v := 0; v < cfg.K; v++ {
+			if !pick(u, v) {
+				continue
+			}
+			b, err := sparse.Block(m, p, u, v)
+			if err != nil {
+				return err
+			}
+			if err := sparse.WriteCRSFile(filepath.Join(dir, spmv.MatrixArray(u, v)+".arr"), b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -285,11 +323,11 @@ func TestReorderingReducesDiskTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Budget sized so roughly one sub-matrix block fits.
-		info, err := sparse.ReadCRSFile(root + "/node0/A_000_000.arr")
+		block, err := os.Stat(root + "/node0/A_000_000.arr")
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget := sparse.FileBytes(info.Rows, info.NNZ()) * 3 / 2
+		budget := block.Size() * 3 / 2
 		sys, err := NewSystem(Options{
 			Nodes:        1,
 			MemoryBudget: budget,

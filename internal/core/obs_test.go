@@ -240,17 +240,17 @@ func TestObsCountsNodeDeathRecovery(t *testing.T) {
 }
 
 // TestObsViewCopiedBytes reconciles dooc_kernel_view_copied_bytes_total with
-// the shapes of the blocks multiplied out of their leases: a V1 block costs
-// nothing, a V2 block the row pointers its codec has to decode — the columns,
-// stored as in-row gaps, and the values, which the adaptive encoder leaves
-// raw, alias the lease — and the doocdebug build, whose views are private
-// copies, every section of either as it is stored.
+// the shapes of the blocks multiplied out of their leases. A block staged
+// today costs nothing: the columns, stored as in-row gaps, the values, which
+// the adaptive encoder leaves raw, and the row pointers, a sliver of a block
+// with long rows and so left raw too, all alias the lease. Where the rows are
+// too short for that — the writer's output is then byte for byte what it was
+// before the sliver rule, which sparse pins against a block the parent
+// commit wrote — a view decodes the row pointers and nothing else. A
+// DOOCCRS1 block costs nothing either, and the doocdebug build, whose views
+// are private copies, every section of any of them as it is stored.
 func TestObsViewCopiedBytes(t *testing.T) {
 	const dim, k, nodes, iters = 300, 3, 2, 2
-	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
 	released := &sparse.CSR{RowPtr: []int64{0}}
 	sparse.ReleaseView(released)
 	viewsAreCopies := !sparse.ViewValid(released)
@@ -260,31 +260,44 @@ func TestObsViewCopiedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per iteration every block is multiplied once.
-	var rowPtrs, v1Rest, v2Gaps int64
-	for u := 0; u < k; u++ {
-		for v := 0; v < k; v++ {
-			b, err := sparse.Block(m, p, u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			width := sparse.ColGapWidth(b)
-			if width == 0 {
-				t.Fatalf("block %d,%d would be staged with delta32 columns: the test is about the gap form", u, v)
-			}
-			rowPtrs += 8 * int64(b.Rows+1)
-			v1Rest += (4 + 8) * b.NNZ()
-			v2Gaps += 4*int64(b.Rows) + (int64(width)+8)*b.NNZ()
-		}
-	}
 	for _, c := range []struct {
-		name         string
-		stage        func(string, *sparse.CSR, SpMVConfig) error
-		want, copies int64 // copied per iteration, in a release and in a doocdebug build
+		name      string
+		d         int // mean gap between a row's entries
+		stage     func(string, *sparse.CSR, SpMVConfig) error
+		v1        bool
+		rowPtrRaw bool
 	}{
-		{"v1", StageMatrix, 0, rowPtrs + v1Rest},
-		{"v2", StageMatrixCompressed, rowPtrs, rowPtrs + v2Gaps},
+		{"v1", 3, stageV1, true, true},
+		{"long rows", 1, StageMatrix, false, true},
+		{"short rows, as before the sliver rule", 3, StageMatrix, false, false},
 	} {
+		m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: c.d, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Per iteration every block is multiplied once.
+		var want, copies int64 // copied per iteration, in a release and in a doocdebug build
+		for u := 0; u < k; u++ {
+			for v := 0; v < k; v++ {
+				b, err := sparse.Block(m, p, u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				width := sparse.ColGapWidth(b)
+				if width == 0 {
+					t.Fatalf("%s: block %d,%d would be staged with delta32 columns: the test is about the gap form", c.name, u, v)
+				}
+				rowPtr := 8 * int64(b.Rows+1)
+				if !c.rowPtrRaw {
+					want += rowPtr
+				}
+				if c.v1 {
+					copies += rowPtr + (4+8)*b.NNZ()
+				} else {
+					copies += rowPtr + 4*int64(b.Rows) + (int64(width)+8)*b.NNZ()
+				}
+			}
+		}
 		root := t.TempDir()
 		if err := c.stage(root, m, cfg); err != nil {
 			t.Fatal(err)
@@ -298,12 +311,11 @@ func TestObsViewCopiedBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Close()
-		want := iters * c.want
 		if viewsAreCopies {
-			want = iters * c.copies
+			want = copies
 		}
-		if got := reg.Sum("dooc_kernel_view_copied_bytes_total"); got != want {
-			t.Errorf("%s: view_copied_bytes = %d, the block shapes say %d", c.name, got, want)
+		if got := reg.Sum("dooc_kernel_view_copied_bytes_total"); got != iters*want {
+			t.Errorf("%s: view_copied_bytes = %d, the block shapes say %d", c.name, got, iters*want)
 		}
 	}
 }

@@ -104,12 +104,12 @@ func TestCompressedOutOfCoreLanczosBitIdentical(t *testing.T) {
 	solve := func(compressed bool) string {
 		root := t.TempDir()
 		cfg := SpMVConfig{Dim: dim, K: k, Iters: 1, Nodes: nodes}
-		stage, opts := StageMatrix, Options{
+		stage, opts := stageV1, Options{
 			Nodes: nodes, WorkersPerNode: 1, ScratchRoot: root,
 			PrefetchWindow: 2, Reorder: true,
 		}
 		if compressed {
-			stage, opts.Codec = StageMatrixCompressed, compress.Default()
+			stage, opts.Codec = StageMatrix, compress.Default()
 		}
 		if err := stage(root, m, cfg); err != nil {
 			t.Fatal(err)

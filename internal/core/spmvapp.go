@@ -55,57 +55,55 @@ func (c SpMVConfig) Partition() (sparse.GridPartition, error) {
 	return sparse.NewGridPartition(c.Dim, c.K)
 }
 
-// StageMatrix writes the K×K blocks of m as CRS-encoded storage arrays in
-// each owner node's scratch directory under scratchRoot (the layout
-// NewSystem's ScratchRoot option expects). A subsequent NewSystem over the
-// same root discovers them via the storage layer's startup scan — this is
-// the out-of-core staging step, the analogue of the paper's sub-matrix
-// files on GPFS.
+// StageMatrix writes the K×K blocks of m as storage arrays in each owner
+// node's scratch directory under scratchRoot (the layout NewSystem's
+// ScratchRoot option expects). A subsequent NewSystem over the same root
+// discovers them via the storage layer's startup scan — this is the
+// out-of-core staging step, the analogue of the paper's sub-matrix files on
+// GPFS. Every block is a DOOCCRS2 block (sparse.WriteCRS2), the one format
+// blocks are staged in; a set staged earlier as DOOCCRS1 files, or a mix of
+// the two, runs as it is, the reader telling them apart.
 func StageMatrix(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) error {
-	return stageMatrix(scratchRoot, m, cfg, false)
-}
-
-// StageMatrixCompressed is StageMatrix with the section-compressed DOOCCRS2
-// container: row pointers, column indices, and values each travel through
-// the codec that fits their structure, typically shrinking the staged set
-// severalfold. Readers auto-detect the format, so a staged set mixes freely
-// with V1 files.
-func StageMatrixCompressed(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) error {
-	return stageMatrix(scratchRoot, m, cfg, true)
-}
-
-func stageMatrix(scratchRoot string, m *sparse.CSR, cfg SpMVConfig, compressed bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if m.Rows != cfg.Dim || m.Cols != cfg.Dim {
 		return fmt.Errorf("core: matrix is %dx%d, config says %d", m.Rows, m.Cols, cfg.Dim)
 	}
-	p, err := cfg.Partition()
-	if err != nil {
-		return err
-	}
-	for u := 0; u < cfg.K; u++ {
+	return stageMatrix(m, cfg, func(u, v int, block []byte) error {
 		dir := filepath.Join(scratchRoot, fmt.Sprintf("node%d", cfg.OwnerOf(u)))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
+		return os.WriteFile(filepath.Join(dir, spmv.MatrixArray(u, v)+".arr"), block, 0o644)
+	})
+}
+
+// StageMatrixCompressed is StageMatrix under the name it had while staging
+// came in two formats; bench/ still calls it.
+func StageMatrixCompressed(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) error {
+	return StageMatrix(scratchRoot, m, cfg)
+}
+
+// stageMatrix hands put every block of m's K×K grid, encoded the one way
+// blocks are staged.
+func stageMatrix(m *sparse.CSR, cfg SpMVConfig, put func(u, v int, block []byte) error) error {
+	p, err := cfg.Partition()
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	for u := 0; u < cfg.K; u++ {
 		for v := 0; v < cfg.K; v++ {
 			b, err := sparse.Block(m, p, u, v)
 			if err != nil {
 				return err
 			}
-			var buf bytes.Buffer
-			if compressed {
-				err = sparse.WriteCRS2(&buf, b)
-			} else {
-				err = sparse.WriteCRS(&buf, b)
-			}
-			if err != nil {
+			buf.Reset()
+			if err := sparse.WriteCRS2(&buf, b); err != nil {
 				return err
 			}
-			path := filepath.Join(dir, spmv.MatrixArray(u, v)+".arr")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			if err := put(u, v, buf.Bytes()); err != nil {
 				return err
 			}
 		}
@@ -123,9 +121,9 @@ type StagedMatrixInfo struct {
 	// Bytes is the total staged size.
 	Bytes int64
 	// ColumnForms counts the blocks by how they store their column indices
-	// (sparse.ReadCRSColumnForm): "int32" for a StageMatrix set; "gap8",
-	// "gap16", "delta32" or "raw" for the blocks of a StageMatrixCompressed
-	// one, each chosen from the block itself.
+	// (sparse.ReadCRSColumnForm): "gap8", "gap16", "delta32" or "raw" for a
+	// block StageMatrix wrote, each chosen from the block itself; "int32"
+	// for a DOOCCRS1 file, which no stager writes any more.
 	ColumnForms map[string]int
 }
 
@@ -209,27 +207,9 @@ func LoadMatrixInMemory(sys *System, m *sparse.CSR, cfg SpMVConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	p, err := cfg.Partition()
-	if err != nil {
-		return err
-	}
-	for u := 0; u < cfg.K; u++ {
-		st := sys.Store(cfg.OwnerOf(u))
-		for v := 0; v < cfg.K; v++ {
-			b, err := sparse.Block(m, p, u, v)
-			if err != nil {
-				return err
-			}
-			var buf bytes.Buffer
-			if err := sparse.WriteCRS(&buf, b); err != nil {
-				return err
-			}
-			if err := st.WriteArray(spmv.MatrixArray(u, v), buf.Bytes(), 0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return stageMatrix(m, cfg, func(u, v int, block []byte) error {
+		return sys.Store(cfg.OwnerOf(u)).WriteArray(spmv.MatrixArray(u, v), block, 0)
+	})
 }
 
 // SpMVResult carries the outcome of an iterated SpMV run.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -61,9 +62,9 @@ func TestViewRunMatchesCachedRun(t *testing.T) {
 	run := func(t *testing.T, compressed bool, split, workers int, cacheBytes int64) string {
 		root := t.TempDir()
 		cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes, SplitWays: split}
-		stage := StageMatrix
+		stage := stageV1
 		if compressed {
-			stage = StageMatrixCompressed
+			stage = StageMatrix
 		}
 		if err := stage(root, m, cfg); err != nil {
 			t.Fatal(err)
@@ -401,6 +402,69 @@ func TestChecksumOncePerResidency(t *testing.T) {
 	}
 }
 
+// TestMixedFormatStagedSetRuns: a staged directory holding DOOCCRS1 files —
+// a set staged before DOOCCRS2 became the one staging format — beside blocks
+// StageMatrix wrote runs out of core to the bits of the all-DOOCCRS1 set, and
+// discovery tells the two kinds of file apart. On a matrix like the
+// benchmark's StageMatrix leaves no int32 column section behind.
+func TestMixedFormatStagedSetRuns(t *testing.T) {
+	const dim, k, nodes, iters = 360, 3, 2, 3
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 8, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes}
+	x0 := randVec(rand.New(rand.NewSource(4)), dim)
+	old := func(u, v int) bool { return (u+v)%2 == 0 }
+	var allV1 string
+	for _, c := range []struct {
+		name  string
+		stage func(root string) error
+		forms map[string]int
+	}{
+		{"all v1", func(root string) error { return stageV1(root, m, cfg) }, map[string]int{"int32": k * k}},
+		{"as staged", func(root string) error { return StageMatrix(root, m, cfg) }, map[string]int{"gap8": k * k}},
+		{"mixed", func(root string) error {
+			if err := StageMatrix(root, m, cfg); err != nil {
+				return err
+			}
+			return stageV1Where(root, m, cfg, old)
+		}, map[string]int{"int32": 5, "gap8": 4}},
+	} {
+		root := t.TempDir()
+		if err := c.stage(root); err != nil {
+			t.Fatal(err)
+		}
+		info, err := DiscoverStagedMatrix(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Dim != dim || info.K != k || info.NNZ != m.NNZ() || !maps.Equal(info.ColumnForms, c.forms) {
+			t.Errorf("%s: discovered %+v, want dim %d, K %d, %d nnz, column forms %v", c.name, info, dim, k, m.NNZ(), c.forms)
+		}
+		sys, err := NewSystem(Options{
+			Nodes: nodes, ScratchRoot: root, PrefetchWindow: 2, Reorder: true,
+			MemoryBudget: 2*info.Bytes/int64(k*k) + 1<<13,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunIteratedSpMV(sys, cfg, x0)
+		sys.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Stats.BytesReadDisk() <= info.Bytes {
+			t.Errorf("%s: read %d bytes for a %d-byte matrix: the run was not out of core", c.name, res.Stats.BytesReadDisk(), info.Bytes)
+		}
+		if got := shaOf(res.X); allV1 == "" {
+			allV1 = got
+		} else if got != allV1 {
+			t.Errorf("%s: result %s, the all-v1 set's %s", c.name, got[:16], allV1[:16])
+		}
+	}
+}
+
 // TestViewScratchOutlivesRun: a worker's view scratch goes back to the system
 // when its run ends and the next run's worker takes it, grown, so a solver
 // that submits a run per step decodes every step into the same memory; runs
@@ -414,7 +478,7 @@ func TestViewScratchOutlivesRun(t *testing.T) {
 	}
 	root := t.TempDir()
 	cfg := SpMVConfig{Dim: dim, K: k, Iters: 1, Nodes: nodes}
-	if err := StageMatrixCompressed(root, m, cfg); err != nil {
+	if err := StageMatrix(root, m, cfg); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root, Reorder: true})

@@ -19,7 +19,10 @@ import (
 // compress frames, each chosen per-section: row pointers are monotone
 // (delta64), column indices are sorted within rows (delta32), and values
 // are float64 (fshuf). Each frame is adaptive, so an incompressible
-// section degrades to raw plus 18 bytes rather than growing.
+// section degrades to raw plus 18 bytes rather than growing, and a section
+// under 1/64 of the block's section bytes — the row pointers of a block with
+// long rows — is stored raw whatever its codec would save: no view of the
+// block then decodes anything.
 //
 //	offset  size  field
 //	0       8     magic "DOOCCRS2"
@@ -171,13 +174,17 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	if err := m.Validate(); err != nil {
 		return fmt.Errorf("sparse: refusing to write invalid matrix: %w", err)
 	}
-	return writeCRS2(w, m, ColGapWidth(m))
+	return writeCRS2(w, m, ColGapWidth(m), true)
 }
 
+// sliverShare: a section under 1/sliverShare of the block is stored raw.
+const sliverShare = 64
+
 // writeCRS2 writes the valid matrix m with its column section in the given
-// form; with width 0 the bytes are those every WriteCRS2 before the gap form
-// wrote.
-func writeCRS2(w io.Writer, m *CSR, width int) error {
+// form. slivers applies the sliver rule; without it the bytes are those
+// WriteCRS2 wrote before the rule existed and, with width 0, before the gap
+// form did.
+func writeCRS2(w io.Writer, m *CSR, width int, slivers bool) error {
 	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
 	if _, err := bw.WriteString(crsMagicV2); err != nil {
@@ -192,13 +199,18 @@ func writeCRS2(w io.Writer, m *CSR, width int) error {
 	}
 	var prefix, zeros [8]byte
 	pos := int64(HeaderBytes)
+	rows, nnz := int64(m.Rows), m.NNZ()
+	block := sectionRawLen(0, 0, rows, nnz) + sectionRawLen(1, width, rows, nnz) + sectionRawLen(2, 0, rows, nnz)
 	for i := 0; i < 3; i++ {
 		var frame []byte
 		form := 0
-		if i == 1 && width != 0 {
+		switch {
+		case i == 1 && width != 0:
 			form = width
 			frame = compress.EncodeFrame(compress.Raw{}, gapSectionBytes(m, width))
-		} else {
+		case slivers && sliverShare*sectionRawLen(i, 0, rows, nnz) < block:
+			frame = compress.EncodeFrame(compress.Raw{}, sectionBytes(i, m))
+		default:
 			frame, _ = compress.EncodeAdaptive(sectionCodec(i), sectionBytes(i, m))
 		}
 		pos += 8
@@ -263,25 +275,6 @@ func crs2Frame(i int, body []byte, pos, rows, nnz int64) (frame, rest []byte, wi
 		return nil, nil, 0, fmt.Errorf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
 	}
 	return body[:frameLen], body[frameLen:], width, nil
-}
-
-// WriteCRS2File writes m to path atomically in V2 format.
-func WriteCRS2File(path string, m *CSR) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteCRS2(f, m); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // ReadCRSColumnForm reports how the CRS file at path stores its column

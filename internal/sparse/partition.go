@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
 
 // GridPartition describes the K×K block decomposition of a square matrix
 // used by the paper's iterated SpMV: sub-matrix A[u][v] covers rows
@@ -110,35 +106,4 @@ func Assemble(p GridPartition, blocks [][]*CSR) (*CSR, error) {
 		}
 	}
 	return FromTriplets(p.Dim, p.Dim, ts)
-}
-
-// BlockFileName returns the canonical file name for sub-matrix (u,v),
-// matching the layout cmd/doocgen writes and the out-of-core runner reads.
-func BlockFileName(u, v int) string { return fmt.Sprintf("A_%03d_%03d.crs", u, v) }
-
-// WriteBlockFiles partitions m into a K×K grid and writes each block as a
-// binary CRS file in dir, returning the per-block nnz grid.
-func WriteBlockFiles(dir string, m *CSR, k int) ([][]int64, error) {
-	p, err := NewGridPartition(m.Rows, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	nnz := make([][]int64, k)
-	for u := 0; u < k; u++ {
-		nnz[u] = make([]int64, k)
-		for v := 0; v < k; v++ {
-			b, err := Block(m, p, u, v)
-			if err != nil {
-				return nil, err
-			}
-			nnz[u][v] = b.NNZ()
-			if err := WriteCRSFile(filepath.Join(dir, BlockFileName(u, v)), b); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nnz, nil
 }

@@ -2,8 +2,6 @@ package sparse
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -174,37 +172,5 @@ func TestBlockSpMVEqualsGlobalSpMV(t *testing.T) {
 		if diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("mismatch at %d: %v vs %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestWriteBlockFiles(t *testing.T) {
-	dir := t.TempDir()
-	m, err := GapMatrix(GapGenConfig{Rows: 20, Cols: 20, D: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nnz, err := WriteBlockFiles(dir, m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for u := 0; u < 2; u++ {
-		for v := 0; v < 2; v++ {
-			total += nnz[u][v]
-			path := filepath.Join(dir, BlockFileName(u, v))
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("missing block file: %v", err)
-			}
-			b, err := ReadCRSFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.NNZ() != nnz[u][v] {
-				t.Fatalf("block (%d,%d) nnz %d, recorded %d", u, v, b.NNZ(), nnz[u][v])
-			}
-		}
-	}
-	if total != m.NNZ() {
-		t.Fatalf("blocks hold %d nnz, matrix has %d", total, m.NNZ())
 	}
 }

@@ -305,11 +305,29 @@ func gapFormOf(t *testing.T, a *CSR, width int) *CSR {
 	return g
 }
 
+// raggedLongRows is an n × n matrix whose row i holds 5 + 7i mod 19 entries,
+// stride columns apart: neighbouring rows share a prefix of five entries or
+// more and end at different lengths.
+func raggedLongRows(rng *rand.Rand, n, stride int) *CSR {
+	var ts []Triplet
+	for i := 0; i < n; i++ {
+		for j := 0; j < 5+7*i%19; j++ {
+			ts = append(ts, Triplet{Row: i, Col: i%stride + j*stride, Val: rng.NormFloat64()})
+		}
+	}
+	a, err := FromTriplets(n, n, ts)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // TestMulVecGapBitIdentical: the gap kernel is mulVecRows bit for bit — over
 // whole blocks through every pool width, over every MulVecRows(r0, r1) split,
 // and beneath the fused kernels, which reach it through the same dispatch —
-// for one-byte and two-byte gaps alike, with empty rows and ragged 4-row
-// groups in play.
+// for one-byte and two-byte gaps alike, with empty rows, ragged row groups
+// and, in the last two matrices, rows long enough that the groups' common
+// prefix runs through the four-entry passes and leaves a remainder.
 func TestMulVecGapBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	pools := []*Pool{nil}
@@ -318,9 +336,14 @@ func TestMulVecGapBitIdentical(t *testing.T) {
 		defer p.Close()
 		pools = append(pools, p)
 	}
+	var ms []*CSR
 	for trial := 0; trial < 28; trial++ {
 		n := 1 + rng.Intn(40)
-		a := randomPoolCSR(t, rng, n, n, trial)
+		ms = append(ms, randomPoolCSR(t, rng, n, n, trial))
+	}
+	ms = append(ms, raggedLongRows(rng, 64, 2), raggedLongRows(rng, 61, 1))
+	for _, a := range ms {
+		n := a.Rows
 		if a.NNZ() == 0 {
 			continue
 		}

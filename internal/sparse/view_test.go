@@ -45,15 +45,16 @@ func legacyCRS(t testing.TB, m *CSR) []byte {
 }
 
 // encodeCRS2Form returns m as a V2 block with its column section in the
-// given form, whatever WriteCRS2 would have chosen: 0 is every V2 block
-// written before the gap form existed.
+// given form, whatever WriteCRS2 would have chosen, and no section left raw
+// for being a sliver: with ColGapWidth(m) every V2 block written before the
+// sliver rule existed, with 0 every one written before the gap form did.
 func encodeCRS2Form(t testing.TB, m *CSR, width int) []byte {
 	t.Helper()
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := writeCRS2(&buf, m, width); err != nil {
+	if err := writeCRS2(&buf, m, width, false); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -161,7 +162,8 @@ func spreadCSR(rows, perRow, stride int) *CSR {
 // empty rows, one-row matrices, and — from index 6 — one block WriteCRS2
 // gives each form of column section: one-byte gaps, two-byte gaps, and
 // delta32 because a single gap is too wide for either (the last also has an
-// empty row).
+// empty row). Index 9 has rows long enough that its row pointers are a
+// sliver of the block, which WriteCRS2 stores raw.
 func viewTestMatrices() []*CSR {
 	rng := rand.New(rand.NewSource(7))
 	wide := spreadCSR(12, 9, 3)
@@ -179,8 +181,9 @@ func viewTestMatrices() []*CSR {
 		spreadCSR(12, 9, 255),
 		spreadCSR(11, 9, 65535),
 		wide,
+		spreadCSR(4, 120, 2),
 	}
-	for len(ms) < 27 {
+	for len(ms) < 28 {
 		ms = append(ms, randomCSR(rng, 24))
 	}
 	return ms
@@ -236,33 +239,69 @@ func TestWriteCRS2ChoosesColumnForm(t *testing.T) {
 	}
 }
 
-// TestParentCRS2FixtureStillReads: testdata/crs2_pr16.bin is what WriteCRS2
-// wrote at the commit before the gap form existed. It decodes and views to
-// the matrix it was written from, and form 0 of today's writer is those very
-// bytes — so every test over a form-0 block is a test over an old file.
-func TestParentCRS2FixtureStillReads(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/crs2_pr16.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := GapMatrix(GapGenConfig{Rows: 40, Cols: 50, D: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeCRS2Form(t, m, 0), fixture) {
-		t.Fatal("form 0 of writeCRS2 is not byte for byte what the parent's WriteCRS2 wrote")
-	}
-	got, err := DecodeCRSBytes(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s ViewScratch
-	view, _, err := ViewCRSBytes(atOffset(fixture, 0), &s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameCSR(got, m) || !sameCSR(view, m) || view.gapForm() {
-		t.Fatal("the parent's block does not read back as the matrix it was written from, columns as ColIdx")
+// TestParentCRS2FixturesStillRead: testdata/crs2_pr16.bin is what WriteCRS2
+// wrote at the commit before the gap form existed, testdata/crs2_pr17.bin
+// what it wrote at the commit before the sliver rule did (gap columns, row
+// pointers behind delta64). Each decodes and views to the matrix it was
+// written from, and the writer without what came after is byte for byte
+// those files — so every test over such a block is a test over an old file.
+// A view of the older copies what its two codecs decode, of the newer its
+// row pointers; of the same matrix written today, nothing.
+func TestParentCRS2FixturesStillRead(t *testing.T) {
+	for _, c := range []struct {
+		file   string
+		cfg    GapGenConfig
+		gaps   bool
+		copied func(m *CSR) int64
+	}{
+		{"testdata/crs2_pr16.bin", GapGenConfig{Rows: 40, Cols: 50, D: 3, Seed: 5}, false,
+			func(m *CSR) int64 { return 8*int64(m.Rows+1) + 4*m.NNZ() }},
+		{"testdata/crs2_pr17.bin", GapGenConfig{Rows: 12, Cols: 400, D: 3, Seed: 5}, true,
+			func(m *CSR) int64 { return 8 * int64(m.Rows+1) }},
+	} {
+		fixture, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := GapMatrix(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := 0
+		if c.gaps {
+			width = ColGapWidth(m)
+		}
+		if !bytes.Equal(encodeCRS2Form(t, m, width), fixture) {
+			t.Fatalf("%s: writeCRS2 without what came after is not byte for byte what the parent's WriteCRS2 wrote", c.file)
+		}
+		got, err := DecodeCRSBytes(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s ViewScratch
+		view, _, err := ViewCRSBytes(atOffset(fixture, 0), &s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCSR(got, m) || !sameCSR(view, m) || view.gapForm() != c.gaps {
+			t.Fatalf("%s does not read back as the matrix it was written from, gap form %v", c.file, c.gaps)
+		}
+		if viewDebugForceCopy || !crsLittleEndian {
+			continue
+		}
+		if want := c.copied(m); s.CopiedBytes() != want {
+			t.Errorf("%s: a view copied %d bytes, want %d", c.file, s.CopiedBytes(), want)
+		}
+		if !c.gaps {
+			continue
+		}
+		today := encodeCRS(t, m, true)
+		if bytes.Equal(today, fixture) {
+			t.Fatalf("%s: WriteCRS2 still writes the parent's bytes: the fixture's row pointers are no sliver", c.file)
+		}
+		if view, _, err = ViewCRSBytes(atOffset(today, 0), &s, nil); err != nil || !sameCSR(view, m) || s.CopiedBytes() != 0 {
+			t.Errorf("%s: the same matrix written today views with err %v, %d bytes copied; want the matrix and 0", c.file, err, s.CopiedBytes())
+		}
 	}
 }
 
@@ -278,7 +317,7 @@ func TestParentCRS2FixtureStillReads(t *testing.T) {
 // it finds, a decode never does.
 func TestViewMatchesDecode(t *testing.T) {
 	var s ViewScratch
-	odd, even, rawV2 := 0, 0, 0
+	odd, even, rawV2, rawRowPtr := 0, 0, 0, 0
 	forms := map[int]int{}
 	for _, m := range viewTestMatrices() {
 		if m.NNZ()%2 == 1 {
@@ -308,6 +347,7 @@ func TestViewMatchesDecode(t *testing.T) {
 		}
 		v2 := []format{
 			{name: "v2", enc: encodeCRS(t, m, true)},
+			{name: "v2 before the sliver rule", enc: encodeCRS2Form(t, m, ColGapWidth(m))},
 			{name: "v2 delta32", enc: encodeCRS2Form(t, m, 0)},
 			{name: "legacy v2", enc: legacyCRS2(t, m)},
 		}
@@ -322,6 +362,13 @@ func TestViewMatchesDecode(t *testing.T) {
 			}
 		}
 		forms[colForm(v2[0].enc)]++
+		// The sliver rule is the only thing that leaves row pointers a codec
+		// shrinks raw: the same block written without it decodes them.
+		if _, _, now := crs2Sections(v2[0].enc); now[0] >= 0 {
+			if _, _, before := crs2Sections(v2[1].enc); before[0] < 0 {
+				rawRowPtr++
+			}
+		}
 		for _, f := range v2 {
 			_, _, f.off = crs2Sections(f.enc)
 			f.width = colForm(f.enc)
@@ -411,6 +458,9 @@ func TestViewMatchesDecode(t *testing.T) {
 	}
 	if forms[0] == 0 || forms[1] == 0 || forms[2] == 0 {
 		t.Fatalf("WriteCRS2 chose column forms %v over the matrices; need all three", forms)
+	}
+	if rawRowPtr == 0 {
+		t.Fatal("no matrix has row pointers WriteCRS2 leaves raw as a sliver and its parent compressed; need both ways of storing them")
 	}
 }
 
@@ -568,8 +618,8 @@ func TestDecodeOwnsRawV2Section(t *testing.T) {
 // TestViewCRS2InPlace: a view of a block WriteCRS2 wrote, held in an aligned
 // buffer, is built in one pass without allocating: a section stored verbatim
 // — raw values, columns in gap form — is the block's own bytes, a compressed
-// one is decoded into the scratch, at every level of trust. Of a typical
-// block only RowPtr is decoded.
+// one is decoded into the scratch, at every level of trust. Of a block with a
+// few entries a row only RowPtr is decoded, of one with long rows nothing.
 func TestViewCRS2InPlace(t *testing.T) {
 	if viewDebugForceCopy || !crsLittleEndian {
 		t.Skip("views are copies in this build")
@@ -611,6 +661,7 @@ func TestViewCRS2InPlace(t *testing.T) {
 		{"delta32 ColIdx", viewTestMatrices()[8], [3]bool{false, false, true}, 0},
 		{"zero nnz", &CSR{Rows: 40, Cols: 40, RowPtr: make([]int64, 41)}, [3]bool{false, true, true}, 0},
 		{"raw ColIdx", scattered, [3]bool{false, true, true}, 0},
+		{"sliver RowPtr", viewTestMatrices()[9], [3]bool{true, true, true}, 1},
 	} {
 		data := atOffset(encodeCRS(t, c.m, true), 0)
 		_, _, rawOff := crs2Sections(data)
@@ -634,8 +685,8 @@ func TestViewCRS2InPlace(t *testing.T) {
 			if !sameCSR(got, c.m) {
 				t.Fatalf("%s, trust %d: the view is not the matrix written", c.name, trust)
 			}
-			if !inside(got.RowPtr, nil, s.rowPtr) {
-				t.Errorf("%s, trust %d: RowPtr was not decoded into the scratch", c.name, trust)
+			if within(got.RowPtr, data) != c.raw[0] || !inside(got.RowPtr, data, s.rowPtr) {
+				t.Errorf("%s, trust %d: RowPtr aliases the block = %v, want %v", c.name, trust, within(got.RowPtr, data), c.raw[0])
 			}
 			if nnz := c.m.NNZ(); nnz > 0 {
 				switch c.width {
@@ -798,10 +849,17 @@ func FuzzDecodeCRS(f *testing.F) {
 	for _, enc := range badGapBlocks(f) {
 		f.Add(enc)
 	}
-	for _, m := range viewTestMatrices()[6:9] { // one-byte gaps, two-byte gaps, delta32 for a gap too wide
+	for _, m := range viewTestMatrices()[6:10] { // one-byte gaps, two-byte gaps, delta32 for a gap too wide, raw RowPtr
 		enc := encodeCRS(f, m, true)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
+	}
+	for _, name := range []string{"testdata/crs2_pr16.bin", "testdata/crs2_pr17.bin"} { // delta64 RowPtr as the parents wrote it
+		enc, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
 	}
 	for _, m := range viewTestMatrices()[:6] {
 		v2 := encodeCRS2Form(f, m, 0)

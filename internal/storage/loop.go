@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -241,6 +242,13 @@ type arrayState struct {
 	info      ArrayInfo
 	blocks    map[int]*blockState
 	diskNodes map[int]bool // nodes holding the full array on disk
+	// readable lists, ascending, the blocks a residency snapshot reports:
+	// those whose buffer holds the whole block; it starts out in first, which
+	// is all a one-block array ever needs. slot is the array's place in
+	// loopState.readable while the list is not empty.
+	readable []int
+	first    [1]int
+	slot     int
 	// localCompressed marks this node's durable copy as the per-block frame
 	// layout (set by a codec flush or the startup scan); it selects the
 	// framed read path and keeps an array's layout consistent across
@@ -287,15 +295,48 @@ type loopState struct {
 	// reserved is the sum of the full sizes of the blocks whose bytes a
 	// prefetch may not claim, kept by reserve.
 	reserved int64
+	// readable holds, in no order, the arrays whose readable list is not empty.
+	readable []*arrayState
 }
 
 // setBuf is the one place a block's buffer changes hands, so that
 // st.resident — and the gauge that publishes it — always equals the bytes
 // held.
-func (s *Store) setBuf(st *loopState, b *blockState, buf []byte) {
+func (s *Store) setBuf(st *loopState, ast *arrayState, bi int, b *blockState, buf []byte) {
 	st.resident += int64(len(buf)) - int64(len(b.buf))
 	b.buf = buf
 	s.metrics.memUsed.Set(st.resident)
+	st.markReadable(ast, bi, b)
+}
+
+// markReadable re-derives whether block bi belongs on its array's readable
+// list — it has a buffer and the buffer holds all of it — and keeps the list,
+// and the array's place in st.readable, in step: a residency snapshot then
+// visits the resident blocks and nothing else. Call after any change to buf
+// or resident.
+func (st *loopState) markReadable(ast *arrayState, bi int, b *blockState) {
+	bs := ast.info.BlockSpan(bi)
+	want := b.buf != nil && b.resident.full(bs.Hi-bs.Lo)
+	at, listed := slices.BinarySearch(ast.readable, bi)
+	switch {
+	case want == listed:
+	case want:
+		if ast.readable == nil {
+			ast.readable = ast.first[:0]
+		}
+		if len(ast.readable) == 0 {
+			ast.slot = len(st.readable)
+			st.readable = append(st.readable, ast)
+		}
+		ast.readable = slices.Insert(ast.readable, at, bi)
+	default:
+		ast.readable = slices.Delete(ast.readable, at, at+1)
+		if len(ast.readable) == 0 {
+			last := st.readable[len(st.readable)-1]
+			st.readable[ast.slot], last.slot = last, ast.slot
+			st.readable = st.readable[:len(st.readable)-1]
+		}
+	}
 }
 
 // reserve re-derives whether block bi's bytes are spoken for: under a lease
@@ -471,7 +512,7 @@ func (s *Store) newArrayState(info ArrayInfo, q *quotaState) *arrayState {
 		s.astFree = s.astFree[:n-1]
 		clear(ast.blocks)
 		clear(ast.diskNodes)
-		*ast = arrayState{info: info, blocks: ast.blocks, diskNodes: ast.diskNodes, quota: q}
+		*ast = arrayState{info: info, blocks: ast.blocks, diskNodes: ast.diskNodes, quota: q, readable: ast.readable[:0]}
 		return ast
 	}
 	return &arrayState{
@@ -536,7 +577,7 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	// guarantee nothing aliases them.
 	for idx, b := range ast.blocks {
 		sharedArena.Put(b.buf)
-		s.setBuf(st, b, nil)
+		s.setBuf(st, ast, idx, b, nil)
 		// No lease and no disk fetch, checked above; a probe's reply will
 		// find no array and an unread prefetch has nothing left to read.
 		b.probing, b.prefetched = false, false
@@ -679,7 +720,7 @@ func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState
 	}
 	if b.buf == nil {
 		bs := ast.info.BlockSpan(bi)
-		s.setBuf(st, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
+		s.setBuf(st, ast, bi, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
 		// Recycled buffers carry stale bytes; a fresh write block must start
 		// from zeroes (the abandon path and partial writers rely on it).
 		clear(b.buf)
@@ -760,6 +801,7 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 		if err := b.resident.add(rs); err != nil {
 			panic(fmt.Sprintf("storage: residency bookkeeping: %v", err))
 		}
+		st.markReadable(ast, l.block, b)
 		s.wakeWaiters(st, ast, l.block, b)
 		bs := ast.info.BlockSpan(l.block)
 		if b.resident.full(bs.Hi-bs.Lo) && s.homeOf(l.Array, l.block) != s.cfg.NodeID {
@@ -1100,7 +1142,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 			sharedArena.Put(b.buf)
 		}
 	}
-	s.setBuf(st, b, data)
+	s.setBuf(st, ast, bi, b, data)
 	st.tick++
 	b.loadTick = st.tick
 	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
@@ -1113,6 +1155,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 	if err := b.resident.add(span{0, int64(len(data))}); err != nil {
 		panic(err)
 	}
+	st.markReadable(ast, bi, b)
 	b.written.spans = b.written.spans[:0]
 	if err := b.written.add(span{0, int64(len(data))}); err != nil {
 		panic(err)
@@ -1140,7 +1183,7 @@ func (s *Store) reclaim(st *loopState, protectArray string, protectBlock int) {
 		if st.resident <= s.cfg.MemoryBudget {
 			break
 		}
-		s.dropBlock(st, v.ast.info, v.idx, v.b)
+		s.dropBlock(st, v.ast, v.idx, v.b)
 		st.stats.Evictions++
 		s.metrics.evictions.Inc()
 		s.traceEvict(v.name, v.idx)
@@ -1218,15 +1261,15 @@ func (v victimSlice) Less(i, j int) bool {
 
 // dropBlock releases a block's buffer and retracts this node from the
 // block's directory entry. Callers account the eviction.
-func (s *Store) dropBlock(st *loopState, info ArrayInfo, idx int, b *blockState) {
+func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState) {
 	// Eviction preconditions (no leases, waiters, writers, or I/O in flight)
 	// mean nothing aliases buf; recycle it.
 	sharedArena.Put(b.buf)
-	s.setBuf(st, b, nil)
+	s.setBuf(st, ast, idx, b, nil)
 	b.resident.spans = b.resident.spans[:0]
 	b.prefetched = false
-	st.reserve(info, idx, b)
-	name := info.Name
+	st.reserve(ast.info, idx, b)
+	name := ast.info.Name
 	home := s.homeOf(name, idx)
 	if home == s.cfg.NodeID {
 		delete(s.dirOf(st, blockKey{name, idx}).mem, s.cfg.NodeID)
@@ -1256,7 +1299,7 @@ func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 	if !(b.persistedLocal || b.remoteBacked || ast.diskNodes[s.cfg.NodeID] || (b.shardBacked && b.shardDurable)) {
 		return fmt.Errorf("storage: %q block %d is the only copy (flush it first)", m.array, m.block)
 	}
-	s.dropBlock(st, ast.info, m.block, b)
+	s.dropBlock(st, ast, m.block, b)
 	st.stats.Evictions++
 	s.metrics.evictions.Inc()
 	s.traceEvict(m.array, m.block)
@@ -1544,21 +1587,13 @@ func (s *Store) buildMap(st *loopState) ResidencyMap {
 	rm.MemUsed = st.resident
 	// One backing slice serves every array's index list: the map is a
 	// snapshot handed to the scheduler, sub-sliced here and never appended
-	// to, so per-array allocations would be pure overhead.
+	// to, so per-array allocations would be pure overhead. markReadable keeps
+	// the lists: nothing is walked or sorted here.
 	backing := rm.backing[:0]
-	for name, ast := range st.arrays {
+	for _, ast := range st.readable {
 		start := len(backing)
-		for idx, b := range ast.blocks {
-			bs := ast.info.BlockSpan(idx)
-			if b.buf != nil && b.resident.full(bs.Hi-bs.Lo) {
-				backing = append(backing, idx)
-			}
-		}
-		if end := len(backing); end > start {
-			idxs := backing[start:end:end]
-			sort.Ints(idxs)
-			rm.Blocks[name] = idxs
-		}
+		backing = append(backing, ast.readable...)
+		rm.Blocks[ast.info.Name] = backing[start:len(backing):len(backing)]
 	}
 	rm.backing = backing
 	return rm

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -13,15 +15,22 @@ import (
 // evict, flush, and fetch however it likes — every read must still return
 // exactly the bytes the oracle says were written.
 
-// accountingError recomputes the loop's byte counters from their definitions
-// by a full walk — the walk the counters replaced — and reports the first
-// disagreement: st.resident against Σ len(buf), st.reserved against the full
-// size of every block that is leased, in flight or prefetched and unread, and
-// each block's cached reserved flag against the same definition.
+// accountingError recomputes what the loop keeps incrementally from its
+// definition by a full walk — the walk the bookkeeping replaced — and reports
+// the first disagreement: st.resident against Σ len(buf), st.reserved against
+// the full size of every block that is leased, in flight or prefetched and
+// unread, each block's cached reserved flag against the same definition, and
+// each array's readable list — with the array's place in st.readable —
+// against the blocks whose buffer holds all of them, in ascending order.
 func accountingError(st *loopState) error {
 	var resident, reserved int64
+	withReadable := 0
 	for name, ast := range st.arrays {
+		var readable []int
 		for idx, b := range ast.blocks {
+			if bs := ast.info.BlockSpan(idx); b.buf != nil && b.resident.full(bs.Hi-bs.Lo) {
+				readable = append(readable, idx)
+			}
 			resident += int64(len(b.buf))
 			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched
 			if b.reserved != want {
@@ -36,6 +45,19 @@ func accountingError(st *loopState) error {
 				return fmt.Errorf("%s[%d]: leased and still marked prefetched-unread", name, idx)
 			}
 		}
+		sort.Ints(readable)
+		if !slices.Equal(ast.readable, readable) {
+			return fmt.Errorf("%s: readable list %v, the blocks say %v", name, ast.readable, readable)
+		}
+		if len(readable) > 0 {
+			withReadable++
+			if ast.slot >= len(st.readable) || st.readable[ast.slot] != ast {
+				return fmt.Errorf("%s: has readable blocks %v and is not at its slot %d of st.readable", name, readable, ast.slot)
+			}
+		}
+	}
+	if len(st.readable) != withReadable {
+		return fmt.Errorf("st.readable lists %d arrays, %d have a readable block", len(st.readable), withReadable)
 	}
 	if st.resident != resident {
 		return fmt.Errorf("resident counter %d, blocks hold %d bytes", st.resident, resident)

@@ -194,7 +194,7 @@ func (s *Store) reclaimQuota(st *loopState, q *quotaState, protectArray string, 
 			return
 		}
 		used -= int64(len(v.b.buf))
-		s.dropBlock(st, v.ast.info, v.idx, v.b)
+		s.dropBlock(st, v.ast, v.idx, v.b)
 		st.stats.Evictions++
 		s.metrics.evictions.Inc()
 		s.traceEvict(v.name, v.idx)
