@@ -57,19 +57,24 @@ hotpath:
 
 # Perf regression gate: re-run the hot path and fail if the result hash
 # drifts from the committed BENCH_hotpath.json or allocations regress past
-# the budget — the committed allocs_per_iter (558.2) + 10 %; re-derive it
-# whenever `make hotpath` moves that number. Wall-clock is reported but
-# deliberately not gated (CI runners have no stable clock); bit-identity is
-# deterministic and the allocation count repeats to within ±5. A view of a
-# staged DOOCCRS2 block, multiplied, must report 0 allocs/op — every section
-# of it aliases the block — and, the one time gate, take at most 1.05 × what
-# the same loop takes over the same matrix as an uncompressed DOOCCRS1 block
-# ("x-v1"): a ratio of two timings interleaved in one process, so it holds on
-# any machine.
+# the budget — 614, which was the committed allocs_per_iter + 10 % when that
+# was 558 and is + 3.5 % now that it is 593 (every multiply holds a read lease
+# on its block, one allocation each); re-derive it, never upward, whenever
+# `make hotpath` moves that number. Wall-clock is reported but deliberately
+# not gated (CI runners have no stable clock); bit-identity is deterministic
+# and the allocation count repeats to within ±5. A view of a staged DOOCCRS2
+# block, multiplied, must report 0 allocs/op — every section of it aliases the
+# block — and, the one time gate, take at most 1.05 × what the same loop takes
+# over the same matrix as an uncompressed DOOCCRS1 block ("x-v1"): a ratio of
+# two timings interleaved in one process, so it holds on any machine. A
+# worker's poll of the DAG's ready set (BenchmarkReadyAppend, at every
+# wake-up) must report 0 allocs/op too.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
 	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
 		awk '{print} /^BenchmarkViewCRS2/ {seen = 1; if ($$(NF-1) > 0) bad = 1; for (i = 2; i <= NF; i++) if ($$i == "x-v1" && $$(i-1) > 1.05) bad = 1} END {exit !seen || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkReadyAppend$$' -benchmem ./internal/dag/ | \
+		awk '{print} /^BenchmarkReadyAppend/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 2 || bad}'
 
 vet:
 	$(GO) vet ./...

@@ -108,20 +108,18 @@ func hotpathRun() error {
 		return err
 	}
 	blockBytes := info.Bytes / int64(k*k)
-	// Decoded blocks are ~the same size as their encoded frames; five slots
-	// per node keep every block of the node's row stripe decoded after the
-	// first sweep, so steady-state iterations touch only resident CSR.
-	decodedBlock := m.Bytes()/int64(k*k) + 1<<14
+	// The budget holds a node's row stripe, K blocks, and half a block of
+	// vectors and partials beside it: after the first sweep steady-state
+	// iterations multiply out of resident blocks and read nothing.
 	sys, err := core.NewSystem(core.Options{
-		Nodes:            nodes,
-		WorkersPerNode:   1,
-		MemoryBudget:     blockBytes*5/2 + 1<<16,
-		ScratchRoot:      root,
-		PrefetchWindow:   2,
-		Reorder:          true,
-		DecodeCacheBytes: 5 * decodedBlock,
-		Obs:              benchObs,
-		Trace:            benchTrace,
+		Nodes:          nodes,
+		WorkersPerNode: 1,
+		MemoryBudget:   blockBytes*int64(k) + blockBytes/2 + 1<<16,
+		ScratchRoot:    root,
+		PrefetchWindow: 2,
+		Reorder:        true,
+		Obs:            benchObs,
+		Trace:          benchTrace,
 	})
 	if err != nil {
 		return err

@@ -243,9 +243,7 @@ func PurgeTaggedArtifactsExcept(sys *System, prefix string, keep func(base strin
 			if keep != nil && keep(base) {
 				continue
 			}
-			for n := range sys.decode {
-				sys.decode[n].invalidate(base)
-			}
+			sys.invalidateDecoded(base)
 			if err := sys.Store(node).Delete(base); err != nil {
 				// Not registered (e.g. a bare .tmp or an orphaned sidecar):
 				// remove the path itself.

@@ -50,10 +50,11 @@ type Options struct {
 	IOWorkers int
 	// Seed makes random-peer probing deterministic.
 	Seed int64
-	// DecodeCacheBytes enables a per-node cache of decoded CRS blocks
-	// (0 = off). The storage layer faithfully holds raw encoded bytes;
-	// without a cache every multiply re-decodes its block, which makes
-	// fine task splitting pay the decode cost once per sub-task.
+	// DecodeCacheBytes is ignored: a multiply runs out of the resident
+	// block's own bytes (ExecContext.Matrix) and there is no decoded copy to
+	// size. The field stays only because bench/, which a change that claims
+	// a gain may not edit, sets it; ROADMAP item 1's benchmark refresh
+	// deletes it.
 	DecodeCacheBytes int64
 	// Eviction selects the storage reclamation policy (default LRU, the
 	// paper's; the eviction ablation sweeps FIFO and MRU).
@@ -109,8 +110,7 @@ type System struct {
 	opts    Options
 	cluster *simnet.Cluster
 	stores  []*storage.Store
-	decode  []*decodeCache // per node; nil entries when disabled
-	valid   validMemo      // blocks the uncached matrix path has validated
+	valid   validMemo // blocks ExecContext.Matrix has validated
 
 	// Kernel layer: one persistent stripe pool per computing filter (indexed
 	// node*WorkersPerNode+lane, started once and parked between multiplies).
@@ -166,10 +166,6 @@ func NewSystem(opts Options) (*System, error) {
 		runs:        make(map[*engineRun]struct{}),
 		failedNodes: make(map[int]bool),
 	}
-	sys.decode = make([]*decodeCache, opts.Nodes)
-	for i := range sys.decode {
-		sys.decode[i] = newDecodeCache(opts.DecodeCacheBytes, opts.Obs, i)
-	}
 	// The dooc_kernel_* dispatch counts, shared by every pool of the system.
 	fused := opts.Obs.Counter("dooc_kernel_fused_calls_total", "fused SpMV+AXPY/dot kernel invocations")
 	blocked := opts.Obs.Counter("dooc_kernel_blocked_dispatch_total", "SpMV dispatches taking the cache-blocked traversal")
@@ -204,15 +200,9 @@ func (s *System) putScratch(v *sparse.ViewScratch) {
 	s.scratchMu.Unlock()
 }
 
-// invalidateDecoded drops what the engine derived from an array's bytes — a
-// decoded copy in any node's cache, the validated-checksum memo — ahead of
-// the array's deletion.
-func (s *System) invalidateDecoded(name string) {
-	for _, c := range s.decode {
-		c.invalidate(name)
-	}
-	s.valid.forget(name)
-}
+// invalidateDecoded drops what the engine derived from an array's bytes — the
+// validated-checksum memo — ahead of the array's deletion.
+func (s *System) invalidateDecoded(name string) { s.valid.forget(name) }
 
 // Nodes returns the cluster size.
 func (s *System) Nodes() int { return s.opts.Nodes }

@@ -23,16 +23,14 @@ type ExecContext struct {
 	Store   *storage.Store
 	Task    *dag.Task
 
-	cache   *decodeCache
 	valid   *validMemo
 	pool    *sparse.Pool
 	scratch execScratch
 
-	// The uncached matrix path: the read lease under the view Matrix handed
-	// out, the view itself, and the scratch the sections that cannot alias
-	// the lease live in — the worker's for as long as it runs, the system's
-	// between runs (System.takeScratch). Held from Matrix until the executor
-	// returns.
+	// The read lease under the view Matrix handed out, the view itself, and
+	// the scratch the sections that cannot alias the lease live in — the
+	// worker's for as long as it runs, the system's between runs
+	// (System.takeScratch). Held from Matrix until the executor returns.
 	matLease *storage.Lease
 	mat      *sparse.CSR
 	view     *sparse.ViewScratch
@@ -79,26 +77,26 @@ func (c *ExecContext) reset(t *dag.Task) {
 }
 
 // Matrix returns the CRS block stored in `array`, valid until the executor
-// returns. With a decode cache (Options.DecodeCacheBytes) it is the cached
-// decoded copy. Without one, nothing is decoded: the block's read lease
+// returns. Nothing is decoded and nothing is kept: the block's read lease
 // stays held until the executor returns and the matrix is a view whose
 // sections alias the leased bytes (sparse.ViewCRSBytes), so the kernel runs
-// on memory the storage budget already accounts for. A view of a DOOCCRS2
-// block carries its columns the way the block does, as in-row gaps
+// on the one copy of the block the storage budget accounts for. A view of a
+// DOOCCRS2 block carries its columns the way the block does, as in-row gaps
 // (sparse.CSR.RowFirst) with ColIdx nil: Pool.MulVec and sparse.MulVecRows
 // multiply out of them, an executor that wants the indices themselves asks
 // CSR.Columns. The CRC is checked once per residency of the block on this
 // node, the structural walk once per block content (validMemo). Executors
 // must not keep the matrix, or anything sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
-	if c.cache != nil || c.matLease != nil {
-		// A second view in one task finds the scratch taken and gets an
-		// owning copy instead.
-		return c.cache.matrix(c.Store, array)
-	}
 	lease, err := c.Store.RequestBlock(array, 0, storage.PermRead)
 	if err != nil {
 		return nil, err
+	}
+	if c.matLease != nil {
+		// The scratch backs one view: a second Matrix call in one task gets
+		// an owning copy, and the first view stays whole.
+		defer lease.Release()
+		return sparse.DecodeCRSBytes(lease.Data)
 	}
 	known := c.valid.get(c.Node, array)
 	m, crc, err := sparse.ViewCRSBytes(lease.Data, c.view, func(crc uint32) sparse.Trust { return known.trust(lease.Gen, crc) })
@@ -468,12 +466,10 @@ func (r *engineRun) taskParent(taskID string, start, end time.Time) obs.SpanID {
 // lane identifies the worker within its node (the trace's tid).
 func (r *engineRun) worker(node, lane int) {
 	store := r.sys.stores[node]
-	cache := r.sys.decode[node]
 	ctx := &ExecContext{
 		Node:    node,
 		Workers: r.sys.opts.WorkersPerNode,
 		Store:   store,
-		cache:   cache,
 		valid:   &r.sys.valid,
 		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
 		view:    r.sys.takeScratch(),
@@ -494,17 +490,14 @@ func (r *engineRun) worker(node, lane int) {
 			if len(mine) > 0 {
 				// Residency snapshot for the pick. The map call leaves the
 				// lock briefly cold but keeps decisions fresh; the snapshot
-				// is recycled as soon as the pick is made. A block living only
-				// in the decode cache counts as resident: the multiply that
-				// consumes it touches no storage bytes.
+				// is recycled as soon as the pick is made.
 				rm := store.Map()
 				resident := func(ref dag.Ref) bool {
-					return cache.peek(ref.Array) || rm.Resident(ref.Array, blockOrZero(ref))
+					return rm.Resident(ref.Array, blockOrZero(ref))
 				}
 				task = r.policies[node].Pick(mine, resident)
 				// Keep the prefetch window full with the runner-up tasks'
-				// heavy data. `resident` counts a block the decode cache
-				// holds, so none burns a window slot or a storage prefetch.
+				// heavy data.
 				if w := r.sys.opts.PrefetchWindow; w > 0 {
 					for _, ref := range r.policies[node].PrefetchTargets(mine, resident, w) {
 						store.PrefetchBlock(ref.Array, blockOrZero(ref))
@@ -569,8 +562,7 @@ func (r *engineRun) worker(node, lane int) {
 
 		// Reclaim dead ephemeral arrays outside the lock.
 		for _, name := range dead {
-			r.sys.decode[node].invalidate(name)
-			r.sys.valid.forget(name)
+			r.sys.invalidateDecoded(name)
 			// Deletion failures (e.g. a concurrent late reader) are not
 			// fatal; the array simply lives a little longer.
 			_ = store.Delete(name)

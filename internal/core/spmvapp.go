@@ -322,8 +322,8 @@ func CollectIterate(sys *System, cfg SpMVConfig, t int) ([]float64, error) {
 }
 
 // DropArray removes one named array from whichever store holds it,
-// invalidating decode caches first. Best-effort — the proxy registry's
-// reclaim hook.
+// forgetting what the engine remembered of its bytes first. Best-effort —
+// the proxy registry's reclaim hook.
 func DropArray(sys *System, name string) {
 	sys.invalidateDecoded(name)
 	for node := 0; node < sys.Nodes(); node++ {

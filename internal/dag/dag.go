@@ -8,6 +8,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -72,8 +73,9 @@ func (t *Task) HeavyInputs() []Ref {
 
 // Graph is a derived task DAG with ready-set tracking.
 type Graph struct {
-	tasks map[string]*Task
-	order []string // insertion order, the deterministic tie-break
+	tasks []*Task        // insertion order, the deterministic tie-break
+	order []string       // tasks[i].ID
+	pos   map[string]int // ID → index in tasks and order
 
 	succ map[string][]string
 	pred map[string][]string
@@ -81,6 +83,12 @@ type Graph struct {
 	indegree  map[string]int
 	completed map[string]bool
 	running   map[string]bool
+
+	// ready holds the positions of the startable tasks — every predecessor
+	// completed, neither running nor completed — ascending. Build, Start,
+	// Requeue and Complete keep it, so a scheduler's poll costs the size of
+	// the ready set whatever the size of the graph.
+	ready []int
 }
 
 // refID is Ref.Key() as a comparable struct: Build indexes producers per
@@ -97,23 +105,25 @@ func (r Ref) id() refID { return refID{r.Array, r.Block, r.Part} }
 // one datum, and cycles.
 func Build(tasks []*Task) (*Graph, error) {
 	g := &Graph{
-		tasks:     make(map[string]*Task, len(tasks)),
+		tasks:     make([]*Task, 0, len(tasks)),
 		order:     make([]string, 0, len(tasks)),
 		succ:      make(map[string][]string, len(tasks)),
 		pred:      make(map[string][]string, len(tasks)),
 		indegree:  make(map[string]int, len(tasks)),
 		completed: make(map[string]bool, len(tasks)),
 		running:   make(map[string]bool, len(tasks)),
+		pos:       make(map[string]int, len(tasks)),
 	}
 	producer := make(map[refID]string, len(tasks))
 	for _, t := range tasks {
 		if t.ID == "" {
 			return nil, fmt.Errorf("dag: task with empty ID")
 		}
-		if _, dup := g.tasks[t.ID]; dup {
+		if _, dup := g.pos[t.ID]; dup {
 			return nil, fmt.Errorf("dag: duplicate task %q", t.ID)
 		}
-		g.tasks[t.ID] = t
+		g.pos[t.ID] = len(g.tasks)
+		g.tasks = append(g.tasks, t)
 		g.order = append(g.order, t.ID)
 		for _, out := range t.Outputs {
 			if prev, taken := producer[out.id()]; taken {
@@ -123,8 +133,8 @@ func Build(tasks []*Task) (*Graph, error) {
 		}
 	}
 	seen := make(map[string]bool, 8)
-	for _, id := range g.order {
-		t := g.tasks[id]
+	for _, t := range g.tasks {
+		id := t.ID
 		clear(seen)
 		for _, in := range t.Inputs {
 			p, ok := producer[in.id()]
@@ -140,22 +150,35 @@ func Build(tasks []*Task) (*Graph, error) {
 	if _, err := g.Topo(); err != nil {
 		return nil, err
 	}
+	for i, id := range g.order {
+		if g.indegree[id] == 0 {
+			g.ready = append(g.ready, i)
+		}
+	}
 	return g, nil
+}
+
+// enqueue puts a task that has become startable into the ready list.
+func (g *Graph) enqueue(id string) {
+	p := g.pos[id]
+	i, _ := slices.BinarySearch(g.ready, p)
+	g.ready = slices.Insert(g.ready, i, p)
 }
 
 // Len returns the number of tasks.
 func (g *Graph) Len() int { return len(g.order) }
 
 // Task returns a task by ID (nil if absent).
-func (g *Graph) Task(id string) *Task { return g.tasks[id] }
+func (g *Graph) Task(id string) *Task {
+	if p, ok := g.pos[id]; ok {
+		return g.tasks[p]
+	}
+	return nil
+}
 
 // Tasks returns all tasks in insertion order.
 func (g *Graph) Tasks() []*Task {
-	out := make([]*Task, len(g.order))
-	for i, id := range g.order {
-		out[i] = g.tasks[id]
-	}
-	return out
+	return slices.Clone(g.tasks)
 }
 
 // Preds returns the dependency task IDs of id.
@@ -171,10 +194,8 @@ func (g *Graph) Ready() []string { return g.ReadyAppend(nil) }
 // ReadyAppend appends the ready task IDs to dst and returns it — the
 // allocation-free form of Ready for schedulers that poll every wake-up.
 func (g *Graph) ReadyAppend(dst []string) []string {
-	for _, id := range g.order {
-		if g.indegree[id] == 0 && !g.completed[id] && !g.running[id] {
-			dst = append(dst, id)
-		}
+	for _, p := range g.ready {
+		dst = append(dst, g.order[p])
 	}
 	return dst
 }
@@ -183,24 +204,28 @@ func (g *Graph) ReadyAppend(dst []string) []string {
 // ready, already started) — those are scheduler bugs, not runtime
 // conditions.
 func (g *Graph) Start(id string) {
-	if _, ok := g.tasks[id]; !ok {
+	p, ok := g.pos[id]
+	if !ok {
 		panic(fmt.Sprintf("dag: start of unknown task %q", id))
 	}
-	if g.indegree[id] != 0 || g.completed[id] || g.running[id] {
+	i, startable := slices.BinarySearch(g.ready, p)
+	if !startable {
 		panic(fmt.Sprintf("dag: task %q is not startable", id))
 	}
+	g.ready = slices.Delete(g.ready, i, i+1)
 	g.running[id] = true
 }
 
 // Requeue returns a running task to the ready set — the recovery path when
 // its executor failed or its node died before completion. Successor
-// indegrees were not touched by Start, so clearing the running mark is
-// sufficient; the task becomes pickable again immediately.
+// indegrees were not touched by Start, so the task goes straight back into
+// the ready list and is pickable again immediately.
 func (g *Graph) Requeue(id string) {
 	if !g.running[id] {
 		panic(fmt.Sprintf("dag: requeue of task %q that is not running", id))
 	}
 	delete(g.running, id)
+	g.enqueue(id)
 }
 
 // Complete marks a running task finished, unlocking its successors.
@@ -212,6 +237,9 @@ func (g *Graph) Complete(id string) {
 	g.completed[id] = true
 	for _, s := range g.succ[id] {
 		g.indegree[s]--
+		if g.indegree[s] == 0 {
+			g.enqueue(s)
+		}
 	}
 }
 
@@ -224,11 +252,7 @@ func (g *Graph) Completed(id string) bool { return g.completed[id] }
 // Topo returns a topological order (insertion-order stable) or an error if
 // the graph has a cycle.
 func (g *Graph) Topo() ([]string, error) {
-	indeg := make(map[string]int, len(g.order))
-	for id, d := range g.indegree {
-		indeg[id] = d
-	}
-	// Re-derive base indegree including completed bookkeeping-free state.
+	// The base indegree, whatever has completed since Build.
 	base := make(map[string]int, len(g.order))
 	for _, id := range g.order {
 		base[id] = len(g.pred[id])

@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,68 +195,10 @@ func TestCriticalPathLen(t *testing.T) {
 	}
 }
 
-// TestRandomDAGExecutionProperty: driving random layered DAGs through
-// Ready/Start/Complete always respects dependencies and terminates.
-func TestRandomDAGExecutionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		layers := 1 + rng.Intn(5)
-		perLayer := 1 + rng.Intn(5)
-		var tasks []*Task
-		for l := 0; l < layers; l++ {
-			for i := 0; i < perLayer; i++ {
-				tk := &Task{
-					ID:      fmt.Sprintf("L%d-%d", l, i),
-					Outputs: []Ref{ref(fmt.Sprintf("d%d-%d", l, i), 0)},
-				}
-				if l > 0 {
-					// Depend on a random subset of the previous layer.
-					for j := 0; j < perLayer; j++ {
-						if rng.Intn(2) == 0 {
-							tk.Inputs = append(tk.Inputs, ref(fmt.Sprintf("d%d-%d", l-1, j), 0))
-						}
-					}
-				}
-				tasks = append(tasks, tk)
-			}
-		}
-		g, err := Build(tasks)
-		if err != nil {
-			return false
-		}
-		completedSet := map[string]bool{}
-		steps := 0
-		for !g.Done() {
-			ready := g.Ready()
-			if len(ready) == 0 {
-				return false // deadlock
-			}
-			id := ready[rng.Intn(len(ready))]
-			// All predecessors must already be complete.
-			for _, p := range g.Preds(id) {
-				if !completedSet[p] {
-					return false
-				}
-			}
-			g.Start(id)
-			g.Complete(id)
-			completedSet[id] = true
-			steps++
-			if steps > len(tasks) {
-				return false
-			}
-		}
-		return steps == len(tasks)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// BenchmarkBuildLargeDAG measures DAG derivation on a wide layered graph.
-func BenchmarkBuildLargeDAG(b *testing.B) {
+// layeredTasks is a graph of layers × width tasks, each reading three outputs
+// of the layer before it.
+func layeredTasks(layers, width int) []*Task {
 	var tasks []*Task
-	const layers, width = 20, 50
 	for l := 0; l < layers; l++ {
 		for i := 0; i < width; i++ {
 			tk := &Task{
@@ -270,6 +213,119 @@ func BenchmarkBuildLargeDAG(b *testing.B) {
 			tasks = append(tasks, tk)
 		}
 	}
+	return tasks
+}
+
+// scanReady is ReadyAppend as it was before the graph kept a ready list: a
+// walk of every task in insertion order. The list is held to it.
+func scanReady(g *Graph) []string {
+	var out []string
+	for _, id := range g.order {
+		if g.indegree[id] == 0 && !g.completed[id] && !g.running[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestReadyListMatchesScan: over random DAGs — each task reading from a random
+// subset of the others' outputs, listed in an order unrelated to the
+// dependencies — and random interleavings of Start, Complete and Requeue with
+// several tasks running at once, the ready list names the tasks the full scan
+// names, in the same order, after every step; a task is ready only once its
+// predecessors have completed, and every graph runs to completion.
+func TestReadyListMatchesScan(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		tasks := make([]*Task, n)
+		for i := range tasks {
+			tasks[i] = &Task{ID: fmt.Sprintf("t%d", i), Outputs: []Ref{ref(fmt.Sprintf("d%d", i), 0)}}
+			for j := 0; j < i; j++ {
+				if rng.Intn(4) == 0 {
+					tasks[i].Inputs = append(tasks[i].Inputs, ref(fmt.Sprintf("d%d", j), 0))
+				}
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
+		g, err := Build(tasks)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		var running []string
+		for steps := 0; !g.Done(); steps++ {
+			ready := g.Ready()
+			if want := scanReady(g); !slices.Equal(ready, want) {
+				t.Logf("seed %d step %d: ready list %v, scan %v", seed, steps, ready, want)
+				return false
+			}
+			if steps > 10*n+100 {
+				return false
+			}
+			switch op := rng.Intn(4); {
+			case len(ready) > 0 && (op < 2 || len(running) == 0):
+				id := ready[rng.Intn(len(ready))]
+				for _, p := range g.Preds(id) {
+					if !g.Completed(p) {
+						t.Logf("seed %d: %s ready before its predecessor %s completed", seed, id, p)
+						return false
+					}
+				}
+				g.Start(id)
+				running = append(running, id)
+			case len(running) == 0:
+				return false // nothing ready, nothing running, not done: deadlock
+			default:
+				i := rng.Intn(len(running))
+				if op == 3 && steps < 5*n {
+					g.Requeue(running[i])
+				} else {
+					g.Complete(running[i])
+				}
+				running = slices.Delete(running, i, i+1)
+			}
+		}
+		return len(g.Ready()) == 0 && len(scanReady(g)) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkReadyAppend polls the ready set of a layered graph, twenty tasks
+// wide, half of whose layers have completed: what a worker does at every
+// wake-up. The poll allocates nothing and costs the same at 200 tasks as at
+// 2,000 (`make perf-gate` fails on an allocation).
+func BenchmarkReadyAppend(b *testing.B) {
+	for _, n := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			const width = 20
+			tasks := layeredTasks(n/width, width)
+			g, err := Build(tasks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, tk := range tasks[:len(tasks)/2] {
+				g.Start(tk.ID)
+				g.Complete(tk.ID)
+			}
+			ids := g.ReadyAppend(nil)
+			if len(ids) != width {
+				b.Fatalf("%d tasks ready, want one layer of %d", len(ids), width)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ids = g.ReadyAppend(ids[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkBuildLargeDAG measures DAG derivation on a wide layered graph.
+func BenchmarkBuildLargeDAG(b *testing.B) {
+	tasks := layeredTasks(20, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(tasks); err != nil {

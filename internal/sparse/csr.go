@@ -7,7 +7,7 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // CSR is a sparse matrix in Compressed Sparse Row format.
@@ -159,36 +159,56 @@ type Triplet struct {
 }
 
 // FromTriplets assembles a CSR matrix from unordered triplets. Duplicate
-// (row, col) entries are summed, matching standard assembly semantics.
+// (row, col) entries are summed, in the order they appear in ts, matching
+// standard assembly semantics.
+//
+// A counting sort buckets the triplets by row, keeping input order; each row
+// is then sorted on one uint64 per entry — the column above the entry's place
+// in its row — so no comparison function runs, equal columns stay in input
+// order, and the result does not depend on the sort's stability.
 func FromTriplets(rows, cols int, ts []Triplet) (*CSR, error) {
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
 	for _, t := range ts {
 		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
 			return nil, fmt.Errorf("sparse: triplet (%d,%d) out of %dx%d", t.Row, t.Col, rows, cols)
 		}
+		m.RowPtr[t.Row+1]++
 	}
-	sorted := append([]Triplet(nil), ts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
-	for i := 0; i < len(sorted); {
-		j := i
-		v := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			v += sorted[j].Val
-			j++
-		}
-		m.ColIdx = append(m.ColIdx, int32(sorted[i].Col))
-		m.Val = append(m.Val, v)
-		m.RowPtr[sorted[i].Row+1]++
-		i = j
+	if len(ts) == 0 {
+		return m, nil
 	}
 	for i := 0; i < rows; i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
+	next := append([]int64(nil), m.RowPtr[:rows]...)
+	keys := make([]uint64, len(ts))
+	vals := make([]float64, len(ts))
+	for _, t := range ts {
+		p := next[t.Row]
+		next[t.Row]++
+		keys[p] = uint64(t.Col)<<32 | uint64(p-m.RowPtr[t.Row])
+		vals[p] = t.Val
+	}
+	m.ColIdx = make([]int32, 0, len(ts))
+	m.Val = make([]float64, 0, len(ts))
+	lo := int64(0)
+	for i := 0; i < rows; i++ {
+		hi := m.RowPtr[i+1]
+		m.RowPtr[i] = int64(len(m.Val))
+		row, rowVals := keys[lo:hi], vals[lo:hi]
+		slices.Sort(row)
+		for k := 0; k < len(row); {
+			col := row[k] >> 32
+			v := 0.0
+			for ; k < len(row) && row[k]>>32 == col; k++ {
+				v += rowVals[uint32(row[k])]
+			}
+			m.ColIdx = append(m.ColIdx, int32(col))
+			m.Val = append(m.Val, v)
+		}
+		lo = hi
+	}
+	m.RowPtr[rows] = int64(len(m.Val))
 	return m, nil
 }
 

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,16 +47,21 @@ func TestFromTripletsBasic(t *testing.T) {
 	}
 }
 
+// Duplicates are summed in input order: (1e16 + 1) + -1e16 is 0, where
+// (1e16 + -1e16) + 1 is 1.
 func TestFromTripletsSumsDuplicates(t *testing.T) {
-	m, err := FromTriplets(1, 1, []Triplet{{0, 0, 1}, {0, 0, 2}, {0, 0, 3}})
+	m, err := FromTriplets(2, 2, []Triplet{{1, 1, 1e16}, {0, 0, 1}, {1, 1, 1}, {0, 0, 2}, {1, 1, -1e16}, {0, 0, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := m.At(0, 0); got != 6 {
 		t.Errorf("At(0,0) = %v, want 6", got)
 	}
-	if m.NNZ() != 1 {
-		t.Errorf("NNZ = %d, want 1", m.NNZ())
+	if got := m.At(1, 1); got != 0 {
+		t.Errorf("At(1,1) = %v, want 0 ((1e16 + 1) - 1e16 in input order)", got)
+	}
+	if m.NNZ() != 2 {
+		t.Errorf("NNZ = %d, want 2", m.NNZ())
 	}
 }
 
@@ -277,5 +284,68 @@ func TestBytesAccounting(t *testing.T) {
 	// RowPtr: 3*8 + ColIdx: 2*4 + Val: 2*8 = 48.
 	if got := m.Bytes(); got != 48 {
 		t.Fatalf("Bytes = %d, want 48", got)
+	}
+}
+
+// shaOfCSR is the SHA-256 of m's DOOCCRS1 encoding: shape, row pointers,
+// column indices and value bits.
+func shaOfCSR(t *testing.T, m *CSR) string {
+	t.Helper()
+	h := sha256.New()
+	if err := WriteCRS(h, m); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestFromTripletsPinned holds FromTriplets to the bytes the sort.Slice
+// assembly produced, on the two shapes of input callers hand it: the
+// symmetric generator's duplicate-free list, and an unordered list heavy with
+// duplicates. Columns under 37 of the second carry about four entries a cell
+// with values in eighths (their sum is exact, whatever order it is taken in);
+// columns from 37 carry exactly two full-mantissa entries a cell, far apart in
+// the list (a + b is b + a). Three or more inexact duplicates of one cell were
+// summed in whatever order the unstable sort left them and are summed in input
+// order now (TestFromTripletsSumsDuplicates), the one case with no old bytes
+// to hold to.
+func TestFromTripletsPinned(t *testing.T) {
+	for seed, want := range map[int64]string{
+		1: "79bbf364d74a624d0941c384bb4dc29e7bcceaa7fb84adacc3213369cb441e65",
+		2: "db66ee24cc96f6181540a8971d5b02c29532685be4640a4bc1b9ac147a7893ab",
+		3: "9df814169025b093670c32255838c64baffe5666ddfeef6b90dbfb257dd275b9",
+	} {
+		m, err := GapMatrix(GapGenConfig{Rows: 500, Cols: 500, D: 4, Seed: seed, Symmetric: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shaOfCSR(t, m); got != want {
+			t.Errorf("symmetric gap matrix, seed %d: %s, pinned %s", seed, got, want)
+		}
+	}
+
+	const rows, half = 40, 37
+	rng := rand.New(rand.NewSource(7))
+	var ts []Triplet
+	for i := 0; i < 6000; i++ {
+		ts = append(ts, Triplet{rng.Intn(rows), rng.Intn(half), float64(rng.Intn(129)-64) / 8})
+	}
+	pairs := rng.Perm(rows * half)[:500]
+	for _, cell := range pairs {
+		ts = append(ts, Triplet{cell / half, half + cell%half, rng.NormFloat64()})
+	}
+	rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	for _, cell := range pairs {
+		ts = append(ts, Triplet{cell / half, half + cell%half, rng.NormFloat64()})
+	}
+	m, err := FromTriplets(rows, 2*half, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "c6d903a09e3603e9f202e14dba3138ce3a0327e1dc0cb9c92996ec5bc80a2667"
+	if got := shaOfCSR(t, m); got != want {
+		t.Errorf("duplicate-heavy list (%d triplets, %d cells): %s, pinned %s", len(ts), m.NNZ(), got, want)
 	}
 }
