@@ -66,13 +66,18 @@ hotpath:
 # block, multiplied, must report 0 allocs/op — every section of it aliases the
 # block — and, the one time gate, take at most 1.05 × what the same loop takes
 # over the same matrix as an uncompressed DOOCCRS1 block ("x-v1"): a ratio of
-# two timings interleaved in one process, so it holds on any machine. A
-# worker's poll of the DAG's ready set (BenchmarkReadyAppend, at every
-# wake-up) must report 0 allocs/op too.
+# two timings interleaved in one process, so it holds on any machine. The
+# pair kernel of a mirrored (symmetric) set, one pass over a staged block for
+# both partials of its pair, must report 0 allocs/op and take at most 1.15 ×
+# the two gathers over the full grid's pair it replaces ("x-gathers", the
+# same interleaving; ≈ 0.95 when calm). A worker's poll of the DAG's ready
+# set (BenchmarkReadyAppend, at every wake-up) must report 0 allocs/op too.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
 	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
 		awk '{print} /^BenchmarkViewCRS2/ {seen = 1; if ($$(NF-1) > 0) bad = 1; for (i = 2; i <= NF; i++) if ($$i == "x-v1" && $$(i-1) > 1.05) bad = 1} END {exit !seen || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkMulVecPair$$' -benchtime 200x -benchmem ./internal/sparse/ | \
+		awk '{print} /^BenchmarkMulVecPair/ {seen = 1; if ($$(NF-1) > 0) bad = 1; for (i = 2; i <= NF; i++) if ($$i == "x-gathers" && $$(i-1) > 1.15) bad = 1} END {exit !seen || bad}'
 	$(GO) test -run '^$$' -bench '^BenchmarkReadyAppend$$' -benchmem ./internal/dag/ | \
 		awk '{print} /^BenchmarkReadyAppend/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 2 || bad}'
 

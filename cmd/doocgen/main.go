@@ -8,7 +8,9 @@
 //	doocgen -out /tmp/stage -ci -A 3 -nmax 2 -mj2 1 -k 4 -nodes 2
 //
 // The output layout (<out>/node<i>/A_<u>_<v>.arr) is what doocrun and
-// dooc.NewSystem's ScratchRoot expect.
+// dooc.NewSystem's ScratchRoot expect. A symmetric matrix (-symmetric, -ci,
+// or a symmetric -mtx file) is staged mirrored: K(K+1)/2 blocks, the upper
+// triangle of each diagonal block and one block of every mirrored pair.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 		k         = flag.Int("k", 4, "grid order: K×K sub-matrices")
 		nodes     = flag.Int("nodes", 1, "number of nodes to stage for")
 		seed      = flag.Int64("seed", 1, "generator seed")
-		symmetric = flag.Bool("symmetric", false, "generate a symmetric matrix")
+		symmetric = flag.Bool("symmetric", false, "generate a symmetric matrix, staged as K(K+1)/2 blocks (one of each mirrored pair)")
 		useCI     = flag.Bool("ci", false, "build a toy CI Hamiltonian instead of a random-gap matrix")
 		a         = flag.Int("A", 3, "CI: particle count")
 		nmax      = flag.Int("nmax", 2, "CI: Nmax truncation")
@@ -86,6 +88,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("staged %dx%d blocks for %d node(s) under %s (%.1f MB on disk; column indices stored as %v)\n",
-		*k, *k, *nodes, *out, float64(info.Bytes)/1e6, info.ColumnForms)
+	grid := fmt.Sprintf("%dx%d blocks", *k, *k)
+	if info.Mirrored {
+		grid = fmt.Sprintf("%d blocks of a symmetric %dx%d grid, mirrored,", *k*(*k+1)/2, *k, *k)
+	}
+	fmt.Printf("staged %s for %d node(s) under %s (%.1f MB on disk; column indices stored as %v)\n",
+		grid, *nodes, *out, float64(info.Bytes)/1e6, info.ColumnForms)
 }

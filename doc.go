@@ -57,7 +57,8 @@ func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
 // StageMatrix writes a matrix's K×K blocks into per-node scratch
 // directories for out-of-core execution, each a DOOCCRS2 block: the one
 // format blocks are staged in. Directories staged earlier with DOOCCRS1
-// files keep running as they are.
+// files keep running as they are. A symmetric matrix is staged mirrored, as
+// K(K+1)/2 blocks, each read once per iteration for both blocks of its pair.
 func StageMatrix(scratchRoot string, m *CSR, cfg SpMVConfig) error {
 	return core.StageMatrix(scratchRoot, m, cfg)
 }

@@ -7,8 +7,9 @@
 //
 // The adjacency matrix is partitioned into the same K×K block grid as the
 // SpMV workload and staged as CRS files; each BFS level is one DOoC task
-// program: K*K "expand" tasks (pattern-SpMV over the frontier bitset) and K
-// "merge" tasks (OR partials, mask visited). Frontier and visited sets are
+// program: an "expand" task per staged block (pattern-SpMV over the frontier
+// bitset; K*K of them, or K(K+1)/2 for an undirected graph staged mirrored)
+// and K "merge" tasks (OR partials, mask visited). Frontier and visited sets are
 // immutable versioned arrays, exactly like the solver's iterates. Edges are
 // generated with the Graph500 R-MAT recipe.
 package bfs

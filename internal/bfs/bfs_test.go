@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"slices"
 	"testing"
 
 	"dooc/internal/core"
@@ -189,6 +190,44 @@ func TestOutOfCoreBFSDisconnected(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("dist = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestOutOfCoreBFSMirrored: an undirected graph is staged mirrored, and one
+// expand per staged block — ORing through it into both its own partial and
+// its mirror's — still finds every distance, on every grid and node count.
+func TestOutOfCoreBFSMirrored(t *testing.T) {
+	g, err := RMAT(RMATConfig{Scale: 6, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Reference(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 2; k <= 4; k++ {
+		for nodes := 1; nodes <= 2; nodes++ {
+			root := t.TempDir()
+			cfg := core.SpMVConfig{Dim: g.Rows, K: k, Iters: 1, Nodes: nodes, Tag: "m"}
+			if err := core.StageMatrix(root, g, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := core.DiscoverStagedMatrix(root); err != nil || !info.Mirrored {
+				t.Fatalf("K=%d nodes=%d: staged %+v, %v; want a mirrored set", k, nodes, info, err)
+			}
+			sys, err := core.NewSystem(core.Options{Nodes: nodes, WorkersPerNode: 2, ScratchRoot: root, MemoryBudget: 1 << 16, PrefetchWindow: 1, Reorder: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := (&Driver{Sys: sys, Cfg: cfg}).Run(1)
+			sys.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("K=%d nodes=%d: distances %v, want %v", k, nodes, got, want)
+			}
 		}
 	}
 }

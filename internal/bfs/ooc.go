@@ -120,19 +120,37 @@ func (d *Driver) level(level int, p sparse.GridPartition) (bool, error) {
 		ephemeral[d.visited(level-1, u)] = true
 	}
 
+	// One expand per staged block. Over a mirrored layout it also scatters
+	// through the block into its mirror's partial (on the diagonal, the
+	// block's own), as spmv.Program's multiplies do; an OR of bits is the
+	// same in any order.
+	layout, err := core.MatrixLayout(d.Sys, cfg.K)
+	if err != nil {
+		return false, err
+	}
+	kind := "bfs-expand"
+	if layout.Mirrored() {
+		kind = "bfs-expand-mirror"
+	}
 	var tasks []*dag.Task
 	for u := 0; u < cfg.K; u++ {
 		for v := 0; v < cfg.K; v++ {
-			tasks = append(tasks, &dag.Task{
-				ID:   fmt.Sprintf("expand:%d:%d:%d", level, u, v),
-				Kind: "bfs-expand",
-				Inputs: []dag.Ref{
-					{Array: spmv.MatrixArray(u, v), Bytes: 1 << 20},
-					{Array: d.frontier(level-1, v), Bytes: 64},
-				},
+			if !layout.Staged(u, v) {
+				continue
+			}
+			mat := dag.Ref{Array: spmv.MatrixArray(u, v), Bytes: 1 << 20}
+			t := &dag.Task{
+				ID:      fmt.Sprintf("expand:%d:%d:%d", level, u, v),
+				Kind:    kind,
+				Inputs:  []dag.Ref{mat, {Array: d.frontier(level-1, v), Bytes: 64}},
 				Outputs: []dag.Ref{{Array: d.partial(level, u, v), Bytes: 64}},
-				Heavy:   []dag.Ref{{Array: spmv.MatrixArray(u, v), Bytes: 1 << 20}},
-			})
+				Heavy:   []dag.Ref{mat},
+			}
+			if layout.Mirrored() && u != v {
+				t.Inputs = append(t.Inputs, dag.Ref{Array: d.frontier(level-1, u), Bytes: 64})
+				t.Outputs = append(t.Outputs, dag.Ref{Array: d.partial(level, v, u), Bytes: 64})
+			}
+			tasks = append(tasks, t)
 		}
 		in := []dag.Ref{{Array: d.visited(level-1, u), Bytes: 64}}
 		for v := 0; v < cfg.K; v++ {
@@ -195,37 +213,8 @@ func (d *Driver) level(level int, p sparse.GridPartition) (bool, error) {
 // executors returns the BFS computing filters.
 func (d *Driver) executors() map[string]core.Executor {
 	return map[string]core.Executor{
-		"bfs-expand": func(ctx *core.ExecContext) error {
-			t := ctx.Task
-			aRef, fRef, outRef := t.Inputs[0], t.Inputs[1], t.Outputs[0]
-			adj, err := ctx.Matrix(aRef.Array)
-			if err != nil {
-				return err
-			}
-			fLease, err := ctx.Store.RequestBlock(fRef.Array, 0, storage.PermRead)
-			if err != nil {
-				return err
-			}
-			frontier := append([]byte(nil), fLease.Data...)
-			fLease.Release()
-			next := make([]byte, BitsetBytes(adj.Rows))
-			cols := adj.Columns() // a compressed block is viewed as gaps
-			for i := 0; i < adj.Rows; i++ {
-				for k := adj.RowPtr[i]; k < adj.RowPtr[i+1]; k++ {
-					if GetBit(frontier, int(cols[k])) {
-						SetBit(next, i)
-						break
-					}
-				}
-			}
-			out, err := ctx.Store.RequestBlock(outRef.Array, 0, storage.PermWrite)
-			if err != nil {
-				return err
-			}
-			copy(out.Data, next)
-			out.Release()
-			return nil
-		},
+		"bfs-expand":        expand,
+		"bfs-expand-mirror": expand,
 		"bfs-merge": func(ctx *core.ExecContext) error {
 			t := ctx.Task
 			visLease, err := ctx.Store.RequestBlock(t.Inputs[0].Array, 0, storage.PermRead)
@@ -261,4 +250,63 @@ func (d *Driver) executors() map[string]core.Executor {
 			return nil
 		},
 	}
+}
+
+// expand ORs the frontier through one staged adjacency block: partial bit i
+// is set when row i of the block reaches a frontier vertex. A mirrored
+// block also sets bit j of its mirror's partial when column j is reached
+// from a frontier row — on the diagonal, in the same partial, so its
+// triangle covers the whole block.
+func expand(ctx *core.ExecContext) error {
+	t := ctx.Task
+	adj, err := ctx.Matrix(t.Inputs[0].Array)
+	if err != nil {
+		return err
+	}
+	read := func(ref dag.Ref) ([]byte, error) {
+		l, err := ctx.Store.RequestBlock(ref.Array, 0, storage.PermRead)
+		if err != nil {
+			return nil, err
+		}
+		defer l.Release()
+		return append([]byte(nil), l.Data...), nil
+	}
+	frontier, err := read(t.Inputs[1])
+	if err != nil {
+		return err
+	}
+	next := make([]byte, BitsetBytes(adj.Rows))
+	mirror := t.Kind == "bfs-expand-mirror"
+	rowFrontier, nextT := frontier, next // the diagonal: the block is its own mirror
+	if len(t.Outputs) == 2 {
+		if rowFrontier, err = read(t.Inputs[2]); err != nil {
+			return err
+		}
+		nextT = make([]byte, BitsetBytes(adj.Cols))
+	}
+	cols := adj.Columns() // a compressed block is viewed as gaps
+	for i := 0; i < adj.Rows; i++ {
+		scatter := mirror && GetBit(rowFrontier, i)
+		for k := adj.RowPtr[i]; k < adj.RowPtr[i+1]; k++ {
+			c := int(cols[k])
+			if GetBit(frontier, c) {
+				SetBit(next, i)
+				if !scatter {
+					break
+				}
+			}
+			if scatter {
+				SetBit(nextT, c)
+			}
+		}
+	}
+	for i, bits := range [][]byte{next, nextT}[:len(t.Outputs)] {
+		out, err := ctx.Store.RequestBlock(t.Outputs[i].Array, 0, storage.PermWrite)
+		if err != nil {
+			return err
+		}
+		copy(out.Data, bits)
+		out.Release()
+	}
+	return nil
 }

@@ -42,20 +42,24 @@ type ExecContext struct {
 
 // execScratch holds one worker's reusable buffers. Executors that cannot
 // write straight into a lease view (big-endian hosts, the doocdebug build)
-// stage results here instead of allocating.
+// stage results here instead of allocating — in two slots, for a task with
+// two outputs.
 type execScratch struct {
-	vec  []float64
+	vec  [2][]float64
 	seen map[string]bool
 }
 
 // ScratchFloats returns a reusable []float64 of length n with unspecified
 // contents. At most one scratch vector is live per task; a second call
 // invalidates the first.
-func (c *ExecContext) ScratchFloats(n int) []float64 {
-	if cap(c.scratch.vec) < n {
-		c.scratch.vec = make([]float64, n)
+func (c *ExecContext) ScratchFloats(n int) []float64 { return c.scratchFloats(0, n) }
+
+// scratchFloats is ScratchFloats of slot 0 or 1; the two never alias.
+func (c *ExecContext) scratchFloats(slot, n int) []float64 {
+	if cap(c.scratch.vec[slot]) < n {
+		c.scratch.vec[slot] = make([]float64, n)
 	}
-	return c.scratch.vec[:n]
+	return c.scratch.vec[slot][:n]
 }
 
 // ScratchSeen returns an empty reusable string-set.

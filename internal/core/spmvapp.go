@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,14 +57,15 @@ func (c SpMVConfig) Partition() (sparse.GridPartition, error) {
 	return sparse.NewGridPartition(c.Dim, c.K)
 }
 
-// StageMatrix writes the K×K blocks of m as storage arrays in each owner
-// node's scratch directory under scratchRoot (the layout NewSystem's
+// StageMatrix writes the blocks of m's K×K grid as storage arrays in each
+// owner node's scratch directory under scratchRoot (the layout NewSystem's
 // ScratchRoot option expects). A subsequent NewSystem over the same root
 // discovers them via the storage layer's startup scan — this is the
 // out-of-core staging step, the analogue of the paper's sub-matrix files on
 // GPFS. Every block is a DOOCCRS2 block (sparse.WriteCRS2), the one format
 // blocks are staged in; a set staged earlier as DOOCCRS1 files, or a mix of
-// the two, runs as it is, the reader telling them apart.
+// the two, runs as it is, the reader telling them apart. A symmetric m is
+// staged mirrored, K(K+1)/2 blocks (stageMatrix).
 func StageMatrix(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -70,13 +73,31 @@ func StageMatrix(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) error {
 	if m.Rows != cfg.Dim || m.Cols != cfg.Dim {
 		return fmt.Errorf("core: matrix is %dx%d, config says %d", m.Rows, m.Cols, cfg.Dim)
 	}
-	return stageMatrix(m, cfg, func(u, v int, block []byte) error {
-		dir := filepath.Join(scratchRoot, fmt.Sprintf("node%d", cfg.OwnerOf(u)))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	blockFile := func(u, v int) string {
+		return filepath.Join(scratchRoot, fmt.Sprintf("node%d", cfg.OwnerOf(u)), spmv.MatrixArray(u, v)+".arr")
+	}
+	layout, err := stageMatrix(m, cfg, func(u, v int, block []byte) error {
+		if err := os.MkdirAll(filepath.Dir(blockFile(u, v)), 0o755); err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(dir, spmv.MatrixArray(u, v)+".arr"), block, 0o644)
+		return os.WriteFile(blockFile(u, v), block, 0o644)
 	})
+	if err != nil {
+		return err
+	}
+	// A full grid staged here earlier left the mirror of every staged pair
+	// behind; discovery would take those stale blocks for a full grid.
+	for u := 0; u < cfg.K; u++ {
+		for v := 0; v < cfg.K; v++ {
+			if layout.Staged(u, v) {
+				continue
+			}
+			if err := os.Remove(blockFile(u, v)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // StageMatrixCompressed is StageMatrix under the name it had while staging
@@ -85,30 +106,112 @@ func StageMatrixCompressed(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) er
 	return StageMatrix(scratchRoot, m, cfg)
 }
 
-// stageMatrix hands put every block of m's K×K grid, encoded the one way
-// blocks are staged.
-func stageMatrix(m *sparse.CSR, cfg SpMVConfig, put func(u, v int, block []byte) error) error {
+// stageMatrix hands put the staged blocks of m's K×K grid, encoded the one
+// way blocks are staged: every block, or — for a matrix that equals its
+// transpose bit for bit, on a grid of K ≥ 2 — the blocks of its mirrored
+// layout (mirroredLayout), a diagonal block as its upper triangle. The
+// symmetry check of a matrix that is not symmetric stops at its first
+// asymmetric entry. It returns the layout it staged.
+func stageMatrix(m *sparse.CSR, cfg SpMVConfig, put func(u, v int, block []byte) error) (spmv.Layout, error) {
+	var layout spmv.Layout
 	p, err := cfg.Partition()
 	if err != nil {
-		return err
+		return layout, err
+	}
+	if cfg.K >= 2 && m.IsSymmetric(0) {
+		layout = mirroredLayout(m, p, cfg)
 	}
 	var buf bytes.Buffer
 	for u := 0; u < cfg.K; u++ {
 		for v := 0; v < cfg.K; v++ {
+			if !layout.Staged(u, v) {
+				continue
+			}
 			b, err := sparse.Block(m, p, u, v)
 			if err != nil {
-				return err
+				return layout, err
+			}
+			if layout.Mirrored() && u == v {
+				b = b.UpperTriangle()
 			}
 			buf.Reset()
 			if err := sparse.WriteCRS2(&buf, b); err != nil {
-				return err
+				return layout, err
 			}
 			if err := put(u, v, buf.Bytes()); err != nil {
-				return err
+				return layout, err
 			}
 		}
 	}
-	return nil
+	return layout, nil
+}
+
+// mirroredLayout picks which block of each mirrored pair (u,v)/(v,u) a
+// symmetric m stages — a block lives with its row owner — so that the nodes
+// hold about as many entries each. Greedily, in row order, each pair goes to
+// the owner holding fewer entries so far ((u,v) on a tie); then, while
+// moving a pair to its other owner brings the two nodes closer than it found
+// them, it moves: the greedy pass alone can leave a node with nothing but
+// its triangles. Every move lowers the sum of the squared loads, so this
+// ends. Both blocks of a pair hold the same entries, so the choice changes
+// no result.
+func mirroredLayout(m *sparse.CSR, p sparse.GridPartition, cfg SpMVConfig) spmv.Layout {
+	k := cfg.K
+	start := make([]int, k+1)
+	for u := range start {
+		start[u] = p.Start(u)
+	}
+	// A row's columns ascend, so its block boundaries are crossed in order.
+	nnz, diag := make([]int64, k*k), make([]int64, k)
+	for u := 0; u < k; u++ {
+		for i := start[u]; i < start[u+1]; i++ {
+			v := 0
+			for e := m.RowPtr[i]; e < m.RowPtr[i+1]; e++ {
+				c := int(m.ColIdx[e])
+				for c >= start[v+1] {
+					v++
+				}
+				nnz[u*k+v]++
+				if c == i {
+					diag[u]++
+				}
+			}
+		}
+	}
+	held := make([]int64, cfg.Nodes)
+	for u := 0; u < k; u++ {
+		held[cfg.OwnerOf(u)] += (nnz[u*k+u] + diag[u]) / 2 // the upper triangle
+	}
+	lower := make([]bool, k*k)
+	// holder returns the node holding pair (u,v), u < v, and the one it
+	// could move to.
+	holder := func(u, v int) (int, int) {
+		if lower[u*k+v] {
+			return cfg.OwnerOf(v), cfg.OwnerOf(u)
+		}
+		return cfg.OwnerOf(u), cfg.OwnerOf(v)
+	}
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			lower[u*k+v] = held[cfg.OwnerOf(v)] < held[cfg.OwnerOf(u)]
+			a, _ := holder(u, v)
+			held[a] += nnz[u*k+v]
+		}
+	}
+	for moved := true; moved; {
+		moved = false
+		for u := 0; u < k; u++ {
+			for v := u + 1; v < k; v++ {
+				a, b := holder(u, v)
+				if w := nnz[u*k+v]; w > 0 && held[a]-held[b] > w {
+					lower[u*k+v] = !lower[u*k+v]
+					held[a], held[b] = held[a]-w, held[b]+w
+					moved = true
+				}
+			}
+		}
+	}
+	return spmv.MirroredLayout(k, func(u, v int) bool { return lower[u*k+v] })
 }
 
 // StagedMatrixInfo describes a staged block set discovered on disk.
@@ -116,7 +219,10 @@ type StagedMatrixInfo struct {
 	Dim   int
 	K     int
 	Nodes int
-	// NNZ is the total nonzero count across blocks.
+	// Mirrored says the set is a symmetric matrix staged as K(K+1)/2 blocks
+	// (spmv.Layout).
+	Mirrored bool
+	// NNZ is the matrix's nonzero count, the mirrored half counted twice.
 	NNZ int64
 	// Bytes is the total staged size.
 	Bytes int64
@@ -169,21 +275,40 @@ func DiscoverStagedMatrix(scratchRoot string) (StagedMatrixInfo, error) {
 	if info.K == 0 {
 		return info, fmt.Errorf("core: no staged blocks under %s", scratchRoot)
 	}
+	layout, err := spmv.DiscoverLayout(info.K, func(u, v int) bool {
+		_, ok := blockPath[[2]int{u, v}]
+		return ok
+	})
+	if err != nil {
+		return info, fmt.Errorf("core: %s: %w", scratchRoot, err)
+	}
+	info.Mirrored = layout.Mirrored()
 	info.ColumnForms = make(map[string]int)
 	for u := 0; u < info.K; u++ {
 		for v := 0; v < info.K; v++ {
-			path, ok := blockPath[[2]int{u, v}]
-			if !ok {
-				return info, fmt.Errorf("core: staged set incomplete: missing block (%d,%d)", u, v)
+			if !layout.Staged(u, v) {
+				continue
 			}
+			path := blockPath[[2]int{u, v}]
 			rows, _, nnz, err := sparse.ReadCRSHeader(path)
 			if err != nil {
 				return info, err
 			}
-			if v == 0 {
+			if u == v {
 				info.Dim += rows
 			}
-			info.NNZ += nnz
+			switch {
+			case !info.Mirrored:
+				info.NNZ += nnz
+			case u != v:
+				info.NNZ += 2 * nnz
+			default:
+				diag, err := diagonalNNZ(path)
+				if err != nil {
+					return info, err
+				}
+				info.NNZ += 2*nnz - diag
+			}
 			form, err := sparse.ReadCRSColumnForm(path)
 			if err != nil {
 				return info, err
@@ -201,15 +326,56 @@ func DiscoverStagedMatrix(scratchRoot string) (StagedMatrixInfo, error) {
 	return info, nil
 }
 
+// diagonalNNZ counts the stored diagonal entries of the block file at path.
+func diagonalNNZ(path string) (int64, error) {
+	b, err := sparse.ReadCRSFile(path)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	cols := b.Columns()
+	for i := 0; i < b.Rows; i++ {
+		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
+			if int(cols[k]) == i {
+				n++
+			}
+		}
+	}
+	return n, nil
+}
+
 // LoadMatrixInMemory stages the blocks directly into the running system's
 // stores (for scratch-less tests and small examples).
 func LoadMatrixInMemory(sys *System, m *sparse.CSR, cfg SpMVConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return stageMatrix(m, cfg, func(u, v int, block []byte) error {
+	_, err := stageMatrix(m, cfg, func(u, v int, block []byte) error {
 		return sys.Store(cfg.OwnerOf(u)).WriteArray(spmv.MatrixArray(u, v), block, 0)
 	})
+	return err
+}
+
+// MatrixLayout reads off sys's stores which blocks of the K×K grid are
+// staged (spmv.DiscoverLayout): all of them, or — for a symmetric matrix
+// StageMatrix or LoadMatrixInMemory staged — one of each mirrored pair. A
+// grid holding both blocks of pair (0,1) is taken to be full without probing
+// the rest: a run finds a missing block at the task that needs it, as it
+// always has.
+func MatrixLayout(sys *System, k int) (spmv.Layout, error) {
+	st := sys.Store(0)
+	staged := func(u, v int) bool {
+		_, err := st.Info(spmv.MatrixArray(u, v))
+		return err == nil
+	}
+	if k < 2 || staged(0, 1) && staged(1, 0) {
+		return spmv.Layout{}, nil
+	}
+	layout, err := spmv.DiscoverLayout(k, staged)
+	if err != nil {
+		return layout, fmt.Errorf("core: %w", err)
+	}
+	return layout, nil
 }
 
 // SpMVResult carries the outcome of an iterated SpMV run.
@@ -375,16 +541,14 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 		return nil, err
 	}
 
-	// Determine sub-matrix sizes for scheduling weights.
-	var subBytes int64
-	for u := 0; u < cfg.K && subBytes == 0; u++ {
-		for v := 0; v < cfg.K && subBytes == 0; v++ {
-			info, err := sys.Store(0).Info(spmv.MatrixArray(u, v))
-			if err != nil {
-				return nil, fmt.Errorf("core: matrix block %s not staged: %w", spmv.MatrixArray(u, v), err)
-			}
-			subBytes = info.Size
-		}
+	// Block (0,0)'s size is every block's scheduling weight.
+	a00, err := sys.Store(0).Info(spmv.MatrixArray(0, 0))
+	if err != nil {
+		return nil, fmt.Errorf("core: matrix block %s not staged: %w", spmv.MatrixArray(0, 0), err)
+	}
+	layout, err := MatrixLayout(sys, cfg.K)
+	if err != nil {
+		return nil, err
 	}
 	prefix := ""
 	if cfg.Tag != "" {
@@ -393,15 +557,20 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 	pcfg := spmv.ProgramConfig{
 		K:         cfg.K,
 		Iters:     cfg.Iters,
-		SubBytes:  subBytes,
+		SubBytes:  a00.Size,
 		VecBytes:  8 * int64(p.Size(0)),
 		Prefix:    prefix,
 		SplitWays: cfg.SplitWays,
+		Layout:    layout,
 	}
 	// Never split below one row per part: an empty stripe would leave its
 	// partial array incompletely written and stall the reduction.
 	if minRows := p.Size(cfg.K - 1); pcfg.SplitWays > minRows {
 		pcfg.SplitWays = minRows
+	}
+	tasks, err := spmv.Program(pcfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	// Create the vector and partial arrays, seed x^0.
@@ -435,10 +604,6 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 		w.Release()
 	}
 
-	tasks, err := spmv.Program(pcfg)
-	if err != nil {
-		return nil, err
-	}
 	locate := func(r dag.Ref) (int, bool) {
 		if u, ok := spmv.OwnerIndex(strings.TrimPrefix(r.Array, prefix)); ok {
 			return cfg.OwnerOf(u), true
@@ -529,51 +694,68 @@ func (o *Operator) Calls() int { return o.calls }
 // iterated SpMV program's task kinds.
 func SpMVExecutors() map[string]Executor {
 	return map[string]Executor{
-		"multiply":      execMultiply,
-		"multiply-part": execMultiplyPart,
-		"sum":           execSum,
+		"multiply":        execMultiply,
+		"multiply-mirror": execMultiply,
+		"multiply-part":   execMultiplyPart,
+		"sum":             execSum,
 	}
 }
 
-// execMultiply computes xp[t][u][v] = A[u][v] * x[t-1][v]. The input vector
-// is read through a zero-copy view of its lease bytes and the result is
-// computed directly into the output write lease, so the steady-state
-// multiply moves no vector bytes outside the kernel itself. Leases are held
-// for the duration of the compute — the view contract ties view lifetime to
-// lease lifetime.
+// execMultiply computes the partials of one staged block A[u][v]:
+// xp[t][u][v] = A[u][v] * x[t-1][v] for a block of the full grid; for a
+// block of a mirrored set (spmv.Program), also xp[t][v][u] = A[u][v]ᵀ *
+// x[t-1][u] in the same pass off the diagonal, and on it the product of the
+// symmetric block whose triangle is staged. Input vectors are read through
+// zero-copy views of their lease bytes and results computed directly into
+// the output write leases, so the steady-state multiply moves no vector
+// bytes outside the kernel itself. Leases are held for the duration of the
+// compute — the view contract ties view lifetime to lease lifetime — and an
+// error leaves them to the engine, which abandons what a task did not
+// release.
 func execMultiply(ctx *ExecContext) error {
 	t := ctx.Task
-	if len(t.Inputs) != 2 || len(t.Outputs) != 1 {
-		return fmt.Errorf("multiply task %s has unexpected shape", t.ID)
+	n := len(t.Outputs)
+	if len(t.Inputs) != n+1 || n < 1 || n > 2 || n == 2 && t.Kind != "multiply-mirror" {
+		return fmt.Errorf("%s task %s has unexpected shape", t.Kind, t.ID)
 	}
-	aRef, xRef, outRef := t.Inputs[0], t.Inputs[1], t.Outputs[0]
-
-	a, err := ctx.Matrix(aRef.Array)
+	a, err := ctx.Matrix(t.Inputs[0].Array)
 	if err != nil {
-		return fmt.Errorf("decoding %s: %w", aRef.Array, err)
+		return fmt.Errorf("decoding %s: %w", t.Inputs[0].Array, err)
 	}
-
-	xLease, err := ctx.RequestBlock(xRef.Array, 0, storage.PermRead)
-	if err != nil {
-		return err
+	var (
+		ins, outs [2]*storage.Lease
+		x, y      [2][]float64
+		direct    [2]bool
+	)
+	for i := 0; i < n; i++ {
+		if ins[i], err = ctx.RequestBlock(t.Inputs[1+i].Array, 0, storage.PermRead); err != nil {
+			return err
+		}
+		x[i] = storage.Float64View(ins[i])
 	}
-	xv := storage.Float64View(xLease)
-
-	out, err := ctx.RequestBlock(outRef.Array, 0, storage.PermWrite)
-	if err != nil {
-		xLease.Release()
-		return err
+	for i := 0; i < n; i++ {
+		if outs[i], err = ctx.RequestBlock(t.Outputs[i].Array, 0, storage.PermWrite); err != nil {
+			return err
+		}
+		if y[i], direct[i] = storage.Float64WriteView(outs[i]); !direct[i] {
+			y[i] = ctx.scratchFloats(i, len(outs[i].Data)/8)
+		}
 	}
-	y, direct := storage.Float64WriteView(out)
-	if !direct {
-		y = ctx.ScratchFloats(a.Rows)
+	switch {
+	case n == 2:
+		sparse.MulVecPair(a, x[0], x[1], y[0], y[1])
+	case t.Kind == "multiply-mirror":
+		sparse.MulVecTriangle(a, x[0], y[0])
+	default:
+		ctx.pool.MulVec(a, x[0], y[0])
 	}
-	ctx.pool.MulVec(a, xv, y)
-	if !direct {
-		storage.PutFloat64s(out, y)
+	for i := 0; i < n; i++ {
+		if !direct[i] {
+			storage.PutFloat64s(outs[i], y[i])
+		}
+		outs[i].Release()
+		ins[i].Release()
 	}
-	out.Release()
-	xLease.Release()
 	return nil
 }
 

@@ -289,25 +289,48 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// IsSymmetric reports whether the matrix equals its transpose within tol.
+// IsSymmetric reports whether the matrix equals its transpose, entry for
+// stored entry. tol == 0 asks for bit equality (math.Float64bits: −0 and +0
+// differ, a NaN matches only the same NaN); tol > 0 for |a − b| ≤ tol, which
+// no NaN meets.
+//
+// One pass over the rows in order, with a cursor per row into the part of
+// the row above the diagonal. The mirror of an entry (i, j) below the
+// diagonal is the entry of row j that rows above i have not yet claimed, so
+// it must sit at row j's cursor; the matrix is symmetric when every entry
+// below the diagonal finds its mirror there and no entry above it is left
+// unclaimed. The walk returns at the first entry whose mirror is missing or
+// differs.
 func (m *CSR) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {
 		return false
 	}
-	t := m.Transpose()
-	if t.NNZ() != m.NNZ() {
-		return false
-	}
-	for i := range m.Val {
-		if t.ColIdx[i] != m.ColIdx[i] {
-			return false
+	cols := m.Columns()
+	next := make([]int64, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		k, end := m.RowPtr[i], m.RowPtr[i+1]
+		for ; k < end && int(cols[k]) < i; k++ {
+			j := cols[k]
+			p := next[j]
+			if p == m.RowPtr[j+1] || int(cols[p]) != i {
+				return false
+			}
+			a, b := m.Val[k], m.Val[p]
+			if tol == 0 && math.Float64bits(a) != math.Float64bits(b) || tol != 0 && !(math.Abs(a-b) <= tol) {
+				return false
+			}
+			next[j]++
 		}
-		if math.Abs(t.Val[i]-m.Val[i]) > tol {
-			return false
+		if k < end && int(cols[k]) == i {
+			if a := m.Val[k]; tol != 0 && a != a { // a NaN is not within tol of itself
+				return false
+			}
+			k++
 		}
+		next[i] = k
 	}
-	for i := range m.RowPtr {
-		if t.RowPtr[i] != m.RowPtr[i] {
+	for i := 0; i < m.Rows; i++ {
+		if next[i] != m.RowPtr[i+1] {
 			return false
 		}
 	}

@@ -146,24 +146,48 @@ func TestTransposeMatchesDense(t *testing.T) {
 	}
 }
 
+// TestIsSymmetric: tol 0 is bit equality, a NaN is never within a
+// tolerance, and the one-pass walk sees an asymmetry wherever it is.
 func TestIsSymmetric(t *testing.T) {
-	sym, err := FromTriplets(3, 3, []Triplet{{0, 1, 2}, {1, 0, 2}, {2, 2, 1}})
-	if err != nil {
-		t.Fatal(err)
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	sym := func(n int, ts ...Triplet) *CSR {
+		m, err := FromTriplets(n, n, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if !sym.IsSymmetric(0) {
-		t.Error("symmetric matrix reported as asymmetric")
-	}
-	asym, err := FromTriplets(3, 3, []Triplet{{0, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asym.IsSymmetric(0) {
-		t.Error("asymmetric matrix reported as symmetric")
-	}
-	rect := FromDense(2, 3, make([]float64, 6))
-	if rect.IsSymmetric(0) {
-		t.Error("rectangular matrix reported as symmetric")
+	for _, c := range []struct {
+		name       string
+		m          *CSR
+		exact, tol bool // IsSymmetric(0), IsSymmetric(1e-9)
+	}{
+		{"symmetric", sym(3, Triplet{0, 1, 2}, Triplet{1, 0, 2}, Triplet{2, 2, 1}), true, true},
+		{"NaN facing a value", sym(2, Triplet{0, 1, nan}, Triplet{1, 0, 1}), false, false},
+		{"a value facing NaN", sym(2, Triplet{0, 1, 1}, Triplet{1, 0, nan}), false, false},
+		{"the same NaN both sides", sym(2, Triplet{0, 1, nan}, Triplet{1, 0, nan}), true, false},
+		{"NaN on the diagonal", sym(2, Triplet{1, 1, nan}), true, false},
+		// By hand: FromTriplets sums onto +0, which turns −0 into +0.
+		{"-0 facing +0", &CSR{Rows: 2, Cols: 2, RowPtr: []int64{0, 1, 2}, ColIdx: []int32{1, 0}, Val: []float64{negZero, 0}}, false, true},
+		{"values within tol", sym(2, Triplet{0, 1, 1}, Triplet{1, 0, 1 + 1e-12}), false, true},
+		{"one asymmetric entry in the last row", sym(4, Triplet{0, 3, 1}, Triplet{3, 0, 1}, Triplet{1, 2, 5}, Triplet{2, 1, 5}, Triplet{3, 2, 7}), false, false},
+		{"mirror missing in an earlier row", sym(3, Triplet{2, 0, 1}), false, false},
+		{"mirror missing in a later row", sym(3, Triplet{0, 1, 2}), false, false},
+		{"empty rows", sym(5, Triplet{1, 3, 4}, Triplet{3, 1, 4}), true, true},
+		{"empty", sym(4), true, true},
+		{"non-square", FromDense(2, 3, make([]float64, 6)), false, false},
+	} {
+		if got := c.m.IsSymmetric(0); got != c.exact {
+			t.Errorf("%s: IsSymmetric(0) = %v, want %v", c.name, got, c.exact)
+		}
+		if got := c.m.IsSymmetric(1e-9); got != c.tol {
+			t.Errorf("%s: IsSymmetric(1e-9) = %v, want %v", c.name, got, c.tol)
+		}
+		if g := c.m; g.NNZ() > 0 && g.Rows == g.Cols {
+			if got := gapFormOf(t, g, 1).IsSymmetric(0); got != c.exact {
+				t.Errorf("%s in gap form: IsSymmetric(0) = %v, want %v", c.name, got, c.exact)
+			}
+		}
 	}
 }
 

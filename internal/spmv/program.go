@@ -37,7 +37,10 @@ type ProgramConfig struct {
 	// task decomposition ("splits them (if possible) to match the
 	// parallelism available on the node"). Each sub-task writes its row
 	// range through an interval write lease on the shared partial array.
+	// A mirrored Layout refuses it (ErrMirroredSplit).
 	SplitWays int
+	// Layout says which blocks are staged; the zero Layout is all K².
+	Layout Layout
 }
 
 // Naming helpers shared by the engine, the simulator, and the benches.
@@ -164,10 +167,17 @@ func ReduceTaskID(t, u int) string {
 	return string(b)
 }
 
-// Program emits the task list for cfg: K*K multiplies and K reductions per
-// iteration. At K=3 this is the paper's Fig. 3 command list — 9 sub-matrix
-// multiplications per iteration plus the reductions (the paper counts "6
-// sub-vector additions" because each K-way reduction is K-1 binary adds).
+// Program emits the task list for cfg: one multiply per staged block and K
+// reductions per iteration. Over the full grid at K=3 this is the paper's
+// Fig. 3 command list — 9 sub-matrix multiplications per iteration plus the
+// reductions (the paper counts "6 sub-vector additions" because each K-way
+// reduction is K-1 binary adds).
+//
+// Over a mirrored layout a multiply has kind "multiply-mirror". Off the
+// diagonal it reads its block and both vector parts and writes two partials,
+// x[t][u][v] and x[t][v][u]; on it, one partial from the block's triangle.
+// Every partial still lives under its own name and every reduction sums the
+// same K of them in the same order, so only the multiplies change.
 func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 	if cfg.K <= 0 || cfg.Iters <= 0 {
 		return nil, fmt.Errorf("spmv: invalid program K=%d iters=%d", cfg.K, cfg.Iters)
@@ -176,13 +186,25 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 	if ways < 1 {
 		ways = 1
 	}
+	mirrored := cfg.Layout.Mirrored()
+	if mirrored && cfg.Layout.k != cfg.K {
+		return nil, fmt.Errorf("spmv: a %d×%d layout for a K=%d program", cfg.Layout.k, cfg.Layout.k, cfg.K)
+	}
+	if mirrored && ways > 1 {
+		return nil, ErrMirroredSplit
+	}
 	// Tasks and refs come from two exactly-sized backing arrays: per
-	// iteration K*K*ways multiplies (4 refs each) and K reductions
-	// (K*ways inputs + 1 output each). The capacities must be exact — task
-	// pointers and ref sub-slices alias the backing arrays, so growth would
-	// strand earlier entries.
-	nTasks := cfg.Iters * (cfg.K*cfg.K*ways + cfg.K)
-	nRefs := cfg.Iters * (cfg.K*cfg.K*ways*4 + cfg.K*(cfg.K*ways+1))
+	// iteration one multiply per staged block and row part (4 refs each, 6
+	// for a mirrored pair) and K reductions (K*ways inputs + 1 output each).
+	// The capacities must be exact — task pointers and ref sub-slices alias
+	// the backing arrays, so growth would strand earlier entries.
+	staged, pairs := cfg.K*cfg.K, 0
+	if mirrored {
+		pairs = cfg.K * (cfg.K - 1) / 2
+		staged = cfg.K + pairs
+	}
+	nTasks := cfg.Iters * (staged*ways + cfg.K)
+	nRefs := cfg.Iters * (staged*ways*4 + pairs*2 + cfg.K*(cfg.K*ways+1))
 	taskBuf := make([]dag.Task, 0, nTasks)
 	refs := make([]dag.Ref, 0, nRefs)
 	tasks := make([]*dag.Task, 0, nTasks)
@@ -217,54 +239,56 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 	vecRef := func(t, u int) dag.Ref {
 		return dag.Ref{Array: vecNames[t*cfg.K+u], Block: 0, Bytes: cfg.VecBytes}
 	}
-	partName := func(t, u, v int) string { return partNames[((t-1)*cfg.K+u)*cfg.K+v] }
+	// partRef is row part p of partial x[t][u][v]; Part 0 means undivided.
+	partRef := func(t, u, v, p int) dag.Ref {
+		r := dag.Ref{Array: partNames[((t-1)*cfg.K+u)*cfg.K+v], Block: 0, Bytes: cfg.VecBytes}
+		if ways > 1 {
+			r.Part, r.Bytes = p+1, cfg.VecBytes/int64(ways)
+		}
+		return r
+	}
 	for t := 1; t <= cfg.Iters; t++ {
 		for u := 0; u < cfg.K; u++ {
 			for v := 0; v < cfg.K; v++ {
-				if ways == 1 {
+				if !cfg.Layout.Staged(u, v) {
+					continue
+				}
+				pair := mirrored && u != v
+				for p := 0; p < ways; p++ {
 					s := len(refs)
 					refs = append(refs, matRef(u, v), vecRef(t-1, v))
+					if pair {
+						refs = append(refs, vecRef(t-1, u))
+					}
 					in := cut(s)
 					s = len(refs)
-					refs = append(refs, dag.Ref{Array: partName(t, u, v), Block: 0, Bytes: cfg.VecBytes})
+					refs = append(refs, partRef(t, u, v, p))
+					if pair {
+						refs = append(refs, partRef(t, v, u, p))
+					}
 					out := cut(s)
 					s = len(refs)
 					refs = append(refs, matRef(u, v))
 					heavy := cut(s)
-					taskBuf = append(taskBuf, dag.Task{
+					task := dag.Task{
 						ID:      MultTaskID(t, u, v),
 						Kind:    "multiply",
 						Inputs:  in,
 						Outputs: out,
 						Heavy:   heavy,
 						Flops:   cfg.FlopsPerMult,
-					})
-					tasks = append(tasks, &taskBuf[len(taskBuf)-1])
-					continue
-				}
-				for p := 0; p < ways; p++ {
-					s := len(refs)
-					refs = append(refs, matRef(u, v), vecRef(t-1, v))
-					in := cut(s)
-					s = len(refs)
-					refs = append(refs, dag.Ref{
-						Array: partName(t, u, v),
-						Block: 0,
-						Part:  p + 1,
-						Bytes: cfg.VecBytes / int64(ways),
-					})
-					out := cut(s)
-					s = len(refs)
-					refs = append(refs, matRef(u, v))
-					heavy := cut(s)
-					taskBuf = append(taskBuf, dag.Task{
-						ID:      MultPartTaskID(t, u, v, p, ways),
-						Kind:    "multiply-part",
-						Inputs:  in,
-						Outputs: out,
-						Heavy:   heavy,
-						Flops:   cfg.FlopsPerMult / float64(ways),
-					})
+					}
+					switch {
+					case ways > 1:
+						task.ID, task.Kind = MultPartTaskID(t, u, v, p, ways), "multiply-part"
+						task.Flops /= float64(ways)
+					case mirrored:
+						task.Kind = "multiply-mirror"
+						if pair {
+							task.Flops *= 2
+						}
+					}
+					taskBuf = append(taskBuf, task)
 					tasks = append(tasks, &taskBuf[len(taskBuf)-1])
 				}
 			}
@@ -272,17 +296,8 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 		for u := 0; u < cfg.K; u++ {
 			s := len(refs)
 			for v := 0; v < cfg.K; v++ {
-				if ways == 1 {
-					refs = append(refs, dag.Ref{Array: partName(t, u, v), Block: 0, Bytes: cfg.VecBytes})
-					continue
-				}
 				for p := 0; p < ways; p++ {
-					refs = append(refs, dag.Ref{
-						Array: partName(t, u, v),
-						Block: 0,
-						Part:  p + 1,
-						Bytes: cfg.VecBytes / int64(ways),
-					})
+					refs = append(refs, partRef(t, u, v, p))
 				}
 			}
 			in := cut(s)
@@ -315,6 +330,9 @@ func RowAssignment(cfg ProgramConfig) map[string]int {
 	for t := 1; t <= cfg.Iters; t++ {
 		for u := 0; u < cfg.K; u++ {
 			for v := 0; v < cfg.K; v++ {
+				if !cfg.Layout.Staged(u, v) {
+					continue
+				}
 				if ways == 1 {
 					assign[MultTaskID(t, u, v)] = u
 					continue

@@ -1,9 +1,13 @@
 package spmv
 
 import (
-	"dooc/internal/dag"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"dooc/internal/dag"
 )
 
 func TestProgramShape(t *testing.T) {
@@ -137,5 +141,108 @@ func TestSplitProgramShape(t *testing.T) {
 	}
 	if _, _, _, _, _, err := ParseMultPart("mult:1:2:3"); err == nil {
 		t.Fatal("unsplit ID parsed as split")
+	}
+}
+
+// TestProgramMirrored: over a mirrored layout there is one multiply per
+// staged block — 10 of them at K=4, so 14 tasks an iteration — each pair task
+// writing both partials of its pair, and every reduction still sums all K of
+// its row's partials, each written exactly once.
+func TestProgramMirrored(t *testing.T) {
+	const k = 4
+	lower := func(u, v int) bool { return (u+v)%2 == 1 }
+	cfg := ProgramConfig{K: k, Iters: 2, SubBytes: 100, VecBytes: 8, Layout: MirroredLayout(k, lower)}
+	tasks, err := Program(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2*14 {
+		t.Fatalf("%d tasks, want 28", len(tasks))
+	}
+	written := map[string]int{}
+	for _, tk := range tasks {
+		for _, o := range tk.Outputs {
+			written[o.Array]++
+		}
+		if tk.Kind == "sum" {
+			continue
+		}
+		if tk.Kind != "multiply-mirror" {
+			t.Fatalf("%s has kind %q", tk.ID, tk.Kind)
+		}
+		var it, u, v int
+		if _, err := fmt.Sscanf(tk.ID, "mult:%d:%d:%d", &it, &u, &v); err != nil {
+			t.Fatal(err)
+		}
+		if !cfg.Layout.Staged(u, v) || u < v && lower(u, v) || u > v && !lower(v, u) {
+			t.Fatalf("%s multiplies a block the layout does not stage", tk.ID)
+		}
+		wantIn, wantOut := 3, []string{PartialArray(it, u, v), PartialArray(it, v, u)}
+		if u == v {
+			wantIn, wantOut = 2, wantOut[:1]
+		}
+		if len(tk.Inputs) != wantIn || len(tk.Outputs) != len(wantOut) {
+			t.Fatalf("%s: %d inputs, %d outputs", tk.ID, len(tk.Inputs), len(tk.Outputs))
+		}
+		for i, o := range tk.Outputs {
+			if o.Array != wantOut[i] {
+				t.Fatalf("%s output %d is %s, want %s", tk.ID, i, o.Array, wantOut[i])
+			}
+		}
+	}
+	for it := 1; it <= 2; it++ {
+		for u := 0; u < k; u++ {
+			for v := 0; v < k; v++ {
+				if written[PartialArray(it, u, v)] != 1 {
+					t.Fatalf("partial x[%d][%d][%d] written %d times", it, u, v, written[PartialArray(it, u, v)])
+				}
+			}
+		}
+	}
+	if _, err := dag.Build(tasks); err != nil {
+		t.Fatal(err)
+	}
+	if assign := RowAssignment(cfg); len(assign) != len(tasks) {
+		t.Fatalf("row assignment places %d of %d tasks", len(assign), len(tasks))
+	}
+	cfg.SplitWays = 2
+	if _, err := Program(cfg); !errors.Is(err, ErrMirroredSplit) {
+		t.Fatalf("split over a mirrored layout: err = %v", err)
+	}
+}
+
+func TestDiscoverLayout(t *testing.T) {
+	const k = 3
+	set := func(blocks ...[2]int) func(u, v int) bool {
+		return func(u, v int) bool { return slices.Contains(blocks, [2]int{u, v}) }
+	}
+	diag := [][2]int{{0, 0}, {1, 1}, {2, 2}}
+	full := append(slices.Clone(diag), [2]int{0, 1}, [2]int{1, 0}, [2]int{0, 2}, [2]int{2, 0}, [2]int{1, 2}, [2]int{2, 1})
+	if l, err := DiscoverLayout(k, set(full...)); err != nil || l.Mirrored() {
+		t.Errorf("full grid: %v, mirrored %v", err, l.Mirrored())
+	}
+	half := append(slices.Clone(diag), [2]int{0, 1}, [2]int{2, 0}, [2]int{1, 2})
+	l, err := DiscoverLayout(k, set(half...))
+	if err != nil || !l.Mirrored() {
+		t.Fatalf("mirrored grid: %v, mirrored %v", err, l.Mirrored())
+	}
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			if l.Staged(u, v) != set(half...)(u, v) {
+				t.Errorf("Staged(%d,%d) = %v", u, v, l.Staged(u, v))
+			}
+		}
+	}
+	if l, err := DiscoverLayout(1, set([2]int{0, 0})); err != nil || l.Mirrored() {
+		t.Errorf("1×1 grid: %v, mirrored %v", err, l.Mirrored())
+	}
+	for name, blocks := range map[string][][2]int{
+		"a diagonal block missing": full[1:],
+		"a pair missing":           append(slices.Clone(diag), [2]int{0, 1}, [2]int{1, 0}, [2]int{0, 2}, [2]int{2, 0}),
+		"one block of a full grid": full[:len(full)-1],
+	} {
+		if _, err := DiscoverLayout(k, set(blocks...)); err == nil || !strings.Contains(err.Error(), "missing block") {
+			t.Errorf("%s: err = %v, want a missing block", name, err)
+		}
 	}
 }
