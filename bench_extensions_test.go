@@ -58,7 +58,9 @@ func BenchmarkSolverKernels(b *testing.B) {
 	for i := 0; i < n; i++ {
 		diag[i] = m.At(i, i)
 	}
-	op := lanczos.MatrixOperator{M: m, Workers: 2}
+	pool := sparse.NewPool(2)
+	defer pool.Close()
+	op := lanczos.MatrixOperator{M: m, Pool: pool}
 
 	b.Run("CG", func(b *testing.B) {
 		var st solvers.Stats

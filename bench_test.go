@@ -238,9 +238,11 @@ func BenchmarkSpMVKernel(b *testing.B) {
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			pool := sparse.NewPool(w)
+			defer pool.Close()
 			b.SetBytes(m.Bytes())
 			for i := 0; i < b.N; i++ {
-				sparse.MulVecParallel(m, x, y, w)
+				pool.MulVec(m, x, y)
 			}
 			b.ReportMetric(float64(2*m.NNZ()*int64(b.N))/b.Elapsed().Seconds()/1e9, "gflops")
 		})
@@ -321,8 +323,10 @@ func BenchmarkLanczosEigensolver(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(basis.Dim()), "dim")
+	pool := sparse.NewPool(2)
+	defer pool.Close()
 	for i := 0; i < b.N; i++ {
-		if _, err := lanczos.Solve(lanczos.MatrixOperator{M: h, Workers: 2}, lanczos.Options{Steps: 40, Seed: 1}); err != nil {
+		if _, err := lanczos.Solve(lanczos.MatrixOperator{M: h, Pool: pool}, lanczos.Options{Steps: 40, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ type Options struct {
 	// DecodeCacheBytes is ignored: a multiply runs out of the resident
 	// block's own bytes (ExecContext.Matrix) and there is no decoded copy to
 	// size. The field stays only because bench/, which a change that claims
-	// a gain may not edit, sets it; ROADMAP item 1's benchmark refresh
+	// a gain may not edit, sets it; ROADMAP item 0's benchmark refresh
 	// deletes it.
 	DecodeCacheBytes int64
 	// Eviction selects the storage reclamation policy (default LRU, the
@@ -112,10 +112,6 @@ type System struct {
 	stores  []*storage.Store
 	valid   validMemo // blocks ExecContext.Matrix has validated
 
-	// Kernel layer: one persistent stripe pool per computing filter (indexed
-	// node*WorkersPerNode+lane, started once and parked between multiplies).
-	kern []*sparse.Pool
-
 	// View scratches between runs. ExecContext is built per Run, and a
 	// scratch regrown from nothing on every Operator.Apply would allocate a
 	// block's decoded sections per solver step; a worker takes one when it
@@ -166,17 +162,7 @@ func NewSystem(opts Options) (*System, error) {
 		runs:        make(map[*engineRun]struct{}),
 		failedNodes: make(map[int]bool),
 	}
-	// The dooc_kernel_* dispatch counts, shared by every pool of the system.
-	fused := opts.Obs.Counter("dooc_kernel_fused_calls_total", "fused SpMV+AXPY/dot kernel invocations")
-	blocked := opts.Obs.Counter("dooc_kernel_blocked_dispatch_total", "SpMV dispatches taking the cache-blocked traversal")
-	scalar := opts.Obs.Counter("dooc_kernel_scalar_dispatch_total", "SpMV dispatches taking the row-serial traversal")
 	sys.viewCopied = opts.Obs.Counter("dooc_kernel_view_copied_bytes_total", "matrix-section bytes a block view materialised (codec decode or realign copy) instead of aliasing the lease")
-	sys.kern = make([]*sparse.Pool, opts.Nodes*opts.WorkersPerNode)
-	for i := range sys.kern {
-		p := sparse.NewPool(opts.WorkersPerNode)
-		p.Fused, p.Blocked, p.Scalar = fused, blocked, scalar
-		sys.kern[i] = p
-	}
 	return sys, nil
 }
 
@@ -254,11 +240,8 @@ func (s *System) FailedNodes() []int {
 	return out
 }
 
-// Close shuts all nodes down: the kernel pools, then the storage filters.
+// Close shuts every node's storage filter down.
 func (s *System) Close() {
-	for _, p := range s.kern {
-		p.Close()
-	}
 	for _, st := range s.stores {
 		st.Close()
 	}

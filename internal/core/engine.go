@@ -18,13 +18,11 @@ import (
 // reuses one context (and its scratch buffers) across every task it runs, so
 // steady-state execution does not allocate per task.
 type ExecContext struct {
-	Node    int
-	Workers int
-	Store   *storage.Store
-	Task    *dag.Task
+	Node  int
+	Store *storage.Store
+	Task  *dag.Task
 
 	valid   *validMemo
-	pool    *sparse.Pool
 	scratch execScratch
 
 	// The read lease under the view Matrix handed out, the view itself, and
@@ -127,10 +125,6 @@ func (c *ExecContext) releaseMatrix() {
 	c.matLease.Release()
 	c.matLease, c.mat = nil, nil
 }
-
-// Pool returns the computing filter's persistent kernel pool (never nil;
-// width is Options.WorkersPerNode).
-func (c *ExecContext) Pool() *sparse.Pool { return c.pool }
 
 // Request leases an interval through the task's lease tracker. Executors
 // should prefer this over ctx.Store.Request: if the executor errors or
@@ -471,13 +465,11 @@ func (r *engineRun) taskParent(taskID string, start, end time.Time) obs.SpanID {
 func (r *engineRun) worker(node, lane int) {
 	store := r.sys.stores[node]
 	ctx := &ExecContext{
-		Node:    node,
-		Workers: r.sys.opts.WorkersPerNode,
-		Store:   store,
-		valid:   &r.sys.valid,
-		pool:    r.sys.kern[node*r.sys.opts.WorkersPerNode+lane],
-		view:    r.sys.takeScratch(),
-		copied:  r.sys.viewCopied,
+		Node:   node,
+		Store:  store,
+		valid:  &r.sys.valid,
+		view:   r.sys.takeScratch(),
+		copied: r.sys.viewCopied,
 	}
 	defer r.sys.putScratch(ctx.view)
 	var deadScratch []string

@@ -747,7 +747,7 @@ func execMultiply(ctx *ExecContext) error {
 	case t.Kind == "multiply-mirror":
 		sparse.MulVecTriangle(a, x[0], y[0])
 	default:
-		ctx.pool.MulVec(a, x[0], y[0])
+		sparse.MulVecRows(a, x[0], y[0], 0, a.Rows)
 	}
 	for i := 0; i < n; i++ {
 		if !direct[i] {

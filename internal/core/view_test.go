@@ -157,7 +157,7 @@ func TestInCoreAndOutOfCoreRunsMatch(t *testing.T) {
 
 	for _, compressed := range []bool{false, true} {
 		for _, split := range []int{1, 2} {
-			for _, workers := range []int{1, 2} {
+			for _, workers := range []int{1, 2, 4} {
 				for _, inCore := range []bool{true, false} {
 					t.Run(fmt.Sprintf("v2=%v/split=%d/workers=%d/incore=%v", compressed, split, workers, inCore), func(t *testing.T) {
 						run(t, compressed, inCore, split, workers)

@@ -49,9 +49,8 @@ func TestSolveFusedBitIdentical(t *testing.T) {
 		pool := sparse.NewPool(workers)
 		defer pool.Close()
 		for _, op := range []Operator{
-			MatrixOperator{M: m},                   // fused, inline nil pool
-			MatrixOperator{M: m, Pool: pool},       // fused, persistent pool
-			MatrixOperator{M: m, Workers: workers}, // fused via nil pool, workers ignored in fusion
+			MatrixOperator{M: m},             // fused, inline nil pool
+			MatrixOperator{M: m, Pool: pool}, // fused, persistent pool
 		} {
 			got, err := Solve(op, opts)
 			if err != nil {

@@ -37,11 +37,8 @@ type DotOperator interface {
 // MatrixOperator adapts an in-core CSR matrix.
 type MatrixOperator struct {
 	M *sparse.CSR
-	// Workers parallelizes the multiply (0 = sequential).
-	Workers int
-	// Pool, when non-nil, runs the kernels on a persistent stripe pool
-	// instead of spawning goroutines per multiply; its width overrides
-	// Workers.
+	// Pool, when non-nil, runs the kernels on a persistent stripe pool; nil
+	// runs them inline on the calling goroutine.
 	Pool *sparse.Pool
 }
 
@@ -54,18 +51,14 @@ func (m MatrixOperator) Apply(x []float64) ([]float64, error) {
 		return nil, fmt.Errorf("lanczos: operator matrix is %dx%d, need square", m.M.Rows, m.M.Cols)
 	}
 	y := make([]float64, m.M.Rows)
-	if m.Pool != nil {
-		m.Pool.MulVec(m.M, x, y)
-	} else {
-		sparse.MulVecParallel(m.M, x, y, m.Workers)
-	}
+	m.Pool.MulVec(m.M, x, y)
 	return y, nil
 }
 
 // ApplyAxpyDot implements FusedOperator: the SpMV, the reduction dot, and
 // the orthogonalization AXPYs in one pass over the output. Per-row and
 // per-element operation order match the composed sequence exactly, so the
-// result is bit-identical (see internal/sparse.MulVecAxpyDot).
+// result is bit-identical (see internal/sparse.Pool.MulVecAxpyDot).
 func (m MatrixOperator) ApplyAxpyDot(x, prev []float64, beta float64) ([]float64, float64, error) {
 	if m.M.Rows != m.M.Cols {
 		return nil, 0, fmt.Errorf("lanczos: operator matrix is %dx%d, need square", m.M.Rows, m.M.Cols)

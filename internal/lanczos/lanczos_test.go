@@ -190,7 +190,9 @@ func TestLanczosLowestEigenvaluesConverge(t *testing.T) {
 	// k << n: the extreme Ritz values approximate the extreme eigenvalues.
 	n := 120
 	m := symmetricTestMatrix(t, n, 3, 7)
-	res, err := Solve(MatrixOperator{M: m, Workers: 2}, Options{Steps: 60, Seed: 2})
+	pool := sparse.NewPool(2)
+	defer pool.Close()
+	res, err := Solve(MatrixOperator{M: m, Pool: pool}, Options{Steps: 60, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,9 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 		seq := make([]float64, m.Rows)
 		par := make([]float64, m.Rows)
 		MulVec(m, x, seq)
-		MulVecParallel(m, x, par, workers)
+		p := NewPool(workers)
+		p.MulVec(m, x, par)
+		p.Close()
 		for i := range seq {
 			if seq[i] != par[i] {
 				t.Fatalf("workers=%d: par[%d]=%v seq=%v", workers, i, par[i], seq[i])
@@ -263,7 +265,7 @@ func TestNNZBalancedStripesCoverAllRows(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomCSR(rng, 50)
 		w := 1 + rng.Intn(8)
-		b := nnzBalancedStripes(m, w)
+		b := nnzBalancedStripesInto(nil, m, w)
 		if b[0] != 0 || b[w] != m.Rows {
 			return false
 		}

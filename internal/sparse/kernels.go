@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // MulVec computes y = A*x sequentially. len(x) must be A.Cols and len(y)
@@ -36,47 +35,12 @@ func MulVecAdd(a *CSR, x, y []float64) {
 	}
 }
 
-// MulVecParallel computes y = A*x using `workers` goroutines over row
-// stripes. This is the "split a task to match the parallelism available on
-// the node" operation the paper's local scheduler performs. workers <= 0
-// means sequential.
-func MulVecParallel(a *CSR, x, y []float64, workers int) {
-	if workers <= 1 || a.Rows < 2*workers {
-		MulVec(a, x, y)
-		return
-	}
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("sparse: MulVecParallel shapes: A %dx%d, x %d, y %d", a.Rows, a.Cols, len(x), len(y)))
-	}
-	// Stripe by nnz so workers get balanced work even on skewed rows.
-	bounds := nnzBalancedStripes(a, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulVecRows(a, x, y[lo:hi], lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// nnzBalancedStripes returns workers+1 row boundaries such that each stripe
-// holds roughly nnz/workers stored entries. Boundaries are located by binary
-// search over the cumulative RowPtr — O(workers·log rows) instead of
-// rescanning rows per worker. On pathological skew (e.g. one dense row
-// holding most of the matrix) leading or trailing stripes may be empty;
-// callers skip any stripe with lo >= hi.
-func nnzBalancedStripes(a *CSR, workers int) []int {
-	return nnzBalancedStripesInto(nil, a, workers)
-}
-
-// nnzBalancedStripesInto is the allocation-free variant used by the
-// persistent pool: dst is reused when it has capacity.
+// nnzBalancedStripesInto returns workers+1 row boundaries such that each
+// stripe holds roughly nnz/workers stored entries, reusing dst when it has
+// capacity. Boundaries are located by binary search over the cumulative
+// RowPtr — O(workers·log rows) instead of rescanning rows per worker. On
+// pathological skew (e.g. one dense row holding most of the matrix) leading
+// or trailing stripes may be empty; callers skip any stripe with lo >= hi.
 func nnzBalancedStripesInto(dst []int, a *CSR, workers int) []int {
 	if cap(dst) < workers+1 {
 		dst = make([]int, workers+1)

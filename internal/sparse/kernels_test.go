@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// stripesCoverRows asserts the invariants every caller of nnzBalancedStripes
-// relies on: monotone boundaries from 0 to Rows, exactly workers stripes.
+// stripesCoverRows asserts the invariants every caller of
+// nnzBalancedStripesInto relies on: monotone boundaries from 0 to Rows,
+// exactly workers stripes.
 func stripesCoverRows(t *testing.T, a *CSR, workers int) []int {
 	t.Helper()
-	bounds := nnzBalancedStripes(a, workers)
+	bounds := nnzBalancedStripesInto(nil, a, workers)
 	if len(bounds) != workers+1 {
-		t.Fatalf("nnzBalancedStripes(%d workers): %d bounds, want %d", workers, len(bounds), workers+1)
+		t.Fatalf("nnzBalancedStripesInto(%d workers): %d bounds, want %d", workers, len(bounds), workers+1)
 	}
 	if bounds[0] != 0 || bounds[workers] != a.Rows {
 		t.Fatalf("bounds span [%d,%d], want [0,%d]", bounds[0], bounds[workers], a.Rows)
@@ -94,9 +95,10 @@ func TestNnzBalancedStripesEmptyMatrix(t *testing.T) {
 }
 
 // TestMulVecParallelFuzzEquivalence fuzzes random matrices (including
-// pathological shapes) and checks MulVecParallel against MulVec bit-for-bit:
-// striping only partitions rows, so per-row summation order is identical and
-// the results must be exactly equal, not merely close.
+// pathological shapes) and checks the pool's row-striped MulVec against
+// sequential MulVec bit-for-bit: striping only partitions rows, so per-row
+// summation order is identical and the results must be exactly equal, not
+// merely close.
 func TestMulVecParallelFuzzEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -129,32 +131,14 @@ func TestMulVecParallelFuzzEquivalence(t *testing.T) {
 			for i := range got {
 				got[i] = math.NaN() // catch unwritten rows
 			}
-			MulVecParallel(a, x, got, workers)
+			p := NewPool(workers)
+			p.MulVec(a, x, got)
+			p.Close()
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("trial %d workers %d row %d: got %v want %v", trial, workers, i, got[i], want[i])
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkMulVecParallel tracks the parallel kernel's per-call overhead
-// (stripe computation, goroutine fan-out) alongside its throughput.
-func BenchmarkMulVecParallel(b *testing.B) {
-	m, err := GapMatrix(GapGenConfig{Rows: 4096, Cols: 4096, D: 8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, m.Cols)
-	y := make([]float64, m.Rows)
-	for i := range x {
-		x[i] = float64(i%17) * 0.25
-	}
-	b.SetBytes(m.Bytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulVecParallel(m, x, y, 4)
 	}
 }

@@ -3,15 +3,13 @@ package sparse
 import (
 	"fmt"
 	"sync"
-
-	"dooc/internal/obs"
 )
 
 // This file is the persistent kernel layer behind the engine's computing
-// filters: a striped worker pool that parks between multiplies instead of
-// spawning goroutines per call, an instruction-parallel CRS traversal, a
-// cache-blocked traversal for matrices whose input vector outgrows L2, and
-// fused SpMV+AXPY+dot kernels for the iterative solvers.
+// filters: one instruction-parallel CRS traversal (over column indices or
+// over in-row gaps), a striped worker pool that parks between multiplies
+// instead of spawning goroutines per call, and fused SpMV+AXPY+dot kernels
+// for the in-memory solvers.
 //
 // Everything here is constrained by bit-identity: the distributed SpMV path
 // is validated by hashing its iterates, so a kernel may change the memory
@@ -27,41 +25,21 @@ import (
 //     ascending index order — per-stripe partial dots would re-associate the
 //     sum.
 //
-// Row interleaving is the legal instruction-level win: ILPRows rows advance
+// Row interleaving is the legal instruction-level win: ilpRows rows advance
 // together, each with its own dependency chain, so the ~4-cycle latency of
 // a chained scalar add no longer bounds throughput — but every chain is
 // still one row folded in its own order.
-
-// colTileFloats is the column-tile width (in float64 entries of x) of the
-// cache-blocked CRS traversal: 32Ki entries = 256 KiB, sized so the active
-// slice of x stays resident in a typical per-core L2 while every row of the
-// stripe streams through it. A var so tests can force tiling on small
-// matrices.
-var colTileFloats = 32 << 10
-
-// blockedMinRowNNZ gates the tiled traversal: below ~4 stored entries per
-// row the per-tile cursor sweep costs more than the locality it buys.
-const blockedMinRowNNZ = 4
-
-// useBlockedTraversal reports whether the cache-blocked path pays off: the
-// input vector must outgrow one tile and rows must be dense enough to visit
-// most tiles. A matrix in gap form never takes it — the tiled traversal has
-// no gap variant — and runs row-serial whatever its shape.
-func useBlockedTraversal(a *CSR) bool {
-	return !a.gapForm() && a.Cols > colTileFloats && a.Rows > 0 && a.NNZ() >= int64(a.Rows)*blockedMinRowNNZ
-}
 
 // Pool is a persistent striped worker pool for the CRS kernels. A Pool with
 // W workers runs each kernel as W nnz-balanced row stripes: W-1 helper
 // goroutines park on a condition variable between calls (no per-call
 // spawning) and the dispatching goroutine claims stripes alongside them. A
 // nil Pool, or a Pool built with workers <= 1, runs every kernel inline
-// with zero synchronization — the hot configuration for one computing
-// filter per node.
+// with zero synchronization.
 //
 // A Pool is safe for concurrent use: concurrent kernel calls serialize on
-// an internal dispatch lock (the engine gives each computing filter its own
-// Pool, so dispatch never contends in practice).
+// an internal dispatch lock. The engine holds no Pool: its lanes are a
+// node's parallelism, and each multiplies through MulVecRows.
 type Pool struct {
 	helpers int // parked worker goroutines beyond the dispatcher
 
@@ -78,17 +56,7 @@ type Pool struct {
 	remaining int
 	closed    bool
 
-	// Reused dispatch scratch (guarded by dispatchMu; tileCur[s] is owned by
-	// stripe s while a job runs).
-	bounds  []int
-	tileCur [][]int64
-
-	// Optional observability hooks (nil counters are no-ops): Fused counts
-	// fused-kernel invocations, Blocked and Scalar the dispatches taking the
-	// cache-blocked vs the row-serial traversal.
-	Fused   *obs.Counter
-	Blocked *obs.Counter
-	Scalar  *obs.Counter
+	bounds []int // reused stripe bounds, guarded by dispatchMu
 }
 
 // NewPool starts a pool of `workers` stripe workers (the dispatcher
@@ -205,72 +173,20 @@ func (p *Pool) MulVec(a *CSR, x, y []float64) {
 // mulVec dispatches the traversal without re-checking shapes (fused kernels
 // validate once).
 func (p *Pool) mulVec(a *CSR, x, y []float64) {
-	blocked := useBlockedTraversal(a)
-	workers := 1
-	if p != nil {
-		workers = p.helpers + 1
-		if blocked {
-			p.Blocked.Inc()
-		} else {
-			p.Scalar.Inc()
-		}
-	}
-	if p == nil {
-		if blocked {
-			mulVecRowsBlocked(a, x, y, 0, a.Rows, make([]int64, a.Rows))
-		} else {
-			mulVecRows(a, x, y, 0, a.Rows)
-		}
-		return
-	}
+	workers := p.Workers()
 	if workers <= 1 || a.Rows < 2*workers {
-		if blocked {
-			p.dispatchMu.Lock()
-			p.growTiles(1)
-			p.stripeBlocked(a, x, y, 0, a.Rows, 0)
-			p.dispatchMu.Unlock()
-		} else {
-			mulVecRows(a, x, y, 0, a.Rows)
-		}
+		mulVecRows(a, x, y, 0, a.Rows)
 		return
 	}
 	p.dispatchMu.Lock()
 	p.bounds = nnzBalancedStripesInto(p.bounds, a, workers)
 	bounds := p.bounds
-	if blocked {
-		p.growTiles(workers)
-	}
 	p.runStripes(workers, func(s int) {
-		lo, hi := bounds[s], bounds[s+1]
-		if lo >= hi {
-			return
-		}
-		if blocked {
-			p.stripeBlocked(a, x, y[lo:hi], lo, hi, s)
-		} else {
+		if lo, hi := bounds[s], bounds[s+1]; lo < hi {
 			mulVecRows(a, x, y[lo:hi], lo, hi)
 		}
 	})
 	p.dispatchMu.Unlock()
-}
-
-// growTiles ensures one cursor-scratch slot per stripe. Caller holds
-// dispatchMu.
-func (p *Pool) growTiles(stripes int) {
-	for len(p.tileCur) < stripes {
-		p.tileCur = append(p.tileCur, nil)
-	}
-}
-
-// stripeBlocked runs the tiled traversal over one stripe with the stripe's
-// reusable cursor scratch.
-func (p *Pool) stripeBlocked(a *CSR, x, y []float64, lo, hi, s int) {
-	cur := p.tileCur[s]
-	if cap(cur) < hi-lo {
-		cur = make([]int64, hi-lo)
-		p.tileCur[s] = cur
-	}
-	mulVecRowsBlocked(a, x, y, lo, hi, cur[:hi-lo])
 }
 
 // MulVecDot computes y = A*x and returns the inner product y·x in one
@@ -285,9 +201,6 @@ func (p *Pool) MulVecDot(a *CSR, x, y []float64) float64 {
 	}
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("sparse: MulVecDot needs a square matrix, got %dx%d", a.Rows, a.Cols))
-	}
-	if p != nil {
-		p.Fused.Inc()
 	}
 	p.mulVec(a, x, y)
 	return Dot(y, x)
@@ -323,10 +236,7 @@ func (p *Pool) MulVecAxpyDot(a *CSR, x, prev []float64, beta float64, y []float6
 			y[i] += nb * prev[i]
 		}
 	}
-	workers := 1
-	if p != nil {
-		workers = p.helpers + 1
-	}
+	workers := p.Workers()
 	if workers <= 1 || n < 2*workers {
 		seg(0, n)
 		return alpha
@@ -339,21 +249,9 @@ func (p *Pool) MulVecAxpyDot(a *CSR, x, prev []float64, beta float64, y []float6
 	return alpha
 }
 
-// MulVecDot is the package-level fused y = A*x, y·x kernel on the inline
-// (nil-pool) path.
-func MulVecDot(a *CSR, x, y []float64) float64 {
-	return (*Pool)(nil).MulVecDot(a, x, y)
-}
-
-// MulVecAxpyDot is the package-level fused Lanczos update on the inline
-// (nil-pool) path; see Pool.MulVecAxpyDot.
-func MulVecAxpyDot(a *CSR, x, prev []float64, beta float64, y []float64) float64 {
-	return (*Pool)(nil).MulVecAxpyDot(a, x, prev, beta, y)
-}
-
 // MulVecRows computes rows [lo, hi) of A*x into y (length hi-lo), each row
-// bit-identical to MulVec — the kernel behind the engine's split
-// multiply-part tasks.
+// bit-identical to MulVec — the kernel behind the engine's multiply and
+// split multiply-part tasks.
 func MulVecRows(a *CSR, x, y []float64, lo, hi int) {
 	if lo < 0 || hi > a.Rows || lo > hi || len(x) != a.Cols || len(y) != hi-lo {
 		panic(fmt.Sprintf("sparse: MulVecRows shapes: A %dx%d, rows [%d,%d), x %d, y %d",
@@ -496,48 +394,5 @@ func mulVecRowsGap[G uint8 | uint16](a *CSR, gaps []G, x, y []float64, lo, hi in
 			s += vs[k] * x[c]
 		}
 		y[i-lo] = s
-	}
-}
-
-// mulVecRowsBlocked computes rows [lo, hi) of A*x into y (indexed from 0)
-// with the column-tiled traversal: one tile's slice of x stays
-// cache-resident while every row of the stripe advances through it, cur
-// holding each row's position between tiles. ColIdx is strictly increasing
-// within a row, so visiting tiles in ascending column order folds each
-// row's products in exactly MulVec's ascending-k order — tiling changes the
-// memory schedule, never the arithmetic.
-func mulVecRowsBlocked(a *CSR, x, y []float64, lo, hi int, cur []int64) {
-	rp, ci, vs := a.RowPtr, a.ColIdx, a.Val
-	for r := lo; r < hi; r++ {
-		cur[r-lo] = rp[r]
-		y[r-lo] = 0
-	}
-	for c0 := 0; c0 < a.Cols; c0 += colTileFloats {
-		cEnd := c0 + colTileFloats
-		if cEnd > a.Cols {
-			cEnd = a.Cols
-		}
-		ce := int32(cEnd)
-		done := true
-		for r := lo; r < hi; r++ {
-			k := cur[r-lo]
-			e := rp[r+1]
-			if k >= e {
-				continue
-			}
-			s := y[r-lo]
-			for k < e && ci[k] < ce {
-				s += vs[k] * x[ci[k]]
-				k++
-			}
-			y[r-lo] = s
-			cur[r-lo] = k
-			if k < e {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
 	}
 }

@@ -74,8 +74,8 @@ func TestNnzBalancedStripesDenseRow(t *testing.T) {
 	}
 }
 
-// TestNnzBalancedStripesIntoReuse checks the allocation-free variant reuses
-// a caller buffer and agrees with the allocating form.
+// TestNnzBalancedStripesIntoReuse checks the stripe planner reuses a caller
+// buffer and plans the same bounds into it as into a fresh one.
 func TestNnzBalancedStripesIntoReuse(t *testing.T) {
 	a, err := FromTriplets(12, 12, []Triplet{{0, 0, 1}, {3, 3, 2}, {7, 1, 3}, {11, 4, 4}})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestNnzBalancedStripesIntoReuse(t *testing.T) {
 	}
 	scratch := make([]int, 16)
 	got := nnzBalancedStripesInto(scratch, a, 5)
-	want := nnzBalancedStripes(a, 5)
+	want := nnzBalancedStripesInto(nil, a, 5)
 	if &got[0] != &scratch[0] {
 		t.Fatal("nnzBalancedStripesInto did not reuse the provided buffer")
 	}
@@ -94,29 +94,49 @@ func TestNnzBalancedStripesIntoReuse(t *testing.T) {
 	}
 }
 
-// TestPoolMulVecFuzzEquivalence checks the persistent pool's dispatch (all
-// worker widths, reused across trials) against sequential MulVec
-// bit-for-bit.
+// wideCSR is a rows x cols matrix with int32 column indices and 4 + i%5
+// entries in row i, spread over every column: the shape (wider than 32Ki
+// columns, four or more entries a row) a column-tiled traversal would take.
+func wideCSR(t *testing.T, rng *rand.Rand, rows, cols int) *CSR {
+	t.Helper()
+	var ts []Triplet
+	for i := 0; i < rows; i++ {
+		for j, n := 0, 4+i%5; j < n; j++ {
+			ts = append(ts, Triplet{Row: i, Col: (j*cols + rng.Intn(cols)) / n, Val: rng.NormFloat64()})
+		}
+	}
+	a, err := FromTriplets(rows, cols, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestPoolMulVecFuzzEquivalence checks the persistent pool's dispatch (the
+// inline nil pool and widths 1–8, reused across trials) against sequential
+// MulVec bit-for-bit, over small random matrices and one wide int32 matrix.
 func TestPoolMulVecFuzzEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	pools := make([]*Pool, 0, 8)
+	pools := []*Pool{nil}
 	for w := 1; w <= 8; w++ {
 		p := NewPool(w)
 		defer p.Close()
 		pools = append(pools, p)
 	}
+	var ms []*CSR
 	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(64)
-		cols := 1 + rng.Intn(64)
-		a := randomPoolCSR(t, rng, rows, cols, trial)
-		x := make([]float64, cols)
+		ms = append(ms, randomPoolCSR(t, rng, 1+rng.Intn(64), 1+rng.Intn(64), trial))
+	}
+	ms = append(ms, wideCSR(t, rng, 96, 40000))
+	for _, a := range ms {
+		x := make([]float64, a.Cols)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		want := make([]float64, rows)
+		want := make([]float64, a.Rows)
 		MulVec(a, x, want)
 		for _, p := range pools {
-			got := make([]float64, rows)
+			got := make([]float64, a.Rows)
 			for i := range got {
 				got[i] = math.NaN()
 			}
@@ -127,9 +147,9 @@ func TestPoolMulVecFuzzEquivalence(t *testing.T) {
 }
 
 // TestMulVecFusedFuzzEquivalence proves MulVecDot and MulVecAxpyDot are
-// bit-identical to the composed MulVecParallel + Dot + Axpy reference
-// across random square systems, pool widths 1..8, the nil-pool package
-// functions, and the empty-matrix edge.
+// bit-identical to the composed MulVec + Dot + Axpy reference across random
+// square systems, the inline nil pool and pool widths 1..8, and the
+// empty-matrix edge.
 func TestMulVecFusedFuzzEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pools := []*Pool{nil}
@@ -159,25 +179,18 @@ func TestMulVecFusedFuzzEquivalence(t *testing.T) {
 		}
 		beta := rng.NormFloat64()
 
+		// Composed reference, built with the public kernels exactly as
+		// lanczos.Solve composes them.
+		want := make([]float64, n)
+		MulVec(a, x, want)
+		alphaWant := Dot(want, x)
+
 		for pi, p := range pools {
-			workers := p.Workers()
-
-			// Composed reference, built with the public kernels exactly as
-			// lanczos.Solve composes them.
-			want := make([]float64, n)
-			MulVecParallel(a, x, want, workers)
-			alphaWant := Dot(want, x)
-
 			got := make([]float64, n)
 			for i := range got {
 				got[i] = math.NaN()
 			}
-			var alpha float64
-			if p == nil {
-				alpha = MulVecDot(a, x, got)
-			} else {
-				alpha = p.MulVecDot(a, x, got)
-			}
+			alpha := p.MulVecDot(a, x, got)
 			if math.Float64bits(alpha) != math.Float64bits(alphaWant) {
 				t.Fatalf("trial %d pool %d: MulVecDot alpha %v want %v", trial, pi, alpha, alphaWant)
 			}
@@ -189,10 +202,8 @@ func TestMulVecFusedFuzzEquivalence(t *testing.T) {
 				if !withPrev {
 					pv = nil
 				}
-				wantW := make([]float64, n)
-				MulVecParallel(a, x, wantW, workers)
-				aW := Dot(wantW, x)
-				Axpy(-aW, x, wantW)
+				wantW := append([]float64(nil), want...)
+				Axpy(-alphaWant, x, wantW)
 				if withPrev {
 					Axpy(-beta, prev, wantW)
 				}
@@ -201,71 +212,13 @@ func TestMulVecFusedFuzzEquivalence(t *testing.T) {
 				for i := range gotW {
 					gotW[i] = math.NaN()
 				}
-				var aG float64
-				if p == nil {
-					aG = MulVecAxpyDot(a, x, pv, beta, gotW)
-				} else {
-					aG = p.MulVecAxpyDot(a, x, pv, beta, gotW)
-				}
-				if math.Float64bits(aG) != math.Float64bits(aW) {
-					t.Fatalf("trial %d pool %d prev=%v: alpha %v want %v", trial, pi, withPrev, aG, aW)
+				aG := p.MulVecAxpyDot(a, x, pv, beta, gotW)
+				if math.Float64bits(aG) != math.Float64bits(alphaWant) {
+					t.Fatalf("trial %d pool %d prev=%v: alpha %v want %v", trial, pi, withPrev, aG, alphaWant)
 				}
 				bitsEqual(t, "MulVecAxpyDot y", gotW, wantW)
 			}
 		}
-	}
-}
-
-// TestMulVecBlockedFuzzEquivalence forces the column-tiled traversal (tile
-// width shrunk so small matrices tile) and checks it bit-identical to
-// MulVec, both through the kernel directly and through the pool dispatch.
-func TestMulVecBlockedFuzzEquivalence(t *testing.T) {
-	saved := colTileFloats
-	colTileFloats = 8
-	defer func() { colTileFloats = saved }()
-
-	rng := rand.New(rand.NewSource(45))
-	p := NewPool(4)
-	defer p.Close()
-	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(48)
-		cols := 9 + rng.Intn(80) // always wider than one tile
-		a := randomPoolCSR(t, rng, rows, cols, trial)
-		x := make([]float64, cols)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, rows)
-		MulVec(a, x, want)
-
-		got := make([]float64, rows)
-		for i := range got {
-			got[i] = math.NaN()
-		}
-		mulVecRowsBlocked(a, x, got, 0, rows, make([]int64, rows))
-		bitsEqual(t, "mulVecRowsBlocked", got, want)
-
-		for i := range got {
-			got[i] = math.NaN()
-		}
-		p.MulVec(a, x, got) // dispatch picks blocked iff dense enough; either way bits match
-		bitsEqual(t, "Pool.MulVec tiled", got, want)
-	}
-
-	// Dispatch accounting: a matrix dense enough for the heuristic must be
-	// counted as a blocked dispatch.
-	var ts []Triplet
-	for i := 0; i < 16; i++ {
-		for j := 0; j < 64; j += 2 {
-			ts = append(ts, Triplet{Row: i, Col: j, Val: float64(i*64 + j)})
-		}
-	}
-	dense, err := FromTriplets(16, 64, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !useBlockedTraversal(dense) {
-		t.Fatal("dense wide matrix should take the blocked traversal")
 	}
 }
 
@@ -378,7 +331,7 @@ func TestMulVecGapBitIdentical(t *testing.T) {
 				prev[i] = rng.NormFloat64()
 			}
 			yWant, yGot := make([]float64, n), make([]float64, n)
-			alphaWant := MulVecAxpyDot(a, x, prev, 0.375, yWant)
+			alphaWant := pools[0].MulVecAxpyDot(a, x, prev, 0.375, yWant)
 			alphaGot := pools[2].MulVecAxpyDot(g, x, prev, 0.375, yGot)
 			if math.Float64bits(alphaGot) != math.Float64bits(alphaWant) {
 				t.Fatalf("MulVecAxpyDot over gaps: alpha %v, want %v", alphaGot, alphaWant)
@@ -386,34 +339,6 @@ func TestMulVecGapBitIdentical(t *testing.T) {
 			bitsEqual(t, "MulVecAxpyDot over gaps", yGot, yWant)
 		}
 	}
-}
-
-// TestGapFormSkipsTiledTraversal: a matrix in gap form wide and dense enough
-// for the column-tiled traversal takes the row-serial gap kernel instead —
-// the tiled one reads ColIdx, which a gap view does not have.
-func TestGapFormSkipsTiledTraversal(t *testing.T) {
-	old := colTileFloats
-	colTileFloats = 8
-	defer func() { colTileFloats = old }()
-	rng := rand.New(rand.NewSource(49))
-	a := randomPoolCSR(t, rng, 30, 64, 1)
-	if !useBlockedTraversal(a) {
-		t.Fatal("the matrix does not qualify for the tiled traversal")
-	}
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want, got := make([]float64, a.Rows), make([]float64, a.Rows)
-	MulVec(a, x, want)
-	p := NewPool(2)
-	defer p.Close()
-	g := gapFormOf(t, a, 1)
-	if useBlockedTraversal(g) {
-		t.Fatal("the gap view of the same matrix qualifies for the tiled traversal")
-	}
-	p.MulVec(g, x, got)
-	bitsEqual(t, "Pool.MulVec over a wide gap view", got, want)
 }
 
 // TestPoolConcurrentCallers hammers one pool from several goroutines; the
@@ -481,30 +406,5 @@ func BenchmarkMulVecFused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.MulVecAxpyDot(m, x, prev, 0.5, y)
-	}
-}
-
-// BenchmarkMulVecBlocked exercises the cache-blocked traversal on a matrix
-// whose input vector (64Ki columns = 512 KiB) outgrows one L2 tile.
-func BenchmarkMulVecBlocked(b *testing.B) {
-	m, err := GapMatrix(GapGenConfig{Rows: 4096, Cols: 65536, D: 128, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !useBlockedTraversal(m) {
-		b.Fatal("benchmark matrix does not trigger the blocked traversal")
-	}
-	x := make([]float64, m.Cols)
-	y := make([]float64, m.Rows)
-	for i := range x {
-		x[i] = float64(i%17) * 0.25
-	}
-	p := NewPool(4)
-	defer p.Close()
-	b.SetBytes(m.Bytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MulVec(m, x, y)
 	}
 }

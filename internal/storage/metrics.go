@@ -99,9 +99,15 @@ func (m *storeMetrics) quotaEvictions(group string) *obs.Counter {
 	return c
 }
 
-func newStoreMetrics(reg *obs.Registry, node int) storeMetrics {
-	l := obs.L("node", strconv.Itoa(node))
-	return storeMetrics{
+// newStoreMetrics registers node's series. The shard tier's and the spill
+// codec's families exist only on a store configured with that feature, so a
+// store without it exports no series that could only read zero; the decode
+// histogram is always there, since a store without a codec still reads the
+// frames an earlier one wrote.
+func newStoreMetrics(cfg *Config) storeMetrics {
+	reg := cfg.Obs
+	l := obs.L("node", strconv.Itoa(cfg.NodeID))
+	m := storeMetrics{
 		reg:      reg,
 		node:     l,
 		perCodec: make(map[uint8]*codecCounters),
@@ -123,23 +129,27 @@ func newStoreMetrics(reg *obs.Registry, node int) storeMetrics {
 		diskWriteBytes:   reg.Counter("dooc_storage_disk_write_bytes_total", "scratch-dir bytes written", l),
 		peerBytes:        reg.Counter("dooc_storage_peer_fetch_bytes_total", "bytes fetched from peer stores", l),
 		ioRetries:        reg.Counter("dooc_storage_io_retries_total", "transient disk errors survived by the retry policy", l),
-		compressBailouts: reg.Counter("dooc_storage_compress_bailouts_total", "blocks stored raw by the adaptive bail-out", l),
 
-		shardPushes:     reg.Counter("dooc_storage_shard_pushes_total", "blocks pushed toward their cluster ring owners", l),
-		shardDurable:    reg.Counter("dooc_storage_shard_durable_total", "pushes acked by enough remote peers to be durable", l),
-		shardFetches:    reg.Counter("dooc_storage_shard_fetches_total", "blocks installed from the cluster shard tier", l),
-		shardFallbacks:  reg.Counter("dooc_storage_shard_fallbacks_total", "shard fetches that missed and fell back to the normal path", l),
-		shardPushBytes:  reg.Counter("dooc_storage_shard_push_bytes_total", "block bytes pushed to the shard tier", l),
-		shardFetchBytes: reg.Counter("dooc_storage_shard_fetch_bytes_total", "block bytes fetched from the shard tier", l),
-
-		memUsed:              reg.Gauge("dooc_storage_mem_used_bytes", "resident block bytes", l),
-		ioQueueDepth:         reg.Gauge("dooc_storage_io_queue_depth", "jobs queued for the asynchronous I/O filters", l),
-		compressRatioPercent: reg.Gauge("dooc_storage_compress_ratio_percent", "cumulative spill ratio, 100*raw/stored", l),
+		memUsed:      reg.Gauge("dooc_storage_mem_used_bytes", "resident block bytes", l),
+		ioQueueDepth: reg.Gauge("dooc_storage_io_queue_depth", "jobs queued for the asynchronous I/O filters", l),
 
 		leaseWait:      reg.Histogram("dooc_storage_lease_wait_seconds", "time from lease request to grant", nil, l),
 		ioReadSeconds:  reg.Histogram("dooc_storage_io_read_seconds", "block read latency incl. retries", nil, l),
 		ioWriteSeconds: reg.Histogram("dooc_storage_io_write_seconds", "block write latency incl. retries", nil, l),
-		encodeSeconds:  reg.Histogram("dooc_storage_compress_encode_seconds", "block encode latency on spill", nil, l),
 		decodeSeconds:  reg.Histogram("dooc_storage_compress_decode_seconds", "frame decode latency on load", nil, l),
 	}
+	if cfg.Codec != nil {
+		m.compressBailouts = reg.Counter("dooc_storage_compress_bailouts_total", "blocks stored raw by the adaptive bail-out", l)
+		m.compressRatioPercent = reg.Gauge("dooc_storage_compress_ratio_percent", "cumulative spill ratio, 100*raw/stored", l)
+		m.encodeSeconds = reg.Histogram("dooc_storage_compress_encode_seconds", "block encode latency on spill", nil, l)
+	}
+	if cfg.Shard != nil {
+		m.shardPushes = reg.Counter("dooc_storage_shard_pushes_total", "blocks pushed toward their cluster ring owners", l)
+		m.shardDurable = reg.Counter("dooc_storage_shard_durable_total", "pushes acked by enough remote peers to be durable", l)
+		m.shardFetches = reg.Counter("dooc_storage_shard_fetches_total", "blocks installed from the cluster shard tier", l)
+		m.shardFallbacks = reg.Counter("dooc_storage_shard_fallbacks_total", "shard fetches that missed and fell back to the normal path", l)
+		m.shardPushBytes = reg.Counter("dooc_storage_shard_push_bytes_total", "block bytes pushed to the shard tier", l)
+		m.shardFetchBytes = reg.Counter("dooc_storage_shard_fetch_bytes_total", "block bytes fetched from the shard tier", l)
+	}
+	return m
 }

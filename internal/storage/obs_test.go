@@ -391,3 +391,47 @@ func TestMetricsReconcileAcrossNodes(t *testing.T) {
 	}
 	assertRegistryConsistent(t, reg)
 }
+
+// TestFeatureFamiliesRegisteredOnlyWhenConfigured: the shard tier's six
+// counters and the spill codec's bail-out, ratio and encode series exist
+// only on a store configured with that feature; the decode histogram exists
+// on every store.
+func TestFeatureFamiliesRegisteredOnlyWhenConfigured(t *testing.T) {
+	shardNames := []string{
+		"dooc_storage_shard_pushes_total", "dooc_storage_shard_durable_total",
+		"dooc_storage_shard_fetches_total", "dooc_storage_shard_fallbacks_total",
+		"dooc_storage_shard_push_bytes_total", "dooc_storage_shard_fetch_bytes_total",
+	}
+	codecNames := []string{
+		"dooc_storage_compress_bailouts_total", "dooc_storage_compress_ratio_percent",
+		"dooc_storage_compress_encode_seconds",
+	}
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		shard, codec bool
+	}{
+		{"neither", Config{}, false, false},
+		{"codec", Config{Codec: compress.Default()}, false, true},
+		{"shard", Config{Shard: newFakeShard(false)}, true, false},
+	} {
+		reg := obs.NewRegistry()
+		tc.cfg.Obs, tc.cfg.MemoryBudget = reg, 1<<20
+		s, err := NewLocal(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		totals := reg.Totals()
+		for _, names := range []struct {
+			list []string
+			want bool
+		}{{shardNames, tc.shard}, {codecNames, tc.codec}, {[]string{"dooc_storage_compress_decode_seconds"}, true}} {
+			for _, name := range names.list {
+				if _, ok := totals[name]; ok != names.want {
+					t.Errorf("%s store: %s registered %v, want %v", tc.name, name, ok, names.want)
+				}
+			}
+		}
+	}
+}

@@ -404,7 +404,7 @@ func newStore(cfg Config) (*Store, error) {
 		cfg:     cfg,
 		inbox:   newMailbox(),
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		metrics: newStoreMetrics(cfg.Obs, cfg.NodeID),
+		metrics: newStoreMetrics(&cfg),
 		done:    make(chan struct{}),
 	}
 	s.io = newIOPool(cfg.IOWorkers, s)
