@@ -71,7 +71,9 @@ hotpath:
 # both partials of its pair, must report 0 allocs/op and take at most 1.15 ×
 # the two gathers over the full grid's pair it replaces ("x-gathers", the
 # same interleaving; ≈ 0.95 when calm). A worker's poll of the DAG's ready
-# set (BenchmarkReadyAppend, at every wake-up) must report 0 allocs/op too.
+# set (BenchmarkReadyAppend, at every wake-up) must report 0 allocs/op too,
+# and so must a warm buffer-arena round trip at each of the workloads' block
+# sizes (BenchmarkArenaGetPut): a Get that misses its class allocates.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
 	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
@@ -80,6 +82,8 @@ perf-gate:
 		awk '{print} /^BenchmarkMulVecPair/ {seen = 1; if ($$(NF-1) > 0) bad = 1; for (i = 2; i <= NF; i++) if ($$i == "x-gathers" && $$(i-1) > 1.15) bad = 1} END {exit !seen || bad}'
 	$(GO) test -run '^$$' -bench '^BenchmarkReadyAppend$$' -benchmem ./internal/dag/ | \
 		awk '{print} /^BenchmarkReadyAppend/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 2 || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkArenaGetPut$$' -benchtime 10000x -benchmem ./internal/storage/ | \
+		awk '{print} /^BenchmarkArenaGetPut/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 4 || bad}'
 
 vet:
 	$(GO) vet ./...

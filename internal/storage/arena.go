@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -13,25 +14,30 @@ import (
 // grant/fetch), so an iterative solver's working set stops touching the
 // allocator once warm.
 //
-// Classes are powers of two from arenaMinClass to arenaMaxClass. Get rounds
-// the request up to the next class; Put files a buffer under the largest
-// class that fits its capacity, so foreign buffers (grown appends, decoded
-// frames) recycle too. Buffers are NOT zeroed on reuse — every consumer
-// either overwrites its interval fully before publishing (the write-lease
-// discipline) or adopts fully-written block images.
+// Classes run from 512 B to 64 MiB, four to an octave: 512, 640, 768, 896,
+// 1024, 1280, … — an octave's power of two and its 1.25, 1.5 and 1.75
+// multiples. Get rounds a request up to the next class, so a buffer above
+// 512 B is never more than 25 % larger than its request; Put files a buffer
+// under the largest class that fits its capacity, so foreign buffers (grown
+// appends, decoded frames) recycle too. A resident block therefore holds at
+// most 1.25 × the bytes MemoryBudget counts for it. Buffers are NOT zeroed
+// on reuse — every consumer either overwrites its interval fully before
+// publishing (the write-lease discipline) or adopts fully-written block
+// images.
 type Arena struct {
 	classes [arenaNumClasses]sync.Pool
 
 	gets  atomic.Int64 // buffers served from Get
 	news  atomic.Int64 // Gets that had to allocate fresh
 	puts  atomic.Int64 // buffers accepted back
-	drops atomic.Int64 // Puts rejected (too small or oversized)
+	drops atomic.Int64 // Puts rejected (capacity below the smallest class)
 }
 
 const (
-	arenaMinShift   = 9  // 512 B
-	arenaMaxShift   = 26 // 64 MiB
-	arenaNumClasses = arenaMaxShift - arenaMinShift + 1
+	arenaMinShift   = 9  // 512 B, the smallest class
+	arenaMaxShift   = 26 // 64 MiB, the largest
+	arenaStepBits   = 2  // log2 of the classes per octave
+	arenaNumClasses = (arenaMaxShift-arenaMinShift)<<arenaStepBits + 1
 )
 
 // ArenaStats is a snapshot of an arena's counters.
@@ -50,16 +56,30 @@ var sharedArena = NewArena()
 // SharedArena returns the process-wide buffer arena.
 func SharedArena() *Arena { return sharedArena }
 
+// classSize is the byte size of class c: 4, 5, 6 or 7 (step c&3) times a
+// quarter of octave c>>arenaStepBits's power of two.
+func classSize(c int) int {
+	const steps = 1 << arenaStepBits
+	return (steps | c&(steps-1)) << (c>>arenaStepBits + arenaMinShift - arenaStepBits)
+}
+
+// floorClass returns the index of the largest class size <= v, for v >= the
+// smallest class; past 64 MiB the index runs beyond the table. v's octave
+// picks the power of two, its top three bits (4 to 7) the step within it.
+func floorClass(v int) int {
+	s := bits.Len(uint(v)) - 1
+	top := v >> (s - arenaStepBits)
+	return (s-arenaMinShift)<<arenaStepBits + top - 1<<arenaStepBits
+}
+
 // getClassFor returns the smallest class index whose size is >= n, or -1
 // when n exceeds the largest class.
 func getClassFor(n int) int {
 	if n <= 1<<arenaMinShift {
 		return 0
 	}
-	c := 0
-	for sz := 1 << arenaMinShift; sz < n; sz <<= 1 {
-		c++
-	}
+	// The class after the largest one below n is the smallest that holds n.
+	c := floorClass(n-1) + 1
 	if c >= arenaNumClasses {
 		return -1
 	}
@@ -72,11 +92,7 @@ func putClassFor(c int) int {
 	if c < 1<<arenaMinShift {
 		return -1
 	}
-	cls := 0
-	for sz := 1 << (arenaMinShift + 1); sz <= c && cls < arenaNumClasses-1; sz <<= 1 {
-		cls++
-	}
-	return cls
+	return min(floorClass(c), arenaNumClasses-1)
 }
 
 // Get returns a buffer of length n. Contents are unspecified (buffers are
@@ -92,7 +108,7 @@ func (a *Arena) Get(n int) []byte {
 		a.news.Add(1)
 		return make([]byte, n)
 	}
-	size := 1 << (arenaMinShift + c)
+	size := classSize(c)
 	if p, ok := a.classes[c].Get().(unsafe.Pointer); ok {
 		return unsafe.Slice((*byte)(p), size)[:n]
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"dooc/internal/compress"
 )
 
 // BenchmarkLeaseHit measures the request/release round-trip for resident
@@ -156,15 +158,30 @@ func BenchmarkFloat64View(b *testing.B) {
 }
 
 // BenchmarkArenaGetPut measures the size-classed buffer arena's recycle
-// round trip at a typical block size.
+// round trip at the sizes the benchmark workloads move, none of them a
+// power of two: a vector block (750 float64s), the spill frame of a
+// 24,000-byte vector, a matrix block and a ring block. Once warm a round
+// trip must allocate nothing (`make perf-gate`).
 func BenchmarkArenaGetPut(b *testing.B) {
-	a := NewArena()
-	const size = 64 << 10
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := a.Get(size)
-		a.Put(buf)
+	for _, bc := range []struct {
+		name string
+		size int
+	}{
+		{"vector-6000B", 6000},
+		{"spill-frame-27082B", compress.FrameHeaderLen + 24000 + 24000/8 + 64},
+		{"matrix-618000B", 618_000},
+		{"ring-2516000B", 2_516_000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := NewArena()
+			a.Put(a.Get(bc.size))
+			b.SetBytes(int64(bc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf := a.Get(bc.size)
+				a.Put(buf)
+			}
+		})
 	}
 }

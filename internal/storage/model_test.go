@@ -21,7 +21,10 @@ import (
 // the full size of every block that is leased, in flight or prefetched and
 // unread, each block's cached reserved flag against the same definition, and
 // each array's readable list — with the array's place in st.readable —
-// against the blocks whose buffer holds all of them, in ascending order.
+// against the blocks whose buffer holds all of them, in ascending order. It
+// also checks the heap a resident block costs beyond what the budget counts:
+// a buffer of at least the arena's smallest class has at most a quarter more
+// capacity than length.
 func accountingError(st *loopState) error {
 	var resident, reserved int64
 	withReadable := 0
@@ -32,6 +35,9 @@ func accountingError(st *loopState) error {
 				readable = append(readable, idx)
 			}
 			resident += int64(len(b.buf))
+			if n := len(b.buf); n >= 1<<arenaMinShift && cap(b.buf) > n+n/4 {
+				return fmt.Errorf("%s[%d]: %d resident bytes hold a %d-byte buffer, more than 1.25 ×", name, idx, n, cap(b.buf))
+			}
 			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched
 			if b.reserved != want {
 				return fmt.Errorf("%s[%d]: reserved flag %v, definition says %v (refcnt %d fetching %v probing %v prefetched %v)",
@@ -174,6 +180,9 @@ func TestStorageAgainstOracle(t *testing.T) {
 				name := fmt.Sprintf("m%d", len(names))
 				blocks := 1 + rng.Intn(3)
 				blockSize := int64(cellBytes * (1 + rng.Intn(4)))
+				if rng.Intn(3) == 0 {
+					blockSize *= 37 // 592 to 2,368 B: past the arena's smallest class
+				}
 				size := blockSize * int64(blocks)
 				if err := s.Create(name, size, blockSize); err != nil {
 					t.Fatalf("create %s: %v", name, err)
