@@ -98,17 +98,16 @@ type Job struct {
 	started, finished time.Time
 	queueWait         time.Duration
 	cancelRequested   bool
-	result            []byte
-	err               error
-	resumed           int
-	resultFile        string
-	resultSHA         string
-	proxyHandle       proxy.Handle
-
-	// loadOnce gates the one durable-result disk read however many clients
-	// poll Result concurrently; loadErr is its sticky failure.
-	loadOnce sync.Once
-	loadErr  error
+	// result is a done job's payload when the manager has no store — its
+	// only copy. Under a store it stays nil: the result file is the durable
+	// copy, and the proxy handle, if any, holds the in-memory one until its
+	// last release.
+	result      []byte
+	err         error
+	resumed     int
+	resultFile  string
+	resultSHA   string
+	proxyHandle proxy.Handle
 
 	// trace is the job's root span context (the anchor every lifecycle and
 	// engine span parents under); parentSpan links it to the submitting
@@ -134,11 +133,16 @@ type Manager struct {
 	cfg Config
 	m   managerMetrics
 
+	// retain bounds the terminal jobs the manager remembers: the store's
+	// retention, or jobstore.DefaultRetainHistory without a store.
+	retain int
+
 	mu       sync.Mutex
 	idle     *sync.Cond // broadcast when no job is queued or running
 	seq      int64
 	jobs     map[int64]*Job
 	byKey    map[string]*Job   // idempotency-key index
+	history  []int64           // IDs of the terminal jobs in jobs, ascending
 	queues   map[string][]*Job // per-tenant FIFO of queued jobs
 	queued   int
 	running  int
@@ -152,9 +156,13 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:    cfg,
 		m:      newManagerMetrics(cfg.Obs),
+		retain: jobstore.DefaultRetainHistory,
 		jobs:   make(map[int64]*Job),
 		byKey:  make(map[string]*Job),
 		queues: make(map[string][]*Job),
+	}
+	if cfg.Store != nil {
+		m.retain = cfg.Store.RetainHistory()
 	}
 	m.idle = sync.NewCond(&m.mu)
 	if cfg.Trace.Enabled() {
@@ -370,7 +378,10 @@ func (m *Manager) run(j *Job) {
 
 	m.mu.Lock()
 	j.finished = time.Now()
-	j.result, j.err = result, err
+	j.err = err
+	if m.cfg.Store == nil {
+		j.result = result
+	}
 	switch {
 	case err == nil:
 		// A completion that raced a cancel request still counts as done:
@@ -432,6 +443,7 @@ func (m *Manager) finishLocked(j *Job) {
 	m.m.runningG.Set(int64(m.running))
 	m.observeSLOLocked(j)
 	close(j.done)
+	m.rememberLocked(j)
 	m.dispatchLocked()
 	if m.queued == 0 && m.running == 0 {
 		m.idle.Broadcast()
@@ -455,6 +467,25 @@ func (m *Manager) observeSLOLocked(j *Job) {
 		qw = e2e
 	}
 	m.cfg.SLO.Observe(j.Tenant, qw, run, e2e, ran)
+}
+
+// rememberLocked enters a job that just reached a terminal state into the
+// history and forgets the oldest terminal jobs beyond the retention bound —
+// the rule the store's compaction applies on disk, so a live process and a
+// restarted one answer Status and History alike.
+func (m *Manager) rememberLocked(j *Job) {
+	i := sort.Search(len(m.history), func(i int) bool { return m.history[i] >= j.ID })
+	m.history = append(m.history, 0)
+	copy(m.history[i+1:], m.history[i:])
+	m.history[i] = j.ID
+	for len(m.history) > m.retain {
+		old := m.jobs[m.history[0]]
+		m.history = m.history[1:]
+		delete(m.jobs, old.ID)
+		if old.Key != "" && m.byKey[old.Key] == old {
+			delete(m.byKey, old.Key)
+		}
+	}
 }
 
 // Cancel requests cancellation. A queued job is removed immediately; a
@@ -500,6 +531,7 @@ func (m *Manager) Cancel(id int64) error {
 		m.m.queuedG.Set(int64(m.queued))
 		m.observeSLOLocked(j)
 		close(j.done)
+		m.rememberLocked(j)
 		retired = true
 		if m.queued == 0 && m.running == 0 {
 			m.idle.Broadcast()
@@ -519,12 +551,13 @@ func (m *Manager) Cancel(id int64) error {
 }
 
 // Result blocks until the job finishes and returns its payload or error.
-// Under a durable store, a done job recovered from a previous process
-// lifetime serves its result from the store (verified against the
-// journaled SHA-256). The loaded bytes are memoized and the disk read runs
-// outside the manager lock, single-flight: N clients polling one result
-// pay one read and one allocation between them, and a multi-MB load never
-// serializes Submit/Status/List/Cancel behind disk I/O.
+// Without a store the payload is the manager's own copy. Under a durable
+// store the manager keeps none: every call, for a job finished in this
+// process or recovered from an earlier one, reads the job's result file and
+// checks its frame CRC and journaled SHA-256. The read runs outside the
+// manager lock, so a multi-MB load never serializes
+// Submit/Status/List/Cancel behind disk I/O. SolverService.Result serves a
+// job whose proxy handle is still live from the handle's bytes instead.
 func (m *Manager) Result(id int64) ([]byte, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -534,30 +567,13 @@ func (m *Manager) Result(id int64) ([]byte, error) {
 	}
 	<-j.done
 	m.mu.Lock()
-	result, jerr, file := j.result, j.err, j.resultFile
+	result, jerr := j.result, j.err
+	rec := jobstore.Record{ID: j.ID, ResultFile: j.resultFile, ResultSHA: j.resultSHA}
 	m.mu.Unlock()
-	if result != nil || jerr != nil || file == "" || m.cfg.Store == nil {
+	if jerr != nil || rec.ResultFile == "" || m.cfg.Store == nil {
 		return result, jerr
 	}
-	j.loadOnce.Do(func() {
-		m.mu.Lock()
-		rec := m.recordLocked(j)
-		m.mu.Unlock()
-		data, err := m.cfg.Store.LoadResult(rec)
-		m.mu.Lock()
-		if err != nil {
-			j.loadErr = err
-		} else {
-			j.result = data
-		}
-		m.mu.Unlock()
-	})
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j.loadErr != nil {
-		return nil, j.loadErr
-	}
-	return j.result, j.err
+	return m.cfg.Store.LoadResult(rec)
 }
 
 // ResultProxy blocks until the job finishes and returns its registered
@@ -634,7 +650,8 @@ func (m *Manager) statusLocked(j *Job) JobStatus {
 	return st
 }
 
-// List returns snapshots of every job the manager has seen, ordered by ID.
+// List returns snapshots of every job the manager remembers — the live ones
+// and the newest terminal ones up to the retention bound — ordered by ID.
 func (m *Manager) List() []JobStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -649,18 +666,11 @@ func (m *Manager) List() []JobStatus {
 // History returns a page of terminal jobs ordered by ID, plus the total
 // terminal count. offset/limit paginate; limit <= 0 means the rest. The
 // window includes jobs finished before a restart — they were replayed from
-// the durable store.
+// the durable store. The total is at most the retention bound.
 func (m *Manager) History(offset, limit int) ([]JobStatus, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	term := make([]JobStatus, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		if j.state.Terminal() {
-			term = append(term, m.statusLocked(j))
-		}
-	}
-	sort.Slice(term, func(i, k int) bool { return term[i].ID < term[k].ID })
-	total := len(term)
+	total := len(m.history)
 	if offset < 0 {
 		offset = 0
 	}
@@ -671,7 +681,11 @@ func (m *Manager) History(offset, limit int) ([]JobStatus, int) {
 	if limit > 0 && offset+limit < end {
 		end = offset + limit
 	}
-	return term[offset:end], total
+	page := make([]JobStatus, 0, end-offset)
+	for _, id := range m.history[offset:end] {
+		page = append(page, m.statusLocked(m.jobs[id]))
+	}
+	return page, total
 }
 
 // RebuildWork reconstructs a job's work function from its journaled record
@@ -756,6 +770,7 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 		if state.Terminal() {
 			j.state = state
 			close(j.done)
+			m.rememberLocked(j)
 			stats.Historical++
 			continue
 		}
@@ -773,6 +788,7 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 				map[string]string{"error": j.err.Error()})
 			m.journalLocked(j)
 			close(j.done)
+			m.rememberLocked(j)
 			stats.Failed++
 			continue
 		}

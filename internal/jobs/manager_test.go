@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dooc/internal/jobstore"
 )
 
 // gatedWork returns a Work that blocks until release is closed, plus the
@@ -38,6 +40,35 @@ func TestSubmitRunsAndReturnsResult(t *testing.T) {
 	st, err := m.Status(j.ID)
 	if err != nil || st.State != "done" {
 		t.Fatalf("status = %+v, %v", st, err)
+	}
+}
+
+// TestHistoryBounded: the manager forgets the oldest terminal jobs beyond
+// the retention bound, as the store's compaction does on disk, so its
+// history stops growing with the jobs it has run.
+func TestHistoryBounded(t *testing.T) {
+	m := NewManager(Config{MaxRunning: 2})
+	for i := 0; i < 1100; i++ {
+		j, err := m.Submit(Request{Tenant: "a"}, func(int64, <-chan struct{}) ([]byte, error) {
+			return []byte("ok"), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Result(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Drain()
+	if n := len(m.List()); n > jobstore.DefaultRetainHistory {
+		t.Fatalf("List holds %d jobs, retention %d", n, jobstore.DefaultRetainHistory)
+	}
+	if _, err := m.Status(1); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("oldest job still known: %v", err)
+	}
+	page, total := m.History(0, 0)
+	if total > jobstore.DefaultRetainHistory || len(page) != total || page[len(page)-1].ID != 1100 {
+		t.Fatalf("History total %d, page %d, newest %d", total, len(page), page[len(page)-1].ID)
 	}
 }
 

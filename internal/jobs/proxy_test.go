@@ -156,10 +156,10 @@ func TestCancelledConsumerReleasesInput(t *testing.T) {
 	}
 }
 
-// TestResultMemoizedSingleFlight: after a restart, a durable result is
-// loaded from the store once — concurrent callers share one read, and
-// sequential calls return the same backing allocation.
-func TestResultMemoizedSingleFlight(t *testing.T) {
+// TestRecoveredResultConcurrentCallers: after a restart, concurrent callers
+// of a recovered job's Result each read the journaled result file and all
+// get the bytes the job produced before the restart.
+func TestRecoveredResultConcurrentCallers(t *testing.T) {
 	base, root, storeDir := durableFixture(t)
 	store, err := jobstore.Open(storeDir, jobstore.Options{})
 	if err != nil {
@@ -211,10 +211,6 @@ func TestResultMemoizedSingleFlight(t *testing.T) {
 	for i, got := range results {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("caller %d got different bytes", i)
-		}
-		// Memoized: every caller shares the single loaded allocation.
-		if len(got) > 0 && &got[0] != &results[0][0] {
-			t.Fatalf("caller %d got a separate load (memoization broken)", i)
 		}
 	}
 	svc2.Manager.Drain()

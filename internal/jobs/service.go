@@ -351,9 +351,11 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 
 // registerResult publishes a finished job's iterate as a proxy handle named
 // after the job, and returns the retention predicate DeleteSpMVArraysKeep
-// uses to spare the handle's backing arrays. Registration failure (quota,
-// closed registry) degrades gracefully: the job still succeeds by value,
-// and a nil keep deletes everything.
+// uses to spare the handle's backing arrays. The handle takes the payload
+// itself: it is the result's one in-memory copy until the handle's last
+// reference drops. Registration failure (quota, closed registry) degrades
+// gracefully: the job still succeeds by value, and a nil keep deletes
+// everything.
 func (s *SolverService) registerResult(id int64, payload []byte, arrays []string) func(string) bool {
 	if s.reg == nil {
 		return nil
@@ -364,12 +366,13 @@ func (s *SolverService) registerResult(id int64, payload []byte, arrays []string
 	}
 	sum := sha256.Sum256(payload)
 	h, err := s.reg.Register(proxy.RegisterRequest{
-		Name:   fmt.Sprintf("job%d", id),
-		Tenant: tenant,
-		JobID:  id,
-		SHA256: fmt.Sprintf("%x", sum),
-		Length: int64(len(payload)),
-		Arrays: arrays,
+		Name:    fmt.Sprintf("job%d", id),
+		Tenant:  tenant,
+		JobID:   id,
+		SHA256:  fmt.Sprintf("%x", sum),
+		Length:  int64(len(payload)),
+		Arrays:  arrays,
+		Payload: payload,
 	})
 	if err != nil {
 		return nil
@@ -426,11 +429,11 @@ func (s *SolverService) retire(id int64, final State) {
 }
 
 // ResolveProxy materializes a handle's full payload: pin the entry so
-// reclamation defers past the read, serve from the job result (memoized or
-// durable) when available, else reassemble from the retained iterate
-// arrays. A foreign-scope handle unknown locally is fetched from its origin
-// peer over the cluster tier. Returns proxy.ErrProxyGone (typed) when the
-// last reference dropped — never partial bytes.
+// reclamation defers past the read, then serve the bytes the handle holds,
+// else the job's durable result, else reassemble them from the retained
+// iterate arrays. A foreign-scope handle unknown locally is fetched from its
+// origin peer over the cluster tier. Returns proxy.ErrProxyGone (typed) when
+// the last reference dropped — never partial bytes.
 func (s *SolverService) ResolveProxy(ref proxy.Ref) ([]byte, error) {
 	start := time.Now()
 	data, err := s.resolve(ref)
@@ -444,8 +447,9 @@ func (s *SolverService) ResolveProxy(ref proxy.Ref) ([]byte, error) {
 }
 
 // ResolveProxyRange materializes payload[lo:hi) for the wire's chunked
-// resolve verb. The full payload is still assembled per call (cheap: the
-// manager memoizes durable result bytes), and the resolve metrics observe
+// resolve verb. The full payload is resolved per call — cheap while the
+// handle holds its bytes in memory; a handle recovered after a restart reads
+// the job's result file for every chunk — and the resolve metrics observe
 // only the first chunk so one logical resolve counts once.
 func (s *SolverService) ResolveProxyRange(ref proxy.Ref, lo, hi int64) ([]byte, int64, error) {
 	start := time.Now()
@@ -500,9 +504,16 @@ func (s *SolverService) resolvePinned(pin *proxy.Pin) ([]byte, error) {
 	return data, nil
 }
 
+// pinnedBytes reads a pinned handle's payload from the first source that has
+// it: the bytes the handle holds, the job's result (the result file under a
+// store — what a handle recovered after a restart falls back to), then the
+// retained iterate arrays.
 func (s *SolverService) pinnedBytes(pin *proxy.Pin) ([]byte, error) {
-	// Fast path: the job's result payload, memoized in memory or loaded from
-	// the durable store.
+	if pin.Payload != nil {
+		return pin.Payload, nil
+	}
+	// Status first: Result would block on a job that registered its handle
+	// but has not finished yet.
 	if st, err := s.Manager.Status(pin.JobID); err == nil && st.State == StateDone.String() {
 		if data, err := s.Manager.Result(pin.JobID); err == nil && int64(len(data)) == pin.Handle.Length {
 			return data, nil
@@ -538,6 +549,25 @@ func (s *SolverService) collectArrays(arrays []string) ([]byte, error) {
 		out = append(out, raw...)
 	}
 	return out, nil
+}
+
+// Result blocks until the job finishes and returns its payload or error, as
+// Manager.Result does. While the job's proxy handle is live the bytes come
+// from the handle — the one in-memory copy — read under a pin so a racing
+// last release cannot reclaim them mid-read; otherwise from Manager.Result.
+func (s *SolverService) Result(id int64) ([]byte, error) {
+	if s.reg != nil {
+		if h, err := s.Manager.ResultProxy(id); err == nil {
+			if pin, err := s.reg.Acquire(h.Ref()); err == nil {
+				data := pin.Payload
+				pin.Close()
+				if data != nil {
+					return data, nil
+				}
+			}
+		}
+	}
+	return s.Manager.Result(id)
 }
 
 // ResultProxy returns a finished job's handle — see Manager.ResultProxy.

@@ -254,20 +254,25 @@ type Options struct {
 	// (default 512). Compaction also applies the history retention policy.
 	CompactEvery int
 	// RetainHistory bounds the terminal records kept across compactions
-	// (default 1024). The oldest terminal jobs beyond it are pruned and
-	// their result files removed; live (non-terminal) records are never
-	// pruned.
+	// (DefaultRetainHistory when 0). The oldest terminal jobs beyond it are
+	// pruned and their result files removed; live (non-terminal) records are
+	// never pruned.
 	RetainHistory int
 	// Obs receives the store's metric series (nil disables).
 	Obs *obs.Registry
 }
+
+// DefaultRetainHistory is the number of terminal records a store keeps when
+// Options.RetainHistory is 0 — and the bound the job manager applies to its
+// in-memory history when it runs without a store.
+const DefaultRetainHistory = 1024
 
 func (o *Options) fill() {
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 512
 	}
 	if o.RetainHistory <= 0 {
-		o.RetainHistory = 1024
+		o.RetainHistory = DefaultRetainHistory
 	}
 }
 
@@ -586,6 +591,11 @@ func (s *Store) MaxID() int64 {
 	defer s.mu.Unlock()
 	return s.maxID
 }
+
+// RetainHistory is the number of terminal records the store keeps across
+// compactions — the bound the job manager also applies in memory, so a live
+// process and a restarted one know the same jobs.
+func (s *Store) RetainHistory() int { return s.opts.RetainHistory }
 
 // ReplayInfo reports what Open reconstructed.
 func (s *Store) ReplayInfo() ReplayStats {

@@ -24,25 +24,28 @@ type FlightEvent struct {
 // DefaultFlightEvents bounds a flight recorder when no capacity is given.
 const DefaultFlightEvents = 64
 
-// FlightRecorder is a bounded ring of FlightEvents. When full, the oldest
-// events are overwritten and counted as dropped — a job can never grow its
-// journal records without bound. A nil *FlightRecorder discards everything.
+// FlightRecorder is a bounded ring of FlightEvents. The ring grows on demand
+// up to its capacity; once full, the oldest events are overwritten and
+// counted as dropped — a job can never grow its journal records without
+// bound. A nil *FlightRecorder discards everything.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []FlightEvent
-	start   int // index of oldest event
-	n       int // live events
-	seq     uint64
-	dropped uint64
+	mu       sync.Mutex
+	ring     []FlightEvent // len(ring) == n until the ring first fills
+	capacity int
+	start    int // index of oldest event (0 until the ring first fills)
+	n        int // live events
+	seq      uint64
+	dropped  uint64
 }
 
 // NewFlightRecorder returns a recorder bounded to capacity events
-// (DefaultFlightEvents when capacity <= 0).
+// (DefaultFlightEvents when capacity <= 0). Nothing is allocated up front: a
+// job records a handful of events, far fewer than the bound.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightEvents
 	}
-	return &FlightRecorder{ring: make([]FlightEvent, 0, capacity)}
+	return &FlightRecorder{capacity: capacity}
 }
 
 // Record appends an event, evicting the oldest when the ring is full.
@@ -63,16 +66,20 @@ func (r *FlightRecorder) Record(kind, name string, sc SpanContext, parent SpanID
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	if r.n < cap(r.ring) {
-		r.ring = append(r.ring, FlightEvent{})
-		r.ring[(r.start+r.n)%cap(r.ring)] = ev
-		r.n++
-	} else {
-		r.ring[r.start] = ev
-		r.start = (r.start + 1) % cap(r.ring)
-		r.dropped++
-	}
+	r.pushLocked(ev)
 	r.mu.Unlock()
+}
+
+// pushLocked appends ev, overwriting the oldest event once the ring is full.
+func (r *FlightRecorder) pushLocked(ev FlightEvent) {
+	if r.n < r.capacity {
+		r.ring = append(r.ring, ev)
+		r.n++
+		return
+	}
+	r.ring[r.start] = ev
+	r.start = (r.start + 1) % r.capacity
+	r.dropped++
 }
 
 // Events returns the live events oldest-first.
@@ -84,7 +91,7 @@ func (r *FlightRecorder) Events() []FlightEvent {
 	defer r.mu.Unlock()
 	out := make([]FlightEvent, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.ring[(r.start+i)%cap(r.ring)])
+		out = append(out, r.ring[(r.start+i)%len(r.ring)])
 	}
 	return out
 }
@@ -119,15 +126,7 @@ func (r *FlightRecorder) Preload(events []FlightEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ev := range events {
-		if r.n < cap(r.ring) {
-			r.ring = append(r.ring, FlightEvent{})
-			r.ring[(r.start+r.n)%cap(r.ring)] = ev
-			r.n++
-		} else {
-			r.ring[r.start] = ev
-			r.start = (r.start + 1) % cap(r.ring)
-			r.dropped++
-		}
+		r.pushLocked(ev)
 		if ev.Seq > r.seq {
 			r.seq = ev.Seq
 		}

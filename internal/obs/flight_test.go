@@ -42,6 +42,30 @@ func TestFlightRecorderRingBound(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderGrowsOnDemand: a job records about four events, so the
+// ring allocates for what it holds rather than its bound — and once the
+// bound is reached it overwrites and counts drops exactly as above.
+func TestFlightRecorderGrowsOnDemand(t *testing.T) {
+	r := NewFlightRecorder(0)
+	for i := 0; i < 4; i++ {
+		r.Record("transition", fmt.Sprintf("ev%d", i), SpanContext{}, SpanID{}, nil)
+	}
+	if c := cap(r.ring); r.Len() != 4 || c > 8 {
+		t.Fatalf("after 4 events: Len = %d, ring capacity %d, want 4 and ≤ 8 (not %d up front)", r.Len(), c, DefaultFlightEvents)
+	}
+	const total = DefaultFlightEvents + 10
+	for i := 4; i < total; i++ {
+		r.Record("note", fmt.Sprintf("ev%d", i), SpanContext{}, SpanID{}, nil)
+	}
+	if r.Len() != DefaultFlightEvents || r.Dropped() != total-DefaultFlightEvents {
+		t.Fatalf("at capacity: Len = %d, Dropped = %d", r.Len(), r.Dropped())
+	}
+	evs := r.Events()
+	if evs[0].Name != "ev10" || evs[len(evs)-1].Name != fmt.Sprintf("ev%d", total-1) {
+		t.Fatalf("wrapped ring holds %s..%s, want ev10..ev%d", evs[0].Name, evs[len(evs)-1].Name, total-1)
+	}
+}
+
 func TestFlightRecorderPreload(t *testing.T) {
 	r := NewFlightRecorder(8)
 	r.Preload([]FlightEvent{{Seq: 5, Kind: "transition", Name: "queued"}, {Seq: 6, Kind: "transition", Name: "running"}})

@@ -8,7 +8,7 @@ import "dooc/internal/obs"
 // exactly with registry state:
 //
 //	registered - reclaimed == dooc_proxy_handles (live count)
-//	resident bytes          == Σ length over live handles
+//	resident bytes          == Σ payload bytes held by unreclaimed handles
 type metrics struct {
 	registered    *obs.Counter
 	resolved      *obs.Counter
@@ -35,7 +35,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		quotaRejects:  reg.Counter("dooc_proxy_quota_rejections_total", "registrations rejected by tenant proxy quotas"),
 
 		count:         reg.Gauge("dooc_proxy_handles", "live proxy handles"),
-		residentBytes: reg.Gauge("dooc_proxy_resident_bytes", "payload bytes retained under live handles"),
+		residentBytes: reg.Gauge("dooc_proxy_resident_bytes", "result payload bytes held in memory by unreclaimed handles (a handle recovered after a restart holds none: its bytes are in the job store's result file)"),
 
 		resolveSeconds: reg.Histogram("dooc_proxy_resolve_seconds", "end-to-end proxy resolve latency",
 			[]float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}),

@@ -23,6 +23,11 @@
 // resolve does not survive a crash); refs and owners journal through
 // internal/jobstore, so handles and refcounts are rebuilt exactly after a
 // restart.
+//
+// A registered entry owns the result's bytes in memory until it is
+// reclaimed; they are the one in-process copy and are never journaled (the
+// job store's result file is the durable copy), so a handle recovered after
+// a restart holds none.
 package proxy
 
 import (
@@ -149,8 +154,11 @@ type entry struct {
 	tenant string
 	jobID  int64
 	arrays []string
-	refs   int                 // anonymous wire references (journaled)
-	owners map[string]struct{} // named references (journaled)
+	// payload is the result's bytes, held until reclaim (memory only; nil
+	// for a handle recovered after a restart).
+	payload []byte
+	refs    int                 // anonymous wire references (journaled)
+	owners  map[string]struct{} // named references (journaled)
 	// deadline is the origin lease's TTL expiry (zero = none).
 	deadline time.Time
 	// pins counts in-flight resolves (memory only): while > 0 a gone entry
@@ -198,6 +206,10 @@ type RegisterRequest struct {
 	Length int64
 	// Arrays are the storage arrays retained under the handle.
 	Arrays []string
+	// Payload, when non-nil, is the result's bytes. The entry owns them until
+	// it is reclaimed and Pin exposes them. They are never journaled: the job
+	// store's result file is the durable copy.
+	Payload []byte
 }
 
 // Register issues a handle for a completed result, taking the origin
@@ -215,6 +227,10 @@ func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 	if cur, ok := r.entries[Ref{Name: req.Name, Epoch: r.latest[req.Name]}.String()]; ok && !cur.gone &&
 		cur.h.SHA256 == req.SHA256 && cur.h.Length == req.Length {
 		cur.arrays = append([]string(nil), req.Arrays...)
+		if cur.payload == nil && req.Payload != nil {
+			cur.payload = req.Payload
+			r.m.residentBytes.Add(int64(len(req.Payload)))
+		}
 		h := cur.h
 		err := r.journalLocked(cur)
 		r.mu.Unlock()
@@ -237,10 +253,11 @@ func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 			Length: req.Length,
 			Scope:  r.cfg.Scope,
 		},
-		tenant: req.Tenant,
-		jobID:  req.JobID,
-		arrays: append([]string(nil), req.Arrays...),
-		owners: map[string]struct{}{OwnerOrigin: {}},
+		tenant:  req.Tenant,
+		jobID:   req.JobID,
+		arrays:  append([]string(nil), req.Arrays...),
+		payload: req.Payload,
+		owners:  map[string]struct{}{OwnerOrigin: {}},
 	}
 	if r.cfg.TTL > 0 {
 		e.deadline = time.Now().Add(r.cfg.TTL)
@@ -252,7 +269,7 @@ func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 	r.entries[entryKey(e.h)] = e
 	r.latest[req.Name] = epoch
 	r.m.registered.Inc()
-	r.m.residentBytes.Add(req.Length)
+	r.m.residentBytes.Add(int64(len(req.Payload)))
 	r.m.count.Add(1)
 	h := e.h
 	r.mu.Unlock()
@@ -410,21 +427,27 @@ func (r *Registry) releasedLocked(e *entry, owner string) (int, error) {
 	return remaining, nil
 }
 
-// reclaimLocked removes a gone, unpinned entry from the table and settles
-// the gauges. The caller invokes OnReclaim outside the lock.
+// reclaimLocked removes a gone, unpinned entry from the table, lets go of
+// its payload and settles the gauges. The caller invokes OnReclaim outside
+// the lock.
 func (r *Registry) reclaimLocked(e *entry) {
 	delete(r.entries, entryKey(e.h))
 	r.m.reclaimed.Inc()
-	r.m.residentBytes.Add(-e.h.Length)
+	r.m.residentBytes.Add(-int64(len(e.payload)))
+	e.payload = nil
 	r.m.count.Add(-1)
 }
 
 // Pin is an in-flight resolve's hold on a handle: while open, the entry's
-// backing arrays outlive even the final release. Close is idempotent.
+// payload and backing arrays outlive even the final release. Close is
+// idempotent.
 type Pin struct {
 	Handle Handle
 	JobID  int64
 	Arrays []string
+	// Payload is the result's bytes held by the entry (nil for a handle
+	// recovered after a restart). Callers must not modify it.
+	Payload []byte
 
 	r      *Registry
 	once   sync.Once
@@ -471,10 +494,11 @@ func (r *Registry) Acquire(ref Ref) (*Pin, error) {
 	}
 	e.pins++
 	return &Pin{
-		Handle: e.h,
-		JobID:  e.jobID,
-		Arrays: append([]string(nil), e.arrays...),
-		r:      r,
+		Handle:  e.h,
+		JobID:   e.jobID,
+		Arrays:  append([]string(nil), e.arrays...),
+		Payload: e.payload,
+		r:       r,
 	}, nil
 }
 
@@ -672,7 +696,6 @@ func (r *Registry) Recover() (int, error) {
 			r.latest[rec.Name] = rec.Epoch
 		}
 		r.m.registered.Inc()
-		r.m.residentBytes.Add(rec.Length)
 		r.m.count.Add(1)
 		n++
 	}

@@ -12,9 +12,11 @@ import (
 	"dooc/internal/obs"
 )
 
+// mustRegister registers a handle that holds a payload of its length.
 func mustRegister(t *testing.T, r *Registry, name, tenant string, job int64, sha string, length int64, arrays ...string) Handle {
 	t.Helper()
-	h, err := r.Register(RegisterRequest{Name: name, Tenant: tenant, JobID: job, SHA256: sha, Length: length, Arrays: arrays})
+	h, err := r.Register(RegisterRequest{Name: name, Tenant: tenant, JobID: job, SHA256: sha, Length: length, Arrays: arrays,
+		Payload: make([]byte, length)})
 	if err != nil {
 		t.Fatalf("register %s: %v", name, err)
 	}
@@ -112,6 +114,61 @@ func TestPinDefersReclaim(t *testing.T) {
 	pin.Close() // idempotent
 	if reclaims.Load() != 1 {
 		t.Fatalf("reclaims=%d after pin close", reclaims.Load())
+	}
+}
+
+// TestPayloadHeldUntilReclaim: the entry owns the registered bytes — a pin
+// sees the very slice, a release under the pin keeps them, and reclaim lets
+// go of them and of their resident bytes. A recovered handle holds none.
+func TestPayloadHeldUntilReclaim(t *testing.T) {
+	oreg := obs.NewRegistry()
+	store, err := jobstore.Open(t.TempDir(), jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	r := NewRegistry(Config{Store: store, Obs: oreg})
+	payload := []byte("eight by")
+	h, err := r.Register(RegisterRequest{Name: "job1", JobID: 1, SHA256: "aa", Length: 8, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := oreg.Sum("dooc_proxy_resident_bytes"); got != 8 {
+		t.Fatalf("resident bytes %d after register, want 8", got)
+	}
+	pin, err := r.Acquire(h.Ref())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pin.Payload) != 8 || &pin.Payload[0] != &payload[0] {
+		t.Fatal("pin does not expose the registered bytes")
+	}
+	if _, err := r.Release(h.Ref(), ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := oreg.Sum("dooc_proxy_resident_bytes"); got != 8 {
+		t.Fatalf("resident bytes %d while pinned, want 8", got)
+	}
+	pin.Close()
+	if got := oreg.Sum("dooc_proxy_resident_bytes"); got != 0 {
+		t.Fatalf("resident bytes %d after reclaim, want 0", got)
+	}
+
+	kept, err := r.Register(RegisterRequest{Name: "job2", JobID: 2, SHA256: "bb", Length: 8, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewRegistry(Config{Store: store, Obs: obs.NewRegistry()})
+	if _, err := r2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	pin, err = r2.Acquire(kept.Ref())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Close()
+	if pin.Payload != nil {
+		t.Fatal("a recovered handle holds payload bytes the journal never had")
 	}
 }
 
@@ -281,7 +338,8 @@ func TestHammer(t *testing.T) {
 
 // reconcileMetrics asserts the dooc_proxy_* series agree exactly with the
 // registry's state: registered - reclaimed == live handles, and resident
-// bytes equal the sum of live lengths.
+// bytes equal the sum of live lengths (every handle mustRegister makes holds
+// its payload).
 func reconcileMetrics(t *testing.T, oreg *obs.Registry, r *Registry) {
 	t.Helper()
 	live := r.List()

@@ -92,7 +92,7 @@ func (s *Server) dispatchJob(req *request) *response {
 		}
 		return &response{}
 	case opJobResult:
-		data, err := svc.Manager.Result(req.Job.ID)
+		data, err := svc.Result(req.Job.ID)
 		if err != nil {
 			return fail(err)
 		}
