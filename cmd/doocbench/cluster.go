@@ -215,6 +215,18 @@ func clusterRun() error {
 			return nil, err
 		}
 		wall := time.Since(start)
+		// The run deleted every array it wrote, so the ring must drain:
+		// a push that lost the race to its array's delete may not leave a
+		// copy behind on any peer.
+		deadline := time.Now().Add(2 * time.Second)
+		for _, p := range peers {
+			for st := p.node.Status(); st.TableBlocks != 0; st = p.node.Status() {
+				if time.Now().After(deadline) {
+					return nil, fmt.Errorf("peer %s still holds %d blocks after the run deleted its arrays", st.Self, st.TableBlocks)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
 		sum := sha256.Sum256(jobs.EncodeFloat64s(res.X))
 		return &modeResult{
 			peers:    peerCount,

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dooc/internal/compress"
@@ -787,8 +788,9 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 // when DurableCopies distinct *remote* peers acknowledged the bytes, in
 // which case the block survives any single peer death and the caller may
 // skip its local disk spill. Node does not retain data; it copies what it
-// keeps.
-func (n *Node) PushBlock(array string, block int, data []byte) bool {
+// keeps. Between owners the walk checks dead (nil: never): once the array
+// is deleted, the owners not yet reached get no copy.
+func (n *Node) PushBlock(array string, block int, data []byte, dead *atomic.Bool) bool {
 	if n.isClosed() {
 		return false
 	}
@@ -807,6 +809,9 @@ func (n *Node) PushBlock(array string, block int, data []byte) bool {
 	// replica: the target is ReplicateCopies *remote* copies, with the self
 	// copy as a bonus read server when self is among the owners.
 	for _, id := range ring.Owners(BlockKey(array, block), ReplicateCopies+1) {
+		if dead != nil && dead.Load() {
+			break
+		}
 		if id == n.cfg.Self.ID {
 			// The self copy serves other peers' forwarded reads but never
 			// counts toward durability (it dies with this process), so it

@@ -196,7 +196,7 @@ func TestNodePushDurableAndForwardedRead(t *testing.T) {
 	pusher := peerByID(peers, ring.Owner(BlockKey("A", block)))
 
 	payload := bytes.Repeat([]byte{0xAB}, 4096)
-	if !pusher.node.PushBlock("A", block, payload) {
+	if !pusher.node.PushBlock("A", block, payload, nil) {
 		t.Fatal("push with three live remote-capable owners not durable")
 	}
 	pc := pusher.node.Counters()
@@ -237,7 +237,7 @@ func TestNodePushDurableAndForwardedRead(t *testing.T) {
 func TestNodeTooFewPeersNotDurable(t *testing.T) {
 	peers := startTestCluster(t, 2, nil)
 	payload := bytes.Repeat([]byte{7}, 512)
-	if peers[0].node.PushBlock("A", 0, payload) {
+	if peers[0].node.PushBlock("A", 0, payload, nil) {
 		t.Fatal("push reported durable with only one remote peer")
 	}
 	data, ok := peers[1].node.FetchBlock("A", 0)
@@ -253,7 +253,7 @@ func TestNodeBackpressureRefusesDurable(t *testing.T) {
 	peers := startTestCluster(t, 3, func(i int, cfg *Config) {
 		cfg.TableBytes = 64 // far below the payload size
 	})
-	if peers[0].node.PushBlock("A", 0, bytes.Repeat([]byte{1}, 1024)) {
+	if peers[0].node.PushBlock("A", 0, bytes.Repeat([]byte{1}, 1024), nil) {
 		t.Fatal("push durable though every receiver refused to pin")
 	}
 	if c := peers[0].node.Counters(); c.PushAcks != 0 {
@@ -277,7 +277,7 @@ func TestNodeReplicaLifecycle(t *testing.T) {
 	p := peerByID(peers, "n2")
 
 	v1 := bytes.Repeat([]byte{1}, 1024)
-	if !p.node.PushBlock(array, block, v1) {
+	if !p.node.PushBlock(array, block, v1, nil) {
 		t.Fatal("v1 push not durable")
 	}
 	// First fetch forwards and fills the replica cache.
@@ -298,7 +298,7 @@ func TestNodeReplicaLifecycle(t *testing.T) {
 	// Write-back: the push invalidates the local replica, so the next
 	// fetch forwards again and must see the new bytes, never the cached v1.
 	v2 := bytes.Repeat([]byte{2}, 1024)
-	if !p.node.PushBlock(array, block, v2) {
+	if !p.node.PushBlock(array, block, v2, nil) {
 		t.Fatal("v2 push not durable")
 	}
 	if data, ok := p.node.FetchBlock(array, block); !ok || !bytes.Equal(data, v2) {
@@ -314,7 +314,7 @@ func TestNodeReplicaLifecycle(t *testing.T) {
 	v3 := bytes.Repeat([]byte{3}, 1024)
 	w := peerByID(peers, ring.Owner(BlockKey(array, block)))
 	w.node.noteEpoch(array, block, 2) // writer continues from the observed epoch
-	if !w.node.PushBlock(array, block, v3) {
+	if !w.node.PushBlock(array, block, v3, nil) {
 		t.Fatal("v3 push not durable")
 	}
 	p.node.noteEpoch(array, block, 3)
@@ -333,7 +333,7 @@ func TestNodeInvalidateArray(t *testing.T) {
 	peers := startTestCluster(t, 3, nil)
 	payload := bytes.Repeat([]byte{9}, 256)
 	for b := 0; b < 4; b++ {
-		peers[0].node.PushBlock("gone", b, payload)
+		peers[0].node.PushBlock("gone", b, payload, nil)
 	}
 	peers[0].node.InvalidateArray("gone")
 	waitFor(t, 2*time.Second, "peers to drop the deleted array", func() bool {
@@ -350,7 +350,7 @@ func TestNodeInvalidateArray(t *testing.T) {
 		t.Fatal("deleted array still fetchable")
 	}
 	// The recreated array's first push starts above every old epoch.
-	if !peers[0].node.PushBlock("gone", 0, payload) {
+	if !peers[0].node.PushBlock("gone", 0, payload, nil) {
 		t.Fatal("push after recreate not durable")
 	}
 	if e := peers[0].node.epochOf("gone", 0); e < 2 {
@@ -370,10 +370,10 @@ func TestNodeScopeIsolation(t *testing.T) {
 	const array = "job1:x"
 	a := bytes.Repeat([]byte{0xA0}, 512)
 	b := bytes.Repeat([]byte{0xB1}, 512)
-	if !peers[0].node.PushBlock(array, 0, a) {
+	if !peers[0].node.PushBlock(array, 0, a, nil) {
 		t.Fatal("n0 push not durable")
 	}
-	if !peers[1].node.PushBlock(array, 0, b) {
+	if !peers[1].node.PushBlock(array, 0, b, nil) {
 		t.Fatal("n1 push not durable")
 	}
 	if data, ok := peers[0].node.FetchBlock(array, 0); !ok || !bytes.Equal(data, a) {
@@ -439,7 +439,7 @@ func TestNodeDeleteRetryAndStaleEpochGuard(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{0x5A}, 256)
 	// With 3 members the push walk covers every peer, so n1 holds a copy.
-	if !peers[0].node.PushBlock("gone", 0, payload) {
+	if !peers[0].node.PushBlock("gone", 0, payload, nil) {
 		t.Fatal("push not durable")
 	}
 	if _, _, ok := peers[1].node.table.Get("gone", 0); !ok {
@@ -531,7 +531,7 @@ func TestNodeDeathFailover(t *testing.T) {
 	})
 
 	payload := bytes.Repeat([]byte{5}, 2048)
-	if !peers[0].node.PushBlock("A", 1, payload) {
+	if !peers[0].node.PushBlock("A", 1, payload, nil) {
 		t.Fatal("push not durable before the kill")
 	}
 
@@ -688,7 +688,7 @@ func TestNodeLegacyRejection(t *testing.T) {
 	}
 	// The cluster keeps working without it.
 	payload := bytes.Repeat([]byte{4}, 128)
-	peers[0].node.PushBlock("A", 0, payload)
+	peers[0].node.PushBlock("A", 0, payload, nil)
 	if data, ok := peers[1].node.FetchBlock("A", 0); !ok || !bytes.Equal(data, payload) {
 		t.Fatal("fetch failed after legacy expulsion")
 	}
@@ -704,7 +704,7 @@ func TestNodeClosedRefuses(t *testing.T) {
 	if _, ok := n.FetchBlock("A", 0); ok {
 		t.Fatal("closed node served a fetch")
 	}
-	if n.PushBlock("A", 0, []byte{1}) {
+	if n.PushBlock("A", 0, []byte{1}, nil) {
 		t.Fatal("closed node accepted a push")
 	}
 	if _, err := n.PeerPut("A", 0, 1, []byte{1}, false); !errors.Is(err, ErrClosed) {

@@ -26,17 +26,17 @@ func TestClusterObsReconcile(t *testing.T) {
 	// Cold pushes and forwarded reads across several keys.
 	for b := 0; b < 6; b++ {
 		pusher := peers[b%len(peers)]
-		pusher.node.PushBlock("A", b, payload)
+		pusher.node.PushBlock("A", b, payload, nil)
 		reader := peerByID(peers, findNonOwner(ring, "A", b))
 		reader.node.FetchBlock("A", b)
 	}
 	// Hot-array traffic: fills, hits, a write-back, and a delete.
 	hotBlock := findBlockExcluding(t, ring, "x_t", "n1")
 	hotPeer := peerByID(peers, "n1")
-	hotPeer.node.PushBlock("x_t", hotBlock, payload)
+	hotPeer.node.PushBlock("x_t", hotBlock, payload, nil)
 	hotPeer.node.FetchBlock("x_t", hotBlock) // forward + fill
 	hotPeer.node.FetchBlock("x_t", hotBlock) // replica hit
-	hotPeer.node.PushBlock("x_t", hotBlock, payload)
+	hotPeer.node.PushBlock("x_t", hotBlock, payload, nil)
 	peers[0].node.InvalidateArray("A")
 	// A miss and an explicit gossip round.
 	peers[2].node.FetchBlock("missing", 0)

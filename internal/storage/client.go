@@ -37,9 +37,10 @@ func (s *Store) Delete(name string) error {
 	err := collectAcks(ack, len(s.peers))
 	if err == nil && s.cfg.Shard != nil {
 		// Drop the array from the cluster tier exactly once, from the
-		// initiating store; peers that miss the delete serve at most
+		// initiating store, after the last push of it any store started
+		// has returned; peers that miss the delete serve at most
 		// stale-epoch bytes, which readers reject.
-		s.cfg.Shard.InvalidateArray(name)
+		s.drains.deleted(s.cfg.Shard, name)
 	}
 	return err
 }

@@ -1,5 +1,10 @@
 package storage
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // ShardBackend connects a store to a cross-process storage tier — in
 // practice internal/cluster.Node, the consistent-hash ring over real
 // doocserve peers. The interface lives here so storage does not import
@@ -13,6 +18,11 @@ package storage
 // fallback — the store clears its shard marking and resumes the normal
 // disk/peer load path.
 //
+// A deleted array's copies die with it: the stores invalidate an array only
+// after every push of it they started has returned, so no push lands after
+// the invalidation, and a push whose array is deleted meanwhile may stop
+// early.
+//
 // All methods must be safe for concurrent use; the store calls them from
 // short-lived goroutines, never from its actor loop.
 type ShardBackend interface {
@@ -22,11 +32,99 @@ type ShardBackend interface {
 	FetchBlock(array string, block int) (data []byte, ok bool)
 	// PushBlock places a written block on the tier. The return value
 	// reports durability; the backend must not retain data after
-	// returning.
-	PushBlock(array string, block int, data []byte) (durable bool)
+	// returning. dead turns true once the array has been deleted; the
+	// backend may then skip the copies it has not placed yet, since the
+	// store ignores the verdict and invalidates the array after the push
+	// returns.
+	PushBlock(array string, block int, data []byte, dead *atomic.Bool) (durable bool)
 	// InvalidateArray drops the array from the tier everywhere (the
-	// array was deleted).
+	// array was deleted). It follows every push the stores started for
+	// that array.
 	InvalidateArray(array string)
+}
+
+// pushDrains counts, per array name, the shard pushes a network's stores
+// have started and not yet seen return. It is how a delete waits for them:
+// the invalidation runs when the array is deleted and nothing is in flight,
+// on whichever goroutine brings that about — the deleting client's when
+// nothing was in flight, else the last push's. The stores of one network
+// share one, since a delete on any of them removes the array from all.
+type pushDrains struct {
+	mu     sync.Mutex
+	arrays map[string]*pushDrain
+}
+
+// pushDrain is one array name's pushes in flight. dead is set when the
+// array is deleted: its pushes may stop walking their owners, their
+// verdicts are void, and a new array of the same name pushes nothing until
+// the drain ends — the old incarnation's invalidation would drop its copies.
+type pushDrain struct {
+	pushes int // guarded by pushDrains.mu
+	dead   atomic.Bool
+}
+
+func newPushDrains() *pushDrains {
+	return &pushDrains{arrays: make(map[string]*pushDrain)}
+}
+
+// start counts a push of array, or returns nil while a deleted array of
+// the same name is still draining.
+func (d *pushDrains) start(array string) *pushDrain {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p := d.arrays[array]
+	if p == nil {
+		p = &pushDrain{}
+		d.arrays[array] = p
+	} else if p.dead.Load() {
+		return nil
+	}
+	p.pushes++
+	return p
+}
+
+// pushed records that one of p's pushes returned.
+func (d *pushDrains) pushed(shard ShardBackend, array string, p *pushDrain) {
+	d.mu.Lock()
+	p.pushes--
+	d.settleLocked(shard, array, p)
+}
+
+// deleted records that array was deleted from every store of the network.
+func (d *pushDrains) deleted(shard ShardBackend, array string) {
+	d.mu.Lock()
+	p := d.arrays[array]
+	if p == nil {
+		p = &pushDrain{}
+		d.arrays[array] = p
+	}
+	p.dead.Store(true)
+	d.settleLocked(shard, array, p)
+}
+
+// settleLocked ends p once no push is in flight: a live array's record
+// simply goes, a deleted one's is invalidated on the tier first, so that
+// a new array of the name pushes nothing until the invalidation is done.
+// It is called with d.mu held and releases it.
+func (d *pushDrains) settleLocked(shard ShardBackend, array string, p *pushDrain) {
+	if p.pushes > 0 {
+		d.mu.Unlock()
+		return
+	}
+	dead := p.dead.Load()
+	if !dead {
+		delete(d.arrays, array)
+	}
+	d.mu.Unlock()
+	if !dead {
+		return
+	}
+	shard.InvalidateArray(array)
+	d.mu.Lock()
+	if d.arrays[array] == p {
+		delete(d.arrays, array)
+	}
+	d.mu.Unlock()
 }
 
 // shardDone delivers an asynchronous shard-tier fetch to the actor loop.
@@ -38,11 +136,13 @@ type shardDone struct {
 	ok    bool
 }
 
-// shardPushed delivers a background push's durability verdict.
+// shardPushed delivers a background push's durability verdict. drain is
+// the push's count; once it is dead the verdict belongs to a deleted array.
 type shardPushed struct {
 	array   string
 	block   int
 	durable bool
+	drain   *pushDrain
 }
 
 // shardFetch runs off-loop: resolve the block over the tier and post the
@@ -98,12 +198,20 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 
 // maybeShardPush starts a background push of a fully written block toward
 // its ring owners. Runs on the actor loop right after write publication.
+// While a deleted array of the same name is still draining, the block is
+// not pushed: it stays local and non-durable, and spills on eviction as any
+// unpushed block does.
 func (s *Store) maybeShardPush(st *loopState, ast *arrayState, bi int, b *blockState) {
 	if s.cfg.Shard == nil || b.shardPushing {
 		return
 	}
 	bs := ast.info.BlockSpan(bi)
 	if b.buf == nil || !b.resident.full(bs.Hi-bs.Lo) {
+		return
+	}
+	name := ast.info.Name
+	drain := s.drains.start(name)
+	if drain == nil {
 		return
 	}
 	b.shardPushing = true
@@ -113,11 +221,14 @@ func (s *Store) maybeShardPush(st *loopState, ast *arrayState, bi int, b *blockS
 	s.metrics.shardPushBytes.Add(int64(len(b.buf)))
 	data := sharedArena.Get(len(b.buf))
 	copy(data, b.buf)
-	name := ast.info.Name
 	go func() {
-		durable := s.cfg.Shard.PushBlock(name, bi, data)
+		durable := s.cfg.Shard.PushBlock(name, bi, data, &drain.dead)
 		sharedArena.Put(data)
-		s.post(shardPushed{array: name, block: bi, durable: durable})
+		// The verdict is posted before the push stops counting: a delete
+		// that finds the push returned then also finds its verdict queued
+		// ahead of any re-create of the name.
+		s.post(shardPushed{array: name, block: bi, durable: durable, drain: drain})
+		s.drains.pushed(s.cfg.Shard, name, drain)
 	}()
 }
 
@@ -128,9 +239,12 @@ func (s *Store) maybeShardPush(st *loopState, ast *arrayState, bi int, b *blockS
 // block's directory is told this node holds it durably: a peer's read is
 // redirected here and handleQuery fetches the block back on its behalf.
 func (s *Store) handleShardPushed(st *loopState, m shardPushed) {
+	if m.drain.dead.Load() {
+		return // the pushed array is deleted; an array of that name now is another one
+	}
 	ast, ok := st.arrays[m.array]
 	if !ok {
-		return // array deleted while the push was in flight
+		return // deleted on this store, not yet on all of them
 	}
 	b, ok := ast.blocks[m.block]
 	if !ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,7 +16,8 @@ import (
 type fakeShard struct {
 	mu          sync.Mutex
 	durable     bool
-	lost        bool // FetchBlock misses everything (owners died)
+	lost        bool          // FetchBlock misses everything (owners died)
+	gate        chan struct{} // when non-nil, PushBlock waits for it to close
 	blocks      map[string][]byte
 	invalidated []string
 }
@@ -36,7 +38,10 @@ func (f *fakeShard) FetchBlock(array string, block int) ([]byte, bool) {
 	return data, ok
 }
 
-func (f *fakeShard) PushBlock(array string, block int, data []byte) bool {
+func (f *fakeShard) PushBlock(array string, block int, data []byte, _ *atomic.Bool) bool {
+	if f.gate != nil {
+		<-f.gate
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.blocks[shardKey(array, block)] = append([]byte(nil), data...)
@@ -185,7 +190,19 @@ func TestShardFallbackOnLoss(t *testing.T) {
 	waitShard(t, s, "a fallback", func(st Stats) bool { return st.ShardFallbacks > 0 })
 }
 
-// TestShardInvalidateOnDelete: deleting an array drops it from the tier.
+// pushesInFlight reports how many pushes of array s's network has started
+// and not yet seen return.
+func pushesInFlight(s *Store, array string) int {
+	s.drains.mu.Lock()
+	defer s.drains.mu.Unlock()
+	if p := s.drains.arrays[array]; p != nil {
+		return p.pushes
+	}
+	return 0
+}
+
+// TestShardInvalidateOnDelete: deleting an array with no push in flight
+// drops it from the tier before Delete returns.
 func TestShardInvalidateOnDelete(t *testing.T) {
 	shard := newFakeShard(false)
 	s, err := NewLocal(Config{MemoryBudget: 1 << 20, Shard: shard})
@@ -195,9 +212,9 @@ func TestShardInvalidateOnDelete(t *testing.T) {
 	defer s.Close()
 	writeShardArray(t, s, "a", 2, 512)
 	deadline := time.Now().Add(5 * time.Second)
-	for shard.held() != 2 {
+	for shard.held() != 2 || pushesInFlight(s, "a") != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard holds %d blocks, want 2", shard.held())
+			t.Fatalf("shard holds %d blocks with %d pushes in flight, want 2 and 0", shard.held(), pushesInFlight(s, "a"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -212,6 +229,60 @@ func TestShardInvalidateOnDelete(t *testing.T) {
 	shard.mu.Unlock()
 	if inv != 1 {
 		t.Fatalf("InvalidateArray called %d times, want 1", inv)
+	}
+}
+
+// TestShardDeleteWaitsForPushes: a delete while pushes of the array are in
+// flight on two stores of one network invalidates the array once, after the
+// last of them has returned, so no pushed copy outlives the array.
+func TestShardDeleteWaitsForPushes(t *testing.T) {
+	const blockSize = 512
+	shard := newFakeShard(false)
+	shard.gate = make(chan struct{})
+	stores, err := NewNetwork(2, func(node int, cfg *Config) { cfg.Shard = shard })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	if err := stores[0].Create("a", 2*blockSize, blockSize); err != nil {
+		t.Fatal(err)
+	}
+	for b, s := range stores {
+		lease, err := s.RequestBlock("a", b, PermWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease.Release()
+	}
+	for pushesInFlight(stores[0], "a") != 2 {
+		runtime.Gosched()
+	}
+	if err := stores[1].Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	shard.mu.Lock()
+	early := len(shard.invalidated)
+	shard.mu.Unlock()
+	if early != 0 {
+		t.Fatalf("InvalidateArray ran %d times with two pushes in flight", early)
+	}
+	close(shard.gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		shard.mu.Lock()
+		inv := len(shard.invalidated)
+		shard.mu.Unlock()
+		if inv == 1 && shard.held() == 0 && pushesInFlight(stores[0], "a") == 0 {
+			break
+		}
+		if inv > 1 || time.Now().After(deadline) {
+			t.Fatalf("after the pushes returned: %d invalidations, %d blocks held, want 1 and 0", inv, shard.held())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -296,7 +296,8 @@ type Store struct {
 	rng     *rand.Rand
 	metrics storeMetrics
 
-	peers []*Store // includes self at cfg.NodeID
+	peers  []*Store    // includes self at cfg.NodeID
+	drains *pushDrains // shard pushes in flight, shared with peers
 
 	// Freelists owned by the loop goroutine (never touched elsewhere).
 	// Unlike sync.Pool these survive GC, which matters because an iterative
@@ -353,8 +354,10 @@ func NewNetwork(n int, configure func(node int, cfg *Config)) ([]*Store, error) 
 		}
 		stores[i] = s
 	}
+	drains := newPushDrains()
 	for _, s := range stores {
 		s.peers = stores
+		s.drains = drains
 	}
 	for _, s := range stores {
 		s.start()
@@ -375,6 +378,7 @@ func NewLocal(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.peers = []*Store{s}
+	s.drains = newPushDrains()
 	s.start()
 	s.announceScanned()
 	return s, nil
