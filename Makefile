@@ -73,7 +73,10 @@ hotpath:
 # same interleaving; ≈ 0.95 when calm). A worker's poll of the DAG's ready
 # set (BenchmarkReadyAppend, at every wake-up) must report 0 allocs/op too,
 # and so must a warm buffer-arena round trip at each of the workloads' block
-# sizes (BenchmarkArenaGetPut): a Get that misses its class allocates.
+# sizes (BenchmarkArenaGetPut): a Get that misses its class allocates. So
+# must a copy-out read of a basis-vector block (BenchmarkReadBlockFloat64s),
+# resident and from its slot on scratch: its request, I/O job and reply are
+# pooled, and the scratch file is already open.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
 	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
@@ -84,6 +87,8 @@ perf-gate:
 		awk '{print} /^BenchmarkReadyAppend/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 2 || bad}'
 	$(GO) test -run '^$$' -bench '^BenchmarkArenaGetPut$$' -benchtime 10000x -benchmem ./internal/storage/ | \
 		awk '{print} /^BenchmarkArenaGetPut/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 4 || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkReadBlockFloat64s$$' -benchtime 2000x -benchmem ./internal/storage/ | \
+		awk '{print} /^BenchmarkReadBlockFloat64s/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 2 || bad}'
 
 vet:
 	$(GO) vet ./...

@@ -264,22 +264,29 @@ func AppendFrameAdaptive(dst []byte, c Codec, src []byte) ([]byte, Codec) {
 // sized to. A length no encoding of the payload's size can decode to is
 // refused here, so a forged header never sizes a buffer.
 func FrameRawLen(frame []byte) (Codec, int, error) {
-	if len(frame) < FrameHeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, len(frame), FrameHeaderLen)
+	return FrameHeader(frame, len(frame))
+}
+
+// FrameHeader is FrameRawLen for a reader that holds a frame's header apart
+// from its payload: hdr begins with the header, and frameLen is the length of
+// the whole frame, which the payload bound is checked against.
+func FrameHeader(hdr []byte, frameLen int) (Codec, int, error) {
+	if len(hdr) < FrameHeaderLen || frameLen < FrameHeaderLen {
+		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCorrupt, min(len(hdr), frameLen), FrameHeaderLen)
 	}
-	if string(frame[:4]) != frameMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, frame[:4])
+	if string(hdr[:4]) != frameMagic {
+		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
 	}
-	if frame[5] != 0 {
-		return nil, 0, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, frame[5])
+	if hdr[5] != 0 {
+		return nil, 0, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, hdr[5])
 	}
-	c, ok := ByID(frame[4])
+	c, ok := ByID(hdr[4])
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: unknown codec ID %d", ErrCorrupt, frame[4])
+		return nil, 0, fmt.Errorf("%w: unknown codec ID %d", ErrCorrupt, hdr[4])
 	}
-	rawLen := binary.LittleEndian.Uint64(frame[6:])
-	if rawLen > uint64(c.MaxDecodedLen(len(frame)-FrameHeaderLen)) {
-		return c, 0, fmt.Errorf("%w: codec %s: %d payload bytes cannot decode to %d", ErrCorrupt, c.Name(), len(frame)-FrameHeaderLen, rawLen)
+	rawLen := binary.LittleEndian.Uint64(hdr[6:])
+	if rawLen > uint64(c.MaxDecodedLen(frameLen-FrameHeaderLen)) {
+		return c, 0, fmt.Errorf("%w: codec %s: %d payload bytes cannot decode to %d", ErrCorrupt, c.Name(), frameLen-FrameHeaderLen, rawLen)
 	}
 	return c, int(rawLen), nil
 }
@@ -302,14 +309,16 @@ func DecodeFrameInto(dst, frame []byte, verify bool) (Codec, error) {
 		return c, fmt.Errorf("codec %s: %w", c.Name(), err)
 	}
 	if verify {
-		return c, checkFrameCRC(frame, dst, c)
+		return c, CheckFrameCRC(frame, dst, c)
 	}
 	return c, nil
 }
 
-// checkFrameCRC holds a frame's decoded bytes against the CRC in its header.
-func checkFrameCRC(frame, decoded []byte, c Codec) error {
-	want := binary.LittleEndian.Uint32(frame[14:])
+// CheckFrameCRC holds a frame's decoded bytes against the CRC in its header;
+// hdr begins with the header (FrameHeader vouched for it) and c is the codec
+// it names.
+func CheckFrameCRC(hdr, decoded []byte, c Codec) error {
+	want := binary.LittleEndian.Uint32(hdr[14:])
 	if got := crc32.Checksum(decoded, crcTable); got != want {
 		return fmt.Errorf("%w: codec %s CRC mismatch (frame %08x, decoded %08x)", ErrCorrupt, c.Name(), want, got)
 	}
@@ -330,7 +339,7 @@ func RawPayload(frame []byte, verify bool) ([]byte, error) {
 		return nil, fmt.Errorf("%w: codec %s frame of %d payload bytes is not %d bytes stored raw", ErrCorrupt, c.Name(), len(payload), rawLen)
 	}
 	if verify {
-		if err := checkFrameCRC(frame, payload, c); err != nil {
+		if err := CheckFrameCRC(frame, payload, c); err != nil {
 			return nil, err
 		}
 	}

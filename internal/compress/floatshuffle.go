@@ -96,12 +96,11 @@ func lzHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lzHashBits)
 }
 
-// lzEncode appends the token stream for src to dst.
+// lzEncode appends the token stream for src to dst. The hash table holds
+// position + 1, so its zero value means empty and a call clears nothing but
+// what Go zeroes for it.
 func lzEncode(dst, src []byte) []byte {
 	var table [1 << lzHashBits]int32
-	for i := range table {
-		table[i] = -1
-	}
 	litStart := 0
 	flushLits := func(end int) {
 		for litStart < end {
@@ -117,8 +116,8 @@ func lzEncode(dst, src []byte) []byte {
 	i := 0
 	for i+lzMinMatch <= len(src) {
 		key := lzHash(binary.LittleEndian.Uint32(src[i:]))
-		cand := table[key]
-		table[key] = int32(i)
+		cand := table[key] - 1
+		table[key] = int32(i + 1)
 		if cand >= 0 && i-int(cand) < lzMaxOffset &&
 			binary.LittleEndian.Uint32(src[cand:]) == binary.LittleEndian.Uint32(src[i:]) {
 			length := lzMinMatch

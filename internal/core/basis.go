@@ -15,8 +15,9 @@ import (
 // required for MFDn computations").
 //
 // A vector is one block of an array that holds basisChunk of them, so a
-// step's append creates no array, no block directory and no sidecar of its
-// own — a chunk's first append does, once for all of them.
+// step's append creates no array, no scratch file and no sidecar of its
+// own — a chunk's first append does, once for all of them; the spill writes
+// the vector into its slot of the chunk's open file.
 type BasisStore struct {
 	// Store is the node-local storage filter holding the vectors.
 	Store *storage.Store
@@ -80,10 +81,10 @@ func (b *BasisStore) Append(v []float64) error {
 // Len implements lanczos.Basis.
 func (b *BasisStore) Len() int { return b.count }
 
-// Vector implements lanczos.Basis. Evicted vectors are transparently
-// re-read from scratch by the storage layer. The result is the store's one
-// read buffer, decoded into straight from the lease: as the interface says,
-// it is valid until the next call.
+// Vector implements lanczos.Basis. The vector is a copy-out read into the
+// basis' one read buffer: a spilled vector goes from its scratch slot
+// straight into it and never becomes resident, so reorthogonalisation evicts
+// nothing. As the interface says, the result is valid until the next call.
 func (b *BasisStore) Vector(j int) ([]float64, error) {
 	if j < 0 || j >= b.count {
 		return nil, fmt.Errorf("core: basis vector %d out of [0,%d)", j, b.count)
@@ -93,12 +94,9 @@ func (b *BasisStore) Vector(j int) ([]float64, error) {
 	}
 	v := b.buf[:b.dim]
 	name, block := b.place(j)
-	l, err := b.Store.RequestBlock(name, block, storage.PermRead)
-	if err != nil {
+	if err := b.Store.ReadBlockFloat64s(name, block, v); err != nil {
 		return nil, err
 	}
-	storage.DecodeFloat64sInto(v, l.Data)
-	l.Release()
 	return v, nil
 }
 

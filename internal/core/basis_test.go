@@ -240,10 +240,10 @@ func TestFullyOutOfCoreLanczos(t *testing.T) {
 }
 
 // TestBasisChunksShareOneArray: a solve's vectors are blocks of one array per
-// chunk, so what a step's spill adds to the scratch directory is one frame
-// file — the block directory and the sidecar are the chunk's, made by its
-// first append, and a flush that would write the same sidecar again writes
-// nothing. Vectors read back across the chunk boundary, Spill still leaves
+// chunk, so a step's spill adds no file to the scratch directory — it fills
+// a slot of the chunk's `.seg` file, and that file and the sidecar are made
+// by the chunk's first append; a flush that would write the same sidecar
+// again writes nothing. Vectors read back across the chunk boundary, Spill still leaves
 // nothing of the basis resident, and Close removes every file.
 func TestBasisChunksShareOneArray(t *testing.T) {
 	dir := t.TempDir()
@@ -276,7 +276,7 @@ func TestBasisChunksShareOneArray(t *testing.T) {
 		}
 		chunks := j/basisChunk + 1
 		if got := entries(); len(got) != 2*chunks {
-			t.Fatalf("after %d appends the scratch directory holds %v, want a block directory and a sidecar for each of %d chunks", j+1, got, chunks)
+			t.Fatalf("after %d appends the scratch directory holds %v, want a slot file and a sidecar for each of %d chunks", j+1, got, chunks)
 		}
 		if st := s.Stats(); st.MemUsed != 0 {
 			t.Fatalf("after %d spilled appends %d bytes are resident", j+1, st.MemUsed)

@@ -234,7 +234,7 @@ func PurgeTaggedArtifactsExcept(sys *System, prefix string, keep func(base strin
 				continue
 			}
 			base := name
-			for _, suf := range []string{".arr", ".blk", ".meta"} {
+			for _, suf := range []string{".arr", ".seg", ".blk", ".meta"} {
 				if strings.HasSuffix(name, suf) {
 					base = strings.TrimSuffix(name, suf)
 					break
@@ -270,7 +270,7 @@ func checkpointSumExecutor(sys *System, runPrefix, ckTag string, base int, p spa
 		// "<runPrefix>x_<t>_<u>". Persist it under the global checkpoint name
 		// "<ckTag>:x_<base+t>_<u>" so LatestCheckpoint finds it. The read-back
 		// goes through the store, not the filesystem: the flushed layout may
-		// be a raw .arr file or a directory of compressed frames, and the
+		// be a raw .arr file or a .seg file of compressed frames, and the
 		// checkpoint file itself stays raw (plus CRC trailer) so resume scans
 		// never need a codec.
 		var t, u int

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"dooc/internal/compress"
 	"dooc/internal/sparse"
 )
 
@@ -217,5 +219,55 @@ func TestCheckpointValidation(t *testing.T) {
 	ck, err := LatestCheckpoint(root, cfg)
 	if err != nil || ck != nil {
 		t.Errorf("expected no checkpoint, got %+v err %v", ck, err)
+	}
+}
+
+// TestPurgeRemovesOlderBuildBlockDirs: scratch an older build left — a job's
+// spilled array as a `.blk` directory of frame files beside its sidecar — is
+// not registered by the startup scan, and the purge before a re-resume
+// removes it, as it removes the `.seg` file this build spills.
+func TestPurgeRemovesOlderBuildBlockDirs(t *testing.T) {
+	root := t.TempDir()
+	node0 := filepath.Join(root, "node0")
+	old := filepath.Join(node0, "job9:x_1_0.blk")
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ path, body string }{
+		{filepath.Join(old, "000000"), "DOZ1 frame bytes"},
+		{filepath.Join(node0, "job9:x_1_0.meta"), `{"size":64,"block_size":64,"codec":"fshuf"}`},
+	} {
+		if err := os.WriteFile(f.path, []byte(f.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := NewSystem(Options{Nodes: 1, ScratchRoot: root, MemoryBudget: 1 << 20, Codec: compress.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	st := sys.Store(0)
+	if _, err := st.Info("job9:x_1_0"); err == nil {
+		t.Fatal("the scan registered an older build's .blk directory")
+	}
+	// This build's spill of another array of the job: one .seg file.
+	if err := st.WriteArray("job9:x_2_0", make([]byte, 64), 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush("job9:x_2_0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(node0, "job9:x_2_0.seg")); err != nil {
+		t.Fatalf("spill wrote no .seg file: %v", err)
+	}
+	PurgeTaggedArtifacts(sys, "job9:")
+	left, err := os.ReadDir(node0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		if strings.HasPrefix(e.Name(), "job9:") {
+			t.Errorf("purge left %s behind", e.Name())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dooc/internal/compress"
@@ -181,6 +182,64 @@ func BenchmarkArenaGetPut(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf := a.Get(bc.size)
 				a.Put(buf)
+			}
+		})
+	}
+}
+
+// BenchmarkReadBlockFloat64s measures the copy-out read of a 24,000-byte
+// vector block — what a Krylov basis read costs — from memory and from its
+// slot on scratch (a full-mantissa vector, so a raw frame, read straight into
+// the caller's slice and checked against its CRC). Neither installs a block;
+// both must allocate nothing (`make perf-gate`).
+func BenchmarkReadBlockFloat64s(b *testing.B) {
+	const blockSize = 24_000
+	for _, bc := range []struct {
+		name  string
+		spill bool
+	}{
+		{"resident", false},
+		{"scratch", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := NewLocal(Config{MemoryBudget: 1 << 20, ScratchDir: b.TempDir(), Codec: compress.Default()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			vec := make([]float64, blockSize/8)
+			rng := rand.New(rand.NewSource(1))
+			for i := range vec {
+				vec[i] = rng.NormFloat64()
+			}
+			raw := make([]byte, blockSize)
+			EncodeFloat64s(raw, vec)
+			if err := s.WriteArray("v", raw, blockSize); err != nil {
+				b.Fatal(err)
+			}
+			if bc.spill {
+				if err := s.Flush("v"); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Evict("v", 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			dst := make([]float64, blockSize/8)
+			if err := s.ReadBlockFloat64s("v", 0, dst); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(blockSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.ReadBlockFloat64s("v", 0, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := s.Stats(); st.MemUsed != 0 && bc.spill {
+				b.Fatalf("copy-outs from scratch left %d bytes resident", st.MemUsed)
 			}
 		})
 	}

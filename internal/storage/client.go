@@ -176,6 +176,7 @@ func (s *Store) Close() {
 	s.inbox.close()
 	<-s.done
 	s.io.stop()
+	s.files.closeAll()
 }
 
 // ---- typed helpers ----
@@ -225,8 +226,8 @@ func (s *Store) WriteArray(name string, data []byte, blockSize int64) error {
 }
 
 // ReadAll is a convenience that reads an entire array into a fresh slice.
-// The result is sized up front and each block is copied straight into its
-// interval — one allocation, one copy per block.
+// The result is sized up front and each block is copied out straight into
+// its interval — one allocation, one copy per block.
 func (s *Store) ReadAll(name string) ([]byte, error) {
 	info, err := s.Info(name)
 	if err != nil {
@@ -235,12 +236,29 @@ func (s *Store) ReadAll(name string) ([]byte, error) {
 	out := make([]byte, info.Size)
 	for b := 0; b < info.NumBlocks(); b++ {
 		bs := info.BlockSpan(b)
-		lease, err := s.Request(name, bs.Lo, bs.Hi, PermRead)
-		if err != nil {
+		if err := s.readBlockInto(name, b, out[bs.Lo:bs.Hi]); err != nil {
 			return nil, err
 		}
-		copy(out[bs.Lo:bs.Hi], lease.Data)
-		lease.Release()
 	}
 	return out, nil
+}
+
+// readBlockInto is the copy-out read: it copies whole block `block` of
+// array into dst, which must be exactly as long. A resident block is copied
+// under the storage loop; a block durable on this node's scratch is read by
+// an I/O filter straight into dst; neither installs or evicts anything.
+// Anything else — a block on a peer, on its way in, or not yet written —
+// is read through a lease, as Request would, and copied out of it.
+func (s *Store) readBlockInto(array string, block int, dst []byte) error {
+	if len(dst) == 0 {
+		return fmt.Errorf("storage: copy of %q block %d into no bytes", array, block)
+	}
+	c := reqPool.Get().(*cmdRequest)
+	c.array, c.block, c.byBlock, c.perm, c.dst = array, block, true, PermRead, dst
+	l, err := s.request(c)
+	if l != nil {
+		copy(dst, l.Data)
+		l.Release()
+	}
+	return err
 }

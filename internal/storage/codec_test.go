@@ -25,8 +25,8 @@ func smoothPayload(n int) []byte {
 
 // TestCodecSpillRoundTrip flushes an array through the compressed spill
 // path, evicts it, and reads it back: the bytes must be identical, the
-// scratch layout must be the per-block frame directory, and the physical
-// disk traffic must be smaller than the logical block bytes.
+// scratch layout must be the slotted frame file, and the physical disk
+// traffic must be smaller than the logical block bytes.
 func TestCodecSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewLocal(Config{
@@ -48,8 +48,8 @@ func TestCodecSpillRoundTrip(t *testing.T) {
 	if err := st.Flush("S"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "S"+blockDirSuffix)); err != nil {
-		t.Fatalf("compressed flush did not create the block directory: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "S"+segFileSuffix)); err != nil {
+		t.Fatalf("compressed flush did not create the slot file: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "S"+arrayFileSuffix)); err == nil {
 		t.Fatal("compressed flush also wrote a raw .arr file")
@@ -87,7 +87,7 @@ func TestCodecSpillRoundTrip(t *testing.T) {
 
 // TestCodecScratchSurvivesRestart closes a store that spilled compressed
 // and reopens the scratch directory with a codec-less store: the startup
-// scan must discover the frame layout via the sidecar and decode it (frames
+// scan must discover the slot layout via the sidecar and decode it (frames
 // are self-describing).
 func TestCodecScratchSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -171,7 +171,7 @@ func TestCodecBailsOutOnRandomBlocks(t *testing.T) {
 }
 
 // TestCodecDeleteRemovesBlockDir checks Delete cleans up the compressed
-// layout alongside the sidecar.
+// layout — the slot file — alongside the sidecar.
 func TestCodecDeleteRemovesBlockDir(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewLocal(Config{
@@ -193,8 +193,8 @@ func TestCodecDeleteRemovesBlockDir(t *testing.T) {
 	if err := st.Delete("D"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "D"+blockDirSuffix)); !os.IsNotExist(err) {
-		t.Fatal("Delete left the compressed block directory behind")
+	if _, err := os.Stat(filepath.Join(dir, "D"+segFileSuffix)); !os.IsNotExist(err) {
+		t.Fatal("Delete left the slot file behind")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "D"+metaFileSuffix)); !os.IsNotExist(err) {
 		t.Fatal("Delete left the sidecar behind")

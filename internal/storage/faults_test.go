@@ -149,7 +149,7 @@ func TestIOFlushSurvivesTransientInjectedErrors(t *testing.T) {
 }
 
 // stageCompressedArray spills payload through a codec-configured store so
-// the scratch dir holds the per-block frame layout, then returns with the
+// the scratch dir holds the slotted frame layout, then returns with the
 // store closed.
 func stageCompressedArray(t *testing.T, dir, name string, payload []byte, blockSize int64) {
 	t.Helper()
@@ -180,13 +180,15 @@ func TestCorruptCompressedBlockIsAttributed(t *testing.T) {
 	payload := bytes.Repeat([]byte("compressible-block-data."), 64)
 	stageCompressedArray(t, dir, "C", payload, int64(len(payload)))
 
-	blockFile := filepath.Join(dir, "C"+blockDirSuffix, "000000")
-	frame, err := os.ReadFile(blockFile)
+	// Block 0's slot: a 4-byte length, then the frame.
+	blockFile := filepath.Join(dir, "C"+segFileSuffix)
+	record, err := os.ReadFile(blockFile)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame := record[4:]
 	frame[len(frame)/2] ^= 0x20
-	if err := os.WriteFile(blockFile, frame, 0o644); err != nil {
+	if err := os.WriteFile(blockFile, record, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +211,7 @@ func TestCorruptCompressedBlockIsAttributed(t *testing.T) {
 		t.Fatalf("error does not wrap compress.ErrCorrupt: %v", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{`"C"`, "block 0", "C" + blockDirSuffix, "1 attempt(s)"} {
+	for _, want := range []string{`"C"`, "block 0", "C" + segFileSuffix, "1 attempt(s)"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}
@@ -228,12 +230,12 @@ func TestTruncatedCompressedBlockIsAttributed(t *testing.T) {
 	payload := bytes.Repeat([]byte("truncate-me-please......"), 64)
 	stageCompressedArray(t, dir, "T", payload, int64(len(payload)))
 
-	blockFile := filepath.Join(dir, "T"+blockDirSuffix, "000000")
-	frame, err := os.ReadFile(blockFile)
+	blockFile := filepath.Join(dir, "T"+segFileSuffix)
+	record, err := os.ReadFile(blockFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(blockFile, frame[:len(frame)/3], 0o644); err != nil {
+	if err := os.WriteFile(blockFile, record[:len(record)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,25 +13,49 @@ import (
 	"dooc/internal/compress"
 )
 
+// ioKind is what an I/O job does with its block.
+type ioKind uint8
+
+const (
+	// ioInstall reads a block into a fresh arena buffer that becomes the
+	// resident block.
+	ioInstall ioKind = iota
+	// ioCopyOut reads a block straight into a caller's memory; nothing
+	// becomes resident.
+	ioCopyOut
+	// ioSpill writes a resident block to scratch.
+	ioSpill
+)
+
 // ioJob is one unit of file-system work for the asynchronous I/O filters.
+// The filter fills in the outcome and posts the job itself back to the actor
+// loop, which recycles it: a job costs no allocation once the pool is warm.
 type ioJob struct {
-	write bool
+	kind  ioKind
 	array string
 	block int
-	path  string
-	off   int64
-	// read: logical length of the block; write: payload.
+	file  *arrayFile
+	off   int64 // where the block (flat file) or its record (slot) starts
+	// data is the payload of a spill, the destination of a copy-out, and
+	// the buffer an install read filled (set by the filter).
+	data []byte
+	// length is the block's logical length.
 	length int64
-	data   []byte
-	// codec, on a write, compresses the payload into an adaptive frame
+	// codec, on a spill, compresses the payload into an adaptive frame
 	// before it hits the disk. Encoding runs in the I/O filter, off the
 	// actor loop, so blocks compress in parallel.
 	codec compress.Codec
-	// framed, on a read, marks the file as one self-describing frame: the
-	// filter reads the whole file and decodes it (no codec needed — the
-	// frame names its own).
-	framed bool
+	// reply, on a copy-out, receives the outcome once the loop has seen it.
+	reply chan leaseResult
+
+	// Outcome, filled in by the filter: err is attributed (array, block,
+	// path, offset, attempts); retries counts transient failures survived.
+	err     error
+	retries int
+	stats   codecStats
 }
+
+var ioJobPool = sync.Pool{New: func() any { return new(ioJob) }}
 
 // ioPool is the set of I/O filter goroutines attached to one storage
 // filter. The paper: "Interactions with the filesystem (both read and
@@ -60,111 +85,112 @@ func (p *ioPool) stop() {
 	p.wg.Wait()
 }
 
-// read schedules an asynchronous block read; completion posts ioDone.
-// framed reads expect a whole-file compress frame at path.
-func (p *ioPool) read(array string, block int, path string, off, length int64, framed bool) {
+// submit queues a job; its completion comes back to the loop as the job.
+func (p *ioPool) submit(j *ioJob) {
 	p.store.metrics.ioQueueDepth.Add(1)
-	p.jobs.put(ioJob{array: array, block: block, path: path, off: off, length: length, framed: framed})
+	p.jobs.put(j)
 }
 
-// write schedules an asynchronous block write-back; completion posts
-// ioWrote. A non-nil codec spills the block as an adaptive frame.
-func (p *ioPool) write(array string, block int, path string, off int64, data []byte, codec compress.Codec) {
-	p.store.metrics.ioQueueDepth.Add(1)
-	p.jobs.put(ioJob{write: true, array: array, block: block, path: path, off: off, data: data, codec: codec})
+// ioWorker is one I/O filter's private scratch: the header of the slot it
+// is reading.
+type ioWorker struct {
+	hdr [slotHeaderLen]byte
 }
 
 func (p *ioPool) worker(idx int) {
 	defer p.wg.Done()
+	w := new(ioWorker)
 	for {
 		item, ok := p.jobs.get()
 		if !ok {
 			return
 		}
-		j := item.(ioJob)
+		j := item.(*ioJob)
 		p.store.metrics.ioQueueDepth.Add(-1)
 		start := time.Now()
-		if j.write {
-			var cs codecStats
-			var frameBuf []byte
-			if j.codec != nil {
-				encStart := time.Now()
-				// Encode into a pooled buffer; it is recycled after the write
-				// lands (the completion message carries no payload).
-				dst := sharedArena.Get(compress.FrameHeaderLen + len(j.data) + len(j.data)/8 + 64)[:0]
-				frame, used := compress.AppendFrameAdaptive(dst, j.codec, j.data)
-				p.store.metrics.encodeSeconds.Observe(time.Since(encStart).Seconds())
-				cs = codecStats{
-					framed:      true,
-					codecID:     used.ID(),
-					rawBytes:    int64(len(j.data)),
-					storedBytes: int64(len(frame)),
-					bailout:     used.ID() != j.codec.ID(),
-				}
-				j.data = frame
-				frameBuf = frame
-			}
-			err, retries := p.attempt(j)
-			sharedArena.Put(frameBuf)
+		if j.kind == ioSpill {
+			p.spill(j)
 			p.store.metrics.ioWriteSeconds.Observe(time.Since(start).Seconds())
-			p.store.traceIO("spill", j.array, j.block, idx, start, time.Now(), err)
-			p.store.post(ioWrote{array: j.array, block: j.block, err: err, retries: retries, codec: cs})
+			p.store.traceIO("spill", j.array, j.block, idx, start, time.Now(), j.err)
 		} else {
-			var data []byte
-			var cs codecStats
-			err, retries := p.attemptRead(j, &data, &cs)
+			if j.kind == ioInstall {
+				j.data = sharedArena.Get(int(j.length))
+			}
+			p.attempt(j, w)
+			if j.err != nil && j.kind == ioInstall {
+				sharedArena.Put(j.data)
+				j.data = nil
+			}
 			p.store.metrics.ioReadSeconds.Observe(time.Since(start).Seconds())
-			p.store.traceIO("load", j.array, j.block, idx, start, time.Now(), err)
-			p.store.post(ioDone{array: j.array, block: j.block, data: data, err: err, retries: retries, codec: cs})
+			p.store.traceIO("load", j.array, j.block, idx, start, time.Now(), j.err)
+		}
+		if !p.store.inbox.put(j) && j.kind == ioCopyOut {
+			// The loop is gone: nobody else will answer the reader.
+			j.reply <- leaseResult{err: ErrClosed}
 		}
 	}
 }
 
-// attempt runs one write job under the retry policy.
-func (p *ioPool) attempt(j ioJob) (error, int) {
-	var err error
-	retries := 0
-	for try := 0; ; try++ {
-		err = p.store.cfg.Faults.IO("write", j.path)
-		if err == nil {
-			err = writeAt(j.path, j.off, j.data)
-		}
-		if err == nil {
-			return nil, retries
-		}
-		if try >= p.store.cfg.IORetries || !transientIOErr(err) {
-			return fmt.Errorf("storage: writing %q block %d to %s at offset %d (%d attempt(s)): %w",
-				j.array, j.block, j.path, j.off, try+1, err), retries
-		}
-		retries++
-		time.Sleep(p.retrySleep(try))
+// spill encodes a spill job's block, when it has a codec, and writes it.
+func (p *ioPool) spill(j *ioJob) {
+	if j.codec == nil {
+		p.attempt(j, nil)
+		return
 	}
+	encStart := time.Now()
+	// The record — length prefix, then the frame — is built in a pooled
+	// buffer and recycled after the write lands (the completion carries no
+	// payload). A bail-out truncates back to the prefix, never before it.
+	buf := sharedArena.Get(4 + compress.FrameHeaderLen + len(j.data) + len(j.data)/8 + 64)[:4]
+	rec, used := compress.AppendFrameAdaptive(buf, j.codec, j.data)
+	p.store.metrics.encodeSeconds.Observe(time.Since(encStart).Seconds())
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-4))
+	j.stats = codecStats{
+		framed:      true,
+		codecID:     used.ID(),
+		rawBytes:    int64(len(j.data)),
+		storedBytes: int64(len(rec) - 4),
+		bailout:     used.ID() != j.codec.ID(),
+	}
+	// The adaptive encoder never outgrows raw plus the header; a record that
+	// did would overwrite the next block's slot.
+	if int64(len(rec)) > j.length+slotHeaderLen {
+		j.err = fmt.Errorf("storage: writing %q block %d to %s: a %d-byte record overflows its slot", j.array, j.block, j.file.path, len(rec))
+	} else {
+		j.data = rec
+		p.attempt(j, nil)
+	}
+	sharedArena.Put(rec)
+	j.data = nil
 }
 
-// attemptRead runs one read job under the retry policy. For framed jobs it
-// also decodes the frame, inside the loop, so a decode failure is
-// classified and attributed exactly like a device failure (it is
-// non-transient: bad bytes on disk do not improve with retries).
-func (p *ioPool) attemptRead(j ioJob, out *[]byte, cs *codecStats) (error, int) {
-	var err error
-	retries := 0
+// attempt runs one job's file I/O under the retry policy. Every attempt asks
+// the fault injector first. A failure is attributed once it is terminal: the
+// retries ran out, or it is a fact about the bytes (see transientIOErr).
+func (p *ioPool) attempt(j *ioJob, w *ioWorker) {
+	op, verb, prep := "read", "reading", "from"
+	if j.kind == ioSpill {
+		op, verb, prep = "write", "writing", "to"
+	}
 	for try := 0; ; try++ {
-		err = p.store.cfg.Faults.IO("read", j.path)
+		err := p.store.cfg.Faults.IO(op, j.file.path)
 		if err == nil {
-			if j.framed {
-				err = p.readFramed(j, out, cs)
+			if j.kind == ioSpill {
+				err = p.write(j)
 			} else {
-				*out, err = readAt(j.path, j.off, j.length)
+				err = p.read(j, w)
 			}
 		}
 		if err == nil {
-			return nil, retries
+			j.err = nil
+			return
 		}
 		if try >= p.store.cfg.IORetries || !transientIOErr(err) {
-			return fmt.Errorf("storage: reading %q block %d from %s at offset %d (%d attempt(s)): %w",
-				j.array, j.block, j.path, j.off, try+1, err), retries
+			j.err = fmt.Errorf("storage: %s %q block %d %s %s at offset %d (%d attempt(s)): %w",
+				verb, j.array, j.block, prep, j.file.path, j.off, try+1, err)
+			return
 		}
-		retries++
+		j.retries++
 		time.Sleep(p.retrySleep(try))
 	}
 }
@@ -181,51 +207,94 @@ func (p *ioPool) retrySleep(try int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// readFramed reads a whole-file compress frame and decodes it. The frame's
-// internal CRC guarantees a truncated or bit-flipped file surfaces as an
-// error, never as wrong block bytes.
-func (p *ioPool) readFramed(j ioJob, out *[]byte, cs *codecStats) error {
-	f, err := os.Open(j.path)
+// write puts a spill job's bytes — the block, or its slot record — at its
+// offset.
+func (p *ioPool) write(j *ioJob) error {
+	f, err := p.store.files.acquire(j.file)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
+	defer p.store.files.release(j.file)
+	_, err = f.WriteAt(j.data, j.off)
+	return err
+}
+
+// read is the one read routine: it fills j.data — an arena buffer that
+// becomes the resident block, or a caller's memory — with the block's bytes.
+// A flat file is read in place. A slot's frame is verified against its CRC:
+// a raw frame's payload is read straight into j.data, a compressed one
+// through a transient arena buffer into the decoder. Bad bytes — a short record,
+// a bad header, a CRC mismatch — wrap compress.ErrCorrupt, which is not
+// retried.
+func (p *ioPool) read(j *ioJob, w *ioWorker) error {
+	f, err := p.store.files.acquire(j.file)
 	if err != nil {
 		return err
 	}
-	// The frame is transient — read it into a pooled buffer and recycle it
-	// once decoded (no codec retains its input).
-	frame := sharedArena.Get(int(fi.Size()))
-	defer sharedArena.Put(frame)
-	if _, err := io.ReadFull(f, frame); err != nil {
+	defer p.store.files.release(j.file)
+	dst := j.data
+	if !j.file.slotted {
+		n, err := f.ReadAt(dst, j.off)
+		if err != nil && !(err == io.EOF && n == len(dst)) {
+			return fmt.Errorf("read %d bytes at %d: %w", len(dst), j.off, err)
+		}
+		j.stats = codecStats{}
+		return nil
+	}
+	if err := readFull(f, w.hdr[:], j.off); err != nil {
 		return err
 	}
-	// The header sizes the buffer — a forged length is refused there — and
-	// the frame is decoded straight into what becomes the resident block.
-	_, rawLen, err := compress.FrameRawLen(frame)
+	frameLen := int(binary.LittleEndian.Uint32(w.hdr[:]))
+	if frameLen > compress.FrameHeaderLen+len(dst) {
+		return fmt.Errorf("%w: a %d-byte frame in the slot of a %d-byte block", compress.ErrCorrupt, frameLen, len(dst))
+	}
+	hdr := w.hdr[4:]
+	c, rawLen, err := compress.FrameHeader(hdr, frameLen)
 	if err != nil {
 		return err
 	}
-	if int64(rawLen) != j.length {
-		return fmt.Errorf("%w: frame decodes to %d bytes, block is %d", compress.ErrCorrupt, rawLen, j.length)
+	if rawLen != len(dst) {
+		return fmt.Errorf("%w: frame decodes to %d bytes, block is %d", compress.ErrCorrupt, rawLen, len(dst))
 	}
-	data := sharedArena.Get(rawLen)
-	decStart := time.Now()
-	used, err := compress.DecodeFrameInto(data, frame, true)
-	if err != nil {
-		sharedArena.Put(data)
+	payloadLen := frameLen - compress.FrameHeaderLen
+	at := j.off + slotHeaderLen
+	if c.ID() == compress.IDRaw {
+		if payloadLen != len(dst) {
+			return fmt.Errorf("%w: raw frame of %d payload bytes for a %d-byte block", compress.ErrCorrupt, payloadLen, len(dst))
+		}
+		if err := readFull(f, dst, at); err != nil {
+			return err
+		}
+	} else {
+		payload := sharedArena.Get(payloadLen)
+		defer sharedArena.Put(payload)
+		if err := readFull(f, payload, at); err != nil {
+			return err
+		}
+		decStart := time.Now()
+		if err := c.DecodeInto(dst, payload); err != nil {
+			return fmt.Errorf("codec %s: %w", c.Name(), err)
+		}
+		p.store.metrics.decodeSeconds.Observe(time.Since(decStart).Seconds())
+	}
+	if err := compress.CheckFrameCRC(hdr, dst, c); err != nil {
 		return err
 	}
-	p.store.metrics.decodeSeconds.Observe(time.Since(decStart).Seconds())
-	*out = data
-	*cs = codecStats{
-		framed:      true,
-		codecID:     used.ID(),
-		rawBytes:    int64(len(data)),
-		storedBytes: int64(len(frame)),
-	}
+	j.stats = codecStats{framed: true, codecID: c.ID(), rawBytes: int64(len(dst)), storedBytes: int64(frameLen)}
 	return nil
+}
+
+// readFull fills b from f at off. A slot that ends early was cut short on
+// disk: corrupt, not a device failure.
+func readFull(f *os.File, b []byte, off int64) error {
+	n, err := f.ReadAt(b, off)
+	if n == len(b) {
+		return nil
+	}
+	if err == io.EOF {
+		return fmt.Errorf("%w: record cut short: %d of %d bytes at %d", compress.ErrCorrupt, n, len(b), off)
+	}
+	return err
 }
 
 // transientIOErr classifies an I/O failure for the retry policy. A missing
@@ -241,31 +310,4 @@ func transientIOErr(err error) bool {
 		return false
 	}
 	return true
-}
-
-func readAt(path string, off, length int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data := sharedArena.Get(int(length))
-	n, err := f.ReadAt(data, off)
-	if err != nil && !(err == io.EOF && int64(n) == length) {
-		sharedArena.Put(data)
-		return nil, fmt.Errorf("read %d bytes at %d: %w", length, off, err)
-	}
-	return data, nil
-}
-
-func writeAt(path string, off int64, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(data, off); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -33,6 +33,11 @@ type cmdRequest struct {
 	byBlock bool
 	perm    Perm
 	reply   chan leaseResult
+	// dst, on a whole-block read, asks for a copy-out instead of a lease:
+	// the block's bytes land in dst and the reply carries no lease — unless
+	// the loop can only get them through one, which the client then copies
+	// out of and releases.
+	dst []byte
 }
 
 type cmdRelease struct {
@@ -173,26 +178,6 @@ type codecStats struct {
 	bailout     bool
 }
 
-// ioDone delivers an asynchronous block read. retries counts transient
-// failures the I/O filter survived before succeeding (or giving up).
-type ioDone struct {
-	array   string
-	block   int
-	data    []byte
-	err     error
-	retries int
-	codec   codecStats
-}
-
-// ioWrote delivers an asynchronous block write-back.
-type ioWrote struct {
-	array   string
-	block   int
-	err     error
-	retries int
-	codec   codecStats
-}
-
 // ---- in-loop state ----
 
 type readWaiter struct {
@@ -215,6 +200,7 @@ type blockState struct {
 	persistedLocal bool
 	remoteBacked   bool
 	fetching       bool // disk read or directed fetch in flight
+	copying        int  // copy-out reads of the block's scratch copy in flight
 	probing        bool // random-peer probe in flight
 	flushing       bool
 	// prefetched marks a block a prefetch is bringing in or has brought in
@@ -249,11 +235,14 @@ type arrayState struct {
 	readable []int
 	first    [1]int
 	slot     int
-	// localCompressed marks this node's durable copy as the per-block frame
+	// localCompressed marks this node's durable copy as the slotted frame
 	// layout (set by a codec flush or the startup scan); it selects the
 	// framed read path and keeps an array's layout consistent across
 	// flushes.
 	localCompressed bool
+	// file is the array's scratch file on this node, from its first scratch
+	// I/O on (fileOf).
+	file *arrayFile
 	// quota is the resource group this array belongs to (longest matching
 	// name prefix), nil when unquota'd. scratchBytes is the durable scratch
 	// attribution carried to the group's ScratchUsed.
@@ -433,10 +422,17 @@ func (s *Store) dispatch(st *loopState, m any) {
 		queryReplyPool.Put(m)
 	case msgNotify:
 		s.handleNotify(st, m)
-	case ioDone:
-		s.handleIODone(st, m)
-	case ioWrote:
-		s.handleIOWrote(st, m)
+	case *ioJob:
+		switch m.kind {
+		case ioInstall:
+			s.handleIODone(st, m)
+		case ioCopyOut:
+			s.handleCopied(st, m)
+		case ioSpill:
+			s.handleIOWrote(st, m)
+		}
+		*m = ioJob{}
+		ioJobPool.Put(m)
 	case shardDone:
 		s.handleShardDone(st, m)
 	case shardPushed:
@@ -558,7 +554,7 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 		if b.refcnt > 0 {
 			return fmt.Errorf("storage: array %q block %d still leased", name, idx)
 		}
-		if b.fetching || b.flushing {
+		if b.fetching || b.flushing || b.copying > 0 {
 			return fmt.Errorf("storage: array %q block %d has I/O in flight", name, idx)
 		}
 	}
@@ -598,11 +594,14 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	// common ephemeral case (a transient vector generation that lived and
 	// died in memory) skips the file system entirely — on the hot path the
 	// stat/remove pair per deleted array costs more than the delete itself.
+	// An open file is closed first; the checks above mean no I/O holds it.
+	if ast.file != nil {
+		s.files.close(ast.file)
+	}
 	if s.cfg.ScratchDir != "" &&
 		(ast.scratchBytes > 0 || ast.localCompressed || ast.diskNodes[s.cfg.NodeID] || anyPersisted(ast)) {
-		os.Remove(s.arrayPath(name))
+		os.Remove(scratchPath(s.cfg.ScratchDir, name, ast.localCompressed))
 		os.Remove(s.metaPath(name))
-		os.RemoveAll(s.blockDir(name))
 	}
 	s.astFree = append(s.astFree, ast)
 	return nil
@@ -680,6 +679,10 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 	case PermWrite:
 		s.grantWrite(st, ast, bi, b, want, c.reply)
 	case PermRead:
+		if c.dst != nil && int64(len(c.dst)) != c.hi-c.lo {
+			c.reply <- leaseResult{err: fmt.Errorf("storage: copy of %q block %d (%d bytes) into %d bytes", c.array, bi, c.hi-c.lo, len(c.dst))}
+			return
+		}
 		if b.buf != nil && b.resident.covers(relSpan(ast.info, bi, want)) {
 			st.stats.Hits++
 			s.metrics.hits.Inc()
@@ -687,16 +690,75 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 				st.stats.PrefetchHits++
 				s.metrics.prefetchHits.Inc()
 			}
+			if c.dst != nil {
+				s.copyResident(st, ast, bi, b, c.dst)
+				c.reply <- leaseResult{}
+				return
+			}
 			c.reply <- leaseResult{lease: s.makeLease(st, c.array, bi, ast, b, want, PermRead)}
 			return
 		}
 		st.stats.Misses++
 		s.metrics.misses.Inc()
+		if c.dst != nil && s.copyOutDurable(st, ast, bi, b, c.dst, c.reply) {
+			return
+		}
 		b.waiters = append(b.waiters, readWaiter{lo: c.lo, hi: c.hi, reply: c.reply})
 		s.ensureBlockData(st, ast, bi, b)
 	default:
 		c.reply <- leaseResult{err: fmt.Errorf("storage: invalid permission %v", c.perm)}
 	}
+}
+
+// copyResident is a copy-out of a resident block: the bytes are copied under
+// the loop, and the read counts as a use of the block, as a lease would.
+func (s *Store) copyResident(st *loopState, ast *arrayState, bi int, b *blockState, dst []byte) {
+	copy(dst, b.buf)
+	b.prefetched = false
+	st.reserve(ast.info, bi, b)
+	st.tick++
+	b.lastUse = st.tick
+}
+
+// copyOutDurable starts a copy-out of block bi from this node's scratch, if
+// that is where its bytes are and no fetch of them is under way (a reader
+// then waits for that fetch like any other). An I/O filter reads the block
+// straight into dst: no buffer, no install, no eviction, no directory
+// update. The reply goes out when the loop sees the read land.
+func (s *Store) copyOutDurable(st *loopState, ast *arrayState, bi int, b *blockState, dst []byte, reply chan leaseResult) bool {
+	if s.cfg.ScratchDir == "" || b.fetching || b.probing || len(b.writing) > 0 ||
+		!(b.persistedLocal || ast.diskNodes[s.cfg.NodeID]) {
+		return false
+	}
+	b.copying++
+	st.stats.ImplicitDiskReads++
+	j := s.newIOJob(ioCopyOut, ast, bi)
+	j.data, j.reply = dst, reply
+	s.io.submit(j)
+	return true
+}
+
+// fileOf returns array ast's scratch file on this node, creating the entry
+// on first use. The layout is settled by then: a read needs a durable copy,
+// and a flush decides the layout before its first write.
+func (s *Store) fileOf(ast *arrayState) *arrayFile {
+	if ast.file == nil {
+		ast.file = newArrayFile(s.cfg.ScratchDir, ast.info.Name, ast.localCompressed, !ast.diskNodes[s.cfg.NodeID])
+	}
+	return ast.file
+}
+
+// newIOJob is a pooled job for block bi of ast's scratch file.
+func (s *Store) newIOJob(kind ioKind, ast *arrayState, bi int) *ioJob {
+	f := s.fileOf(ast)
+	bs := ast.info.BlockSpan(bi)
+	off := bs.Lo
+	if f.slotted {
+		off = slotOffset(ast.info, bi)
+	}
+	j := ioJobPool.Get().(*ioJob)
+	*j = ioJob{kind: kind, array: ast.info.Name, block: bi, file: f, off: off, length: bs.Hi - bs.Lo}
+	return j
 }
 
 // relSpan converts a global interval to block-relative coordinates.
@@ -861,12 +923,7 @@ func (s *Store) startFetch(st *loopState, ast *arrayState, bi int, b *blockState
 	if b.persistedLocal || ast.diskNodes[s.cfg.NodeID] {
 		b.fetching = true
 		st.stats.ImplicitDiskReads++
-		bs := ast.info.BlockSpan(bi)
-		if ast.localCompressed {
-			s.io.read(name, bi, s.blockPath(name, bi), 0, bs.Hi-bs.Lo, true)
-		} else {
-			s.io.read(name, bi, s.arrayPath(name), bs.Lo, bs.Hi-bs.Lo, false)
-		}
+		s.io.submit(s.newIOJob(ioInstall, ast, bi))
 		return
 	}
 	// A shard-backed block was durably pushed onto the cluster ring; its
@@ -1399,12 +1456,10 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 			return
 		}
 	}
-	if useCodec && !ast.localCompressed {
-		if err := os.MkdirAll(s.blockDir(c.array), 0o755); err != nil {
-			c.reply <- fmt.Errorf("storage: flush of %q: %w", c.array, err)
-			return
-		}
+	if useCodec {
 		ast.localCompressed = true
+	} else {
+		codec = nil
 	}
 	fs := &flushState{reply: c.reply}
 	for idx, b := range ast.blocks {
@@ -1414,11 +1469,9 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 		}
 		b.flushing = true
 		fs.pending++
-		if useCodec {
-			s.io.write(c.array, idx, s.blockPath(c.array, idx), 0, b.buf, codec)
-		} else {
-			s.io.write(c.array, idx, s.arrayPath(c.array), bs.Lo, b.buf, nil)
-		}
+		j := s.newIOJob(ioSpill, ast, idx)
+		j.data, j.codec = b.buf, codec
+		s.io.submit(j)
 	}
 	if fs.pending == 0 {
 		c.reply <- nil
@@ -1480,7 +1533,7 @@ func (s *Store) metaPath(name string) string {
 	return filepath.Join(s.cfg.ScratchDir, name+metaFileSuffix)
 }
 
-func (s *Store) handleIODone(st *loopState, m ioDone) {
+func (s *Store) handleIODone(st *loopState, m *ioJob) {
 	ast, ok := st.arrays[m.array]
 	if !ok {
 		sharedArena.Put(m.data)
@@ -1504,23 +1557,43 @@ func (s *Store) handleIODone(st *loopState, m ioDone) {
 		return
 	}
 	s.installBlock(st, ast, m.block, b, m.data, false, true)
-	if m.codec.framed {
-		// Physical disk traffic is the frame; the decoder's output is the
-		// logical block.
-		st.stats.BytesReadDisk += m.codec.storedBytes
-		s.metrics.diskReadBytes.Add(m.codec.storedBytes)
-		st.stats.DecompressStoredBytes += m.codec.storedBytes
-		st.stats.DecompressRawBytes += m.codec.rawBytes
-		cm := s.metrics.codec(m.codec.codecID)
-		cm.decStoredBytes.Add(m.codec.storedBytes)
-		cm.decRawBytes.Add(m.codec.rawBytes)
-	} else {
-		st.stats.BytesReadDisk += int64(len(m.data))
-		s.metrics.diskReadBytes.Add(int64(len(m.data)))
-	}
+	s.countDiskRead(st, m)
 }
 
-func (s *Store) handleIOWrote(st *loopState, m ioWrote) {
+// countDiskRead accounts a read that landed: physical disk traffic is the
+// frame; the decoder's output is the logical block.
+func (s *Store) countDiskRead(st *loopState, m *ioJob) {
+	if !m.stats.framed {
+		st.stats.BytesReadDisk += m.length
+		s.metrics.diskReadBytes.Add(m.length)
+		return
+	}
+	st.stats.BytesReadDisk += m.stats.storedBytes
+	s.metrics.diskReadBytes.Add(m.stats.storedBytes)
+	st.stats.DecompressStoredBytes += m.stats.storedBytes
+	st.stats.DecompressRawBytes += m.stats.rawBytes
+	cm := s.metrics.codec(m.stats.codecID)
+	cm.decStoredBytes.Add(m.stats.storedBytes)
+	cm.decRawBytes.Add(m.stats.rawBytes)
+}
+
+// handleCopied answers a copy-out read from scratch. Its array still exists:
+// Delete refuses an array with a copy-out in flight.
+func (s *Store) handleCopied(st *loopState, m *ioJob) {
+	if ast, ok := st.arrays[m.array]; ok {
+		if b, ok := ast.blocks[m.block]; ok {
+			b.copying--
+		}
+	}
+	st.stats.IORetries += int64(m.retries)
+	s.metrics.ioRetries.Add(int64(m.retries))
+	if m.err == nil {
+		s.countDiskRead(st, m)
+	}
+	m.reply <- leaseResult{err: m.err}
+}
+
+func (s *Store) handleIOWrote(st *loopState, m *ioJob) {
 	ast, ok := st.arrays[m.array]
 	st.stats.IORetries += int64(m.retries)
 	s.metrics.ioRetries.Add(int64(m.retries))
@@ -1530,14 +1603,14 @@ func (s *Store) handleIOWrote(st *loopState, m ioWrote) {
 		if m.err == nil {
 			b.persistedLocal = true
 			n := ast.info.BlockSpan(m.block).Hi - ast.info.BlockSpan(m.block).Lo
-			if m.codec.framed {
-				n = m.codec.storedBytes
-				st.stats.CompressRawBytes += m.codec.rawBytes
-				st.stats.CompressStoredBytes += m.codec.storedBytes
-				cm := s.metrics.codec(m.codec.codecID)
-				cm.encRawBytes.Add(m.codec.rawBytes)
-				cm.encStoredBytes.Add(m.codec.storedBytes)
-				if m.codec.bailout {
+			if m.stats.framed {
+				n = m.stats.storedBytes
+				st.stats.CompressRawBytes += m.stats.rawBytes
+				st.stats.CompressStoredBytes += m.stats.storedBytes
+				cm := s.metrics.codec(m.stats.codecID)
+				cm.encRawBytes.Add(m.stats.rawBytes)
+				cm.encStoredBytes.Add(m.stats.storedBytes)
+				if m.stats.bailout {
 					st.stats.CompressBailouts++
 					s.metrics.compressBailouts.Inc()
 				}

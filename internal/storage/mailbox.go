@@ -23,15 +23,18 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put enqueues an item. Posting to a closed mailbox is a silent no-op:
-// shutdown races (e.g. a late I/O completion) are benign.
-func (m *mailbox) put(item any) {
+// put enqueues an item and reports whether it did. Posting to a closed
+// mailbox is a no-op: shutdown races (e.g. a late I/O completion) are benign
+// for every sender but one that owes somebody an answer.
+func (m *mailbox) put(item any) bool {
 	m.mu.Lock()
-	if !m.closed {
+	ok := !m.closed
+	if ok {
 		m.items = append(m.items, item)
 		m.cond.Signal()
 	}
 	m.mu.Unlock()
+	return ok
 }
 
 // get dequeues the next item, blocking while empty. ok is false once the

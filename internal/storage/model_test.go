@@ -6,14 +6,19 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"dooc/internal/compress"
 )
 
 // Model-based property test: a random sequence of storage operations is
 // checked against a trivial in-memory oracle. The storage layer may cache,
-// evict, flush, and fetch however it likes — every read must still return
-// exactly the bytes the oracle says were written.
+// evict, flush, and fetch however it likes — every read, through a lease or
+// a copy-out, must still return exactly the bytes the oracle says were
+// written.
 
 // accountingError recomputes what the loop keeps incrementally from its
 // definition by a full walk — the walk the bookkeeping replaced — and reports
@@ -160,24 +165,64 @@ func (ma *modelArray) randomWrittenRun(rng *rand.Rand) (lo, hi int64, ok bool) {
 	return 0, 0, false
 }
 
+// fullBlock reports whether every cell of block b has been written.
+func (ma *modelArray) fullBlock(b int) bool {
+	bs := ma.info.BlockSpan(b)
+	for c := bs.Lo / cellBytes; c < bs.Hi/cellBytes; c++ {
+		if !ma.written[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// randomFullBlock picks a fully written block of the array.
+func (ma *modelArray) randomFullBlock(rng *rand.Rand) (int, bool) {
+	for attempt := 0; attempt < 8; attempt++ {
+		if b := rng.Intn(ma.info.NumBlocks()); ma.fullBlock(b) {
+			return b, true
+		}
+	}
+	return 0, false
+}
+
 func TestStorageAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		s := newCheckedLocal(t, Config{
+		cfg := Config{
 			MemoryBudget: 512, // tiny: constant eviction churn
 			ScratchDir:   dir,
 			Seed:         seed,
-		})
+		}
+		if seed%2 != 0 {
+			cfg.Codec = compress.Default() // spills go to slotted files
+		}
+		s := newCheckedLocal(t, cfg)
 		defer s.Close()
 
 		oracle := map[string]*modelArray{}
 		names := []string{}
-		const ops = 120
+		var deleted []string
+		created := 0
+		// copyOut reads a fully written block through the copy-out path and
+		// holds it against the oracle.
+		copyOut := func(ma *modelArray, b int, how string) {
+			bs := ma.info.BlockSpan(b)
+			dst := make([]byte, bs.Hi-bs.Lo)
+			if err := s.readBlockInto(ma.info.Name, b, dst); err != nil {
+				t.Fatalf("copy-out (%s) %s block %d: %v", how, ma.info.Name, b, err)
+			}
+			if !bytes.Equal(dst, ma.data[bs.Lo:bs.Hi]) {
+				t.Fatalf("seed %d: copy-out (%s) %s block %d mismatch", seed, how, ma.info.Name, b)
+			}
+		}
+		const ops = 160
 		for op := 0; op < ops; op++ {
-			switch choice := rng.Intn(12); {
+			switch choice := rng.Intn(16); {
 			case choice == 0 || len(names) == 0: // create
-				name := fmt.Sprintf("m%d", len(names))
+				name := fmt.Sprintf("m%d", created)
+				created++
 				blocks := 1 + rng.Intn(3)
 				blockSize := int64(cellBytes * (1 + rng.Intn(4)))
 				if rng.Intn(3) == 0 {
@@ -240,9 +285,55 @@ func TestStorageAgainstOracle(t *testing.T) {
 			case choice == 9: // explicit evict of a random block (best effort)
 				ma := oracle[names[rng.Intn(len(names))]]
 				_ = s.Evict(ma.info.Name, rng.Intn(ma.info.NumBlocks()))
-			case choice >= 10: // prefetch a random block: admitted, deferred or moot
+			case choice <= 11: // prefetch a random block: admitted, deferred or moot
 				ma := oracle[names[rng.Intn(len(names))]]
 				s.PrefetchBlock(ma.info.Name, rng.Intn(ma.info.NumBlocks()))
+			case choice == 12: // copy-out, wherever the block happens to be
+				ma := oracle[names[rng.Intn(len(names))]]
+				if b, ok := ma.randomFullBlock(rng); ok {
+					copyOut(ma, b, "any")
+				}
+			case choice == 13: // copy-out from scratch: flushed and evicted first
+				ma := oracle[names[rng.Intn(len(names))]]
+				b, ok := ma.randomFullBlock(rng)
+				if !ok {
+					continue
+				}
+				if err := s.Flush(ma.info.Name); err != nil {
+					t.Fatalf("flush %s: %v", ma.info.Name, err)
+				}
+				_ = s.Evict(ma.info.Name, b) // refused while a prefetch is in flight
+				copyOut(ma, b, "scratch")
+			case choice == 14: // copy-out behind the fetch a prefetch started
+				ma := oracle[names[rng.Intn(len(names))]]
+				if b, ok := ma.randomFullBlock(rng); ok {
+					s.PrefetchBlock(ma.info.Name, b)
+					copyOut(ma, b, "fetching")
+				}
+			case choice == 15: // delete; a copy-out of it then fails
+				i := rng.Intn(len(names))
+				name := names[i]
+				var err error
+				for try := 0; try < 1000; try++ { // a prefetch may still be reading it
+					if err = s.Delete(name); err == nil || !strings.Contains(err.Error(), "in flight") {
+						break
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				if err != nil {
+					t.Fatalf("delete %s: %v", name, err)
+				}
+				names = slices.Delete(names, i, i+1)
+				delete(oracle, name)
+				deleted = append(deleted, name)
+				if err := s.readBlockInto(name, 0, make([]byte, cellBytes)); err == nil {
+					t.Fatalf("copy-out of deleted array %s succeeded", name)
+				}
+			}
+		}
+		for _, name := range deleted {
+			if _, err := s.Info(name); err == nil {
+				t.Fatalf("deleted array %s still known", name)
 			}
 		}
 		// Final sweep: every fully-written block must read back verbatim.
@@ -250,16 +341,10 @@ func TestStorageAgainstOracle(t *testing.T) {
 			ma := oracle[name]
 			for b := 0; b < ma.info.NumBlocks(); b++ {
 				bs := ma.info.BlockSpan(b)
-				full := true
-				for c := bs.Lo / cellBytes; c < bs.Hi/cellBytes; c++ {
-					if !ma.written[c] {
-						full = false
-						break
-					}
-				}
-				if !full {
+				if !ma.fullBlock(b) {
 					continue
 				}
+				copyOut(ma, b, "final")
 				l, err := s.Request(name, bs.Lo, bs.Hi, PermRead)
 				if err != nil {
 					t.Fatalf("final read %s block %d: %v", name, b, err)

@@ -44,7 +44,7 @@ func (h *byHand) landed(name string) {
 	if !h.block(name).fetching {
 		h.t.Fatalf("no disk read in flight for %s", name)
 	}
-	h.s.handleIODone(h.st, ioDone{array: name, data: make([]byte, handBlockBytes)})
+	h.s.handleIODone(h.st, &ioJob{array: name, data: make([]byte, handBlockBytes), length: handBlockBytes})
 	h.check()
 }
 

@@ -99,9 +99,10 @@ type Config struct {
 	// filters for recovery testing.
 	Faults *faults.Injector
 	// Codec, when non-nil, compresses blocks on scratch spill: flushed
-	// arrays are written as per-block self-describing frames (with an
-	// adaptive raw bail-out for incompressible blocks) and decompressed on
-	// load. Reading a compressed scratch directory does not require Codec —
+	// arrays are written as self-describing frames, one slot of a `.seg`
+	// file per block (with an adaptive raw bail-out for incompressible
+	// blocks), and decompressed on load. Reading a slotted array does not
+	// require Codec —
 	// frames carry their own codec ID — so a store restarted without one
 	// still recovers compressed arrays.
 	Codec compress.Codec
@@ -308,23 +309,15 @@ type Store struct {
 	dirFree   []*dirEntry
 	victimBuf []victim
 
+	// files are the scratch files this store's I/O filters hold open.
+	files fileTable
+
 	done chan struct{}
 }
 
-// metaFileSuffix marks sidecar files describing flushed arrays.
-const metaFileSuffix = ".meta"
-
-// arrayFileSuffix is the on-disk extension of array payload files.
-const arrayFileSuffix = ".arr"
-
-// blockDirSuffix is the on-disk extension of compressed array directories:
-// frames are variable length, so a compressed array is a directory of
-// per-block frame files instead of a single fixed-offset file.
-const blockDirSuffix = ".blk"
-
 // sidecar is the JSON sidecar describing a flushed array's block structure.
-// A non-empty Codec marks the compressed per-block layout; the value
-// records the codec the flush was configured with (individual frames are
+// A non-empty Codec marks the slotted `.seg` layout; the value records the
+// codec the flush was configured with (individual frames are
 // self-describing and may differ via the adaptive bail-out).
 type sidecar struct {
 	Size      int64  `json:"size"`
@@ -426,16 +419,17 @@ func (s *Store) start() {
 func (s *Store) NodeID() int { return s.cfg.NodeID }
 
 // scannedArray is one startup-scan discovery: the array shape plus whether
-// its local layout is the compressed per-block directory.
+// its local layout is the slotted `.seg` file of frames.
 type scannedArray struct {
 	info       ArrayInfo
 	compressed bool
 }
 
 // scanScratch enumerates pre-existing arrays in the scratch directory:
-// plain `.arr` payload files, and `.blk` directories of compressed block
-// frames (which require a sidecar, since the array shape cannot be
-// recovered from variable-length frames).
+// plain `.arr` payload files, and `.seg` files of framed block slots (which
+// require a sidecar, since the slot stride and the array's size are not in
+// the file). Directories are not arrays: the `.blk` directories of
+// per-block frame files older builds spilled are not read.
 func (s *Store) scanScratch() ([]scannedArray, error) {
 	if s.cfg.ScratchDir == "" {
 		return nil, nil
@@ -447,10 +441,10 @@ func (s *Store) scanScratch() ([]scannedArray, error) {
 	var found []scannedArray
 	for _, e := range entries {
 		if e.IsDir() {
-			if !strings.HasSuffix(e.Name(), blockDirSuffix) {
-				continue
-			}
-			name := strings.TrimSuffix(e.Name(), blockDirSuffix)
+			continue
+		}
+		if strings.HasSuffix(e.Name(), segFileSuffix) {
+			name := strings.TrimSuffix(e.Name(), segFileSuffix)
 			sc, ok := s.readSidecar(name)
 			if !ok || sc.Codec == "" {
 				continue
@@ -509,22 +503,6 @@ func (s *Store) announceScanned() {
 			p.post(msgAnnounce{info: sa.info, diskNode: s.cfg.NodeID, compressed: sa.compressed})
 		}
 	}
-}
-
-// arrayPath returns the payload file path for an array on this node.
-func (s *Store) arrayPath(name string) string {
-	return filepath.Join(s.cfg.ScratchDir, name+arrayFileSuffix)
-}
-
-// blockDir returns the directory holding an array's compressed block
-// frames on this node.
-func (s *Store) blockDir(name string) string {
-	return filepath.Join(s.cfg.ScratchDir, name+blockDirSuffix)
-}
-
-// blockPath returns the frame file for one compressed block.
-func (s *Store) blockPath(name string, idx int) string {
-	return filepath.Join(s.blockDir(name), fmt.Sprintf("%06d", idx))
 }
 
 // homeOf returns the node owning the directory entry for (array, block):

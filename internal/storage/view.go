@@ -120,24 +120,51 @@ func DecodeFloat64sInto(dst []float64, data []byte) {
 	}
 }
 
-// ReadFloat64s decodes an entire float64 array into dst block by block,
-// without intermediate buffers. len(dst) must be Size/8.
+// ReadFloat64s reads an entire float64 array into dst block by block, each
+// a copy-out read (ReadBlockFloat64s). len(dst) must be Size/8, and the
+// block size a multiple of 8.
 func (s *Store) ReadFloat64s(name string, dst []float64) error {
 	info, err := s.Info(name)
 	if err != nil {
 		return err
 	}
-	if int64(8*len(dst)) != info.Size {
-		return fmt.Errorf("storage: ReadFloat64s of %q: %d values for %d bytes", name, len(dst), info.Size)
+	if int64(8*len(dst)) != info.Size || info.BlockSize%8 != 0 {
+		return fmt.Errorf("storage: ReadFloat64s of %q: %d values for %d bytes in blocks of %d", name, len(dst), info.Size, info.BlockSize)
 	}
 	for b := 0; b < info.NumBlocks(); b++ {
 		bs := info.BlockSpan(b)
-		lease, err := s.RequestBlock(name, b, PermRead)
-		if err != nil {
+		if err := s.ReadBlockFloat64s(name, b, dst[bs.Lo/8:bs.Hi/8]); err != nil {
 			return err
 		}
-		DecodeFloat64sInto(dst[bs.Lo/8:bs.Hi/8], lease.Data)
-		lease.Release()
 	}
 	return nil
+}
+
+// ReadBlockFloat64s copies block `block` of a float64 array into dst, which
+// must hold exactly the block's values. It is a copy-out read: a resident
+// block is copied under the storage loop, a block on this node's scratch is
+// read by an I/O filter straight into dst (its frame CRC verified), and
+// neither installs a block or evicts one — a reader of many spilled blocks
+// keeps a resident footprint of dst alone. Other blocks are read through a
+// lease. dst is the caller's before and after the call.
+func (s *Store) ReadBlockFloat64s(array string, block int, dst []float64) error {
+	if b, ok := float64Bytes(dst); ok {
+		return s.readBlockInto(array, block, b)
+	}
+	buf := sharedArena.Get(8 * len(dst))
+	defer sharedArena.Put(buf)
+	if err := s.readBlockInto(array, block, buf); err != nil {
+		return err
+	}
+	DecodeFloat64sInto(dst, buf)
+	return nil
+}
+
+// float64Bytes is v's memory as the little-endian bytes a float64 array
+// stores, where the machine makes them the same thing.
+func float64Bytes(v []float64) ([]byte, bool) {
+	if !littleEndianCPU || len(v) == 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v)), true
 }
