@@ -76,7 +76,16 @@ hotpath:
 # sizes (BenchmarkArenaGetPut): a Get that misses its class allocates. So
 # must a copy-out read of a basis-vector block (BenchmarkReadBlockFloat64s),
 # resident and from its slot on scratch: its request, I/O job and reply are
-# pooled, and the scratch file is already open.
+# pooled, and the scratch file is already open. Building a matrix is gated
+# on memory, not time: generating the benchmark's 3000² matrix at d = 8
+# (BenchmarkGapMatrix) may allocate at most 14,108,000 B in 5 allocations in
+# its general form and 21,191,000 B in 11 in its symmetric one, and staging it
+# on a K=4 grid over 2 nodes (BenchmarkStageMatrix) at most 2,017,000 B in 445
+# allocations full and 1,455,000 B in 379 mirrored — each what the one-pass
+# generator and stager measured (12,826,016 B / 5; 19,264,928 B / 10;
+# 1,834,333 B / 405; 1,322,974 B / 345) plus 10 %, rounded down. ns/op is
+# reported only. A triplet list, a sort, or a block built before it is
+# encoded shows as megabytes.
 perf-gate:
 	$(GO) run ./cmd/doocbench -exp hotpath -bench-out /tmp/BENCH_hotpath.json -gate BENCH_hotpath.json -gate-allocs 614
 	$(GO) test -run '^$$' -bench '^BenchmarkViewCRS2$$' -benchtime 200x -benchmem ./internal/sparse/ | \
@@ -89,6 +98,12 @@ perf-gate:
 		awk '{print} /^BenchmarkArenaGetPut/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 4 || bad}'
 	$(GO) test -run '^$$' -bench '^BenchmarkReadBlockFloat64s$$' -benchtime 2000x -benchmem ./internal/storage/ | \
 		awk '{print} /^BenchmarkReadBlockFloat64s/ {seen++; if ($$(NF-1) > 0) bad = 1} END {exit seen != 2 || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkGapMatrix$$' -benchtime 10x -benchmem ./internal/sparse/ | \
+		awk '{print} /^BenchmarkGapMatrix\/general/ {seen++; if ($$(NF-3) > 14108000 || $$(NF-1) > 5) bad = 1} \
+			/^BenchmarkGapMatrix\/symmetric/ {seen++; if ($$(NF-3) > 21191000 || $$(NF-1) > 11) bad = 1} END {exit seen != 2 || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkStageMatrix$$' -benchtime 10x -benchmem ./internal/core/ | \
+		awk '{print} /^BenchmarkStageMatrix\/full/ {seen++; if ($$(NF-3) > 2017000 || $$(NF-1) > 445) bad = 1} \
+			/^BenchmarkStageMatrix\/mirrored/ {seen++; if ($$(NF-3) > 1455000 || $$(NF-1) > 379) bad = 1} END {exit seen != 2 || bad}'
 
 vet:
 	$(GO) vet ./...

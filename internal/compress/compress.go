@@ -201,12 +201,19 @@ func EncodeFrame(c Codec, src []byte) []byte {
 // spill path, the wire encoder) avoid EncodeFrame's per-call allocation.
 func AppendFrame(dst []byte, c Codec, src []byte) []byte {
 	var hdr [FrameHeaderLen]byte
-	copy(hdr[:], frameMagic)
+	PutFrameHeader(hdr[:], c, src)
+	return c.Encode(append(dst, hdr[:]...), src)
+}
+
+// PutFrameHeader writes into hdr the header of the frame encoding src with
+// c. A caller that laid src where a raw frame's payload goes makes the raw
+// frame in place with it.
+func PutFrameHeader(hdr []byte, c Codec, src []byte) {
+	copy(hdr, frameMagic)
 	hdr[4] = c.ID()
 	hdr[5] = 0
 	binary.LittleEndian.PutUint64(hdr[6:], uint64(len(src)))
 	binary.LittleEndian.PutUint32(hdr[14:], crc32.Checksum(src, crcTable))
-	return c.Encode(append(dst, hdr[:]...), src)
 }
 
 // EncodeAdaptive encodes src with c but bails out to the Raw codec when the
@@ -241,22 +248,32 @@ func KeepsCodec(rawLen, encodedLen int) bool {
 // truncated in place and the raw frame written over them, so the bail-out
 // path costs no second buffer.
 func AppendFrameAdaptive(dst []byte, c Codec, src []byte) ([]byte, Codec) {
-	if c == nil || c.ID() == IDRaw {
-		return AppendFrame(dst, Raw{}, src), Raw{}
+	if c != nil && c.ID() != IDRaw {
+		if out, ok := AppendCodecFrame(dst, c, src); ok {
+			return out, c
+		}
 	}
+	return AppendFrame(dst, Raw{}, src), Raw{}
+}
+
+// AppendCodecFrame is AppendFrameAdaptive short of its raw frame: it appends
+// c's frame of src to dst when the adaptive rule keeps it, and otherwise
+// returns dst at its length and false, for the caller to store src raw. What
+// dst holds past its length may be overwritten either way.
+func AppendCodecFrame(dst []byte, c Codec, src []byte) ([]byte, bool) {
 	base := len(dst)
 	if len(src) >= 4*adaptiveProbeLen {
 		probe := c.Encode(dst, src[:adaptiveProbeLen])
 		dst = probe[:base]
 		if !KeepsCodec(adaptiveProbeLen, len(probe)-base) {
-			return AppendFrame(dst, Raw{}, src), Raw{}
+			return dst, false
 		}
 	}
 	out := AppendFrame(dst, c, src)
 	if KeepsCodec(len(src), len(out)-base) {
-		return out, c
+		return out, true
 	}
-	return AppendFrame(out[:base], Raw{}, src), Raw{}
+	return out[:base], false
 }
 
 // FrameRawLen checks a frame's header and returns the codec that wrote it and

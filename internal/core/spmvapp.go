@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -112,33 +111,39 @@ func StageMatrixCompressed(scratchRoot string, m *sparse.CSR, cfg SpMVConfig) er
 // layout (mirroredLayout), a diagonal block as its upper triangle. The
 // symmetry check of a matrix that is not symmetric stops at its first
 // asymmetric entry. It returns the layout it staged.
+//
+// Each block row is validated and split once (sparse.SplitBlockRow): the
+// split counts the entries of every block for the layout, and each staged
+// block is encoded from the matrix's own arrays through it into one reused
+// image. No block is built, and a block the layout leaves to its mirror is
+// not touched.
 func stageMatrix(m *sparse.CSR, cfg SpMVConfig, put func(u, v int, block []byte) error) (spmv.Layout, error) {
 	var layout spmv.Layout
 	p, err := cfg.Partition()
 	if err != nil {
 		return layout, err
 	}
-	if cfg.K >= 2 && m.IsSymmetric(0) {
-		layout = mirroredLayout(m, p, cfg)
+	rows := make([]*sparse.BlockRow, cfg.K)
+	for u := range rows {
+		if rows[u], err = sparse.SplitBlockRow(m, p, u); err != nil {
+			return layout, err
+		}
 	}
-	var buf bytes.Buffer
-	for u := 0; u < cfg.K; u++ {
+	if cfg.K >= 2 && m.IsSymmetric(0) {
+		layout = mirroredLayout(rows, cfg)
+	}
+	var img []byte
+	for u, row := range rows {
 		for v := 0; v < cfg.K; v++ {
 			if !layout.Staged(u, v) {
 				continue
 			}
-			b, err := sparse.Block(m, p, u, v)
-			if err != nil {
-				return layout, err
-			}
 			if layout.Mirrored() && u == v {
-				b = b.UpperTriangle()
+				img = row.AppendUpperTriangleCRS2(img[:0])
+			} else {
+				img = row.AppendBlockCRS2(img[:0], v)
 			}
-			buf.Reset()
-			if err := sparse.WriteCRS2(&buf, b); err != nil {
-				return layout, err
-			}
-			if err := put(u, v, buf.Bytes()); err != nil {
+			if err := put(u, v, img); err != nil {
 				return layout, err
 			}
 		}
@@ -147,41 +152,21 @@ func stageMatrix(m *sparse.CSR, cfg SpMVConfig, put func(u, v int, block []byte)
 }
 
 // mirroredLayout picks which block of each mirrored pair (u,v)/(v,u) a
-// symmetric m stages — a block lives with its row owner — so that the nodes
-// hold about as many entries each. Greedily, in row order, each pair goes to
-// the owner holding fewer entries so far ((u,v) on a tie); then, while
-// moving a pair to its other owner brings the two nodes closer than it found
-// them, it moves: the greedy pass alone can leave a node with nothing but
-// its triangles. Every move lowers the sum of the squared loads, so this
-// ends. Both blocks of a pair hold the same entries, so the choice changes
-// no result.
-func mirroredLayout(m *sparse.CSR, p sparse.GridPartition, cfg SpMVConfig) spmv.Layout {
+// symmetric matrix, split into its block rows, stages — a block lives with
+// its row owner — so that the nodes hold about as many entries each.
+// Greedily, in row order, each pair goes to the owner holding fewer entries
+// so far ((u,v) on a tie); then, while moving a pair to its other owner
+// brings the two nodes closer than it found them, it moves: the greedy pass
+// alone can leave a node with nothing but its triangles. Every move lowers
+// the sum of the squared loads, so this ends. Both blocks of a pair hold the
+// same entries, so the choice changes no result.
+func mirroredLayout(rows []*sparse.BlockRow, cfg SpMVConfig) spmv.Layout {
 	k := cfg.K
-	start := make([]int, k+1)
-	for u := range start {
-		start[u] = p.Start(u)
-	}
-	// A row's columns ascend, so its block boundaries are crossed in order.
-	nnz, diag := make([]int64, k*k), make([]int64, k)
-	for u := 0; u < k; u++ {
-		for i := start[u]; i < start[u+1]; i++ {
-			v := 0
-			for e := m.RowPtr[i]; e < m.RowPtr[i+1]; e++ {
-				c := int(m.ColIdx[e])
-				for c >= start[v+1] {
-					v++
-				}
-				nnz[u*k+v]++
-				if c == i {
-					diag[u]++
-				}
-			}
-		}
-	}
 	held := make([]int64, cfg.Nodes)
-	for u := 0; u < k; u++ {
-		held[cfg.OwnerOf(u)] += (nnz[u*k+u] + diag[u]) / 2 // the upper triangle
+	for u, row := range rows {
+		held[cfg.OwnerOf(u)] += row.UpperNNZ() // the upper triangle
 	}
+	nnz := make([]int64, k*k) // of pair (u,v), u < v
 	lower := make([]bool, k*k)
 	// holder returns the node holding pair (u,v), u < v, and the one it
 	// could move to.
@@ -193,6 +178,7 @@ func mirroredLayout(m *sparse.CSR, p sparse.GridPartition, cfg SpMVConfig) spmv.
 	}
 	for u := 0; u < k; u++ {
 		for v := u + 1; v < k; v++ {
+			nnz[u*k+v] = rows[u].NNZ(v)
 			lower[u*k+v] = held[cfg.OwnerOf(v)] < held[cfg.OwnerOf(u)]
 			a, _ := holder(u, v)
 			held[a] += nnz[u*k+v]
@@ -326,19 +312,26 @@ func DiscoverStagedMatrix(scratchRoot string) (StagedMatrixInfo, error) {
 	return info, nil
 }
 
-// diagonalNNZ counts the stored diagonal entries of the block file at path.
+// diagonalNNZ counts the stored diagonal entries of the triangle block file
+// at path: a row of an upper triangle holds its diagonal entry first, so
+// each row's first column, on a view of the block, tells.
 func diagonalNNZ(path string) (int64, error) {
-	b, err := sparse.ReadCRSFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
+	b, _, err := sparse.ViewCRSBytes(data, new(sparse.ViewScratch), nil)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	first := func(i int) int32 { return b.ColIdx[b.RowPtr[i]] }
+	if b.RowFirst != nil { // the gap form
+		first = func(i int) int32 { return b.RowFirst[i] }
+	}
 	var n int64
-	cols := b.Columns()
 	for i := 0; i < b.Rows; i++ {
-		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
-			if int(cols[k]) == i {
-				n++
-			}
+		if b.RowPtr[i] < b.RowPtr[i+1] && int(first(i)) == i {
+			n++
 		}
 	}
 	return n, nil

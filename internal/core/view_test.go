@@ -572,7 +572,8 @@ func TestChecksumOncePerResidency(t *testing.T) {
 // a set staged before DOOCCRS2 became the one staging format — beside blocks
 // StageMatrix wrote runs out of core to the bits of the all-DOOCCRS1 set, and
 // discovery tells the two kinds of file apart. On a matrix like the
-// benchmark's StageMatrix leaves no int32 column section behind.
+// benchmark's StageMatrix leaves no int32 column section behind. A mirrored
+// set with DOOCCRS1 triangles keeps its count of entries too.
 func TestMixedFormatStagedSetRuns(t *testing.T) {
 	const dim, k, nodes, iters = 360, 3, 2, 3
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 8, Seed: 21})
@@ -627,6 +628,72 @@ func TestMixedFormatStagedSetRuns(t *testing.T) {
 			allV1 = got
 		} else if got != allV1 {
 			t.Errorf("%s: result %s, the all-v1 set's %s", c.name, got[:16], allV1[:16])
+		}
+	}
+
+	// A mirrored set whose diagonal triangles are DOOCCRS1 files beside
+	// StageMatrix's other blocks: discovery counts each triangle's diagonal
+	// from its int32 columns as it does from the gap form's first columns,
+	// and the set runs to the bits of the set as staged. Every fifth
+	// diagonal entry is missing, so some rows of a triangle open above the
+	// diagonal.
+	full := symmetricTestMatrix(t, dim, 22)
+	var ts []sparse.Triplet
+	for i := 0; i < dim; i++ {
+		for e := full.RowPtr[i]; e < full.RowPtr[i+1]; e++ {
+			if j := int(full.ColIdx[e]); j != i || i%5 != 0 {
+				ts = append(ts, sparse.Triplet{Row: i, Col: j, Val: full.Val[e]})
+			}
+		}
+	}
+	sym, err := sparse.FromTriplets(dim, dim, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mirroredSHA string
+	for _, oldTriangles := range []bool{false, true} {
+		root := t.TempDir()
+		if err := StageMatrix(root, sym, cfg); err != nil {
+			t.Fatal(err)
+		}
+		forms := map[string]int{"gap8": k * (k + 1) / 2}
+		if oldTriangles {
+			p, err := cfg.Partition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < k; u++ {
+				b, err := sparse.Block(sym, p, u, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(root, fmt.Sprintf("node%d", cfg.OwnerOf(u)), spmv.MatrixArray(u, u)+".arr")
+				if err := sparse.WriteCRSFile(path, b.UpperTriangle()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			forms = map[string]int{"int32": k, "gap8": k * (k - 1) / 2}
+		}
+		info, err := DiscoverStagedMatrix(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Mirrored || info.Dim != dim || info.NNZ != sym.NNZ() || !maps.Equal(info.ColumnForms, forms) {
+			t.Errorf("mirrored, DOOCCRS1 triangles %v: discovered %+v, want mirrored, dim %d, %d nnz, column forms %v", oldTriangles, info, dim, sym.NNZ(), forms)
+		}
+		sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunIteratedSpMV(sys, cfg, x0)
+		sys.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shaOf(res.X); mirroredSHA == "" {
+			mirroredSHA = got
+		} else if got != mirroredSHA {
+			t.Errorf("mirrored set with DOOCCRS1 triangles: result %s, as staged %s", got[:16], mirroredSHA[:16])
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package sparse
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
+	"unsafe"
 
 	"dooc/internal/compress"
 )
@@ -69,52 +70,87 @@ func crs2PadBytes(pos int64) int64 { return -(pos + compress.FrameHeaderLen) & 7
 
 // ColGapWidth is the form WriteCRS2 gives m's column section: the width in
 // bytes of one gap, 1 or 2, or 0 for delta32 over the int32 indices.
-func ColGapWidth(m *CSR) int {
+func ColGapWidth(m *CSR) int { return gapWidth(rowsOf(m)) }
+
+// gapWidth is ColGapWidth of the rows s.
+func gapWidth(s blockRows) int {
 	width := 1
-	switch widest := widestGap(m); {
+	switch widest := s.widestGap(); {
 	case widest > math.MaxUint16:
 		return 0
 	case widest > math.MaxUint8:
 		width = 2
 	}
 	// Held to the rule every adaptive frame is, against the int32 indices.
-	nnz := m.NNZ()
-	if !compress.KeepsCodec(int(4*nnz), compress.FrameHeaderLen+int(sectionRawLen(1, width, int64(m.Rows), nnz))) {
+	if !compress.KeepsCodec(int(4*s.nnz), compress.FrameHeaderLen+int(sectionRawLen(1, width, int64(s.rows), s.nnz))) {
 		return 0
 	}
 	return width
 }
 
+// blockRows is what a V2 block is encoded from, read where it lies: row r
+// holds entries [lo, hi) = span(r) of colIdx and val, its columns less c0. A
+// matrix is its own rows (rowsOf); a block of a split block row is the
+// split's ranges of the matrix it was cut from (BlockRow), so staging builds
+// no block before encoding it.
+type blockRows struct {
+	rows, cols int
+	nnz        int64
+	colIdx     []int32
+	val        []float64
+	c0         int32
+	span       func(r int) (lo, hi int64)
+}
+
+// rowsOf is m's rows; m must carry ColIdx.
+func rowsOf(m *CSR) blockRows {
+	return blockRows{rows: m.Rows, cols: m.Cols, nnz: m.NNZ(), colIdx: m.ColIdx, val: m.Val,
+		span: func(r int) (int64, int64) { return m.RowPtr[r], m.RowPtr[r+1] }}
+}
+
 // widestGap is the largest distance between neighbouring entries of a row.
-func widestGap(m *CSR) int32 {
+func (s blockRows) widestGap() int32 {
 	var w int32
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i] + 1; k < m.RowPtr[i+1]; k++ {
-			w = max(w, m.ColIdx[k]-m.ColIdx[k-1])
+	for r := 0; r < s.rows; r++ {
+		lo, hi := s.span(r)
+		cols := s.colIdx[lo:hi]
+		for k := 1; k < len(cols); k++ {
+			w = max(w, cols[k]-cols[k-1])
 		}
 	}
 	return w
 }
 
-// gapSectionBytes serializes the columns of m in gap form.
-func gapSectionBytes(m *CSR, width int) []byte {
-	out := make([]byte, sectionRawLen(1, width, int64(m.Rows), m.NNZ()))
-	gaps := out[4*m.Rows:]
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		if lo == hi {
+// putGaps lays the columns of s in gap form, gaps of width bytes, into dst,
+// every byte of it: the first column of every row (0 for an empty row), then
+// every entry's gap from the entry before it in its row (0 for a row's
+// first).
+func putGaps(dst []byte, s blockRows, width int) {
+	gaps := dst[4*s.rows:]
+	for r := 0; r < s.rows; r++ {
+		lo, hi := s.span(r)
+		cols := s.colIdx[lo:hi]
+		if len(cols) == 0 {
+			binary.LittleEndian.PutUint32(dst[4*r:], 0)
 			continue
 		}
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(m.ColIdx[lo]))
-		for k := lo + 1; k < hi; k++ {
-			if g := m.ColIdx[k] - m.ColIdx[k-1]; width == 1 {
-				gaps[k] = uint8(g)
-			} else {
-				binary.LittleEndian.PutUint16(gaps[2*k:], uint16(g))
+		binary.LittleEndian.PutUint32(dst[4*r:], uint32(cols[0]-s.c0))
+		if width == 1 {
+			g := gaps[:len(cols)]
+			g[0] = 0
+			for k := 1; k < len(g); k++ {
+				g[k] = uint8(cols[k] - cols[k-1])
 			}
+			gaps = gaps[len(cols):]
+			continue
 		}
+		g := gaps[:2*len(cols)]
+		binary.LittleEndian.PutUint16(g, 0)
+		for k := 1; k < len(cols); k++ {
+			binary.LittleEndian.PutUint16(g[2*k:], uint16(cols[k]-cols[k-1]))
+		}
+		gaps = gaps[2*len(cols):]
 	}
-	return out
 }
 
 // sectionCodec returns the preferred codec for section i (0 = row
@@ -144,29 +180,49 @@ func sectionRawLen(i, width int, rows, nnz int64) int64 {
 	}
 }
 
-// sectionBytes serializes section i of m into the little-endian layout the
-// V1 format uses, which is what the section codecs are tuned for.
-func sectionBytes(i int, m *CSR) []byte {
-	switch i {
-	case 0:
-		out := make([]byte, 8*len(m.RowPtr))
-		for j, p := range m.RowPtr {
-			binary.LittleEndian.PutUint64(out[8*j:], uint64(p))
+// putSection lays section i of s into dst in the little-endian layout the
+// V1 format uses, which is what the section codecs are tuned for; width is
+// the gap width of a column section in gap form, 0 otherwise.
+func putSection(dst []byte, i, width int, s blockRows) {
+	switch {
+	case i == 0:
+		var p int64
+		binary.LittleEndian.PutUint64(dst, 0)
+		for r := 0; r < s.rows; r++ {
+			lo, hi := s.span(r)
+			p += hi - lo
+			binary.LittleEndian.PutUint64(dst[8*(r+1):], uint64(p))
 		}
-		return out
-	case 1:
-		out := make([]byte, 4*len(m.ColIdx))
-		for j, c := range m.ColIdx {
-			binary.LittleEndian.PutUint32(out[4*j:], uint32(c))
+	case i == 1 && width != 0:
+		putGaps(dst, s, width)
+	case i == 1:
+		at := 0
+		for r := 0; r < s.rows; r++ {
+			lo, hi := s.span(r)
+			for _, c := range s.colIdx[lo:hi] {
+				binary.LittleEndian.PutUint32(dst[at:], uint32(c-s.c0))
+				at += 4
+			}
 		}
-		return out
 	default:
-		out := make([]byte, 8*len(m.Val))
-		for j, v := range m.Val {
-			binary.LittleEndian.PutUint64(out[8*j:], math.Float64bits(v))
+		at := 0
+		for r := 0; r < s.rows; r++ {
+			lo, hi := s.span(r)
+			at += putFloats(dst[at:], s.val[lo:hi])
 		}
-		return out
 	}
+}
+
+// putFloats lays vals into dst little-endian — on a little-endian host, one
+// copy — and returns the bytes it wrote.
+func putFloats(dst []byte, vals []float64) int {
+	if crsLittleEndian {
+		return copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals)))
+	}
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+	return 8 * len(vals)
 }
 
 // WriteCRS2 writes m to w in section-compressed V2 format.
@@ -174,66 +230,68 @@ func WriteCRS2(w io.Writer, m *CSR) error {
 	if err := m.Validate(); err != nil {
 		return fmt.Errorf("sparse: refusing to write invalid matrix: %w", err)
 	}
-	return writeCRS2(w, m, ColGapWidth(m), true)
+	_, err := w.Write(encodeCRS2(nil, rowsOf(m)))
+	return err
 }
+
+// encodeCRS2 appends the V2 block of the valid rows s, in the column form
+// their gaps call for.
+func encodeCRS2(dst []byte, s blockRows) []byte { return appendCRS2(dst, s, gapWidth(s), true) }
 
 // sliverShare: a section under 1/sliverShare of the block is stored raw.
 const sliverShare = 64
 
-// writeCRS2 writes the valid matrix m with its column section in the given
-// form. slivers applies the sliver rule; without it the bytes are those
-// WriteCRS2 wrote before the rule existed and, with width 0, before the gap
-// form did.
-func writeCRS2(w io.Writer, m *CSR, width int, slivers bool) error {
-	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	if _, err := bw.WriteString(crsMagicV2); err != nil {
-		return err
-	}
-	hdr := make([]byte, 24)
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(m.Rows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(m.Cols))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(m.NNZ()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	var prefix, zeros [8]byte
-	pos := int64(HeaderBytes)
-	rows, nnz := int64(m.Rows), m.NNZ()
-	block := sectionRawLen(0, 0, rows, nnz) + sectionRawLen(1, width, rows, nnz) + sectionRawLen(2, 0, rows, nnz)
+// appendCRS2 appends the V2 block of the valid rows s, its column section in
+// the given form. slivers applies the sliver rule; without it the bytes are
+// those WriteCRS2 wrote before the rule existed and, with width 0, before
+// the gap form did.
+//
+// The block is built in one image, each section written once: its bytes are
+// laid where a raw frame's payload goes, and a section a codec is tried on is
+// encoded from there and its frame moved over them only when the adaptive
+// rule keeps it. The file CRC then runs over the image.
+func appendCRS2(dst []byte, s blockRows, width int, slivers bool) []byte {
+	rows, nnz := int64(s.rows), s.nnz
+	raw := [3]int64{sectionRawLen(0, 0, rows, nnz), sectionRawLen(1, width, rows, nnz), sectionRawLen(2, 0, rows, nnz)}
+	base := len(dst)
+	img := slices.Grow(dst, int(HeaderBytes+3*(8+7+compress.FrameHeaderLen)+raw[0]+raw[1]+raw[2]+4))
+	img = append(img, crsMagicV2...)
+	img = binary.LittleEndian.AppendUint64(img, uint64(s.rows))
+	img = binary.LittleEndian.AppendUint64(img, uint64(s.cols))
+	img = binary.LittleEndian.AppendUint64(img, uint64(nnz))
+	var zeros [8]byte
+	block := raw[0] + raw[1] + raw[2]
 	for i := 0; i < 3; i++ {
-		var frame []byte
 		form := 0
+		var c compress.Codec = compress.Raw{}
 		switch {
 		case i == 1 && width != 0:
 			form = width
-			frame = compress.EncodeFrame(compress.Raw{}, gapSectionBytes(m, width))
 		case slivers && sliverShare*sectionRawLen(i, 0, rows, nnz) < block:
-			frame = compress.EncodeFrame(compress.Raw{}, sectionBytes(i, m))
 		default:
-			frame, _ = compress.EncodeAdaptive(sectionCodec(i), sectionBytes(i, m))
+			c = sectionCodec(i)
 		}
-		pos += 8
-		pad := crs2PadBytes(pos)
-		binary.LittleEndian.PutUint64(prefix[:], uint64(form)<<60|uint64(pad)<<56|uint64(len(frame)))
-		if _, err := bw.Write(prefix[:]); err != nil {
-			return err
+		prefixAt := len(img) - base
+		pad := crs2PadBytes(int64(prefixAt + 8))
+		img = append(append(img, zeros[:]...), zeros[:pad]...)
+		frameAt := len(img)
+		img = img[:frameAt+compress.FrameHeaderLen+int(raw[i])]
+		section := img[frameAt+compress.FrameHeaderLen:]
+		putSection(section, i, form, s)
+		encoded := false
+		if c.ID() != compress.IDRaw {
+			var frame []byte
+			if frame, encoded = compress.AppendCodecFrame(nil, c, section); encoded {
+				img = append(img[:frameAt], frame...)
+			}
 		}
-		if _, err := bw.Write(zeros[:pad]); err != nil {
-			return err
+		if !encoded {
+			compress.PutFrameHeader(img[frameAt:], compress.Raw{}, section)
 		}
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		pos += pad + int64(len(frame))
+		frameLen := uint64(len(img) - frameAt)
+		binary.LittleEndian.PutUint64(img[base+prefixAt:], uint64(form)<<60|uint64(pad)<<56|frameLen)
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var crcBytes [4]byte
-	binary.LittleEndian.PutUint32(crcBytes[:], crc.Sum32())
-	_, err := w.Write(crcBytes[:])
-	return err
+	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[base:], crsCRCTable))
 }
 
 // crs2Frame slices the frame of section i out of a V2 block with the given

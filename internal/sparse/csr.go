@@ -54,6 +54,26 @@ func (m *CSR) Bytes() int64 {
 // Validate checks structural invariants, of either column form, and returns
 // a descriptive error on the first violation.
 func (m *CSR) Validate() error {
+	if err := m.validateShape(); err != nil {
+		return err
+	}
+	if !m.gapForm() {
+		return m.checkRows(0, m.Rows)
+	}
+	nnz := m.RowPtr[m.Rows]
+	if len(m.ColIdx) != 0 || len(m.RowFirst) != m.Rows || int64(len(m.Val)) != nnz ||
+		int64(len(m.Gap8)+len(m.Gap16)) != nnz || len(m.Gap8) != 0 && len(m.Gap16) != 0 {
+		return fmt.Errorf("sparse: gap form with len(ColIdx)=%d len(RowFirst)=%d len(Gap8)=%d len(Gap16)=%d len(Val)=%d, want 0, %d, and %d gaps of one width and values",
+			len(m.ColIdx), len(m.RowFirst), len(m.Gap8), len(m.Gap16), len(m.Val), m.Rows, nnz)
+	}
+	if len(m.Gap16) != 0 {
+		return validateGapRows(m, m.Gap16)
+	}
+	return validateGapRows(m, m.Gap8)
+}
+
+// validateShape checks the dimensions and the ends of the row pointers.
+func (m *CSR) validateShape() error {
 	if m.Rows < 0 || m.Cols < 0 {
 		return fmt.Errorf("sparse: negative dimensions %dx%d", m.Rows, m.Cols)
 	}
@@ -63,23 +83,31 @@ func (m *CSR) Validate() error {
 	if m.RowPtr[0] != 0 {
 		return fmt.Errorf("sparse: RowPtr[0]=%d, want 0", m.RowPtr[0])
 	}
-	nnz := m.RowPtr[m.Rows]
+	return nil
+}
+
+// validateRows is Validate of a matrix that carries ColIdx with the entries
+// of rows [r0, r1) checked, no others.
+func (m *CSR) validateRows(r0, r1 int) error {
 	if m.gapForm() {
-		if len(m.ColIdx) != 0 || len(m.RowFirst) != m.Rows || int64(len(m.Val)) != nnz ||
-			int64(len(m.Gap8)+len(m.Gap16)) != nnz || len(m.Gap8) != 0 && len(m.Gap16) != 0 {
-			return fmt.Errorf("sparse: gap form with len(ColIdx)=%d len(RowFirst)=%d len(Gap8)=%d len(Gap16)=%d len(Val)=%d, want 0, %d, and %d gaps of one width and values",
-				len(m.ColIdx), len(m.RowFirst), len(m.Gap8), len(m.Gap16), len(m.Val), m.Rows, nnz)
-		}
-		if len(m.Gap16) != 0 {
-			return validateGapRows(m, m.Gap16)
-		}
-		return validateGapRows(m, m.Gap8)
+		return fmt.Errorf("sparse: a matrix in gap form has no ColIdx to split")
 	}
+	if err := m.validateShape(); err != nil {
+		return err
+	}
+	return m.checkRows(r0, r1)
+}
+
+// checkRows is Validate's walk over rows [r0, r1) of a matrix in ColIdx
+// form: the arrays hold every entry, the row pointers ascend within them,
+// and every row's columns ascend strictly within the matrix.
+func (m *CSR) checkRows(r0, r1 int) error {
+	nnz := m.RowPtr[m.Rows]
 	if int64(len(m.ColIdx)) != nnz || int64(len(m.Val)) != nnz {
 		return fmt.Errorf("sparse: len(ColIdx)=%d len(Val)=%d, want %d", len(m.ColIdx), len(m.Val), nnz)
 	}
-	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] || m.RowPtr[i+1] > nnz {
+	for i := r0; i < r1; i++ {
+		if m.RowPtr[i] < 0 || m.RowPtr[i] > m.RowPtr[i+1] || m.RowPtr[i+1] > nnz {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d: %d, %d, last %d", i, m.RowPtr[i], m.RowPtr[i+1], nnz)
 		}
 		prev := int32(-1)

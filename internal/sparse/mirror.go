@@ -133,15 +133,5 @@ func mulVecTriangleGap[G uint8 | uint16](a *CSR, gaps []G, x, y []float64) {
 // UpperTriangle returns the entries of m on or above its diagonal — what a
 // mirrored set stages for a diagonal block. m must carry ColIdx.
 func (m *CSR) UpperTriangle() *CSR {
-	t := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int64, m.Rows+1)}
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if int(m.ColIdx[k]) >= i {
-				t.ColIdx = append(t.ColIdx, m.ColIdx[k])
-				t.Val = append(t.Val, m.Val[k])
-			}
-		}
-		t.RowPtr[i+1] = int64(len(t.Val))
-	}
-	return t
+	return build(splitRows(m, 0, m.Rows, 0, []int{0, m.Cols}).rows(0, true))
 }

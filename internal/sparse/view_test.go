@@ -53,11 +53,7 @@ func encodeCRS2Form(t testing.TB, m *CSR, width int) []byte {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeCRS2(&buf, m, width, false); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return appendCRS2(nil, rowsOf(m), width, false)
 }
 
 // colForm is the form nibble of a V2 block's column section.
@@ -353,7 +349,7 @@ func TestViewMatchesDecode(t *testing.T) {
 		}
 		// Any block with an entry can be written in either gap form its gaps
 		// fit, also where WriteCRS2 would not have.
-		if maxGap := widestGap(m); m.NNZ() > 0 {
+		if maxGap := rowsOf(m).widestGap(); m.NNZ() > 0 {
 			if maxGap <= math.MaxUint8 {
 				v2 = append(v2, format{name: "v2 gap8", enc: encodeCRS2Form(t, m, 1)})
 			}
