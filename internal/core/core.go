@@ -36,9 +36,9 @@ type Options struct {
 	// (default 1).
 	WorkersPerNode int
 	// MemoryBudget is each node's storage budget in bytes (default 1 GiB).
-	// It counts a resident block's bytes; the heap holds a block of 512 B
-	// or more in a buffer at most 1.25 × that (the storage arena's size
-	// classes), and a smaller block in a 512-byte one.
+	// It counts a resident block's bytes; the storage arena holds a block
+	// of 512 B or more in a buffer at most 1.25 × that (its size classes),
+	// and a smaller block in a 512-byte one.
 	MemoryBudget int64
 	// ScratchRoot, when non-empty, gives every node an out-of-core scratch
 	// directory ScratchRoot/node<i>.

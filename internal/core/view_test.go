@@ -168,15 +168,18 @@ func TestInCoreAndOutOfCoreRunsMatch(t *testing.T) {
 	}
 }
 
-// TestInCoreRunHoldsOneCopy: after a warm in-core run the heap holds the
+// TestInCoreRunHoldsOneCopy: after a warm in-core run the arena holds the
 // staged blocks and nothing of their size beside them — no decoded copy, no
-// second buffer. The bound is 1.25 × the staged bytes over the heap in use
-// before the system existed, so it also bounds what the storage arena's size
-// classes add to a resident block. The two shapes sit at either end of a
-// class step: at 2202 a block nearly fills a power of two, at 2407 it is 1.11
-// × one, which classes of whole powers of two held in buffers 1.8 × the
-// staged bytes. With a decoded copy kept beside every block, as the decode
-// cache did, the heap grows 2.4 × the staged bytes.
+// second buffer — and the Go heap holds none of them. The arena bound is
+// 1.25 × the staged bytes over its live bytes before the system existed, so
+// it also bounds what the arena's size classes add to a resident block. The
+// two shapes sit at either end of a class step: at 2202 a block nearly
+// fills a power of two, at 2407 it is 1.11 × one, which classes of whole
+// powers of two held in buffers 1.8 × the staged bytes. With a decoded copy
+// kept beside every block, as the decode cache did, the arena and heap
+// together grow 2.4 × the staged bytes. The heap bound is heapSlack: block
+// bytes live in the arena's mapped classes, so a heap that grew by a block
+// holds one it should not.
 func TestInCoreRunHoldsOneCopy(t *testing.T) {
 	for _, dim := range []int{2202, 2407} {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) { holdsOneCopy(t, dim) })
@@ -199,13 +202,7 @@ func holdsOneCopy(t *testing.T, dim int) {
 		t.Fatal(err)
 	}
 	x0 := randVec(rand.New(rand.NewSource(2)), dim)
-	heapInUse := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapInuse)
-	}
-	base := heapInUse()
+	base := takeMemory()
 	sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root, MemoryBudget: 2 * info.Bytes, PrefetchWindow: 2, Reorder: true})
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +219,12 @@ func holdsOneCopy(t *testing.T, dim int) {
 		}
 		DeleteSpMVArrays(sys, cfg)
 	}
-	if grew, limit := heapInUse()-base, info.Bytes*5/4; grew > limit {
-		t.Errorf("heap grew %d bytes over a resident matrix of %d staged bytes (limit %d): a block is held more than once, or in a buffer too large for it", grew, info.Bytes, limit)
+	grew := takeMemory().since(base)
+	if limit := info.Bytes * 5 / 4; grew.arena > limit {
+		t.Errorf("the arena holds %d more bytes over a resident matrix of %d staged bytes (limit %d): a block is held more than once, or in a buffer too large for it", grew.arena, info.Bytes, limit)
+	}
+	if grew.heap > heapSlack {
+		t.Errorf("the Go heap grew %d bytes over a resident matrix of %d staged bytes (limit %d): a block, or a copy of one, is on the heap", grew.heap, info.Bytes, heapSlack)
 	}
 	runtime.KeepAlive(m)
 }

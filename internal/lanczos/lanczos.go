@@ -247,8 +247,9 @@ func Solve(op Operator, opts Options) (*Result, error) {
 				sparse.Axpy(-betas[j-1], prev, w)
 			}
 		}
-		// Full reorthogonalization (two passes of classical Gram-Schmidt,
-		// the "twice is enough" rule), streaming the basis.
+		// Full reorthogonalization (two passes of modified Gram-Schmidt —
+		// w is updated after every dot, so each dot sees the w the previous
+		// vectors left — the "twice is enough" rule), streaming the basis.
 		if !opts.SkipReorth {
 			for pass := 0; pass < 2; pass++ {
 				for bi := 0; bi < basis.Len(); bi++ {

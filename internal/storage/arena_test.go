@@ -113,7 +113,10 @@ func servedBack(a *Arena, fresh func() []byte, n int) (got []byte, ok bool) {
 }
 
 // TestArenaRecycles: a buffer Put is served back by a Get of the same size,
-// and a foreign buffer is filed under a class no larger than its capacity.
+// and a small foreign buffer is filed under a class no larger than its
+// capacity. A large foreign buffer recycles only on the heap path: where the
+// large classes are mapped, the arena takes back only buffers it minted, and
+// a heap buffer Put into a large class is left to the collector.
 func TestArenaRecycles(t *testing.T) {
 	a := NewArena()
 	for _, n := range []int{600, 6000, 24 << 10, 618_000} {
@@ -125,7 +128,7 @@ func TestArenaRecycles(t *testing.T) {
 			t.Fatalf("Get(%d) from the pool: len %d cap %d", n, len(got), cap(got))
 		}
 	}
-	for _, capacity := range []int{512, 700, 1000, 5000, 70_001, 618_000, 2_516_000} {
+	for _, capacity := range []int{512, 700, 1000, 5000, 40_000, 65_535} {
 		size := classSize(putClassFor(capacity))
 		got, ok := servedBack(a, func() []byte { return make([]byte, 3, capacity) }, size)
 		if !ok {
@@ -134,6 +137,27 @@ func TestArenaRecycles(t *testing.T) {
 		if cap(got) > capacity {
 			t.Fatalf("a %d-byte foreign buffer came back with cap %d", capacity, cap(got))
 		}
+	}
+	mapped := a.Stats().Mapped > 0
+	for _, capacity := range []int{arenaLargeMin, 70_001, 618_000, 2_516_000} {
+		size := classSize(putClassFor(capacity))
+		before := a.Stats()
+		buf := make([]byte, 3, capacity)
+		a.Put(buf)
+		got := a.Get(size)
+		pooled := unsafe.SliceData(got) == unsafe.SliceData(buf[:1])
+		after := a.Stats()
+		switch {
+		case mapped && pooled:
+			t.Fatalf("a %d-byte foreign buffer was pooled in a mapped class", capacity)
+		case mapped && (after.Drops != before.Drops+1 || after.Puts != before.Puts):
+			t.Fatalf("a %d-byte foreign buffer Put into a mapped class: %+v then %+v, want one drop and no put", capacity, before, after)
+		case !mapped && !pooled:
+			if _, ok := servedBack(a, func() []byte { return make([]byte, 3, capacity) }, size); !ok {
+				t.Fatalf("a %d-byte foreign buffer was not served for its class of %d", capacity, size)
+			}
+		}
+		a.Put(got)
 	}
 }
 

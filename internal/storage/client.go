@@ -172,11 +172,20 @@ func (s *Store) Info(array string) (ArrayInfo, error) {
 }
 
 // Close shuts the store down. Outstanding requests fail with ErrClosed.
+// Every block buffer goes back to the arena: an unleased one now, a leased
+// one when its last lease is released.
 func (s *Store) Close() {
 	s.inbox.close()
 	<-s.done
 	s.io.stop()
 	s.files.closeAll()
+	s.left.once.Do(func() {
+		for _, b := range s.left.unleased {
+			sharedArena.Put(b)
+		}
+		s.left.unleased = nil
+		close(s.left.stopped)
+	})
 }
 
 // ---- typed helpers ----

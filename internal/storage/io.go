@@ -124,10 +124,7 @@ func (p *ioPool) worker(idx int) {
 			p.store.metrics.ioReadSeconds.Observe(time.Since(start).Seconds())
 			p.store.traceIO("load", j.array, j.block, idx, start, time.Now(), j.err)
 		}
-		if !p.store.inbox.put(j) && j.kind == ioCopyOut {
-			// The loop is gone: nobody else will answer the reader.
-			j.reply <- leaseResult{err: ErrClosed}
-		}
+		p.store.post(j)
 	}
 }
 

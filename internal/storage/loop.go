@@ -448,14 +448,25 @@ func (s *Store) dispatch(st *loopState, m any) {
 	}
 }
 
-// teardown fails outstanding waiters when the store closes.
+// teardown fails outstanding waiters when the store closes, and hands the
+// block buffers to Close: an unleased one goes back to the arena once the
+// I/O filters have stopped, a leased one with its last lease.
 func (s *Store) teardown(st *loopState) {
 	for _, ast := range st.arrays {
-		for _, b := range ast.blocks {
+		for bi, b := range ast.blocks {
 			for _, w := range b.waiters {
 				w.reply <- leaseResult{err: ErrClosed}
 			}
 			b.waiters = nil
+			switch {
+			case b.refcnt > 0:
+				if s.left.leased == nil {
+					s.left.leased = make(map[blockKey]*leasedBuf)
+				}
+				s.left.leased[blockKey{ast.info.Name, bi}] = &leasedBuf{buf: b.buf, refs: b.refcnt}
+			case b.buf != nil:
+				s.left.unleased = append(s.left.unleased, b.buf)
+			}
 		}
 	}
 	for _, f := range st.flushes {
@@ -1088,6 +1099,7 @@ func (s *Store) forwardOnLoad(m msgQuery) chan leaseResult {
 func (s *Store) handleQueryReply(st *loopState, m msgQueryReply) {
 	ast, ok := st.arrays[m.array]
 	if !ok {
+		sharedArena.Put(m.data)
 		return
 	}
 	b := s.getBlock(ast, m.block)

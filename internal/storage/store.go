@@ -312,7 +312,25 @@ type Store struct {
 	// files are the scratch files this store's I/O filters hold open.
 	files fileTable
 
+	// left is what the closed loop left behind: the block buffers Close
+	// returns to the arena, and those still leased. teardown writes it
+	// before done closes.
+	left struct {
+		unleased [][]byte
+		leased   map[blockKey]*leasedBuf
+		mu       sync.Mutex // guards leased once done has closed
+		once     sync.Once  // returns unleased, then closes stopped
+		stopped  chan struct{}
+	}
+
 	done chan struct{}
+}
+
+// leasedBuf is a block's buffer still leased when its store closed, and how
+// many leases are still out.
+type leasedBuf struct {
+	buf  []byte
+	refs int
 }
 
 // sidecar is the JSON sidecar describing a flushed array's block structure.
@@ -404,6 +422,7 @@ func newStore(cfg Config) (*Store, error) {
 		metrics: newStoreMetrics(&cfg),
 		done:    make(chan struct{}),
 	}
+	s.left.stopped = make(chan struct{})
 	s.io = newIOPool(cfg.IOWorkers, s)
 	return s, nil
 }
@@ -524,8 +543,51 @@ func (s *Store) homeOf(array string, block int) int {
 	return int(h % uint32(len(s.peers)))
 }
 
-// post enqueues a message for the actor loop.
-func (s *Store) post(m any) { s.inbox.put(m) }
+// post delivers m to the store's loop. A message the loop will never see,
+// because the store has closed, gives back the arena buffers it owns.
+func (s *Store) post(m any) {
+	if !s.inbox.put(m) {
+		s.dropped(m)
+	}
+}
+
+// dropped disposes of a message posted after the store closed.
+func (s *Store) dropped(m any) {
+	switch m := m.(type) {
+	case *msgQueryReply:
+		sharedArena.Put(m.data)
+	case shardDone:
+		sharedArena.Put(m.data)
+	case *ioJob:
+		switch m.kind {
+		case ioInstall:
+			sharedArena.Put(m.data)
+		case ioCopyOut:
+			// Nobody else will answer the reader.
+			m.reply <- leaseResult{err: ErrClosed}
+		}
+	case *cmdRelease:
+		s.releaseClosed(m.lease)
+	}
+}
+
+// releaseClosed is the release of a lease the loop did not see before it
+// closed: the last one out gives the block's buffer back, once Close has
+// returned the rest.
+func (s *Store) releaseClosed(l *Lease) {
+	<-s.left.stopped
+	k := blockKey{l.Array, l.block}
+	s.left.mu.Lock()
+	defer s.left.mu.Unlock()
+	h := s.left.leased[k]
+	if h == nil {
+		return
+	}
+	if h.refs--; h.refs == 0 {
+		sharedArena.Put(h.buf)
+		delete(s.left.leased, k)
+	}
+}
 
 // ledger records a cross-node transfer if configured.
 func (s *Store) ledger(from, to int, bytes int64) {

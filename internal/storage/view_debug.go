@@ -17,6 +17,10 @@ import (
 // scratch+PutFloat64s fallback — which keeps the bit-identity tests
 // meaningful for that path too.
 
+// arenaDebugProtect makes a free mapped arena buffer inaccessible until its
+// next Get, so a use after Put faults (arena_mmap.go).
+const arenaDebugProtect = true
+
 // viewDebugForceCopy routes every view through the tracked-copy path.
 const viewDebugForceCopy = true
 

@@ -6,6 +6,10 @@ package storage
 // does no per-view bookkeeping. The doocdebug build tag swaps these for
 // tracked copies that are poisoned on release (view_debug.go).
 
+// arenaDebugProtect is false in release builds: a free mapped arena buffer
+// keeps its access.
+const arenaDebugProtect = false
+
 // viewDebugForceCopy is false in release builds: views alias in place.
 const viewDebugForceCopy = false
 
