@@ -517,10 +517,10 @@ func BenchmarkAblationEphemeralDeletion(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				residual = int64(len(sys.Store(0).Map().Blocks))
+				residual = sys.Store(0).Stats().MemUsed
 				sys.Close()
 			}
-			b.ReportMetric(float64(residual), "arrays-resident-after")
+			b.ReportMetric(float64(residual), "bytes-resident-after")
 		})
 	}
 }

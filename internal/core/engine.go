@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -473,6 +474,9 @@ func (r *engineRun) worker(node, lane int) {
 	}
 	defer r.sys.putScratch(ctx.view)
 	var deadScratch []string
+	// A pick's question to the store: the candidates' heavy blocks, answered.
+	var refs []storage.BlockRef
+	var answers []bool
 	for {
 		r.mu.Lock()
 		var task *dag.Task
@@ -484,12 +488,18 @@ func (r *engineRun) worker(node, lane int) {
 			}
 			mine := r.readyFor(node)
 			if len(mine) > 0 {
-				// Residency snapshot for the pick. The map call leaves the
-				// lock briefly cold but keeps decisions fresh; the snapshot
-				// is recycled as soon as the pick is made.
-				rm := store.Map()
+				// One question to the store about the candidates' heavy
+				// inputs; Pick and PrefetchTargets read the answers.
+				refs = refs[:0]
+				for _, t := range mine {
+					for _, ref := range t.HeavyInputs() {
+						refs = append(refs, storage.BlockRef{Array: ref.Array, Block: blockOrZero(ref)})
+					}
+				}
+				answers = store.Resident(refs, answers)
 				resident := func(ref dag.Ref) bool {
-					return rm.Resident(ref.Array, blockOrZero(ref))
+					i := slices.Index(refs, storage.BlockRef{Array: ref.Array, Block: blockOrZero(ref)})
+					return i >= 0 && answers[i]
 				}
 				task = r.policies[node].Pick(mine, resident)
 				// Keep the prefetch window full with the runner-up tasks'
@@ -499,7 +509,6 @@ func (r *engineRun) worker(node, lane int) {
 						store.PrefetchBlock(ref.Array, blockOrZero(ref))
 					}
 				}
-				store.RecycleMap(rm)
 				break
 			}
 			r.cond.Wait()

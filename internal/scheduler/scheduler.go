@@ -186,8 +186,9 @@ func better(a, b score) bool {
 }
 
 // Pick selects the next task to run from the node's ready tasks. resident
-// reports whether a datum is in this node's memory (typically a closure over
-// the storage layer's residency map). Returns nil when ready is empty.
+// reports whether a datum is in this node's memory (the engine answers it
+// from one question to the storage layer about the ready tasks' heavy
+// inputs). Returns nil when ready is empty.
 func (p *Policy) Pick(ready []*dag.Task, resident func(dag.Ref) bool) *dag.Task {
 	if len(ready) == 0 {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dooc/internal/compress"
 )
@@ -243,4 +244,60 @@ func BenchmarkReadBlockFloat64s(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkResidentQuery measures the residency question of one scheduling
+// pick: 8 candidate blocks asked about in one Resident call, on a store
+// holding 16 readable arrays and on one holding 256 (the arrays a node holds
+// at K = 4 and at K = 16). The two alternate in one loop; ns/op is the
+// 256-array store's, and "x-16" is its time over the 16-array store's. A
+// question costs its candidates, not what else is resident: allocs/op (both
+// calls) must be 0 and x-16 at most 1.25 (`make perf-gate`).
+func BenchmarkResidentQuery(b *testing.B) {
+	const candidates = 8
+	setup := func(arrays int) (*Store, []BlockRef) {
+		s, err := NewLocal(Config{MemoryBudget: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		block := bytes.Repeat([]byte("r"), 512)
+		for i := 0; i < arrays; i++ {
+			if err := s.WriteArray(fmt.Sprintf("a%d", i), block, int64(len(block))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		refs := make([]BlockRef, candidates)
+		for i := range refs {
+			refs[i] = BlockRef{fmt.Sprintf("a%d", i*arrays/candidates), 0}
+		}
+		return s, refs
+	}
+	small, smallRefs := setup(16)
+	defer small.Close()
+	large, largeRefs := setup(256)
+	defer large.Close()
+	out := make([]bool, candidates)
+	for _, q := range []struct {
+		s    *Store
+		refs []BlockRef
+	}{{small, smallRefs}, {large, largeRefs}} {
+		for i, ok := range q.s.Resident(q.refs, out) {
+			if !ok {
+				b.Fatalf("%s not resident", q.refs[i].Array)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var smallTime, largeTime time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		out = small.Resident(smallRefs, out)
+		t1 := time.Now()
+		out = large.Resident(largeRefs, out)
+		smallTime += t1.Sub(t0)
+		largeTime += time.Since(t1)
+	}
+	b.ReportMetric(float64(largeTime)/float64(b.N), "ns/op")
+	b.ReportMetric(float64(largeTime)/float64(smallTime), "x-16")
 }

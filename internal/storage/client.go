@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -142,19 +143,21 @@ func (s *Store) Evict(array string, block int) error {
 	return <-reply
 }
 
-// Map returns the residency snapshot local schedulers poll.
-func (s *Store) Map() ResidencyMap {
-	reply, _ := mapReplyPool.Get().(chan ResidencyMap)
-	if reply == nil {
-		reply = make(chan ResidencyMap, 1)
-	}
-	s.post(cmdMap{reply: reply})
-	rm := <-reply
-	mapReplyPool.Put(reply)
-	return rm
+// Resident reports, for each ref, whether this node holds that whole block in
+// memory; an unknown array or block is not resident. The answers land in out,
+// grown to len(refs) if shorter, so a caller that reuses out allocates
+// nothing. It is the question a scheduling pick asks about its candidates.
+func (s *Store) Resident(refs []BlockRef, out []bool) []bool {
+	out = slices.Grow(out[:0], len(refs))[:len(refs)]
+	c := residentPool.Get().(*cmdResident)
+	c.refs, c.out = refs, out
+	done := c.done
+	s.post(c)
+	<-done
+	*c = cmdResident{done: done}
+	residentPool.Put(c)
+	return out
 }
-
-var mapReplyPool sync.Pool
 
 // Stats returns cumulative counters.
 func (s *Store) Stats() Stats {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 
@@ -74,7 +73,16 @@ type cmdFlush struct {
 	reply chan error
 }
 
-type cmdMap struct{ reply chan ResidencyMap }
+// cmdResident is the residency question of one scheduling pick (see
+// Store.Resident). The caller owns refs and out and keeps the command until
+// done signals, so the command and its channel are pooled together.
+type cmdResident struct {
+	refs []BlockRef
+	out  []bool
+	done chan struct{}
+}
+
+var residentPool = sync.Pool{New: func() any { return &cmdResident{done: make(chan struct{}, 1)} }}
 
 type cmdStats struct{ reply chan Stats }
 
@@ -228,13 +236,6 @@ type arrayState struct {
 	info      ArrayInfo
 	blocks    map[int]*blockState
 	diskNodes map[int]bool // nodes holding the full array on disk
-	// readable lists, ascending, the blocks a residency snapshot reports:
-	// those whose buffer holds the whole block; it starts out in first, which
-	// is all a one-block array ever needs. slot is the array's place in
-	// loopState.readable while the list is not empty.
-	readable []int
-	first    [1]int
-	slot     int
 	// localCompressed marks this node's durable copy as the slotted frame
 	// layout (set by a codec flush or the startup scan); it selects the
 	// framed read path and keeps an array's layout consistent across
@@ -284,48 +285,23 @@ type loopState struct {
 	// reserved is the sum of the full sizes of the blocks whose bytes a
 	// prefetch may not claim, kept by reserve.
 	reserved int64
-	// readable holds, in no order, the arrays whose readable list is not empty.
-	readable []*arrayState
 }
 
 // setBuf is the one place a block's buffer changes hands, so that
 // st.resident — and the gauge that publishes it — always equals the bytes
 // held.
-func (s *Store) setBuf(st *loopState, ast *arrayState, bi int, b *blockState, buf []byte) {
+func (s *Store) setBuf(st *loopState, b *blockState, buf []byte) {
 	st.resident += int64(len(buf)) - int64(len(b.buf))
 	b.buf = buf
 	s.metrics.memUsed.Set(st.resident)
-	st.markReadable(ast, bi, b)
 }
 
-// markReadable re-derives whether block bi belongs on its array's readable
-// list — it has a buffer and the buffer holds all of it — and keeps the list,
-// and the array's place in st.readable, in step: a residency snapshot then
-// visits the resident blocks and nothing else. Call after any change to buf
-// or resident.
-func (st *loopState) markReadable(ast *arrayState, bi int, b *blockState) {
-	bs := ast.info.BlockSpan(bi)
-	want := b.buf != nil && b.resident.full(bs.Hi-bs.Lo)
-	at, listed := slices.BinarySearch(ast.readable, bi)
-	switch {
-	case want == listed:
-	case want:
-		if ast.readable == nil {
-			ast.readable = ast.first[:0]
-		}
-		if len(ast.readable) == 0 {
-			ast.slot = len(st.readable)
-			st.readable = append(st.readable, ast)
-		}
-		ast.readable = slices.Insert(ast.readable, at, bi)
-	default:
-		ast.readable = slices.Delete(ast.readable, at, at+1)
-		if len(ast.readable) == 0 {
-			last := st.readable[len(st.readable)-1]
-			st.readable[ast.slot], last.slot = last, ast.slot
-			st.readable = st.readable[:len(st.readable)-1]
-		}
-	}
+// readable reports whether the block, whose span is bs, is resident: its
+// buffer holds all of it. It is the loop's one definition of resident: what
+// Store.Resident answers, a peer is served from, a flush spills and a
+// prefetch need not fetch.
+func (b *blockState) readable(bs span) bool {
+	return b.buf != nil && b.resident.full(bs.Hi-bs.Lo)
 }
 
 // reserve re-derives whether block bi's bytes are spoken for: under a lease
@@ -389,8 +365,16 @@ func (s *Store) dispatch(st *loopState, m any) {
 		prefetchPool.Put(m)
 	case cmdFlush:
 		s.handleFlush(st, m)
-	case cmdMap:
-		m.reply <- s.buildMap(st)
+	case *cmdResident:
+		// Looked up, never created: an unknown array or block is not resident.
+		for i, r := range m.refs {
+			m.out[i] = false
+			if ast, ok := st.arrays[r.Array]; ok {
+				b, ok := ast.blocks[r.Block]
+				m.out[i] = ok && b.readable(ast.info.BlockSpan(r.Block))
+			}
+		}
+		m.done <- struct{}{}
 	case cmdInfo:
 		if ast, ok := st.arrays[m.array]; ok {
 			m.reply <- infoResult{info: ast.info}
@@ -519,7 +503,7 @@ func (s *Store) newArrayState(info ArrayInfo, q *quotaState) *arrayState {
 		s.astFree = s.astFree[:n-1]
 		clear(ast.blocks)
 		clear(ast.diskNodes)
-		*ast = arrayState{info: info, blocks: ast.blocks, diskNodes: ast.diskNodes, quota: q, readable: ast.readable[:0]}
+		*ast = arrayState{info: info, blocks: ast.blocks, diskNodes: ast.diskNodes, quota: q}
 		return ast
 	}
 	return &arrayState{
@@ -584,7 +568,7 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	// guarantee nothing aliases them.
 	for idx, b := range ast.blocks {
 		sharedArena.Put(b.buf)
-		s.setBuf(st, ast, idx, b, nil)
+		s.setBuf(st, b, nil)
 		// No lease and no disk fetch, checked above; a probe's reply will
 		// find no array and an unread prefetch has nothing left to read.
 		b.probing, b.prefetched = false, false
@@ -793,7 +777,7 @@ func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState
 	}
 	if b.buf == nil {
 		bs := ast.info.BlockSpan(bi)
-		s.setBuf(st, ast, bi, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
+		s.setBuf(st, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
 		// Recycled buffers carry stale bytes; a fresh write block must start
 		// from zeroes (the abandon path and partial writers rely on it).
 		clear(b.buf)
@@ -874,15 +858,15 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 		if err := b.resident.add(rs); err != nil {
 			panic(fmt.Sprintf("storage: residency bookkeeping: %v", err))
 		}
-		st.markReadable(ast, l.block, b)
 		s.wakeWaiters(st, ast, l.block, b)
-		bs := ast.info.BlockSpan(l.block)
-		if b.resident.full(bs.Hi-bs.Lo) && s.homeOf(l.Array, l.block) != s.cfg.NodeID {
-			s.peers[s.homeOf(l.Array, l.block)].post(msgNotify{array: l.Array, block: l.block, node: s.cfg.NodeID})
-		} else if b.resident.full(bs.Hi - bs.Lo) {
-			de := s.dirOf(st, blockKey{l.Array, l.block})
-			de.mem[s.cfg.NodeID] = true
-			s.wakePending(st, blockKey{l.Array, l.block}, de)
+		if b.readable(ast.info.BlockSpan(l.block)) {
+			if home := s.homeOf(l.Array, l.block); home != s.cfg.NodeID {
+				s.peers[home].post(msgNotify{array: l.Array, block: l.block, node: s.cfg.NodeID})
+			} else {
+				de := s.dirOf(st, blockKey{l.Array, l.block})
+				de.mem[s.cfg.NodeID] = true
+				s.wakePending(st, blockKey{l.Array, l.block}, de)
+			}
 		}
 		s.maybeShardPush(st, ast, l.block, b)
 	}
@@ -1020,19 +1004,16 @@ func (s *Store) newQueryReply(array string, block int, kind queryKind) *msgQuery
 func (s *Store) handleQuery(st *loopState, m msgQuery) {
 	ast, ok := st.arrays[m.array]
 	if ok {
-		if b, has := ast.blocks[m.block]; has && b.buf != nil {
-			bs := ast.info.BlockSpan(m.block)
-			if b.resident.full(bs.Hi - bs.Lo) {
-				reply := s.newQueryReply(m.array, m.block, m.kind)
-				reply.outcome = replyData
-				reply.data = sharedArena.Get(len(b.buf))
-				copy(reply.data, b.buf)
-				st.tick++
-				b.lastUse = st.tick
-				s.ledger(s.cfg.NodeID, m.from, int64(len(reply.data)))
-				s.peers[m.from].post(reply)
-				return
-			}
+		if b, has := ast.blocks[m.block]; has && b.readable(ast.info.BlockSpan(m.block)) {
+			reply := s.newQueryReply(m.array, m.block, m.kind)
+			reply.outcome = replyData
+			reply.data = sharedArena.Get(len(b.buf))
+			copy(reply.data, b.buf)
+			st.tick++
+			b.lastUse = st.tick
+			s.ledger(s.cfg.NodeID, m.from, int64(len(reply.data)))
+			s.peers[m.from].post(reply)
+			return
 		}
 		// Not resident but durable here — on local scratch, or on the shard
 		// tier, which only this node knows it pushed the block to: serve via
@@ -1211,7 +1192,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 			sharedArena.Put(b.buf)
 		}
 	}
-	s.setBuf(st, ast, bi, b, data)
+	s.setBuf(st, b, data)
 	st.tick++
 	b.loadTick = st.tick
 	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
@@ -1224,7 +1205,6 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 	if err := b.resident.add(span{0, int64(len(data))}); err != nil {
 		panic(err)
 	}
-	st.markReadable(ast, bi, b)
 	b.written.spans = b.written.spans[:0]
 	if err := b.written.add(span{0, int64(len(data))}); err != nil {
 		panic(err)
@@ -1334,7 +1314,7 @@ func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState
 	// Eviction preconditions (no leases, waiters, writers, or I/O in flight)
 	// mean nothing aliases buf; recycle it.
 	sharedArena.Put(b.buf)
-	s.setBuf(st, ast, idx, b, nil)
+	s.setBuf(st, b, nil)
 	b.resident.spans = b.resident.spans[:0]
 	b.prefetched = false
 	st.reserve(ast.info, idx, b)
@@ -1408,7 +1388,7 @@ func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 		bs := ast.info.BlockSpan(bi)
 		// Already resident, or already on its way (a block in flight from a
 		// demand miss stays a plain miss): nothing to start, nothing to credit.
-		if (b.buf != nil && b.resident.full(bs.Hi-bs.Lo)) || b.fetching || b.probing {
+		if b.readable(bs) || b.fetching || b.probing {
 			continue
 		}
 		if st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
@@ -1457,7 +1437,7 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 		var pending int64
 		for idx, b := range ast.blocks {
 			bs := ast.info.BlockSpan(idx)
-			if b.buf == nil || b.persistedLocal || !b.resident.full(bs.Hi-bs.Lo) {
+			if b.persistedLocal || !b.readable(bs) {
 				continue
 			}
 			pending += bs.Hi - bs.Lo
@@ -1475,8 +1455,7 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 	}
 	fs := &flushState{reply: c.reply}
 	for idx, b := range ast.blocks {
-		bs := ast.info.BlockSpan(idx)
-		if b.buf == nil || b.persistedLocal || !b.resident.full(bs.Hi-bs.Lo) {
+		if b.persistedLocal || !b.readable(ast.info.BlockSpan(idx)) {
 			continue
 		}
 		b.flushing = true
@@ -1659,27 +1638,4 @@ func (s *Store) handleIOWrote(st *loopState, m *ioJob) {
 		delete(st.flushes, m.array)
 		f.reply <- f.err
 	}
-}
-
-func (s *Store) buildMap(st *loopState) ResidencyMap {
-	var rm ResidencyMap
-	if v, _ := rmPool.Get().(*ResidencyMap); v != nil {
-		rm = *v
-	} else {
-		rm.Blocks = make(map[string][]int, len(st.arrays))
-	}
-	rm.Budget = s.cfg.MemoryBudget
-	rm.MemUsed = st.resident
-	// One backing slice serves every array's index list: the map is a
-	// snapshot handed to the scheduler, sub-sliced here and never appended
-	// to, so per-array allocations would be pure overhead. markReadable keeps
-	// the lists: nothing is walked or sorted here.
-	backing := rm.backing[:0]
-	for _, ast := range st.readable {
-		start := len(backing)
-		backing = append(backing, ast.readable...)
-		rm.Blocks[ast.info.Name] = backing[start:len(backing):len(backing)]
-	}
-	rm.backing = backing
-	return rm
 }

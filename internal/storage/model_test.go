@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,21 +23,14 @@ import (
 // definition by a full walk — the walk the bookkeeping replaced — and reports
 // the first disagreement: st.resident against Σ len(buf), st.reserved against
 // the full size of every block that is leased, in flight or prefetched and
-// unread, each block's cached reserved flag against the same definition, and
-// each array's readable list — with the array's place in st.readable —
-// against the blocks whose buffer holds all of them, in ascending order. It
-// also checks the heap a resident block costs beyond what the budget counts:
-// a buffer of at least the arena's smallest class has at most a quarter more
-// capacity than length.
+// unread, and each block's cached reserved flag against the same definition.
+// It also checks the heap a resident block costs beyond what the budget
+// counts: a buffer of at least the arena's smallest class has at most a
+// quarter more capacity than length.
 func accountingError(st *loopState) error {
 	var resident, reserved int64
-	withReadable := 0
 	for name, ast := range st.arrays {
-		var readable []int
 		for idx, b := range ast.blocks {
-			if bs := ast.info.BlockSpan(idx); b.buf != nil && b.resident.full(bs.Hi-bs.Lo) {
-				readable = append(readable, idx)
-			}
 			resident += int64(len(b.buf))
 			if n := len(b.buf); n >= 1<<arenaMinShift && cap(b.buf) > n+n/4 {
 				return fmt.Errorf("%s[%d]: %d resident bytes hold a %d-byte buffer, more than 1.25 ×", name, idx, n, cap(b.buf))
@@ -56,19 +48,6 @@ func accountingError(st *loopState) error {
 				return fmt.Errorf("%s[%d]: leased and still marked prefetched-unread", name, idx)
 			}
 		}
-		sort.Ints(readable)
-		if !slices.Equal(ast.readable, readable) {
-			return fmt.Errorf("%s: readable list %v, the blocks say %v", name, ast.readable, readable)
-		}
-		if len(readable) > 0 {
-			withReadable++
-			if ast.slot >= len(st.readable) || st.readable[ast.slot] != ast {
-				return fmt.Errorf("%s: has readable blocks %v and is not at its slot %d of st.readable", name, readable, ast.slot)
-			}
-		}
-	}
-	if len(st.readable) != withReadable {
-		return fmt.Errorf("st.readable lists %d arrays, %d have a readable block", len(st.readable), withReadable)
 	}
 	if st.resident != resident {
 		return fmt.Errorf("resident counter %d, blocks hold %d bytes", st.resident, resident)
@@ -79,9 +58,37 @@ func accountingError(st *loopState) error {
 	return nil
 }
 
+// residentError answers a Resident question through the loop's dispatch and
+// holds every answer to the same full walk, not to the loop's lookup: a
+// block is resident when it has a buffer that holds all of it. The caller's
+// done is signalled only after the check, so the answers are read while the
+// asker still waits.
+func residentError(s *Store, st *loopState, q *cmdResident) error {
+	done := q.done
+	q.done = make(chan struct{}, 1)
+	s.dispatch(st, q)
+	<-q.done
+	defer func() { done <- struct{}{} }()
+	for i, r := range q.refs {
+		want := false
+		for name, ast := range st.arrays {
+			for idx, b := range ast.blocks {
+				if bs := ast.info.BlockSpan(idx); name == r.Array && idx == r.Block {
+					want = b.buf != nil && b.resident.full(bs.Hi-bs.Lo)
+				}
+			}
+		}
+		if q.out[i] != want {
+			return fmt.Errorf("Resident(%s block %d) = %v, the blocks say %v", r.Array, r.Block, q.out[i], want)
+		}
+	}
+	return nil
+}
+
 // newCheckedLocal is NewLocal with the test playing the actor loop: the same
-// dispatch, and after every single message the accounting invariants. The
-// first violation fails the test.
+// dispatch, and after every single message the accounting invariants; a
+// Resident question's answers are checked too. The first violation fails the
+// test.
 func newCheckedLocal(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	cfg.NodeID = 0
@@ -102,8 +109,16 @@ func newCheckedLocal(t *testing.T, cfg Config) *Store {
 				return
 			}
 			kind := fmt.Sprintf("%T", m) // before dispatch recycles a pooled message
-			s.dispatch(st, m)
-			if err := accountingError(st); err != nil && !failed {
+			var err error
+			if q, ok := m.(*cmdResident); ok {
+				err = residentError(s, st, q)
+			} else {
+				s.dispatch(st, m)
+			}
+			if err == nil {
+				err = accountingError(st)
+			}
+			if err != nil && !failed {
 				failed = true
 				t.Errorf("after %s: %v", kind, err)
 			}
@@ -217,9 +232,10 @@ func TestStorageAgainstOracle(t *testing.T) {
 				t.Fatalf("seed %d: copy-out (%s) %s block %d mismatch", seed, how, ma.info.Name, b)
 			}
 		}
+		var answers []bool
 		const ops = 160
 		for op := 0; op < ops; op++ {
-			switch choice := rng.Intn(16); {
+			switch choice := rng.Intn(17); {
 			case choice == 0 || len(names) == 0: // create
 				name := fmt.Sprintf("m%d", created)
 				created++
@@ -328,6 +344,30 @@ func TestStorageAgainstOracle(t *testing.T) {
 				deleted = append(deleted, name)
 				if err := s.readBlockInto(name, 0, make([]byte, cellBytes)); err == nil {
 					t.Fatalf("copy-out of deleted array %s succeeded", name)
+				}
+			case choice == 16: // ask whether random blocks are resident; the loop checks each answer
+				var refs []BlockRef
+				for n := 1 + rng.Intn(6); len(refs) < n; {
+					ma := oracle[names[rng.Intn(len(names))]]
+					ref := BlockRef{ma.info.Name, rng.Intn(ma.info.NumBlocks())} // often partly written
+					switch rng.Intn(6) {
+					case 0: // an unknown array: deleted, or not created yet
+						ref.Array = fmt.Sprintf("m%d", created)
+						if len(deleted) > 0 && rng.Intn(2) == 0 {
+							ref.Array = deleted[rng.Intn(len(deleted))]
+						}
+					case 1: // a block out of range
+						ref.Block = []int{-1, ma.info.NumBlocks()}[rng.Intn(2)]
+					case 2: // a block with a fetch in flight, when it has to come from scratch
+						s.PrefetchBlock(ref.Array, ref.Block)
+					}
+					refs = append(refs, ref)
+				}
+				answers = s.Resident(refs, answers)
+				for i, r := range refs {
+					if ma := oracle[r.Array]; answers[i] && (ma == nil || r.Block < 0 || r.Block >= ma.info.NumBlocks() || !ma.fullBlock(r.Block)) {
+						t.Fatalf("seed %d: %s block %d answered resident; it is unknown or not fully written", seed, r.Array, r.Block)
+					}
 				}
 			}
 		}

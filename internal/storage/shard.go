@@ -205,8 +205,7 @@ func (s *Store) maybeShardPush(st *loopState, ast *arrayState, bi int, b *blockS
 	if s.cfg.Shard == nil || b.shardPushing {
 		return
 	}
-	bs := ast.info.BlockSpan(bi)
-	if b.buf == nil || !b.resident.full(bs.Hi-bs.Lo) {
+	if !b.readable(ast.info.BlockSpan(bi)) {
 		return
 	}
 	name := ast.info.Name

@@ -324,7 +324,7 @@ func TestShardDurableBlockServedToPeer(t *testing.T) {
 			for writer.Evict(name, 0) != nil {
 				runtime.Gosched()
 			}
-			if writer.Map().Resident(name, 0) {
+			if residentBlock(writer, name, 0) {
 				t.Fatal("the writer still holds the block after Evict")
 			}
 			type result struct {

@@ -103,8 +103,10 @@ func TestCopyOutReadsNeitherInstallNorEvict(t *testing.T) {
 	if read := after.BytesReadDisk - before.BytesReadDisk; read == 0 || read != after.DecompressStoredBytes-before.DecompressStoredBytes {
 		t.Fatalf("copy-out read %d disk bytes, %d frame bytes: a copy-out must count its frames as disk reads", read, after.DecompressStoredBytes-before.DecompressStoredBytes)
 	}
-	if m := st.Map(); len(m.Blocks["V"]) != 0 {
-		t.Fatalf("copy-out left blocks %v resident", m.Blocks["V"])
+	for b := 0; b < 4; b++ {
+		if residentBlock(st, "V", b) {
+			t.Fatalf("copy-out left block %d resident", b)
+		}
 	}
 	// Resident: leased in, then copied out under the loop.
 	if _, err := leaseRead(st, "V", 2); err != nil {

@@ -248,44 +248,11 @@ type Stats struct {
 	DecompressRawBytes    int64 // logical bytes produced by the decoder
 }
 
-// ResidencyMap reports which blocks of which arrays are resident in memory,
-// the paper's "map of which part of the arrays are currently available".
-type ResidencyMap struct {
-	// Blocks maps array name to the sorted indices of fully readable
-	// resident blocks.
-	Blocks map[string][]int
-	// MemUsed is the resident byte total.
-	MemUsed int64
-	// Budget echoes the configured memory budget.
-	Budget int64
-	// backing is the shared index storage the Blocks values alias, kept so
-	// RecycleMap can return the whole snapshot for reuse.
-	backing []int
-}
-
-// RecycleMap returns a snapshot obtained from Map for reuse. Callers that
-// poll Map on every scheduling decision should recycle; after the call the
-// snapshot (including its Blocks map) must not be used again.
-func (s *Store) RecycleMap(rm ResidencyMap) {
-	if rm.Blocks == nil {
-		return
-	}
-	clear(rm.Blocks)
-	rm.MemUsed, rm.Budget = 0, 0
-	rm.backing = rm.backing[:0]
-	rmPool.Put(&rm)
-}
-
-var rmPool sync.Pool
-
-// Resident reports whether the map shows array's block idx resident.
-func (m ResidencyMap) Resident(array string, idx int) bool {
-	for _, b := range m.Blocks[array] {
-		if b == idx {
-			return true
-		}
-	}
-	return false
+// BlockRef names one block of an array: a candidate a scheduling pick asks
+// Store.Resident about.
+type BlockRef struct {
+	Array string
+	Block int
 }
 
 // Store is one node's storage filter: an actor goroutine owning all local
@@ -568,6 +535,9 @@ func (s *Store) dropped(m any) {
 		}
 	case *cmdRelease:
 		s.releaseClosed(m.lease)
+	case *cmdResident:
+		clear(m.out) // a closed store holds nothing
+		m.done <- struct{}{}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -211,13 +212,24 @@ func TestResidencyMap(t *testing.T) {
 		}
 		w.Release()
 	}
-	m := s.Map()
-	if !m.Resident("v", 0) || !m.Resident("v", 2) || m.Resident("v", 1) {
-		t.Fatalf("map = %+v", m.Blocks)
+	refs := []BlockRef{{"v", 0}, {"v", 1}, {"v", 2}, {"v", 3}, {"v", -1}, {"w", 0}}
+	got := s.Resident(refs, nil)
+	if want := []bool{true, false, true, false, false, false}; !slices.Equal(got, want) {
+		t.Fatalf("Resident(%v) = %v, want %v", refs, got, want)
 	}
-	if m.MemUsed != 16 {
-		t.Errorf("MemUsed = %d, want 16", m.MemUsed)
+	if used := s.Stats().MemUsed; used != 16 {
+		t.Errorf("MemUsed = %d, want 16", used)
 	}
+	// A closed store still answers, and holds nothing.
+	s.Close()
+	if got := s.Resident(refs, got); slices.Contains(got, true) {
+		t.Fatalf("a closed store answers %v", got)
+	}
+}
+
+// residentBlock asks s whether one block is resident.
+func residentBlock(s *Store, array string, block int) bool {
+	return s.Resident([]BlockRef{{array, block}}, nil)[0]
 }
 
 func TestStatsHitsAndMisses(t *testing.T) {
@@ -392,7 +404,7 @@ func TestPinnedBlocksSurviveEviction(t *testing.T) {
 	if !bytes.Equal(r.Data, bytes.Repeat([]byte("p"), 64)) {
 		t.Fatal("pinned data corrupted under pressure")
 	}
-	if !s.Map().Resident("pinned", 0) {
+	if !residentBlock(s, "pinned", 0) {
 		t.Fatal("pinned block evicted while leased")
 	}
 	r.Release()
@@ -433,7 +445,7 @@ func TestPrefetchWarmsCache(t *testing.T) {
 	s.Prefetch("warm", 0, 256)
 	// Wait for the prefetch to land.
 	deadline := time.Now().Add(2 * time.Second)
-	for !s.Map().Resident("warm", 0) {
+	for !residentBlock(s, "warm", 0) {
 		if time.Now().After(deadline) {
 			t.Fatal("prefetch never landed")
 		}
@@ -528,7 +540,7 @@ func TestExplicitEvict(t *testing.T) {
 	if err := s.Evict("ev", 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Map().Resident("ev", 0) {
+	if residentBlock(s, "ev", 0) {
 		t.Fatal("block still resident after explicit evict")
 	}
 	// Idempotent.

@@ -138,12 +138,16 @@ func TestMultiBlockArrayThroughNetwork(t *testing.T) {
 		t.Fatalf("fetched %d bytes, want exactly one block (%d)", got, blockSize)
 	}
 	// Residency on node 1 shows only block 5.
-	m := stores[1].Map()
-	if !m.Resident("striped", 5) {
+	refs := make([]BlockRef, blocks)
+	for b := range refs {
+		refs[b] = BlockRef{"striped", b}
+	}
+	resident := stores[1].Resident(refs, nil)
+	if !resident[5] {
 		t.Fatal("block 5 not resident after fetch")
 	}
-	for b := 0; b < blocks; b++ {
-		if b != 5 && m.Resident("striped", b) {
+	for b, ok := range resident {
+		if b != 5 && ok {
 			t.Fatalf("block %d resident without being requested", b)
 		}
 	}
