@@ -1,6 +1,7 @@
 // Command doocbench regenerates every table and figure of the paper's
 // evaluation, printing reproduced values side by side with the published
-// ones. EXPERIMENTS.md is a captured run of `doocbench -exp all`.
+// ones. EXPERIMENTS.md records its runs; sections for experiments that
+// have since been removed stay there as the record.
 //
 // Usage:
 //
@@ -56,13 +57,8 @@ var experiments = []struct {
 	{"localssd", "EXTENSION (paper §VI-A): SSDs on compute nodes, what-if", localSSD},
 	{"energy", "EXTENSION (paper §VI-B): energy per iteration, testbed vs Hopper", energyStudy},
 	{"faults", "EXTENSION: fault injection — recovery overhead and node-failure re-execution", faultsRun},
-	{"codec", "EXTENSION: adaptive block compression — scratch, staged files, and wire", codecRun},
 	{"streams", "filter-stream middleware traffic (DataCutter substrate)", streamsRun},
-	{"jobs", "EXTENSION: multi-tenant job service — serial vs concurrent, bit-identical", jobsRun},
-	{"durable", "EXTENSION: durable control plane — kill mid-job, replay journal, resume from checkpoint", durableRun},
-	{"hotpath", "EXTENSION: allocation/GC cost of the steady-state data path", hotpathRun},
 	{"cluster", "EXTENSION: peer-to-peer sharded storage — 1 vs 3 real TCP peers, bit-identical", clusterRun},
-	{"proxy", "EXTENSION: proxy-object result plane — by-value vs by-reference fan-out, chained dataflow", proxyRun},
 }
 
 // faultRate is the -faults flag: when > 0, the `real` experiment also runs
@@ -81,14 +77,14 @@ var benchTrace *obs.Tracer
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("doocbench: ")
-	exp := flag.String("exp", "all", "experiment to run (all, table1..4, fig1, fig34, fig5..7, real, faults, streams)")
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(names, ", "))
 	flag.Float64Var(&faultRate, "faults", 0, "transient I/O fault rate injected into the `real` experiment (0 disables; try 0.1)")
 	metrics := flag.Bool("metrics", false, "print a metrics snapshot (Prometheus text format) after the run")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (load in perfetto or chrome://tracing)")
-	flag.StringVar(&benchOut, "bench-out", "", "write the hotpath experiment's machine-readable result JSON here")
-	flag.StringVar(&gateRef, "gate", "", "perf regression gate: reference BENCH_hotpath.json; fail unless result_sha256 matches and allocs_per_iter stays under -gate-allocs")
-	flag.Float64Var(&gateAllocs, "gate-allocs", 1100, "allocs_per_iter ceiling enforced by -gate (0 disables the allocation check)")
-	flag.StringVar(&proxyBenchOut, "proxy-bench-out", "", "write the proxy experiment's machine-readable result JSON here")
 	flag.Parse()
 	if *tracePath != "" {
 		benchTrace = obs.NewTracer()
@@ -113,7 +109,7 @@ func main() {
 			}
 		}
 		if !found {
-			log.Printf("unknown experiment %q", *exp)
+			log.Printf("unknown experiment %q; valid: %s", *exp, strings.Join(names, ", "))
 			os.Exit(2)
 		}
 	}

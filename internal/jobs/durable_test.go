@@ -12,6 +12,7 @@ import (
 
 	"dooc/internal/core"
 	"dooc/internal/jobstore"
+	"dooc/internal/obs"
 	"dooc/internal/sparse"
 )
 
@@ -167,6 +168,13 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys1.Close()
+	ckCfg := base
+	ckCfg.Iters = iters
+	ckCfg.Tag = crashCfg.Tag
+	ck, err := core.LatestCheckpoint(root, ckCfg)
+	if err != nil || ck == nil {
+		t.Fatalf("no checkpoint on disk after the crashed segment: %v", err)
+	}
 	store1, err := jobstore.Open(storeDir, jobstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +204,8 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 	defer store2.Close()
 	sys2 := durableSystem(t, root)
 	defer sys2.Close()
-	svc2 := NewSolverService(sys2, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store2})
+	reg := obs.NewRegistry()
+	svc2 := NewSolverService(sys2, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store2, Obs: reg})
 	rec, err := svc2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +236,10 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 	}
 	if final.ResultSHA == "" {
 		t.Fatal("done job has no durable result SHA")
+	}
+	// The iterations recovery skipped are exactly the checkpoint's.
+	if got := reg.Sum("dooc_jobs_resume_iters_saved_total"); got != int64(ck.Iter) {
+		t.Fatalf("dooc_jobs_resume_iters_saved_total = %d, want the checkpoint iteration %d", got, ck.Iter)
 	}
 	svc2.Manager.Drain()
 }

@@ -111,8 +111,8 @@ func (t *SLOTracker) Observe(tenant string, queueWait, run, e2e time.Duration, r
 	}
 }
 
-// SLOSummary is one tenant's standing against the objectives — the /healthz
-// detail and doocbench -exp jobs report shape.
+// SLOSummary is one tenant's standing against the objectives, in the shape
+// the /healthz detail reports.
 type SLOSummary struct {
 	Tenant        string `json:"tenant"`
 	Jobs          int64  `json:"jobs"`

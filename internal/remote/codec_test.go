@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"dooc/internal/compress"
+	"dooc/internal/core"
 	"dooc/internal/obs"
+	"dooc/internal/sparse"
+	"dooc/internal/spmv"
 	"dooc/internal/storage"
 )
 
@@ -263,5 +269,136 @@ func TestWireCompressionMetricsReconcile(t *testing.T) {
 	}
 	if r := reg.Sum("dooc_remote_server_compress_ratio_percent"); r <= 100 {
 		t.Errorf("server wire ratio gauge = %d%%, want > 100", r)
+	}
+}
+
+// TestDefaultCodecCutsCombinedTraffic holds the default codec to the goal
+// the compression subsystem is built for, on a 4000² gap matrix (d = 6,
+// seed 17) whose values are quantized to 1/1024 steps: the bytes it stages,
+// spills from a checkpointed 3-iteration run, and sends over the wire for
+// every block must together be at least 1.5× fewer than the uncompressed
+// baseline's — DOOCCRS1 files, raw spills and a client that negotiated no
+// codec.
+func TestDefaultCodecCutsCombinedTraffic(t *testing.T) {
+	const dim, k, nodes = 4000, 4, 2
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 6, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range m.Val {
+		m.Val[i] = math.Round(v*1024) / 1024
+	}
+	cfg := core.SpMVConfig{Dim: dim, K: k, Iters: 3, Nodes: nodes, Tag: "codec"}
+
+	rawRoot, encRoot := t.TempDir(), t.TempDir()
+	stageCRS1(t, rawRoot, m, cfg)
+	if err := core.StageMatrix(encRoot, m, cfg); err != nil {
+		t.Fatal(err)
+	}
+	staged := func(root string) int64 {
+		info, err := core.DiscoverStagedMatrix(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Bytes
+	}
+
+	// Checkpointed runs flush every iterate, so the vectors really travel
+	// through the spill path; a quantized x0 keeps their mantissas short.
+	rng := rand.New(rand.NewSource(4))
+	x0 := make([]float64, dim)
+	for i := range x0 {
+		x0[i] = math.Round(rng.NormFloat64()*256) / 256
+	}
+	run := func(root string, codec compress.Codec) *core.SpMVResult {
+		sys, err := core.NewSystem(core.Options{
+			Nodes:          nodes,
+			WorkersPerNode: 2,
+			MemoryBudget:   1 << 22, // force spills and re-reads
+			ScratchRoot:    root,
+			PrefetchWindow: 2,
+			Reorder:        true,
+			Codec:          codec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		res, _, err := core.ResumeIteratedSpMV(sys, cfg, x0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rawRes, encRes := run(rawRoot, nil), run(encRoot, compress.Default())
+	for i := range rawRes.X {
+		if math.Float64bits(rawRes.X[i]) != math.Float64bits(encRes.X[i]) {
+			t.Fatalf("compressed run diverged from the raw run at entry %d", i)
+		}
+	}
+
+	// One node's staging puts every block in one served directory. Its files
+	// are DOOCCRS1, so only the wire codec can shrink what is sent.
+	wireRoot := t.TempDir()
+	wireCfg := cfg
+	wireCfg.Nodes = 1
+	stageCRS1(t, wireRoot, m, wireCfg)
+	wire := func(codec compress.Codec) int64 {
+		st, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 28, ScratchDir: filepath.Join(wireRoot, "node0"), IOWorkers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		srv, err := ListenOptions(st, "127.0.0.1:0", ServerOptions{Obs: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cl, err := DialOptions(srv.Addr(), Options{Codec: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		for u := 0; u < k; u++ {
+			for v := 0; v < k; v++ {
+				if _, err := cl.ReadAll(spmv.MatrixArray(u, v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return srv.BytesOut()
+	}
+
+	before := staged(rawRoot) + rawRes.Stats.BytesWrittenDisk() + wire(nil)
+	after := staged(encRoot) + encRes.Stats.CompressStoredBytes() + wire(compress.Default())
+	ratio := float64(before) / float64(after)
+	t.Logf("staged + spilled + wire bytes: %.2f MB -> %.2f MB (%.2fx)", float64(before)/1e6, float64(after)/1e6, ratio)
+	if ratio < 1.5 {
+		t.Fatalf("the default codec cuts combined traffic %.2fx, want at least 1.5x", ratio)
+	}
+}
+
+// stageCRS1 lays m's blocks out where core.StageMatrix puts them, each an
+// uncompressed DOOCCRS1 file.
+func stageCRS1(t *testing.T, root string, m *sparse.CSR, cfg core.SpMVConfig) {
+	t.Helper()
+	p, err := cfg.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < cfg.K; u++ {
+		dir := filepath.Join(root, fmt.Sprintf("node%d", cfg.OwnerOf(u)))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < cfg.K; v++ {
+			b, err := sparse.Block(m, p, u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sparse.WriteCRSFile(filepath.Join(dir, spmv.MatrixArray(u, v)+".arr"), b); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

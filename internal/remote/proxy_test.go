@@ -11,13 +11,14 @@ import (
 )
 
 // newProxyServer is newJobServer with the proxy result plane enabled and a
-// capability-handshaking client (the proxy verbs require the hello).
-func newProxyServer(t *testing.T, clObs *obs.Registry) (*Client, *jobs.SolverService, string) {
+// capability-handshaking client (the proxy verbs require the hello). When o
+// is non-nil it receives both the client's and the proxy registry's series.
+func newProxyServer(t *testing.T, o *obs.Registry) (*Client, *jobs.SolverService, string) {
 	t.Helper()
-	reg := proxy.NewRegistry(proxy.Config{Scope: "nodeA"})
+	reg := proxy.NewRegistry(proxy.Config{Scope: "nodeA", Obs: o})
 	t.Cleanup(reg.Close)
 	_, svc, _, addr := newJobServer(t, jobs.Config{MaxRunning: 2, QueueDepth: 16, Proxy: reg})
-	cl, err := DialOptions(addr, Options{Obs: clObs})
+	cl, err := DialOptions(addr, Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +126,13 @@ func TestProxyChunkedResolve(t *testing.T) {
 // TestProxyChainZeroClientBytes is the wire half of the dataflow
 // acceptance: chain job A into job B purely by reference and assert — via
 // the client's own payload-byte counter — that no result bytes crossed the
-// client link until B's final explicit resolve.
+// client link until B's final explicit resolve. The server's resolve
+// counters must account for exactly the two resolves: A's payload feeding
+// B's input, and B's payload returned to the client.
 func TestProxyChainZeroClientBytes(t *testing.T) {
-	clObs := obs.NewRegistry()
-	cl, svc, _ := newProxyServer(t, clObs)
-	bytesIn := func() int64 { return clObs.Sum("dooc_remote_client_bytes_in_total") }
+	o := obs.NewRegistry()
+	cl, svc, _ := newProxyServer(t, o)
+	bytesIn := func() int64 { return o.Sum("dooc_remote_client_bytes_in_total") }
 
 	a, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "alice", Iters: 3, Seed: 7})
 	if err != nil {
@@ -168,6 +171,16 @@ func TestProxyChainZeroClientBytes(t *testing.T) {
 	}
 	if got := bytesIn(); got != hb.Length {
 		t.Fatalf("client received %d payload bytes, want exactly the final resolve (%d)", got, hb.Length)
+	}
+	aBytes, err := svc.Manager.Result(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Sum("dooc_proxy_resolved_total"); got != 2 {
+		t.Fatalf("dooc_proxy_resolved_total = %d, want 2", got)
+	}
+	if got, want := o.Sum("dooc_proxy_resolved_bytes_total"), int64(len(aBytes)+len(bBytes)); got != want {
+		t.Fatalf("dooc_proxy_resolved_bytes_total = %d, want %d (A's input resolve + B's client resolve)", got, want)
 	}
 }
 
