@@ -16,13 +16,15 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/storage/ ./internal/core/ ./internal/datacutter/ ./internal/simnet/ ./internal/mfdn/ ./internal/bfs/ ./internal/remote/ ./internal/scheduler/ ./internal/faults/ ./internal/compress/ ./internal/jobs/ ./internal/jobstore/ ./internal/cluster/ ./internal/proxy/ ./internal/sparse/ ./internal/lanczos/
 
 # Short fuzz pass over every codec round trip, the frame decoder, the
-# word-at-a-time delta-varint decoder against its byte-at-a-time oracle, and
-# the CRS block parser.
+# word-at-a-time delta-varint decoder against its byte-at-a-time oracle, the
+# CRS block parser, and the remote protocol's frame reader (both ends, after
+# a valid hello).
 fuzz:
 	for target in FuzzRawRoundTrip FuzzDeltaVarint64RoundTrip FuzzDeltaVarint32RoundTrip FuzzFloatShuffleRoundTrip FuzzLZDecode FuzzDecodeFrame FuzzDeltaVarintDecodeInto; do \
 		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/compress/ || exit 1; \
 	done
 	$(GO) test -run '^FuzzDecodeCRS$$' -fuzz '^FuzzDecodeCRS$$' -fuzztime 10s ./internal/sparse/
+	$(GO) test -run '^FuzzReadFrame$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/remote/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -49,7 +51,7 @@ bench-check:
 debugtag:
 	$(GO) test -tags doocdebug ./internal/storage/ ./internal/core/ ./internal/sparse/
 
-# Perf regression gate, nine allocation and ratio checks. The hot path's
+# Perf regression gate, ten allocation and ratio checks. The hot path's
 # result is pinned bit for bit by TestHotPathResultPinned in internal/core,
 # which `make test` runs. Its allocations are gated here: the same solve
 # (BenchmarkIteratedSpMVRun/hotpath: 4000² at d = 8, K = 5 over 5 nodes,
@@ -87,7 +89,14 @@ debugtag:
 # generator and stager measured (12,826,016 B / 5; 19,264,928 B / 10;
 # 1,834,333 B / 405; 1,322,974 B / 345) plus 10 %, rounded down. ns/op is
 # reported only. A triplet list, a sort, or a block built before it is
-# encoded shows as megabytes.
+# encoded shows as megabytes. A peer push over a loopback connection
+# (BenchmarkPeerPut, a 12 KB vector part and a 96 KB mapped-class block)
+# may allocate at most 3,649 B an op at either size: its payload is read into
+# an arena buffer and given back, so what is left is the frame's headers and
+# bookkeeping. That is the highest reading at GOMAXPROCS 1 and 2 (3,318 B in
+# 15 allocations at both sizes) plus 10 %, rounded down; a payload back on
+# the heap shows as 12 KB or 96 KB more (gob framing took 29,670 B and
+# 208,665 B).
 perf-gate:
 	$(GO) test -run '^$$' -bench '^BenchmarkIteratedSpMVRun$$/^hotpath$$' -benchtime 10x -benchmem ./internal/core/ | \
 		awk '{print} /^BenchmarkIteratedSpMVRun\/hotpath/ {seen = 1; for (i = 2; i <= NF; i++) if ($$i == "allocs/iter" && $$(i-1) > 558) bad = 1} END {exit !seen || bad}'
@@ -109,6 +118,8 @@ perf-gate:
 	$(GO) test -run '^$$' -bench '^BenchmarkStageMatrix$$' -benchtime 10x -benchmem ./internal/core/ | \
 		awk '{print} /^BenchmarkStageMatrix\/full/ {seen++; if ($$(NF-3) > 2017000 || $$(NF-1) > 445) bad = 1} \
 			/^BenchmarkStageMatrix\/mirrored/ {seen++; if ($$(NF-3) > 1455000 || $$(NF-1) > 379) bad = 1} END {exit seen != 2 || bad}'
+	$(GO) test -run '^$$' -bench '^BenchmarkPeerPut$$' -benchtime 2000x -benchmem ./internal/remote/ | \
+		awk '{print} /^BenchmarkPeerPut/ {seen++; if ($$(NF-3) > 3649) bad = 1} END {exit seen != 2 || bad}'
 
 vet:
 	$(GO) vet ./...

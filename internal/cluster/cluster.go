@@ -5,7 +5,9 @@
 //
 // The paper's storage design is a partitioned, non-replicated global map
 // with random-peer forwarding; this package keeps that shape but moves it
-// across OS processes over the existing gob/CRC32/hello wire protocol:
+// across OS processes over the existing remote frame protocol (a gob
+// header, then the block's raw bytes, CRC32-checked, after a capability
+// hello):
 //
 //   - ring.go places every (array, block) on a deterministic walk of
 //     virtual-node points, so membership changes remap a minimal key

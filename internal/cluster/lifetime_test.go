@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dooc/internal/core"
+	"dooc/internal/remote"
 	"dooc/internal/sparse"
 	"dooc/internal/storage"
 )
@@ -45,18 +50,23 @@ func TestCloseReturnsEveryBlockBuffer(t *testing.T) {
 	for i := range x0 {
 		x0[i] = rng.Float64()
 	}
-	peers := startTestCluster(t, 3, nil)
 	for _, tc := range []struct {
 		name string
 		opts core.Options
+		ring bool
 	}{
-		{"in-core", core.Options{MemoryBudget: 2 * info.Bytes}},
-		{"out-of-core", core.Options{MemoryBudget: 2 * info.Bytes / int64(k*k)}},
-		{"ring", core.Options{MemoryBudget: 2 * info.Bytes / int64(k*k), Shard: peers[0].node}},
+		{"in-core", core.Options{MemoryBudget: 2 * info.Bytes}, false},
+		{"out-of-core", core.Options{MemoryBudget: 2 * info.Bytes / int64(k*k)}, false},
+		{"ring", core.Options{MemoryBudget: 2 * info.Bytes / int64(k*k)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			arena := storage.SharedArena()
 			start := arena.Stats().Live
+			var peers []*testPeer
+			if tc.ring {
+				peers = startTestCluster(t, 3, nil)
+				tc.opts.Shard = peers[0].node
+			}
 			var mapped int64
 			for c := 0; c < cycles; c++ {
 				opts := tc.opts
@@ -77,6 +87,16 @@ func TestCloseReturnsEveryBlockBuffer(t *testing.T) {
 					mapped = arena.Stats().Mapped
 				}
 			}
+			if tc.ring {
+				// The ring held copies of what the systems pushed; closing
+				// its nodes gives them back.
+				if peers[0].node.Counters().Pushes == 0 {
+					t.Fatal("the ring case pushed no block: it checks nothing of the ring")
+				}
+				for _, p := range peers {
+					p.kill()
+				}
+			}
 			// A background push may still hold its copy of a block.
 			waitFor(t, 5*time.Second, "the arena's live bytes to come back", func() bool {
 				return arena.Stats().Live == start
@@ -86,6 +106,150 @@ func TestCloseReturnsEveryBlockBuffer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentPushFetchInvalidate: one peer re-pushes the blocks of an
+// array, invalidating it every few rounds, while the other two fetch the
+// blocks over the ring (read replicas on) and clients ask all three servers
+// for them directly. Table entries are replaced and dropped — their buffers
+// given back to the arena — while readers copy them out, so a buffer given
+// back too early shows as a block whose bytes are not the ones pushed at its
+// epoch. The blocks are a mapped class's size: once every node is closed,
+// the arena's live bytes are back where they started.
+func TestConcurrentPushFetchInvalidate(t *testing.T) {
+	const blocks, rounds, size = 4, 24, 96 << 10
+	arena := storage.SharedArena()
+	start := arena.Stats().Live
+	peers := startTestCluster(t, 3, func(i int, cfg *Config) {
+		cfg.Hot = func(string) bool { return true }
+	})
+
+	type pushKey struct {
+		block int
+		epoch uint64
+	}
+	var (
+		mu       sync.Mutex
+		pushedAt = make(map[pushKey]uint64) // block and epoch -> round
+		seen     []pushKey                  // PeerGet answers, checked at the end
+		got      []uint64                   // the round each answer held
+		reads    atomic.Int64
+	)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	fail := make(chan error, 16)
+	check := func(data []byte, block int) (uint64, bool) {
+		round, ok := roundOf(data, block, size)
+		if !ok {
+			select {
+			case fail <- fmt.Errorf("block %d read back as %d bytes that are not a pushed block", block, len(data)):
+			default:
+			}
+		}
+		reads.Add(1)
+		arena.Put(data)
+		return round, ok
+	}
+	for _, p := range peers[1:] {
+		wg.Add(1)
+		go func(n *Node) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if data, ok := n.FetchBlock("A", i%blocks); ok {
+					check(data, i%blocks)
+				}
+			}
+		}(p.node)
+	}
+	for _, p := range peers {
+		cl, err := remote.DialOptions(p.srv.Addr(), remote.Options{Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				data, epoch, held, err := cl.PeerGet("A", i%blocks)
+				if err != nil || !held {
+					continue
+				}
+				if round, ok := check(data, i%blocks); ok {
+					mu.Lock()
+					seen = append(seen, pushKey{i % blocks, epoch})
+					got = append(got, round)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+
+	w := peers[0].node
+	for r := uint64(1); r <= rounds; r++ {
+		for b := 0; b < blocks; b++ {
+			w.PushBlock("A", b, blockOfRound(r, b, size), nil)
+			mu.Lock()
+			pushedAt[pushKey{b, w.epochOf("A", b)}] = r
+			mu.Unlock()
+		}
+		if r%8 == 0 {
+			w.InvalidateArray("A")
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Error(err)
+	}
+	if len(seen) == 0 || reads.Load() == int64(len(seen)) {
+		t.Fatalf("%d direct and %d ring reads: the readers never overlapped the pushes", len(seen), reads.Load()-int64(len(seen)))
+	}
+	for i, k := range seen {
+		if want, ok := pushedAt[k]; !ok || want != got[i] {
+			t.Fatalf("block %d at epoch %d held round %d's bytes, pushed at that epoch: round %d (%v)", k.block, k.epoch, got[i], want, ok)
+		}
+	}
+
+	for _, p := range peers {
+		p.kill()
+	}
+	waitFor(t, 5*time.Second, "the arena's live bytes to come back", func() bool {
+		return arena.Stats().Live == start
+	})
+}
+
+// blockOfRound is block b's bytes as pushed in round r: the round and the
+// block number, then a fill derived from both.
+func blockOfRound(r uint64, b, size int) []byte {
+	data := make([]byte, size)
+	binary.LittleEndian.PutUint64(data, r)
+	binary.LittleEndian.PutUint64(data[8:], uint64(b))
+	for i := 16; i < size; i++ {
+		data[i] = byte(r*31 + uint64(b)*7 + uint64(i))
+	}
+	return data
+}
+
+// roundOf returns the round whose push of block b data is, or false when
+// data is not exactly such a push.
+func roundOf(data []byte, b, size int) (uint64, bool) {
+	if len(data) != size {
+		return 0, false
+	}
+	r := binary.LittleEndian.Uint64(data)
+	return r, bytes.Equal(data, blockOfRound(r, b, size))
 }
 
 // copyStaged copies a staged matrix's node directories into a fresh root,

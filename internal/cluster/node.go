@@ -11,6 +11,7 @@ import (
 	"dooc/internal/compress"
 	"dooc/internal/obs"
 	"dooc/internal/remote"
+	"dooc/internal/storage"
 )
 
 // Member identifies one cluster peer: a stable node ID and the TCP
@@ -204,7 +205,8 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Close stops the prober and tears down every peer connection.
+// Close stops the prober, tears down every peer connection, and gives the
+// shard table's and the replica cache's blocks back to the arena.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -227,6 +229,8 @@ func (n *Node) Close() {
 		}
 		e.mu.Unlock()
 	}
+	n.table.Close()
+	n.replicas.Close()
 }
 
 func (n *Node) isClosed() bool {
@@ -715,8 +719,8 @@ func (n *Node) scoped(array string) string {
 // FetchBlock resolves a block over the ring: replica cache first for hot
 // arrays, then the owner walk — own table for self-owned keys, forwarded
 // PeerGet otherwise. ok=false means no live peer holds the block and the
-// caller should fall back to its normal load path. The returned slice is
-// shared and must be treated as immutable.
+// caller should fall back to its normal load path. The returned bytes are a
+// buffer from storage.SharedArena() that becomes the caller's.
 func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 	if n.isClosed() {
 		return nil, false
@@ -734,6 +738,7 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 				n.metrics.replicaHits.Inc()
 				return data, true
 			}
+			storage.SharedArena().Put(data)
 			n.replicas.Delete(array, block)
 			n.metrics.replicaStale.Inc()
 			n.syncStorageGauges()
@@ -750,6 +755,7 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 			if ok && (want == 0 || epoch >= want) {
 				return data, true
 			}
+			storage.SharedArena().Put(data)
 			continue
 		}
 		cl, err := n.client(id)
@@ -766,6 +772,7 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 		}
 		n.markSeen(id)
 		if !held || (want != 0 && epoch < want) {
+			storage.SharedArena().Put(data)
 			continue
 		}
 		n.metrics.forwardedReads.Inc()
@@ -787,8 +794,8 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 // back invalidation path. The return value reports durability: true only
 // when DurableCopies distinct *remote* peers acknowledged the bytes, in
 // which case the block survives any single peer death and the caller may
-// skip its local disk spill. Node does not retain data; it copies what it
-// keeps. Between owners the walk checks dead (nil: never): once the array
+// skip its local disk spill. Node does not retain data: the shard table
+// copies what it keeps. Between owners the walk checks dead (nil: never): once the array
 // is deleted, the owners not yet reached get no copy.
 func (n *Node) PushBlock(array string, block int, data []byte, dead *atomic.Bool) bool {
 	if n.isClosed() {
@@ -816,7 +823,7 @@ func (n *Node) PushBlock(array string, block int, data []byte, dead *atomic.Bool
 			// The self copy serves other peers' forwarded reads but never
 			// counts toward durability (it dies with this process), so it
 			// is not pinned — LRU pressure may shed it.
-			n.table.Put(array, block, epoch, append([]byte(nil), data...), false)
+			n.table.Put(array, block, epoch, data, false)
 			continue
 		}
 		if attempted >= ReplicateCopies {
@@ -934,7 +941,7 @@ func (n *Node) flushDeletes(only string) {
 
 // ---- remote.PeerHandler (the server-side verbs) ----
 
-// PeerPut stores a block pushed by a peer.
+// PeerPut stores a copy of a block pushed by a peer.
 func (n *Node) PeerPut(array string, block int, epoch uint64, data []byte, durable bool) (bool, error) {
 	if n.isClosed() {
 		return false, ErrClosed
@@ -947,7 +954,8 @@ func (n *Node) PeerPut(array string, block int, epoch uint64, data []byte, durab
 	return ok, nil
 }
 
-// PeerGet serves a block from the local table.
+// PeerGet serves a copy of a block from the local table; the copy is the
+// caller's (remote.PeerHandler).
 func (n *Node) PeerGet(array string, block int) ([]byte, uint64, bool, error) {
 	if n.isClosed() {
 		return nil, 0, false, ErrClosed

@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+
+	"dooc/internal/storage"
+)
 
 // BlockTable is an epoch-tagged, byte-budgeted LRU of blocks, and the one
 // cache type of the cluster tier. A Node holds two: the shard table — the
@@ -14,8 +18,15 @@ import "sync"
 // are dropped (they are a cache tier over the pusher's durability path,
 // never the only copy unless the pusher marked them durable, in which case
 // two distinct peers hold them).
+//
+// The table owns its bytes, in buffers from storage.SharedArena(): Put
+// copies a block in, Get copies it out under the table lock, and a drop,
+// replacement, DeleteArray or Close gives the buffer back. No caller ever
+// holds a reference into the table, so a buffer it gives back can be reused
+// at once.
 type BlockTable struct {
 	mu     sync.Mutex
+	closed bool
 	budget int64
 	used   int64
 	pinned int64 // bytes held by durable entries, bounded by budget
@@ -61,12 +72,27 @@ func NewBlockTable(budget int64) *BlockTable {
 // counting on this copy to survive. Pinned bytes are bounded by the
 // budget — a durable put that would exceed it is refused outright, which
 // the pusher sees as a missing ack and keeps its local durability path
-// (backpressure instead of unbounded pinning). The table takes ownership
-// of data.
+// (backpressure instead of unbounded pinning). The table keeps a copy of
+// data; a closed table refuses every put.
 func (t *BlockTable) Put(array string, block int, epoch uint64, data []byte, durable bool) bool {
-	key := BlockKey(array, block)
+	arena := storage.SharedArena()
+	buf := arena.Get(len(data))
+	copy(buf, data)
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	ok := t.putLocked(BlockKey(array, block), array, block, epoch, buf, durable)
+	t.mu.Unlock()
+	if !ok {
+		arena.Put(buf)
+	}
+	return ok
+}
+
+// putLocked stores data, which the table then owns, unless the put is
+// refused.
+func (t *BlockTable) putLocked(key, array string, block int, epoch uint64, data []byte, durable bool) bool {
+	if t.closed {
+		return false
+	}
 	if e, ok := t.blocks[key]; ok {
 		if epoch < e.epoch {
 			return false
@@ -81,6 +107,7 @@ func (t *BlockTable) Put(array string, block int, epoch uint64, data []byte, dur
 			t.pinned += delta
 		}
 		t.used += delta
+		storage.SharedArena().Put(e.data)
 		e.epoch, e.data = epoch, data
 		e.pinned = e.pinned || durable
 		t.tick++
@@ -109,8 +136,9 @@ func (t *BlockTable) Put(array string, block int, epoch uint64, data []byte, dur
 	return true
 }
 
-// Get returns a block's bytes and epoch. The slice must be treated as
-// immutable: puts replace the pointer, they never write in place.
+// Get returns a copy of a block's bytes, and its epoch. The copy is a
+// buffer from storage.SharedArena() and the caller's: put it back there, or
+// hand it on to an owner that will.
 func (t *BlockTable) Get(array string, block int) (data []byte, epoch uint64, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -120,7 +148,9 @@ func (t *BlockTable) Get(array string, block int) (data []byte, epoch uint64, ok
 	}
 	t.tick++
 	e.lastUse = t.tick
-	return e.data, e.epoch, true
+	data = storage.SharedArena().Get(len(e.data))
+	copy(data, e.data)
+	return data, e.epoch, true
 }
 
 // Delete drops one block (a write-back supersedes a replica, or a reader
@@ -147,6 +177,17 @@ func (t *BlockTable) DeleteArray(array string) int {
 		t.dropLocked(BlockKey(array, block), e)
 	}
 	return n
+}
+
+// Close drops every block, giving its buffer back, and refuses puts from
+// then on.
+func (t *BlockTable) Close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	for key, e := range t.blocks {
+		t.dropLocked(key, e)
+	}
 }
 
 // Len returns the resident block count.
@@ -185,7 +226,8 @@ func (t *BlockTable) reclaimLocked() {
 	}
 }
 
-// dropLocked unlinks one entry from both indexes and the byte accounting.
+// dropLocked unlinks one entry from both indexes and the byte accounting,
+// and gives its buffer back.
 func (t *BlockTable) dropLocked(key string, e *tableEntry) {
 	delete(t.blocks, key)
 	if byBlock, ok := t.arrays[e.array]; ok {
@@ -198,4 +240,6 @@ func (t *BlockTable) dropLocked(key string, e *tableEntry) {
 	if e.pinned {
 		t.pinned -= int64(len(e.data))
 	}
+	storage.SharedArena().Put(e.data)
+	e.data = nil
 }

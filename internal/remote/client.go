@@ -195,21 +195,24 @@ func (cl *Client) Reconnects() int64 {
 func (cl *Client) readLoop(c *conn, gen int) {
 	defer cl.wg.Done()
 	for {
-		var resp response
-		if err := c.dec.Decode(&resp); err != nil {
+		resp := new(response)
+		if err := c.readResponse(resp); err != nil {
 			cl.failGeneration(gen)
 			return
 		}
+		// The reply is handed over under cl.mu, so a caller that finds its
+		// call no longer pending knows the reply is already in its channel.
 		cl.mu.Lock()
 		pc, ok := cl.pending[resp.ID]
 		if ok && pc.gen == gen {
 			delete(cl.pending, resp.ID)
+			pc.ch <- callResult{resp: resp}
 		} else {
 			ok = false
 		}
 		cl.mu.Unlock()
-		if ok {
-			pc.ch <- callResult{resp: &resp}
+		if !ok {
+			storage.SharedArena().Put(resp.data)
 		}
 	}
 }
@@ -319,29 +322,59 @@ func (cl *Client) roundTrip(req *request, timeout time.Duration) (*response, err
 		if res.err != nil {
 			return nil, res.err
 		}
-		if res.resp.Err != "" {
-			return nil, &serverError{op: req.Op, msg: res.resp.Err}
-		}
-		if err := verifyResponse(req, res.resp); err != nil {
-			cl.metrics.checksumFails.Inc()
-			return nil, err
-		}
-		cl.metrics.bytesIn.Add(int64(len(res.resp.Data)))
-		if res.resp.Enc {
-			data, derr := decodePayload(res.resp.Data, cl.metrics.wire)
-			if derr != nil {
-				cl.metrics.checksumFails.Inc()
-				return nil, fmt.Errorf("remote: %s %q [%d,%d): decoding wire frame: %w", req.Op, req.Array, req.Lo, req.Hi, derr)
-			}
-			res.resp.Data, res.resp.Enc = data, false
-		}
-		return res.resp, nil
+		return cl.acceptResponse(req, res.resp)
 	case <-timer:
 		cl.mu.Lock()
+		_, waiting := cl.pending[id]
 		delete(cl.pending, id)
 		cl.mu.Unlock()
+		if !waiting {
+			// The reply raced the deadline and is already in the channel:
+			// its payload still goes back to the arena.
+			if res := <-pc.ch; res.resp != nil {
+				storage.SharedArena().Put(res.resp.data)
+			}
+		}
 		return nil, fmt.Errorf("%w: %s %q after %v", errDeadline, req.Op, req.Array, timeout)
 	}
+}
+
+// acceptResponse checks a reply and undoes its wire compression. On success
+// resp.data is the caller's arena buffer (nil when the reply carries no
+// payload); on failure the payload has been given back.
+func (cl *Client) acceptResponse(req *request, resp *response) (*response, error) {
+	arena := storage.SharedArena()
+	if resp.Err != "" {
+		arena.Put(resp.data)
+		return nil, &serverError{op: req.Op, msg: resp.Err}
+	}
+	if err := verifyResponse(req, resp); err != nil {
+		arena.Put(resp.data)
+		cl.metrics.checksumFails.Inc()
+		return nil, err
+	}
+	cl.metrics.bytesIn.Add(int64(len(resp.data)))
+	if resp.Enc {
+		data, err := decodePayload(resp.data, cl.metrics.wire)
+		arena.Put(resp.data)
+		if err != nil {
+			cl.metrics.checksumFails.Inc()
+			return nil, fmt.Errorf("remote: %s %q [%d,%d): decoding wire frame: %w", req.Op, req.Array, req.Lo, req.Hi, err)
+		}
+		resp.data, resp.Enc = data, false
+	}
+	return resp, nil
+}
+
+// heapPayload moves a reply's arena payload into caller-owned heap memory
+// (one allocation) and gives the arena buffer back.
+func heapPayload(resp *response) []byte {
+	if resp.data == nil {
+		return nil
+	}
+	out := append([]byte(nil), resp.data...)
+	storage.SharedArena().Put(resp.data)
+	return out
 }
 
 // retryable reports whether a failed attempt is worth a reconnect-and-replay.
@@ -431,10 +464,11 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 		if rerr != nil {
 			return false, retryable(rerr)
 		}
-		if bytes.Equal(resp.Data, req.Data) {
-			return true, false // the original write landed
-		}
-		return false, false // genuinely conflicting data
+		// Equal bytes: the original write landed. Else the data genuinely
+		// conflicts.
+		landed := bytes.Equal(resp.data, req.data)
+		storage.SharedArena().Put(resp.data)
+		return landed, false
 	case opCreate:
 		if !strings.Contains(se.msg, "already exists") {
 			return false, false
@@ -468,19 +502,19 @@ func (cl *Client) Delete(name string) error {
 }
 
 // ReadInterval fetches [lo, hi) of an array, blocking (server-side) until
-// the interval has been written.
+// the interval has been written. The returned bytes are the caller's.
 func (cl *Client) ReadInterval(array string, lo, hi int64) ([]byte, error) {
 	resp, err := cl.call(&request{Op: opRead, Array: array, Lo: lo, Hi: hi})
 	if err != nil {
 		return nil, err
 	}
-	return resp.Data, nil
+	return heapPayload(resp), nil
 }
 
 // WriteInterval publishes [lo, hi) of an array. The interval must not have
 // been written before (immutability is enforced by the server's store).
 func (cl *Client) WriteInterval(array string, lo, hi int64, data []byte) error {
-	_, err := cl.call(&request{Op: opWrite, Array: array, Lo: lo, Hi: hi, Data: data})
+	_, err := cl.call(&request{Op: opWrite, Array: array, Lo: lo, Hi: hi, data: data})
 	return err
 }
 
@@ -520,7 +554,8 @@ func (cl *Client) Stats() (storage.Stats, error) {
 	return resp.Stats, nil
 }
 
-// ReadAll fetches an entire array block by block.
+// ReadAll fetches an entire array block by block. The returned bytes are
+// the caller's.
 func (cl *Client) ReadAll(array string) ([]byte, error) {
 	info, err := cl.Info(array)
 	if err != nil {
@@ -533,11 +568,12 @@ func (cl *Client) ReadAll(array string) ([]byte, error) {
 		if hi > info.Size {
 			hi = info.Size
 		}
-		data, err := cl.ReadInterval(array, lo, hi)
+		resp, err := cl.call(&request{Op: opRead, Array: array, Lo: lo, Hi: hi})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, data...)
+		out = append(out, resp.data...)
+		storage.SharedArena().Put(resp.data)
 	}
 	return out, nil
 }

@@ -154,6 +154,10 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 	hello := helloFrame(compress.Mask(), 0)
 	versionZero := append([]byte(nil), hello...)
 	versionZero[5] = 0
+	// A version-1 peer carries payloads inside gob; its frames would be
+	// misread as headers, so it is refused at the hello.
+	versionOne := append([]byte(nil), hello...)
+	versionOne[5] = 1
 
 	for _, tc := range []struct {
 		name string
@@ -162,6 +166,7 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 		{"gob-first client", gobFirst.Bytes()},
 		{"truncated hello", hello[:helloLen-3]},
 		{"hello with version 0", append(versionZero, gobFirst.Bytes()...)},
+		{"hello with version 1", append(versionOne, gobFirst.Bytes()...)},
 		{"hello marker then gob", append([]byte{helloByte}, gobFirst.Bytes()...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,11 +1,11 @@
 // Job-service verbs: the remote protocol's second personality. A server
 // constructed with ServerOptions.Jobs fronts a jobs.SolverService, and
 // clients submit, watch, cancel, and collect iterated-SpMV jobs over the
-// same gob/CRC32/hello-negotiated connection the storage verbs use. Job
-// results ride the normal payload path, so they get wire compression and
-// checksum protection for free, and the result round-trip blocks
-// server-side until the job finishes — the same long-poll discipline as a
-// read of an unwritten interval.
+// same hello-negotiated connection the storage verbs use. Job results ride
+// the normal payload path — raw bytes after the frame's gob header — so
+// they get wire compression and checksum protection for free, and the
+// result round-trip blocks server-side until the job finishes — the same
+// long-poll discipline as a read of an unwritten interval.
 
 package remote
 
@@ -97,7 +97,7 @@ func (s *Server) dispatchJob(req *request) *response {
 			return fail(err)
 		}
 		st, _ := svc.Manager.Status(req.Job.ID)
-		return &response{Data: data, Job: st}
+		return &response{data: data, Job: st}
 	case opJobList:
 		return &response{JobList: svc.Manager.List()}
 	case opJobHistory:
@@ -206,14 +206,14 @@ func (cl *Client) CancelJob(id int64) error {
 }
 
 // JobResult blocks until the job reaches a terminal state and returns its
-// result payload plus the final status. A cancelled or failed job returns
-// the typed error (jobs.ErrCancelled for cancellations).
+// result payload, the caller's, plus the final status. A cancelled or failed
+// job returns the typed error (jobs.ErrCancelled for cancellations).
 func (cl *Client) JobResult(id int64) ([]byte, jobs.JobStatus, error) {
 	resp, err := cl.call(&request{Op: opJobResult, Job: jobWire{ID: id}})
 	if err != nil {
 		return nil, jobs.JobStatus{}, mapJobError(err)
 	}
-	return resp.Data, resp.Job, nil
+	return heapPayload(resp), resp.Job, nil
 }
 
 // ListJobs returns every job the service has seen, ordered by ID.

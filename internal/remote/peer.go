@@ -2,9 +2,10 @@
 // constructed with ServerOptions.Peer joins the sharded storage tier —
 // other doocserve processes push owned blocks into it, fetch them back on
 // miss, and exchange versioned membership views over the same
-// gob/CRC32/hello-negotiated connection the storage and job verbs use.
-// Block payloads ride the normal payload path, so they get wire
-// compression and checksum protection for free.
+// hello-negotiated connection the storage and job verbs use. A block is a
+// frame's raw payload after its gob header, read into an arena buffer on
+// arrival, so it gets wire compression and checksum protection for free and
+// never passes through gob or the collector.
 //
 // Capability gating: a cluster-enabled server advertises ClusterCapBit in
 // its handshake hello mask. Peers that do not (servers started without a
@@ -16,6 +17,8 @@ package remote
 
 import (
 	"fmt"
+
+	"dooc/internal/storage"
 )
 
 // ClusterCapBit is the handshake hello mask bit advertising the cluster
@@ -49,9 +52,15 @@ type PeerHandler interface {
 	// PeerPut stores a block at the given epoch on behalf of the ring.
 	// durable pins the copy (the pusher relies on it for spill-free
 	// eviction). A put older than the resident epoch reports ok=false.
+	// data is lent for the call only: the server gives it back to
+	// storage.SharedArena() when PeerPut returns, so a handler copies what
+	// it keeps.
 	PeerPut(array string, block int, epoch uint64, data []byte, durable bool) (ok bool, err error)
 	// PeerGet returns a held block and its epoch; held=false is a clean
-	// miss (never an error).
+	// miss (never an error). The returned bytes become the server's, which
+	// writes them to the wire and then puts them into storage.SharedArena():
+	// a handler returns a copy it will not touch again, never bytes it
+	// keeps.
 	PeerGet(array string, block int) (data []byte, epoch uint64, held bool, err error)
 	// PeerDelete drops every held block of an array.
 	PeerDelete(array string) error
@@ -69,7 +78,7 @@ func (s *Server) dispatchPeer(req *request) *response {
 	}
 	switch req.Op {
 	case opPeerPut:
-		ok, err := h.PeerPut(req.Array, req.Block, req.Epoch, req.Data, req.Durable)
+		ok, err := h.PeerPut(req.Array, req.Block, req.Epoch, req.data, req.Durable)
 		if err != nil {
 			return fail(err)
 		}
@@ -79,7 +88,11 @@ func (s *Server) dispatchPeer(req *request) *response {
 		if err != nil {
 			return fail(err)
 		}
-		return &response{Data: data, Epoch: epoch, Held: held}
+		resp := &response{data: data, Epoch: epoch, Held: held}
+		if data != nil {
+			resp.release = func() { storage.SharedArena().Put(data) }
+		}
+		return resp
 	case opPeerDel:
 		if err := h.PeerDelete(req.Array); err != nil {
 			return fail(err)
@@ -102,9 +115,10 @@ func (cl *Client) ClusterCapable() bool {
 
 // PeerPut pushes one block of an array to the peer at the given epoch.
 // ok=false means the peer already held a newer epoch and refused the
-// rollback. Idempotent: a reconnect replay re-puts identical bytes.
+// rollback. Idempotent: a reconnect replay re-puts identical bytes. data is
+// only read, and only until PeerPut returns.
 func (cl *Client) PeerPut(array string, block int, epoch uint64, data []byte, durable bool) (bool, error) {
-	resp, err := cl.call(&request{Op: opPeerPut, Array: array, Block: block, Epoch: epoch, Durable: durable, Data: data})
+	resp, err := cl.call(&request{Op: opPeerPut, Array: array, Block: block, Epoch: epoch, Durable: durable, data: data})
 	if err != nil {
 		return false, err
 	}
@@ -112,13 +126,15 @@ func (cl *Client) PeerPut(array string, block int, epoch uint64, data []byte, du
 }
 
 // PeerGet fetches one block of an array from the peer. held=false is a
-// clean miss.
+// clean miss. The block arrives in a buffer from storage.SharedArena() that
+// becomes the caller's: put it back there when done with it (one left to the
+// collector is lost to the arena, and a mapped one stays mapped).
 func (cl *Client) PeerGet(array string, block int) (data []byte, epoch uint64, held bool, err error) {
 	resp, err := cl.call(&request{Op: opPeerGet, Array: array, Block: block})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return resp.Data, resp.Epoch, resp.Held, nil
+	return resp.data, resp.Epoch, resp.Held, nil
 }
 
 // PeerDelete drops every block of an array held by the peer.

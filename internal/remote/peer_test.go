@@ -48,7 +48,8 @@ func (p *recordingPeer) PeerGet(array string, block int) ([]byte, uint64, bool, 
 	if !ok {
 		return nil, 0, false, nil
 	}
-	return data, p.epochs[k], true, nil
+	// The server takes over what PeerGet returns: hand it a copy.
+	return append([]byte(nil), data...), p.epochs[k], true, nil
 }
 
 func (p *recordingPeer) PeerDelete(array string) error {
@@ -70,7 +71,7 @@ func (p *recordingPeer) PeerViewExchange(v PeerView) PeerView {
 	return PeerView{From: "srv", Version: 42, Members: []PeerMember{{ID: "srv", Addr: "addr"}}}
 }
 
-func startPeerServer(t *testing.T, h PeerHandler) (*Server, *Client) {
+func startPeerServer(t testing.TB, h PeerHandler) (*Server, *Client) {
 	t.Helper()
 	st, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 20, Seed: 1})
 	if err != nil {

@@ -9,13 +9,21 @@
 // storage layer's lease API: a read round-trip blocks server-side until the
 // interval has been written (the immutable-array discipline travels over
 // the network unchanged), and a write publishes atomically on receipt.
-// Payload frames carry a CRC32 checksum so wire corruption is detected at
-// the protocol layer instead of surfacing as a wrong eigenvalue.
+//
+// After the capability hello, every message is one frame: a gob-encoded
+// header (the request or response fields, the payload's length among them)
+// followed by the payload's raw bytes. Block bytes never pass through gob:
+// a sender writes header and payload in one vectored write, and a receiver
+// decodes the header, then reads the payload straight into a buffer from
+// storage.SharedArena(). The header's CRC32 of the payload detects wire
+// corruption at the protocol layer instead of as a wrong eigenvalue.
 package remote
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -123,9 +131,12 @@ func (o opcode) String() string {
 	}
 }
 
-// request is one client->server message. Sum is the CRC32 (IEEE) of Data,
-// set by the sender and verified by the receiver. When Enc is true, Data is
-// an adaptive compress frame and Sum covers the wire (encoded) bytes.
+// request is one client->server message. Its exported fields are the
+// frame's gob header; data is the payload, which travels after it. Len is
+// the payload's length on the wire and Sum its CRC32 (IEEE), both set by the
+// sender; the receiver reads Len bytes and verifies Sum. When Enc is true,
+// the payload is an adaptive compress frame and Len and Sum describe the
+// wire (encoded) bytes.
 type request struct {
 	ID              uint64
 	Op              opcode
@@ -133,7 +144,7 @@ type request struct {
 	Lo, Hi          int64
 	Size, BlockSize int64
 	Block           int
-	Data            []byte
+	Len             int
 	Enc             bool
 	Sum             uint32
 	// Job carries the job-verb parameters (gob omits the zero value for
@@ -145,14 +156,17 @@ type request struct {
 	Epoch   uint64
 	Durable bool
 	View    PeerView
+
+	data []byte
 }
 
-// response is one server->client message. Sum covers Data (the wire form
-// when Enc is true).
+// response is one server->client message: the exported fields are the
+// frame's gob header, data the payload that follows it. Len and Sum describe
+// the payload as it travels (the wire form when Enc is true).
 type response struct {
 	ID    uint64
 	Err   string
-	Data  []byte
+	Len   int
 	Enc   bool
 	Info  storage.ArrayInfo
 	Stats storage.Stats
@@ -174,18 +188,40 @@ type response struct {
 	Proxy proxy.Handle
 	Refs  int
 	Total int64
+
+	data []byte
+	// release, when set, gives data back to its owner (a read lease, the
+	// arena) once the frame has been written or has failed to be.
+	release func()
 }
 
 // Capability handshake. Every connection opens with the client's hello —
 // marker byte, magic, protocol version, capability mask, preferred codec —
-// and the server replies in kind before the first gob message; after that
-// both sides may send compressed payloads the peer's mask admits. There is
-// no plain-gob connection: a server drops a peer whose first bytes are not a
-// well-formed hello, and a client fails the dial when the reply is not one.
+// and the server replies in kind before the first frame; after that both
+// sides may send compressed payloads the peer's mask admits. There is no
+// plain-gob connection: a server drops a peer whose first bytes are not a
+// well-formed hello of this protocol version, and a client fails the dial
+// when the reply is not one. Version 2 is the header-then-payload frame;
+// version 1 carried the payload inside the gob message, and the two cannot
+// read each other's frames.
 const (
 	helloByte    = 0x00
 	helloLen     = 8
-	protoVersion = 1
+	protoVersion = 2
+
+	// maxFramePayload is the longest payload a frame header may declare:
+	// 1 GiB, gob's own message ceiling on 64-bit platforms and so the
+	// largest payload a version-1 frame could carry — moving payloads out
+	// of gob refuses nothing it accepted. A receiver checks the declared
+	// length before it allocates, so a corrupt or hostile header closes the
+	// connection instead of reserving memory.
+	maxFramePayload = 1 << 30
+
+	// arenaPayloadMax is the arena's largest class (64 MiB). A payload up
+	// to it is read into one arena buffer; a longer one (no program path
+	// sends one) is read into heap memory grown as the bytes arrive, so a
+	// declared length costs no more than the bytes actually received.
+	arenaPayloadMax = 64 << 20
 
 	// defaultCompressMin is the payload size below which compression is not
 	// attempted: small frames are latency-bound and the 18-byte frame header
@@ -219,8 +255,8 @@ func parseHello(b []byte) (mask, pref uint8, err error) {
 		b[1] != helloMagic[0] || b[2] != helloMagic[1] || b[3] != helloMagic[2] || b[4] != helloMagic[3] {
 		return 0, 0, fmt.Errorf("remote: malformed handshake hello % x", b)
 	}
-	if b[5] < 1 {
-		return 0, 0, fmt.Errorf("remote: handshake protocol version %d", b[5])
+	if b[5] != protoVersion {
+		return 0, 0, fmt.Errorf("remote: handshake protocol version %d, this build speaks %d", b[5], protoVersion)
 	}
 	return b[6], b[7], nil
 }
@@ -265,7 +301,7 @@ func payloadSum(data []byte) uint32 {
 
 // verifyRequest checks a received request's payload against its checksum.
 func verifyRequest(r *request) error {
-	if got := payloadSum(r.Data); got != r.Sum {
+	if got := payloadSum(r.data); got != r.Sum {
 		return fmt.Errorf("remote: %s %q [%d,%d): payload checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
 			r.Op, r.Array, r.Lo, r.Hi, got, r.Sum)
 	}
@@ -275,17 +311,17 @@ func verifyRequest(r *request) error {
 // verifyResponse checks a received response's payload against its checksum.
 // The request provides attribution.
 func verifyResponse(req *request, r *response) error {
-	if got := payloadSum(r.Data); got != r.Sum {
+	if got := payloadSum(r.data); got != r.Sum {
 		return fmt.Errorf("remote: %s %q [%d,%d): response payload checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
 			req.Op, req.Array, req.Lo, req.Hi, got, r.Sum)
 	}
 	return nil
 }
 
-// conn wraps a TCP stream with gob codecs and a write lock (responses are
-// sent from many goroutines — reads can block server-side for a long time
-// and must not stall other requests). An optional fault injector can drop
-// the connection or corrupt outgoing payloads after their checksum is
+// conn wraps a TCP stream with the frame codec and a write lock (responses
+// are sent from many goroutines — reads can block server-side for a long
+// time and must not stall other requests). An optional fault injector can
+// drop the connection or corrupt outgoing payloads after their checksum is
 // computed, emulating a flaky wire.
 type conn struct {
 	raw    net.Conn
@@ -301,29 +337,103 @@ type conn struct {
 	compressMin int
 	wire        *wireCompressMetrics
 
-	mu  sync.Mutex
-	enc *gob.Encoder
+	// mu serializes frames. Under it, enc renders a header into hdr and
+	// bufs writes header and payload with one vectored write.
+	mu   sync.Mutex
+	enc  *gob.Encoder
+	hdr  bytes.Buffer
+	vec  [2][]byte
+	bufs net.Buffers
 }
 
 func newConn(raw net.Conn) *conn { return newFaultyConn(raw, nil) }
 
 func newFaultyConn(raw net.Conn, inj *faults.Injector) *conn {
+	// gob reads exactly one message from an io.ByteReader, so the payload
+	// that follows a header is still in br when Decode returns.
 	br := bufio.NewReader(raw)
-	return &conn{raw: raw, br: br, dec: gob.NewDecoder(br), enc: gob.NewEncoder(raw), faults: inj}
+	c := &conn{raw: raw, br: br, dec: gob.NewDecoder(br), faults: inj}
+	c.enc = gob.NewEncoder(&c.hdr)
+	return c
 }
 
-// framePool recycles wire-compression frame buffers across sends. gob's
-// Encode copies the payload into its own stream buffer before returning, so
-// a frame is dead the moment Encode returns and its backing can be reused
-// by the next send on any connection.
+// writeFrame sends one frame: hdr gob-encoded, then payload. A frame that
+// could not be written whole leaves the stream unreadable for the peer (and
+// the encoder's record of sent types wrong), so any failure closes the
+// connection.
+func (c *conn) writeFrame(hdr any, payload []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.hdr.Reset()
+	err := c.enc.Encode(hdr)
+	if err == nil {
+		c.vec = [2][]byte{c.hdr.Bytes(), payload}
+		c.bufs = c.vec[:]
+		_, err = c.bufs.WriteTo(c.raw)
+		c.vec = [2][]byte{}
+	}
+	if err != nil {
+		c.raw.Close()
+	}
+	return err
+}
+
+// readPayload reads the n payload bytes that follow a decoded header. A
+// declared length outside [0, maxFramePayload] is refused before anything is
+// allocated. The returned buffer is the caller's, from storage.SharedArena()
+// up to arenaPayloadMax: whoever ends up holding it gives it back.
+func (c *conn) readPayload(n int) ([]byte, error) {
+	if n < 0 || n > maxFramePayload {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errPayloadLength, n, maxFramePayload)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if n > arenaPayloadMax {
+		buf, err := io.ReadAll(io.LimitReader(c.br, int64(n)))
+		if err == nil && len(buf) < n {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, err
+	}
+	buf := storage.SharedArena().Get(n)
+	if _, err := io.ReadFull(c.br, buf); err != nil {
+		storage.SharedArena().Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readRequest reads one request frame. The payload is the caller's.
+func (c *conn) readRequest(r *request) error {
+	if err := c.dec.Decode(r); err != nil {
+		return err
+	}
+	data, err := c.readPayload(r.Len)
+	r.data = data
+	return err
+}
+
+// readResponse reads one response frame. The payload is the caller's.
+func (c *conn) readResponse(r *response) error {
+	if err := c.dec.Decode(r); err != nil {
+		return err
+	}
+	data, err := c.readPayload(r.Len)
+	r.data = data
+	return err
+}
+
+// framePool recycles wire-compression frame buffers across sends. A frame
+// is dead once writeFrame returns, so its backing can be reused by the next
+// send on any connection.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodePayload compresses data for the wire if the connection negotiated a
 // codec and the payload is worth it. The adaptive encoder's raw bail-out is
 // mapped back to sending the plain payload: a raw frame would only add the
 // header. When the returned bool is true, the frame's backing is pooled and
-// the caller must release it with putFrame after the bytes have been copied
-// to the wire.
+// the caller must release it with putFrame after the frame is written.
 func (c *conn) encodePayload(data []byte) ([]byte, bool, *[]byte) {
 	if c.codec == nil || len(data) < c.compressMin {
 		return data, false, nil
@@ -349,14 +459,21 @@ func putFrame(buf *[]byte) {
 	}
 }
 
-// decodePayload undoes wire compression on a received payload.
-func decodePayload(data []byte, w *wireCompressMetrics) ([]byte, error) {
+// decodePayload undoes wire compression on a received payload into a fresh
+// arena buffer, the caller's. The frame itself stays the caller's too.
+func decodePayload(frame []byte, w *wireCompressMetrics) ([]byte, error) {
 	start := time.Now()
-	raw, used, err := compress.DecodeFrame(data)
+	_, rawLen, err := compress.FrameRawLen(frame)
 	if err != nil {
 		return nil, err
 	}
-	w.noteDecode(used.ID(), len(data), len(raw), time.Since(start).Seconds())
+	raw := storage.SharedArena().Get(rawLen)
+	used, err := compress.DecodeFrameInto(raw, frame, true)
+	if err != nil {
+		storage.SharedArena().Put(raw)
+		return nil, err
+	}
+	w.noteDecode(used.ID(), len(frame), rawLen, time.Since(start).Seconds())
 	return raw, nil
 }
 
@@ -373,51 +490,57 @@ func (c *conn) corruptCopy(data []byte) []byte {
 	return data
 }
 
-// sendRequest encodes and sends a request, returning the payload's wire
-// length (the frame length when compressed).
-func (c *conn) sendRequest(r *request) (int, error) {
-	out := *r
-	var fbuf *[]byte
-	out.Data, out.Enc, fbuf = c.encodePayload(r.Data)
-	out.Sum = payloadSum(out.Data)
+// preparePayload readies a payload for the wire: compressed if worth it,
+// checksummed, and handed to the fault injector. It returns the bytes to
+// send, whether they are a compress frame, their checksum, and the pooled
+// frame buffer to release after the write (nil when none); dropped reports
+// that the injector dropped the connection instead.
+func (c *conn) preparePayload(data []byte) (wire []byte, enc bool, sum uint32, fbuf *[]byte, dropped bool) {
+	wire, enc, fbuf = c.encodePayload(data)
+	sum = payloadSum(wire)
 	if c.faults.Drop() {
 		putFrame(fbuf)
 		c.raw.Close()
-		return 0, fmt.Errorf("remote: send %s: %w: connection dropped", r.Op, faults.ErrInjected)
+		return nil, false, 0, nil, true
 	}
-	out.Data = c.corruptCopy(out.Data)
-	n := len(out.Data)
-	c.mu.Lock()
-	err := c.enc.Encode(&out)
-	c.mu.Unlock()
-	putFrame(fbuf)
-	return n, err
+	return c.corruptCopy(wire), enc, sum, fbuf, false
 }
 
-// sendResponse encodes and sends a response. The payload's wire length is
-// added to sent before the frame goes onto the wire: the client may act on
-// the response the moment it arrives, and whatever it then reads from the
+// sendRequest sends a request frame, returning the payload's wire length
+// (the frame length when compressed). It sets r's Len, Enc and Sum for the
+// frame; r.data is left as it was, so a replay sends the same bytes.
+func (c *conn) sendRequest(r *request) (int, error) {
+	wire, enc, sum, fbuf, dropped := c.preparePayload(r.data)
+	if dropped {
+		return 0, fmt.Errorf("remote: send %s: %w: connection dropped", r.Op, faults.ErrInjected)
+	}
+	r.Len, r.Enc, r.Sum = len(wire), enc, sum
+	err := c.writeFrame(r, wire)
+	putFrame(fbuf)
+	return len(wire), err
+}
+
+// sendResponse sends a response frame. The payload's wire length is added
+// to sent before the frame goes onto the wire: the client may act on the
+// response the moment it arrives, and whatever it then reads from the
 // server's count must already include it.
 func (c *conn) sendResponse(r *response, sent *obs.Counter) error {
-	out := *r
-	var fbuf *[]byte
-	out.Data, out.Enc, fbuf = c.encodePayload(r.Data)
-	out.Sum = payloadSum(out.Data)
-	if c.faults.Drop() {
-		putFrame(fbuf)
-		c.raw.Close()
+	wire, enc, sum, fbuf, dropped := c.preparePayload(r.data)
+	if dropped {
 		return fmt.Errorf("remote: send response: %w: connection dropped", faults.ErrInjected)
 	}
-	out.Data = c.corruptCopy(out.Data)
-	sent.Add(int64(len(out.Data)))
-	c.mu.Lock()
-	err := c.enc.Encode(&out)
-	c.mu.Unlock()
+	r.Len, r.Enc, r.Sum = len(wire), enc, sum
+	sent.Add(int64(len(wire)))
+	err := c.writeFrame(r, wire)
 	putFrame(fbuf)
 	return err
 }
 
 func (c *conn) close() error { return c.raw.Close() }
+
+// errPayloadLength reports a frame header declaring a payload length
+// outside [0, maxFramePayload]; the connection is dropped.
+var errPayloadLength = errors.New("remote: frame payload length out of range")
 
 // errClosed reports a deliberate local Close; it is terminal.
 var errClosed = fmt.Errorf("remote: connection closed")

@@ -4,9 +4,10 @@
 // stat/addref/release manage a handle's refcounted lifetime, a resolve
 // streams its payload in codec-framed chunks, and a job-proxy fetches a
 // finished job's handle instead of its bytes. Chunk payloads ride the
-// normal payload path, so they get wire compression and checksum protection
-// for free; the whole reassembled payload is additionally verified against
-// the handle's registered SHA-256, end to end.
+// normal payload path — raw bytes after the frame's gob header — so they
+// get wire compression and checksum protection for free; the whole
+// reassembled payload is additionally verified against the handle's
+// registered SHA-256, end to end.
 //
 // Capability gating mirrors the cluster tier: a server running without a
 // registry never advertises the bit, and every client proxy verb fails fast
@@ -21,6 +22,7 @@ import (
 
 	"dooc/internal/jobs"
 	"dooc/internal/proxy"
+	"dooc/internal/storage"
 )
 
 // ProxyCapBit is the handshake hello mask bit advertising the proxy-object
@@ -33,7 +35,7 @@ const ProxyCapBit uint8 = 1 << 6
 var ErrLegacyProxy = fmt.Errorf("remote: server does not speak the proxy-object verbs")
 
 // resolveChunk is the payload size of one proxy-resolve round-trip. Result
-// vectors are a few MiB at most; 256 KiB chunks keep any single gob frame
+// vectors are a few MiB at most; 256 KiB chunks keep any single frame
 // bounded while giving the wire codec enough bytes to bite on.
 const resolveChunk = 256 << 10
 
@@ -74,7 +76,7 @@ func (s *Server) dispatchProxy(req *request) *response {
 		if err != nil {
 			return fail(err)
 		}
-		return &response{Data: data, Total: total}
+		return &response{data: data, Total: total}
 	}
 	return fail(fmt.Errorf("remote: unknown proxy opcode %v", req.Op))
 }
@@ -139,7 +141,8 @@ func (cl *Client) ProxyRelease(ref proxy.Ref, owner string) (int, error) {
 // resolveChunk pieces and verifying the reassembled bytes against the
 // handle's registered SHA-256. The server pins the handle per chunk; a
 // handle whose last reference drops mid-stream fails the next chunk with
-// proxy.ErrProxyGone — the client never returns partial bytes.
+// proxy.ErrProxyGone — the client never returns partial bytes. The returned
+// payload is the caller's.
 func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 	var out []byte
 	var total int64 = -1
@@ -158,9 +161,11 @@ func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 		} else if resp.Total != total {
 			return nil, proxy.Handle{}, fmt.Errorf("remote: resolve %s: payload length changed mid-stream (%d -> %d)", ref, total, resp.Total)
 		}
-		out = append(out, resp.Data...)
-		lo += int64(len(resp.Data))
-		if int64(len(resp.Data)) == 0 && lo < total {
+		n := int64(len(resp.data))
+		out = append(out, resp.data...)
+		storage.SharedArena().Put(resp.data)
+		lo += n
+		if n == 0 && lo < total {
 			return nil, proxy.Handle{}, fmt.Errorf("remote: resolve %s: empty chunk at offset %d of %d", ref, lo, total)
 		}
 	}

@@ -112,7 +112,7 @@ func TestProxyChunkedResolve(t *testing.T) {
 		if resp.Total != h.Length {
 			t.Fatalf("chunk total %d, handle %d", resp.Total, h.Length)
 		}
-		out = append(out, resp.Data...)
+		out = append(out, resp.data...)
 	}
 	if !bytes.Equal(out, want) {
 		t.Fatal("hand-chunked payload differs from streamed resolve")

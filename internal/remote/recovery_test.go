@@ -150,12 +150,12 @@ func TestReplayResolvesLandedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	se := &serverError{op: opWrite, msg: `storage: immutable violation: "w"[0,8) already written or being written`}
-	resolved, inconclusive := cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, Data: payload}, se)
+	resolved, inconclusive := cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, data: payload}, se)
 	if !resolved || inconclusive {
 		t.Fatalf("landed write not resolved: %v %v", resolved, inconclusive)
 	}
 	// Different bytes at the same interval: genuinely conflicting write.
-	resolved, _ = cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, Data: []byte("DIFFER!!")}, se)
+	resolved, _ = cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, data: []byte("DIFFER!!")}, se)
 	if resolved {
 		t.Fatal("conflicting write wrongly resolved as landed")
 	}

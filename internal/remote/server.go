@@ -165,8 +165,9 @@ func (s *Server) acceptLoop() {
 // negotiate consumes the capability hello every connection opens with,
 // replies with the server's own, and enables compressed responses the
 // client's mask admits. Anything else at the head of a connection — input
-// from outside the program — is an error, and the caller drops the
-// connection before a single byte of it reaches the gob decoder.
+// from outside the program, or a hello of another protocol version — is an
+// error, and the caller drops the connection before a single byte of it
+// reaches the gob decoder.
 func (s *Server) negotiate(c *conn) error {
 	buf := make([]byte, helloLen)
 	if _, err := io.ReadFull(c.br, buf); err != nil {
@@ -219,41 +220,51 @@ func (s *Server) handleConn(c *conn) {
 	// semantics.
 	for {
 		var req request
-		if err := c.dec.Decode(&req); err != nil {
+		if err := c.readRequest(&req); err != nil {
 			return
 		}
 		s.metrics.requests.Inc()
-		s.metrics.bytesIn.Add(int64(len(req.Data)))
+		s.metrics.bytesIn.Add(int64(len(req.data)))
 		s.metrics.active.Add(1)
 		go func(req request) {
 			defer s.metrics.active.Add(-1)
-			var resp *response
-			if err := verifyRequest(&req); err != nil {
-				// A corrupted payload must never reach the store: reject it
-				// with the attributed checksum error instead of dispatching.
-				s.metrics.checksumFails.Inc()
-				resp = &response{Err: err.Error()}
-			} else if req.Enc {
-				// The checksum held over the wire bytes; now undo the wire
-				// compression. A frame that fails its own CRC must never
-				// reach the store either.
-				data, derr := decodePayload(req.Data, s.metrics.wire)
-				if derr != nil {
-					s.metrics.checksumFails.Inc()
-					resp = &response{Err: fmt.Sprintf("remote: %s %q [%d,%d): decoding wire frame: %v", req.Op, req.Array, req.Lo, req.Hi, derr)}
-				} else {
-					req.Data, req.Enc = data, false
-					resp = s.dispatch(&req)
-				}
-			} else {
-				resp = s.dispatch(&req)
-			}
+			resp := s.serve(&req)
 			resp.ID = req.ID
-			// A failed send means the connection died; the decode loop will
+			// A failed send means the connection died; the read loop will
 			// notice and tear down.
 			_ = c.sendResponse(resp, s.metrics.bytesOut)
+			if resp.release != nil {
+				resp.release()
+			}
 		}(req)
 	}
+}
+
+// serve checks, decodes and dispatches one received request. The server
+// owns the request's payload and gives it back to the arena once dispatch
+// has returned: handlers copy what they keep.
+func (s *Server) serve(req *request) *response {
+	arena := storage.SharedArena()
+	defer func() { arena.Put(req.data) }()
+	if err := verifyRequest(req); err != nil {
+		// A corrupted payload must never reach the store: reject it with
+		// the attributed checksum error instead of dispatching.
+		s.metrics.checksumFails.Inc()
+		return &response{Err: err.Error()}
+	}
+	if req.Enc {
+		// The checksum held over the wire bytes; now undo the wire
+		// compression. A frame that fails its own CRC must never reach the
+		// store either.
+		data, err := decodePayload(req.data, s.metrics.wire)
+		if err != nil {
+			s.metrics.checksumFails.Inc()
+			return &response{Err: fmt.Sprintf("remote: %s %q [%d,%d): decoding wire frame: %v", req.Op, req.Array, req.Lo, req.Hi, err)}
+		}
+		arena.Put(req.data)
+		req.data, req.Enc = data, false
+	}
+	return s.dispatch(req)
 }
 
 // dispatch executes one request against the wrapped store.
@@ -273,18 +284,18 @@ func (s *Server) dispatch(req *request) *response {
 		if err != nil {
 			return fail(err)
 		}
-		data := append([]byte(nil), lease.Data...)
-		lease.Release()
-		return &response{Data: data}
+		// The frame is written straight from the lease, which is held
+		// until then.
+		return &response{data: lease.Data, release: lease.Release}
 	case opWrite:
-		if int64(len(req.Data)) != req.Hi-req.Lo {
-			return fail(fmt.Errorf("remote: write payload %d bytes for interval [%d,%d)", len(req.Data), req.Lo, req.Hi))
+		if int64(len(req.data)) != req.Hi-req.Lo {
+			return fail(fmt.Errorf("remote: write payload %d bytes for interval [%d,%d)", len(req.data), req.Lo, req.Hi))
 		}
 		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermWrite)
 		if err != nil {
 			return fail(err)
 		}
-		copy(lease.Data, req.Data)
+		copy(lease.Data, req.data)
 		lease.Release()
 	case opPrefetch:
 		s.store.Prefetch(req.Array, req.Lo, req.Hi)

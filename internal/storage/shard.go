@@ -27,8 +27,10 @@ import (
 // short-lived goroutines, never from its actor loop.
 type ShardBackend interface {
 	// FetchBlock resolves a block over the tier. ok=false means no live
-	// peer holds it. The returned slice is shared and must be treated as
-	// immutable; the store copies it into its own buffer.
+	// peer holds it. The returned bytes become the store's, which installs
+	// them as the block and later puts them into SharedArena(): a backend
+	// returns a buffer it will not touch again — ideally one from
+	// SharedArena() — never bytes it keeps.
 	FetchBlock(array string, block int) (data []byte, ok bool)
 	// PushBlock places a written block on the tier. The return value
 	// reports durability; the backend must not retain data after
@@ -146,17 +148,14 @@ type shardPushed struct {
 }
 
 // shardFetch runs off-loop: resolve the block over the tier and post the
-// result. The backend's slice is copied into an arena buffer because the
-// backend (replica cache, block table) retains and may replace its own.
+// result. The backend hands over its buffer, which is installed as is.
 func (s *Store) shardFetch(array string, block int) {
 	data, ok := s.cfg.Shard.FetchBlock(array, block)
 	if !ok {
 		s.post(shardDone{array: array, block: block})
 		return
 	}
-	buf := sharedArena.Get(len(data))
-	copy(buf, data)
-	s.post(shardDone{array: array, block: block, data: buf, ok: true})
+	s.post(shardDone{array: array, block: block, data: data, ok: true})
 }
 
 // handleShardDone installs a shard-tier fetch, or falls back to the

@@ -35,7 +35,11 @@ func (f *fakeShard) FetchBlock(array string, block int) ([]byte, bool) {
 		return nil, false
 	}
 	data, ok := f.blocks[shardKey(array, block)]
-	return data, ok
+	if !ok {
+		return nil, false
+	}
+	// The store takes over what FetchBlock returns: hand it a copy.
+	return append([]byte(nil), data...), true
 }
 
 func (f *fakeShard) PushBlock(array string, block int, data []byte, _ *atomic.Bool) bool {
