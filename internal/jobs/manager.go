@@ -678,7 +678,7 @@ func (m *Manager) History(offset, limit int) ([]JobStatus, int) {
 		offset = total
 	}
 	end := total
-	if limit > 0 && offset+limit < end {
+	if limit > 0 && limit < total-offset { // not offset+limit: it can overflow
 		end = offset + limit
 	}
 	page := make([]JobStatus, 0, end-offset)

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,38 @@ func TestHistoryBounded(t *testing.T) {
 	page, total := m.History(0, 0)
 	if total > jobstore.DefaultRetainHistory || len(page) != total || page[len(page)-1].ID != 1100 {
 		t.Fatalf("History total %d, page %d, newest %d", total, len(page), page[len(page)-1].ID)
+	}
+}
+
+// TestHistoryWindowClamped: every offset and limit, however large, yields
+// the window [offset, offset+limit) clipped to the history. A limit near
+// math.MaxInt once overflowed offset+limit and panicked in makeslice.
+func TestHistoryWindowClamped(t *testing.T) {
+	m := NewManager(Config{MaxRunning: 1})
+	for i := 0; i < 2; i++ {
+		j, err := m.Submit(Request{Tenant: "a"}, func(int64, <-chan struct{}) ([]byte, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Result(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const total = 2
+	for _, offset := range []int{0, 1, total, total + 1} {
+		for _, limit := range []int{0, 1, math.MaxInt} {
+			page, n := m.History(offset, limit)
+			want := max(total-offset, 0)
+			if limit > 0 {
+				want = min(want, limit)
+			}
+			if n != total || len(page) != want {
+				t.Fatalf("History(%d, %d) = %d jobs of %d, want %d of %d", offset, limit, len(page), n, want, total)
+			}
+			if want > 0 && page[0].ID != int64(offset+1) {
+				t.Fatalf("History(%d, %d) starts at job %d", offset, limit, page[0].ID)
+			}
+		}
 	}
 }
 

@@ -66,9 +66,13 @@ var errDeadline = errors.New("remote: request deadline exceeded")
 type serverError struct {
 	op  opcode
 	msg string
+	// typed is the jobs or proxy sentinel msg names, if any, so errors.Is
+	// finds it (mapJobError).
+	typed error
 }
 
 func (e *serverError) Error() string { return fmt.Sprintf("remote %s: %s", e.op, e.msg) }
+func (e *serverError) Unwrap() error { return e.typed }
 
 type callResult struct {
 	resp *response
@@ -158,6 +162,14 @@ func (cl *Client) dialConn() (*conn, error) {
 	cl.peerMask = peerMask
 	cl.mu.Unlock()
 	return c, nil
+}
+
+// advertises reports whether the server's hello at the last (re)connect
+// admitted a role's verbs.
+func (cl *Client) advertises(r role) bool {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return r.advertisedIn(cl.peerMask)
 }
 
 // NegotiatedCodec returns the wire codec agreed with the server at the last
@@ -290,6 +302,12 @@ func (cl *Client) roundTrip(req *request, timeout time.Duration) (*response, err
 		cl.mu.Unlock()
 		return nil, errConnLost
 	}
+	if v := req.Op.row(); v != nil && !v.role.advertisedIn(cl.peerMask) {
+		// The server's hello did not advertise this verb's role: refuse it
+		// here rather than send an opcode the server would refuse.
+		cl.mu.Unlock()
+		return nil, refusal(req, v.role)
+	}
 	gen := cl.gen
 	cl.nextID++
 	id := cl.nextID
@@ -346,9 +364,9 @@ func (cl *Client) acceptResponse(req *request, resp *response) (*response, error
 	arena := storage.SharedArena()
 	if resp.Err != "" {
 		arena.Put(resp.data)
-		return nil, &serverError{op: req.Op, msg: resp.Err}
+		return nil, mapJobError(&serverError{op: req.Op, msg: resp.Err})
 	}
-	if err := verifyResponse(req, resp); err != nil {
+	if err := verifyPayload(req, "response payload", resp.data, resp.Sum); err != nil {
 		arena.Put(resp.data)
 		cl.metrics.checksumFails.Inc()
 		return nil, err
@@ -389,18 +407,15 @@ func retryable(err error) bool {
 func (cl *Client) call(req *request) (*response, error) {
 	backoff := cl.opts.ReconnectBackoff
 	var lastErr error
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; attempt <= cl.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
+			time.Sleep(backoff)
+			backoff *= 2
 			if err := cl.reconnect(); err != nil {
 				if errors.Is(err, errClosed) {
 					return nil, err
 				}
 				lastErr = err
-				if attempt >= cl.opts.MaxRetries {
-					break
-				}
-				time.Sleep(backoff)
-				backoff *= 2
 				continue
 			}
 		}
@@ -420,8 +435,6 @@ func (cl *Client) call(req *request) (*response, error) {
 				// The verification itself hit a transport fault; replay the
 				// whole mutation — it will re-verify if it collides again.
 				lastErr = err
-				time.Sleep(backoff)
-				backoff *= 2
 				continue
 			}
 		}
@@ -429,11 +442,6 @@ func (cl *Client) call(req *request) (*response, error) {
 			return nil, err
 		}
 		lastErr = err
-		if attempt >= cl.opts.MaxRetries {
-			break
-		}
-		time.Sleep(backoff)
-		backoff *= 2
 	}
 	return nil, fmt.Errorf("remote: %s %q failed after %d retries: %w", req.Op, req.Array, cl.opts.MaxRetries, lastErr)
 }
@@ -551,7 +559,7 @@ func (cl *Client) Stats() (storage.Stats, error) {
 	if err != nil {
 		return storage.Stats{}, err
 	}
-	return resp.Stats, nil
+	return deref(resp.Stats), nil
 }
 
 // ReadAll fetches an entire array block by block. The returned bytes are

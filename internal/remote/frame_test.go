@@ -57,8 +57,17 @@ func frameStream(t testing.TB, codec compress.Codec, reqs ...*request) []byte {
 // client's (after its own). Nothing may panic, every payload read must have
 // the length its header declared, and a header declaring a payload outside
 // [0, maxFramePayload] must be refused for its length — which closes the
-// connection — before the arena hands out a buffer.
+// connection — before the arena hands out a buffer. Every request the
+// server end decodes is then served, as Server.serve serves it, by a server
+// that plays no role over a closed store (so no verb blocks): whatever its
+// opcode byte, it must get a response.
 func FuzzReadFrame(f *testing.F) {
+	closed, err := storage.NewLocal(storage.Config{MemoryBudget: 1 << 20, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	closed.Close()
+	srv := &Server{store: closed, metrics: newServerMetrics(nil)}
 	f.Add([]byte{})
 	f.Add(frameStream(f, nil, &request{ID: 1, Op: opCreate, Array: "a", Size: 64, BlockSize: 16}))
 	f.Add(frameStream(f, nil,
@@ -71,11 +80,14 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(oversized.Bytes())
 	f.Add(frameStream(f, nil, &request{ID: 6, Op: opRead, Array: "a", data: []byte("truncated payload")})[:40])
+	f.Add(frameStream(f, nil, &request{ID: 7, Op: 0}, &request{ID: 8, Op: opJobProxy + 1}, &request{ID: 9, Op: 255}))
+	f.Add(frameStream(f, nil, &request{ID: 10, Op: opJobSubmit, Job: &jobWire{Tenant: "a", Iters: 1}},
+		&request{ID: 11, Op: opPeerView, View: &PeerView{From: "n0"}}, &request{ID: 12, Op: opStats}))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		hello := helloFrame(compress.Mask(), compress.Default().ID())
 		server := newConn(&memConn{r: bytes.NewReader(append(hello, stream...))})
-		if err := (&Server{}).negotiate(server); err != nil {
+		if err := srv.negotiate(server); err != nil {
 			t.Fatalf("server refused a valid hello: %v", err)
 		}
 		readFrames(t, func(n *int) error {
@@ -84,6 +96,13 @@ func FuzzReadFrame(f *testing.F) {
 			*n = r.Len
 			if err == nil {
 				checkPayload(t, r.data, r.Len, r.Sum, r.Enc)
+				resp := srv.serve(&r) // gives r.data back
+				if resp == nil {
+					t.Fatalf("%v request got no response", r.Op)
+				}
+				if resp.release != nil {
+					resp.release()
+				}
 			}
 			return err
 		})
@@ -99,6 +118,7 @@ func FuzzReadFrame(f *testing.F) {
 			*n = r.Len
 			if err == nil {
 				checkPayload(t, r.data, r.Len, r.Sum, r.Enc)
+				storage.SharedArena().Put(r.data)
 			}
 			return err
 		})
@@ -128,10 +148,8 @@ func readFrames(t *testing.T, read func(declared *int) error) {
 }
 
 // checkPayload holds one read payload to its header and puts it through
-// the receiver's checks, then gives it back.
+// the receiver's checks. The payload stays the caller's.
 func checkPayload(t *testing.T, data []byte, n int, sum uint32, enc bool) {
-	arena := storage.SharedArena()
-	defer arena.Put(data)
 	if len(data) != n {
 		t.Fatalf("header declared %d payload bytes, read %d", n, len(data))
 	}
@@ -139,7 +157,7 @@ func checkPayload(t *testing.T, data []byte, n int, sum uint32, enc bool) {
 		return
 	}
 	if raw, err := decodePayload(data, newServerMetrics(nil).wire); err == nil {
-		arena.Put(raw)
+		storage.SharedArena().Put(raw)
 	}
 }
 

@@ -6,16 +6,20 @@
 // they get wire compression and checksum protection for free, and the
 // result round-trip blocks server-side until the job finishes — the same
 // long-poll discipline as a read of an unwritten interval.
+//
+// The job verbs are the opcode table's roleJobs rows. The hello carries no
+// bit for the role, so a server without a job service refuses them in band
+// ("job service not enabled"). Every refused reply, of any verb, passes
+// through mapJobError once, in acceptResponse, so the jobs and proxy
+// packages' typed errors survive the wire.
 
 package remote
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"dooc/internal/jobs"
-	"dooc/internal/obs"
 	"dooc/internal/proxy"
 )
 
@@ -45,86 +49,12 @@ type jobWire struct {
 	InputProxy string
 }
 
-// dispatchJob executes one job-verb request. The caller runs it in a
-// per-request goroutine, so a blocking result wait stalls nothing else.
-func (s *Server) dispatchJob(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
-	svc := s.opts.Jobs
-	if svc == nil {
-		return fail(fmt.Errorf("remote: %s: job service not enabled on this server", req.Op))
-	}
-	switch req.Op {
-	case opJobSubmit:
-		sr := jobs.SolveRequest{
-			Tenant:       req.Job.Tenant,
-			Priority:     req.Job.Priority,
-			Iters:        req.Job.Iters,
-			Seed:         req.Job.Seed,
-			MemoryBytes:  req.Job.MemoryBytes,
-			ScratchBytes: req.Job.ScratchBytes,
-			Key:          req.Job.Key,
-			Trace: obs.SpanContext{
-				Trace: obs.TraceIDFromWords(req.Job.TraceHi, req.Job.TraceLo),
-				Span:  obs.SpanIDFromWord(req.Job.TraceSpan),
-			},
-		}
-		if req.Job.InputProxy != "" {
-			ref, err := proxy.ParseRef(req.Job.InputProxy)
-			if err != nil {
-				return fail(err)
-			}
-			sr.Input = ref
-		}
-		st, err := svc.Submit(sr)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{Job: st}
-	case opJobStatus:
-		st, err := svc.Manager.Status(req.Job.ID)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{Job: st}
-	case opJobCancel:
-		if err := svc.Manager.Cancel(req.Job.ID); err != nil {
-			return fail(err)
-		}
-		return &response{}
-	case opJobResult:
-		data, err := svc.Result(req.Job.ID)
-		if err != nil {
-			return fail(err)
-		}
-		st, _ := svc.Manager.Status(req.Job.ID)
-		return &response{data: data, Job: st}
-	case opJobList:
-		return &response{JobList: svc.Manager.List()}
-	case opJobHistory:
-		page, total := svc.Manager.History(req.Job.Offset, req.Job.Limit)
-		return &response{JobList: page, JobTotal: total}
-	case opJobProxy:
-		h, err := svc.ResultProxy(req.Job.ID)
-		if err != nil {
-			return fail(err)
-		}
-		st, _ := svc.Manager.Status(req.Job.ID)
-		return &response{Proxy: h, Job: st}
-	}
-	return fail(fmt.Errorf("remote: unknown job opcode %v", req.Op))
-}
-
-// mapJobError resurfaces the jobs package's typed errors from a server
-// error string, so remote callers can errors.Is() admission rejections and
-// cancellations exactly like local ones.
-func mapJobError(err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *serverError
-	if !errors.As(err, &se) {
-		return err
-	}
+// mapJobError resurfaces the jobs and proxy packages' typed errors from a
+// server error's text, so remote callers can errors.Is() admission
+// rejections, cancellations and proxy lifetime errors exactly like local
+// ones. It runs once, on every refused reply (acceptResponse); the result is
+// still the *serverError that resolveReplay looks for.
+func mapJobError(se *serverError) *serverError {
 	for _, typed := range []error{
 		jobs.ErrQueueFull,
 		jobs.ErrQuotaExceeded,
@@ -138,10 +68,11 @@ func mapJobError(err error) error {
 		proxy.ErrNoRefs,
 	} {
 		if strings.Contains(se.msg, typed.Error()) {
-			return fmt.Errorf("%w (%s)", typed, se.msg)
+			se.typed = typed
+			break
 		}
 	}
-	return err
+	return se
 }
 
 // SubmitJob submits a solve request to the server's job service and
@@ -155,7 +86,7 @@ func mapJobError(err error) error {
 // reconnect-and-replay recovery path.
 func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 	hi, lo := req.Trace.Trace.Words()
-	wire := &request{Op: opJobSubmit, Job: jobWire{
+	wire := &request{Op: opJobSubmit, Job: &jobWire{
 		Tenant:       req.Tenant,
 		Priority:     req.Priority,
 		Iters:        req.Iters,
@@ -184,43 +115,43 @@ func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 		resp, err = cl.roundTrip(wire, cl.opts.Timeout)
 	}
 	if err != nil {
-		return jobs.JobStatus{}, mapJobError(err)
+		return jobs.JobStatus{}, err
 	}
-	return resp.Job, nil
+	return deref(resp.Job), nil
 }
 
 // JobStatus fetches a job's status snapshot.
 func (cl *Client) JobStatus(id int64) (jobs.JobStatus, error) {
-	resp, err := cl.call(&request{Op: opJobStatus, Job: jobWire{ID: id}})
+	resp, err := cl.call(&request{Op: opJobStatus, Job: &jobWire{ID: id}})
 	if err != nil {
-		return jobs.JobStatus{}, mapJobError(err)
+		return jobs.JobStatus{}, err
 	}
-	return resp.Job, nil
+	return deref(resp.Job), nil
 }
 
 // CancelJob requests cancellation of a queued or running job. Cancelling a
 // finished job is a no-op; unknown IDs map to jobs.ErrUnknownJob.
 func (cl *Client) CancelJob(id int64) error {
-	_, err := cl.call(&request{Op: opJobCancel, Job: jobWire{ID: id}})
-	return mapJobError(err)
+	_, err := cl.call(&request{Op: opJobCancel, Job: &jobWire{ID: id}})
+	return err
 }
 
 // JobResult blocks until the job reaches a terminal state and returns its
 // result payload, the caller's, plus the final status. A cancelled or failed
 // job returns the typed error (jobs.ErrCancelled for cancellations).
 func (cl *Client) JobResult(id int64) ([]byte, jobs.JobStatus, error) {
-	resp, err := cl.call(&request{Op: opJobResult, Job: jobWire{ID: id}})
+	resp, err := cl.call(&request{Op: opJobResult, Job: &jobWire{ID: id}})
 	if err != nil {
-		return nil, jobs.JobStatus{}, mapJobError(err)
+		return nil, jobs.JobStatus{}, err
 	}
-	return heapPayload(resp), resp.Job, nil
+	return heapPayload(resp), deref(resp.Job), nil
 }
 
 // ListJobs returns every job the service has seen, ordered by ID.
 func (cl *Client) ListJobs() ([]jobs.JobStatus, error) {
 	resp, err := cl.call(&request{Op: opJobList})
 	if err != nil {
-		return nil, mapJobError(err)
+		return nil, err
 	}
 	return resp.JobList, nil
 }
@@ -230,9 +161,9 @@ func (cl *Client) ListJobs() ([]jobs.JobStatus, error) {
 // terminal count. limit <= 0 means the rest. After a restart of a durable
 // server the history includes jobs finished before the restart.
 func (cl *Client) JobHistory(offset, limit int) ([]jobs.JobStatus, int, error) {
-	resp, err := cl.call(&request{Op: opJobHistory, Job: jobWire{Offset: offset, Limit: limit}})
+	resp, err := cl.call(&request{Op: opJobHistory, Job: &jobWire{Offset: offset, Limit: limit}})
 	if err != nil {
-		return nil, 0, mapJobError(err)
+		return nil, 0, err
 	}
 	return resp.JobList, resp.JobTotal, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -265,5 +266,28 @@ func TestJobVerbsDisabled(t *testing.T) {
 	}
 	if _, err := cl.ListJobs(); err == nil {
 		t.Fatal("list on plain server succeeded")
+	}
+}
+
+// TestJobHistoryHugeLimit: a history page request whose offset+limit
+// overflows an int gets the clipped page, and the server keeps answering.
+// It once panicked the handler goroutine, and with it the whole server.
+func TestJobHistoryHugeLimit(t *testing.T) {
+	cl, _, _, _ := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4})
+	for seed := int64(1); seed <= 2; seed++ {
+		st, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.JobResult(st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page, total, err := cl.JobHistory(1, math.MaxInt)
+	if err != nil || total != 2 || len(page) != 1 || page[0].ID != 2 {
+		t.Fatalf("JobHistory(1, MaxInt) = %d jobs of %d, %v; want job 2 of 2", len(page), total, err)
+	}
+	if _, err := cl.Stats(); err != nil {
+		t.Fatalf("server stopped answering after the history request: %v", err)
 	}
 }

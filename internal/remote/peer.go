@@ -7,23 +7,18 @@
 // arrival, so it gets wire compression and checksum protection for free and
 // never passes through gob or the collector.
 //
-// Capability gating: a cluster-enabled server advertises ClusterCapBit in
-// its handshake hello mask. Peers that do not (servers started without a
-// peer role) are detected at dial time — Client.ClusterCapable reports
-// false — and the cluster layer rejects them from ring membership with a
-// typed error instead of ever sending them a peer verb they would refuse.
+// Capability gating: the peer verbs are the opcode table's rolePeer rows,
+// and a cluster-enabled server advertises ClusterCapBit in its handshake
+// hello mask. Against a server that does not (one started without a peer
+// role) the client refuses every peer verb before sending it; the cluster
+// layer checks Client.ClusterCapable at dial time and rejects such a server
+// from ring membership with a typed error.
 
 package remote
 
-import (
-	"fmt"
-
-	"dooc/internal/storage"
-)
-
 // ClusterCapBit is the handshake hello mask bit advertising the cluster
 // peer verbs. The low bits of the mask byte carry codec capabilities
-// (compress.Mask, IDs 0..5); bit 7 is reserved for this and bit 6 for
+// (compress.Mask, IDs 0..3); bit 7 is reserved for this and bit 6 for
 // ProxyCapBit.
 const ClusterCapBit uint8 = 1 << 7
 
@@ -69,49 +64,10 @@ type PeerHandler interface {
 	PeerViewExchange(v PeerView) PeerView
 }
 
-// dispatchPeer executes one cluster peer verb.
-func (s *Server) dispatchPeer(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
-	h := s.opts.Peer
-	if h == nil {
-		return fail(fmt.Errorf("remote: %s: cluster peer role not enabled on this server", req.Op))
-	}
-	switch req.Op {
-	case opPeerPut:
-		ok, err := h.PeerPut(req.Array, req.Block, req.Epoch, req.data, req.Durable)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{Held: ok}
-	case opPeerGet:
-		data, epoch, held, err := h.PeerGet(req.Array, req.Block)
-		if err != nil {
-			return fail(err)
-		}
-		resp := &response{data: data, Epoch: epoch, Held: held}
-		if data != nil {
-			resp.release = func() { storage.SharedArena().Put(data) }
-		}
-		return resp
-	case opPeerDel:
-		if err := h.PeerDelete(req.Array); err != nil {
-			return fail(err)
-		}
-		return &response{}
-	case opPeerView:
-		return &response{View: h.PeerViewExchange(req.View)}
-	}
-	return fail(fmt.Errorf("remote: unknown peer opcode %v", req.Op))
-}
-
 // ClusterCapable reports whether the server at the other end advertised
 // the cluster peer verbs in the last (re)connect's handshake. False for a
 // server running without a peer role.
-func (cl *Client) ClusterCapable() bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.peerMask&ClusterCapBit != 0
-}
+func (cl *Client) ClusterCapable() bool { return cl.advertises(rolePeer) }
 
 // PeerPut pushes one block of an array to the peer at the given epoch.
 // ok=false means the peer already held a newer epoch and refused the
@@ -146,9 +102,9 @@ func (cl *Client) PeerDelete(array string) error {
 // PeerViewExchange sends this node's membership view and returns the
 // peer's — one gossip round, also the liveness probe.
 func (cl *Client) PeerViewExchange(v PeerView) (PeerView, error) {
-	resp, err := cl.call(&request{Op: opPeerView, View: v})
+	resp, err := cl.call(&request{Op: opPeerView, View: &v})
 	if err != nil {
 		return PeerView{}, err
 	}
-	return resp.View, nil
+	return deref(resp.View), nil
 }

@@ -17,6 +17,13 @@
 // decodes the header, then reads the payload straight into a buffer from
 // storage.SharedArena(). The header's CRC32 of the payload detects wire
 // corruption at the protocol layer instead of as a wrong eigenvalue.
+//
+// Every verb is one row of the opcode table (verbs.go): its wire value, its
+// name, the role a server must play to serve it — storage (always), jobs,
+// cluster peer or proxy — and its handler. The server's one dispatch refuses
+// a verb of a role it does not play, in band; the hello advertises the peer
+// and proxy roles, from the same predicate, and the client refuses a verb of
+// a role the server's hello lacked before sending anything.
 package remote
 
 import (
@@ -39,98 +46,6 @@ import (
 	"dooc/internal/storage"
 )
 
-// opcode identifies a request type.
-type opcode uint8
-
-const (
-	opCreate opcode = iota + 1
-	opDelete
-	opRead
-	opWrite
-	opPrefetch
-	opFlush
-	opInfo
-	opEvict
-	opStats
-	// Job-service verbs (server must be constructed with ServerOptions.Jobs).
-	opJobSubmit
-	opJobStatus
-	opJobCancel
-	opJobResult
-	opJobList
-	// opJobHistory pages through terminal jobs.
-	opJobHistory
-	// Cluster peer verbs (server must be constructed with
-	// ServerOptions.Peer; gated by ClusterCapBit in the handshake mask).
-	opPeerPut
-	opPeerGet
-	opPeerDel
-	opPeerView
-	// Proxy-object verbs (server's job service must have a proxy registry;
-	// gated by ProxyCapBit in the handshake mask).
-	opProxyStat
-	opProxyAddRef
-	opProxyRelease
-	opProxyResolve
-	// opJobProxy returns a finished job's result handle instead of its bytes.
-	opJobProxy
-)
-
-func (o opcode) String() string {
-	switch o {
-	case opCreate:
-		return "create"
-	case opDelete:
-		return "delete"
-	case opRead:
-		return "read"
-	case opWrite:
-		return "write"
-	case opPrefetch:
-		return "prefetch"
-	case opFlush:
-		return "flush"
-	case opInfo:
-		return "info"
-	case opEvict:
-		return "evict"
-	case opStats:
-		return "stats"
-	case opJobSubmit:
-		return "job-submit"
-	case opJobStatus:
-		return "job-status"
-	case opJobCancel:
-		return "job-cancel"
-	case opJobResult:
-		return "job-result"
-	case opJobList:
-		return "job-list"
-	case opJobHistory:
-		return "job-history"
-	case opPeerPut:
-		return "peer-put"
-	case opPeerGet:
-		return "peer-get"
-	case opPeerDel:
-		return "peer-del"
-	case opPeerView:
-		return "peer-view"
-	case opProxyStat:
-		return "proxy-stat"
-	case opProxyAddRef:
-		return "proxy-addref"
-	case opProxyRelease:
-		return "proxy-release"
-	case opProxyResolve:
-		return "proxy-resolve"
-	case opJobProxy:
-		return "job-proxy"
-	default:
-		return fmt.Sprintf("opcode(%d)", uint8(o))
-	}
-}
-
 // request is one client->server message. Its exported fields are the
 // frame's gob header; data is the payload, which travels after it. Len is
 // the payload's length on the wire and Sum its CRC32 (IEEE), both set by the
@@ -147,15 +62,15 @@ type request struct {
 	Len             int
 	Enc             bool
 	Sum             uint32
-	// Job carries the job-verb parameters (gob omits the zero value for
-	// storage verbs).
-	Job jobWire
+	// Job carries the job-verb parameters (nil, and so omitted by gob, on
+	// every other verb).
+	Job *jobWire
 	// Cluster peer-verb parameters: the block epoch and durability pin for
 	// peer-put, and the gossiped membership view for peer-view. Gob omits
-	// the zero values on every other verb.
+	// the zero values and the nil view on every other verb.
 	Epoch   uint64
 	Durable bool
-	View    PeerView
+	View    *PeerView
 
 	data []byte
 }
@@ -163,16 +78,22 @@ type request struct {
 // response is one server->client message: the exported fields are the
 // frame's gob header, data the payload that follows it. Len and Sum describe
 // the payload as it travels (the wire form when Enc is true).
+//
+// The struct-valued fields of both headers (Stats, Job, View, Proxy here; Job
+// and View on request) are pointers, so the header of a verb that leaves them
+// unset stays small. gob encodes *T as T: the wire format is the one value
+// fields had, and a peer that sends a zero struct delivers a non-nil pointer
+// to a zero value. Read them through deref.
 type response struct {
 	ID    uint64
 	Err   string
 	Len   int
 	Enc   bool
 	Info  storage.ArrayInfo
-	Stats storage.Stats
+	Stats *storage.Stats
 	Sum   uint32
 	// Job and JobList carry job-verb results (status snapshots; job-list).
-	Job     jobs.JobStatus
+	Job     *jobs.JobStatus
 	JobList []jobs.JobStatus
 	// JobTotal is the total terminal-job count behind a job-history page.
 	JobTotal int
@@ -181,11 +102,11 @@ type response struct {
 	// view exchange.
 	Held  bool
 	Epoch uint64
-	View  PeerView
+	View  *PeerView
 	// Proxy-verb results: the handle (stat/addref/job-proxy/resolve), the
 	// live reference count (stat/addref/release), and the payload's total
 	// length behind a chunked resolve. Gob omits the zero values elsewhere.
-	Proxy proxy.Handle
+	Proxy *proxy.Handle
 	Refs  int
 	Total int64
 
@@ -299,21 +220,13 @@ func payloadSum(data []byte) uint32 {
 	return crc32.ChecksumIEEE(data)
 }
 
-// verifyRequest checks a received request's payload against its checksum.
-func verifyRequest(r *request) error {
-	if got := payloadSum(r.data); got != r.Sum {
-		return fmt.Errorf("remote: %s %q [%d,%d): payload checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
-			r.Op, r.Array, r.Lo, r.Hi, got, r.Sum)
-	}
-	return nil
-}
-
-// verifyResponse checks a received response's payload against its checksum.
-// The request provides attribution.
-func verifyResponse(req *request, r *response) error {
-	if got := payloadSum(r.data); got != r.Sum {
-		return fmt.Errorf("remote: %s %q [%d,%d): response payload checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
-			req.Op, req.Array, req.Lo, req.Hi, got, r.Sum)
+// verifyPayload checks a received payload (what: "payload" for a request's,
+// "response payload" for a reply's) against its frame's checksum. The
+// request provides attribution.
+func verifyPayload(req *request, what string, data []byte, sum uint32) error {
+	if got := payloadSum(data); got != sum {
+		return fmt.Errorf("remote: %s %q [%d,%d): %s checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
+			req.Op, req.Array, req.Lo, req.Hi, what, got, sum)
 	}
 	return nil
 }
@@ -378,51 +291,39 @@ func (c *conn) writeFrame(hdr any, payload []byte) error {
 	return err
 }
 
-// readPayload reads the n payload bytes that follow a decoded header. A
-// declared length outside [0, maxFramePayload] is refused before anything is
-// allocated. The returned buffer is the caller's, from storage.SharedArena()
-// up to arenaPayloadMax: whoever ends up holding it gives it back.
-func (c *conn) readPayload(n int) ([]byte, error) {
-	if n < 0 || n > maxFramePayload {
-		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errPayloadLength, n, maxFramePayload)
+// readFrame reads one frame: the gob header into hdr, then the payload of
+// the length the header declared (*n) into *data. A declared length outside
+// [0, maxFramePayload] is refused before anything is allocated. The payload
+// is the caller's, from storage.SharedArena() up to arenaPayloadMax: whoever
+// ends up holding it gives it back.
+func (c *conn) readFrame(hdr any, n *int, data *[]byte) error {
+	if err := c.dec.Decode(hdr); err != nil {
+		return err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > arenaPayloadMax {
-		buf, err := io.ReadAll(io.LimitReader(c.br, int64(n)))
-		if err == nil && len(buf) < n {
+	switch {
+	case *n < 0 || *n > maxFramePayload:
+		return fmt.Errorf("%w: %d bytes declared, limit %d", errPayloadLength, *n, maxFramePayload)
+	case *n == 0:
+		return nil
+	case *n > arenaPayloadMax:
+		buf, err := io.ReadAll(io.LimitReader(c.br, int64(*n)))
+		if err == nil && len(buf) < *n {
 			err = io.ErrUnexpectedEOF
 		}
-		return buf, err
+		*data = buf
+		return err
 	}
-	buf := storage.SharedArena().Get(n)
+	buf := storage.SharedArena().Get(*n)
 	if _, err := io.ReadFull(c.br, buf); err != nil {
 		storage.SharedArena().Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readRequest reads one request frame. The payload is the caller's.
-func (c *conn) readRequest(r *request) error {
-	if err := c.dec.Decode(r); err != nil {
 		return err
 	}
-	data, err := c.readPayload(r.Len)
-	r.data = data
-	return err
+	*data = buf
+	return nil
 }
 
-// readResponse reads one response frame. The payload is the caller's.
-func (c *conn) readResponse(r *response) error {
-	if err := c.dec.Decode(r); err != nil {
-		return err
-	}
-	data, err := c.readPayload(r.Len)
-	r.data = data
-	return err
-}
+func (c *conn) readRequest(r *request) error   { return c.readFrame(r, &r.Len, &r.data) }
+func (c *conn) readResponse(r *response) error { return c.readFrame(r, &r.Len, &r.data) }
 
 // framePool recycles wire-compression frame buffers across sends. A frame
 // is dead once writeFrame returns, so its backing can be reused by the next

@@ -9,10 +9,10 @@
 // reassembled payload is additionally verified against the handle's
 // registered SHA-256, end to end.
 //
-// Capability gating mirrors the cluster tier: a server running without a
-// registry never advertises the bit, and every client proxy verb fails fast
-// with the typed ErrLegacyProxy instead of sending an opcode the server
-// would refuse.
+// Capability gating mirrors the cluster tier: the proxy verbs (job-proxy
+// among them) are the opcode table's roleProxy rows, a server running
+// without a registry never advertises the bit, and the client refuses every
+// proxy verb to it with the typed ErrLegacyProxy instead of sending it.
 
 package remote
 
@@ -39,90 +39,29 @@ var ErrLegacyProxy = fmt.Errorf("remote: server does not speak the proxy-object 
 // bounded while giving the wire codec enough bytes to bite on.
 const resolveChunk = 256 << 10
 
-// dispatchProxy executes one proxy verb. The ref travels in req.Array
-// ("name@epoch[@scope]") and an optional owner in req.Job.Key.
-func (s *Server) dispatchProxy(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
-	svc := s.opts.Jobs
-	if svc == nil || !svc.ProxyEnabled() {
-		return fail(fmt.Errorf("remote: %s: proxy registry not enabled on this server", req.Op))
-	}
-	ref, err := proxy.ParseRef(req.Array)
-	if err != nil {
-		return fail(err)
-	}
-	switch req.Op {
-	case opProxyStat:
-		h, refs, err := svc.ProxyStat(ref)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{Proxy: h, Refs: refs, Total: h.Length}
-	case opProxyAddRef:
-		h, err := svc.ProxyAddRef(ref, req.Job.Key)
-		if err != nil {
-			return fail(err)
-		}
-		_, refs, _ := svc.ProxyStat(ref)
-		return &response{Proxy: h, Refs: refs}
-	case opProxyRelease:
-		refs, err := svc.ProxyRelease(ref, req.Job.Key)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{Refs: refs}
-	case opProxyResolve:
-		data, total, err := svc.ResolveProxyRange(ref, req.Lo, req.Hi)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{data: data, Total: total}
-	}
-	return fail(fmt.Errorf("remote: unknown proxy opcode %v", req.Op))
-}
-
 // ProxyCapable reports whether the server at the other end advertised the
 // proxy-object verbs in the last (re)connect's handshake. False for a
 // server running without a proxy registry.
-func (cl *Client) ProxyCapable() bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.peerMask&ProxyCapBit != 0
-}
-
-// proxyCall gates a proxy verb on the negotiated capability, then runs it
-// with the full recovery policy (every proxy verb is idempotent: stat and
-// resolve are reads, addref/release with a named owner are
-// absorbing, and anonymous ones the caller retries knowingly).
-func (cl *Client) proxyCall(req *request) (*response, error) {
-	if !cl.ProxyCapable() {
-		return nil, fmt.Errorf("%w (%s %q)", ErrLegacyProxy, req.Op, req.Array)
-	}
-	resp, err := cl.call(req)
-	if err != nil {
-		return nil, mapJobError(err)
-	}
-	return resp, nil
-}
+func (cl *Client) ProxyCapable() bool { return cl.advertises(roleProxy) }
 
 // ProxyStat fetches a handle's metadata and live reference count without
 // touching its payload.
 func (cl *Client) ProxyStat(ref proxy.Ref) (proxy.Handle, int, error) {
-	resp, err := cl.proxyCall(&request{Op: opProxyStat, Array: ref.String()})
+	resp, err := cl.call(&request{Op: opProxyStat, Array: ref.String()})
 	if err != nil {
 		return proxy.Handle{}, 0, err
 	}
-	return resp.Proxy, resp.Refs, nil
+	return deref(resp.Proxy), resp.Refs, nil
 }
 
 // ProxyAddRef takes a reference on a handle. owner "" takes an anonymous
 // client reference; a named owner is idempotent (re-adding is a no-op).
 func (cl *Client) ProxyAddRef(ref proxy.Ref, owner string) (proxy.Handle, int, error) {
-	resp, err := cl.proxyCall(&request{Op: opProxyAddRef, Array: ref.String(), Job: jobWire{Key: owner}})
+	resp, err := cl.call(&request{Op: opProxyAddRef, Array: ref.String(), Job: &jobWire{Key: owner}})
 	if err != nil {
 		return proxy.Handle{}, 0, err
 	}
-	return resp.Proxy, resp.Refs, nil
+	return deref(resp.Proxy), resp.Refs, nil
 }
 
 // ProxyRelease drops a reference and returns the remaining live count (0
@@ -130,7 +69,7 @@ func (cl *Client) ProxyAddRef(ref proxy.Ref, owner string) (proxy.Handle, int, e
 // with no anonymous references outstanding drops the origin lease instead —
 // the explicit "free this result" verb.
 func (cl *Client) ProxyRelease(ref proxy.Ref, owner string) (int, error) {
-	resp, err := cl.proxyCall(&request{Op: opProxyRelease, Array: ref.String(), Job: jobWire{Key: owner}})
+	resp, err := cl.call(&request{Op: opProxyRelease, Array: ref.String(), Job: &jobWire{Key: owner}})
 	if err != nil {
 		return 0, err
 	}
@@ -151,7 +90,7 @@ func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 		if total >= 0 && hi > total {
 			hi = total
 		}
-		resp, err := cl.proxyCall(&request{Op: opProxyResolve, Array: ref.String(), Lo: lo, Hi: hi})
+		resp, err := cl.call(&request{Op: opProxyResolve, Array: ref.String(), Lo: lo, Hi: hi})
 		if err != nil {
 			return nil, proxy.Handle{}, err
 		}
@@ -187,12 +126,9 @@ func (cl *Client) ResolveProxy(ref proxy.Ref) ([]byte, proxy.Handle, error) {
 // result payload stays on the server; chain it into another job's submit or
 // ResolveProxy it on demand.
 func (cl *Client) JobProxy(id int64) (proxy.Handle, jobs.JobStatus, error) {
-	if !cl.ProxyCapable() {
-		return proxy.Handle{}, jobs.JobStatus{}, fmt.Errorf("%w (job-proxy %d)", ErrLegacyProxy, id)
-	}
-	resp, err := cl.call(&request{Op: opJobProxy, Job: jobWire{ID: id}})
+	resp, err := cl.call(&request{Op: opJobProxy, Job: &jobWire{ID: id}})
 	if err != nil {
-		return proxy.Handle{}, jobs.JobStatus{}, mapJobError(err)
+		return proxy.Handle{}, jobs.JobStatus{}, err
 	}
-	return resp.Proxy, resp.Job, nil
+	return deref(resp.Proxy), deref(resp.Job), nil
 }

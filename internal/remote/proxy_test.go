@@ -105,7 +105,7 @@ func TestProxyChunkedResolve(t *testing.T) {
 		if hi > h.Length {
 			hi = h.Length
 		}
-		resp, err := cl.proxyCall(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: lo, Hi: hi})
+		resp, err := cl.call(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatalf("chunk [%d,%d): %v", lo, hi, err)
 		}
@@ -118,7 +118,7 @@ func TestProxyChunkedResolve(t *testing.T) {
 		t.Fatal("hand-chunked payload differs from streamed resolve")
 	}
 	// An out-of-bounds range is rejected, not clamped into silence.
-	if _, err := cl.proxyCall(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: h.Length + 1, Hi: h.Length + 2}); err == nil {
+	if _, err := cl.call(&request{Op: opProxyResolve, Array: h.Ref().String(), Lo: h.Length + 1, Hi: h.Length + 2}); err == nil {
 		t.Fatal("out-of-bounds resolve range accepted")
 	}
 }

@@ -96,20 +96,7 @@ func (s *Server) BytesOut() int64 { return s.metrics.bytesOut.Value() }
 func (s *Server) BytesIn() int64 { return s.metrics.bytesIn.Value() }
 
 // Close stops accepting, closes all connections, and waits for handlers.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.ln.Close()
-	for c := range s.conns {
-		c.close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.Shutdown(0) }
 
 // Shutdown drains the server gracefully: it stops accepting, waits up to
 // timeout for in-flight requests to finish, then closes the connections.
@@ -178,11 +165,10 @@ func (s *Server) negotiate(c *conn) error {
 		return err
 	}
 	replyMask := compress.Mask() &^ (ClusterCapBit | ProxyCapBit)
-	if s.opts.Peer != nil {
-		replyMask |= ClusterCapBit
-	}
-	if s.opts.Jobs != nil && s.opts.Jobs.ProxyEnabled() {
-		replyMask |= ProxyCapBit
+	for r, ri := range roles {
+		if s.plays(role(r)) {
+			replyMask |= ri.bit
+		}
 	}
 	if _, err := c.raw.Write(helloFrame(replyMask, pref)); err != nil {
 		return err
@@ -219,16 +205,16 @@ func (s *Server) handleConn(c *conn) {
 	// Server.Close against the storage layer's read-blocks-until-written
 	// semantics.
 	for {
-		var req request
-		if err := c.readRequest(&req); err != nil {
+		req := new(request)
+		if err := c.readRequest(req); err != nil {
 			return
 		}
 		s.metrics.requests.Inc()
 		s.metrics.bytesIn.Add(int64(len(req.data)))
 		s.metrics.active.Add(1)
-		go func(req request) {
+		go func() {
 			defer s.metrics.active.Add(-1)
-			resp := s.serve(&req)
+			resp := s.serve(req)
 			resp.ID = req.ID
 			// A failed send means the connection died; the read loop will
 			// notice and tear down.
@@ -236,7 +222,7 @@ func (s *Server) handleConn(c *conn) {
 			if resp.release != nil {
 				resp.release()
 			}
-		}(req)
+		}()
 	}
 }
 
@@ -246,7 +232,7 @@ func (s *Server) handleConn(c *conn) {
 func (s *Server) serve(req *request) *response {
 	arena := storage.SharedArena()
 	defer func() { arena.Put(req.data) }()
-	if err := verifyRequest(req); err != nil {
+	if err := verifyPayload(req, "payload", req.data, req.Sum); err != nil {
 		// A corrupted payload must never reach the store: reject it with
 		// the attributed checksum error instead of dispatching.
 		s.metrics.checksumFails.Inc()
@@ -265,64 +251,4 @@ func (s *Server) serve(req *request) *response {
 		req.data, req.Enc = data, false
 	}
 	return s.dispatch(req)
-}
-
-// dispatch executes one request against the wrapped store.
-func (s *Server) dispatch(req *request) *response {
-	fail := func(err error) *response { return &response{Err: err.Error()} }
-	switch req.Op {
-	case opCreate:
-		if err := s.store.Create(req.Array, req.Size, req.BlockSize); err != nil {
-			return fail(err)
-		}
-	case opDelete:
-		if err := s.store.Delete(req.Array); err != nil {
-			return fail(err)
-		}
-	case opRead:
-		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermRead)
-		if err != nil {
-			return fail(err)
-		}
-		// The frame is written straight from the lease, which is held
-		// until then.
-		return &response{data: lease.Data, release: lease.Release}
-	case opWrite:
-		if int64(len(req.data)) != req.Hi-req.Lo {
-			return fail(fmt.Errorf("remote: write payload %d bytes for interval [%d,%d)", len(req.data), req.Lo, req.Hi))
-		}
-		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermWrite)
-		if err != nil {
-			return fail(err)
-		}
-		copy(lease.Data, req.data)
-		lease.Release()
-	case opPrefetch:
-		s.store.Prefetch(req.Array, req.Lo, req.Hi)
-	case opFlush:
-		if err := s.store.Flush(req.Array); err != nil {
-			return fail(err)
-		}
-	case opInfo:
-		info, err := s.store.Info(req.Array)
-		if err != nil {
-			return fail(err)
-		}
-		return &response{Info: info}
-	case opEvict:
-		if err := s.store.Evict(req.Array, req.Block); err != nil {
-			return fail(err)
-		}
-	case opStats:
-		return &response{Stats: s.store.Stats()}
-	case opJobSubmit, opJobStatus, opJobCancel, opJobResult, opJobList, opJobHistory, opJobProxy:
-		return s.dispatchJob(req)
-	case opPeerPut, opPeerGet, opPeerDel, opPeerView:
-		return s.dispatchPeer(req)
-	case opProxyStat, opProxyAddRef, opProxyRelease, opProxyResolve:
-		return s.dispatchProxy(req)
-	default:
-		return fail(fmt.Errorf("remote: unknown opcode %v", req.Op))
-	}
-	return &response{}
 }

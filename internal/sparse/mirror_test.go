@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // columnForms returns a in each of the three column forms the kernels
@@ -146,8 +145,9 @@ func TestUpperTriangle(t *testing.T) {
 // its staged block, against what the full grid does with the same pair: the
 // pair kernel over block (0,1) of the bench's symmetric 3000², D=8 matrix in
 // a 4×4 grid, interleaved in one loop with the two gathers it replaces, over
-// (0,1) and (1,0). ns/op is the pair kernel's; "x-gathers" is its time over
-// the two gathers', which make perf-gate holds at ≤ 1.15 on any machine.
+// (0,1) and (1,0). ns/op is the pair kernel's; "x-gathers" is the median of
+// its time over the two gathers' (pairedRatio), which make perf-gate holds at
+// ≤ 1.15 on any machine.
 func BenchmarkMulVecPair(b *testing.B) {
 	m, err := GapMatrix(GapGenConfig{Rows: 3000, Cols: 3000, D: 8, Seed: 1, Symmetric: true})
 	if err != nil {
@@ -178,19 +178,12 @@ func BenchmarkMulVecPair(b *testing.B) {
 	}
 	y0, y1 := make([]float64, p.Size(0)), make([]float64, p.Size(1))
 	b.ReportAllocs()
-	b.ResetTimer()
-	var pairTime, gatherTime time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
+	ratio, pairTime := pairedRatio(b, func() {
 		(*Pool)(nil).MulVec(up, x1, y0)
 		(*Pool)(nil).MulVec(down, x0, y1)
-		t1 := time.Now()
-		MulVecPair(up, x1, x0, y0, y1)
-		gatherTime += t1.Sub(t0)
-		pairTime += time.Since(t1)
-	}
+	}, func() { MulVecPair(up, x1, x0, y0, y1) })
 	b.ReportMetric(float64(pairTime)/float64(b.N), "ns/op")
-	b.ReportMetric(float64(pairTime)/float64(gatherTime), "x-gathers")
+	b.ReportMetric(ratio, "x-gathers")
 }
 
 // BenchmarkMulVecTriangle: the triangle kernel over diagonal block (0,0)'s
@@ -222,16 +215,7 @@ func BenchmarkMulVecTriangle(b *testing.B) {
 	}
 	y := make([]float64, blk.Rows)
 	b.ReportAllocs()
-	b.ResetTimer()
-	var triTime, gatherTime time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		(*Pool)(nil).MulVec(whole, x, y)
-		t1 := time.Now()
-		MulVecTriangle(tri, x, y)
-		gatherTime += t1.Sub(t0)
-		triTime += time.Since(t1)
-	}
+	ratio, triTime := pairedRatio(b, func() { (*Pool)(nil).MulVec(whole, x, y) }, func() { MulVecTriangle(tri, x, y) })
 	b.ReportMetric(float64(triTime)/float64(b.N), "ns/op")
-	b.ReportMetric(float64(triTime)/float64(gatherTime), "x-gather")
+	b.ReportMetric(ratio, "x-gather")
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -724,9 +725,12 @@ func TestViewCRS2InPlace(t *testing.T) {
 // since the last time, so its checksum is known and its bytes are not) and
 // multiply. ns/op and MB/s (of staged bytes) are the V2 block's alone. The
 // same matrix staged as a V1 block is timed in the same loop, and "x-v1" is
-// the ratio of the two: the compressed block decodes RowPtr and nothing else,
-// so it must multiply at about the uncompressed one's speed on any machine
-// (make perf-gate). allocs/op counts both views.
+// the median over iterations of the V2 time divided by the V1 time: the
+// compressed block decodes RowPtr and nothing else, so it must multiply at
+// about the uncompressed one's speed on any machine (make perf-gate). The two
+// alternate which runs first, and the median ignores the iterations a burst
+// of other work lands on, where a ratio of summed times would absorb them.
+// allocs/op counts both views.
 func BenchmarkViewCRS2(b *testing.B) {
 	m, err := GapMatrix(GapGenConfig{Rows: 750, Cols: 750, D: 8, Seed: 1})
 	if err != nil {
@@ -748,20 +752,39 @@ func BenchmarkViewCRS2(b *testing.B) {
 	}
 	v1, v2 := atOffset(encodeCRS(b, m, false), 0), atOffset(encodeCRS(b, m, true), 0)
 	b.ReportAllocs()
-	b.ResetTimer()
-	// The two alternate, so whatever else the machine is doing falls on both.
-	var v1Time, v2Time time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		viewAndMultiply(v1)
-		t1 := time.Now()
-		viewAndMultiply(v2)
-		v1Time += t1.Sub(t0)
-		v2Time += time.Since(t1)
-	}
+	ratio, v2Time := pairedRatio(b, func() { viewAndMultiply(v1) }, func() { viewAndMultiply(v2) })
 	b.ReportMetric(float64(v2Time)/float64(b.N), "ns/op")
 	b.ReportMetric(float64(len(v2))*float64(b.N)/1e6/v2Time.Seconds(), "MB/s")
-	b.ReportMetric(float64(v2Time)/float64(v1Time), "x-v1")
+	b.ReportMetric(ratio, "x-v1")
+}
+
+// pairedRatio runs base and cand b.N times each, interleaved and alternating
+// which runs first, and returns the median over iterations of cand's time
+// over base's, plus cand's total time. Interleaving puts whatever else the
+// machine is doing on both; the median ignores the iterations a burst of it
+// lands on, where a ratio of summed times would absorb them. It resets the
+// timer, after its one allocation.
+func pairedRatio(b *testing.B, base, cand func()) (float64, time.Duration) {
+	ratios := make([]float64, b.N)
+	timed := func(f func()) time.Duration {
+		t0 := time.Now()
+		f()
+		return time.Since(t0)
+	}
+	b.ResetTimer()
+	var candTime time.Duration
+	for i := range ratios {
+		var tb, tc time.Duration
+		if i%2 == 0 {
+			tb, tc = timed(base), timed(cand)
+		} else {
+			tc, tb = timed(cand), timed(base)
+		}
+		candTime += tc
+		ratios[i] = float64(tc) / float64(tb)
+	}
+	slices.Sort(ratios)
+	return ratios[len(ratios)/2], candTime
 }
 
 // resealCRS2 makes the checksums of a doctored V2 block good again: the frame

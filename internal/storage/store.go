@@ -511,7 +511,8 @@ func (s *Store) homeOf(array string, block int) int {
 }
 
 // post delivers m to the store's loop. A message the loop will never see,
-// because the store has closed, gives back the arena buffers it owns.
+// because the store has closed, gives back the arena buffers it owns and
+// answers whoever waits on it, so no call on a closed store blocks.
 func (s *Store) post(m any) {
 	if !s.inbox.put(m) {
 		s.dropped(m)
@@ -538,6 +539,26 @@ func (s *Store) dropped(m any) {
 	case *cmdResident:
 		clear(m.out) // a closed store holds nothing
 		m.done <- struct{}{}
+	case *cmdRequest:
+		m.reply <- leaseResult{err: ErrClosed}
+	case *msgCreateArr:
+		m.ack <- ErrClosed
+	case *msgDeleteArr:
+		m.ack <- ErrClosed
+	case cmdFlush:
+		m.reply <- ErrClosed
+	case cmdEvict:
+		m.reply <- ErrClosed
+	case cmdInfo:
+		m.reply <- infoResult{err: ErrClosed}
+	case cmdStats:
+		m.reply <- Stats{}
+	case cmdSetQuota:
+		m.ack <- struct{}{}
+	case cmdClearQuota:
+		m.ack <- struct{}{}
+	case cmdQuotaStats:
+		m.reply <- quotaResult{}
 	}
 }
 

@@ -509,6 +509,39 @@ func TestCloseFailsPendingRequests(t *testing.T) {
 	}
 }
 
+// TestClosedStoreAnswers: every blocking call on a store that has already
+// closed returns instead of waiting for a loop that has gone (a server
+// whose store closes under it must still answer its clients).
+func TestClosedStoreAnswers(t *testing.T) {
+	s, err := NewLocal(Config{MemoryBudget: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	done := make(chan []error, 1)
+	go func() {
+		_, reqErr := s.Request("a", 0, 8, PermRead)
+		_, blkErr := s.RequestBlock("a", 0, PermWrite)
+		_, infoErr := s.Info("a")
+		s.Stats()
+		s.SetQuota("a", 1, 1)
+		s.Quota("a")
+		s.ClearQuota("a")
+		s.Prefetch("a", 0, 8)
+		done <- []error{reqErr, blkErr, infoErr, s.Create("a", 8, 8), s.Delete("a"), s.Flush("a"), s.Evict("a", 0)}
+	}()
+	select {
+	case errs := <-done:
+		for i, err := range errs {
+			if err != ErrClosed {
+				t.Errorf("call %d on a closed store: %v, want ErrClosed", i, err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a call on a closed store blocked")
+	}
+}
+
 func TestExplicitEvict(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewLocal(Config{MemoryBudget: 1 << 20, ScratchDir: dir, Seed: 1})
