@@ -63,18 +63,23 @@ func hotPathSystem(tb testing.TB) (*System, SpMVConfig, []float64) {
 
 // TestHotPathResultPinned runs the hot-path solve twice on one system —
 // first from scratch, then from resident blocks — and requires both results
-// to hash to hotPathSHA.
+// to hash to hotPathSHA, with the blocks' CRC checked at either site.
 func TestHotPathResultPinned(t *testing.T) {
-	sys, cfg, x0 := hotPathSystem(t)
-	for _, tag := range []string{"cold", "warm"} {
-		cfg.Tag = tag
-		res, err := RunIteratedSpMV(sys, cfg, x0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := shaOf(res.X); got != hotPathSHA {
-			t.Fatalf("%s run: result sha256 %s, want %s", tag, got, hotPathSHA)
-		}
+	for _, site := range verifySites {
+		t.Run(site.name, func(t *testing.T) {
+			forceVerifySite(t, site.inIOFilter)
+			sys, cfg, x0 := hotPathSystem(t)
+			for _, tag := range []string{"cold", "warm"} {
+				cfg.Tag = tag
+				res, err := RunIteratedSpMV(sys, cfg, x0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := shaOf(res.X); got != hotPathSHA {
+					t.Fatalf("%s run: result sha256 %s, want %s", tag, got, hotPathSHA)
+				}
+			}
+		})
 	}
 }
 
@@ -85,6 +90,8 @@ func TestHotPathResultPinned(t *testing.T) {
 // hotPathSystem solve after a warm-up run, and reports "allocs/iter", the
 // allocations per engine iteration that `make perf-gate` holds under its
 // ceiling; it also checks the last op's result against hotPathSHA.
+// "hotpath-iofilter" is the same with the I/O filters checking the CRC of
+// every block they read (verifyInIOFilter), under the same ceiling.
 func BenchmarkIteratedSpMVRun(b *testing.B) {
 	b.Run("in-memory", func(b *testing.B) {
 		const dim, k, nodes, iters = 400, 2, 2, 2
@@ -115,30 +122,39 @@ func BenchmarkIteratedSpMVRun(b *testing.B) {
 			}
 		}
 	})
-	b.Run("hotpath", func(b *testing.B) {
-		sys, cfg, x0 := hotPathSystem(b)
-		cfg.Tag = "warm"
-		if _, err := RunIteratedSpMV(sys, cfg, x0); err != nil {
+	b.Run("hotpath", benchHotPath)
+	// A 5-node system checks blocks in the I/O filter only on more than 5
+	// processors.
+	b.Run("hotpath-iofilter", func(b *testing.B) {
+		forceVerifySite(b, true)
+		benchHotPath(b)
+	})
+}
+
+// benchHotPath is the hotpath benchmark's body.
+func benchHotPath(b *testing.B) {
+	sys, cfg, x0 := hotPathSystem(b)
+	cfg.Tag = "warm"
+	if _, err := RunIteratedSpMV(sys, cfg, x0); err != nil {
+		b.Fatal(err)
+	}
+	var res *SpMVResult
+	var err error
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.GC()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		cfg.Tag = fmt.Sprintf("hot%d", i)
+		if res, err = RunIteratedSpMV(sys, cfg, x0); err != nil {
 			b.Fatal(err)
 		}
-		var res *SpMVResult
-		var err error
-		var before, after runtime.MemStats
-		b.ReportAllocs()
-		runtime.GC()
-		b.ResetTimer()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < b.N; i++ {
-			cfg.Tag = fmt.Sprintf("hot%d", i)
-			if res, err = RunIteratedSpMV(sys, cfg, x0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		b.StopTimer()
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*cfg.Iters), "allocs/iter")
-		if got := shaOf(res.X); got != hotPathSHA {
-			b.Fatalf("result sha256 %s, want %s", got, hotPathSHA)
-		}
-	})
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*cfg.Iters), "allocs/iter")
+	if got := shaOf(res.X); got != hotPathSHA {
+		b.Fatalf("result sha256 %s, want %s", got, hotPathSHA)
+	}
 }

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -151,6 +152,9 @@ func NewSystem(opts Options) (*System, error) {
 		cfg.Codec = opts.Codec
 		cfg.Trace = opts.Trace
 		cfg.Shard = opts.Shard
+		if verifyInIOFilter(opts) {
+			cfg.VerifyBlock = verifyStagedBlock
+		}
 		if opts.ScratchRoot != "" {
 			cfg.ScratchDir = filepath.Join(opts.ScratchRoot, fmt.Sprintf("node%d", node))
 		}
@@ -167,6 +171,29 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	sys.viewCopied = opts.Obs.Counter("dooc_kernel_view_copied_bytes_total", "matrix-section bytes a block view materialised (codec decode or realign copy) instead of aliasing the lease")
 	return sys, nil
+}
+
+// verifyInIOFilter decides where the CRC of a block loaded from scratch runs.
+// It runs in the I/O filter that read the block when the process has a
+// processor its computing filters do not occupy, so that the check overlaps
+// the multiply. Otherwise the computing filter runs it (ExecContext.Matrix),
+// just before the kernel: on one processor the I/O filter's check would cost
+// the same CPU, and the kernel would then find the block cold in cache
+// instead of pulled in by the check. A variable so that tests can force
+// either site.
+var verifyInIOFilter = func(opts Options) bool {
+	return runtime.GOMAXPROCS(0) > opts.Nodes*opts.WorkersPerNode
+}
+
+// verifyStagedBlock is the I/O filter's check of a block it installs: a block
+// that carries the CRS magic is held to its trailer CRC, any other block (a
+// vector, a basis chunk) is left alone.
+func verifyStagedBlock(block []byte) (uint32, bool, error) {
+	if !sparse.HasCRSMagic(block) {
+		return 0, false, nil
+	}
+	crc, err := sparse.CheckCRSTrailer(block)
+	return crc, err == nil, err
 }
 
 // takeScratch hands a starting worker a view scratch: one a finished worker

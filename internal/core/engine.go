@@ -88,8 +88,11 @@ func (c *ExecContext) reset(t *dag.Task) {
 // (sparse.CSR.RowFirst) with ColIdx nil: Pool.MulVec and sparse.MulVecRows
 // multiply out of them, an executor that wants the indices themselves asks
 // CSR.Columns. The CRC is checked once per residency of the block on this
-// node, the structural walk once per block content (validMemo). Executors
-// must not keep the matrix, or anything sliced from it, past their return.
+// node — here, unless the I/O filter that read the block checked it
+// (verifyInIOFilter) — and the structural walk once per block content
+// (validMemo). A block that fails either names its array and wraps
+// compress.ErrCorrupt. Executors must not keep the matrix, or anything
+// sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 	lease, err := c.Store.RequestBlock(array, 0, storage.PermRead)
 	if err != nil {
@@ -102,10 +105,12 @@ func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 		return sparse.DecodeCRSBytes(lease.Data)
 	}
 	known := c.valid.get(c.Node, array)
-	m, crc, err := sparse.ViewCRSBytes(lease.Data, c.view, func(crc uint32) sparse.Trust { return known.trust(lease.Gen, crc) })
+	m, crc, err := sparse.ViewCRSBytes(lease.Data, c.view, func(crc uint32) sparse.Trust {
+		return known.trust(lease.Gen, crc, lease.Verified && lease.CRC == crc)
+	})
 	if err != nil {
 		lease.Release()
-		return nil, err
+		return nil, fmt.Errorf("core: matrix %q: %w", array, err)
 	}
 	c.copied.Add(c.view.CopiedBytes())
 	if known.gen != lease.Gen {

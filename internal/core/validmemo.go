@@ -12,7 +12,8 @@ import (
 // Arrays are immutable, so a lease on the remembered residency holds bytes
 // already checked, in memory nobody wrote since: both checks are skipped. A
 // later residency — the block was evicted and read back, or the name deleted
-// and created again — is checksummed anew, and walked again only if the
+// and created again — is checksummed anew, by the I/O filter that read it
+// (storage.Lease.Verified) or else here, and walked again only if the
 // checksum is not the remembered one. An entry is forgotten when its array is
 // deleted (System.invalidateDecoded), so the map holds live arrays only.
 type validMemo struct {
@@ -28,14 +29,16 @@ type validRec struct {
 }
 
 // trust is how much of the verification of a lease on residency gen, whose
-// block carries checksum crc, the record vouches for.
-func (r validRec) trust(gen int64, crc uint32) sparse.Trust {
+// block carries checksum crc, is done already: what the record vouches for,
+// and the CRC when the I/O filter that read the block checked it (verified).
+func (r validRec) trust(gen int64, crc uint32, verified bool) sparse.Trust {
+	known := r.gen != 0
 	switch {
-	case r.gen == 0:
-		return sparse.TrustNothing
-	case r.gen == gen:
+	case known && r.gen == gen, known && verified && r.crc == crc:
 		return sparse.TrustBytes
-	case r.crc == crc:
+	case verified:
+		return sparse.TrustChecksum
+	case known && r.crc == crc:
 		return sparse.TrustStructure
 	}
 	return sparse.TrustNothing

@@ -384,8 +384,14 @@ func TestValidateOncePerContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sys.valid.get(0, "M")
-	if rec.gen == 0 || rec.trust(rec.gen+1, rec.crc) != sparse.TrustStructure || rec.trust(rec.gen+1, rec.crc+1) != sparse.TrustNothing {
+	if rec.gen == 0 || rec.trust(rec.gen+1, rec.crc, false) != sparse.TrustStructure || rec.trust(rec.gen+1, rec.crc+1, false) != sparse.TrustNothing {
 		t.Fatal("memo does not hold exactly M's checksum after a successful view")
+	}
+	// A lease whose CRC the I/O filter checked skips the walk only for the
+	// checksum walked before.
+	if rec.trust(rec.gen+1, rec.crc, true) != sparse.TrustBytes || rec.trust(rec.gen+1, rec.crc+1, true) != sparse.TrustChecksum ||
+		(validRec{}).trust(rec.gen+1, rec.crc, true) != sparse.TrustChecksum {
+		t.Fatal("memo vouches for a verified lease's structure without having walked its checksum")
 	}
 	if sys.valid.get(1, "M") != (validRec{}) {
 		t.Fatal("node 0's view vouches for node 1's bytes")
@@ -475,97 +481,108 @@ func TestMemoHoldsLiveArraysOnly(t *testing.T) {
 // old name — and not again while they stay there. The test plays the fault
 // itself: a byte flipped in the resident buffer between two views goes
 // unseen, which is what "not again" means; a byte flipped on scratch between
-// two residencies is a checksum error at the next view.
+// two residencies is a checksum error at the next view. Both hold wherever
+// the CRC runs, in the computing filter or in the I/O filter.
 func TestChecksumOncePerResidency(t *testing.T) {
-	m := testMatrix(t, 6)
-	var enc bytes.Buffer
-	if err := sparse.WriteCRS(&enc, m); err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	path := filepath.Join(root, "node0", "M.arr")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(Options{Nodes: 1, Reorder: true, ScratchRoot: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	st := sys.Store(0)
-	ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
-	view := func() (int64, error) {
-		a, err := ctx.Matrix("M")
-		if err != nil {
-			return 0, err
-		}
-		defer ctx.releaseMatrix()
-		if a.NNZ() != m.NNZ() {
-			t.Fatalf("view has %d nonzeros, want %d", a.NNZ(), m.NNZ())
-		}
-		return ctx.matLease.Gen, nil
-	}
-	// flipResident flips one bit of a value where the block lies in memory.
-	flipResident := func() {
-		l, err := st.RequestBlock("M", 0, storage.PermRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Data[len(l.Data)-12] ^= 1
-		l.Release()
-	}
-	evict := func() {
-		t.Helper()
-		if err := st.Evict("M", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, site := range verifySites {
+		t.Run(site.name, func(t *testing.T) {
+			forceVerifySite(t, site.inIOFilter)
+			m := testMatrix(t, 6)
+			var enc bytes.Buffer
+			if err := sparse.WriteCRS(&enc, m); err != nil {
+				t.Fatal(err)
+			}
+			root := t.TempDir()
+			path := filepath.Join(root, "node0", "M.arr")
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sys, err := NewSystem(Options{Nodes: 1, Reorder: true, ScratchRoot: root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			st := sys.Store(0)
+			ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
+			var verified bool // by the I/O filter, the last view's lease
+			view := func() (int64, error) {
+				a, err := ctx.Matrix("M")
+				if err != nil {
+					return 0, err
+				}
+				defer ctx.releaseMatrix()
+				if a.NNZ() != m.NNZ() {
+					t.Fatalf("view has %d nonzeros, want %d", a.NNZ(), m.NNZ())
+				}
+				verified = ctx.matLease.Verified
+				return ctx.matLease.Gen, nil
+			}
+			// flipResident flips one bit of a value where the block lies in memory.
+			flipResident := func() {
+				l, err := st.RequestBlock("M", 0, storage.PermRead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.Data[len(l.Data)-12] ^= 1
+				l.Release()
+			}
+			evict := func() {
+				t.Helper()
+				if err := st.Evict("M", 0); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	first, err := view()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipResident()
-	if gen, err := view(); err != nil || gen != first {
-		t.Fatalf("second view of a still-resident block: generation %d (first %d), err %v; want the same residency and no second CRC pass", gen, first, err)
-	}
-	flipResident() // back
+			first, err := view()
+			if err != nil {
+				t.Fatal(err)
+			}
+			flipResident()
+			if gen, err := view(); err != nil || gen != first {
+				t.Fatalf("second view of a still-resident block: generation %d (first %d), err %v; want the same residency and no second CRC pass", gen, first, err)
+			}
+			flipResident() // back
 
-	// Evicted and read back unchanged: a new residency, checksummed again (it
-	// passes), not walked again.
-	evict()
-	second, err := view()
-	if err != nil || second == first {
-		t.Fatalf("view after evict + reload: generation %d (first %d), err %v", second, first, err)
-	}
+			// Evicted and read back unchanged: a new residency, checksummed again (it
+			// passes), not walked again.
+			evict()
+			second, err := view()
+			if err != nil || second == first {
+				t.Fatalf("view after evict + reload: generation %d (first %d), err %v", second, first, err)
+			}
+			if verified != site.inIOFilter {
+				t.Fatalf("a reloaded block's lease reports Verified %v with the I/O-filter site %v", verified, site.inIOFilter)
+			}
 
-	// Damaged on scratch between two residencies.
-	damaged := append([]byte(nil), enc.Bytes()...)
-	damaged[len(damaged)-12] ^= 1
-	if err := os.WriteFile(path, damaged, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	evict()
-	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("view of a block damaged on scratch: %v", err)
-	}
-	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("second view of the damaged residency: %v", err)
-	}
+			// Damaged on scratch between two residencies.
+			damaged := append([]byte(nil), enc.Bytes()...)
+			damaged[len(damaged)-12] ^= 1
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			evict()
+			if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("view of a block damaged on scratch: %v", err)
+			}
+			if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("second view of the damaged residency: %v", err)
+			}
 
-	// Deleted and created again under the same name, the memo not told: the
-	// new bytes are checksummed on first sight.
-	if err := st.Delete("M"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteArray("M", damaged, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("view of damaged bytes under a verified name: %v", err)
+			// Deleted and created again under the same name, the memo not told: the
+			// new bytes are checksummed on first sight.
+			if err := st.Delete("M"); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WriteArray("M", damaged, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("view of damaged bytes under a verified name: %v", err)
+			}
+		})
 	}
 }
 

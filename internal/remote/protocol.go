@@ -295,9 +295,12 @@ func (c *conn) writeFrame(hdr any, payload []byte) error {
 // the length the header declared (*n) into *data. A declared length outside
 // [0, maxFramePayload] is refused before anything is allocated. The payload
 // is the caller's, from storage.SharedArena() up to arenaPayloadMax: whoever
-// ends up holding it gives it back.
+// ends up holding it gives it back. A header that fails to decode declares
+// nothing: gob may have filled *n before the field it choked on, so *n is
+// cleared.
 func (c *conn) readFrame(hdr any, n *int, data *[]byte) error {
 	if err := c.dec.Decode(hdr); err != nil {
+		*n = 0
 		return err
 	}
 	switch {

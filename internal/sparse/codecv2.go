@@ -301,7 +301,7 @@ func appendCRS2(dst []byte, s blockRows, width int, slivers bool) []byte {
 // that predates it) or exactly what the position calls for, and zero.
 func crs2Frame(i int, body []byte, pos, rows, nnz int64) (frame, rest []byte, width int, err error) {
 	if len(body) < 8 {
-		return nil, nil, 0, fmt.Errorf("sparse: short section %d length", i)
+		return nil, nil, 0, corruptf("sparse: short section %d length", i)
 	}
 	prefix := binary.LittleEndian.Uint64(body)
 	width, pad, frameLen := int(prefix>>60), int64(prefix>>56&15), prefix&(1<<56-1)
@@ -309,17 +309,17 @@ func crs2Frame(i int, body []byte, pos, rows, nnz int64) (frame, rest []byte, wi
 	// The writer gives the gap form to no section but the columns, and to no
 	// block without an entry to save on.
 	if width > 2 || width != 0 && (i != 1 || nnz == 0 || rows == 0) {
-		return nil, nil, 0, fmt.Errorf("sparse: section %d of a %d-row block with %d entries claims form %d", i, rows, nnz, width)
+		return nil, nil, 0, corruptf("sparse: section %d of a %d-row block with %d entries claims form %d", i, rows, nnz, width)
 	}
 	if pad != 0 && pad != crs2PadBytes(pos+8) {
-		return nil, nil, 0, fmt.Errorf("sparse: section %d claims a %d-byte pad at offset %d", i, pad, pos+8)
+		return nil, nil, 0, corruptf("sparse: section %d claims a %d-byte pad at offset %d", i, pad, pos+8)
 	}
 	if pad > int64(len(body)) {
-		return nil, nil, 0, fmt.Errorf("sparse: section %d pad runs past the block", i)
+		return nil, nil, 0, corruptf("sparse: section %d pad runs past the block", i)
 	}
 	for _, b := range body[:pad] {
 		if b != 0 {
-			return nil, nil, 0, fmt.Errorf("sparse: section %d alignment pad is not zero", i)
+			return nil, nil, 0, corruptf("sparse: section %d alignment pad is not zero", i)
 		}
 	}
 	body = body[pad:]
@@ -327,10 +327,10 @@ func crs2Frame(i int, body []byte, pos, rows, nnz int64) (frame, rest []byte, wi
 	// Adaptive encoding never produces a frame larger than raw plus the
 	// frame header, so anything bigger is corruption, not data.
 	if frameLen > uint64(rawLen)+compress.FrameHeaderLen {
-		return nil, nil, 0, fmt.Errorf("sparse: section %d frame claims %d bytes for a %d-byte section", i, frameLen, rawLen)
+		return nil, nil, 0, corruptf("sparse: section %d frame claims %d bytes for a %d-byte section", i, frameLen, rawLen)
 	}
 	if frameLen > uint64(len(body)) {
-		return nil, nil, 0, fmt.Errorf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
+		return nil, nil, 0, corruptf("sparse: short section %d frame: %d of %d bytes", i, len(body), frameLen)
 	}
 	return body[:frameLen], body[frameLen:], width, nil
 }

@@ -107,7 +107,48 @@ const (
 	// TrustBytes parses the shape only: these very bytes — this buffer,
 	// unchanged since — have passed both checks already.
 	TrustBytes
+	// TrustChecksum skips the block CRC and runs everything else: these very
+	// bytes have passed CheckCRSTrailer, their structure has not been
+	// walked.
+	TrustChecksum
 )
+
+// corruptf is a byte-level failure of a CRS block: it wraps
+// compress.ErrCorrupt, as a corrupt frame's does, so that a corrupt staged
+// block has one identity wherever it is checked.
+func corruptf(format string, a ...any) error {
+	return fmt.Errorf(format+": %w", append(a, compress.ErrCorrupt)...)
+}
+
+// CheckCRSTrailer checks what a block of either CRS format carries for its
+// integrity: the magic, then the CRC32C of every byte before the last four
+// against those four. It returns that checksum. It parses neither the shape
+// nor the sections; ViewCRSBytes does, after this same check unless its
+// caller vouches for the bytes. A failure wraps compress.ErrCorrupt.
+func CheckCRSTrailer(data []byte) (uint32, error) {
+	if err := checkCRSMagic(data); err != nil {
+		return 0, err
+	}
+	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if want := crc32.Checksum(data[:len(data)-4], crsCRCTable); crc != want {
+		return 0, corruptf("sparse: CRS checksum mismatch: file=%08x computed=%08x", crc, want)
+	}
+	return crc, nil
+}
+
+// HasCRSMagic reports whether data is long enough for a CRS block and starts
+// with the magic of either format.
+func HasCRSMagic(data []byte) bool { return checkCRSMagic(data) == nil }
+
+func checkCRSMagic(data []byte) error {
+	if len(data) < HeaderBytes+4 {
+		return corruptf("sparse: %d bytes is shorter than a CRS header", len(data))
+	}
+	if magic := string(data[:8]); magic != crsMagic && magic != crsMagicV2 {
+		return corruptf("sparse: bad CRS magic %q", data[:8])
+	}
+	return nil
+}
 
 // decodeCRS parses a V1 or V2 block into s.m, verifying shape and — as far
 // as trusted leaves it to do — checksums, but not structure; it returns the
@@ -117,22 +158,26 @@ const (
 // form of s.m. A compressed V2 section is decoded into s on every call,
 // whatever the trust: TrustStructure skips only the frame CRCs (the block
 // CRC has just vouched for the very bytes they were decoded from),
-// TrustBytes the block CRC too. aliasGaps lets a gap section alone point
-// into data: for a caller that will materialise it and let go.
+// TrustChecksum only the block CRC, TrustBytes both. aliasGaps lets a gap
+// section alone point into data: for a caller that will materialise it and
+// let go.
 func decodeCRS(data []byte, s *ViewScratch, alias, aliasGaps bool, trusted Trust) (*CSR, uint32, error) {
-	if len(data) < HeaderBytes+4 {
-		return nil, 0, fmt.Errorf("sparse: %d bytes is shorter than a CRS header", len(data))
+	if err := checkCRSMagic(data); err != nil {
+		return nil, 0, err
 	}
+	if trusted == TrustNothing || trusted == TrustStructure {
+		if _, err := CheckCRSTrailer(data); err != nil {
+			return nil, 0, err
+		}
+	}
+	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
 	magic := string(data[:8])
-	if magic != crsMagic && magic != crsMagicV2 {
-		return nil, 0, fmt.Errorf("sparse: bad CRS magic %q", data[:8])
-	}
 	rows := int64(binary.LittleEndian.Uint64(data[8:]))
 	cols := int64(binary.LittleEndian.Uint64(data[16:]))
 	nnz := int64(binary.LittleEndian.Uint64(data[24:]))
 	const maxDim = 1 << 40
 	if rows < 0 || cols < 0 || nnz < 0 || rows > maxDim || cols > maxDim || nnz > maxDim {
-		return nil, 0, fmt.Errorf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
+		return nil, 0, corruptf("sparse: implausible CRS shape rows=%d cols=%d nnz=%d", rows, cols, nnz)
 	}
 	// A V1 block is exactly as long as its shape says, with the alignment
 	// pad or — a file written before the pad existed — without it.
@@ -144,17 +189,11 @@ func decodeCRS(data []byte, s *ViewScratch, alias, aliasGaps bool, trusted Trust
 		case want - pad:
 			pad = 0
 		default:
-			return nil, 0, fmt.Errorf("sparse: CRS block is %d bytes, shape says %d", len(data), want)
+			return nil, 0, corruptf("sparse: CRS block is %d bytes, shape says %d", len(data), want)
 		}
 	}
 	body := data[HeaderBytes : len(data)-4]
-	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if trusted != TrustBytes {
-		if want := crc32.Checksum(data[:len(data)-4], crsCRCTable); crc != want {
-			return nil, 0, fmt.Errorf("sparse: CRS checksum mismatch: file=%08x computed=%08x", crc, want)
-		}
-	}
-	verify := trusted == TrustNothing
+	verify := trusted == TrustNothing || trusted == TrustChecksum
 	s.copied = 0
 	s.m = CSR{Rows: int(rows), Cols: int(cols)}
 	for i := 0; i < 3; i++ {
@@ -165,7 +204,7 @@ func decodeCRS(data []byte, s *ViewScratch, alias, aliasGaps bool, trusted Trust
 			raw, body = body[:rawLen], body[rawLen:] // in range: the size check above
 			if i == 1 && pad != 0 {
 				if binary.LittleEndian.Uint32(body) != 0 {
-					return nil, 0, fmt.Errorf("sparse: CRS alignment pad is not zero")
+					return nil, 0, corruptf("sparse: CRS alignment pad is not zero")
 				}
 				body = body[pad:]
 			}
@@ -180,7 +219,7 @@ func decodeCRS(data []byte, s *ViewScratch, alias, aliasGaps bool, trusted Trust
 			rawLen := sectionRawLen(i, width, rows, nnz)
 			c, n, err := compress.FrameRawLen(frame)
 			if err == nil && int64(n) != rawLen {
-				err = fmt.Errorf("frame holds %d bytes, shape says %d", n, rawLen)
+				err = corruptf("frame holds %d bytes, shape says %d", n, rawLen)
 			}
 			if err == nil && (c.ID() == compress.IDRaw || width != 0) {
 				raw, err = compress.RawPayload(frame, verify) // refuses a gap section behind a codec
@@ -215,7 +254,7 @@ func decodeCRS(data []byte, s *ViewScratch, alias, aliasGaps bool, trusted Trust
 		}
 	}
 	if len(body) != 0 {
-		return nil, 0, fmt.Errorf("sparse: %d stray bytes after the CRS sections", len(body))
+		return nil, 0, corruptf("sparse: %d stray bytes after the CRS sections", len(body))
 	}
 	return &s.m, crc, nil
 }
@@ -262,7 +301,7 @@ func ViewCRSBytes(data []byte, s *ViewScratch, trust func(crc uint32) Trust) (*C
 	if err != nil {
 		return nil, 0, err
 	}
-	if trusted == TrustNothing {
+	if trusted == TrustNothing || trusted == TrustChecksum {
 		if err := m.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("sparse: invalid CRS payload: %w", err)
 		}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -567,6 +568,8 @@ func TestViewChecksWhatIsNotVouchedFor(t *testing.T) {
 		{flipped, TrustNothing, "checksum mismatch"},
 		{flipped, TrustStructure, "checksum mismatch"},
 		{flipped, TrustBytes, ""},
+		{enc, TrustChecksum, "invalid CRS payload"},
+		{flipped, TrustChecksum, "invalid CRS payload"},
 	} {
 		asked := 0
 		_, crc, err := ViewCRSBytes(c.data, &s, func(crc uint32) Trust {
@@ -584,6 +587,52 @@ func TestViewChecksWhatIsNotVouchedFor(t *testing.T) {
 			t.Errorf("trust %d: crc %08x, err %v", c.trust, crc, err)
 		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
 			t.Errorf("trust %d: err %v, want %q", c.trust, err, c.wantErr)
+		}
+	}
+}
+
+// TestCorruptBlockWrapsErrCorrupt: every byte-level failure of a block —
+// what a flipped or lost byte on scratch produces — wraps
+// compress.ErrCorrupt, from a decode as from CheckCRSTrailer, the check the
+// storage layer's I/O filter runs; a good block passes CheckCRSTrailer with
+// the checksum it carries.
+func TestCorruptBlockWrapsErrCorrupt(t *testing.T) {
+	m := FromDense(2, 2, []float64{1, 0, 3, 4}) // nnz 3: a V1 block with a pad
+	v1 := encodeCRS(t, m, false)
+	v2 := encodeCRS2Form(t, m, 0)
+	if crc, err := CheckCRSTrailer(v1); err != nil || crc != binary.LittleEndian.Uint32(v1[len(v1)-4:]) {
+		t.Fatalf("good block: crc %08x, err %v", crc, err)
+	}
+	if !HasCRSMagic(v2) || HasCRSMagic(v2[:HeaderBytes]) || HasCRSMagic(make([]byte, 64)) {
+		t.Fatal("HasCRSMagic misjudges a block")
+	}
+	mutate := func(enc []byte, recrc bool, f func([]byte) []byte) []byte {
+		out := f(append([]byte(nil), enc...))
+		if recrc {
+			binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], crsCRCTable))
+		}
+		return out
+	}
+	padAt := HeaderBytes + 8*(m.Rows+1) + 4*int(m.NNZ())
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		trailer bool // CheckCRSTrailer refuses it too
+	}{
+		{"short", v1[:HeaderBytes], true},
+		{"magic", mutate(v1, false, func(b []byte) []byte { b[0] = 'X'; return b }), true},
+		{"checksum", mutate(v1, false, func(b []byte) []byte { b[len(b)-6] ^= 1; return b }), true},
+		{"shape", mutate(v1, true, func(b []byte) []byte { binary.LittleEndian.PutUint64(b[8:], 1<<50); return b }), false},
+		{"length", mutate(v1, true, func(b []byte) []byte { return append(b[:len(b)-4], make([]byte, 12)...) }), false},
+		{"pad", mutate(v1, true, func(b []byte) []byte { b[padAt] = 1; return b }), false},
+		{"stray", mutate(v2, true, func(b []byte) []byte { return append(b[:len(b)-4], make([]byte, 12)...) }), false},
+		{"v2-pad", mutate(v2, true, func(b []byte) []byte { b[HeaderBytes+8] = 1; return b }), false},
+	} {
+		if _, err := DecodeCRSBytes(c.data); !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("%s: decode error %v does not wrap compress.ErrCorrupt", c.name, err)
+		}
+		if _, err := CheckCRSTrailer(c.data); c.trailer && !errors.Is(err, compress.ErrCorrupt) || !c.trailer && err != nil {
+			t.Errorf("%s: CheckCRSTrailer error %v", c.name, err)
 		}
 	}
 }
@@ -913,6 +962,17 @@ func FuzzDecodeCRS(f *testing.F) {
 		got, _, verr := ViewCRSBytes(data, &s, nil)
 		if (derr == nil) != (verr == nil) {
 			t.Fatalf("decode err %v, view err %v", derr, verr)
+		}
+		// The I/O filter's split of the same checks: the trailer apart, then
+		// a view that trusts the checksum alone.
+		if _, cerr := CheckCRSTrailer(data); cerr == nil {
+			var s2 ViewScratch
+			split, _, serr := ViewCRSBytes(data, &s2, func(uint32) Trust { return TrustChecksum })
+			if (derr == nil) != (serr == nil) || serr == nil && !sameCSR(split, want) {
+				t.Fatalf("decode err %v, split err %v", derr, serr)
+			}
+		} else if derr == nil {
+			t.Fatalf("decode accepted a block whose trailer check fails: %v", cerr)
 		}
 		if derr != nil {
 			return

@@ -53,6 +53,14 @@ type ioJob struct {
 	err     error
 	retries int
 	stats   codecStats
+	check   blockCheck
+}
+
+// blockCheck is what Config.VerifyBlock vouched for in a block an I/O filter
+// installed: that it checked the bytes, and the checksum that passed.
+type blockCheck struct {
+	ok  bool
+	crc uint32
 }
 
 var ioJobPool = sync.Pool{New: func() any { return new(ioJob) }}
@@ -217,13 +225,32 @@ func (p *ioPool) write(j *ioJob) error {
 }
 
 // read is the one read routine: it fills j.data — an arena buffer that
-// becomes the resident block, or a caller's memory — with the block's bytes.
-// A flat file is read in place. A slot's frame is verified against its CRC:
-// a raw frame's payload is read straight into j.data, a compressed one
-// through a transient arena buffer into the decoder. Bad bytes — a short record,
-// a bad header, a CRC mismatch — wrap compress.ErrCorrupt, which is not
-// retried.
+// becomes the resident block, or a caller's memory — with the block's bytes,
+// and hands a block it installs to Config.VerifyBlock. A flat file is read in
+// place. A slot's frame is verified against its CRC: a raw frame's payload is
+// read straight into j.data, a compressed one through a transient arena
+// buffer into the decoder. Bad bytes — a short file or record, a bad header,
+// a CRC mismatch, a block VerifyBlock refuses — wrap compress.ErrCorrupt,
+// which is not retried.
 func (p *ioPool) read(j *ioJob, w *ioWorker) error {
+	if err := p.readBytes(j, w); err != nil {
+		return err
+	}
+	if verify := p.store.cfg.VerifyBlock; verify != nil && j.kind == ioInstall {
+		crc, ok, err := verify(j.data)
+		if err != nil {
+			if !errors.Is(err, compress.ErrCorrupt) {
+				err = fmt.Errorf("%w: %w", compress.ErrCorrupt, err)
+			}
+			return err
+		}
+		j.check = blockCheck{ok: ok, crc: crc}
+	}
+	return nil
+}
+
+// readBytes fills j.data from the block's file or slot.
+func (p *ioPool) readBytes(j *ioJob, w *ioWorker) error {
 	f, err := p.store.files.acquire(j.file)
 	if err != nil {
 		return err
@@ -231,9 +258,8 @@ func (p *ioPool) read(j *ioJob, w *ioWorker) error {
 	defer p.store.files.release(j.file)
 	dst := j.data
 	if !j.file.slotted {
-		n, err := f.ReadAt(dst, j.off)
-		if err != nil && !(err == io.EOF && n == len(dst)) {
-			return fmt.Errorf("read %d bytes at %d: %w", len(dst), j.off, err)
+		if err := readFull(f, dst, j.off); err != nil {
+			return err
 		}
 		j.stats = codecStats{}
 		return nil
@@ -281,8 +307,8 @@ func (p *ioPool) read(j *ioJob, w *ioWorker) error {
 	return nil
 }
 
-// readFull fills b from f at off. A slot that ends early was cut short on
-// disk: corrupt, not a device failure.
+// readFull fills b from f at off. A file or slot that ends early was cut
+// short on disk: corrupt, not a device failure.
 func readFull(f *os.File, b []byte, off int64) error {
 	n, err := f.ReadAt(b, off)
 	if n == len(b) {

@@ -230,6 +230,8 @@ type blockState struct {
 	waiters      []readWaiter
 	lastUse      int64
 	loadTick     int64 // when buf was (re)allocated, for FIFO eviction
+	// check is what Config.VerifyBlock vouched for in buf; setBuf clears it.
+	check blockCheck
 }
 
 type arrayState struct {
@@ -293,6 +295,7 @@ type loopState struct {
 func (s *Store) setBuf(st *loopState, b *blockState, buf []byte) {
 	st.resident += int64(len(buf)) - int64(len(b.buf))
 	b.buf = buf
+	b.check = blockCheck{}
 	s.metrics.memUsed.Set(st.resident)
 }
 
@@ -807,14 +810,16 @@ func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, 
 	st.tick++
 	b.lastUse = st.tick
 	return &Lease{
-		store: s,
-		Array: array,
-		Perm:  perm,
-		Lo:    want.Lo,
-		Hi:    want.Hi,
-		Data:  b.buf[rs.Lo:rs.Hi],
-		Gen:   b.loadTick,
-		block: bi,
+		store:    s,
+		Array:    array,
+		Perm:     perm,
+		Lo:       want.Lo,
+		Hi:       want.Hi,
+		Data:     b.buf[rs.Lo:rs.Hi],
+		Gen:      b.loadTick,
+		Verified: b.check.ok,
+		CRC:      b.check.crc,
+		block:    bi,
 	}
 }
 
@@ -1088,7 +1093,7 @@ func (s *Store) handleQueryReply(st *loopState, m msgQueryReply) {
 	case replyData:
 		b.fetching = false
 		b.probing = false
-		s.installBlock(st, ast, m.block, b, m.data, true, false)
+		s.installBlock(st, ast, m.block, b, m.data, blockCheck{}, true, false)
 		st.stats.BytesFetchedPeer += int64(len(m.data))
 		s.metrics.peerBytes.Add(int64(len(m.data)))
 	case replyMiss:
@@ -1173,8 +1178,9 @@ func (s *Store) wakePending(st *loopState, k blockKey, de *dirEntry) {
 }
 
 // installBlock adopts a complete block buffer that arrived from disk or a
-// peer, wakes waiters, and registers this node as a holder.
-func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockState, data []byte, remoteBacked, persisted bool) {
+// peer, with what the I/O filter verified of it, wakes waiters, and registers
+// this node as a holder.
+func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockState, data []byte, check blockCheck, remoteBacked, persisted bool) {
 	bs := ast.info.BlockSpan(bi)
 	if int64(len(data)) != bs.Hi-bs.Lo {
 		for _, w := range b.waiters {
@@ -1193,6 +1199,7 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 		}
 	}
 	s.setBuf(st, b, data)
+	b.check = check
 	st.tick++
 	b.loadTick = st.tick
 	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
@@ -1547,7 +1554,7 @@ func (s *Store) handleIODone(st *loopState, m *ioJob) {
 		b.waiters = nil
 		return
 	}
-	s.installBlock(st, ast, m.block, b, m.data, false, true)
+	s.installBlock(st, ast, m.block, b, m.data, m.check, false, true)
 	s.countDiskRead(st, m)
 }
 

@@ -177,7 +177,7 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 		st.stats.BytesFetchedShard += int64(len(m.data))
 		s.metrics.shardFetches.Inc()
 		s.metrics.shardFetchBytes.Add(int64(len(m.data)))
-		s.installBlock(st, ast, m.block, b, m.data, false, false)
+		s.installBlock(st, ast, m.block, b, m.data, blockCheck{}, false, false)
 		return
 	}
 	// The tier no longer holds the block (owner died, or the copy was

@@ -121,6 +121,14 @@ type Config struct {
 	// shard-backed block is refetched over the ring before falling back
 	// to the normal load path.
 	Shard ShardBackend
+	// VerifyBlock, when non-nil, runs in the I/O filter on every block it
+	// reads from scratch to install, flat or slotted, right after the read
+	// (and the frame's decode and CRC). checked reports that it recognised
+	// the block and vouches for its bytes, crc the checksum that passed:
+	// the residency remembers both and its leases report them
+	// (Lease.Verified, Lease.CRC). An error fails the read like a corrupt
+	// frame — attributed, wrapping compress.ErrCorrupt, not retried.
+	VerifyBlock func(block []byte) (crc uint32, checked bool, err error)
 }
 
 // ArrayInfo describes an array known to the storage layer.
@@ -168,9 +176,15 @@ type Lease struct {
 	// with equal Gen held the same bytes in the same memory; what was
 	// verified under the first need not be verified under the second.
 	Gen int64
+	// Verified reports that the I/O filter which read this residency's
+	// block from scratch vouched for its bytes (Config.VerifyBlock); CRC is
+	// the checksum that passed. A residency installed any other way — by a
+	// writer, from a peer or the shard tier — is not verified.
+	CRC      uint32
+	Verified bool
 
+	released bool // shares CRC's word: a Lease stays in the 96-byte size class
 	block    int
-	released bool
 }
 
 // Release returns the lease to the store. For write leases this publishes
