@@ -33,8 +33,9 @@
 // handle (name@epoch[@scope]) that clients stat, addref, release, and
 // resolve over the wire, and that a later job can consume as its starting
 // vector (doocrun -input-proxy) without the payload ever crossing a
-// client link. Handles journal through -job-store and survive restart;
-// arrays are reclaimed on the last reference drop, -proxy-ttl bounds
+// client link. Handles journal through -job-store and survive restart,
+// resolving from the job's result file; a handle's in-memory copy of the
+// result is freed on its last reference drop, -proxy-ttl bounds
 // unclaimed origin leases, and -proxy-max / -proxy-bytes cap per-tenant
 // handles and resident bytes. The HTTP listener serves GET /proxies, the
 // live handle table as JSON.
@@ -320,8 +321,6 @@ func main() {
 		if *proxyOn {
 			// The proxy registry shares the job store's WAL, so handles and
 			// refcounts survive restart alongside the jobs that made them.
-			// Reclaim drops the retained iterate arrays from whichever node
-			// holds them.
 			proxyReg = proxy.NewRegistry(proxy.Config{
 				Store:             jcfg.Store,
 				Obs:               reg,
@@ -329,11 +328,6 @@ func main() {
 				TTL:               *proxyTTL,
 				MaxPerTenant:      *proxyMax,
 				MaxBytesPerTenant: *proxyByte,
-				OnReclaim: func(h proxy.Handle, arrays []string) {
-					for _, a := range arrays {
-						core.DropArray(sys, a)
-					}
-				},
 			})
 			defer proxyReg.Close()
 			jcfg.Proxy = proxyReg

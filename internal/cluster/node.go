@@ -56,8 +56,6 @@ type Config struct {
 	Hot func(array string) bool
 	// TableBytes bounds the shard table (DefaultTableBytes when 0).
 	TableBytes int64
-	// ReplicaBytes bounds the replica cache (DefaultReplicaBytes when 0).
-	ReplicaBytes int64
 	// ProbeInterval paces the gossip/liveness prober (default 250ms).
 	ProbeInterval time.Duration
 	// RPCTimeout bounds each inter-peer round trip (default 2s).
@@ -175,13 +173,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 2 * time.Second
 	}
-	if cfg.ReplicaBytes <= 0 {
-		cfg.ReplicaBytes = DefaultReplicaBytes
-	}
 	n := &Node{
 		cfg:        cfg,
 		table:      NewBlockTable(cfg.TableBytes),
-		replicas:   NewBlockTable(cfg.ReplicaBytes),
+		replicas:   NewBlockTable(DefaultReplicaBytes),
 		metrics:    newNodeMetrics(cfg.Obs, cfg.Self.ID),
 		members:    make(map[string]Member),
 		dead:       make(map[string]bool),

@@ -45,8 +45,8 @@ type tableEntry struct {
 }
 
 // DefaultTableBytes bounds a peer's shard table when the caller does not
-// choose: 256 MiB of remote blocks. DefaultReplicaBytes does the same for
-// its replica cache: 64 MiB of hot blocks.
+// choose: 256 MiB of remote blocks. DefaultReplicaBytes bounds its replica
+// cache: 64 MiB of hot blocks.
 const (
 	DefaultTableBytes   = 256 << 20
 	DefaultReplicaBytes = 64 << 20

@@ -209,16 +209,6 @@ func resumeIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, cancel <-chan
 // also drops cache residency); unregistered leftovers are removed from the
 // filesystem directly. Best-effort by design.
 func PurgeTaggedArtifacts(sys *System, prefix string) {
-	PurgeTaggedArtifactsExcept(sys, prefix, nil)
-}
-
-// PurgeTaggedArtifactsExcept is PurgeTaggedArtifacts with a retention
-// predicate: artifacts whose base array name makes keep return true
-// survive the purge. The job service retires a job's namespace this way
-// while the proxy registry still retains its final iterate — teardown can
-// then never race a concurrent resolve of a live handle. A nil keep purges
-// everything.
-func PurgeTaggedArtifactsExcept(sys *System, prefix string, keep func(base string) bool) {
 	for node := 0; node < sys.Nodes(); node++ {
 		dir := sys.scratchDir(node)
 		if dir == "" {
@@ -239,9 +229,6 @@ func PurgeTaggedArtifactsExcept(sys *System, prefix string, keep func(base strin
 					base = strings.TrimSuffix(name, suf)
 					break
 				}
-			}
-			if keep != nil && keep(base) {
-				continue
 			}
 			sys.invalidateDecoded(base)
 			if err := sys.Store(node).Delete(base); err != nil {

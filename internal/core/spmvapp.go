@@ -403,23 +403,11 @@ func RunIteratedSpMVCancel(sys *System, cfg SpMVConfig, x0 []float64, cancel <-c
 // skipped silently — callers invoke this after the engine run has returned,
 // when no executor holds leases.
 func DeleteSpMVArrays(sys *System, cfg SpMVConfig) {
-	DeleteSpMVArraysKeep(sys, cfg, nil)
-}
-
-// DeleteSpMVArraysKeep is DeleteSpMVArrays with a retention predicate:
-// arrays for which keep returns true survive the teardown. The proxy
-// registry retains a completed job's final iterate this way — reclaim then
-// happens when the handle's last reference drops, not when the run ends.
-// A nil keep deletes everything, exactly like DeleteSpMVArrays.
-func DeleteSpMVArraysKeep(sys *System, cfg SpMVConfig, keep func(name string) bool) {
 	prefix := ""
 	if cfg.Tag != "" {
 		prefix = cfg.Tag + ":"
 	}
 	drop := func(owner *storage.Store, name string) {
-		if keep != nil && keep(name) {
-			return
-		}
 		sys.invalidateDecoded(name)
 		_ = owner.Delete(name)
 	}
@@ -436,53 +424,8 @@ func DeleteSpMVArraysKeep(sys *System, cfg SpMVConfig, keep func(name string) bo
 	}
 }
 
-// FinalIterateArrays names the arrays holding a finished run's final
-// iterate x^Iters, one per row partition — the storage-tier backing a
-// proxy handle retains.
-func FinalIterateArrays(cfg SpMVConfig) []string {
-	prefix := ""
-	if cfg.Tag != "" {
-		prefix = cfg.Tag + ":"
-	}
-	out := make([]string, 0, cfg.K)
-	for u := 0; u < cfg.K; u++ {
-		out = append(out, prefix+spmv.VecArray(cfg.Iters, u))
-	}
-	return out
-}
-
-// CollectIterate reads iterate t of a run of cfg back out of the storage
-// tier and assembles the full vector — the proxy resolve path's fallback
-// when the result payload is not already in memory or on the durable
-// store.
-func CollectIterate(sys *System, cfg SpMVConfig, t int) ([]float64, error) {
-	p, err := cfg.Partition()
-	if err != nil {
-		return nil, err
-	}
-	prefix := ""
-	if cfg.Tag != "" {
-		prefix = cfg.Tag + ":"
-	}
-	x := make([]float64, cfg.Dim)
-	for u := 0; u < cfg.K; u++ {
-		name := prefix + spmv.VecArray(t, u)
-		data, err := sys.Store(cfg.OwnerOf(u)).ReadAll(name)
-		if err != nil {
-			return nil, fmt.Errorf("core: collecting iterate %d: %w", t, err)
-		}
-		if len(data) != 8*p.Size(u) {
-			return nil, fmt.Errorf("core: collecting iterate %d: %s holds %d bytes, want %d",
-				t, name, len(data), 8*p.Size(u))
-		}
-		storage.DecodeFloat64sInto(x[p.Start(u):p.Start(u+1)], data)
-	}
-	return x, nil
-}
-
 // DropArray removes one named array from whichever store holds it,
-// forgetting what the engine remembered of its bytes first. Best-effort —
-// the proxy registry's reclaim hook.
+// forgetting what the engine remembered of its bytes first. Best-effort.
 func DropArray(sys *System, name string) {
 	sys.invalidateDecoded(name)
 	for node := 0; node < sys.Nodes(); node++ {

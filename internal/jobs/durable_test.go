@@ -88,10 +88,10 @@ func TestDurableJobJournalsLifecycle(t *testing.T) {
 	if r.ID != st.ID || r.Key != "k1" || r.State != "done" {
 		t.Fatalf("replayed record = %+v", r)
 	}
-	if r.ResultFile == "" || r.ResultSHA == "" {
+	if r.ResultSHA == "" {
 		t.Fatalf("done record missing durable result: %+v", r)
 	}
-	durable, err := re.LoadResult(r)
+	durable, err := re.LoadResult(r.ID, r.ResultSHA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestFinishedJobLeavesNoPayload(t *testing.T) {
 	}
 	defer store.Close()
 	oreg := obs.NewRegistry()
-	reg := proxy.NewRegistry(proxy.Config{Store: store, Obs: oreg, OnReclaim: retainReclaim(sys)})
+	reg := proxy.NewRegistry(proxy.Config{Store: store, Obs: oreg})
 	defer reg.Close()
 	svc := NewSolverService(sys, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store, Proxy: reg})
 	defer svc.Manager.Drain()

@@ -105,7 +105,6 @@ type Job struct {
 	result      []byte
 	err         error
 	resumed     int
-	resultFile  string
 	resultSHA   string
 	proxyHandle proxy.Handle
 
@@ -275,7 +274,6 @@ func (m *Manager) recordLocked(j *Job) jobstore.Record {
 		SubmittedAt:  j.submitted,
 		StartedAt:    j.started,
 		FinishedAt:   j.finished,
-		ResultFile:   j.resultFile,
 		ResultSHA:    j.resultSHA,
 		Resumed:      j.resumed,
 	}
@@ -370,10 +368,10 @@ func (m *Manager) run(j *Job) {
 	// Persist the result before taking the lock: the job is still
 	// StateRunning, so its fields are stable, and a multi-MB write + fsync
 	// must not serialize Submit/Status/List/Cancel behind disk I/O.
-	var resultFile, resultSHA string
+	var resultSHA string
 	var saveErr error
 	if err == nil && m.cfg.Store != nil {
-		resultFile, resultSHA, saveErr = m.cfg.Store.SaveResult(j.ID, result)
+		resultSHA, saveErr = m.cfg.Store.SaveResult(j.ID, result)
 	}
 
 	m.mu.Lock()
@@ -395,7 +393,7 @@ func (m *Manager) run(j *Job) {
 	}
 	if j.state == StateDone && m.cfg.Store != nil {
 		if saveErr == nil {
-			j.resultFile, j.resultSHA = resultFile, resultSHA
+			j.resultSHA = resultSHA
 		} else {
 			j.state = StateFailed
 			j.err = fmt.Errorf("jobs: persisting result: %w", saveErr)
@@ -567,13 +565,12 @@ func (m *Manager) Result(id int64) ([]byte, error) {
 	}
 	<-j.done
 	m.mu.Lock()
-	result, jerr := j.result, j.err
-	rec := jobstore.Record{ID: j.ID, ResultFile: j.resultFile, ResultSHA: j.resultSHA}
+	result, jerr, sha := j.result, j.err, j.resultSHA
 	m.mu.Unlock()
-	if jerr != nil || rec.ResultFile == "" || m.cfg.Store == nil {
+	if jerr != nil || sha == "" || m.cfg.Store == nil {
 		return result, jerr
 	}
-	return m.cfg.Store.LoadResult(rec)
+	return m.cfg.Store.LoadResult(id, sha)
 }
 
 // ResultProxy blocks until the job finishes and returns its registered
@@ -746,7 +743,6 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 			started:      rec.StartedAt,
 			finished:     rec.FinishedAt,
 			resumed:      rec.Resumed,
-			resultFile:   rec.ResultFile,
 			resultSHA:    rec.ResultSHA,
 		}
 		if rec.Err != "" {

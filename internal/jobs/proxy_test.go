@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"dooc/internal/core"
 	"dooc/internal/jobstore"
 	"dooc/internal/proxy"
+	"dooc/internal/spmv"
 )
 
 func proxyService(t *testing.T, reg *proxy.Registry) (*SolverService, *core.System) {
@@ -18,14 +22,6 @@ func proxyService(t *testing.T, reg *proxy.Registry) (*SolverService, *core.Syst
 	svc, sys := newTestService(t, Config{MaxRunning: 2, QueueDepth: 16, Proxy: reg})
 	t.Cleanup(reg.Close)
 	return svc, sys
-}
-
-func retainReclaim(sys *core.System) func(proxy.Handle, []string) {
-	return func(_ proxy.Handle, arrays []string) {
-		for _, a := range arrays {
-			core.DropArray(sys, a)
-		}
-	}
 }
 
 // TestProxyChainBitIdentical is the dataflow acceptance test: job A's
@@ -52,7 +48,7 @@ func TestProxyChainBitIdentical(t *testing.T) {
 		t.Fatalf("handle length %d, result %d bytes", h.Length, len(aBytes))
 	}
 	// Resolution through the registry reproduces the by-value bytes exactly
-	// (collected from the retained arrays, SHA-verified).
+	// (the handle's payload, SHA-verified).
 	resolved, err := svc.ResolveProxy(h.Ref())
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +215,8 @@ func TestRecoveredResultConcurrentCallers(t *testing.T) {
 // TestProxyRecoveryReassociates: handles journaled through the job store
 // survive a full restart — Recover rebuilds the registry, re-associates
 // each handle with its job, and the handle resolves to the same bytes
-// (served from the durable result after the in-memory arrays died with the
-// old process).
+// (served from the job's result file after the in-memory payload died with
+// the old process).
 func TestProxyRecoveryReassociates(t *testing.T) {
 	base, root, storeDir := durableFixture(t)
 	store, err := jobstore.Open(storeDir, jobstore.Options{})
@@ -228,7 +224,7 @@ func TestProxyRecoveryReassociates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := durableSystem(t, root)
-	reg := proxy.NewRegistry(proxy.Config{Store: store, Scope: "nodeA", OnReclaim: retainReclaim(sys)})
+	reg := proxy.NewRegistry(proxy.Config{Store: store, Scope: "nodeA"})
 	svc := NewSolverService(sys, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store, Proxy: reg})
 	st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 3, Seed: 5})
 	if err != nil {
@@ -256,7 +252,7 @@ func TestProxyRecoveryReassociates(t *testing.T) {
 	defer re.Close()
 	sys2 := durableSystem(t, root)
 	defer sys2.Close()
-	reg2 := proxy.NewRegistry(proxy.Config{Store: re, Scope: "nodeA", OnReclaim: retainReclaim(sys2)})
+	reg2 := proxy.NewRegistry(proxy.Config{Store: re, Scope: "nodeA"})
 	defer reg2.Close()
 	svc2 := NewSolverService(sys2, base, Config{MaxRunning: 1, QueueDepth: 4, Store: re, Proxy: reg2})
 	if _, err := svc2.Recover(); err != nil {
@@ -312,44 +308,265 @@ func TestResultProxyWithoutRegistry(t *testing.T) {
 	}
 }
 
-// TestProxyReleaseReclaimsArrays: dropping the origin lease through the
-// service surface reclaims the retained iterate arrays from storage.
-func TestProxyReleaseReclaimsArrays(t *testing.T) {
-	var mu sync.Mutex
-	var reclaimed []string
-	reg := proxy.NewRegistry(proxy.Config{OnReclaim: func(_ proxy.Handle, arrays []string) {
-		mu.Lock()
-		reclaimed = append(reclaimed, arrays...)
-		mu.Unlock()
-	}})
-	svc, _ := proxyService(t, reg)
-	st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 2, Seed: 9})
+// TestByReferenceJobKeepsNoArrays: a finished job's handle holds the
+// result's bytes, not the job's storage arrays. In the in-memory and the
+// durable service alike, while the handle is live no store knows any of the
+// job's arrays (vectors, partials, checkpoints, segment runs), and the
+// handle resolves to the bytes Manager.Result returns.
+func TestByReferenceJobKeepsNoArrays(t *testing.T) {
+	services := []struct {
+		name string
+		make func(t *testing.T) (*SolverService, *core.System)
+	}{
+		{"in-memory", func(t *testing.T) (*SolverService, *core.System) {
+			return proxyService(t, proxy.NewRegistry(proxy.Config{}))
+		}},
+		{"durable", func(t *testing.T) (*SolverService, *core.System) {
+			base, root, storeDir := durableFixture(t)
+			store, err := jobstore.Open(storeDir, jobstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := durableSystem(t, root)
+			reg := proxy.NewRegistry(proxy.Config{Store: store})
+			svc := NewSolverService(sys, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store, Proxy: reg})
+			t.Cleanup(func() {
+				svc.Manager.Drain()
+				reg.Close()
+				sys.Close()
+				store.Close()
+			})
+			return svc, sys
+		}},
+	}
+	for _, tc := range services {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, sys := tc.make(t)
+			const iters = 3
+			st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: iters, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := svc.Manager.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := svc.ResultProxy(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The retire hook purges a durable job's checkpoints just after
+			// the job is published as done, so give it a moment.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				left := knownJobArrays(sys, svc.Base(), st.ID, iters)
+				if len(left) == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("live handle %s, yet the stores still know %v", h, left)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if _, refs, err := svc.ProxyStat(h.Ref()); err != nil || refs == 0 {
+				t.Fatalf("handle not live: refs=%d err=%v", refs, err)
+			}
+			got, err := svc.ResolveProxy(h.Ref())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("resolved bytes differ from Manager.Result")
+			}
+		})
+	}
+}
+
+// knownJobArrays lists the arrays of job id's run of iters iterations —
+// under the job's tag and its first segment run's — that some store still
+// answers Info for.
+func knownJobArrays(sys *core.System, base core.SpMVConfig, id int64, iters int) []string {
+	var names []string
+	for _, prefix := range []string{fmt.Sprintf("job%d:", id), fmt.Sprintf("job%d@0:", id)} {
+		for u := 0; u < base.K; u++ {
+			for it := 0; it <= iters; it++ {
+				names = append(names, prefix+spmv.VecArray(it, u))
+				for v := 0; it > 0 && v < base.K; v++ {
+					names = append(names, prefix+spmv.PartialArray(it, u, v))
+				}
+			}
+		}
+	}
+	var known []string
+	for _, name := range names {
+		for node := 0; node < sys.Nodes(); node++ {
+			if _, err := sys.Store(node).Info(name); err == nil {
+				known = append(known, name)
+				break
+			}
+		}
+	}
+	return known
+}
+
+// TestLiveHandleOutlivesHistoryPruning: history retention does not prune a
+// done job's record, nor its result file, while a live handle names the
+// job — a recovered handle resolves from that file. The record goes at the
+// first compaction after the handle's release.
+func TestLiveHandleOutlivesHistoryPruning(t *testing.T) {
+	base, root, storeDir := durableFixture(t)
+	opts := jobstore.Options{RetainHistory: 2}
+	store, err := jobstore.Open(storeDir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Manager.Result(st.ID); err != nil {
-		t.Fatal(err)
-	}
-	h, err := svc.ResultProxy(st.ID)
+	sys := durableSystem(t, root)
+	reg := proxy.NewRegistry(proxy.Config{Store: store, Scope: "nodeA"})
+	svc := NewSolverService(sys, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store, Proxy: reg})
+	first, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := svc.ProxyRelease(h.Ref(), ""); err != nil || n != 0 {
+	want, err := svc.Manager.Result(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := svc.ResultProxy(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three more jobs, collected by value and released, push job 1 past
+	// the retention bound.
+	for seed := int64(1); seed <= 3; seed++ {
+		st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Manager.Result(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		hn, err := svc.ResultProxy(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.ProxyRelease(hn.Ref(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Manager.Drain()
+	reg.Close()
+	sys.Close()
+	if err := store.Close(); err != nil { // compacts, applying retention
+		t.Fatal(err)
+	}
+
+	re, err := jobstore.Open(storeDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sys2 := durableSystem(t, root)
+	defer sys2.Close()
+	reg2 := proxy.NewRegistry(proxy.Config{Store: re, Scope: "nodeA"})
+	defer reg2.Close()
+	svc2 := NewSolverService(sys2, base, Config{MaxRunning: 1, QueueDepth: 4, Store: re, Proxy: reg2})
+	defer svc2.Manager.Drain()
+	if _, err := svc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc2.ResolveProxy(h.Ref())
+	if err != nil {
+		t.Fatalf("resolving job %d's handle after the restart: %v", first.ID, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("post-restart resolve differs from the pre-crash result")
+	}
+
+	if n, err := svc2.ProxyRelease(h.Ref(), ""); err != nil || n != 0 {
 		t.Fatalf("release: n=%d err=%v", n, err)
 	}
-	mu.Lock()
-	n := len(reclaimed)
-	mu.Unlock()
-	if n == 0 {
-		t.Fatal("release reclaimed no arrays")
+	if err := re.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := svc.ResolveProxy(h.Ref()); !errors.Is(err, proxy.ErrProxyGone) {
-		t.Fatalf("resolve after release: %v", err)
-	}
-	// The arrays the registry reclaimed are the job's final iterate.
-	for _, a := range reclaimed {
-		if want := fmt.Sprintf("job%d:", st.ID); len(a) < len(want) || a[:len(want)] != want {
-			t.Fatalf("reclaimed foreign array %q", a)
+	for _, rec := range re.Records() {
+		if rec.ID == first.ID {
+			t.Fatalf("job %d's record survives the compaction after its handle's release", first.ID)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "results", fmt.Sprintf("job%d.res", first.ID))); !os.IsNotExist(err) {
+		t.Fatalf("job %d's result file survives: %v", first.ID, err)
+	}
+}
+
+// TestLegacyStoreResolves: a job-store directory written before result files
+// were named by their job — its done records carry the file's name
+// (ResultFile) and its proxy records the job's final-iterate arrays
+// (Arrays) — opens, recovers, and resolves bit for bit. testdata/legacy_store
+// was written by commit c196435 running durableFixture's geometry under a
+// durable service with a proxy registry (scope "nodeA"): job 1 (3
+// iterations, seed 5) was compacted into snapshot.gob, job 2 (2 iterations,
+// seed 7) stayed in wal.log, and the store was then aborted like a crash.
+func TestLegacyStoreResolves(t *testing.T) {
+	base, root, storeDir := durableFixture(t)
+	copyTree(t, filepath.Join("testdata", "legacy_store"), storeDir)
+	store, err := jobstore.Open(storeDir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sys := durableSystem(t, root)
+	defer sys.Close()
+	reg := proxy.NewRegistry(proxy.Config{Store: store, Scope: "nodeA"})
+	defer reg.Close()
+	svc := NewSolverService(sys, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store, Proxy: reg})
+	defer svc.Manager.Drain()
+	if _, err := svc.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []struct {
+		id  int64
+		req SolveRequest
+	}{{1, SolveRequest{Iters: 3, Seed: 5}}, {2, SolveRequest{Iters: 2, Seed: 7}}} {
+		want := serialReference(t, sys, base, job.req, fmt.Sprintf("legacy%d", job.id))
+		byValue, err := svc.Manager.Result(job.id)
+		if err != nil {
+			t.Fatalf("job %d: %v", job.id, err)
+		}
+		h, err := svc.ResultProxy(job.id)
+		if err != nil {
+			t.Fatalf("job %d: %v", job.id, err)
+		}
+		byRef, err := svc.ResolveProxy(h.Ref())
+		if err != nil {
+			t.Fatalf("job %d: resolving %s: %v", job.id, h, err)
+		}
+		if !bytes.Equal(byValue, want) || !bytes.Equal(byRef, want) {
+			t.Fatalf("job %d: recovered result differs from a fresh run", job.id)
+		}
+	}
+}
+
+// copyTree copies the files under src into dst, keeping their layout.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -75,8 +75,7 @@ type SolverService struct {
 	base    core.SpMVConfig
 	store   *jobstore.Store
 	// reg is the pass-by-reference result plane (nil disables): done jobs
-	// register their iterate as a refcounted handle, and teardown routes
-	// through the registry so it can never race a concurrent resolve.
+	// register their iterate as a refcounted handle that holds its bytes.
 	reg *proxy.Registry
 	// fetch materializes a foreign-scope handle from its origin peer over
 	// the cluster tier (nil = local resolution only).
@@ -274,10 +273,10 @@ func (s *SolverService) durable() bool {
 // work builds the job body: install per-node quota slices, materialize the
 // input vector (seed-derived, or resolved from a proxy handle for chained
 // jobs), run the (checkpointed, when durable) cancellable solve, encode the
-// final vector, register it as a proxy handle, then drop the job's dead
-// transient arrays — keeping only those the registry now retains. The
-// parameters are exactly what solvePayload journals, so recovery rebuilds
-// an identical closure.
+// final vector, register it as a proxy handle, then delete every array the
+// run made: the handle holds the payload, not the arrays. The parameters
+// are exactly what solvePayload journals, so recovery rebuilds an identical
+// closure.
 func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes, scratchBytes int64) Work {
 	return func(id int64, cancel <-chan struct{}) ([]byte, error) {
 		cfg := s.base
@@ -308,21 +307,16 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 			if err != nil {
 				return nil, err
 			}
+			core.DeleteSpMVArrays(s.sys, cfg)
 			payload := EncodeFloat64s(res.X)
-			// Register the final iterate as a proxy handle before deleting the
-			// job's generations; the kept set is exactly what the registry now
-			// retains (nil keep when registration is disabled or rejected).
-			keep := s.registerResult(id, payload, core.FinalIterateArrays(cfg))
-			core.DeleteSpMVArraysKeep(s.sys, cfg, keep)
+			s.registerResult(id, payload)
 			return payload, nil
 		}
 		// Durable path. A previous attempt that died mid-run left its
 		// partially-written segment arrays on scratch, re-registered by the
 		// storage startup scan — purge them or the fresh segment run
-		// collides on Create. The checkpoint files (prefix "job<id>:") stay,
-		// as do arrays a live proxy handle retains (a resumed re-finish
-		// re-registers idempotently and re-points the handle).
-		core.PurgeTaggedArtifactsExcept(s.sys, cfg.Tag+"@", s.retained())
+		// collides on Create. The checkpoint files (prefix "job<id>:") stay.
+		core.PurgeTaggedArtifacts(s.sys, cfg.Tag+"@")
 		res, start, err := core.ResumeIteratedSpMVCancel(s.sys, cfg, x0, cancel)
 		if err != nil {
 			return nil, err
@@ -330,35 +324,28 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 		if start > 0 {
 			s.itersSaved.Add(int64(start))
 		}
-		payload := EncodeFloat64s(res.X)
 		if start < iters {
 			// The resume path namespaced the segment run "job<id>@<start>:";
-			// its final iterate backs the proxy handle, the rest are dead.
+			// when a checkpoint supplied the whole run there is none.
 			rest := cfg
 			rest.Iters = iters - start
 			rest.Tag = fmt.Sprintf("%s@%d", cfg.Tag, start)
-			keep := s.registerResult(id, payload, core.FinalIterateArrays(rest))
-			core.DeleteSpMVArraysKeep(s.sys, rest, keep)
-		} else {
-			// start == iters: a checkpoint already supplied the whole run, so
-			// no segment arrays exist. The durable result payload (or the
-			// checkpoint files) serve resolves.
-			s.registerResult(id, payload, nil)
+			core.DeleteSpMVArrays(s.sys, rest)
 		}
+		payload := EncodeFloat64s(res.X)
+		s.registerResult(id, payload)
 		return payload, nil
 	}
 }
 
 // registerResult publishes a finished job's iterate as a proxy handle named
-// after the job, and returns the retention predicate DeleteSpMVArraysKeep
-// uses to spare the handle's backing arrays. The handle takes the payload
-// itself: it is the result's one in-memory copy until the handle's last
-// reference drops. Registration failure (quota, closed registry) degrades
-// gracefully: the job still succeeds by value, and a nil keep deletes
-// everything.
-func (s *SolverService) registerResult(id int64, payload []byte, arrays []string) func(string) bool {
+// after the job. The handle takes the payload itself: it is the result's one
+// in-memory copy until the handle's last reference drops. Registration
+// failure (quota, closed registry) degrades gracefully: the job still
+// succeeds by value.
+func (s *SolverService) registerResult(id int64, payload []byte) {
 	if s.reg == nil {
-		return nil
+		return
 	}
 	tenant := ""
 	if st, err := s.Manager.Status(id); err == nil {
@@ -371,23 +358,11 @@ func (s *SolverService) registerResult(id int64, payload []byte, arrays []string
 		JobID:   id,
 		SHA256:  fmt.Sprintf("%x", sum),
 		Length:  int64(len(payload)),
-		Arrays:  arrays,
 		Payload: payload,
 	})
-	if err != nil {
-		return nil
+	if err == nil {
+		s.Manager.SetProxy(id, h)
 	}
-	s.Manager.SetProxy(id, h)
-	return s.retained()
-}
-
-// retained adapts the registry's array-retention lookup to the purge/delete
-// keep-predicate shape (nil when the proxy plane is disabled).
-func (s *SolverService) retained() func(string) bool {
-	if s.reg == nil {
-		return nil
-	}
-	return s.reg.Retained
 }
 
 // startVector materializes a job's starting vector: the proxy payload for
@@ -409,11 +384,11 @@ func (s *SolverService) startVector(seed int64, input proxy.Ref) ([]float64, err
 // retire is the manager's terminal hook: always release the job's consumer
 // input reference; retire a non-done job's own handle (a failed or
 // cancelled result must not stay resolvable); and under a durable store
-// purge a done or cancelled job's checkpoints and stray segment arrays —
-// except those the registry retains for live handles, so teardown never
-// races a concurrent resolve. A FAILED job keeps its artifacts — the
-// dominant failure mode is process death or drain-interrupt, and its
-// checkpoints are exactly what the post-restart resume needs.
+// purge a done or cancelled job's checkpoints and stray segment arrays. No
+// resolve reads them: a handle resolves from its payload or the result
+// file. A FAILED job keeps its artifacts — the dominant failure mode is
+// process death or drain-interrupt, and its checkpoints are exactly what
+// the post-restart resume needs.
 func (s *SolverService) retire(id int64, final State) {
 	s.releaseInput(id)
 	if s.reg != nil && final != StateDone {
@@ -423,17 +398,16 @@ func (s *SolverService) retire(id int64, final State) {
 		return
 	}
 	tag := fmt.Sprintf("job%d", id)
-	keep := s.retained()
-	core.PurgeTaggedArtifactsExcept(s.sys, tag+":", keep)
-	core.PurgeTaggedArtifactsExcept(s.sys, tag+"@", keep)
+	core.PurgeTaggedArtifacts(s.sys, tag+":")
+	core.PurgeTaggedArtifacts(s.sys, tag+"@")
 }
 
 // ResolveProxy materializes a handle's full payload: pin the entry so
 // reclamation defers past the read, then serve the bytes the handle holds,
-// else the job's durable result, else reassemble them from the retained
-// iterate arrays. A foreign-scope handle unknown locally is fetched from its
-// origin peer over the cluster tier. Returns proxy.ErrProxyGone (typed) when
-// the last reference dropped — never partial bytes.
+// else the job's result file. A foreign-scope handle unknown locally is
+// fetched from its origin peer over the cluster tier. Returns
+// proxy.ErrProxyGone (typed) when the last reference dropped — never
+// partial bytes.
 func (s *SolverService) ResolveProxy(ref proxy.Ref) ([]byte, error) {
 	start := time.Now()
 	data, err := s.resolve(ref)
@@ -504,51 +478,18 @@ func (s *SolverService) resolvePinned(pin *proxy.Pin) ([]byte, error) {
 	return data, nil
 }
 
-// pinnedBytes reads a pinned handle's payload from the first source that has
-// it: the bytes the handle holds, the job's result (the result file under a
-// store — what a handle recovered after a restart falls back to), then the
-// retained iterate arrays.
+// pinnedBytes reads a pinned handle's payload from its one source: the
+// bytes the handle holds, else — for a handle recovered after a restart —
+// the store's result file, named by the handle's job and checked against
+// its SHA-256.
 func (s *SolverService) pinnedBytes(pin *proxy.Pin) ([]byte, error) {
 	if pin.Payload != nil {
 		return pin.Payload, nil
 	}
-	// Status first: Result would block on a job that registered its handle
-	// but has not finished yet.
-	if st, err := s.Manager.Status(pin.JobID); err == nil && st.State == StateDone.String() {
-		if data, err := s.Manager.Result(pin.JobID); err == nil && int64(len(data)) == pin.Handle.Length {
-			return data, nil
-		}
+	if s.store == nil {
+		return nil, fmt.Errorf("jobs: proxy %s holds no payload and the service has no store", pin.Handle.Ref())
 	}
-	// Slow path: reassemble the final iterate from its retained arrays.
-	if len(pin.Arrays) == 0 {
-		return nil, fmt.Errorf("jobs: proxy %s has no resolvable backing (no result payload, no retained arrays)", pin.Handle.Ref())
-	}
-	return s.collectArrays(pin.Arrays)
-}
-
-// collectArrays concatenates the retained per-partition iterate arrays in
-// partition order. Array u lives on the node that owns partition u.
-func (s *SolverService) collectArrays(arrays []string) ([]byte, error) {
-	p, err := s.base.Partition()
-	if err != nil {
-		return nil, err
-	}
-	if len(arrays) != s.base.K {
-		return nil, fmt.Errorf("jobs: %d retained arrays for %d partitions", len(arrays), s.base.K)
-	}
-	out := make([]byte, 0, 8*s.base.Dim)
-	for u := 0; u < s.base.K; u++ {
-		node := s.base.OwnerOf(u)
-		raw, err := s.sys.Store(node).ReadAll(arrays[u])
-		if err != nil {
-			return nil, fmt.Errorf("jobs: reading retained array %s: %w", arrays[u], err)
-		}
-		if len(raw) != 8*p.Size(u) {
-			return nil, fmt.Errorf("jobs: retained array %s is %d bytes, want %d", arrays[u], len(raw), 8*p.Size(u))
-		}
-		out = append(out, raw...)
-	}
-	return out, nil
+	return s.store.LoadResult(pin.JobID, pin.Handle.SHA256)
 }
 
 // Result blocks until the job finishes and returns its payload or error, as

@@ -15,7 +15,8 @@
 //	snapshot.gob  periodic compaction of the journal: the latest record
 //	              per job, in submission order, written atomically
 //	              (tmp + rename) so it is never observed torn
-//	results/      one framed file per done job's result payload
+//	results/      one framed file per done job's result payload, named by
+//	              the job's ID (job<id>.res)
 //
 // Replay applies the snapshot, then the WAL on top. Entries carry the full
 // job record, so re-applying a WAL that was already compacted (a crash
@@ -68,10 +69,10 @@ type Record struct {
 	FinishedAt  time.Time
 	Err         string
 
-	// ResultFile names the framed result payload under the store directory
-	// (done jobs only); ResultSHA is the payload's SHA-256 hex.
-	ResultFile string
-	ResultSHA  string
+	// ResultSHA is the SHA-256 hex of a done job's result payload, whose
+	// file the job's ID names (Store.LoadResult). Records written when the
+	// file's name was journaled beside it still replay: gob skips the field.
+	ResultSHA string
 
 	// Resumed counts how many times recovery re-admitted this job after a
 	// crash or an interrupted drain.
@@ -116,11 +117,11 @@ type ProxyRecord struct {
 	// foreign handle routes to its owner for resolution.
 	Scope  string
 	Tenant string
-	// JobID is the owning job — the result the handle names.
+	// JobID is the owning job — the result the handle names, and so the
+	// result file a recovered handle resolves from. Records written when a
+	// handle also retained the job's storage arrays still replay: gob skips
+	// the names.
 	JobID int64
-	// Arrays are the storage-tier array names retained under this handle
-	// (the job's final iterate); reclaim drops them.
-	Arrays []string
 	// Refs counts anonymous (wire addref) references; Owners are named
 	// references (the origin lease, downstream consumer jobs). The handle is
 	// live while Refs+len(Owners) > 0.
@@ -255,8 +256,8 @@ type Options struct {
 	CompactEvery int
 	// RetainHistory bounds the terminal records kept across compactions
 	// (DefaultRetainHistory when 0). The oldest terminal jobs beyond it are
-	// pruned and their result files removed; live (non-terminal) records are
-	// never pruned.
+	// pruned and their result files removed; live (non-terminal) records,
+	// and the records of jobs a live proxy handle names, are never pruned.
 	RetainHistory int
 	// Obs receives the store's metric series (nil disables).
 	Obs *obs.Registry
@@ -681,6 +682,9 @@ func (s *Store) compactLocked() error {
 
 // pruneLocked applies the history retention policy: the oldest terminal
 // records beyond RetainHistory are dropped and their result files removed.
+// A record due for pruning whose job a live proxy handle names stays, with
+// its file, until the first compaction after the handle's release: a
+// recovered handle resolves from that file.
 func (s *Store) pruneLocked() {
 	terminal := 0
 	for _, id := range s.order {
@@ -691,31 +695,38 @@ func (s *Store) pruneLocked() {
 	if terminal <= s.opts.RetainHistory {
 		return
 	}
+	named := make(map[int64]bool, len(s.byProxy))
+	for _, p := range s.byProxy {
+		named[p.JobID] = true
+	}
 	excess := terminal - s.opts.RetainHistory
 	kept := s.order[:0]
 	for _, id := range s.order {
-		rec := s.byID[id]
-		if excess > 0 && rec.Terminal() {
+		if excess > 0 && s.byID[id].Terminal() {
 			excess--
-			if rec.ResultFile != "" {
-				os.Remove(filepath.Join(s.dir, rec.ResultFile))
+			if !named[id] {
+				os.Remove(s.resultPath(id))
+				delete(s.byID, id)
+				s.m.pruned.Inc()
+				continue
 			}
-			delete(s.byID, id)
-			s.m.pruned.Inc()
-			continue
 		}
 		kept = append(kept, id)
 	}
 	s.order = kept
 }
 
-// SaveResult persists a done job's result payload as a framed file under
-// results/, atomically, and returns its store-relative path and SHA-256
-// hex. Callers journal the returned references with the done transition,
-// so a journaled "done" always points at a durable result. Results are one
-// frame per file and may exceed the journal's per-entry cap (bounded only
-// by the uint32 length prefix).
-func (s *Store) SaveResult(id int64, data []byte) (file, shaHex string, err error) {
+// resultPath is the one name of job id's result file.
+func (s *Store) resultPath(id int64) string {
+	return filepath.Join(s.dir, resultsDir, fmt.Sprintf("job%d.res", id))
+}
+
+// SaveResult persists a done job's result payload as job id's framed result
+// file, atomically, and returns its SHA-256 hex. Callers journal the SHA
+// with the done transition, so a journaled "done" always has a durable
+// result. Results are one frame per file and may exceed the journal's
+// per-entry cap (bounded only by the uint32 length prefix).
+func (s *Store) SaveResult(id int64, data []byte) (shaHex string, err error) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -723,14 +734,13 @@ func (s *Store) SaveResult(id int64, data []byte) (file, shaHex string, err erro
 		// After Abort (the kill -9 simulation) or Close, durable state must
 		// stay exactly what the last acknowledged Append left — a racing
 		// worker must not keep adding result files.
-		return "", "", ErrClosed
+		return "", ErrClosed
 	}
-	rel := filepath.Join(resultsDir, fmt.Sprintf("job%d.res", id))
-	abs := filepath.Join(s.dir, rel)
+	abs := s.resultPath(id)
 	tmp := abs + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
 	err = writeFrame(f, data, maxResultLen)
 	if err == nil {
@@ -741,24 +751,24 @@ func (s *Store) SaveResult(id int64, data []byte) (file, shaHex string, err erro
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return "", "", err
+		return "", err
 	}
 	if err := os.Rename(tmp, abs); err != nil {
 		os.Remove(tmp)
-		return "", "", err
+		return "", err
 	}
 	syncDir(filepath.Join(s.dir, resultsDir))
 	sum := sha256.Sum256(data)
-	return rel, fmt.Sprintf("%x", sum), nil
+	return fmt.Sprintf("%x", sum), nil
 }
 
-// LoadResult reads a record's durable result payload, verifying the frame
-// CRC (and, when the record carries one, the SHA-256).
-func (s *Store) LoadResult(rec Record) ([]byte, error) {
-	if rec.ResultFile == "" {
-		return nil, fmt.Errorf("jobstore: job %d has no durable result", rec.ID)
+// LoadResult reads job id's durable result payload, verifying the frame CRC
+// and the SHA-256 hex shaHex journaled with it.
+func (s *Store) LoadResult(id int64, shaHex string) ([]byte, error) {
+	if shaHex == "" {
+		return nil, fmt.Errorf("jobstore: job %d has no durable result", id)
 	}
-	path := filepath.Join(s.dir, rec.ResultFile)
+	path := s.resultPath(id)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -770,12 +780,10 @@ func (s *Store) LoadResult(rec Record) ([]byte, error) {
 	}
 	data, err := readFrame(f, fi.Size(), maxResultLen)
 	if err != nil {
-		return nil, fmt.Errorf("jobstore: result %s corrupt: %w", rec.ResultFile, err)
+		return nil, fmt.Errorf("jobstore: result %s corrupt: %w", path, err)
 	}
-	if rec.ResultSHA != "" {
-		if sum := sha256.Sum256(data); fmt.Sprintf("%x", sum) != rec.ResultSHA {
-			return nil, fmt.Errorf("jobstore: result %s fails its journaled SHA-256", rec.ResultFile)
-		}
+	if sum := sha256.Sum256(data); fmt.Sprintf("%x", sum) != shaHex {
+		return nil, fmt.Errorf("jobstore: result %s fails its journaled SHA-256", path)
 	}
 	return data, nil
 }

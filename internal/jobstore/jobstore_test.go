@@ -174,12 +174,12 @@ func TestCompactionAndRetention(t *testing.T) {
 		if i == 4 {
 			r.State = "running" // live: must survive pruning
 		} else {
-			file, sha, err := s.SaveResult(i, []byte{byte(i)})
+			sha, err := s.SaveResult(i, []byte{byte(i)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.ResultFile, r.ResultSHA = file, sha
-			files = append(files, filepath.Join(dir, file))
+			r.ResultSHA = sha
+			files = append(files, s.resultPath(i))
 		}
 		if err := s.Append(r); err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	payload := []byte("the final iterate")
-	file, sha, err := s.SaveResult(7, payload)
+	sha, err := s.SaveResult(7, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if sha != want {
 		t.Fatalf("sha %s, want %s", sha, want)
 	}
-	r := Record{ID: 7, State: "done", ResultFile: file, ResultSHA: sha}
-	got, err := s.LoadResult(r)
+	got, err := s.LoadResult(7, sha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatalf("result %q, want %q", got, payload)
 	}
 	// Flip a payload bit on disk: the frame CRC must catch it.
-	abs := filepath.Join(dir, file)
+	abs := filepath.Join(dir, resultsDir, "job7.res")
 	raw, err := os.ReadFile(abs)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +280,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err := os.WriteFile(abs, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadResult(r); err == nil {
+	if _, err := s.LoadResult(7, sha); err == nil {
 		t.Fatal("corrupted result loaded without error")
 	}
 }
@@ -337,12 +336,12 @@ func TestLargeResultRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	file, sha, err := s.SaveResult(11, payload)
+	sha, err := s.SaveResult(11, payload)
 	if err != nil {
 		t.Fatalf("saving %d-byte result: %v", len(payload), err)
 	}
 	r := rec(11, "done")
-	r.ResultFile, r.ResultSHA = file, sha
+	r.ResultSHA = sha
 	if err := s.Append(r); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +351,7 @@ func TestLargeResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.LoadResult(s2.Records()[0])
+	got, err := s2.LoadResult(11, s2.Records()[0].ResultSHA)
 	if err != nil {
 		t.Fatalf("loading large result after restart: %v", err)
 	}
@@ -371,7 +370,7 @@ func TestSaveResultAfterAbortRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Abort()
-	if _, _, err := s.SaveResult(3, []byte("late")); err != ErrClosed {
+	if _, err := s.SaveResult(3, []byte("late")); err != ErrClosed {
 		t.Fatalf("SaveResult after Abort: %v, want ErrClosed", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, resultsDir, "job3.res")); !os.IsNotExist(err) {
@@ -416,7 +415,7 @@ func TestProxyRecordReplay(t *testing.T) {
 		return ProxyRecord{
 			Name: name, Epoch: epoch, SHA256: "aa", Length: 16,
 			Scope: "nodeA", Tenant: "t", JobID: 1,
-			Arrays: []string{name + ":x_1_0"}, Refs: refs, Owners: owners,
+			Refs: refs, Owners: owners,
 		}
 	}
 	for _, r := range []ProxyRecord{
@@ -447,9 +446,6 @@ func TestProxyRecordReplay(t *testing.T) {
 	}
 	if fmt.Sprint(live[0].Owners) != "[origin job3]" {
 		t.Fatalf("owners %v", live[0].Owners)
-	}
-	if len(live[0].Arrays) != 1 || live[0].Arrays[0] != "a:x_1_0" {
-		t.Fatalf("arrays %v", live[0].Arrays)
 	}
 
 	// Compaction folds the journal down to live state only: the surviving

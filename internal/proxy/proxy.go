@@ -2,13 +2,11 @@
 // ProxyStore papers: a completed job registers its iterate under a compact,
 // durable handle (name, epoch, SHA-256, byte length, origin scope) instead
 // of shipping the vector to whoever asked. Any client or downstream job
-// resolves the handle on demand against the storage tier, and the backing
-// arrays live exactly as long as someone holds a reference — client addrefs,
-// the origin job's lease (optionally TTL-bounded), or a consumer job that
-// named the handle as its input. Refcounted ownership replaces the job
-// service's eager per-job DeleteSpMVArrays teardown, which is what turns
-// the job service into a composable dataflow: job B consumes job A's output
-// without the bytes ever leaving the cluster.
+// resolves the handle on demand, and the result stays resolvable exactly as
+// long as someone holds a reference — client addrefs, the origin job's lease
+// (optionally TTL-bounded), or a consumer job that named the handle as its
+// input. That is what turns the job service into a composable dataflow: job
+// B consumes job A's output without the bytes ever leaving the cluster.
 //
 // Lifetime state machine (DESIGN.md §15):
 //
@@ -26,8 +24,10 @@
 //
 // A registered entry owns the result's bytes in memory until it is
 // reclaimed; they are the one in-process copy and are never journaled (the
-// job store's result file is the durable copy), so a handle recovered after
-// a restart holds none.
+// job store's result file, named by the job, is the durable copy), so a
+// handle recovered after a restart holds none and resolves from that file.
+// The producing job's storage arrays are not the handle's: the job deletes
+// them when it finishes.
 package proxy
 
 import (
@@ -143,8 +143,9 @@ type Config struct {
 	MaxPerTenant      int
 	MaxBytesPerTenant int64
 	// OnReclaim, when non-nil, is called (outside the registry lock) after
-	// a handle's last reference drops and no resolve pins it — the hook
-	// that drops the retained storage arrays.
+	// a handle's last reference drops and no resolve pins it. A handle
+	// retains no storage arrays, so arrays is always nil; the field keeps
+	// its type because the benchmark harness (bench/) assigns a hook of it.
 	OnReclaim func(h Handle, arrays []string)
 }
 
@@ -153,7 +154,6 @@ type entry struct {
 	h      Handle
 	tenant string
 	jobID  int64
-	arrays []string
 	// payload is the result's bytes, held until reclaim (memory only; nil
 	// for a handle recovered after a restart).
 	payload []byte
@@ -204,8 +204,6 @@ type RegisterRequest struct {
 	// SHA256 (hex) and Length identify the payload.
 	SHA256 string
 	Length int64
-	// Arrays are the storage arrays retained under the handle.
-	Arrays []string
 	// Payload, when non-nil, is the result's bytes. The entry owns them until
 	// it is reclaimed and Pin exposes them. They are never journaled: the job
 	// store's result file is the durable copy.
@@ -215,9 +213,9 @@ type RegisterRequest struct {
 // Register issues a handle for a completed result, taking the origin
 // reference on the producing job's behalf. Re-registering the same name
 // with the same payload identity (a resumed job re-finishing) is
-// idempotent: the existing live handle is returned with its retained
-// arrays updated, not a new epoch. A changed payload bumps the epoch so a
-// stale handle can never resolve to different bytes.
+// idempotent: the existing live handle is returned (taking the payload if
+// it was recovered without one), not a new epoch. A changed payload bumps
+// the epoch so a stale handle can never resolve to different bytes.
 func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 	r.mu.Lock()
 	if r.closed {
@@ -226,17 +224,12 @@ func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 	}
 	if cur, ok := r.entries[Ref{Name: req.Name, Epoch: r.latest[req.Name]}.String()]; ok && !cur.gone &&
 		cur.h.SHA256 == req.SHA256 && cur.h.Length == req.Length {
-		cur.arrays = append([]string(nil), req.Arrays...)
 		if cur.payload == nil && req.Payload != nil {
 			cur.payload = req.Payload
 			r.m.residentBytes.Add(int64(len(req.Payload)))
 		}
 		h := cur.h
-		err := r.journalLocked(cur)
 		r.mu.Unlock()
-		if err != nil {
-			return Handle{}, err
-		}
 		return h, nil
 	}
 	if err := r.quotaLocked(req.Tenant, req.Length); err != nil {
@@ -255,7 +248,6 @@ func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 		},
 		tenant:  req.Tenant,
 		jobID:   req.JobID,
-		arrays:  append([]string(nil), req.Arrays...),
 		payload: req.Payload,
 		owners:  map[string]struct{}{OwnerOrigin: {}},
 	}
@@ -422,7 +414,7 @@ func (r *Registry) releasedLocked(e *entry, owner string) (int, error) {
 	}
 	r.mu.Unlock()
 	if reclaim != nil && r.cfg.OnReclaim != nil {
-		r.cfg.OnReclaim(reclaim.h, reclaim.arrays)
+		r.cfg.OnReclaim(reclaim.h, nil)
 	}
 	return remaining, nil
 }
@@ -439,12 +431,10 @@ func (r *Registry) reclaimLocked(e *entry) {
 }
 
 // Pin is an in-flight resolve's hold on a handle: while open, the entry's
-// payload and backing arrays outlive even the final release. Close is
-// idempotent.
+// payload outlives even the final release. Close is idempotent.
 type Pin struct {
 	Handle Handle
 	JobID  int64
-	Arrays []string
 	// Payload is the result's bytes held by the entry (nil for a handle
 	// recovered after a restart). Callers must not modify it.
 	Payload []byte
@@ -473,7 +463,7 @@ func (p *Pin) Close() {
 		}
 		r.mu.Unlock()
 		if reclaim != nil && r.cfg.OnReclaim != nil {
-			r.cfg.OnReclaim(reclaim.h, reclaim.arrays)
+			r.cfg.OnReclaim(reclaim.h, nil)
 		}
 	})
 }
@@ -496,7 +486,6 @@ func (r *Registry) Acquire(ref Ref) (*Pin, error) {
 	return &Pin{
 		Handle:  e.h,
 		JobID:   e.jobID,
-		Arrays:  append([]string(nil), e.arrays...),
 		Payload: e.payload,
 		r:       r,
 	}, nil
@@ -526,24 +515,6 @@ func (r *Registry) HandleForJob(id int64) (Handle, bool) {
 		}
 	}
 	return best, found
-}
-
-// Retained reports whether any live handle retains the named storage
-// array — the check the job service's teardown paths make before deleting.
-func (r *Registry) Retained(array string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.gone {
-			continue
-		}
-		for _, a := range e.arrays {
-			if a == array {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // RetireJob drops the origin lease of every handle job id registered — the
@@ -683,7 +654,6 @@ func (r *Registry) Recover() (int, error) {
 			},
 			tenant:   rec.Tenant,
 			jobID:    rec.JobID,
-			arrays:   append([]string(nil), rec.Arrays...),
 			refs:     rec.Refs,
 			owners:   make(map[string]struct{}, len(rec.Owners)),
 			deadline: rec.Deadline,
@@ -716,7 +686,6 @@ func (r *Registry) journalLocked(e *entry) error {
 		Scope:    e.h.Scope,
 		Tenant:   e.tenant,
 		JobID:    e.jobID,
-		Arrays:   e.arrays,
 		Refs:     e.refs,
 		Deadline: e.deadline,
 		Released: e.gone,

@@ -13,9 +13,9 @@ import (
 )
 
 // mustRegister registers a handle that holds a payload of its length.
-func mustRegister(t *testing.T, r *Registry, name, tenant string, job int64, sha string, length int64, arrays ...string) Handle {
+func mustRegister(t *testing.T, r *Registry, name, tenant string, job int64, sha string, length int64) Handle {
 	t.Helper()
-	h, err := r.Register(RegisterRequest{Name: name, Tenant: tenant, JobID: job, SHA256: sha, Length: length, Arrays: arrays,
+	h, err := r.Register(RegisterRequest{Name: name, Tenant: tenant, JobID: job, SHA256: sha, Length: length,
 		Payload: make([]byte, length)})
 	if err != nil {
 		t.Fatalf("register %s: %v", name, err)
@@ -48,7 +48,7 @@ func TestLifetimeStateMachine(t *testing.T) {
 		reclaimed = append(reclaimed, h.String())
 		mu.Unlock()
 	}})
-	h := mustRegister(t, r, "job1", "t", 1, "aa", 64, "job1:x_3_0", "job1:x_3_1")
+	h := mustRegister(t, r, "job1", "t", 1, "aa", 64)
 	if h.Scope != "nodeA" || h.Epoch != 1 {
 		t.Fatalf("handle %+v", h)
 	}
@@ -58,9 +58,6 @@ func TestLifetimeStateMachine(t *testing.T) {
 	}
 	if n, err := r.Release(h.Ref(), ""); err != nil || n != 1 {
 		t.Fatalf("release anon: n=%d err=%v", n, err)
-	}
-	if !r.Retained("job1:x_3_1") {
-		t.Fatal("live handle does not retain its arrays")
 	}
 	// Anonymous release with no refs outstanding drops the origin lease:
 	// the handle goes gone and is reclaimed (nothing pins it).
@@ -72,9 +69,6 @@ func TestLifetimeStateMachine(t *testing.T) {
 	}
 	if _, err := r.Acquire(h.Ref()); !errors.Is(err, ErrProxyGone) {
 		t.Fatalf("acquire after last release: %v", err)
-	}
-	if r.Retained("job1:x_3_0") {
-		t.Fatal("reclaimed handle still retains arrays")
 	}
 	mu.Lock()
 	got := append([]string(nil), reclaimed...)
@@ -95,7 +89,7 @@ func TestLifetimeStateMachine(t *testing.T) {
 func TestPinDefersReclaim(t *testing.T) {
 	var reclaims atomic.Int64
 	r := NewRegistry(Config{OnReclaim: func(Handle, []string) { reclaims.Add(1) }})
-	h := mustRegister(t, r, "job1", "t", 1, "aa", 8, "job1:x_1_0")
+	h := mustRegister(t, r, "job1", "t", 1, "aa", 8)
 	pin, err := r.Acquire(h.Ref())
 	if err != nil {
 		t.Fatal(err)
@@ -174,14 +168,11 @@ func TestPayloadHeldUntilReclaim(t *testing.T) {
 
 func TestIdempotentReRegisterAndEpochBump(t *testing.T) {
 	r := NewRegistry(Config{})
-	h1 := mustRegister(t, r, "job1", "t", 1, "aa", 8, "job1:x_1_0")
-	// Same payload identity: same handle back, arrays repointed.
-	h2 := mustRegister(t, r, "job1", "t", 1, "aa", 8, "job1@2:x_1_0")
+	h1 := mustRegister(t, r, "job1", "t", 1, "aa", 8)
+	// Same payload identity: same handle back.
+	h2 := mustRegister(t, r, "job1", "t", 1, "aa", 8)
 	if h1 != h2 {
 		t.Fatalf("re-register bumped handle: %v vs %v", h1, h2)
-	}
-	if !r.Retained("job1@2:x_1_0") || r.Retained("job1:x_1_0") {
-		t.Fatal("re-register did not repoint the retained arrays")
 	}
 	// Changed payload: new epoch, and the old handle keeps resolving its own
 	// (still-live) entry.
@@ -258,7 +249,7 @@ func TestTTLSweep(t *testing.T) {
 
 // TestHammer races anonymous addref/release against acquires and the final
 // origin release across many goroutines: every acquire must either pin the
-// whole entry (arrays intact) or fail with a typed lifetime error — and the
+// whole entry (payload intact) or fail with a typed lifetime error — and the
 // registry must end fully reclaimed with reconciling metrics.
 func TestHammer(t *testing.T) {
 	const handles = 8
@@ -267,15 +258,14 @@ func TestHammer(t *testing.T) {
 	oreg := obs.NewRegistry()
 	var reclaims atomic.Int64
 	r := NewRegistry(Config{Obs: oreg, OnReclaim: func(h Handle, arrays []string) {
-		if len(arrays) != 2 {
-			t.Errorf("reclaim %s with %d arrays", h, len(arrays))
+		if arrays != nil {
+			t.Errorf("reclaim %s with arrays %v", h, arrays)
 		}
 		reclaims.Add(1)
 	}})
 	refs := make([]Ref, handles)
 	for i := range refs {
-		h := mustRegister(t, r, fmt.Sprintf("job%d", i), "t", int64(i), "aa", 16,
-			fmt.Sprintf("job%d:x_1_0", i), fmt.Sprintf("job%d:x_1_1", i))
+		h := mustRegister(t, r, fmt.Sprintf("job%d", i), "t", int64(i), "aa", 16)
 		refs[i] = h.Ref()
 	}
 	var wg sync.WaitGroup
@@ -302,7 +292,7 @@ func TestHammer(t *testing.T) {
 						}
 						continue
 					}
-					if len(pin.Arrays) != 2 || !pin.Handle.Valid() {
+					if len(pin.Payload) != 16 || !pin.Handle.Valid() {
 						t.Errorf("partial pin: %+v", pin.Handle)
 					}
 					pin.Close()
@@ -379,7 +369,7 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRegistry(Config{Store: store, Scope: "nodeA"})
-	a := mustRegister(t, r, "a", "t1", 1, "aa", 10, "job1:x_2_0")
+	a := mustRegister(t, r, "a", "t1", 1, "aa", 10)
 	b := mustRegister(t, r, "b", "t2", 2, "bb", 20)
 	if _, err := r.AddRef(a.Ref(), ""); err != nil { // anonymous wire ref
 		t.Fatal(err)
@@ -421,9 +411,6 @@ func TestRestartRecovery(t *testing.T) {
 			fmt.Sprint(got[i].Owners) != fmt.Sprint(want[i].Owners) {
 			t.Fatalf("recovered[%d] = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-	if !r2.Retained("job1:x_2_0") {
-		t.Fatal("recovered handle lost its retained arrays")
 	}
 	// The tombstoned epoch answers gone (not unknown): the live epoch-2
 	// record rebuilt the latest map past it. An epoch never issued stays

@@ -865,13 +865,7 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 		}
 		s.wakeWaiters(st, ast, l.block, b)
 		if b.readable(ast.info.BlockSpan(l.block)) {
-			if home := s.homeOf(l.Array, l.block); home != s.cfg.NodeID {
-				s.peers[home].post(msgNotify{array: l.Array, block: l.block, node: s.cfg.NodeID})
-			} else {
-				de := s.dirOf(st, blockKey{l.Array, l.block})
-				de.mem[s.cfg.NodeID] = true
-				s.wakePending(st, blockKey{l.Array, l.block}, de)
-			}
+			s.tellHome(st, msgNotify{array: l.Array, block: l.block, node: s.cfg.NodeID})
 		}
 		s.maybeShardPush(st, ast, l.block, b)
 	}
@@ -1325,13 +1319,7 @@ func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState
 	b.resident.spans = b.resident.spans[:0]
 	b.prefetched = false
 	st.reserve(ast.info, idx, b)
-	name := ast.info.Name
-	home := s.homeOf(name, idx)
-	if home == s.cfg.NodeID {
-		delete(s.dirOf(st, blockKey{name, idx}).mem, s.cfg.NodeID)
-	} else {
-		s.peers[home].post(msgNotify{array: name, block: idx, node: s.cfg.NodeID, gone: true})
-	}
+	s.tellHome(st, msgNotify{array: ast.info.Name, block: idx, node: s.cfg.NodeID, gone: true})
 }
 
 // handleEvict implements the programmer-driven eviction (the paper:
@@ -1625,12 +1613,7 @@ func (s *Store) handleIOWrote(st *loopState, m *ioJob) {
 			// The block just became durable, hence reclaimable: a group
 			// over its budget can shed it now.
 			s.reclaimQuota(st, ast.quota, "", -1)
-			home := s.homeOf(m.array, m.block)
-			if home == s.cfg.NodeID {
-				s.dirOf(st, blockKey{m.array, m.block}).disk[s.cfg.NodeID] = true
-			} else {
-				s.peers[home].post(msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true})
-			}
+			s.tellHome(st, msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true})
 		}
 	}
 	f, inFlight := st.flushes[m.array]
