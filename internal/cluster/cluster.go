@@ -32,7 +32,11 @@
 // usual local-disk durability path.
 package cluster
 
-import "errors"
+import (
+	"errors"
+
+	"dooc/internal/remote"
+)
 
 // ErrLegacyPeer reports a peer whose handshake does not advertise the
 // cluster protocol capability (a server started without -node-id/-peers).
@@ -44,5 +48,7 @@ var ErrLegacyPeer = errors.New("cluster: peer does not speak the cluster protoco
 // current membership view.
 var ErrNotMember = errors.New("cluster: unknown member")
 
-// ErrClosed reports use of a closed cluster node.
-var ErrClosed = errors.New("cluster: node closed")
+// ErrClosed reports use of a closed cluster node. It is the value the wire
+// error table knows (remote.ErrPeerClosed), so a peer verb refused by a
+// closed node is ErrClosed on the calling node too.
+var ErrClosed = remote.ErrPeerClosed

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -755,7 +756,7 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 		}
 		cl, err := n.client(id)
 		if err != nil {
-			if err != ErrLegacyPeer && err != ErrNotMember && err != ErrClosed {
+			if !errors.Is(err, ErrLegacyPeer) && !errors.Is(err, ErrNotMember) && !errors.Is(err, ErrClosed) {
 				n.maybeDead(id)
 			}
 			continue
@@ -827,7 +828,7 @@ func (n *Node) PushBlock(array string, block int, data []byte, dead *atomic.Bool
 		attempted++
 		cl, err := n.client(id)
 		if err != nil {
-			if err != ErrLegacyPeer && err != ErrNotMember && err != ErrClosed {
+			if !errors.Is(err, ErrLegacyPeer) && !errors.Is(err, ErrNotMember) && !errors.Is(err, ErrClosed) {
 				n.maybeDead(id)
 			}
 			continue

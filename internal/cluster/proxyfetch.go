@@ -7,10 +7,10 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"dooc/internal/proxy"
+	"dooc/internal/remote"
 )
 
 // ProxyFetch resolves a foreign handle's payload from the peer whose node
@@ -27,10 +27,9 @@ func (n *Node) ProxyFetch(scope, name string, epoch uint64) ([]byte, error) {
 	}
 	data, _, err := cl.ResolveProxy(proxy.Ref{Name: name, Epoch: epoch, Scope: scope})
 	if err != nil {
-		// A typed registry answer (gone, unknown, quota) came back over a
-		// working connection — the peer is alive, the handle just isn't.
-		if errors.Is(err, proxy.ErrProxyGone) || errors.Is(err, proxy.ErrUnknownProxy) ||
-			errors.Is(err, proxy.ErrProxyQuota) || errors.Is(err, proxy.ErrNoRefs) {
+		// The origin answered (the handle is gone or unknown, a quota or
+		// its registry refused): the peer is alive, the handle just isn't.
+		if remote.AnsweredInBand(err) {
 			n.markSeen(scope)
 		} else {
 			n.maybeDead(scope)

@@ -468,22 +468,45 @@ func (m *Manager) observeSLOLocked(j *Job) {
 }
 
 // rememberLocked enters a job that just reached a terminal state into the
-// history and forgets the oldest terminal jobs beyond the retention bound —
-// the rule the store's compaction applies on disk, so a live process and a
-// restarted one answer Status and History alike.
+// history and forgets the oldest terminal jobs beyond the retention bound,
+// except one a live proxy handle names: it is forgotten at the first call
+// after the handle's release. That is the rule the store's compaction
+// applies on disk, so a live process and a restarted one answer Status and
+// History alike.
 func (m *Manager) rememberLocked(j *Job) {
 	i := sort.Search(len(m.history), func(i int) bool { return m.history[i] >= j.ID })
 	m.history = append(m.history, 0)
 	copy(m.history[i+1:], m.history[i:])
 	m.history[i] = j.ID
-	for len(m.history) > m.retain {
-		old := m.jobs[m.history[0]]
-		m.history = m.history[1:]
-		delete(m.jobs, old.ID)
-		if old.Key != "" && m.byKey[old.Key] == old {
-			delete(m.byKey, old.Key)
-		}
+	excess := len(m.history) - m.retain
+	if excess <= 0 {
+		return
 	}
+	kept := m.history[:0]
+	for _, id := range m.history {
+		if excess > 0 {
+			excess--
+			if !m.namedLocked(id) {
+				old := m.jobs[id]
+				delete(m.jobs, id)
+				if old.Key != "" && m.byKey[old.Key] == old {
+					delete(m.byKey, old.Key)
+				}
+				continue
+			}
+		}
+		kept = append(kept, id)
+	}
+	m.history = kept
+}
+
+// namedLocked reports whether a live proxy handle names job id.
+func (m *Manager) namedLocked(id int64) bool {
+	if m.cfg.Proxy == nil {
+		return false
+	}
+	_, named := m.cfg.Proxy.HandleForJob(id)
+	return named
 }
 
 // Cancel requests cancellation. A queued job is removed immediately; a

@@ -498,6 +498,77 @@ func TestLiveHandleOutlivesHistoryPruning(t *testing.T) {
 	}
 }
 
+// TestLiveHandleKeepsJobInMemory: the manager's history bound does not forget
+// a finished job while a live handle names it — Status, Result and
+// ResultProxy answer for it as ResolveProxy does — and forgets it when the
+// next job finishes after the handle's release.
+func TestLiveHandleKeepsJobInMemory(t *testing.T) {
+	base, root, storeDir := durableFixture(t)
+	store, err := jobstore.Open(storeDir, jobstore.Options{RetainHistory: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sys := durableSystem(t, root)
+	defer sys.Close()
+	reg := proxy.NewRegistry(proxy.Config{Store: store, Scope: "nodeA"})
+	defer reg.Close()
+	svc := NewSolverService(sys, base, Config{MaxRunning: 1, QueueDepth: 4, Store: store, Proxy: reg})
+	defer svc.Manager.Drain()
+	finish := func(seed int64, release bool) int64 {
+		t.Helper()
+		st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Manager.Result(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		h, err := svc.ResultProxy(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if release {
+			if _, err := svc.ProxyRelease(h.Ref(), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st.ID
+	}
+	first := finish(5, false)
+	want, err := svc.Manager.Result(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := svc.ResultProxy(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		finish(seed, true)
+	}
+	if st, err := svc.Manager.Status(first); err != nil || st.State != "done" {
+		t.Fatalf("Status of job %d with a live handle: %+v, %v", first, st, err)
+	}
+	if got, err := svc.Manager.Result(first); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Result of job %d with a live handle: %d bytes, %v", first, len(got), err)
+	}
+	if got, err := svc.ResultProxy(first); err != nil || got != h {
+		t.Fatalf("ResultProxy of job %d with a live handle: %+v, %v", first, got, err)
+	}
+	if got, err := svc.ResolveProxy(h.Ref()); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resolving job %d's handle: %d bytes, %v", first, len(got), err)
+	}
+
+	if n, err := svc.ProxyRelease(h.Ref(), ""); err != nil || n != 0 {
+		t.Fatalf("release: n=%d err=%v", n, err)
+	}
+	finish(4, true)
+	if _, err := svc.Manager.Status(first); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Status of job %d after its handle's release and one more job: %v, want ErrUnknownJob", first, err)
+	}
+}
+
 // TestLegacyStoreResolves: a job-store directory written before result files
 // were named by their job — its done records carry the file's name
 // (ResultFile) and its proxy records the job's final-iterate arrays

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,20 +58,6 @@ func (o Options) withDefaults() Options {
 
 // errDeadline reports an expired per-request deadline.
 var errDeadline = errors.New("remote: request deadline exceeded")
-
-// serverError is an error the server returned for a dispatched request; it
-// is terminal (the connection is fine), but a replayed mutation may map it
-// back to success — see resolveReplay.
-type serverError struct {
-	op  opcode
-	msg string
-	// typed is the jobs or proxy sentinel msg names, if any, so errors.Is
-	// finds it (mapJobError).
-	typed error
-}
-
-func (e *serverError) Error() string { return fmt.Sprintf("remote %s: %s", e.op, e.msg) }
-func (e *serverError) Unwrap() error { return e.typed }
 
 type callResult struct {
 	resp *response
@@ -364,7 +349,7 @@ func (cl *Client) acceptResponse(req *request, resp *response) (*response, error
 	arena := storage.SharedArena()
 	if resp.Err != "" {
 		arena.Put(resp.data)
-		return nil, mapJobError(&serverError{op: req.Op, msg: resp.Err})
+		return nil, &serverError{op: req.Op, msg: resp.Err, typed: codeError(resp.Code)}
 	}
 	if err := verifyPayload(req, "response payload", resp.data, resp.Sum); err != nil {
 		arena.Put(resp.data)
@@ -453,13 +438,9 @@ func (cl *Client) call(req *request) (*response, error) {
 // inconclusive means the verification itself hit a transport fault (or
 // found the interval unwritten) and the caller should replay the mutation.
 func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive bool) {
-	var se *serverError
-	if !errors.As(err, &se) {
-		return false, false
-	}
 	switch req.Op {
 	case opWrite:
-		if !strings.Contains(se.msg, "immutable") {
+		if !errors.Is(err, storage.ErrImmutable) {
 			return false, false
 		}
 		// Bound the read-back: if the interval is not fully written the
@@ -478,7 +459,7 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 		storage.SharedArena().Put(resp.data)
 		return landed, false
 	case opCreate:
-		if !strings.Contains(se.msg, "already exists") {
+		if !errors.Is(err, storage.ErrArrayExists) {
 			return false, false
 		}
 		resp, rerr := cl.roundTrip(&request{Op: opInfo, Array: req.Array}, cl.opts.Timeout)
@@ -490,9 +471,7 @@ func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive
 		}
 		return false, false
 	case opDelete:
-		if strings.Contains(se.msg, "does not exist") {
-			return true, false
-		}
+		return errors.Is(err, storage.ErrUnknownArray), false
 	}
 	return false, false
 }

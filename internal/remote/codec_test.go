@@ -158,6 +158,9 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 	// misread as headers, so it is refused at the hello.
 	versionOne := append([]byte(nil), hello...)
 	versionOne[5] = 1
+	// A version-2 peer sends refusals without their error code.
+	versionTwo := append([]byte(nil), hello...)
+	versionTwo[5] = 2
 
 	for _, tc := range []struct {
 		name string
@@ -167,6 +170,7 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 		{"truncated hello", hello[:helloLen-3]},
 		{"hello with version 0", append(versionZero, gobFirst.Bytes()...)},
 		{"hello with version 1", append(versionOne, gobFirst.Bytes()...)},
+		{"hello with version 2", append(versionTwo, gobFirst.Bytes()...)},
 		{"hello marker then gob", append([]byte{helloByte}, gobFirst.Bytes()...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

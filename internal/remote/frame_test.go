@@ -112,13 +112,18 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("client refused a valid hello: %v", err)
 		}
 		cc := newConn(client)
+		fc := &Client{metrics: newClientMetrics(nil)}
 		readFrames(t, func(n *int) error {
 			var r response
 			err := cc.readResponse(&r)
 			*n = r.Len
 			if err == nil {
 				checkPayload(t, r.data, r.Len, r.Sum, r.Enc)
-				storage.SharedArena().Put(r.data)
+				// Accepted as a reply: whatever its error code, an
+				// untyped or typed error, never a panic.
+				if resp, err := fc.acceptResponse(&request{}, &r); err == nil {
+					storage.SharedArena().Put(resp.data)
+				}
 			}
 			return err
 		})
@@ -202,7 +207,14 @@ func TestServerClosesOnOversizedPayload(t *testing.T) {
 // TestDialRefusesVersion1Server: a server answering with a version-1 hello
 // speaks the old frame layout, and the dial fails with an error naming the
 // server and both versions.
-func TestDialRefusesVersion1Server(t *testing.T) {
+func TestDialRefusesVersion1Server(t *testing.T) { testDialRefusesVersion(t, 1) }
+
+// TestDialRefusesVersion2Server: a version-2 server sends refusals without
+// their error code, so a client would read them untyped; the dial fails at
+// the hello instead, naming both versions.
+func TestDialRefusesVersion2Server(t *testing.T) { testDialRefusesVersion(t, 2) }
+
+func testDialRefusesVersion(t *testing.T, version byte) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -219,17 +231,17 @@ func TestDialRefusesVersion1Server(t *testing.T) {
 		if _, err := io.ReadFull(c, make([]byte, helloLen)); err != nil {
 			return
 		}
-		v1 := helloFrame(compress.Mask(), 0)
-		v1[5] = 1
-		c.Write(v1)
+		old := helloFrame(compress.Mask(), 0)
+		old[5] = version
+		c.Write(old)
 		<-done
 	}()
 	cl, err := DialOptions(ln.Addr().String(), Options{})
 	if err == nil {
 		cl.Close()
-		t.Fatal("dialled a version-1 server")
+		t.Fatalf("dialled a version-%d server", version)
 	}
-	for _, want := range []string{ln.Addr().String(), "protocol version 1", fmt.Sprintf("speaks %d", protoVersion)} {
+	for _, want := range []string{ln.Addr().String(), fmt.Sprintf("protocol version %d", version), fmt.Sprintf("speaks %d", protoVersion)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("dial error %q does not say %q", err, want)
 		}

@@ -9,18 +9,17 @@
 //
 // The job verbs are the opcode table's roleJobs rows. The hello carries no
 // bit for the role, so a server without a job service refuses them in band
-// ("job service not enabled"). Every refused reply, of any verb, passes
-// through mapJobError once, in acceptResponse, so the jobs and proxy
-// packages' typed errors survive the wire.
+// ("job service not enabled"). A refused reply carries its error's code in
+// the wire error table (errors.go), so a remote caller errors.Is the jobs
+// and proxy packages' sentinels — admission rejections, cancellations,
+// proxy lifetime errors — exactly as a local one does.
 
 package remote
 
 import (
 	"fmt"
-	"strings"
 
 	"dooc/internal/jobs"
-	"dooc/internal/proxy"
 )
 
 // jobWire carries job-verb parameters inside a request. Submit fills the
@@ -47,32 +46,6 @@ type jobWire struct {
 	// InputProxy is the submit verb's chained input handle in its
 	// "name@epoch[@scope]" string form ("" = seed-derived start vector).
 	InputProxy string
-}
-
-// mapJobError resurfaces the jobs and proxy packages' typed errors from a
-// server error's text, so remote callers can errors.Is() admission
-// rejections, cancellations and proxy lifetime errors exactly like local
-// ones. It runs once, on every refused reply (acceptResponse); the result is
-// still the *serverError that resolveReplay looks for.
-func mapJobError(se *serverError) *serverError {
-	for _, typed := range []error{
-		jobs.ErrQueueFull,
-		jobs.ErrQuotaExceeded,
-		jobs.ErrDraining,
-		jobs.ErrUnknownJob,
-		jobs.ErrCancelled,
-		jobs.ErrNoProxy,
-		proxy.ErrUnknownProxy,
-		proxy.ErrProxyGone,
-		proxy.ErrProxyQuota,
-		proxy.ErrNoRefs,
-	} {
-		if strings.Contains(se.msg, typed.Error()) {
-			se.typed = typed
-			break
-		}
-	}
-	return se
 }
 
 // SubmitJob submits a solve request to the server's job service and

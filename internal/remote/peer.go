@@ -16,6 +16,8 @@
 
 package remote
 
+import "errors"
+
 // ClusterCapBit is the handshake hello mask bit advertising the cluster
 // peer verbs. The low bits of the mask byte carry codec capabilities
 // (compress.Mask, IDs 0..3); bit 7 is reserved for this and bit 6 for
@@ -40,9 +42,15 @@ type PeerView struct {
 	Members []PeerMember
 }
 
+// ErrPeerClosed reports a peer verb served by a closed cluster node. It is
+// cluster.ErrClosed, declared here so that the wire error table, which
+// cannot import the cluster package, carries it.
+var ErrPeerClosed = errors.New("cluster: node closed")
+
 // PeerHandler is the server-side cluster hook. internal/cluster.Node
 // implements it; the interface lives here so remote does not import the
-// cluster package.
+// cluster package. Once the node is closed, PeerPut, PeerGet and PeerDelete
+// fail with ErrPeerClosed.
 type PeerHandler interface {
 	// PeerPut stores a block at the given epoch on behalf of the ring.
 	// durable pins the copy (the pusher relies on it for spill-free

@@ -24,6 +24,10 @@
 // a verb of a role it does not play, in band; the hello advertises the peer
 // and proxy roles, from the same predicate, and the client refuses a verb of
 // a role the server's hello lacked before sending anything.
+//
+// A refused request's response carries the error's message and its code in
+// the wire error table (errors.go), so a remote caller identifies a failure
+// with errors.Is exactly as a local one does.
 package remote
 
 import (
@@ -89,6 +93,7 @@ type response struct {
 	Err   string
 	Len   int
 	Enc   bool
+	Code  uint8 // Err's index in errorTable, 0 when untyped
 	Info  storage.ArrayInfo
 	Stats *storage.Stats
 	Sum   uint32
@@ -122,13 +127,14 @@ type response struct {
 // sides may send compressed payloads the peer's mask admits. There is no
 // plain-gob connection: a server drops a peer whose first bytes are not a
 // well-formed hello of this protocol version, and a client fails the dial
-// when the reply is not one. Version 2 is the header-then-payload frame;
-// version 1 carried the payload inside the gob message, and the two cannot
-// read each other's frames.
+// when the reply is not one. Version 3 adds the response's error Code;
+// version 2 is the same header-then-payload frame without it, so a peer of
+// either would read the other's refusals untyped. Version 1 carried the
+// payload inside the gob message.
 const (
 	helloByte    = 0x00
 	helloLen     = 8
-	protoVersion = 2
+	protoVersion = 3
 
 	// maxFramePayload is the longest payload a frame header may declare:
 	// 1 GiB, gob's own message ceiling on 64-bit platforms and so the

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -139,7 +140,8 @@ func TestClientReconnectsAndReplays(t *testing.T) {
 
 // TestReplayResolvesLandedWrite unit-tests the idempotent-replay resolution:
 // a replayed write rejected as an immutability violation is recognized as
-// the original write having landed iff the bytes match.
+// the original write having landed iff the bytes match. The rejection is
+// the server's own, from a second write of the interval.
 func TestReplayResolvesLandedWrite(t *testing.T) {
 	_, cl := startServer(t, "")
 	if err := cl.Create("w", 8, 8); err != nil {
@@ -149,7 +151,10 @@ func TestReplayResolvesLandedWrite(t *testing.T) {
 	if err := cl.WriteInterval("w", 0, 8, payload); err != nil {
 		t.Fatal(err)
 	}
-	se := &serverError{op: opWrite, msg: `storage: immutable violation: "w"[0,8) already written or being written`}
+	se := cl.WriteInterval("w", 0, 8, payload)
+	if !errors.Is(se, storage.ErrImmutable) {
+		t.Fatalf("second write: %v, want storage.ErrImmutable", se)
+	}
 	resolved, inconclusive := cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, data: payload}, se)
 	if !resolved || inconclusive {
 		t.Fatalf("landed write not resolved: %v %v", resolved, inconclusive)
@@ -161,12 +166,19 @@ func TestReplayResolvesLandedWrite(t *testing.T) {
 	}
 }
 
+// TestReplayResolvesLandedCreateAndDelete: a replayed create refused because
+// the array exists resolves iff the shape matches, and a replayed delete
+// refused because the array is unknown resolves. The refusals are the
+// server's own, from a second create and a delete of an absent array.
 func TestReplayResolvesLandedCreateAndDelete(t *testing.T) {
 	_, cl := startServer(t, "")
 	if err := cl.Create("c", 64, 32); err != nil {
 		t.Fatal(err)
 	}
-	se := &serverError{op: opCreate, msg: `storage: array "c" already exists`}
+	se := cl.Create("c", 64, 32)
+	if !errors.Is(se, storage.ErrArrayExists) {
+		t.Fatalf("second create: %v, want storage.ErrArrayExists", se)
+	}
 	resolved, inconclusive := cl.resolveReplay(&request{Op: opCreate, Array: "c", Size: 64, BlockSize: 32}, se)
 	if !resolved || inconclusive {
 		t.Fatalf("landed create not resolved: %v %v", resolved, inconclusive)
@@ -175,7 +187,10 @@ func TestReplayResolvesLandedCreateAndDelete(t *testing.T) {
 	if resolved {
 		t.Fatal("create with different shape wrongly resolved")
 	}
-	de := &serverError{op: opDelete, msg: `storage: array "gone" does not exist`}
+	de := cl.Delete("gone")
+	if !errors.Is(de, storage.ErrUnknownArray) {
+		t.Fatalf("delete of an absent array: %v, want storage.ErrUnknownArray", de)
+	}
 	resolved, _ = cl.resolveReplay(&request{Op: opDelete, Array: "gone"}, de)
 	if !resolved {
 		t.Fatal("landed delete not resolved")

@@ -236,7 +236,7 @@ func (s *Server) serve(req *request) *response {
 		// A corrupted payload must never reach the store: reject it with
 		// the attributed checksum error instead of dispatching.
 		s.metrics.checksumFails.Inc()
-		return &response{Err: err.Error()}
+		return refused(err)
 	}
 	if req.Enc {
 		// The checksum held over the wire bytes; now undo the wire
@@ -245,7 +245,7 @@ func (s *Server) serve(req *request) *response {
 		data, err := decodePayload(req.data, s.metrics.wire)
 		if err != nil {
 			s.metrics.checksumFails.Inc()
-			return &response{Err: fmt.Sprintf("remote: %s %q [%d,%d): decoding wire frame: %v", req.Op, req.Array, req.Lo, req.Hi, err)}
+			return refused(fmt.Errorf("remote: %s %q [%d,%d): decoding wire frame: %w", req.Op, req.Array, req.Lo, req.Hi, err))
 		}
 		arena.Put(req.data)
 		req.data, req.Enc = data, false

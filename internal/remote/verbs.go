@@ -73,7 +73,7 @@ type verb struct {
 	name string
 	role role
 	// serve runs the verb on a server that plays role. A nil response is a
-	// bare acknowledgement; an error becomes the response's Err.
+	// bare acknowledgement; an error becomes the refusal (see refused).
 	serve func(s *Server, req *request) (*response, error)
 }
 
@@ -280,14 +280,14 @@ func (s *Server) plays(r role) bool {
 func (s *Server) dispatch(req *request) *response {
 	v := req.Op.row()
 	if v == nil {
-		return &response{Err: fmt.Sprintf("remote: unknown opcode %v", req.Op)}
+		return refused(fmt.Errorf("remote: unknown opcode %v", req.Op))
 	}
 	if !s.plays(v.role) {
-		return &response{Err: fmt.Sprintf("remote: %s: %s not enabled on this server", req.Op, roles[v.role].what)}
+		return refused(fmt.Errorf("remote: %s: %s not enabled on this server", req.Op, roles[v.role].what))
 	}
 	resp, err := v.serve(s, req)
 	if err != nil {
-		return &response{Err: err.Error()}
+		return refused(err)
 	}
 	if resp == nil {
 		resp = &response{}

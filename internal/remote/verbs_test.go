@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"dooc/internal/compress"
 	"dooc/internal/jobs"
+	"dooc/internal/jobstore"
 	"dooc/internal/proxy"
 	"dooc/internal/storage"
 )
@@ -62,8 +64,50 @@ func TestOpcodeTablePinned(t *testing.T) {
 			t.Errorf("opcode %d is outside the table but reads as %q", uint8(op), op)
 		}
 	}
-	if protoVersion != 2 || ClusterCapBit != 1<<7 || ProxyCapBit != 1<<6 {
-		t.Errorf("protocol version %d, cluster bit %#x, proxy bit %#x: want 2, 0x80, 0x40", protoVersion, ClusterCapBit, ProxyCapBit)
+	if protoVersion != 3 || ClusterCapBit != 1<<7 || ProxyCapBit != 1<<6 {
+		t.Errorf("protocol version %d, cluster bit %#x, proxy bit %#x: want 3, 0x80, 0x40", protoVersion, ClusterCapBit, ProxyCapBit)
+	}
+}
+
+// TestErrorTablePinned pins every wire error code: a code is the identity of
+// a sentinel on the other side of the wire, so an entry moved or dropped
+// re-types every refusal a deployed peer sends.
+func TestErrorTablePinned(t *testing.T) {
+	want := []error{
+		1:  storage.ErrUnknownArray,
+		2:  storage.ErrArrayExists,
+		3:  storage.ErrImmutable,
+		4:  storage.ErrClosed,
+		5:  storage.ErrScratchQuota,
+		6:  compress.ErrCorrupt,
+		7:  jobs.ErrQueueFull,
+		8:  jobs.ErrQuotaExceeded,
+		9:  jobs.ErrDraining,
+		10: jobs.ErrUnknownJob,
+		11: jobs.ErrCancelled,
+		12: jobs.ErrNoProxy,
+		13: proxy.ErrUnknownProxy,
+		14: proxy.ErrProxyGone,
+		15: proxy.ErrProxyQuota,
+		16: proxy.ErrNoRefs,
+		17: proxy.ErrClosed,
+		18: jobstore.ErrClosed,
+		19: jobstore.ErrPoisoned,
+		20: ErrPeerClosed,
+	}
+	if len(errorTable) != len(want) {
+		t.Fatalf("the error table has %d rows, want %d (and row 0 empty)", len(errorTable)-1, len(want)-1)
+	}
+	for code, sentinel := range want {
+		if errorTable[code] != sentinel {
+			t.Errorf("code %d is %v, want %v", code, errorTable[code], sentinel)
+		}
+		if sentinel != nil && (errCode(sentinel) != uint8(code) || codeError(uint8(code)) != sentinel) {
+			t.Errorf("%v: errCode %d, code %d reads as %v", sentinel, errCode(sentinel), code, codeError(uint8(code)))
+		}
+	}
+	if errCode(errors.New("untyped")) != 0 || codeError(0) != nil {
+		t.Error("code 0 is not the untyped error")
 	}
 }
 
@@ -136,6 +180,7 @@ type (
 		Err      string
 		Len      int
 		Enc      bool
+		Code     uint8
 		Info     storage.ArrayInfo
 		Stats    storage.Stats
 		Sum      uint32
@@ -195,11 +240,11 @@ func TestHeaderFormatMatchesValueFields(t *testing.T) {
 		{ID: 1, Stats: &stats, Len: 8, Sum: 9},
 		{ID: 2, Job: &status, JobList: []jobs.JobStatus{status}, JobTotal: 1, Proxy: &handle, Refs: 2, Total: 80},
 		{ID: 3, Held: true, Epoch: 4, View: &view, Info: storage.ArrayInfo{Name: "a", Size: 8, BlockSize: 8}},
-		{ID: 4, Err: "refused"},
+		{ID: 4, Err: "refused", Code: 3},
 	} {
 		var old valueResponse
 		regob(t, &resp, &old)
-		want := valueResponse{ID: resp.ID, Err: resp.Err, Len: resp.Len, Info: resp.Info, Stats: deref(resp.Stats), Sum: resp.Sum,
+		want := valueResponse{ID: resp.ID, Err: resp.Err, Len: resp.Len, Code: resp.Code, Info: resp.Info, Stats: deref(resp.Stats), Sum: resp.Sum,
 			Job: deref(resp.Job), JobList: resp.JobList, JobTotal: resp.JobTotal, Held: resp.Held, Epoch: resp.Epoch,
 			View: deref(resp.View), Proxy: deref(resp.Proxy), Refs: resp.Refs, Total: resp.Total}
 		if !reflect.DeepEqual(old, want) {
@@ -207,7 +252,7 @@ func TestHeaderFormatMatchesValueFields(t *testing.T) {
 		}
 		var back response
 		regob(t, &old, &back)
-		got := valueResponse{ID: back.ID, Err: back.Err, Len: back.Len, Info: back.Info, Stats: deref(back.Stats), Sum: back.Sum,
+		got := valueResponse{ID: back.ID, Err: back.Err, Len: back.Len, Code: back.Code, Info: back.Info, Stats: deref(back.Stats), Sum: back.Sum,
 			Job: deref(back.Job), JobList: back.JobList, JobTotal: back.JobTotal, Held: back.Held, Epoch: back.Epoch,
 			View: deref(back.View), Proxy: deref(back.Proxy), Refs: back.Refs, Total: back.Total}
 		if !reflect.DeepEqual(got, want) {

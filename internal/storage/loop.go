@@ -15,6 +15,17 @@ import (
 // ErrClosed is returned for requests outstanding when the store shuts down.
 var ErrClosed = errors.New("storage: store closed")
 
+// ErrUnknownArray reports an operation on an array the store does not hold:
+// never created, or deleted.
+var ErrUnknownArray = errors.New("storage: unknown array")
+
+// ErrArrayExists reports a Create of a name the store already holds.
+var ErrArrayExists = errors.New("storage: array already exists")
+
+// ErrImmutable reports a write to an interval that is already written or
+// being written: arrays are immutable.
+var ErrImmutable = errors.New("storage: immutable violation")
+
 // ---- message types ----
 
 type leaseResult struct {
@@ -382,7 +393,7 @@ func (s *Store) dispatch(st *loopState, m any) {
 		if ast, ok := st.arrays[m.array]; ok {
 			m.reply <- infoResult{info: ast.info}
 		} else {
-			m.reply <- infoResult{err: fmt.Errorf("storage: unknown array %q", m.array)}
+			m.reply <- infoResult{err: fmt.Errorf("%w %q", ErrUnknownArray, m.array)}
 		}
 	case cmdEvict:
 		m.reply <- s.handleEvict(st, m)
@@ -537,7 +548,7 @@ func (s *Store) handleCreate(st *loopState, info ArrayInfo) error {
 		return fmt.Errorf("storage: invalid array %q size=%d blockSize=%d", info.Name, info.Size, info.BlockSize)
 	}
 	if _, dup := st.arrays[info.Name]; dup {
-		return fmt.Errorf("storage: array %q already exists", info.Name)
+		return fmt.Errorf("%w: %q", ErrArrayExists, info.Name)
 	}
 	st.arrays[info.Name] = s.newArrayState(info, quotaFor(st, info.Name))
 	return nil
@@ -546,7 +557,7 @@ func (s *Store) handleCreate(st *loopState, info ArrayInfo) error {
 func (s *Store) handleDelete(st *loopState, name string) error {
 	ast, ok := st.arrays[name]
 	if !ok {
-		return fmt.Errorf("storage: array %q does not exist", name)
+		return fmt.Errorf("%w %q", ErrUnknownArray, name)
 	}
 	for idx, b := range ast.blocks {
 		if b.refcnt > 0 {
@@ -651,7 +662,7 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 	}
 	ast, ok := st.arrays[c.array]
 	if !ok {
-		c.reply <- leaseResult{err: fmt.Errorf("storage: unknown array %q", c.array)}
+		c.reply <- leaseResult{err: fmt.Errorf("%w %q", ErrUnknownArray, c.array)}
 		return
 	}
 	if c.byBlock {
@@ -768,13 +779,13 @@ func relSpan(info ArrayInfo, bi int, gs span) span {
 func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState, want span, reply chan leaseResult) {
 	rs := relSpan(ast.info, bi, want)
 	if b.written.covers(rs) || b.overlapsAny(rs) {
-		reply <- leaseResult{err: fmt.Errorf("storage: immutable violation: %q[%d,%d) already written or being written", ast.info.Name, want.Lo, want.Hi)}
+		reply <- leaseResult{err: fmt.Errorf("%w: %q[%d,%d) already written or being written", ErrImmutable, ast.info.Name, want.Lo, want.Hi)}
 		return
 	}
 	// Also reject partial overlap with written spans.
 	for _, w := range b.written.spans {
 		if w.overlaps(rs) {
-			reply <- leaseResult{err: fmt.Errorf("storage: immutable violation: %q[%d,%d) overlaps written data", ast.info.Name, want.Lo, want.Hi)}
+			reply <- leaseResult{err: fmt.Errorf("%w: %q[%d,%d) overlaps written data", ErrImmutable, ast.info.Name, want.Lo, want.Hi)}
 			return
 		}
 	}
@@ -1328,7 +1339,7 @@ func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState
 func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 	ast, ok := st.arrays[m.array]
 	if !ok {
-		return fmt.Errorf("storage: unknown array %q", m.array)
+		return fmt.Errorf("%w %q", ErrUnknownArray, m.array)
 	}
 	b, ok := ast.blocks[m.block]
 	if !ok || b.buf == nil {
@@ -1403,7 +1414,7 @@ func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 	ast, ok := st.arrays[c.array]
 	if !ok {
-		c.reply <- fmt.Errorf("storage: unknown array %q", c.array)
+		c.reply <- fmt.Errorf("%w %q", ErrUnknownArray, c.array)
 		return
 	}
 	if s.cfg.ScratchDir == "" {
