@@ -17,8 +17,9 @@ race:
 
 # Short fuzz pass over every codec round trip, the frame decoder, the
 # word-at-a-time delta-varint decoder against its byte-at-a-time oracle, the
-# CRS block parser, and the remote protocol's frame reader (both ends, after
-# a valid hello). Minimizing an input — a new interesting one, or a crash —
+# CRS block parser, the remote protocol's frame reader (both ends, after a
+# valid hello), and the job journal's replay (arbitrary bytes as the WAL after
+# a valid snapshot, raw and framed with a correct CRC). Minimizing an input — a new interesting one, or a crash —
 # stops after 100 executions: Go's default is 60 s, so one KB-long input
 # could take a target's whole 10 s budget.
 fuzz:
@@ -27,6 +28,7 @@ fuzz:
 	done
 	$(GO) test -run '^FuzzDecodeCRS$$' -fuzz '^FuzzDecodeCRS$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/sparse/
 	$(GO) test -run '^FuzzReadFrame$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/remote/
+	$(GO) test -run '^FuzzReplayWAL$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobstore/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

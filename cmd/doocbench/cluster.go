@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -87,21 +86,12 @@ func (p *benchPeer) close() {
 	}
 }
 
-// clusterHot replicates the doocserve hot predicate: the SpMV input vector
-// generations, with or without a run tag prefix.
-func clusterHot(array string) bool {
-	if i := strings.LastIndexByte(array, ':'); i >= 0 {
-		array = array[i+1:]
-	}
-	return strings.HasPrefix(array, "x_")
-}
-
 // clusterRun measures the peer-to-peer sharded storage tier: the same
 // iterated SpMV runs over a 1-peer ring (everything self-owned, pushes
 // never reach remote durability) and a 3-peer ring (blocks shard across
-// real TCP peers, misses forward to owners, hot vector blocks replicate
-// locally). The result vector must be bit-identical across the two — block
-// placement is a storage concern, never a numeric one.
+// real TCP peers, misses forward to owners). The result vector must be
+// bit-identical across the two — block placement is a storage concern,
+// never a numeric one.
 func clusterRun() error {
 	const (
 		dim   = 2400
@@ -178,7 +168,6 @@ func clusterRun() error {
 				Scope:         ids[i],
 				Peers:         others,
 				Obs:           benchObs,
-				Hot:           clusterHot,
 				ProbeInterval: 50 * time.Millisecond,
 			})
 			if err != nil {
@@ -248,21 +237,17 @@ func clusterRun() error {
 		}
 		results = append(results, r)
 	}
-	fmt.Printf("%-6s %10s %10s %12s %12s %14s %12s  %s\n",
-		"peers", "wall", "wall/iter", "shard-push", "fwd-reads", "fwd-ratio", "replica-hit", "result-sha")
+	fmt.Printf("%-6s %10s %10s %12s %12s %14s  %s\n",
+		"peers", "wall", "wall/iter", "shard-push", "fwd-reads", "fwd-ratio", "result-sha")
 	for _, r := range results {
 		c := r.counters
 		fwdRatio := 0.0
 		if r.fetches > 0 {
 			fwdRatio = float64(c.ForwardedReads) / float64(r.fetches)
 		}
-		repRate := 0.0
-		if hot := c.ReplicaHits + c.ReplicaFills; hot > 0 {
-			repRate = float64(c.ReplicaHits) / float64(hot)
-		}
-		fmt.Printf("%-6d %10v %10v %12d %12d %13.1f%% %11.1f%%  %s\n",
+		fmt.Printf("%-6d %10v %10v %12d %12d %13.1f%%  %s\n",
 			r.peers, r.wall.Round(time.Millisecond), (r.wall / iters).Round(time.Millisecond),
-			r.pushes, c.ForwardedReads, 100*fwdRatio, 100*repRate, r.sha)
+			r.pushes, c.ForwardedReads, 100*fwdRatio, r.sha)
 	}
 	if results[0].sha != results[1].sha {
 		return fmt.Errorf("result diverged: 1-peer %s vs 3-peer %s", results[0].sha, results[1].sha)
@@ -326,7 +311,6 @@ func clusterTierRun() error {
 				Scope:         ids[i],
 				Peers:         others,
 				Obs:           benchObs,
-				Hot:           clusterHot,
 				ProbeInterval: 50 * time.Millisecond,
 			})
 			if err != nil {
@@ -397,25 +381,21 @@ func clusterTierRun() error {
 
 		st := drv.Stats()
 		c := peers[0].node.Counters()
-		total := c.ForwardedReads + c.ReplicaHits
-		fwdRatio, repRate := 0.0, 0.0
+		fwdRatio := 0.0
 		if st.ShardFetches > 0 {
 			fwdRatio = float64(c.ForwardedReads) / float64(st.ShardFetches)
 		}
-		if total > 0 {
-			repRate = float64(c.ReplicaHits) / float64(total)
-		}
-		fmt.Printf("%-6d %10v %10v %12d %12d %13.1f%% %11.1f%%\n",
+		fmt.Printf("%-6d %10v %10v %12d %12d %13.1f%%\n",
 			peerCount, wall.Round(time.Millisecond),
 			(wall / generations).Round(time.Millisecond),
-			st.ShardDurablePushes, c.ForwardedReads, 100*fwdRatio, 100*repRate)
+			st.ShardDurablePushes, c.ForwardedReads, 100*fwdRatio)
 		return nil
 	}
 
 	fmt.Printf("shard tier direct: %d generations × %d blocks × %d KiB, %d read passes, budget ½ generation\n\n",
 		generations, blocks, blockSize>>10, passes)
-	fmt.Printf("%-6s %10s %10s %12s %12s %14s %12s\n",
-		"peers", "wall", "wall/gen", "durable", "fwd-reads", "fwd-ratio", "replica-hit")
+	fmt.Printf("%-6s %10s %10s %12s %12s %14s\n",
+		"peers", "wall", "wall/gen", "durable", "fwd-reads", "fwd-ratio")
 	for _, pc := range []int{1, 3} {
 		if err := runTier(pc, fmt.Sprintf("t%d", pc)); err != nil {
 			return fmt.Errorf("%d-peer tier run: %w", pc, err)

@@ -43,7 +43,7 @@
 // With -node-id (and -peers), the process joins a peer-to-peer sharded
 // storage ring spanning several doocserve processes: written blocks are
 // pushed to their consistent-hash owners, misses are forwarded to the owner
-// peer, hot read blocks are replicated locally with epoch invalidation, and
+// peer (a forwarded block is kept only by the store that asked for it), and
 // a peer death fails the engine nodes mapped to it onto the survivors. The
 // HTTP listener additionally serves GET /cluster, the live membership view
 // and shard counters as JSON. Peers dial this node at -advertise (default
@@ -97,16 +97,6 @@ func parsePeers(s string) ([]cluster.Member, error) {
 		out = append(out, cluster.Member{ID: id, Addr: addr})
 	}
 	return out, nil
-}
-
-// hotSpMVArray marks the SpMV input vector generations — x_t blocks, read
-// by every owning sub-matrix each iteration — as read-replica candidates.
-// Array names may carry a job prefix ("job3:x_0_1").
-func hotSpMVArray(array string) bool {
-	if i := strings.LastIndexByte(array, ':'); i >= 0 {
-		array = array[i+1:]
-	}
-	return strings.HasPrefix(array, "x_")
 }
 
 // deathHook late-binds the cluster's OnDeath callback: the cluster node
@@ -229,7 +219,6 @@ func main() {
 			TableBytes: *tableMem,
 			Obs:        reg,
 			Codec:      codec,
-			Hot:        hotSpMVArray,
 			OnDeath:    hook.call,
 			Logf:       log.Printf,
 		})

@@ -1,7 +1,6 @@
 // Package cluster promotes the in-process storage network into a real
 // multi-process tier: N doocserve peers form a consistent-hash ring over
-// which written blocks are placed, forwarded, and (for hot arrays, the
-// SpMV input vector) read-replicated.
+// which written blocks are placed and forwarded.
 //
 // The paper's storage design is a partitioned, non-replicated global map
 // with random-peer forwarding; this package keeps that shape but moves it
@@ -18,10 +17,10 @@
 //     death, and the owner-aware forwarding used by the storage layer
 //     (storage.ShardBackend);
 //   - table.go is the tier's one cache type, an epoch-tagged byte-budgeted
-//     LRU: one instance holds the blocks this peer stores on behalf of the
-//     ring — epoch-tagged so a deleted-and-recreated array can never serve
-//     stale bytes — and a second caches hot blocks on the reading side,
-//     invalidated by epoch bump on write-back.
+//     LRU. A node holds one: the blocks this peer stores on behalf of the
+//     ring, epoch-tagged so a deleted-and-recreated array can never serve
+//     stale bytes. A block forwarded to a reader is not kept on the reading
+//     side; it lives in the reader's store, under that store's budget.
 //
 // Failure model: a peer that stops answering is marked dead, the view
 // version is bumped and gossiped, and the ring rehashes its keys onto

@@ -110,19 +110,16 @@ func TestCloseReturnsEveryBlockBuffer(t *testing.T) {
 
 // TestConcurrentPushFetchInvalidate: one peer re-pushes the blocks of an
 // array, invalidating it every few rounds, while the other two fetch the
-// blocks over the ring (read replicas on) and clients ask all three servers
-// for them directly. Table entries are replaced and dropped — their buffers
-// given back to the arena — while readers copy them out, so a buffer given
-// back too early shows as a block whose bytes are not the ones pushed at its
-// epoch. The blocks are a mapped class's size: once every node is closed,
+// blocks over the ring and clients ask all three servers for them directly.
+// Table entries are replaced and dropped — their buffers given back to the
+// arena — while readers copy them out, so a buffer given back too early
+// shows as a block whose bytes are not the ones pushed at its epoch. The blocks are a mapped class's size: once every node is closed,
 // the arena's live bytes are back where they started.
 func TestConcurrentPushFetchInvalidate(t *testing.T) {
 	const blocks, rounds, size = 4, 24, 96 << 10
 	arena := storage.SharedArena()
 	start := arena.Stats().Live
-	peers := startTestCluster(t, 3, func(i int, cfg *Config) {
-		cfg.Hot = func(string) bool { return true }
-	})
+	peers := startTestCluster(t, 3, nil)
 
 	type pushKey struct {
 		block int

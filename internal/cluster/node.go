@@ -51,9 +51,9 @@ type Config struct {
 	Obs *obs.Registry
 	// Codec, when non-nil, compresses inter-peer block traffic.
 	Codec compress.Codec
-	// Hot reports whether an array's blocks are worth read-replicating
-	// (the SpMV input vector — read K times per iteration). Nil disables
-	// the replica cache.
+	// Hot is inert: a fetched block lives only in the store that asked for
+	// it, so no array is read-replicated. The field stays declared only
+	// because bench/ sets it.
 	Hot func(array string) bool
 	// TableBytes bounds the shard table (DefaultTableBytes when 0).
 	TableBytes int64
@@ -90,9 +90,6 @@ type Counters struct {
 	Pushes              int64
 	PushAcks            int64
 	PushBytes           int64
-	ReplicaHits         int64
-	ReplicaStale        int64
-	ReplicaFills        int64
 	PeerDeaths          int64
 	LegacyRejections    int64
 	ServedGets          int64
@@ -101,39 +98,37 @@ type Counters struct {
 }
 
 // Status is the /cluster endpoint's payload: the node's identity, its
-// current membership view, shard/replica residency, and event counters.
+// current membership view, shard residency, and event counters.
 type Status struct {
-	Self          string
-	Addr          string
-	Version       uint64
-	Members       []Member
-	Dead          []string
-	TableBlocks   int
-	TableBytes    int64
-	ReplicaBlocks int
-	ReplicaBytes  int64
-	Counters      Counters
+	Self        string
+	Addr        string
+	Version     uint64
+	Members     []Member
+	Dead        []string
+	TableBlocks int
+	TableBytes  int64
+	Counters    Counters
 }
 
 // arrayEpochs tracks the write epochs this node has assigned or observed
 // for one array. floor carries the high-water mark across a delete —
 // a recreated array's pushes start above every epoch the old incarnation
-// ever used, which is what makes stale replicas detectable.
+// ever used, which is what makes a straggler's old-incarnation copy
+// detectable.
 type arrayEpochs struct {
 	floor  uint64
 	blocks map[int]uint64
 }
 
 // Node is the per-process cluster runtime: membership view, consistent-
-// hash ring, lazily dialed peer clients, shard table, replica cache, and
-// the liveness prober. It implements remote.PeerHandler (the server-side
-// verbs) and the storage layer's shard backend (FetchBlock / PushBlock /
-// InvalidateArray). All methods are safe for concurrent use.
+// hash ring, lazily dialed peer clients, one shard table, and the liveness
+// prober. It implements remote.PeerHandler (the server-side verbs) and the
+// storage layer's shard backend (FetchBlock / PushBlock / InvalidateArray).
+// All methods are safe for concurrent use.
 type Node struct {
-	cfg      Config
-	table    *BlockTable // owner copies held for the ring; durable puts are pinned
-	replicas *BlockTable // hot-block read replicas; nothing is pinned
-	metrics  nodeMetrics
+	cfg     Config
+	table   *BlockTable // owner copies held for the ring; durable puts are pinned
+	metrics nodeMetrics
 
 	mu      sync.Mutex
 	members map[string]Member
@@ -177,7 +172,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:        cfg,
 		table:      NewBlockTable(cfg.TableBytes),
-		replicas:   NewBlockTable(DefaultReplicaBytes),
 		metrics:    newNodeMetrics(cfg.Obs, cfg.Self.ID),
 		members:    make(map[string]Member),
 		dead:       make(map[string]bool),
@@ -202,7 +196,7 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Close stops the prober, tears down every peer connection, and gives the
-// shard table's and the replica cache's blocks back to the arena.
+// shard table's blocks back to the arena.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -226,7 +220,6 @@ func (n *Node) Close() {
 		e.mu.Unlock()
 	}
 	n.table.Close()
-	n.replicas.Close()
 }
 
 func (n *Node) isClosed() bool {
@@ -290,9 +283,6 @@ func (n *Node) Counters() Counters {
 		Pushes:              m.pushes.Value(),
 		PushAcks:            m.pushAcks.Value(),
 		PushBytes:           m.pushBytes.Value(),
-		ReplicaHits:         m.replicaHits.Value(),
-		ReplicaStale:        m.replicaStale.Value(),
-		ReplicaFills:        m.replicaFills.Value(),
 		PeerDeaths:          m.peerDeaths.Value(),
 		LegacyRejections:    m.legacyRejections.Value(),
 		ServedGets:          m.servedGets.Value(),
@@ -317,26 +307,21 @@ func (n *Node) Status() Status {
 	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
 	sort.Strings(deadIDs)
 	return Status{
-		Self:          n.cfg.Self.ID,
-		Addr:          n.cfg.Self.Addr,
-		Version:       version,
-		Members:       members,
-		Dead:          deadIDs,
-		TableBlocks:   n.table.Len(),
-		TableBytes:    n.table.Bytes(),
-		ReplicaBlocks: n.replicas.Len(),
-		ReplicaBytes:  n.replicas.Bytes(),
-		Counters:      n.Counters(),
+		Self:        n.cfg.Self.ID,
+		Addr:        n.cfg.Self.Addr,
+		Version:     version,
+		Members:     members,
+		Dead:        deadIDs,
+		TableBlocks: n.table.Len(),
+		TableBytes:  n.table.Bytes(),
+		Counters:    n.Counters(),
 	}
 }
 
-// syncStorageGauges refreshes the table/replica residency gauges after a
-// mutation.
+// syncStorageGauges refreshes the table residency gauges after a mutation.
 func (n *Node) syncStorageGauges() {
 	n.metrics.tableBlocks.Set(int64(n.table.Len()))
 	n.metrics.tableBytes.Set(n.table.Bytes())
-	n.metrics.replicaCount.Set(int64(n.replicas.Len()))
-	n.metrics.replicaBytes.Set(n.replicas.Bytes())
 }
 
 // ---- peer client pool ----
@@ -644,8 +629,8 @@ func (n *Node) bumpEpoch(array string, block int) uint64 {
 	return e
 }
 
-// noteEpoch records an epoch observed from a peer fetch, so later replica
-// reads validate against it.
+// noteEpoch records an epoch observed from a peer fetch, so later fetches
+// of the block refuse an owner copy older than it.
 func (n *Node) noteEpoch(array string, block int, epoch uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -712,34 +697,17 @@ func (n *Node) scoped(array string) string {
 	return n.cfg.Scope + "\x00" + array
 }
 
-// FetchBlock resolves a block over the ring: replica cache first for hot
-// arrays, then the owner walk — own table for self-owned keys, forwarded
-// PeerGet otherwise. ok=false means no live peer holds the block and the
-// caller should fall back to its normal load path. The returned bytes are a
-// buffer from storage.SharedArena() that becomes the caller's.
+// FetchBlock resolves a block over the ring's owner walk: own table for
+// self-owned keys, forwarded PeerGet otherwise. ok=false means no live peer
+// holds the block and the caller should fall back to its normal load path.
+// The returned bytes are a buffer from storage.SharedArena() that becomes
+// the caller's, and the node keeps no copy of a forwarded block.
 func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 	if n.isClosed() {
 		return nil, false
 	}
-	hot := n.cfg.Hot != nil && n.cfg.Hot(array)
 	array = n.scoped(array)
 	want := n.epochOf(array, block)
-	if hot {
-		// A replica serves only at exactly the epoch this node last pushed or
-		// observed (0 = no knowledge, any epoch will do); one at any other
-		// epoch is stale — dropped here, refetched from the owner below. This
-		// is the write-back invalidation path.
-		if data, epoch, ok := n.replicas.Get(array, block); ok {
-			if want == 0 || epoch == want {
-				n.metrics.replicaHits.Inc()
-				return data, true
-			}
-			storage.SharedArena().Put(data)
-			n.replicas.Delete(array, block)
-			n.metrics.replicaStale.Inc()
-			n.syncStorageGauges()
-		}
-	}
 	ring := n.currentRing()
 	if ring == nil || len(ring.Members()) == 0 {
 		return nil, false
@@ -774,11 +742,6 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 		n.metrics.forwardedReads.Inc()
 		n.metrics.forwardedBytes.Add(int64(len(data)))
 		n.noteEpoch(array, block, epoch)
-		if hot {
-			n.replicas.Put(array, block, epoch, data, false)
-			n.metrics.replicaFills.Inc()
-			n.syncStorageGauges()
-		}
 		return data, true
 	}
 	n.metrics.forwardedReadMiss.Inc()
@@ -786,20 +749,18 @@ func (n *Node) FetchBlock(array string, block int) ([]byte, bool) {
 }
 
 // PushBlock places a written block on its ring owners at a fresh epoch.
-// The local replica (if any) is invalidated first — this is the write-
-// back invalidation path. The return value reports durability: true only
-// when DurableCopies distinct *remote* peers acknowledged the bytes, in
-// which case the block survives any single peer death and the caller may
-// skip its local disk spill. Node does not retain data: the shard table
-// copies what it keeps. Between owners the walk checks dead (nil: never): once the array
-// is deleted, the owners not yet reached get no copy.
+// The return value reports durability: true only when DurableCopies
+// distinct *remote* peers acknowledged the bytes, in which case the block
+// survives any single peer death and the caller may skip its local disk
+// spill. Node does not retain data: the shard table copies what it keeps.
+// Between owners the walk checks dead (nil: never): once the array is
+// deleted, the owners not yet reached get no copy.
 func (n *Node) PushBlock(array string, block int, data []byte, dead *atomic.Bool) bool {
 	if n.isClosed() {
 		return false
 	}
 	array = n.scoped(array)
 	epoch := n.bumpEpoch(array, block)
-	n.replicas.Delete(array, block)
 	ring := n.currentRing()
 	if ring == nil || len(ring.Members()) == 0 {
 		return false
@@ -848,8 +809,8 @@ func (n *Node) PushBlock(array string, block int, data []byte, dead *atomic.Bool
 	return remoteAcks >= DurableCopies
 }
 
-// InvalidateArray drops every trace of an array: local table and replica
-// entries synchronously, remote peers' tables via a delete fan-out that
+// InvalidateArray drops every trace of an array: local table entries
+// synchronously, remote peers' tables via a delete fan-out that
 // is kicked immediately and retried from the probe loop until every live
 // member acks. Per-block epochs fold into the array floor so a recreated
 // array starts above them; until a straggling peer's ack lands, this
@@ -862,7 +823,6 @@ func (n *Node) InvalidateArray(array string) {
 	array = n.scoped(array)
 	n.foldEpochs(array)
 	n.table.DeleteArray(array)
-	n.replicas.DeleteArray(array)
 	n.syncStorageGauges()
 	// Record the members owing an ack, then kick one immediate round. The
 	// closed-check and wg.Add are one critical section with Close's setting
@@ -964,15 +924,13 @@ func (n *Node) PeerGet(array string, block int) ([]byte, uint64, bool, error) {
 	return data, epoch, true, nil
 }
 
-// PeerDelete drops an array's blocks and replicas on behalf of the
-// deleting peer.
+// PeerDelete drops an array's blocks on behalf of the deleting peer.
 func (n *Node) PeerDelete(array string) error {
 	if n.isClosed() {
 		return ErrClosed
 	}
 	n.foldEpochs(array)
 	n.table.DeleteArray(array)
-	n.replicas.DeleteArray(array)
 	n.syncStorageGauges()
 	return nil
 }

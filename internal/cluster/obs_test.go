@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,15 +9,14 @@ import (
 )
 
 // TestClusterObsReconcile drives a shared-registry cluster through pushes,
-// forwarded reads, replica traffic and a delete, then checks the invariants
+// forwarded reads, a write-back and a delete, then checks the invariants
 // that tie one peer's dooc_cluster_* series to another's — every forwarded
 // read was a get some owner served, every push ack a put some owner accepted
-// — and that the residency gauges track the live table/replica state.
+// — and that the residency gauges track the live table state.
 func TestClusterObsReconcile(t *testing.T) {
 	reg := obs.NewRegistry()
 	peers := startTestCluster(t, 4, func(i int, cfg *Config) {
 		cfg.Obs = reg
-		cfg.Hot = func(array string) bool { return strings.HasPrefix(array, "x_") }
 	})
 
 	ring := peers[0].node.currentRing()
@@ -30,12 +28,15 @@ func TestClusterObsReconcile(t *testing.T) {
 		reader := peerByID(peers, findNonOwner(ring, "A", b))
 		reader.node.FetchBlock("A", b)
 	}
-	// Hot-array traffic: fills, hits, a write-back, and a delete.
+	// Repeated reads of one vector block, a write-back, and a delete: every
+	// read forwards.
 	hotBlock := findBlockExcluding(t, ring, "x_t", "n1")
 	hotPeer := peerByID(peers, "n1")
 	hotPeer.node.PushBlock("x_t", hotBlock, payload, nil)
-	hotPeer.node.FetchBlock("x_t", hotBlock) // forward + fill
-	hotPeer.node.FetchBlock("x_t", hotBlock) // replica hit
+	fwdBefore := hotPeer.node.Counters().ForwardedReads
+	hotPeer.node.FetchBlock("x_t", hotBlock)
+	hotPeer.node.FetchBlock("x_t", hotBlock)
+	hotFwd := hotPeer.node.Counters().ForwardedReads - fwdBefore
 	hotPeer.node.PushBlock("x_t", hotBlock, payload, nil)
 	peers[0].node.InvalidateArray("A")
 	// A miss and an explicit gossip round.
@@ -65,8 +66,8 @@ func TestClusterObsReconcile(t *testing.T) {
 	if fwd, bytesFwd := reg.Sum("dooc_cluster_forwarded_reads_total"), reg.Sum("dooc_cluster_forwarded_bytes_total"); bytesFwd != fwd*int64(len(payload)) {
 		t.Errorf("forwarded bytes %d for %d reads of %d bytes", bytesFwd, fwd, len(payload))
 	}
-	if hits, fills := reg.Sum("dooc_cluster_replica_hits_total"), reg.Sum("dooc_cluster_replica_fills_total"); hits != 1 || fills != 1 {
-		t.Errorf("replica hits %d fills %d, want 1/1", hits, fills)
+	if hotFwd != 2 {
+		t.Errorf("%s forwarded %d of 2 reads of the vector block", hotPeer.id, hotFwd)
 	}
 	// Node.Counters reads the same series, peer by peer.
 	var pushes int64
@@ -77,7 +78,7 @@ func TestClusterObsReconcile(t *testing.T) {
 		t.Errorf("pushes: registry %d, Counters %d, scenario made 8", got, pushes)
 	}
 
-	// Residency gauges track the live table/replica state per peer.
+	// Residency gauges track the live table state per peer.
 	for _, p := range peers {
 		st := p.node.Status()
 		if got := reg.SumWhere("dooc_cluster_table_blocks", "peer", p.id); got != int64(st.TableBlocks) {
@@ -85,9 +86,6 @@ func TestClusterObsReconcile(t *testing.T) {
 		}
 		if got := reg.SumWhere("dooc_cluster_table_bytes", "peer", p.id); got != st.TableBytes {
 			t.Errorf("table_bytes{peer=%s} = %d, Status says %d", p.id, got, st.TableBytes)
-		}
-		if got := reg.SumWhere("dooc_cluster_replica_blocks", "peer", p.id); got != int64(st.ReplicaBlocks) {
-			t.Errorf("replica_blocks{peer=%s} = %d, Status says %d", p.id, got, st.ReplicaBlocks)
 		}
 		if got := reg.SumWhere("dooc_cluster_members", "peer", p.id); got != int64(len(st.Members)) {
 			t.Errorf("members{peer=%s} = %d, Status says %d", p.id, got, len(st.Members))

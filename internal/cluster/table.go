@@ -7,17 +7,16 @@ import (
 )
 
 // BlockTable is an epoch-tagged, byte-budgeted LRU of blocks, and the one
-// cache type of the cluster tier. A Node holds two: the shard table — the
+// cache type of the cluster tier. A Node holds one, the shard table: the
 // blocks this process holds on behalf of the ring (its own pushes included
-// when it owns the key), where a pusher may pin an entry as durable — and
-// the replica cache — read replicas of hot blocks on the reading side (the
-// SpMV input vector is read K times per iteration, so a forwarded fetch that
-// will repeat is worth keeping), where nothing is pinned. A put with an
-// older epoch than the resident entry is refused, so a late replay can never
-// roll a block back; over budget, the least recently served unpinned entries
-// are dropped (they are a cache tier over the pusher's durability path,
-// never the only copy unless the pusher marked them durable, in which case
-// two distinct peers hold them).
+// when it owns the key), where a pusher may pin an entry as durable. A block
+// this process fetches from another peer is not kept here; it lives in the
+// store that asked for it, under that store's budget. A put with an older
+// epoch than the resident entry is refused, so a late replay can never roll
+// a block back; over budget, the least recently served unpinned entries are
+// dropped (they are a cache tier over the pusher's durability path, never
+// the only copy unless the pusher marked them durable, in which case two
+// distinct peers hold them).
 //
 // The table owns its bytes, in buffers from storage.SharedArena(): Put
 // copies a block in, Get copies it out under the table lock, and a drop,
@@ -45,12 +44,8 @@ type tableEntry struct {
 }
 
 // DefaultTableBytes bounds a peer's shard table when the caller does not
-// choose: 256 MiB of remote blocks. DefaultReplicaBytes bounds its replica
-// cache: 64 MiB of hot blocks.
-const (
-	DefaultTableBytes   = 256 << 20
-	DefaultReplicaBytes = 64 << 20
-)
+// choose: 256 MiB of remote blocks.
+const DefaultTableBytes = 256 << 20
 
 // NewBlockTable builds a table bounded to budget bytes (DefaultTableBytes
 // when <= 0).
@@ -151,17 +146,6 @@ func (t *BlockTable) Get(array string, block int) (data []byte, epoch uint64, ok
 	data = storage.SharedArena().Get(len(e.data))
 	copy(data, e.data)
 	return data, e.epoch, true
-}
-
-// Delete drops one block (a write-back supersedes a replica, or a reader
-// found it at the wrong epoch). Deleting an absent block is a no-op.
-func (t *BlockTable) Delete(array string, block int) {
-	key := BlockKey(array, block)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.blocks[key]; ok {
-		t.dropLocked(key, e)
-	}
 }
 
 // DeleteArray drops every block of an array (the pusher deleted it).

@@ -730,6 +730,14 @@ type RecoveryStats struct {
 	ReplayDuration time.Duration
 }
 
+// cancelledError is a cancelled job's error rebuilt from its journaled
+// text: the message is the one the job ended with, and it is ErrCancelled
+// to errors.Is, as it was before the restart.
+type cancelledError string
+
+func (e cancelledError) Error() string { return string(e) }
+func (e cancelledError) Unwrap() error { return ErrCancelled }
+
 // Recover replays the durable store into the manager: terminal jobs become
 // history, queued jobs re-queue in original submission order, and
 // interrupted (admitted/running) jobs re-admit with their Resumed count
@@ -768,7 +776,14 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 			resumed:      rec.Resumed,
 			resultSHA:    rec.ResultSHA,
 		}
-		if rec.Err != "" {
+		// The record's state, never its text, decides the error's identity:
+		// a cancelled job's is ErrCancelled again, any other stays untyped.
+		state := stateFromString(rec.State)
+		switch {
+		case rec.Err == "":
+		case state == StateCancelled:
+			j.err = cancelledError(rec.Err)
+		default:
 			j.err = errors.New(rec.Err)
 		}
 		// Rebuild the causal identity and the pre-crash flight recorder from
@@ -785,7 +800,6 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 		if j.Key != "" {
 			m.byKey[j.Key] = j
 		}
-		state := stateFromString(rec.State)
 		if state.Terminal() {
 			j.state = state
 			close(j.done)

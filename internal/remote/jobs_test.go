@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dooc/internal/core"
 	"dooc/internal/jobs"
+	"dooc/internal/jobstore"
 	"dooc/internal/sparse"
 )
 
@@ -19,6 +21,20 @@ import (
 // returned cleanup must run before the test ends (it drains the manager so
 // the system is quiescent when closed).
 func newJobServer(t *testing.T, cfg jobs.Config) (*Client, *jobs.SolverService, *core.System, string) {
+	t.Helper()
+	cl, svc, sys, srv := startJobServer(t, cfg)
+	t.Cleanup(func() {
+		cl.Close()
+		srv.Close()
+		svc.Manager.Drain()
+		sys.Close()
+	})
+	return cl, svc, sys, srv.Addr()
+}
+
+// startJobServer is newJobServer without the cleanup: the caller closes
+// the client, the server, the manager and the system, in that order.
+func startJobServer(t *testing.T, cfg jobs.Config) (*Client, *jobs.SolverService, *core.System, *Server) {
 	t.Helper()
 	const dim, k, nodes = 400, 2, 2
 	sys, err := core.NewSystem(core.Options{Nodes: nodes, WorkersPerNode: 2})
@@ -44,13 +60,7 @@ func newJobServer(t *testing.T, cfg jobs.Config) (*Client, *jobs.SolverService, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		cl.Close()
-		srv.Close()
-		svc.Manager.Drain()
-		sys.Close()
-	})
-	return cl, svc, sys, srv.Addr()
+	return cl, svc, sys, srv
 }
 
 // TestJobVerbsRoundTrip submits concurrent jobs over the wire, collects
@@ -189,6 +199,71 @@ func TestJobTypedErrorsOverWire(t *testing.T) {
 	}
 	if st, err := cl.JobStatus(long.ID); err != nil || st.State != "cancelled" {
 		t.Fatalf("status = %+v, %v", st, err)
+	}
+}
+
+// TestRecoveredCancelKeepsErrCancelled: a job cancelled while it runs
+// under a durable store is still ErrCancelled after a restart, with the
+// message it ended with, to the recovered manager and across the wire.
+func TestRecoveredCancelKeepsErrCancelled(t *testing.T) {
+	dir := t.TempDir()
+	store, err := jobstore.Open(dir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, svc, sys, srv := startJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4, Store: store})
+	long, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 5000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := svc.Manager.Status(long.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("long job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := cl.CancelJob(long.ID); err != nil {
+		t.Fatal(err)
+	}
+	_, before := svc.Manager.Result(long.ID)
+	if !errors.Is(before, jobs.ErrCancelled) {
+		t.Fatalf("result err before the restart = %v, want ErrCancelled", before)
+	}
+	cl.Close()
+	srv.Close()
+	svc.Manager.Drain()
+	sys.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := jobstore.Open(dir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	cl2, svc2, _, _ := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4, Store: re})
+	if _, err := svc2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	_, after := svc2.Manager.Result(long.ID)
+	if !errors.Is(after, jobs.ErrCancelled) || after.Error() != before.Error() {
+		t.Fatalf("recovered result err = %v, want ErrCancelled %q", after, before)
+	}
+	if _, err := svc2.Manager.ResultProxy(long.ID); !errors.Is(err, jobs.ErrCancelled) {
+		t.Fatalf("recovered result-proxy err = %v, want ErrCancelled", err)
+	}
+	_, _, wire := cl2.JobResult(long.ID)
+	if !errors.Is(wire, jobs.ErrCancelled) || !strings.HasSuffix(wire.Error(), before.Error()) {
+		t.Fatalf("recovered result over the wire = %v, want ErrCancelled %q", wire, before)
 	}
 }
 
