@@ -2,14 +2,15 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
-	"dooc/internal/sparse"
 	"dooc/internal/storage"
 )
 
@@ -40,18 +41,27 @@ const ckTrailerLen = 4
 // rename) with its CRC32-C trailer, so the resume scan never observes a
 // half-written part under the final name.
 func writeCheckpointFile(dst string, data []byte) error {
-	buf := make([]byte, len(data)+ckTrailerLen)
-	copy(buf, data)
-	binary.LittleEndian.PutUint32(buf[len(data):], crc32.Checksum(data, ckCRC))
+	var trailer [ckTrailerLen]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(data, ckCRC))
 	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, dst); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		_, err = f.Write(trailer[:])
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // readCheckpointPart loads and verifies one part, returning exactly want
@@ -148,11 +158,23 @@ func LatestCheckpoint(scratchRoot string, cfg SpMVConfig) (*Checkpoint, error) {
 	return nil, nil
 }
 
+// SegmentTag is the Tag of the segment run a checkpointed run tagged tag
+// executes from iteration start on. Its arrays are named under "tag:", the
+// prefix of the run's quota group, and apart from its checkpoint files
+// "tag:x_<t>_<u>": SegmentPrefix(tag) matches every segment's arrays and no
+// checkpoint file.
+func SegmentTag(tag string, start int) string { return fmt.Sprintf("%s%d", SegmentPrefix(tag), start) }
+
+// SegmentPrefix is the name prefix of every segment array of a
+// checkpointed run tagged tag (SegmentTag).
+func SegmentPrefix(tag string) string { return tag + ":@" }
+
 // ResumeIteratedSpMV runs a *checkpointed* iterated SpMV to cfg.Iters total
 // iterations: it loads the newest checkpoint (or starts from x0 if none)
-// and executes only the remaining iterations, flushing every produced
-// iterate so the run can be interrupted and resumed again. The returned int
-// is the iteration it resumed from. cfg.Tag must be non-empty and stable
+// and executes only the remaining iterations, writing every produced
+// iterate to a checkpoint file, of which the two newest complete iterates
+// are kept, so the run can be interrupted and resumed again. The returned
+// int is the iteration it resumed from. cfg.Tag must be non-empty and stable
 // across restarts; the system needs a ScratchRoot.
 func ResumeIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64) (*SpMVResult, int, error) {
 	return resumeIteratedSpMV(sys, cfg, x0, nil)
@@ -187,12 +209,11 @@ func resumeIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, cancel <-chan
 	rest.Iters = cfg.Iters - start
 	// Offset the tag per segment so array names of the segment runs never
 	// collide; checkpoint files keep the global iteration index.
-	rest.Tag = fmt.Sprintf("%s@%d", cfg.Tag, start)
+	rest.Tag = SegmentTag(cfg.Tag, start)
 	res, err := runIteratedSpMV(sys, rest, x, spmvRunOpts{
-		cancel:         cancel,
-		checkpoint:     true,
-		checkpointTag:  cfg.Tag,
-		checkpointBase: start,
+		cancel:   cancel,
+		sum:      checkpointSumExecutor(sys, rest.Tag+":", cfg.Tag, start),
+		iterBase: start,
 	})
 	if err != nil {
 		DeleteSpMVArrays(sys, rest)
@@ -230,7 +251,6 @@ func PurgeTaggedArtifacts(sys *System, prefix string) {
 					break
 				}
 			}
-			sys.invalidateDecoded(base)
 			if err := sys.Store(node).Delete(base); err != nil {
 				// Not registered (e.g. a bare .tmp or an orphaned sidecar):
 				// remove the path itself.
@@ -240,37 +260,46 @@ func PurgeTaggedArtifacts(sys *System, prefix string) {
 	}
 }
 
-// checkpointSumExecutor wraps the reduction executor: after x[t][u] is
-// written, it is flushed to scratch and hard-linked to the global
-// checkpoint name the resume scan looks for.
-func checkpointSumExecutor(sys *System, runPrefix, ckTag string, base int, p sparse.GridPartition) Executor {
-	inner := execSum
+// checkpointSumExecutor wraps the reduction executor: once x[t][u] is
+// written, its bytes go straight from the resident block to the checkpoint
+// file "<ckTag>:x_<base+t>_<u>" that LatestCheckpoint looks for — raw plus a
+// CRC trailer, so a resume scan never needs a codec — and the part of
+// iteration base+t−2 is deleted. A sum of iteration t becomes ready only
+// after every sum of t−1 has returned, its checkpoint written, so the two
+// newest complete iterates are on scratch whenever a process dies, and at
+// most 3×K parts at any moment.
+func checkpointSumExecutor(sys *System, runPrefix, ckTag string, base int) Executor {
 	return func(ctx *ExecContext) error {
-		if err := inner(ctx); err != nil {
+		if err := execSum(ctx); err != nil {
 			return err
 		}
 		out := ctx.Task.Outputs[0].Array
-		if err := ctx.Store.Flush(out); err != nil {
-			return fmt.Errorf("checkpointing %s: %w", out, err)
-		}
-		// The flushed array carries the segment-local name
-		// "<runPrefix>x_<t>_<u>". Persist it under the global checkpoint name
-		// "<ckTag>:x_<base+t>_<u>" so LatestCheckpoint finds it. The read-back
-		// goes through the store, not the filesystem: the flushed layout may
-		// be a raw .arr file or a .seg file of compressed frames, and the
-		// checkpoint file itself stays raw (plus CRC trailer) so resume scans
-		// never need a codec.
 		var t, u int
 		if _, err := fmt.Sscanf(strings.TrimPrefix(out, runPrefix), "x_%d_%d", &t, &u); err != nil {
 			return fmt.Errorf("checkpointing %s: cannot parse name: %w", out, err)
 		}
-		dst := filepath.Join(sys.scratchDir(ctx.Node), fmt.Sprintf("%s:x_%d_%d.arr", ckTag, base+t, u))
-		data, err := ctx.Store.ReadAll(out)
+		part := func(node, iter int) string {
+			return filepath.Join(sys.scratchDir(node), fmt.Sprintf("%s:x_%d_%d.arr", ckTag, iter, u))
+		}
+		l, err := ctx.Store.RequestBlock(out, 0, storage.PermRead)
 		if err != nil {
 			return fmt.Errorf("checkpointing %s: %w", out, err)
 		}
-		if err := writeCheckpointFile(dst, data); err != nil {
+		err = writeCheckpointFile(part(ctx.Node, base+t), l.Data)
+		l.Release()
+		if err != nil {
 			return fmt.Errorf("checkpointing %s: %w", out, err)
+		}
+		// A part a startup scan found is a registered array: it goes through
+		// the store, which owns its file. One this process wrote is removed
+		// from whichever node wrote it (a failed node's sums run elsewhere).
+		if ctx.Store.Delete(fmt.Sprintf("%s:x_%d_%d", ckTag, base+t-2, u)) == nil {
+			return nil
+		}
+		for node := 0; node < sys.Nodes(); node++ {
+			if err := os.Remove(part(node, base+t-2)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return fmt.Errorf("checkpointing %s: %w", out, err)
+			}
 		}
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dooc/internal/compress"
@@ -70,7 +71,8 @@ func TestResumeFromScratchMatchesStraightRun(t *testing.T) {
 // TestInterruptedRunResumes: run 2 iterations, tear the system down
 // (the "crash"), bring a fresh system up over the same scratch, and resume
 // to 5 total iterations. The resumed result must match an uninterrupted
-// 5-iteration reference, and the resume must start at iteration 2.
+// 5-iteration reference, the resume must start at iteration 2, and only the
+// two newest iterates stay on scratch.
 func TestInterruptedRunResumes(t *testing.T) {
 	m, x0, root := checkpointFixture(t)
 
@@ -94,6 +96,16 @@ func TestInterruptedRunResumes(t *testing.T) {
 	want := referenceIterate(m, x0, 5)
 	if d := maxAbsDiff(res.X, want); d > 1e-9 {
 		t.Fatalf("resumed result differs by %v", d)
+	}
+	// The first segment's parts, registered by the second system's startup
+	// scan, went through its stores: neither file nor array is left.
+	if n := countCheckpointParts(t, root, cfgFull.Tag); n != 2*cfgFull.K {
+		t.Fatalf("%d checkpoint parts after the resumed run, want %d", n, 2*cfgFull.K)
+	}
+	for node := 0; node < sys2.Nodes(); node++ {
+		if _, err := sys2.Store(node).Info("job2:x_1_0"); err == nil {
+			t.Fatalf("node %d still registers a deleted checkpoint part", node)
+		}
 	}
 }
 
@@ -147,9 +159,9 @@ func mutateCheckpointPart(t *testing.T, root, name string, mutate func([]byte) [
 
 // TestCorruptCheckpointFallsBack: a part torn or bit-rotted by a crash
 // mid-write must never be resumed from. A flipped payload byte (CRC
-// mismatch) in the newest iteration drops the scan to the previous one; a
-// truncation there drops it once more; and the resume from the surviving
-// iteration still converges to the uninterrupted reference.
+// mismatch) in the newest iteration drops the scan to the previous one, the
+// older of the two kept; a truncation there leaves no valid checkpoint; and
+// the resume from x⁰ still converges to the uninterrupted reference.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	m, x0, root := checkpointFixture(t)
 	sys1 := checkpointSystem(t, root)
@@ -178,8 +190,8 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck == nil || ck.Iter != 1 {
-		t.Fatalf("after truncating iteration 2, latest = %+v, want iteration 1", ck)
+	if ck != nil {
+		t.Fatalf("after truncating iteration 2, latest = iteration %d, want none: only two iterates are kept", ck.Iter)
 	}
 
 	sys2 := checkpointSystem(t, root)
@@ -190,8 +202,8 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if from != 1 {
-		t.Fatalf("resumed from %d, want 1 (newest valid checkpoint)", from)
+	if from != 0 {
+		t.Fatalf("resumed from %d, want 0 (no valid checkpoint)", from)
 	}
 	want := referenceIterate(m, x0, 5)
 	if d := maxAbsDiff(res.X, want); d > 1e-9 {
@@ -269,5 +281,67 @@ func TestPurgeRemovesOlderBuildBlockDirs(t *testing.T) {
 		if strings.HasPrefix(e.Name(), "job9:") {
 			t.Errorf("purge left %s behind", e.Name())
 		}
+	}
+}
+
+// countCheckpointParts counts the checkpoint files of tag under every node
+// directory of root.
+func countCheckpointParts(t *testing.T, root, tag string) int {
+	t.Helper()
+	parts, err := filepath.Glob(filepath.Join(root, "node*", tag+":x_*.arr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(parts)
+}
+
+// TestCheckpointsKeepTwoNewest: a checkpointed run writes every iterate once
+// and keeps the two newest complete ones — at most 3×K parts on scratch
+// whenever a sum runs, 2×K when the run is done, the segment's own iterates
+// never flushed — and its result is a plain run's, bit for bit.
+func TestCheckpointsKeepTwoNewest(t *testing.T) {
+	m, x0, root := checkpointFixture(t)
+	sys := checkpointSystem(t, root)
+	defer sys.Close()
+	const iters = 40
+	cfg := SpMVConfig{Dim: m.Rows, K: 3, Iters: iters, Nodes: 2, Tag: "job5"}
+	seg := cfg
+	seg.Tag = SegmentTag(cfg.Tag, 0)
+	ckSum := checkpointSumExecutor(sys, seg.Tag+":", cfg.Tag, 0)
+	var mu sync.Mutex
+	most, sums := 0, 0
+	counted := func(ctx *ExecContext) error {
+		err := ckSum(ctx)
+		mu.Lock()
+		defer mu.Unlock()
+		sums++
+		most = max(most, countCheckpointParts(t, root, cfg.Tag))
+		return err
+	}
+	res, err := runIteratedSpMV(sys, seg, x0, spmvRunOpts{sum: counted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sums != iters*cfg.K || most > 3*cfg.K {
+		t.Fatalf("%d sums saw up to %d checkpoint parts, want %d sums and at most %d", sums, most, iters*cfg.K, 3*cfg.K)
+	}
+	if n := countCheckpointParts(t, root, cfg.Tag); n != 2*cfg.K {
+		t.Fatalf("%d checkpoint parts after the run, want the %d of the two newest iterates", n, 2*cfg.K)
+	}
+	if n, err := filepath.Glob(filepath.Join(root, "node*", seg.Tag+":*")); err != nil || len(n) != 0 {
+		t.Fatalf("the segment left %v on scratch (%v), want nothing flushed", n, err)
+	}
+	ck, err := LatestCheckpoint(root, cfg)
+	if err != nil || ck == nil || ck.Iter != iters || maxAbsDiff(ck.X, res.X) != 0 {
+		t.Fatalf("latest checkpoint %v (err %v), want iteration %d holding the result", ck, err, iters)
+	}
+	plain := cfg
+	plain.Tag = "plain"
+	want, err := RunIteratedSpMV(sys, plain, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shaOf(res.X) != shaOf(want.X) {
+		t.Fatal("the checkpointed run's result differs from a plain run's")
 	}
 }

@@ -30,7 +30,7 @@ func TestCompressedStagingAndSpillsMatchRaw(t *testing.T) {
 	}
 	quantize(m)
 	// A quantized starting vector keeps the iterates' mantissas short, so
-	// the spilled checkpoint vectors stay compressible (random mantissas
+	// the spilled iterates stay compressible (random mantissas
 	// would exercise only the bail-out).
 	x0 := randVec(rng, dim)
 	for i, v := range x0 {
@@ -38,9 +38,15 @@ func TestCompressedStagingAndSpillsMatchRaw(t *testing.T) {
 	}
 	cfg := SpMVConfig{Dim: dim, K: 3, Iters: 3, Nodes: 2, Tag: "ck"}
 
-	// Checkpointed runs flush every iterate, so transient vectors really
-	// travel through the spill path (a plain run keeps them memory- or
-	// peer-backed and never writes them).
+	// The run's sums flush every iterate they write, so transient vectors
+	// really travel through the spill path (a plain run keeps them memory-
+	// or peer-backed and never writes them).
+	flushSum := func(ctx *ExecContext) error {
+		if err := execSum(ctx); err != nil {
+			return err
+		}
+		return ctx.Store.Flush(ctx.Task.Outputs[0].Array)
+	}
 	run := func(compressed bool) ([]float64, StagedMatrixInfo, *RunStats) {
 		root := t.TempDir()
 		stage := stageV1
@@ -70,12 +76,9 @@ func TestCompressedStagingAndSpillsMatchRaw(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		res, resumedFrom, err := ResumeIteratedSpMV(sys, cfg, x0)
+		res, err := runIteratedSpMV(sys, cfg, x0, spmvRunOpts{sum: flushSum})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if resumedFrom != 0 {
-			t.Fatalf("fresh run resumed from iteration %d", resumedFrom)
 		}
 		return res.X, info, res.Stats
 	}

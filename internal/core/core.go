@@ -114,7 +114,6 @@ type System struct {
 	opts    Options
 	cluster *simnet.Cluster
 	stores  []*storage.Store
-	valid   validMemo // blocks ExecContext.Matrix has validated
 
 	// View scratches between runs. ExecContext is built per Run, and a
 	// scratch regrown from nothing on every Operator.Apply would allocate a
@@ -216,10 +215,6 @@ func (s *System) putScratch(v *sparse.ViewScratch) {
 	s.scratchMu.Unlock()
 }
 
-// invalidateDecoded drops what the engine derived from an array's bytes — the
-// validated-checksum memo — ahead of the array's deletion.
-func (s *System) invalidateDecoded(name string) { s.valid.forget(name) }
-
 // Nodes returns the cluster size.
 func (s *System) Nodes() int { return s.opts.Nodes }
 
@@ -257,17 +252,6 @@ func (s *System) FailNode(node int) error {
 		r.cond.Broadcast()
 	}
 	return nil
-}
-
-// FailedNodes returns the indices of nodes marked dead via FailNode.
-func (s *System) FailedNodes() []int {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	var out []int
-	for n := range s.failedNodes {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Close shuts every node's storage filter down.
@@ -387,10 +371,4 @@ func (r *RunStats) ShardPushes() int64 {
 // the run.
 func (r *RunStats) ShardFetches() int64 {
 	return r.storageDelta(func(s *storage.Stats) int64 { return s.ShardFetches })
-}
-
-// ShardBytes sums block bytes fetched from the cluster shard tier during
-// the run.
-func (r *RunStats) ShardBytes() int64 {
-	return r.storageDelta(func(s *storage.Stats) int64 { return s.BytesFetchedShard })
 }

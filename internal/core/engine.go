@@ -23,7 +23,6 @@ type ExecContext struct {
 	Store *storage.Store
 	Task  *dag.Task
 
-	valid   *validMemo
 	scratch execScratch
 
 	// The read lease under the view Matrix handed out, the view itself, and
@@ -89,10 +88,11 @@ func (c *ExecContext) reset(t *dag.Task) {
 // multiply out of them, an executor that wants the indices themselves asks
 // CSR.Columns. The CRC is checked once per residency of the block on this
 // node — here, unless the I/O filter that read the block checked it
-// (verifyInIOFilter) — and the structural walk once per block content
-// (validMemo). A block that fails either names its array and wraps
-// compress.ErrCorrupt. Executors must not keep the matrix, or anything
-// sliced from it, past their return.
+// (verifyInIOFilter) — and the structural walk once per block content, as
+// the lease reports what was vouched for before (matrixTrust); a view that
+// learns something new vouches for the block on its lease. A block that
+// fails either names its array and wraps compress.ErrCorrupt. Executors must
+// not keep the matrix, or anything sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 	lease, err := c.Store.RequestBlock(array, 0, storage.PermRead)
 	if err != nil {
@@ -104,20 +104,39 @@ func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
 		defer lease.Release()
 		return sparse.DecodeCRSBytes(lease.Data)
 	}
-	known := c.valid.get(c.Node, array)
+	trusted := sparse.TrustNothing
 	m, crc, err := sparse.ViewCRSBytes(lease.Data, c.view, func(crc uint32) sparse.Trust {
-		return known.trust(lease.Gen, crc, lease.Verified && lease.CRC == crc)
+		trusted = matrixTrust(lease, crc)
+		return trusted
 	})
 	if err != nil {
 		lease.Release()
 		return nil, fmt.Errorf("core: matrix %q: %w", array, err)
 	}
 	c.copied.Add(c.view.CopiedBytes())
-	if known.gen != lease.Gen {
-		c.valid.put(c.Node, array, validRec{gen: lease.Gen, crc: crc})
+	if trusted != sparse.TrustBytes {
+		lease.Vouch(crc)
 	}
 	c.matLease, c.mat = lease, m
 	return m, nil
+}
+
+// matrixTrust is how much of the verification of the block under l, which
+// carries checksum crc, is done already: the CRC when this residency was
+// checked under crc (Lease.Verified), the structural walk when the block's
+// content was vouched for under crc (Lease.Vouched).
+func matrixTrust(l *storage.Lease, crc uint32) sparse.Trust {
+	checked := l.Verified && l.CRC == crc
+	walked := l.Vouched && l.CRC == crc
+	switch {
+	case checked && walked:
+		return sparse.TrustBytes
+	case checked:
+		return sparse.TrustChecksum
+	case walked:
+		return sparse.TrustStructure
+	}
+	return sparse.TrustNothing
 }
 
 // releaseMatrix ends the view Matrix handed out, if any, and returns the
@@ -473,7 +492,6 @@ func (r *engineRun) worker(node, lane int) {
 	ctx := &ExecContext{
 		Node:   node,
 		Store:  store,
-		valid:  &r.sys.valid,
 		view:   r.sys.takeScratch(),
 		copied: r.sys.viewCopied,
 	}
@@ -572,7 +590,6 @@ func (r *engineRun) worker(node, lane int) {
 
 		// Reclaim dead ephemeral arrays outside the lock.
 		for _, name := range dead {
-			r.sys.invalidateDecoded(name)
 			// Deletion failures (e.g. a concurrent late reader) are not
 			// fatal; the array simply lives a little longer.
 			_ = store.Delete(name)

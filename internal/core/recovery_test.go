@@ -2,10 +2,7 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -277,32 +274,20 @@ func TestCrashMidIterationResumes(t *testing.T) {
 		_, _, err := ResumeIteratedSpMV(sys1, cfg, x0)
 		done <- err
 	}()
-	// Wait for all parts of iteration 1's checkpoint to land on disk, then
-	// kill both nodes: the run dies somewhere past iteration 1, typically
-	// mid-iteration, leaving later iterations' checkpoints incomplete. (The
-	// complete-iteration-1 wait also guarantees the resume starts at ≥ 1,
-	// so its segment arrays never collide with the crashed segment's
-	// leftovers on scratch.)
-	ckComplete := func() bool {
-		for u := 0; u < cfg.K; u++ {
-			found := false
-			for node := 0; node < 2; node++ {
-				p := filepath.Join(root, fmt.Sprintf("node%d", node), fmt.Sprintf("%s:x_1_%d.arr", cfg.Tag, u))
-				if _, err := os.Stat(p); err == nil {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	}
+	// Wait for a complete checkpoint to land on disk, then kill both nodes:
+	// the run dies somewhere past it, typically mid-iteration, leaving later
+	// iterations' checkpoints incomplete. (Waiting for a complete iterate
+	// also guarantees the resume starts at ≥ 1, so its segment arrays never
+	// collide with the crashed segment's leftovers on scratch; the two
+	// newest complete iterates are kept, so there is always one once the
+	// first is written.)
 	deadline := time.Now().Add(20 * time.Second)
-	for !ckComplete() {
+	for {
+		if ck, _ := LatestCheckpoint(root, cfg); ck != nil {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("iteration-1 checkpoint never appeared")
+			t.Fatal("no complete checkpoint ever appeared")
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

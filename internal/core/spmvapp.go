@@ -37,13 +37,30 @@ type SpMVConfig struct {
 	Trace obs.SpanContext
 }
 
-// Validate checks the configuration.
+// MaxProgramTasks bounds the tasks of one run's program. A run generates
+// its whole program and creates every array before the first task runs, at
+// ≈ 2.2–2.6 KB a task (measured on a 512², 2-node in-memory run at K = 2 and
+// K = 4), so the bound keeps that up-front cost under ≈ 0.7 GB; the largest
+// run in the tree, 12,000 iterations at K = 2, is 72,000 tasks.
+const MaxProgramTasks = 1 << 18
+
+// ErrProgramTooLarge refuses a configuration whose program would exceed
+// MaxProgramTasks.
+var ErrProgramTooLarge = errors.New("core: program too large")
+
+// Validate checks the configuration, the size of its program included:
+// Iters × (multiplies + sums an iteration), counting a multiply for every
+// block of the full grid and each of its SplitWays parts.
 func (c SpMVConfig) Validate() error {
 	if c.Dim <= 0 || c.K <= 0 || c.Iters <= 0 || c.Nodes <= 0 {
 		return fmt.Errorf("core: invalid SpMV config %+v", c)
 	}
 	if c.K > c.Dim {
 		return fmt.Errorf("core: K=%d exceeds dimension %d", c.K, c.Dim)
+	}
+	ways := max(c.SplitWays, 1)
+	if c.K > MaxProgramTasks || ways > MaxProgramTasks/(c.K*c.K) || c.Iters > MaxProgramTasks/(c.K*c.K*ways+c.K) {
+		return fmt.Errorf("%w: %d iterations at K = %d, SplitWays %d exceed %d tasks", ErrProgramTooLarge, c.Iters, c.K, c.SplitWays, MaxProgramTasks)
 	}
 	return nil
 }
@@ -407,27 +424,22 @@ func DeleteSpMVArrays(sys *System, cfg SpMVConfig) {
 	if cfg.Tag != "" {
 		prefix = cfg.Tag + ":"
 	}
-	drop := func(owner *storage.Store, name string) {
-		sys.invalidateDecoded(name)
-		_ = owner.Delete(name)
-	}
 	for u := 0; u < cfg.K; u++ {
 		owner := sys.Store(cfg.OwnerOf(u))
 		for t := 0; t <= cfg.Iters; t++ {
-			drop(owner, prefix+spmv.VecArray(t, u))
+			_ = owner.Delete(prefix + spmv.VecArray(t, u))
 		}
 		for t := 1; t <= cfg.Iters; t++ {
 			for v := 0; v < cfg.K; v++ {
-				drop(owner, prefix+spmv.PartialArray(t, u, v))
+				_ = owner.Delete(prefix + spmv.PartialArray(t, u, v))
 			}
 		}
 	}
 }
 
-// DropArray removes one named array from whichever store holds it,
-// forgetting what the engine remembered of its bytes first. Best-effort.
+// DropArray removes one named array from whichever store holds it.
+// Best-effort.
 func DropArray(sys *System, name string) {
-	sys.invalidateDecoded(name)
 	for node := 0; node < sys.Nodes(); node++ {
 		if sys.Store(node).Delete(name) == nil {
 			return
@@ -458,11 +470,11 @@ type spmvRunOpts struct {
 	keepEphemeral bool
 	cancel        <-chan struct{}
 
-	// checkpoint flushes every produced iterate and records it under
-	// checkpointTag with iteration indices offset by checkpointBase.
-	checkpoint     bool
-	checkpointTag  string
-	checkpointBase int
+	// sum, when set, replaces the reduction executor (a checkpointed
+	// segment's, checkpointSumExecutor); iterBase is the global iteration
+	// the run starts from, which its spans report iterations from.
+	sum      Executor
+	iterBase int
 }
 
 func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts) (*SpMVResult, error) {
@@ -551,8 +563,8 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 		ephemeral = nil
 	}
 	executors := SpMVExecutors()
-	if opts.checkpoint {
-		executors["sum"] = checkpointSumExecutor(sys, prefix, opts.checkpointTag, opts.checkpointBase, p)
+	if opts.sum != nil {
+		executors["sum"] = opts.sum
 	}
 	spec := RunSpec{
 		Tasks:      tasks,
@@ -566,7 +578,7 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 	if cfg.Trace.Valid() {
 		// Task IDs carry segment-relative iteration indices; the base shift
 		// makes resumed segments report absolute iterations in their spans.
-		base := opts.checkpointBase
+		base := opts.iterBase
 		spec.IterOf = func(id string) (int, bool) {
 			t, ok := spmv.TaskIter(id)
 			return t + base, ok

@@ -49,18 +49,6 @@ func requireNoMatrixLeases(t *testing.T, sys *System, k int) {
 	}
 }
 
-// stageRaw writes m into s as the DOOCCRS1 array name.
-func stageRaw(t *testing.T, s *storage.Store, name string, m *sparse.CSR) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := sparse.WriteCRS(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteArray(name, buf.Bytes(), 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func testMatrix(t *testing.T, seed int64) *sparse.CSR {
 	t.Helper()
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: 60, Cols: 60, D: 2, Seed: seed})
@@ -319,7 +307,7 @@ func TestViewLeaseReturnedOnEveryExit(t *testing.T) {
 func TestSecondViewInOneTaskIsACopy(t *testing.T) {
 	m := testMatrix(t, 4)
 	sys := viewTestSystem(t, m, make([]float64, m.Cols), sparse.WriteCRS)
-	ctx := &ExecContext{Store: sys.Store(0), valid: &sys.valid, view: sys.takeScratch()}
+	ctx := &ExecContext{Store: sys.Store(0), view: sys.takeScratch()}
 	first, err := ctx.Matrix("M")
 	if err != nil {
 		t.Fatal(err)
@@ -356,14 +344,14 @@ func corruptStructure(t *testing.T, m *sparse.CSR) []byte {
 }
 
 // TestValidateOncePerContent: the structural walk is skipped only for bytes
-// already walked under that name. An invalid block with a correct CRC is
-// refused on first sight; a name deleted and rewritten with other bytes is
-// walked again though the memo was not told; a repeat view costs its lease.
+// of the array the lease reports vouched for. An invalid block with a
+// correct CRC is refused on first sight; a name deleted and rewritten with
+// other bytes is walked again; a repeat view costs its lease.
 func TestValidateOncePerContent(t *testing.T) {
 	m := testMatrix(t, 5)
 	sys := viewTestSystem(t, m, make([]float64, m.Cols), sparse.WriteCRS)
 	st := sys.Store(0)
-	ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
+	ctx := &ExecContext{Store: st, view: sys.takeScratch()}
 	view := func(name string) error {
 		_, err := ctx.Matrix(name)
 		ctx.releaseMatrix()
@@ -376,25 +364,48 @@ func TestValidateOncePerContent(t *testing.T) {
 	if err := view("bad"); err == nil || !strings.Contains(err.Error(), "invalid CRS payload") {
 		t.Fatalf("invalid block with a correct CRC on first sight: %v", err)
 	}
-	if sys.valid.get(0, "bad") != (validRec{}) {
-		t.Fatal("a refused block was remembered as validated")
+	// What a lease of name reports of earlier checks.
+	reported := func(name string) (verified, vouched bool, crc uint32) {
+		t.Helper()
+		l, err := st.RequestBlock(name, 0, storage.PermRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+		return l.Verified, l.Vouched, l.CRC
+	}
+	if verified, vouched, _ := reported("bad"); verified || vouched {
+		t.Fatal("a refused block was vouched for")
 	}
 
 	if err := view("M"); err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.valid.get(0, "M")
-	if rec.gen == 0 || rec.trust(rec.gen+1, rec.crc, false) != sparse.TrustStructure || rec.trust(rec.gen+1, rec.crc+1, false) != sparse.TrustNothing {
-		t.Fatal("memo does not hold exactly M's checksum after a successful view")
+	l, err := st.RequestBlock("M", 0, storage.PermRead)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A lease whose CRC the I/O filter checked skips the walk only for the
-	// checksum walked before.
-	if rec.trust(rec.gen+1, rec.crc, true) != sparse.TrustBytes || rec.trust(rec.gen+1, rec.crc+1, true) != sparse.TrustChecksum ||
-		(validRec{}).trust(rec.gen+1, rec.crc, true) != sparse.TrustChecksum {
-		t.Fatal("memo vouches for a verified lease's structure without having walked its checksum")
+	crc := binary.LittleEndian.Uint32(l.Data[len(l.Data)-4:])
+	l.Release()
+	if verified, vouched, got := reported("M"); !verified || !vouched || got != crc {
+		t.Fatalf("after a successful view M's lease reports Verified %v Vouched %v CRC %08x, want both under %08x", verified, vouched, got, crc)
 	}
-	if sys.valid.get(1, "M") != (validRec{}) {
-		t.Fatal("node 0's view vouches for node 1's bytes")
+	// The CRC is skipped for a residency checked under the block's
+	// checksum, the walk for content vouched for under it.
+	for _, c := range []struct {
+		lease storage.Lease
+		want  sparse.Trust
+	}{
+		{storage.Lease{Verified: true, Vouched: true, CRC: crc}, sparse.TrustBytes},
+		{storage.Lease{Verified: true, CRC: crc}, sparse.TrustChecksum},
+		{storage.Lease{Vouched: true, CRC: crc}, sparse.TrustStructure},
+		{storage.Lease{Verified: true, Vouched: true, CRC: crc + 1}, sparse.TrustNothing},
+		{storage.Lease{CRC: crc}, sparse.TrustNothing},
+	} {
+		if got := matrixTrust(&c.lease, crc); got != c.want {
+			t.Errorf("matrixTrust(Verified %v, Vouched %v, CRC %08x) of a block carrying %08x = %v, want %v",
+				c.lease.Verified, c.lease.Vouched, c.lease.CRC, crc, got, c.want)
+		}
 	}
 	if err := view("M"); err != nil {
 		t.Fatalf("second view of validated bytes: %v", err)
@@ -421,8 +432,8 @@ func TestValidateOncePerContent(t *testing.T) {
 		t.Errorf("1000 repeat Matrix calls on a resident block allocate %d times, their leases alone %d", got, lease)
 	}
 
-	// Same name, other bytes, memo not told: the checksum differs, so the
-	// walk runs and refuses.
+	// Same name, other bytes: the record died with the array, so the walk
+	// runs and refuses.
 	if err := st.Delete("M"); err != nil {
 		t.Fatal(err)
 	}
@@ -435,44 +446,6 @@ func TestValidateOncePerContent(t *testing.T) {
 
 	if err := view("x"); err == nil {
 		t.Fatal("a vector passed for a CRS block")
-	}
-}
-
-// TestMemoHoldsLiveArraysOnly: whichever path deletes a viewed array — the
-// proxy registry's DropArray, the orphan sweep recovery runs over a crashed
-// job's namespace — takes its entry out of the validation memo, so the map is
-// as large as the set of live matrix arrays, not as the history of the process.
-func TestMemoHoldsLiveArraysOnly(t *testing.T) {
-	m := testMatrix(t, 7)
-	sys, err := NewSystem(Options{Nodes: 1, Reorder: true, ScratchRoot: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	st := sys.Store(0)
-	ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
-	for name, remove := range map[string]func(){
-		"dropped:M": func() { DropArray(sys, "dropped:M") },
-		"crashed:M": func() { PurgeTaggedArtifacts(sys, "crashed:") },
-	} {
-		stageRaw(t, st, name, m)
-		if err := st.Flush(name); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ctx.Matrix(name); err != nil {
-			t.Fatal(err)
-		}
-		ctx.releaseMatrix()
-		if sys.valid.get(0, name) == (validRec{}) {
-			t.Fatalf("%s: a view left nothing in the memo", name)
-		}
-		remove()
-		if _, err := st.Info(name); err == nil {
-			t.Fatalf("%s is still registered", name)
-		}
-		if n := len(sys.valid.recs); n != 0 {
-			t.Errorf("%s is gone and the memo still holds %d entries", name, n)
-		}
 	}
 }
 
@@ -506,19 +479,19 @@ func TestChecksumOncePerResidency(t *testing.T) {
 			}
 			defer sys.Close()
 			st := sys.Store(0)
-			ctx := &ExecContext{Store: st, valid: &sys.valid, view: sys.takeScratch()}
+			ctx := &ExecContext{Store: st, view: sys.takeScratch()}
 			var verified bool // by the I/O filter, the last view's lease
-			view := func() (int64, error) {
+			view := func() error {
 				a, err := ctx.Matrix("M")
 				if err != nil {
-					return 0, err
+					return err
 				}
 				defer ctx.releaseMatrix()
 				if a.NNZ() != m.NNZ() {
 					t.Fatalf("view has %d nonzeros, want %d", a.NNZ(), m.NNZ())
 				}
 				verified = ctx.matLease.Verified
-				return ctx.matLease.Gen, nil
+				return nil
 			}
 			// flipResident flips one bit of a value where the block lies in memory.
 			flipResident := func() {
@@ -536,26 +509,32 @@ func TestChecksumOncePerResidency(t *testing.T) {
 				}
 			}
 
-			first, err := view()
-			if err != nil {
+			if err := view(); err != nil {
 				t.Fatal(err)
 			}
-			flipResident()
-			if gen, err := view(); err != nil || gen != first {
-				t.Fatalf("second view of a still-resident block: generation %d (first %d), err %v; want the same residency and no second CRC pass", gen, first, err)
+			if verified != site.inIOFilter {
+				t.Fatalf("a loaded block's lease reports Verified %v with the I/O-filter site %v", verified, site.inIOFilter)
 			}
-			flipResident() // back
+			flipResident()
+			if err := view(); err != nil {
+				t.Fatalf("second view of a still-resident block: %v; want no second CRC pass", err)
+			}
 
-			// Evicted and read back unchanged: a new residency, checksummed again (it
-			// passes), not walked again.
+			// Evicted and read back: a new residency, which holds the bytes on
+			// scratch and not the flipped ones, checksummed again (it passes)
+			// and not walked again.
 			evict()
-			second, err := view()
-			if err != nil || second == first {
-				t.Fatalf("view after evict + reload: generation %d (first %d), err %v", second, first, err)
+			if err := view(); err != nil {
+				t.Fatalf("view after evict + reload: %v", err)
 			}
 			if verified != site.inIOFilter {
 				t.Fatalf("a reloaded block's lease reports Verified %v with the I/O-filter site %v", verified, site.inIOFilter)
 			}
+			flipResident()
+			if err := view(); err != nil {
+				t.Fatalf("second view of the reloaded residency: %v; want no second CRC pass", err)
+			}
+			flipResident() // back
 
 			// Damaged on scratch between two residencies.
 			damaged := append([]byte(nil), enc.Bytes()...)
@@ -564,22 +543,22 @@ func TestChecksumOncePerResidency(t *testing.T) {
 				t.Fatal(err)
 			}
 			evict()
-			if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			if err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("view of a block damaged on scratch: %v", err)
 			}
-			if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			if err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("second view of the damaged residency: %v", err)
 			}
 
-			// Deleted and created again under the same name, the memo not told: the
-			// new bytes are checksummed on first sight.
+			// Deleted and created again under the same name: the new bytes are
+			// checksummed on first sight.
 			if err := st.Delete("M"); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.WriteArray("M", damaged, 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			if err := view(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("view of damaged bytes under a verified name: %v", err)
 			}
 		})

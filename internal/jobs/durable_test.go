@@ -361,3 +361,61 @@ func TestDrainContextNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDurableJobArraysJoinItsQuota: every array a durable job creates — its
+// segment runs' — is named under the job's quota prefix, so the job's group
+// sees them while the job runs and a tight MemoryBytes forces quota
+// evictions, as on the in-memory path.
+func TestDurableJobArraysJoinItsQuota(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			base, root, storeDir := durableFixture(t)
+			cfg := Config{MaxRunning: 1, QueueDepth: 4}
+			if durable {
+				store, err := jobstore.Open(storeDir, jobstore.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				cfg.Store = store
+			}
+			sys := durableSystem(t, root)
+			defer sys.Close()
+			svc := NewSolverService(sys, base, cfg)
+			defer svc.Manager.Drain()
+			// A byte a node: less than any array of the job.
+			st, err := svc.Submit(SolveRequest{Tenant: "alice", Iters: 300, Seed: 5, MemoryBytes: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := fmt.Sprintf("job%d:", st.ID)
+			var used int64
+			for {
+				for i := 0; i < sys.Nodes(); i++ {
+					if q, ok := sys.Store(i).Quota(prefix); ok {
+						used = max(used, q.MemUsed)
+					}
+				}
+				if s, err := svc.Manager.Status(st.ID); err != nil || stateFromString(s.State).Terminal() {
+					break
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if _, err := svc.Manager.Result(st.ID); err != nil {
+				t.Fatal(err)
+			}
+			// The job was the only quota group: every quota eviction was its.
+			var evicted int64
+			for i := 0; i < sys.Nodes(); i++ {
+				evicted += sys.Store(i).Stats().QuotaEvictions
+			}
+			if used == 0 || evicted == 0 {
+				t.Fatalf("group %q held at most %d bytes while the job ran and forced %d evictions, want both above 0", prefix, used, evicted)
+			}
+		})
+	}
+}

@@ -135,8 +135,12 @@ func (s *SolverService) Base() core.SpMVConfig { return s.base }
 // ErrQuotaExceeded, ErrDraining). A keyed request matching a known job
 // returns that job's status instead of enqueuing a duplicate.
 func (s *SolverService) Submit(req SolveRequest) (JobStatus, error) {
-	if req.Iters <= 0 {
-		return JobStatus{}, fmt.Errorf("jobs: invalid iters %d", req.Iters)
+	// A run's program and arrays exist whole before its first task, so a
+	// job whose program is too large is refused here, unjournaled.
+	cfg := s.base
+	cfg.Iters = req.Iters
+	if err := cfg.Validate(); err != nil {
+		return JobStatus{}, fmt.Errorf("jobs: %w", err)
 	}
 	p := solvePayload{Iters: req.Iters, Seed: req.Seed}
 	if req.Input.Valid() {
@@ -315,8 +319,10 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 		// Durable path. A previous attempt that died mid-run left its
 		// partially-written segment arrays on scratch, re-registered by the
 		// storage startup scan — purge them or the fresh segment run
-		// collides on Create. The checkpoint files (prefix "job<id>:") stay.
-		core.PurgeTaggedArtifacts(s.sys, cfg.Tag+"@")
+		// collides on Create. The checkpoint files stay: the segment prefix
+		// "job<id>:@" is not theirs, while the quota prefix "job<id>:" covers
+		// both.
+		core.PurgeTaggedArtifacts(s.sys, core.SegmentPrefix(cfg.Tag))
 		res, start, err := core.ResumeIteratedSpMVCancel(s.sys, cfg, x0, cancel)
 		if err != nil {
 			return nil, err
@@ -325,11 +331,12 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 			s.itersSaved.Add(int64(start))
 		}
 		if start < iters {
-			// The resume path namespaced the segment run "job<id>@<start>:";
-			// when a checkpoint supplied the whole run there is none.
+			// The resume path namespaced the segment run
+			// core.SegmentTag(tag, start); when a checkpoint supplied the
+			// whole run there is none.
 			rest := cfg
 			rest.Iters = iters - start
-			rest.Tag = fmt.Sprintf("%s@%d", cfg.Tag, start)
+			rest.Tag = core.SegmentTag(cfg.Tag, start)
 			core.DeleteSpMVArrays(s.sys, rest)
 		}
 		payload := EncodeFloat64s(res.X)
@@ -397,9 +404,7 @@ func (s *SolverService) retire(id int64, final State) {
 	if s.store == nil || (final != StateDone && final != StateCancelled) {
 		return
 	}
-	tag := fmt.Sprintf("job%d", id)
-	core.PurgeTaggedArtifacts(s.sys, tag+":")
-	core.PurgeTaggedArtifacts(s.sys, tag+"@")
+	core.PurgeTaggedArtifacts(s.sys, fmt.Sprintf("job%d:", id))
 }
 
 // ResolveProxy materializes a handle's full payload: pin the entry so

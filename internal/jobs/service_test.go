@@ -151,3 +151,33 @@ func TestServiceRejectsInvalidIters(t *testing.T) {
 		t.Fatal("zero iters accepted")
 	}
 }
+
+// TestOversizedProgramRefusedAtSubmit: a job whose program would exceed
+// core.MaxProgramTasks is refused by Submit, typed, before it is queued or
+// anything is generated — no job, no array, no memory.
+func TestOversizedProgramRefusedAtSubmit(t *testing.T) {
+	svc, sys := newTestService(t, Config{MaxRunning: 1})
+	mem := func() (n int64) {
+		for i := 0; i < sys.Nodes(); i++ {
+			n += sys.Store(i).Stats().MemUsed
+		}
+		return n
+	}
+	before := mem()
+	start := time.Now()
+	_, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
+	if took := time.Since(start); !errors.Is(err, core.ErrProgramTooLarge) || took > time.Second {
+		t.Fatalf("Submit of 2^20 iterations: %v after %v, want core.ErrProgramTooLarge at once", err, took)
+	}
+	if n := len(svc.Manager.List()); n != 0 {
+		t.Fatalf("a refused job left %d jobs behind", n)
+	}
+	for i := 0; i < sys.Nodes(); i++ {
+		if _, err := sys.Store(i).Info("job1:x_0_0"); err == nil {
+			t.Fatalf("node %d holds an array of the refused job", i)
+		}
+	}
+	if after := mem(); after != before {
+		t.Fatalf("resident bytes %d → %d across a refused submit", before, after)
+	}
+}

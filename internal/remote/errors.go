@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dooc/internal/compress"
+	"dooc/internal/core"
 	"dooc/internal/jobs"
 	"dooc/internal/jobstore"
 	"dooc/internal/proxy"
@@ -39,6 +40,7 @@ var errorTable = [...]error{
 	18: jobstore.ErrClosed,
 	19: jobstore.ErrPoisoned,
 	20: ErrPeerClosed,
+	21: core.ErrProgramTooLarge,
 }
 
 // errCode is the wire code of err: the index of the first table entry it

@@ -202,6 +202,26 @@ func TestJobTypedErrorsOverWire(t *testing.T) {
 	}
 }
 
+// TestOversizedProgramRefusedOverWire: a remote submit of a job whose
+// program exceeds core.MaxProgramTasks fails at once, typed on the client,
+// and the server creates no job and no array.
+func TestOversizedProgramRefusedOverWire(t *testing.T) {
+	cl, svc, sys, _ := newJobServer(t, jobs.Config{MaxRunning: 1})
+	start := time.Now()
+	_, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
+	if took := time.Since(start); !errors.Is(err, core.ErrProgramTooLarge) || took > time.Second {
+		t.Fatalf("remote submit of 2^20 iterations: %v after %v, want core.ErrProgramTooLarge at once", err, took)
+	}
+	if n := len(svc.Manager.List()); n != 0 {
+		t.Fatalf("a refused job left %d jobs behind", n)
+	}
+	for i := 0; i < sys.Nodes(); i++ {
+		if _, err := sys.Store(i).Info("job1:x_0_0"); err == nil {
+			t.Fatalf("node %d holds an array of the refused job", i)
+		}
+	}
+}
+
 // TestRecoveredCancelKeepsErrCancelled: a job cancelled while it runs
 // under a durable store is still ErrCancelled after a restart, with the
 // message it ended with, to the recovered manager and across the wire.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dooc/internal/compress"
+	"dooc/internal/core"
 	"dooc/internal/jobs"
 	"dooc/internal/jobstore"
 	"dooc/internal/proxy"
@@ -94,6 +95,7 @@ func TestErrorTablePinned(t *testing.T) {
 		18: jobstore.ErrClosed,
 		19: jobstore.ErrPoisoned,
 		20: ErrPeerClosed,
+		21: core.ErrProgramTooLarge,
 	}
 	if len(errorTable) != len(want) {
 		t.Fatalf("the error table has %d rows, want %d (and row 0 empty)", len(errorTable)-1, len(want)-1)

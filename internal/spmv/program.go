@@ -43,24 +43,6 @@ type ProgramConfig struct {
 	Layout Layout
 }
 
-// Naming helpers shared by the engine, the simulator, and the benches.
-
-// MatrixRef returns the heavy datum for sub-matrix A[u][v].
-func (c ProgramConfig) MatrixRef(u, v int) dag.Ref {
-	return dag.Ref{Array: MatrixArray(u, v), Block: 0, Bytes: c.SubBytes}
-}
-
-// VecRef returns the datum for sub-vector part u of iteration t
-// (t == 0 is the seed vector).
-func (c ProgramConfig) VecRef(t, u int) dag.Ref {
-	return dag.Ref{Array: c.Prefix + VecArray(t, u), Block: 0, Bytes: c.VecBytes}
-}
-
-// PartialRef returns the datum for intermediate product x[t][u][v].
-func (c ProgramConfig) PartialRef(t, u, v int) dag.Ref {
-	return dag.Ref{Array: c.Prefix + PartialArray(t, u, v), Block: 0, Bytes: c.VecBytes}
-}
-
 // MatrixArray names the storage array holding A[u][v].
 func MatrixArray(u, v int) string {
 	b := make([]byte, 0, 12)
@@ -91,17 +73,6 @@ func PartialArray(t, u, v int) string {
 	b = append(b, '_')
 	b = strconv.AppendInt(b, int64(v), 10)
 	return string(b)
-}
-
-// PartialPartRef returns the datum for row-part p of intermediate product
-// x[t][u][v] under a ways-way split.
-func (c ProgramConfig) PartialPartRef(t, u, v, p, ways int) dag.Ref {
-	return dag.Ref{
-		Array: c.Prefix + PartialArray(t, u, v),
-		Block: 0,
-		Part:  p + 1, // Part 0 means "undivided"
-		Bytes: c.VecBytes / int64(ways),
-	}
 }
 
 // MultTaskID and ReduceTaskID name the generated tasks.

@@ -241,8 +241,12 @@ type blockState struct {
 	waiters      []readWaiter
 	lastUse      int64
 	loadTick     int64 // when buf was (re)allocated, for FIFO eviction
-	// check is what Config.VerifyBlock vouched for in buf; setBuf clears it.
-	check blockCheck
+	// check is what Config.VerifyBlock or a lease's Vouch vouched for in
+	// buf; setBuf clears it. content is what a Vouch vouched for of the
+	// block's bytes whatever buffer holds them: it survives eviction and
+	// recycleBlockState clears it with the array.
+	check   blockCheck
+	content blockCheck
 }
 
 type arrayState struct {
@@ -820,6 +824,10 @@ func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, 
 	st.reserve(ast.info, bi, b)
 	st.tick++
 	b.lastUse = st.tick
+	crc := b.check.crc
+	if !b.check.ok {
+		crc = b.content.crc
+	}
 	return &Lease{
 		store:    s,
 		Array:    array,
@@ -827,9 +835,9 @@ func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, 
 		Lo:       want.Lo,
 		Hi:       want.Hi,
 		Data:     b.buf[rs.Lo:rs.Hi],
-		Gen:      b.loadTick,
+		CRC:      crc,
 		Verified: b.check.ok,
-		CRC:      b.check.crc,
+		Vouched:  b.content.ok && b.content.crc == crc,
 		block:    bi,
 	}
 }
@@ -848,6 +856,9 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 	st.reserve(ast.info, l.block, b)
 	st.tick++
 	b.lastUse = st.tick
+	if l.vouch.ok && l.Perm == PermRead && !c.abandon && ast.info.BlockSpan(l.block) == (span{l.Lo, l.Hi}) {
+		b.check, b.content = l.vouch, l.vouch
+	}
 	if l.Perm == PermWrite {
 		rs := relSpan(ast.info, l.block, span{l.Lo, l.Hi})
 		for i, w := range b.writing {

@@ -125,8 +125,8 @@ type Config struct {
 	// reads from scratch to install, flat or slotted, right after the read
 	// (and the frame's decode and CRC). checked reports that it recognised
 	// the block and vouches for its bytes, crc the checksum that passed:
-	// the residency remembers both and its leases report them
-	// (Lease.Verified, Lease.CRC). An error fails the read like a corrupt
+	// the residency remembers both until the block leaves memory, and its
+	// leases report them (Lease.Verified, Lease.CRC). An error fails the read like a corrupt
 	// frame — attributed, wrapping compress.ErrCorrupt, not retried.
 	VerifyBlock func(block []byte) (crc uint32, checked bool, err error)
 }
@@ -169,23 +169,30 @@ type Lease struct {
 	Lo, Hi int64
 	// Data is the interval's bytes: len(Data) == Hi-Lo.
 	Data []byte
-	// Gen names the residency Data lies in: it changes whenever the store
-	// loads or allocates the block's buffer anew — after an eviction, after
-	// the array is deleted and created again — and never otherwise. Arrays
-	// are immutable, so two read leases of a whole block from the same store
-	// with equal Gen held the same bytes in the same memory; what was
-	// verified under the first need not be verified under the second.
-	Gen int64
-	// Verified reports that the I/O filter which read this residency's
-	// block from scratch vouched for its bytes (Config.VerifyBlock); CRC is
-	// the checksum that passed. A residency installed any other way — by a
-	// writer, from a peer or the shard tier — is not verified.
+	// Verified reports that this residency's bytes were checked, CRC the
+	// checksum that passed: by the I/O filter that read the block from
+	// scratch (Config.VerifyBlock) or by an earlier holder's Vouch. A
+	// residency installed any other way — by a writer, from a peer or the
+	// shard tier — and not vouched for since is not verified.
+	// Vouched reports that a holder vouched for this array block's content
+	// under checksum CRC, in this residency or an earlier one: it survives
+	// eviction and dies with the array. When the residency is not verified,
+	// CRC is the checksum the content was vouched for under.
 	CRC      uint32
 	Verified bool
+	Vouched  bool
 
 	released bool // shares CRC's word: a Lease stays in the 96-byte size class
+	vouch    blockCheck
 	block    int
 }
+
+// Vouch records that the lease's bytes have checksum crc and valid content,
+// for the store to remember when the lease is released (Lease.Verified,
+// Lease.Vouched on later leases); until then the lease pins the residency
+// it vouches for. A vouch on a write lease, on a lease of less than a whole
+// block or on an abandoned lease changes nothing.
+func (l *Lease) Vouch(crc uint32) { l.vouch = blockCheck{ok: true, crc: crc} }
 
 // Release returns the lease to the store. For write leases this publishes
 // the interval: it becomes readable by other filters. Releasing twice

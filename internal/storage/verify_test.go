@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dooc/internal/compress"
 )
@@ -49,8 +50,8 @@ func stageFlat(t *testing.T, dir, name string, data []byte, blockSize int64) str
 
 // TestVerifiedResidencyReportsItsChecksum: a block the I/O filter installed
 // carries what VerifyBlock vouched for on every read lease of that
-// residency; evicted and read back, it is verified again under a new Gen. A
-// block that never came from scratch is not verified.
+// residency without a second check; evicted and read back, it is checked and
+// verified again. A block that never came from scratch is not verified.
 func TestVerifiedResidencyReportsItsChecksum(t *testing.T) {
 	for _, codec := range []compress.Codec{nil, compress.Default()} {
 		name := "flat"
@@ -93,15 +94,15 @@ func TestVerifiedResidencyReportsItsChecksum(t *testing.T) {
 				t.Fatalf("lease of a block read from scratch: Verified %v CRC %08x, want true %08x", first.Verified, first.CRC, want)
 			}
 			again := lease("M")
-			if again.Gen != first.Gen || !again.Verified || again.CRC != want || calls.Load() != 1 {
-				t.Fatalf("second lease of one residency: Gen %d→%d, Verified %v, CRC %08x, %d checks", first.Gen, again.Gen, again.Verified, again.CRC, calls.Load())
+			if !again.Verified || again.CRC != want || calls.Load() != 1 {
+				t.Fatalf("second lease of one residency: Verified %v, CRC %08x, %d checks", again.Verified, again.CRC, calls.Load())
 			}
 			if err := st.Evict("M", 1); err != nil {
 				t.Fatal(err)
 			}
 			reread := lease("M")
-			if reread.Gen == first.Gen || !reread.Verified || reread.CRC != want || calls.Load() != 2 {
-				t.Fatalf("after eviction: Gen %d→%d, Verified %v, CRC %08x, %d checks", first.Gen, reread.Gen, reread.Verified, reread.CRC, calls.Load())
+			if !reread.Verified || reread.CRC != want || calls.Load() != 2 {
+				t.Fatalf("after eviction: Verified %v, CRC %08x, %d checks", reread.Verified, reread.CRC, calls.Load())
 			}
 
 			if err := st.WriteArray("W", data, 512); err != nil {
@@ -121,6 +122,104 @@ func TestVerifiedResidencyReportsItsChecksum(t *testing.T) {
 				t.Fatalf("VerifyBlock ran %d times, want 2: a copy-out read installs nothing", calls.Load())
 			}
 		})
+	}
+}
+
+// TestVouchOutlivesResidencyNotArray: a read lease's Vouch verifies the
+// residency it was taken on and vouches for the array block's content. After
+// an eviction the content is still vouched for under its checksum and the
+// new residency is not verified; an array deleted and created again under
+// the same name carries neither. A vouch on a write lease, on a lease of
+// part of a block or on an abandoned lease changes nothing.
+func TestVouchOutlivesResidencyNotArray(t *testing.T) {
+	dir := t.TempDir()
+	// One block: the array created again below gets the recycled state of
+	// the deleted one's block.
+	data := bytes.Repeat([]byte("vouched-for-blk."), 32)
+	stageFlat(t, dir, "M", data, 512)
+	st, err := NewLocal(Config{MemoryBudget: 1 << 20, ScratchDir: dir, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const crc = 0x5eed
+	lease := func(array string, vouch bool) *Lease {
+		t.Helper()
+		l, err := st.RequestBlock(array, 0, PermRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vouch {
+			l.Vouch(crc)
+		}
+		l.Release()
+		return l
+	}
+	report := func(l *Lease) string {
+		return fmt.Sprintf("Verified %v Vouched %v CRC %#x", l.Verified, l.Vouched, l.CRC)
+	}
+
+	if l := lease("M", true); l.Verified || l.Vouched || l.CRC != 0 {
+		t.Fatalf("first lease of a block read without VerifyBlock: %s", report(l))
+	}
+	if l := lease("M", false); !l.Verified || !l.Vouched || l.CRC != crc {
+		t.Fatalf("lease after a vouch on the same residency: %s, want both under %#x", report(l), crc)
+	}
+	if err := st.Evict("M", 0); err != nil {
+		t.Fatal(err)
+	}
+	if l := lease("M", false); l.Verified || !l.Vouched || l.CRC != crc {
+		t.Fatalf("lease after eviction: %s, want the content vouched for under %#x and the residency unverified", report(l), crc)
+	}
+	// A part of a block, an abandoned lease: the residency stays unverified.
+	part, err := st.Request("M", 0, 100, PermRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.Vouch(crc)
+	part.Release()
+	abandoned, err := st.RequestBlock("M", 0, PermRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abandoned.Vouch(crc)
+	abandoned.Abandon()
+	if l := lease("M", false); l.Verified {
+		t.Fatalf("a vouch on part of a block or on an abandoned lease verified the residency: %s", report(l))
+	}
+
+	if err := st.Delete("M"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteArray("M", data, 512); err != nil {
+		t.Fatal(err)
+	}
+	if l := lease("M", false); l.Verified || l.Vouched || l.CRC != 0 {
+		t.Fatalf("first lease of an array created again under a vouched-for name: %s", report(l))
+	}
+
+	if err := st.Create("W", 512, 512); err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.RequestBlock("W", 0, PermWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(w.Data, data)
+	w.Vouch(crc)
+	w.Release()
+	if l, err := st.RequestBlock("W", 0, PermRead); err != nil {
+		t.Fatal(err)
+	} else if l.Release(); l.Verified || l.Vouched || l.CRC != 0 {
+		t.Fatalf("a vouch on a write lease: the block reports %s", report(l))
+	}
+}
+
+// TestLeaseSizeClass: a Lease is allocated on every grant; it stays in the
+// 96-byte size class.
+func TestLeaseSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Lease{}); n > 96 {
+		t.Fatalf("unsafe.Sizeof(Lease{}) = %d, want at most 96", n)
 	}
 }
 

@@ -32,11 +32,6 @@ var littleEndianCPU = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// ZeroCopyViews reports whether Float64View can alias lease bytes in place
-// on this machine. False means every view is a decoded copy (the
-// correctness fallback for big-endian hosts).
-func ZeroCopyViews() bool { return littleEndianCPU && !viewDebugForceCopy }
-
 // castFloat64s reinterprets b as a []float64 without copying. It fails
 // (ok=false) on a big-endian host, a length that is not a multiple of 8, or
 // a buffer whose base is not 8-byte aligned; callers fall back to copying.
