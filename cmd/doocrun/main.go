@@ -170,6 +170,7 @@ func main() {
 	fmt.Printf("time            %v\n", st.Wall)
 	fmt.Printf("gflop/s         %.3f\n", flops/st.Wall.Seconds()/1e9)
 	fmt.Printf("disk bytes read %d\n", st.BytesReadDisk())
+	fmt.Printf("over-budget     %d allocations\n", st.OverBudgetAllocs())
 	if raw, stored := st.CompressRawBytes(), st.CompressStoredBytes(); raw > 0 {
 		fmt.Printf("spill codec     %.2fx (%d raw -> %d stored, %d bail-outs)\n",
 			float64(raw)/float64(stored), raw, stored, st.CompressBailouts())

@@ -11,15 +11,16 @@ import (
 	"sort"
 	"strings"
 
+	"dooc/internal/spmv"
 	"dooc/internal/storage"
 )
 
 // Checkpointing: a long iterated-SpMV run can persist every produced
-// iterate to the scratch directory, so a crashed or interrupted run resumes
-// from the last completed iteration instead of from x⁰. This is the
-// operational complement of out-of-core execution — the same scratch
-// directories, sidecars, and startup scan that hold the matrix also hold
-// the solver's progress.
+// iterate to the scratch root, so a crashed or interrupted run resumes from
+// the last completed iteration instead of from x⁰. The parts of a run tagged
+// tag live in ScratchRoot/ckpt/<tag>/, one file x_<t>_<u>.arr a part:
+// "ckpt" is no node directory, so the storage startup scan never registers a
+// part as an array, and no part shares a name with the run's own arrays.
 
 // Checkpoint describes a resumable state found on disk.
 type Checkpoint struct {
@@ -31,11 +32,19 @@ type Checkpoint struct {
 
 // Checkpoint files carry a CRC32-C trailer over the payload so a file torn
 // by a crash mid-write (or bit-rotted) is detected at load, not silently
-// resumed from. Trailer-less files the exact payload length are accepted as
-// legacy.
+// resumed from.
 var ckCRC = crc32.MakeTable(crc32.Castagnoli)
 
 const ckTrailerLen = 4
+
+// checkpointDir is the directory of the checkpoint parts of the run tagged
+// tag, or "" for a tag that is not one file name.
+func checkpointDir(scratchRoot, tag string) string {
+	if tag == "." || tag == ".." || filepath.Base(tag) != tag {
+		return ""
+	}
+	return filepath.Join(scratchRoot, "ckpt", tag)
+}
 
 // writeCheckpointFile persists one checkpoint part atomically (tmp +
 // rename) with its CRC32-C trailer, so the resume scan never observes a
@@ -71,28 +80,24 @@ func readCheckpointPart(path string, want int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch len(raw) {
-	case want + ckTrailerLen:
-		if crc32.Checksum(raw[:want], ckCRC) != binary.LittleEndian.Uint32(raw[want:]) {
-			return nil, fmt.Errorf("core: checkpoint part %s fails its CRC32-C", path)
-		}
-		return raw[:want], nil
-	case want:
-		// Legacy trailer-less part: length is the only check available.
-		return raw, nil
-	default:
-		return nil, fmt.Errorf("core: checkpoint part %s truncated (%d bytes, want %d)", path, len(raw), want)
+	if len(raw) != want+ckTrailerLen {
+		return nil, fmt.Errorf("core: checkpoint part %s truncated (%d bytes, want %d)", path, len(raw), want+ckTrailerLen)
 	}
+	if crc32.Checksum(raw[:want], ckCRC) != binary.LittleEndian.Uint32(raw[want:]) {
+		return nil, fmt.Errorf("core: checkpoint part %s fails its CRC32-C", path)
+	}
+	return raw[:want], nil
 }
 
-// LatestCheckpoint scans the scratch layout for the newest complete and
-// *valid* iterate of a tagged run: every part must pass its length and
+// LatestCheckpoint scans the checkpoint directory of a tagged run for the
+// newest complete and *valid* iterate: every part must pass its length and
 // checksum, and a corrupt latest iteration (crash mid-write) falls back to
 // the previous valid one instead of failing the resume. Returns (nil, nil)
 // when no valid checkpoint exists.
 func LatestCheckpoint(scratchRoot string, cfg SpMVConfig) (*Checkpoint, error) {
-	if cfg.Tag == "" {
-		return nil, fmt.Errorf("core: checkpointed runs need a stable Tag")
+	dir := checkpointDir(scratchRoot, cfg.Tag)
+	if dir == "" {
+		return nil, fmt.Errorf("core: checkpointed runs need a stable Tag that is one file name, not %q", cfg.Tag)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -101,41 +106,26 @@ func LatestCheckpoint(scratchRoot string, cfg SpMVConfig) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	prefix := cfg.Tag + ":"
-	// Find, per iteration index, which vector parts exist on disk.
-	parts := map[int]map[int]string{} // iter -> u -> file path
-	entries, err := os.ReadDir(scratchRoot)
+	files, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "node") {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(scratchRoot, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range files {
-			name := f.Name()
-			if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".arr") {
-				continue
-			}
-			var t, u int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(name, prefix), "x_%d_%d.arr", &t, &u); err != nil {
-				continue
-			}
-			if parts[t] == nil {
-				parts[t] = map[int]string{}
-			}
-			parts[t][u] = filepath.Join(scratchRoot, e.Name(), name)
+	// Find, per iteration index, which vector parts exist on disk.
+	parts := map[int]int{} // iter -> parts found
+	for _, f := range files {
+		var t, u int
+		if _, err := fmt.Sscanf(f.Name(), "x_%d_%d.arr", &t, &u); err == nil && f.Name() == spmv.VecArray(t, u)+".arr" && 0 <= u && u < cfg.K {
+			parts[t]++
 		}
 	}
 	// Candidate iterations with a complete part set, newest first; the first
 	// whose every part verifies wins.
 	var cands []int
-	for t, us := range parts {
-		if len(us) == cfg.K {
+	for t, n := range parts {
+		if n == cfg.K {
 			cands = append(cands, t)
 		}
 	}
@@ -143,13 +133,11 @@ func LatestCheckpoint(scratchRoot string, cfg SpMVConfig) (*Checkpoint, error) {
 	for _, t := range cands {
 		x := make([]float64, cfg.Dim)
 		ok := true
-		for u := 0; u < cfg.K; u++ {
-			raw, err := readCheckpointPart(parts[t][u], 8*p.Size(u))
-			if err != nil {
-				ok = false
-				break
+		for u := 0; u < cfg.K && ok; u++ {
+			raw, err := readCheckpointPart(filepath.Join(dir, spmv.VecArray(t, u)+".arr"), 8*p.Size(u))
+			if ok = err == nil; ok {
+				storage.DecodeFloat64sInto(x[p.Start(u):p.Start(u+1)], raw)
 			}
-			storage.DecodeFloat64sInto(x[p.Start(u):p.Start(u+1)], raw)
 		}
 		if ok {
 			return &Checkpoint{Iter: t, X: x}, nil
@@ -157,17 +145,6 @@ func LatestCheckpoint(scratchRoot string, cfg SpMVConfig) (*Checkpoint, error) {
 	}
 	return nil, nil
 }
-
-// SegmentTag is the Tag of the segment run a checkpointed run tagged tag
-// executes from iteration start on. Its arrays are named under "tag:", the
-// prefix of the run's quota group, and apart from its checkpoint files
-// "tag:x_<t>_<u>": SegmentPrefix(tag) matches every segment's arrays and no
-// checkpoint file.
-func SegmentTag(tag string, start int) string { return fmt.Sprintf("%s%d", SegmentPrefix(tag), start) }
-
-// SegmentPrefix is the name prefix of every segment array of a
-// checkpointed run tagged tag (SegmentTag).
-func SegmentPrefix(tag string) string { return tag + ":@" }
 
 // ResumeIteratedSpMV runs a *checkpointed* iterated SpMV to cfg.Iters total
 // iterations: it loads the newest checkpoint (or starts from x0 if none)
@@ -182,12 +159,14 @@ func ResumeIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64) (*SpMVResult,
 
 // ResumeIteratedSpMVCancel is ResumeIteratedSpMV with a cancellation
 // channel — the entry point the durable job layer uses. A cancelled or
-// failed segment run deletes its transient arrays (the checkpoint files
-// stay, so the next resume picks up where this one stopped).
+// failed run deletes its arrays; its checkpoint parts stay, so the next
+// resume picks up where this one stopped.
 func ResumeIteratedSpMVCancel(sys *System, cfg SpMVConfig, x0 []float64, cancel <-chan struct{}) (*SpMVResult, int, error) {
 	return resumeIteratedSpMV(sys, cfg, x0, cancel)
 }
 
+// resumeIteratedSpMV is the run from the newest checkpoint: the same chain
+// of segments as a plain run, started at the checkpointed iteration.
 func resumeIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, cancel <-chan struct{}) (*SpMVResult, int, error) {
 	if sys.opts.ScratchRoot == "" {
 		return nil, 0, fmt.Errorf("core: checkpointing needs a system with a ScratchRoot")
@@ -196,40 +175,39 @@ func resumeIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, cancel <-chan
 	if err != nil {
 		return nil, 0, err
 	}
-	start := 0
-	x := x0
+	start, x := 0, x0
 	if ck != nil {
-		start = ck.Iter
-		x = ck.X
+		start, x = ck.Iter, ck.X
 	}
 	if start >= cfg.Iters {
 		return &SpMVResult{X: x}, start, nil
 	}
-	rest := cfg
-	rest.Iters = cfg.Iters - start
-	// Offset the tag per segment so array names of the segment runs never
-	// collide; checkpoint files keep the global iteration index.
-	rest.Tag = SegmentTag(cfg.Tag, start)
-	res, err := runIteratedSpMV(sys, rest, x, spmvRunOpts{
-		cancel:   cancel,
-		sum:      checkpointSumExecutor(sys, rest.Tag+":", cfg.Tag, start),
-		iterBase: start,
-	})
-	if err != nil {
-		DeleteSpMVArrays(sys, rest)
+	// An attempt that died left its arrays on scratch, and the startup scan
+	// registered them; no checkpoint part is among them.
+	purgeArrays(sys, cfg.prefix())
+	dir := checkpointDir(sys.opts.ScratchRoot, cfg.Tag)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, start, err
 	}
-	return res, start, nil
+	res, err := runIteratedSpMV(sys, cfg, start, x, spmvRunOpts{cancel: cancel, sum: checkpointSumExecutor(dir, cfg.prefix())})
+	return res, start, err
 }
 
-// PurgeTaggedArtifacts removes every storage array and scratch file whose
-// name starts with prefix — the cleanup recovery runs before re-resuming a
-// job, because a crashed segment run leaves partially-written arrays that
-// the storage startup scan re-registered and a fresh segment run would
-// collide with on Create. Registered arrays go through the store (which
-// also drops cache residency); unregistered leftovers are removed from the
-// filesystem directly. Best-effort by design.
-func PurgeTaggedArtifacts(sys *System, prefix string) {
+// PurgeRun removes everything a run tagged tag left behind: its arrays —
+// registered with a store or only on scratch — and its checkpoint parts.
+// Best-effort by design.
+func PurgeRun(sys *System, tag string) {
+	purgeArrays(sys, tag+":")
+	if dir := checkpointDir(sys.opts.ScratchRoot, tag); sys.opts.ScratchRoot != "" && dir != "" {
+		os.RemoveAll(dir)
+	}
+}
+
+// purgeArrays removes every storage array and scratch file of the node
+// directories whose name starts with prefix. Registered arrays go through
+// the store (which also drops cache residency); unregistered leftovers are
+// removed from the filesystem directly.
+func purgeArrays(sys *System, prefix string) {
 	for node := 0; node < sys.Nodes(); node++ {
 		dir := sys.scratchDir(node)
 		if dir == "" {
@@ -260,46 +238,34 @@ func PurgeTaggedArtifacts(sys *System, prefix string) {
 	}
 }
 
-// checkpointSumExecutor wraps the reduction executor: once x[t][u] is
-// written, its bytes go straight from the resident block to the checkpoint
-// file "<ckTag>:x_<base+t>_<u>" that LatestCheckpoint looks for — raw plus a
-// CRC trailer, so a resume scan never needs a codec — and the part of
-// iteration base+t−2 is deleted. A sum of iteration t becomes ready only
-// after every sum of t−1 has returned, its checkpoint written, so the two
-// newest complete iterates are on scratch whenever a process dies, and at
-// most 3×K parts at any moment.
-func checkpointSumExecutor(sys *System, runPrefix, ckTag string, base int) Executor {
+// checkpointSumExecutor wraps the reduction executor: once x[t][u] (the
+// array prefix+x_<t>_<u>) is written, its bytes go straight from the
+// resident block to the part x_<t>_<u>.arr in dir — raw plus a CRC trailer,
+// so a resume scan never needs a codec — and the part of iteration t−2 is
+// deleted. A sum of iteration t becomes ready only after every sum of t−1
+// has returned, its checkpoint written, so the two newest complete iterates
+// are on scratch whenever a process dies, and at most 3×K parts at any
+// moment.
+func checkpointSumExecutor(dir, prefix string) Executor {
 	return func(ctx *ExecContext) error {
 		if err := execSum(ctx); err != nil {
 			return err
 		}
 		out := ctx.Task.Outputs[0].Array
-		var t, u int
-		if _, err := fmt.Sscanf(strings.TrimPrefix(out, runPrefix), "x_%d_%d", &t, &u); err != nil {
-			return fmt.Errorf("checkpointing %s: cannot parse name: %w", out, err)
-		}
-		part := func(node, iter int) string {
-			return filepath.Join(sys.scratchDir(node), fmt.Sprintf("%s:x_%d_%d.arr", ckTag, iter, u))
-		}
+		name := strings.TrimPrefix(out, prefix)
+		t, _ := spmv.TaskIter(ctx.Task.ID)
+		u, _ := spmv.OwnerIndex(name)
 		l, err := ctx.Store.RequestBlock(out, 0, storage.PermRead)
 		if err != nil {
 			return fmt.Errorf("checkpointing %s: %w", out, err)
 		}
-		err = writeCheckpointFile(part(ctx.Node, base+t), l.Data)
+		err = writeCheckpointFile(filepath.Join(dir, name+".arr"), l.Data)
 		l.Release()
 		if err != nil {
 			return fmt.Errorf("checkpointing %s: %w", out, err)
 		}
-		// A part a startup scan found is a registered array: it goes through
-		// the store, which owns its file. One this process wrote is removed
-		// from whichever node wrote it (a failed node's sums run elsewhere).
-		if ctx.Store.Delete(fmt.Sprintf("%s:x_%d_%d", ckTag, base+t-2, u)) == nil {
-			return nil
-		}
-		for node := 0; node < sys.Nodes(); node++ {
-			if err := os.Remove(part(node, base+t-2)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("checkpointing %s: %w", out, err)
-			}
+		if err := os.Remove(filepath.Join(dir, spmv.VecArray(t-2, u)+".arr")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("checkpointing %s: %w", out, err)
 		}
 		return nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"dooc/internal/compress"
 	"dooc/internal/sparse"
+	"dooc/internal/spmv"
 )
 
 func checkpointFixture(t *testing.T) (*sparse.CSR, []float64, string) {
@@ -97,15 +99,8 @@ func TestInterruptedRunResumes(t *testing.T) {
 	if d := maxAbsDiff(res.X, want); d > 1e-9 {
 		t.Fatalf("resumed result differs by %v", d)
 	}
-	// The first segment's parts, registered by the second system's startup
-	// scan, went through its stores: neither file nor array is left.
 	if n := countCheckpointParts(t, root, cfgFull.Tag); n != 2*cfgFull.K {
 		t.Fatalf("%d checkpoint parts after the resumed run, want %d", n, 2*cfgFull.K)
-	}
-	for node := 0; node < sys2.Nodes(); node++ {
-		if _, err := sys2.Store(node).Info("job2:x_1_0"); err == nil {
-			t.Fatalf("node %d still registers a deleted checkpoint part", node)
-		}
 	}
 }
 
@@ -135,26 +130,18 @@ func TestResumeAlreadyComplete(t *testing.T) {
 	}
 }
 
-// mutateCheckpointPart finds the named checkpoint file under one of the
-// node scratch directories and rewrites it through mutate.
-func mutateCheckpointPart(t *testing.T, root, name string, mutate func([]byte) []byte) {
+// mutateCheckpointPart rewrites the named checkpoint part of the run tagged
+// tag through mutate.
+func mutateCheckpointPart(t *testing.T, root, tag, name string, mutate func([]byte) []byte) {
 	t.Helper()
-	for node := 0; ; node++ {
-		dir := filepath.Join(root, fmt.Sprintf("node%d", node))
-		if _, err := os.Stat(dir); err != nil {
-			break
-		}
-		p := filepath.Join(dir, name)
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		if err := os.WriteFile(p, mutate(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	p := filepath.Join(checkpointDir(root, tag), name)
+	raw, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatalf("checkpoint part %s: %v", name, err)
 	}
-	t.Fatalf("checkpoint part %s not found under %s", name, root)
+	if err := os.WriteFile(p, mutate(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCorruptCheckpointFallsBack: a part torn or bit-rotted by a crash
@@ -171,7 +158,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	sys1.Close()
 
-	mutateCheckpointPart(t, root, "job4:x_3_1.arr", func(b []byte) []byte {
+	mutateCheckpointPart(t, root, cfg.Tag, "x_3_1.arr", func(b []byte) []byte {
 		b[3] ^= 0x40
 		return b
 	})
@@ -183,7 +170,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		t.Fatalf("after corrupting iteration 3, latest = %+v, want iteration 2", ck)
 	}
 
-	mutateCheckpointPart(t, root, "job4:x_2_0.arr", func(b []byte) []byte {
+	mutateCheckpointPart(t, root, cfg.Tag, "x_2_0.arr", func(b []byte) []byte {
 		return b[:len(b)/2]
 	})
 	ck, err = LatestCheckpoint(root, cfg)
@@ -223,9 +210,11 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, _, err := ResumeIteratedSpMV(sysNoScratch, cfg, x0); err == nil {
 		t.Error("checkpointing without scratch accepted")
 	}
-	cfg.Tag = ""
-	if _, err := LatestCheckpoint(root, cfg); err == nil {
-		t.Error("empty tag accepted")
+	for _, tag := range []string{"", ".", "..", "a/b", "../node0"} {
+		cfg.Tag = tag
+		if _, err := LatestCheckpoint(root, cfg); err == nil {
+			t.Errorf("tag %q accepted", tag)
+		}
 	}
 	cfg.Tag = "nothing-here"
 	ck, err := LatestCheckpoint(root, cfg)
@@ -272,7 +261,7 @@ func TestPurgeRemovesOlderBuildBlockDirs(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(node0, "job9:x_2_0.seg")); err != nil {
 		t.Fatalf("spill wrote no .seg file: %v", err)
 	}
-	PurgeTaggedArtifacts(sys, "job9:")
+	PurgeRun(sys, "job9")
 	left, err := os.ReadDir(node0)
 	if err != nil {
 		t.Fatal(err)
@@ -284,30 +273,41 @@ func TestPurgeRemovesOlderBuildBlockDirs(t *testing.T) {
 	}
 }
 
-// countCheckpointParts counts the checkpoint files of tag under every node
-// directory of root.
+// countCheckpointParts counts the checkpoint parts of the run tagged tag.
 func countCheckpointParts(t *testing.T, root, tag string) int {
 	t.Helper()
-	parts, err := filepath.Glob(filepath.Join(root, "node*", tag+":x_*.arr"))
+	return len(checkpointParts(t, root, tag))
+}
+
+// checkpointParts lists the checkpoint part files of the run tagged tag.
+func checkpointParts(t *testing.T, root, tag string) []string {
+	t.Helper()
+	parts, err := filepath.Glob(filepath.Join(checkpointDir(root, tag), "x_*.arr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(parts)
+	return parts
 }
 
 // TestCheckpointsKeepTwoNewest: a checkpointed run writes every iterate once
 // and keeps the two newest complete ones — at most 3×K parts on scratch
-// whenever a sum runs, 2×K when the run is done, the segment's own iterates
-// never flushed — and its result is a plain run's, bit for bit.
+// whenever a sum runs, 2×K when the run is done, the run's own iterates
+// never flushed — and its result, over three segments, is a plain run's, bit
+// for bit.
 func TestCheckpointsKeepTwoNewest(t *testing.T) {
 	m, x0, root := checkpointFixture(t)
 	sys := checkpointSystem(t, root)
 	defer sys.Close()
-	const iters = 40
+	const iters = 100
 	cfg := SpMVConfig{Dim: m.Rows, K: 3, Iters: iters, Nodes: 2, Tag: "job5"}
-	seg := cfg
-	seg.Tag = SegmentTag(cfg.Tag, 0)
-	ckSum := checkpointSumExecutor(sys, seg.Tag+":", cfg.Tag, 0)
+	if per := segmentTasks / cfg.iterTasks(); iters <= 2*per {
+		t.Fatalf("%d iterations of %d a segment: want three segments", iters, per)
+	}
+	dir := checkpointDir(root, cfg.Tag)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ckSum := checkpointSumExecutor(dir, cfg.prefix())
 	var mu sync.Mutex
 	most, sums := 0, 0
 	counted := func(ctx *ExecContext) error {
@@ -318,7 +318,7 @@ func TestCheckpointsKeepTwoNewest(t *testing.T) {
 		most = max(most, countCheckpointParts(t, root, cfg.Tag))
 		return err
 	}
-	res, err := runIteratedSpMV(sys, seg, x0, spmvRunOpts{sum: counted})
+	res, err := runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{sum: counted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +328,8 @@ func TestCheckpointsKeepTwoNewest(t *testing.T) {
 	if n := countCheckpointParts(t, root, cfg.Tag); n != 2*cfg.K {
 		t.Fatalf("%d checkpoint parts after the run, want the %d of the two newest iterates", n, 2*cfg.K)
 	}
-	if n, err := filepath.Glob(filepath.Join(root, "node*", seg.Tag+":*")); err != nil || len(n) != 0 {
-		t.Fatalf("the segment left %v on scratch (%v), want nothing flushed", n, err)
+	if n, err := filepath.Glob(filepath.Join(root, "node*", cfg.Tag+":*")); err != nil || len(n) != 0 {
+		t.Fatalf("the run left %v on scratch (%v), want nothing flushed", n, err)
 	}
 	ck, err := LatestCheckpoint(root, cfg)
 	if err != nil || ck == nil || ck.Iter != iters || maxAbsDiff(ck.X, res.X) != 0 {
@@ -343,5 +343,117 @@ func TestCheckpointsKeepTwoNewest(t *testing.T) {
 	}
 	if shaOf(res.X) != shaOf(want.X) {
 		t.Fatal("the checkpointed run's result differs from a plain run's")
+	}
+}
+
+// TestRestartRegistersNoCheckpointPart: a checkpointed run cancelled in its
+// second segment, its system then closed, leaves its parts in the
+// checkpoint directory only. A system restarted over the same scratch
+// registers none of them under any name on any node, and the resume from
+// them is bit-identical to a plain run.
+func TestRestartRegistersNoCheckpointPart(t *testing.T) {
+	m, x0, root := checkpointFixture(t)
+	cfg := SpMVConfig{Dim: m.Rows, K: 3, Iters: 100, Nodes: 2, Tag: "job6"}
+	stopAt := segmentTasks/cfg.iterTasks() + 5 // in the second segment
+
+	sys1 := checkpointSystem(t, root)
+	dir := checkpointDir(root, cfg.Tag)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ckSum := checkpointSumExecutor(dir, cfg.prefix())
+	cancel := make(chan struct{})
+	var once sync.Once
+	interrupt := func(ctx *ExecContext) error {
+		if it, _ := spmv.TaskIter(ctx.Task.ID); it == stopAt {
+			once.Do(func() { close(cancel) })
+		}
+		return ckSum(ctx)
+	}
+	if _, err := runIteratedSpMV(sys1, cfg, 0, x0, spmvRunOpts{sum: interrupt, cancel: cancel}); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("interrupted run: err = %v, want ErrCancelled", err)
+	}
+	sys1.Close() // the crash
+
+	sys2 := checkpointSystem(t, root)
+	defer sys2.Close()
+	parts := checkpointParts(t, root, cfg.Tag)
+	if len(parts) < cfg.K {
+		t.Fatalf("the interrupted run left %d checkpoint parts, want at least %d", len(parts), cfg.K)
+	}
+	for _, part := range parts {
+		name := strings.TrimSuffix(filepath.Base(part), ".arr")
+		for node := 0; node < sys2.Nodes(); node++ {
+			for _, as := range []string{name, cfg.prefix() + name} {
+				if _, err := sys2.Store(node).Info(as); err == nil {
+					t.Fatalf("node %d registers checkpoint part %s as array %s", node, part, as)
+				}
+			}
+		}
+	}
+	res, from, err := ResumeIteratedSpMV(sys2, cfg, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from < stopAt-2 || from > stopAt {
+		t.Fatalf("resumed from %d, want the checkpoint near iteration %d", from, stopAt)
+	}
+	plain := cfg
+	plain.Tag = "plain"
+	want, err := RunIteratedSpMV(sys2, plain, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shaOf(res.X) != shaOf(want.X) {
+		t.Fatal("the resumed run's result differs from a plain run's")
+	}
+}
+
+// TestOldLayoutPartsArePurged: parts an older build wrote beside a node's
+// arrays, as "<tag>:x_<t>_<u>.arr", are arrays of the run's tag to a
+// restarted store. The resume purges them, finds no checkpoint, and
+// recomputes from x⁰ with a plain run's result, bit for bit.
+func TestOldLayoutPartsArePurged(t *testing.T) {
+	m, x0, root := checkpointFixture(t)
+	cfg := SpMVConfig{Dim: m.Rows, K: 3, Iters: 5, Nodes: 2, Tag: "job7"}
+	p, err := cfg.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []string
+	for _, it := range []int{2, 3} {
+		for u := 0; u < cfg.K; u++ {
+			path := filepath.Join(root, fmt.Sprintf("node%d", cfg.OwnerOf(u)), cfg.prefix()+spmv.VecArray(it, u)+".arr")
+			if err := writeCheckpointFile(path, make([]byte, 8*p.Size(u))); err != nil {
+				t.Fatal(err)
+			}
+			old = append(old, path)
+		}
+	}
+	sys := checkpointSystem(t, root)
+	defer sys.Close()
+	if _, err := sys.Store(0).Info(cfg.prefix() + spmv.VecArray(3, 0)); err != nil {
+		t.Fatalf("the scan did not register an old-layout part: %v", err)
+	}
+	res, from, err := ResumeIteratedSpMV(sys, cfg, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from != 0 {
+		t.Fatalf("resumed from %d, want 0: an old-layout part is no checkpoint", from)
+	}
+	for _, path := range old {
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("old-layout part %s survived the resume", path)
+		}
+	}
+	plain := cfg
+	plain.Tag = "plain"
+	want, err := RunIteratedSpMV(sys, plain, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shaOf(res.X) != shaOf(want.X) {
+		t.Fatal("the recomputed result differs from a plain run's")
 	}
 }

@@ -76,7 +76,7 @@ func TestCompressedStagingAndSpillsMatchRaw(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		res, err := runIteratedSpMV(sys, cfg, x0, spmvRunOpts{sum: flushSum})
+		res, err := runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{sum: flushSum})
 		if err != nil {
 			t.Fatal(err)
 		}

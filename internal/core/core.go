@@ -131,6 +131,7 @@ type System struct {
 	runMu       sync.Mutex
 	runs        map[*engineRun]struct{}
 	failedNodes map[int]bool
+	nodeDeaths  *obs.Counter
 }
 
 // NewSystem builds and starts a system.
@@ -169,6 +170,7 @@ func NewSystem(opts Options) (*System, error) {
 		failedNodes: make(map[int]bool),
 	}
 	sys.viewCopied = opts.Obs.Counter("dooc_kernel_view_copied_bytes_total", "matrix-section bytes a block view materialised (codec decode or realign copy) instead of aliasing the lease")
+	sys.nodeDeaths = opts.Obs.Counter("dooc_engine_node_deaths_total", "compute nodes marked dead (FailNode), each once")
 	return sys, nil
 }
 
@@ -239,6 +241,9 @@ func (s *System) FailNode(node int) error {
 		return fmt.Errorf("core: fail of invalid node %d", node)
 	}
 	s.runMu.Lock()
+	if !s.failedNodes[node] {
+		s.nodeDeaths.Inc()
+	}
 	s.failedNodes[node] = true
 	active := make([]*engineRun, 0, len(s.runs))
 	for r := range s.runs {
@@ -284,6 +289,24 @@ type RunStats struct {
 	NodesFailed int
 }
 
+// then returns r followed by next, the stats of the run's next segment:
+// counts summed, events appended, and StorageAfter next's. NodesFailed is
+// next's too: a segment counts again every node dead before it started.
+func (r *RunStats) then(next *RunStats) *RunStats {
+	if r == nil {
+		return next
+	}
+	r.Wall += next.Wall
+	for i, n := range next.TasksPerNode {
+		r.TasksPerNode[i] += n
+	}
+	r.Events = append(r.Events, next.Events...)
+	r.StorageAfter = next.StorageAfter
+	r.TaskRetries += next.TaskRetries
+	r.NodesFailed = next.NodesFailed
+	return r
+}
+
 // storageDelta sums one storage counter's growth across nodes during the run.
 func (r *RunStats) storageDelta(field func(*storage.Stats) int64) int64 {
 	var n int64
@@ -296,6 +319,12 @@ func (r *RunStats) storageDelta(field func(*storage.Stats) int64) int64 {
 // BytesReadDisk sums disk reads across nodes during the run.
 func (r *RunStats) BytesReadDisk() int64 {
 	return r.storageDelta(func(s *storage.Stats) int64 { return s.BytesReadDisk })
+}
+
+// OverBudgetAllocs sums block allocations granted above a store's memory
+// budget during the run: how often the budget did not bound.
+func (r *RunStats) OverBudgetAllocs() int64 {
+	return r.storageDelta(func(s *storage.Stats) int64 { return s.OverBudgetAllocs })
 }
 
 // PeerBytes sums cross-node block fetches during the run.

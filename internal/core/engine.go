@@ -434,18 +434,16 @@ type engineRun struct {
 // engineMetrics are the engine's series in the shared obs registry. With a
 // nil registry every field is nil and every operation a no-op.
 type engineMetrics struct {
-	tasksDone  []*obs.Counter // per node
-	retries    *obs.Counter
-	nodeDeaths *obs.Counter
-	queueWait  *obs.Histogram
+	tasksDone []*obs.Counter // per node
+	retries   *obs.Counter
+	queueWait *obs.Histogram
 }
 
 func newEngineMetrics(reg *obs.Registry, nodes int) engineMetrics {
 	m := engineMetrics{
-		retries:    reg.Counter("dooc_engine_task_retries_total", "task re-executions after executor failures"),
-		nodeDeaths: reg.Counter("dooc_engine_node_deaths_total", "compute nodes marked dead during runs"),
-		queueWait:  reg.Histogram("dooc_engine_queue_wait_seconds", "time from task ready to task start", nil),
-		tasksDone:  make([]*obs.Counter, nodes),
+		retries:   reg.Counter("dooc_engine_task_retries_total", "task re-executions after executor failures"),
+		queueWait: reg.Histogram("dooc_engine_queue_wait_seconds", "time from task ready to task start", nil),
+		tasksDone: make([]*obs.Counter, nodes),
 	}
 	for i := range m.tasksDone {
 		m.tasksDone[i] = reg.Counter("dooc_engine_tasks_completed_total", "tasks completed", obs.L("node", fmt.Sprint(i)))
@@ -646,7 +644,6 @@ func (r *engineRun) failNode(node int) {
 	}
 	r.dead[node] = true
 	r.stats.NodesFailed++
-	r.metrics.nodeDeaths.Inc()
 	r.trace.Instant(fmt.Sprintf("node-death:%d", node), "engine", node, 0, time.Now(), nil)
 	var survivors []int
 	for n := 0; n < r.sys.opts.Nodes; n++ {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,7 +100,6 @@ func TestNodeMemoryBounded(t *testing.T) {
 				if _, err := RunIteratedSpMV(sys, cfg, x0); err != nil {
 					t.Fatal(err)
 				}
-				DeleteSpMVArrays(sys, cfg)
 			}
 			close(stop)
 			<-stopped
@@ -113,4 +114,102 @@ func TestNodeMemoryBounded(t *testing.T) {
 		})
 	}
 	runtime.KeepAlive(m)
+}
+
+// TestOverBudgetAllocsReadable: RunStats.OverBudgetAllocs reports the
+// grants above budget the stores counted during the run. At a two-block
+// budget with prefetch window 2 a store still grants some (the budget is not
+// yet a bound); the test reads them, it does not forbid them.
+func TestOverBudgetAllocsReadable(t *testing.T) {
+	const dim, k, nodes = 2000, 4, 2
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	cfg := SpMVConfig{Dim: dim, K: k, Iters: 10, Nodes: nodes}
+	if err := StageMatrix(root, m, cfg); err != nil {
+		t.Fatal(err)
+	}
+	info, err := DiscoverStagedMatrix(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := info.Bytes / (k * k)
+	sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root, MemoryBudget: 2 * block, PrefetchWindow: 2, Reorder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	granted := func() (n int64) {
+		for i := 0; i < nodes; i++ {
+			n += sys.Store(i).Stats().OverBudgetAllocs
+		}
+		return n
+	}
+	before := granted()
+	res, err := RunIteratedSpMV(sys, cfg, randVec(rand.New(rand.NewSource(3)), dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := res.Stats.OverBudgetAllocs(), granted()-before
+	t.Logf("%d allocations granted above a %d-byte budget", got, 2*block)
+	if got != want || got == 0 {
+		t.Fatalf("RunStats.OverBudgetAllocs = %d, the stores counted %d; want them equal and above 0", got, want)
+	}
+}
+
+// TestFirstMultiplyIndependentOfIters: a run holds one segment of its
+// iterations, so the time from the call to its first multiply
+// (Events[0].Start) and the Go heap in use at its first reduction, right
+// after the first multiplies, are the same at 10² and 10⁴ iterations, within
+// 1.5×. Each is the least of five runs, against scheduling noise.
+func TestFirstMultiplyIndependentOfIters(t *testing.T) {
+	const dim, k, nodes = 64, 2, 1
+	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Options{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := LoadMatrixInMemory(sys, m, SpMVConfig{Dim: dim, K: k, Iters: 1, Nodes: nodes}); err != nil {
+		t.Fatal(err)
+	}
+	x0 := randVec(rand.New(rand.NewSource(6)), dim)
+	// Runs alternate between the two lengths, so load on the machine falls
+	// on both alike.
+	first := map[int]time.Duration{100: time.Hour, 10000: time.Hour}
+	heap := map[int]int64{100: 1 << 62, 10000: 1 << 62}
+	for rep := 0; rep < 5; rep++ {
+		for _, iters := range []int{100, 10000} {
+			cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes, Tag: fmt.Sprintf("i%d-%d", iters, rep)}
+			var once sync.Once
+			var inUse int64
+			probe := func(ctx *ExecContext) error {
+				once.Do(func() { inUse = takeMemory().heap })
+				return execSum(ctx)
+			}
+			// Collect and return the last run's garbage now, not while this
+			// run sets up.
+			debug.FreeOSMemory()
+			call := time.Now()
+			res, err := runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{sum: probe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first[iters], heap[iters] = min(first[iters], res.Stats.Events[0].Start.Sub(call)), min(heap[iters], inUse)
+		}
+	}
+	first2, heap2, first4, heap4 := first[100], heap[100], first[10000], heap[10000]
+	t.Logf("first multiply after %v at 10² iterations, %v at 10⁴; heap in use %d and %d bytes", first2, first4, heap2, heap4)
+	within := func(a, b float64) bool { return a <= 1.5*b && b <= 1.5*a }
+	if !within(float64(first2), float64(first4)) {
+		t.Errorf("time to first multiply %v at 10² iterations, %v at 10⁴: want within 1.5×", first2, first4)
+	}
+	if !within(float64(heap2), float64(heap4)) {
+		t.Errorf("heap in use at the first reduction %d bytes at 10² iterations, %d at 10⁴: want within 1.5×", heap2, heap4)
+	}
 }

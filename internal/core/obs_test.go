@@ -216,6 +216,15 @@ func TestObsCountsNodeDeathRecovery(t *testing.T) {
 	if done := obsSeriesValue(reg.Snapshot(), "dooc_engine_tasks_completed_total", 2); done != 0 {
 		t.Errorf("dead node 2 completed %d tasks", done)
 	}
+	// A run of several segments on the same system: the one death is
+	// counted once, by the metric and by RunStats alike.
+	cfg.Iters = 100
+	if res, err = RunIteratedSpMV(sys, cfg, x0); err != nil {
+		t.Fatal(err)
+	}
+	if deaths := reg.Sum("dooc_engine_node_deaths_total"); deaths != 1 || res.Stats.NodesFailed != 1 {
+		t.Errorf("after a %d-segment run: node_deaths = %d, NodesFailed = %d, want 1 and 1", (cfg.Iters-1)/(segmentTasks/cfg.iterTasks())+1, deaths, res.Stats.NodesFailed)
+	}
 }
 
 // viewsAreCopies reports the doocdebug build, whose block views are private

@@ -277,10 +277,9 @@ func TestCrashMidIterationResumes(t *testing.T) {
 	// Wait for a complete checkpoint to land on disk, then kill both nodes:
 	// the run dies somewhere past it, typically mid-iteration, leaving later
 	// iterations' checkpoints incomplete. (Waiting for a complete iterate
-	// also guarantees the resume starts at ≥ 1, so its segment arrays never
-	// collide with the crashed segment's leftovers on scratch; the two
-	// newest complete iterates are kept, so there is always one once the
-	// first is written.)
+	// also guarantees the resume starts at ≥ 1; the two newest complete
+	// iterates are kept, so there is always one once the first is
+	// written.)
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		if ck, _ := LatestCheckpoint(root, cfg); ck != nil {

@@ -37,20 +37,28 @@ type SpMVConfig struct {
 	Trace obs.SpanContext
 }
 
-// MaxProgramTasks bounds the tasks of one run's program. A run generates
-// its whole program and creates every array before the first task runs, at
-// ≈ 2.2–2.6 KB a task (measured on a 512², 2-node in-memory run at K = 2 and
-// K = 4), so the bound keeps that up-front cost under ≈ 0.7 GB; the largest
-// run in the tree, 12,000 iterations at K = 2, is 72,000 tasks.
+// A run is a chain of segments, each one engine run over the program of
+// whole iterations: as many as fit in segmentTasks tasks, and at least one.
+// A segment's program and arrays cost ≈ 2.2–2.6 KB a task (measured on a
+// 512², 2-node in-memory run at K = 2 and K = 4), so a run holds about a
+// megabyte of them whatever its Iters. At K ≤ 4 a segment holds 25
+// iterations or more, so a run of up to that many is one segment.
+const segmentTasks = 1 << 9
+
+// MaxProgramTasks bounds the tasks of one iteration: a segment holds at
+// least one, so the bound keeps a segment's program under ≈ 0.7 GB.
 const MaxProgramTasks = 1 << 18
 
-// ErrProgramTooLarge refuses a configuration whose program would exceed
-// MaxProgramTasks.
+// ErrProgramTooLarge refuses a configuration one iteration of which would
+// exceed MaxProgramTasks.
 var ErrProgramTooLarge = errors.New("core: program too large")
 
-// Validate checks the configuration, the size of its program included:
-// Iters × (multiplies + sums an iteration), counting a multiply for every
-// block of the full grid and each of its SplitWays parts.
+// iterTasks is the tasks of one iteration over the full grid: a multiply for
+// every block and each of its SplitWays parts, and K sums.
+func (c SpMVConfig) iterTasks() int { return c.K*c.K*max(c.SplitWays, 1) + c.K }
+
+// Validate checks the configuration, the size of one iteration's program
+// included.
 func (c SpMVConfig) Validate() error {
 	if c.Dim <= 0 || c.K <= 0 || c.Iters <= 0 || c.Nodes <= 0 {
 		return fmt.Errorf("core: invalid SpMV config %+v", c)
@@ -58,11 +66,18 @@ func (c SpMVConfig) Validate() error {
 	if c.K > c.Dim {
 		return fmt.Errorf("core: K=%d exceeds dimension %d", c.K, c.Dim)
 	}
-	ways := max(c.SplitWays, 1)
-	if c.K > MaxProgramTasks || ways > MaxProgramTasks/(c.K*c.K) || c.Iters > MaxProgramTasks/(c.K*c.K*ways+c.K) {
-		return fmt.Errorf("%w: %d iterations at K = %d, SplitWays %d exceed %d tasks", ErrProgramTooLarge, c.Iters, c.K, c.SplitWays, MaxProgramTasks)
+	if c.K > MaxProgramTasks || max(c.SplitWays, 1) > MaxProgramTasks/(c.K*c.K) || c.iterTasks() > MaxProgramTasks {
+		return fmt.Errorf("%w: an iteration at K = %d, SplitWays %d exceeds %d tasks", ErrProgramTooLarge, c.K, c.SplitWays, MaxProgramTasks)
 	}
 	return nil
+}
+
+// prefix is the name prefix of the run's vectors and partials.
+func (c SpMVConfig) prefix() string {
+	if c.Tag == "" {
+		return ""
+	}
+	return c.Tag + ":"
 }
 
 // OwnerOf maps sub-matrix row u to its owning node.
@@ -396,41 +411,33 @@ type SpMVResult struct {
 
 // RunIteratedSpMV executes Iters power iterations y = A x out-of-core and
 // returns the final vector. Matrix blocks must already be staged (via
-// StageMatrix + system scan, or LoadMatrixInMemory).
+// StageMatrix + system scan, or LoadMatrixInMemory). A run leaves no array
+// behind: the engine reclaims each as its last reader retires and the final
+// vector is deleted once read, and a failed run deletes what it created.
 func RunIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64) (*SpMVResult, error) {
-	return runIteratedSpMV(sys, cfg, x0, spmvRunOpts{})
+	return runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{})
 }
 
 // RunIteratedSpMVCancel is RunIteratedSpMV with a cancellation channel:
-// closing cancel aborts the engine run (Run returns ErrCancelled) and the
-// run's transient arrays are deleted before returning, so a cancelled job
-// leaves no residue in memory or on scratch. This is the entry point the
-// multi-tenant job layer uses.
+// closing cancel aborts the engine run (Run returns ErrCancelled), and the
+// run deletes its arrays before returning, as any failed run does. This is
+// the entry point the multi-tenant job layer uses.
 func RunIteratedSpMVCancel(sys *System, cfg SpMVConfig, x0 []float64, cancel <-chan struct{}) (*SpMVResult, error) {
-	res, err := runIteratedSpMV(sys, cfg, x0, spmvRunOpts{cancel: cancel})
-	if err != nil {
-		DeleteSpMVArrays(sys, cfg)
-	}
-	return res, err
+	return runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{cancel: cancel})
 }
 
-// DeleteSpMVArrays best-effort deletes every transient array a run of cfg
-// would have created (vectors and partials under cfg.Tag). Arrays already
-// retired by the ephemeral reclamation, never created, or still leased are
-// skipped silently — callers invoke this after the engine run has returned,
-// when no executor holds leases.
-func DeleteSpMVArrays(sys *System, cfg SpMVConfig) {
-	prefix := ""
-	if cfg.Tag != "" {
-		prefix = cfg.Tag + ":"
-	}
+// deleteArrays best-effort deletes the vectors x[first … last] and the
+// partials of iterations first+1 … last of cfg's run. Arrays already
+// reclaimed, never created, or still leased are skipped silently: callers
+// invoke it after the engine run has returned, when no executor holds
+// leases.
+func deleteArrays(sys *System, cfg SpMVConfig, first, last int) {
+	prefix := cfg.prefix()
 	for u := 0; u < cfg.K; u++ {
 		owner := sys.Store(cfg.OwnerOf(u))
-		for t := 0; t <= cfg.Iters; t++ {
+		for t := first; t <= last; t++ {
 			_ = owner.Delete(prefix + spmv.VecArray(t, u))
-		}
-		for t := 1; t <= cfg.Iters; t++ {
-			for v := 0; v < cfg.K; v++ {
+			for v := 0; v < cfg.K && t > first; v++ {
 				_ = owner.Delete(prefix + spmv.PartialArray(t, u, v))
 			}
 		}
@@ -451,7 +458,7 @@ func DropArray(sys *System, name string) {
 // forced task placement — the data-oblivious baseline of the placement
 // ablation.
 func RunIteratedSpMVWithAssignment(sys *System, cfg SpMVConfig, x0 []float64, assign map[string]int) error {
-	_, err := runIteratedSpMV(sys, cfg, x0, spmvRunOpts{assignment: assign})
+	_, err := runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{assignment: assign})
 	return err
 }
 
@@ -459,7 +466,7 @@ func RunIteratedSpMVWithAssignment(sys *System, cfg SpMVConfig, x0 []float64, as
 // baseline of the immutable-array memory-management ablation. Transient
 // arrays are left resident; the caller inspects storage stats afterwards.
 func RunIteratedSpMVKeepAll(sys *System, cfg SpMVConfig, x0 []float64) error {
-	_, err := runIteratedSpMV(sys, cfg, x0, spmvRunOpts{keepEphemeral: true})
+	_, err := runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{keepEphemeral: true})
 	return err
 }
 
@@ -470,19 +477,23 @@ type spmvRunOpts struct {
 	keepEphemeral bool
 	cancel        <-chan struct{}
 
-	// sum, when set, replaces the reduction executor (a checkpointed
-	// segment's, checkpointSumExecutor); iterBase is the global iteration
-	// the run starts from, which its spans report iterations from.
-	sum      Executor
-	iterBase int
+	// sum, when set, replaces the reduction executor (a checkpointed run's,
+	// checkpointSumExecutor).
+	sum Executor
 }
 
-func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts) (*SpMVResult, error) {
+// runIteratedSpMV runs iterations first+1 … cfg.Iters from x = x[first] as a
+// chain of segments (segmentTasks). Every array and task is named by its
+// absolute iteration, so segment k+1 starts from x[end] of segment k, which
+// stays in storage; only the first segment seeds its x from the driver. On
+// error the failing segment's arrays — all the run still holds — are
+// deleted.
+func runIteratedSpMV(sys *System, cfg SpMVConfig, first int, x []float64, opts spmvRunOpts) (*SpMVResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(x0) != cfg.Dim {
-		return nil, fmt.Errorf("core: x0 has %d entries, want %d", len(x0), cfg.Dim)
+	if len(x) != cfg.Dim {
+		return nil, fmt.Errorf("core: x0 has %d entries, want %d", len(x), cfg.Dim)
 	}
 	p, err := cfg.Partition()
 	if err != nil {
@@ -498,16 +509,11 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 	if err != nil {
 		return nil, err
 	}
-	prefix := ""
-	if cfg.Tag != "" {
-		prefix = cfg.Tag + ":"
-	}
 	pcfg := spmv.ProgramConfig{
 		K:         cfg.K,
-		Iters:     cfg.Iters,
 		SubBytes:  a00.Size,
 		VecBytes:  8 * int64(p.Size(0)),
-		Prefix:    prefix,
+		Prefix:    cfg.prefix(),
 		SplitWays: cfg.SplitWays,
 		Layout:    layout,
 	}
@@ -516,49 +522,92 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 	if minRows := p.Size(cfg.K - 1); pcfg.SplitWays > minRows {
 		pcfg.SplitWays = minRows
 	}
+	per := max(segmentTasks/cfg.iterTasks(), 1)
+	var stats *RunStats
+	for pcfg.First = first; pcfg.First < cfg.Iters; pcfg.First += pcfg.Iters {
+		pcfg.Iters = min(per, cfg.Iters-pcfg.First)
+		seg, err := runSegment(sys, cfg, pcfg, p, x, opts)
+		if err != nil {
+			deleteArrays(sys, cfg, pcfg.First, pcfg.First+pcfg.Iters)
+			return nil, err
+		}
+		stats = stats.then(seg)
+		x = nil
+	}
+
+	// Collect the final vector, then retire it (results live in the caller's
+	// memory; keeping dead generations would defeat the reclamation story).
+	// The result is sized once and each sub-vector decodes straight into its
+	// interval — no per-chunk staging buffers.
+	x = make([]float64, cfg.Dim)
+	for u := 0; u < cfg.K; u++ {
+		name := pcfg.Prefix + spmv.VecArray(cfg.Iters, u)
+		st := sys.Store(cfg.OwnerOf(u))
+		if err := st.ReadFloat64s(name, x[p.Start(u):p.Start(u+1)]); err != nil {
+			deleteArrays(sys, cfg, cfg.Iters, cfg.Iters)
+			return nil, err
+		}
+		if !opts.keepEphemeral {
+			// Best effort: a straggling lease elsewhere just delays
+			// reclamation.
+			_ = st.Delete(name)
+		}
+	}
+	return &SpMVResult{X: x, Stats: stats}, nil
+}
+
+// runSegment runs the iterations of pcfg: it creates their arrays — and,
+// when x is not nil, x[First], seeded from x — and runs their program. The
+// engine reclaims x[First] and every partial as its last reader retires;
+// x[First+Iters] stays for the next segment or the driver.
+func runSegment(sys *System, cfg SpMVConfig, pcfg spmv.ProgramConfig, p sparse.GridPartition, x []float64, opts spmvRunOpts) (*RunStats, error) {
 	tasks, err := spmv.Program(pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-
-	// Create the vector and partial arrays, seed x^0.
+	first, last := pcfg.First, pcfg.First+pcfg.Iters
 	ephemeral := make(map[string]bool)
 	for u := 0; u < cfg.K; u++ {
 		sz := int64(8 * p.Size(u))
 		owner := sys.Store(cfg.OwnerOf(u))
-		for t := 0; t <= cfg.Iters; t++ {
-			name := prefix + spmv.VecArray(t, u)
-			if err := owner.Create(name, sz, sz); err != nil {
-				return nil, err
+		for t := first; t <= last; t++ {
+			name := pcfg.Prefix + spmv.VecArray(t, u)
+			// x[First] is the previous segment's x[last] unless seeded here.
+			if t > first || x != nil {
+				if err := owner.Create(name, sz, sz); err != nil {
+					return nil, err
+				}
 			}
-			if t < cfg.Iters {
+			if t < last {
 				ephemeral[name] = true
 			}
 		}
-		for t := 1; t <= cfg.Iters; t++ {
+		for t := first + 1; t <= last; t++ {
 			for v := 0; v < cfg.K; v++ {
-				name := prefix + spmv.PartialArray(t, u, v)
+				name := pcfg.Prefix + spmv.PartialArray(t, u, v)
 				if err := owner.Create(name, sz, sz); err != nil {
 					return nil, err
 				}
 				ephemeral[name] = true
 			}
 		}
-		w, err := owner.Request(prefix+spmv.VecArray(0, u), 0, sz, storage.PermWrite)
+		if x == nil {
+			continue
+		}
+		w, err := owner.Request(pcfg.Prefix+spmv.VecArray(first, u), 0, sz, storage.PermWrite)
 		if err != nil {
 			return nil, err
 		}
-		storage.PutFloat64s(w, x0[p.Start(u):p.Start(u+1)])
+		storage.PutFloat64s(w, x[p.Start(u):p.Start(u+1)])
 		w.Release()
 	}
 
 	locate := func(r dag.Ref) (int, bool) {
-		if u, ok := spmv.OwnerIndex(strings.TrimPrefix(r.Array, prefix)); ok {
+		if u, ok := spmv.OwnerIndex(strings.TrimPrefix(r.Array, pcfg.Prefix)); ok {
 			return cfg.OwnerOf(u), true
 		}
 		return 0, false
 	}
-
 	if opts.keepEphemeral {
 		ephemeral = nil
 	}
@@ -576,37 +625,9 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, x0 []float64, opts spmvRunOpts
 		Span:       cfg.Trace,
 	}
 	if cfg.Trace.Valid() {
-		// Task IDs carry segment-relative iteration indices; the base shift
-		// makes resumed segments report absolute iterations in their spans.
-		base := opts.iterBase
-		spec.IterOf = func(id string) (int, bool) {
-			t, ok := spmv.TaskIter(id)
-			return t + base, ok
-		}
+		spec.IterOf = spmv.TaskIter
 	}
-	stats, err := sys.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	// Collect the final vector, then retire it (results live in the caller's
-	// memory; keeping dead generations would defeat the reclamation story).
-	// The result is sized once and each sub-vector decodes straight into its
-	// interval — no per-chunk staging buffers.
-	x := make([]float64, cfg.Dim)
-	for u := 0; u < cfg.K; u++ {
-		name := prefix + spmv.VecArray(cfg.Iters, u)
-		st := sys.Store(cfg.OwnerOf(u))
-		if err := st.ReadFloat64s(name, x[p.Start(u):p.Start(u+1)]); err != nil {
-			return nil, err
-		}
-		if !opts.keepEphemeral {
-			// Best effort: a straggling lease elsewhere just delays
-			// reclamation.
-			_ = st.Delete(name)
-		}
-	}
-	return &SpMVResult{X: x, Stats: stats}, nil
+	return sys.Run(spec)
 }
 
 // Operator adapts the out-of-core iterated SpMV to the lanczos.Operator

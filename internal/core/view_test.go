@@ -205,7 +205,6 @@ func holdsOneCopy(t *testing.T, dim int) {
 		if tag == "warm" && res.Stats.BytesReadDisk() != 0 {
 			t.Fatalf("warm run read %d bytes: the matrix is not resident", res.Stats.BytesReadDisk())
 		}
-		DeleteSpMVArrays(sys, cfg)
 	}
 	grew := takeMemory().since(base)
 	if limit := info.Bytes * 5 / 4; grew.arena > limit {

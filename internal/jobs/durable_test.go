@@ -132,8 +132,7 @@ func TestDurableJobJournalsLifecycle(t *testing.T) {
 
 // TestCrashRecoveryResumesBitIdentical is the acceptance test for the
 // crash path: reconstruct the on-disk state a kill -9 leaves (journal
-// acked through "running", checkpoints through iteration 2, dead segment
-// arrays on scratch), recover, and require the resumed job's bytes to be
+// acked through "running", checkpoints through iteration 2), recover, and require the resumed job's bytes to be
 // identical to an uninterrupted run's — with only the post-checkpoint
 // iterations recomputed.
 func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
@@ -154,12 +153,11 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.DeleteSpMVArrays(refSys, refCfg)
 	refSys.Close()
 	want := EncodeFloat64s(refRes.X)
 
-	// The "crash": a checkpointed segment run to crashAt whose segment
-	// arrays are left on scratch, and a journal frozen mid-lifecycle.
+	// The "crash": a checkpointed run to crashAt, and a journal frozen
+	// mid-lifecycle.
 	sys1 := durableSystem(t, root)
 	crashCfg := base
 	crashCfg.Iters = crashAt
@@ -173,7 +171,7 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 	ckCfg.Tag = crashCfg.Tag
 	ck, err := core.LatestCheckpoint(root, ckCfg)
 	if err != nil || ck == nil {
-		t.Fatalf("no checkpoint on disk after the crashed segment: %v", err)
+		t.Fatalf("no checkpoint on disk after the crashed run: %v", err)
 	}
 	store1, err := jobstore.Open(storeDir, jobstore.Options{})
 	if err != nil {
@@ -362,8 +360,8 @@ func TestDrainContextNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestDurableJobArraysJoinItsQuota: every array a durable job creates — its
-// segment runs' — is named under the job's quota prefix, so the job's group
+// TestDurableJobArraysJoinItsQuota: every array a durable job creates is
+// named under the job's quota prefix, so the job's group
 // sees them while the job runs and a tight MemoryBytes forces quota
 // evictions, as on the in-memory path.
 func TestDurableJobArraysJoinItsQuota(t *testing.T) {

@@ -437,7 +437,6 @@ func (m *Manager) finishLocked(j *Job) {
 	m.running--
 	m.memInUse -= j.MemoryBytes
 	m.m.completed(j.state).Inc()
-	m.m.latency(j.Tenant).Observe(j.finished.Sub(j.submitted).Seconds())
 	m.m.runningG.Set(int64(m.running))
 	m.observeSLOLocked(j)
 	close(j.done)
@@ -548,7 +547,6 @@ func (m *Manager) Cancel(id int64) error {
 				map[string]any{"tenant": j.Tenant, "state": "cancelled"})
 		}
 		m.m.completed(StateCancelled).Inc()
-		m.m.latency(j.Tenant).Observe(j.finished.Sub(j.submitted).Seconds())
 		m.m.queuedG.Set(int64(m.queued))
 		m.observeSLOLocked(j)
 		close(j.done)

@@ -17,24 +17,22 @@ type managerMetrics struct {
 	resumedC  *obs.Counter // dooc_jobs_resumed_total
 	dedupedC  *obs.Counter // dooc_jobs_deduped_total
 
-	perTenant    map[string]*obs.Counter   // dooc_jobs_submitted_total
-	perReason    map[string]*obs.Counter   // dooc_jobs_rejected_total
-	perState     map[State]*obs.Counter    // dooc_jobs_completed_total
-	perTenantLat map[string]*obs.Histogram // dooc_jobs_latency_seconds
+	perTenant map[string]*obs.Counter // dooc_jobs_submitted_total
+	perReason map[string]*obs.Counter // dooc_jobs_rejected_total
+	perState  map[State]*obs.Counter  // dooc_jobs_completed_total
 }
 
 func newManagerMetrics(reg *obs.Registry) managerMetrics {
 	return managerMetrics{
-		reg:          reg,
-		queuedG:      reg.Gauge("dooc_jobs_queued", "jobs waiting for a run slot"),
-		runningG:     reg.Gauge("dooc_jobs_running", "jobs currently executing"),
-		queueWait:    reg.Histogram("dooc_jobs_queue_wait_seconds", "time from submission to admission", nil),
-		resumedC:     reg.Counter("dooc_jobs_resumed_total", "interrupted jobs re-admitted by recovery"),
-		dedupedC:     reg.Counter("dooc_jobs_deduped_total", "keyed submissions matched to an existing job"),
-		perTenant:    make(map[string]*obs.Counter),
-		perReason:    make(map[string]*obs.Counter),
-		perState:     make(map[State]*obs.Counter),
-		perTenantLat: make(map[string]*obs.Histogram),
+		reg:       reg,
+		queuedG:   reg.Gauge("dooc_jobs_queued", "jobs waiting for a run slot"),
+		runningG:  reg.Gauge("dooc_jobs_running", "jobs currently executing"),
+		queueWait: reg.Histogram("dooc_jobs_queue_wait_seconds", "time from submission to admission", nil),
+		resumedC:  reg.Counter("dooc_jobs_resumed_total", "interrupted jobs re-admitted by recovery"),
+		dedupedC:  reg.Counter("dooc_jobs_deduped_total", "keyed submissions matched to an existing job"),
+		perTenant: make(map[string]*obs.Counter),
+		perReason: make(map[string]*obs.Counter),
+		perState:  make(map[State]*obs.Counter),
 	}
 }
 
@@ -63,13 +61,4 @@ func (m *managerMetrics) completed(s State) *obs.Counter {
 		m.perState[s] = c
 	}
 	return c
-}
-
-func (m *managerMetrics) latency(tenant string) *obs.Histogram {
-	h, ok := m.perTenantLat[tenant]
-	if !ok {
-		h = m.reg.Histogram("dooc_jobs_latency_seconds", "submission-to-finish latency", nil, obs.L("tenant", tenant))
-		m.perTenantLat[tenant] = h
-	}
-	return h
 }

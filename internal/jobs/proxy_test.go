@@ -311,7 +311,7 @@ func TestResultProxyWithoutRegistry(t *testing.T) {
 // TestByReferenceJobKeepsNoArrays: a finished job's handle holds the
 // result's bytes, not the job's storage arrays. In the in-memory and the
 // durable service alike, while the handle is live no store knows any of the
-// job's arrays (vectors, partials, checkpoints, segment runs), and the
+// job's arrays (vectors and partials), and the
 // handle resolves to the bytes Manager.Result returns.
 func TestByReferenceJobKeepsNoArrays(t *testing.T) {
 	services := []struct {
@@ -382,18 +382,16 @@ func TestByReferenceJobKeepsNoArrays(t *testing.T) {
 	}
 }
 
-// knownJobArrays lists the arrays of job id's run of iters iterations —
-// under the job's tag and its first segment run's — that some store still
-// answers Info for.
+// knownJobArrays lists the arrays of job id's run of iters iterations that
+// some store still answers Info for.
 func knownJobArrays(sys *core.System, base core.SpMVConfig, id int64, iters int) []string {
 	var names []string
-	for _, prefix := range []string{fmt.Sprintf("job%d:", id), fmt.Sprintf("job%d@0:", id)} {
-		for u := 0; u < base.K; u++ {
-			for it := 0; it <= iters; it++ {
-				names = append(names, prefix+spmv.VecArray(it, u))
-				for v := 0; it > 0 && v < base.K; v++ {
-					names = append(names, prefix+spmv.PartialArray(it, u, v))
-				}
+	prefix := fmt.Sprintf("job%d:", id)
+	for u := 0; u < base.K; u++ {
+		for it := 0; it <= iters; it++ {
+			names = append(names, prefix+spmv.VecArray(it, u))
+			for v := 0; it > 0 && v < base.K; v++ {
+				names = append(names, prefix+spmv.PartialArray(it, u, v))
 			}
 		}
 	}

@@ -277,9 +277,9 @@ func (s *SolverService) durable() bool {
 // work builds the job body: install per-node quota slices, materialize the
 // input vector (seed-derived, or resolved from a proxy handle for chained
 // jobs), run the (checkpointed, when durable) cancellable solve, encode the
-// final vector, register it as a proxy handle, then delete every array the
-// run made: the handle holds the payload, not the arrays. The parameters
-// are exactly what solvePayload journals, so recovery rebuilds an identical
+// final vector and register it as a proxy handle. The run leaves no array
+// behind, done or not: the handle holds the payload. The parameters are
+// exactly what solvePayload journals, so recovery rebuilds an identical
 // closure.
 func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes, scratchBytes int64) Work {
 	return func(id int64, cancel <-chan struct{}) ([]byte, error) {
@@ -306,39 +306,17 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 				}
 			}()
 		}
-		if !s.durable() {
-			res, err := core.RunIteratedSpMVCancel(s.sys, cfg, x0, cancel)
-			if err != nil {
-				return nil, err
-			}
-			core.DeleteSpMVArrays(s.sys, cfg)
-			payload := EncodeFloat64s(res.X)
-			s.registerResult(id, payload)
-			return payload, nil
+		var res *core.SpMVResult
+		start := 0
+		if s.durable() {
+			res, start, err = core.ResumeIteratedSpMVCancel(s.sys, cfg, x0, cancel)
+		} else {
+			res, err = core.RunIteratedSpMVCancel(s.sys, cfg, x0, cancel)
 		}
-		// Durable path. A previous attempt that died mid-run left its
-		// partially-written segment arrays on scratch, re-registered by the
-		// storage startup scan — purge them or the fresh segment run
-		// collides on Create. The checkpoint files stay: the segment prefix
-		// "job<id>:@" is not theirs, while the quota prefix "job<id>:" covers
-		// both.
-		core.PurgeTaggedArtifacts(s.sys, core.SegmentPrefix(cfg.Tag))
-		res, start, err := core.ResumeIteratedSpMVCancel(s.sys, cfg, x0, cancel)
 		if err != nil {
 			return nil, err
 		}
-		if start > 0 {
-			s.itersSaved.Add(int64(start))
-		}
-		if start < iters {
-			// The resume path namespaced the segment run
-			// core.SegmentTag(tag, start); when a checkpoint supplied the
-			// whole run there is none.
-			rest := cfg
-			rest.Iters = iters - start
-			rest.Tag = core.SegmentTag(cfg.Tag, start)
-			core.DeleteSpMVArrays(s.sys, rest)
-		}
+		s.itersSaved.Add(int64(start))
 		payload := EncodeFloat64s(res.X)
 		s.registerResult(id, payload)
 		return payload, nil
@@ -391,7 +369,7 @@ func (s *SolverService) startVector(seed int64, input proxy.Ref) ([]float64, err
 // retire is the manager's terminal hook: always release the job's consumer
 // input reference; retire a non-done job's own handle (a failed or
 // cancelled result must not stay resolvable); and under a durable store
-// purge a done or cancelled job's checkpoints and stray segment arrays. No
+// purge a done or cancelled job's checkpoints and stray arrays. No
 // resolve reads them: a handle resolves from its payload or the result
 // file. A FAILED job keeps its artifacts — the dominant failure mode is
 // process death or drain-interrupt, and its checkpoints are exactly what
@@ -404,7 +382,7 @@ func (s *SolverService) retire(id int64, final State) {
 	if s.store == nil || (final != StateDone && final != StateCancelled) {
 		return
 	}
-	core.PurgeTaggedArtifacts(s.sys, fmt.Sprintf("job%d:", id))
+	core.PurgeRun(s.sys, fmt.Sprintf("job%d", id))
 }
 
 // ResolveProxy materializes a handle's full payload: pin the entry so

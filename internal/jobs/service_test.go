@@ -45,7 +45,6 @@ func serialReference(t *testing.T, sys *core.System, base core.SpMVConfig, req S
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.DeleteSpMVArrays(sys, cfg)
 	return EncodeFloat64s(res.X)
 }
 
@@ -78,12 +77,19 @@ func TestConcurrentJobsBitIdentical(t *testing.T) {
 			t.Fatalf("job %d result differs from serial run (%d vs %d bytes)", id, len(got), len(want))
 		}
 	}
-	// All quota groups were cleared on completion.
+	// All quota groups were cleared on completion, and no job left an
+	// array: the engine reclaimed each as its last reader retired, and the
+	// final vector went once read.
 	for i := 0; i < sys.Nodes(); i++ {
 		for _, id := range ids {
 			if _, ok := sys.Store(i).Quota(fmt.Sprintf("job%d:", id)); ok {
 				t.Fatalf("node %d still has quota group for job %d", i, id)
 			}
+		}
+	}
+	for i, id := range ids {
+		if left := knownJobArrays(sys, svc.Base(), id, reqs[i].Iters); len(left) > 0 {
+			t.Fatalf("done job %d left %v behind", id, left)
 		}
 	}
 }
@@ -152,32 +158,71 @@ func TestServiceRejectsInvalidIters(t *testing.T) {
 	}
 }
 
-// TestOversizedProgramRefusedAtSubmit: a job whose program would exceed
-// core.MaxProgramTasks is refused by Submit, typed, before it is queued or
-// anything is generated — no job, no array, no memory.
-func TestOversizedProgramRefusedAtSubmit(t *testing.T) {
+// TestLongJobRunsAndCancels: a job of 2^20 iterations is accepted — a run
+// holds one segment of its iterations at a time, not its whole program —
+// and its cancel leaves no array of its tag on any node.
+func TestLongJobRunsAndCancels(t *testing.T) {
 	svc, sys := newTestService(t, Config{MaxRunning: 1})
-	mem := func() (n int64) {
-		for i := 0; i < sys.Nodes(); i++ {
-			n += sys.Store(i).Stats().MemUsed
-		}
-		return n
+	before := residentBytes(sys)
+	st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatalf("Submit of 2^20 iterations: %v", err)
 	}
-	before := mem()
-	start := time.Now()
-	_, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
-	if took := time.Since(start); !errors.Is(err, core.ErrProgramTooLarge) || took > time.Second {
-		t.Fatalf("Submit of 2^20 iterations: %v after %v, want core.ErrProgramTooLarge at once", err, took)
+	waitRunning(t, svc.Manager, st.ID)
+	if err := svc.Manager.Cancel(st.ID); err != nil {
+		t.Fatal(err)
 	}
-	if n := len(svc.Manager.List()); n != 0 {
-		t.Fatalf("a refused job left %d jobs behind", n)
+	if _, err := svc.Manager.Result(st.ID); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("result err = %v, want ErrCancelled", err)
 	}
+	if left := knownJobArrays(sys, svc.Base(), st.ID, 1<<13); len(left) > 0 {
+		t.Fatalf("the cancelled job left %v behind", left)
+	}
+	if after := residentBytes(sys); after != before {
+		t.Fatalf("resident bytes %d → %d across the cancelled job", before, after)
+	}
+}
+
+// TestOneIterationTooLargeRefused: a configuration one iteration of which
+// passes core.MaxProgramTasks — a huge K × SplitWays — is still refused.
+func TestOneIterationTooLargeRefused(t *testing.T) {
+	cfg := core.SpMVConfig{Dim: 1 << 20, K: 512, Iters: 1, Nodes: 2, SplitWays: 1}
+	if err := cfg.Validate(); !errors.Is(err, core.ErrProgramTooLarge) {
+		t.Fatalf("K = 512: %v, want core.ErrProgramTooLarge", err)
+	}
+	cfg.K, cfg.SplitWays = 64, 64
+	if err := cfg.Validate(); !errors.Is(err, core.ErrProgramTooLarge) {
+		t.Fatalf("K = 64 at SplitWays 64: %v, want core.ErrProgramTooLarge", err)
+	}
+	cfg.SplitWays = 63
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("K = 64 at SplitWays 63, %d tasks an iteration: %v", 64*64*63+64, err)
+	}
+}
+
+// residentBytes sums the resident bytes of every node of sys.
+func residentBytes(sys *core.System) (n int64) {
 	for i := 0; i < sys.Nodes(); i++ {
-		if _, err := sys.Store(i).Info("job1:x_0_0"); err == nil {
-			t.Fatalf("node %d holds an array of the refused job", i)
-		}
+		n += sys.Store(i).Stats().MemUsed
 	}
-	if after := mem(); after != before {
-		t.Fatalf("resident bytes %d → %d across a refused submit", before, after)
+	return n
+}
+
+// waitRunning polls until job id is running.
+func waitRunning(t *testing.T, m *Manager, id int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := m.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "running" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d is %s after 10 s, want running", id, st.State)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

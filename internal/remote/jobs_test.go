@@ -14,6 +14,7 @@ import (
 	"dooc/internal/jobs"
 	"dooc/internal/jobstore"
 	"dooc/internal/sparse"
+	"dooc/internal/spmv"
 )
 
 // newJobServer stands up a 2-node in-memory system with a loaded matrix, a
@@ -111,7 +112,6 @@ func TestJobVerbsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		core.DeleteSpMVArrays(sys, cfg)
 		if want := jobs.EncodeFloat64s(res.X); !bytes.Equal(got, want) {
 			t.Fatalf("job %d wire result differs from serial run", s.st.ID)
 		}
@@ -202,22 +202,36 @@ func TestJobTypedErrorsOverWire(t *testing.T) {
 	}
 }
 
-// TestOversizedProgramRefusedOverWire: a remote submit of a job whose
-// program exceeds core.MaxProgramTasks fails at once, typed on the client,
-// and the server creates no job and no array.
-func TestOversizedProgramRefusedOverWire(t *testing.T) {
-	cl, svc, sys, _ := newJobServer(t, jobs.Config{MaxRunning: 1})
-	start := time.Now()
-	_, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
-	if took := time.Since(start); !errors.Is(err, core.ErrProgramTooLarge) || took > time.Second {
-		t.Fatalf("remote submit of 2^20 iterations: %v after %v, want core.ErrProgramTooLarge at once", err, took)
+// TestLongJobRunsOverWire: a remote submit of 2^20 iterations is accepted,
+// and its remote cancel leaves no array of its tag on any node.
+func TestLongJobRunsOverWire(t *testing.T) {
+	cl, _, sys, _ := newJobServer(t, jobs.Config{MaxRunning: 1})
+	st, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatalf("remote submit of 2^20 iterations: %v", err)
 	}
-	if n := len(svc.Manager.List()); n != 0 {
-		t.Fatalf("a refused job left %d jobs behind", n)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s, err := cl.JobStatus(st.ID); err != nil || s.State == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never started")
+		}
 	}
+	if err := cl.CancelJob(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.JobResult(st.ID); !errors.Is(err, jobs.ErrCancelled) {
+		t.Fatalf("result err = %v, want ErrCancelled", err)
+	}
+	tag := fmt.Sprintf("job%d:", st.ID)
 	for i := 0; i < sys.Nodes(); i++ {
-		if _, err := sys.Store(i).Info("job1:x_0_0"); err == nil {
-			t.Fatalf("node %d holds an array of the refused job", i)
+		for it := 0; it <= 1<<13; it++ {
+			for _, name := range []string{spmv.VecArray(it, 0), spmv.VecArray(it, 1), spmv.PartialArray(it, 0, 0), spmv.PartialArray(it, 0, 1), spmv.PartialArray(it, 1, 0), spmv.PartialArray(it, 1, 1)} {
+				if _, err := sys.Store(i).Info(tag + name); err == nil {
+					t.Fatalf("node %d holds %s%s of the cancelled job", i, tag, name)
+				}
+			}
 		}
 	}
 }

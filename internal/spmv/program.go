@@ -20,6 +20,11 @@ type ProgramConfig struct {
 	K int
 	// Iters is the number of SpMV iterations.
 	Iters int
+	// First is the iteration the program starts from: it reads x[First] and
+	// computes iterations First+1 … First+Iters, every array and task named
+	// by its absolute iteration, so consecutive programs chain through
+	// x[First+Iters].
+	First int
 	// SubBytes is the size of one sub-matrix block (the heavy, cache-driving
 	// datum).
 	SubBytes int64
@@ -150,8 +155,8 @@ func ReduceTaskID(t, u int) string {
 // Every partial still lives under its own name and every reduction sums the
 // same K of them in the same order, so only the multiplies change.
 func Program(cfg ProgramConfig) ([]*dag.Task, error) {
-	if cfg.K <= 0 || cfg.Iters <= 0 {
-		return nil, fmt.Errorf("spmv: invalid program K=%d iters=%d", cfg.K, cfg.Iters)
+	if cfg.K <= 0 || cfg.Iters <= 0 || cfg.First < 0 {
+		return nil, fmt.Errorf("spmv: invalid program K=%d iters=%d first=%d", cfg.K, cfg.Iters, cfg.First)
 	}
 	ways := cfg.SplitWays
 	if ways < 1 {
@@ -190,17 +195,18 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 			matNames[u*cfg.K+v] = MatrixArray(u, v)
 		}
 	}
+	first, last := cfg.First, cfg.First+cfg.Iters
 	vecNames := make([]string, (cfg.Iters+1)*cfg.K)
-	for t := 0; t <= cfg.Iters; t++ {
+	for t := first; t <= last; t++ {
 		for u := 0; u < cfg.K; u++ {
-			vecNames[t*cfg.K+u] = cfg.Prefix + VecArray(t, u)
+			vecNames[(t-first)*cfg.K+u] = cfg.Prefix + VecArray(t, u)
 		}
 	}
 	partNames := make([]string, cfg.Iters*cfg.K*cfg.K)
-	for t := 1; t <= cfg.Iters; t++ {
+	for t := first + 1; t <= last; t++ {
 		for u := 0; u < cfg.K; u++ {
 			for v := 0; v < cfg.K; v++ {
-				partNames[((t-1)*cfg.K+u)*cfg.K+v] = cfg.Prefix + PartialArray(t, u, v)
+				partNames[((t-first-1)*cfg.K+u)*cfg.K+v] = cfg.Prefix + PartialArray(t, u, v)
 			}
 		}
 	}
@@ -208,17 +214,17 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 		return dag.Ref{Array: matNames[u*cfg.K+v], Block: 0, Bytes: cfg.SubBytes}
 	}
 	vecRef := func(t, u int) dag.Ref {
-		return dag.Ref{Array: vecNames[t*cfg.K+u], Block: 0, Bytes: cfg.VecBytes}
+		return dag.Ref{Array: vecNames[(t-first)*cfg.K+u], Block: 0, Bytes: cfg.VecBytes}
 	}
 	// partRef is row part p of partial x[t][u][v]; Part 0 means undivided.
 	partRef := func(t, u, v, p int) dag.Ref {
-		r := dag.Ref{Array: partNames[((t-1)*cfg.K+u)*cfg.K+v], Block: 0, Bytes: cfg.VecBytes}
+		r := dag.Ref{Array: partNames[((t-first-1)*cfg.K+u)*cfg.K+v], Block: 0, Bytes: cfg.VecBytes}
 		if ways > 1 {
 			r.Part, r.Bytes = p+1, cfg.VecBytes/int64(ways)
 		}
 		return r
 	}
-	for t := 1; t <= cfg.Iters; t++ {
+	for t := first + 1; t <= last; t++ {
 		for u := 0; u < cfg.K; u++ {
 			for v := 0; v < cfg.K; v++ {
 				if !cfg.Layout.Staged(u, v) {
@@ -298,7 +304,7 @@ func RowAssignment(cfg ProgramConfig) map[string]int {
 	if ways < 1 {
 		ways = 1
 	}
-	for t := 1; t <= cfg.Iters; t++ {
+	for t := cfg.First + 1; t <= cfg.First+cfg.Iters; t++ {
 		for u := 0; u < cfg.K; u++ {
 			for v := 0; v < cfg.K; v++ {
 				if !cfg.Layout.Staged(u, v) {

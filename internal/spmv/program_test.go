@@ -73,6 +73,48 @@ func TestGraphDependencies(t *testing.T) {
 	}
 }
 
+// TestChainedProgramsAreOneProgram: programs starting at First = 0, 2 and 3
+// name the tasks and arrays of one five-iteration program, in its order, so
+// a run chained from them computes what the whole program computes.
+func TestChainedProgramsAreOneProgram(t *testing.T) {
+	for _, cfg := range []ProgramConfig{
+		{K: 3, SubBytes: 100, VecBytes: 8, Prefix: "r:"},
+		{K: 2, SubBytes: 100, VecBytes: 16, SplitWays: 2},
+		{K: 3, SubBytes: 100, VecBytes: 8, Layout: MirroredLayout(3, func(u, v int) bool { return u == 0 })},
+	} {
+		whole := cfg
+		whole.Iters = 5
+		want, err := Program(whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []*dag.Task
+		for _, seg := range [][2]int{{0, 2}, {2, 1}, {3, 2}} {
+			part := cfg
+			part.First, part.Iters = seg[0], seg[1]
+			tasks, err := Program(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(RowAssignment(part)); n != len(tasks) {
+				t.Fatalf("row assignment of iterations %d+%d places %d of %d tasks", seg[0], seg[1], n, len(tasks))
+			}
+			got = append(got, tasks...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("chained programs hold %d tasks, the whole one %d", len(got), len(want))
+		}
+		for i := range want {
+			if fmt.Sprint(*got[i]) != fmt.Sprint(*want[i]) {
+				t.Fatalf("task %d: chained %+v, whole %+v", i, *got[i], *want[i])
+			}
+		}
+	}
+	if _, err := Program(ProgramConfig{K: 1, Iters: 1, First: -1}); err == nil {
+		t.Error("a negative First accepted")
+	}
+}
+
 func TestRowAssignment(t *testing.T) {
 	cfg := ProgramConfig{K: 3, Iters: 1, SubBytes: 1, VecBytes: 1}
 	assign := RowAssignment(cfg)
