@@ -276,7 +276,9 @@ type Event struct {
 	End   time.Time
 }
 
-// RunStats summarizes a Run.
+// RunStats summarizes a Run. Events has one entry per task, but the stats
+// of a run of several segments (RunIteratedSpMV) keep the first segment's
+// only, so the log stays bounded whatever the run's length.
 type RunStats struct {
 	Wall          time.Duration
 	TasksPerNode  []int
@@ -290,8 +292,8 @@ type RunStats struct {
 }
 
 // then returns r followed by next, the stats of the run's next segment:
-// counts summed, events appended, and StorageAfter next's. NodesFailed is
-// next's too: a segment counts again every node dead before it started.
+// counts summed, events r's, and StorageAfter next's. NodesFailed is next's
+// too: a segment counts again every node dead before it started.
 func (r *RunStats) then(next *RunStats) *RunStats {
 	if r == nil {
 		return next
@@ -300,7 +302,6 @@ func (r *RunStats) then(next *RunStats) *RunStats {
 	for i, n := range next.TasksPerNode {
 		r.TasksPerNode[i] += n
 	}
-	r.Events = append(r.Events, next.Events...)
 	r.StorageAfter = next.StorageAfter
 	r.TaskRetries += next.TaskRetries
 	r.NodesFailed = next.NodesFailed

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dooc/internal/sparse"
+	"dooc/internal/spmv"
 	"dooc/internal/storage"
 )
 
@@ -163,7 +164,9 @@ func TestOverBudgetAllocsReadable(t *testing.T) {
 // iterations, so the time from the call to its first multiply
 // (Events[0].Start) and the Go heap in use at its first reduction, right
 // after the first multiplies, are the same at 10² and 10⁴ iterations, within
-// 1.5×. Each is the least of five runs, against scheduling noise.
+// 1.5×; so is the heap at its last reduction, which would hold whatever the
+// run kept of its finished segments. Each is the least of five runs, against
+// scheduling noise.
 func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 	const dim, k, nodes = 64, 2, 1
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 4, Seed: 5})
@@ -183,13 +186,17 @@ func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 	// on both alike.
 	first := map[int]time.Duration{100: time.Hour, 10000: time.Hour}
 	heap := map[int]int64{100: 1 << 62, 10000: 1 << 62}
+	heapLast := map[int]int64{100: 1 << 62, 10000: 1 << 62}
 	for rep := 0; rep < 5; rep++ {
 		for _, iters := range []int{100, 10000} {
 			cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes, Tag: fmt.Sprintf("i%d-%d", iters, rep)}
-			var once sync.Once
-			var inUse int64
+			var once, lastOnce sync.Once
+			var inUse, inUseLast int64
 			probe := func(ctx *ExecContext) error {
 				once.Do(func() { inUse = takeMemory().heap })
+				if t, _ := spmv.TaskIter(ctx.Task.ID); t == iters {
+					lastOnce.Do(func() { inUseLast = takeMemory().heap })
+				}
 				return execSum(ctx)
 			}
 			// Collect and return the last run's garbage now, not while this
@@ -201,15 +208,21 @@ func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 				t.Fatal(err)
 			}
 			first[iters], heap[iters] = min(first[iters], res.Stats.Events[0].Start.Sub(call)), min(heap[iters], inUse)
+			heapLast[iters] = min(heapLast[iters], inUseLast)
 		}
 	}
 	first2, heap2, first4, heap4 := first[100], heap[100], first[10000], heap[10000]
-	t.Logf("first multiply after %v at 10² iterations, %v at 10⁴; heap in use %d and %d bytes", first2, first4, heap2, heap4)
+	t.Logf("first multiply after %v at 10² iterations, %v at 10⁴; heap in use %d and %d bytes, at the last reduction %d and %d", first2, first4, heap2, heap4, heapLast[100], heapLast[10000])
 	within := func(a, b float64) bool { return a <= 1.5*b && b <= 1.5*a }
 	if !within(float64(first2), float64(first4)) {
 		t.Errorf("time to first multiply %v at 10² iterations, %v at 10⁴: want within 1.5×", first2, first4)
 	}
 	if !within(float64(heap2), float64(heap4)) {
 		t.Errorf("heap in use at the first reduction %d bytes at 10² iterations, %d at 10⁴: want within 1.5×", heap2, heap4)
+	}
+	// The doocdebug build keeps every released float64 view's copy for
+	// storage.ViewValid, so its heap grows with the tasks a run has done.
+	if !viewsAreCopies() && !within(float64(heapLast[100]), float64(heapLast[10000])) {
+		t.Errorf("heap in use at the last reduction %d bytes at 10² iterations, %d at 10⁴: want within 1.5×", heapLast[100], heapLast[10000])
 	}
 }

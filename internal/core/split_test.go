@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -50,7 +51,9 @@ func TestSplitMultiplyMatchesUnsplit(t *testing.T) {
 }
 
 // TestSplitWaysClampedToRows: requesting more parts than block rows must
-// not hang or error — the engine clamps to one row per part.
+// not hang or error — the engine clamps to one row per part. A segment is
+// sized by the clamped program: 39 tasks an iteration, not 579, so both
+// iterations run as one segment, whose events the stats keep whole.
 func TestSplitWaysClampedToRows(t *testing.T) {
 	const dim = 12 // K=3 -> 4-row blocks
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 1, Seed: 6})
@@ -75,6 +78,26 @@ func TestSplitWaysClampedToRows(t *testing.T) {
 	want := referenceIterate(m, x0, 2)
 	if d := maxAbsDiff(res.X, want); d > 1e-12 {
 		t.Fatalf("clamped split differs by %v", d)
+	}
+	if n := len(res.Stats.Events); n != 2*39 {
+		t.Fatalf("%d events, want the 2 × 39 tasks of one segment", n)
+	}
+}
+
+// TestOneIterationTooLargeRefused: a configuration one iteration of which
+// passes MaxProgramTasks — a huge K × SplitWays — is still refused.
+func TestOneIterationTooLargeRefused(t *testing.T) {
+	cfg := SpMVConfig{Dim: 1 << 20, K: 512, Iters: 1, Nodes: 2, SplitWays: 1}
+	if err := cfg.Validate(); !errors.Is(err, ErrProgramTooLarge) {
+		t.Fatalf("K = 512: %v, want ErrProgramTooLarge", err)
+	}
+	cfg.K, cfg.SplitWays = 64, 64
+	if err := cfg.Validate(); !errors.Is(err, ErrProgramTooLarge) {
+		t.Fatalf("K = 64 at SplitWays 64: %v, want ErrProgramTooLarge", err)
+	}
+	cfg.SplitWays = 63
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("K = 64 at SplitWays 63, %d tasks an iteration: %v", 64*64*63+64, err)
 	}
 }
 

@@ -509,6 +509,9 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, first int, x []float64, opts s
 	if err != nil {
 		return nil, err
 	}
+	// Never split below one row per part: an empty stripe would leave its
+	// partial array incompletely written and stall the reduction.
+	cfg.SplitWays = min(cfg.SplitWays, p.Size(cfg.K-1))
 	pcfg := spmv.ProgramConfig{
 		K:         cfg.K,
 		SubBytes:  a00.Size,
@@ -516,11 +519,6 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, first int, x []float64, opts s
 		Prefix:    cfg.prefix(),
 		SplitWays: cfg.SplitWays,
 		Layout:    layout,
-	}
-	// Never split below one row per part: an empty stripe would leave its
-	// partial array incompletely written and stall the reduction.
-	if minRows := p.Size(cfg.K - 1); pcfg.SplitWays > minRows {
-		pcfg.SplitWays = minRows
 	}
 	per := max(segmentTasks/cfg.iterTasks(), 1)
 	var stats *RunStats

@@ -135,8 +135,8 @@ func (s *SolverService) Base() core.SpMVConfig { return s.base }
 // ErrQuotaExceeded, ErrDraining). A keyed request matching a known job
 // returns that job's status instead of enqueuing a duplicate.
 func (s *SolverService) Submit(req SolveRequest) (JobStatus, error) {
-	// A run's program and arrays exist whole before its first task, so a
-	// job whose program is too large is refused here, unjournaled.
+	// An invalid configuration, or one iteration above core.MaxProgramTasks,
+	// is refused here, before the job is journaled.
 	cfg := s.base
 	cfg.Iters = req.Iters
 	if err := cfg.Validate(); err != nil {

@@ -183,23 +183,6 @@ func TestLongJobRunsAndCancels(t *testing.T) {
 	}
 }
 
-// TestOneIterationTooLargeRefused: a configuration one iteration of which
-// passes core.MaxProgramTasks — a huge K × SplitWays — is still refused.
-func TestOneIterationTooLargeRefused(t *testing.T) {
-	cfg := core.SpMVConfig{Dim: 1 << 20, K: 512, Iters: 1, Nodes: 2, SplitWays: 1}
-	if err := cfg.Validate(); !errors.Is(err, core.ErrProgramTooLarge) {
-		t.Fatalf("K = 512: %v, want core.ErrProgramTooLarge", err)
-	}
-	cfg.K, cfg.SplitWays = 64, 64
-	if err := cfg.Validate(); !errors.Is(err, core.ErrProgramTooLarge) {
-		t.Fatalf("K = 64 at SplitWays 64: %v, want core.ErrProgramTooLarge", err)
-	}
-	cfg.SplitWays = 63
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("K = 64 at SplitWays 63, %d tasks an iteration: %v", 64*64*63+64, err)
-	}
-}
-
 // residentBytes sums the resident bytes of every node of sys.
 func residentBytes(sys *core.System) (n int64) {
 	for i := 0; i < sys.Nodes(); i++ {
