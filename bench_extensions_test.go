@@ -193,43 +193,6 @@ func BenchmarkAblationIOWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSplitWays sweeps the task-splitting factor on a
-// multi-worker node (paper §III-C: decompose tasks to match node
-// parallelism).
-func BenchmarkAblationSplitWays(b *testing.B) {
-	const dim, k = 4000, 3
-	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 4, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ways := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
-			// Each sub-task takes its own view of the resident block, which
-			// costs a lease and no decode, so splitting is not charged a
-			// block decode per part.
-			sys, err := core.NewSystem(core.Options{Nodes: 1, WorkersPerNode: 4, Reorder: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sys.Close()
-			cfg := core.SpMVConfig{Dim: dim, K: k, Iters: 2, Nodes: 1, SplitWays: ways}
-			if err := core.LoadMatrixInMemory(sys, m, cfg); err != nil {
-				b.Fatal(err)
-			}
-			x0 := make([]float64, dim)
-			x0[0] = 1
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Tag = fmt.Sprintf("w%d-%d", ways, i)
-				if _, err := core.RunIteratedSpMV(sys, c, x0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEvictionPolicy quantifies DESIGN.md decision 2: on the
 // iterated SpMV access pattern, MRU eviction is the theoretical winner for
 // FIFO-ordered cyclic scans, and the back-and-forth reordering is what

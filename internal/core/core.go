@@ -45,10 +45,10 @@ type Options struct {
 	// directory ScratchRoot/node<i>.
 	ScratchRoot string
 	// PrefetchWindow is how many heavy data the local scheduler keeps in
-	// flight ahead of execution (default 2; 0 disables prefetching).
+	// flight ahead of execution; 0, the zero value, disables prefetching.
 	PrefetchWindow int
-	// Reorder enables the local scheduler's data-aware reordering
-	// (default true; the ablation benches switch it off).
+	// Reorder enables the local scheduler's data-aware reordering; false,
+	// the zero value, runs ready tasks in program order.
 	Reorder bool
 	// IOWorkers per node (default 2).
 	IOWorkers int

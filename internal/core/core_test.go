@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -168,6 +169,19 @@ func TestRunTaskErrorAborts(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("dependent task ran after failure")
+	}
+}
+
+// TestOneIterationTooLargeRefused: a configuration one iteration of which,
+// K² multiplies and K sums, passes MaxProgramTasks is refused.
+func TestOneIterationTooLargeRefused(t *testing.T) {
+	cfg := SpMVConfig{Dim: 1 << 20, K: 512, Iters: 1, Nodes: 2}
+	if err := cfg.Validate(); !errors.Is(err, ErrProgramTooLarge) {
+		t.Fatalf("K = 512: %v, want ErrProgramTooLarge", err)
+	}
+	cfg.K = 511
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("K = 511, %d tasks an iteration: %v", 511*511+511, err)
 	}
 }
 

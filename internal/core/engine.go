@@ -23,7 +23,11 @@ type ExecContext struct {
 	Store *storage.Store
 	Task  *dag.Task
 
-	scratch execScratch
+	// scratch holds the worker's reusable result buffers. Executors that
+	// cannot write straight into a lease view (big-endian hosts, the
+	// doocdebug build) stage results here instead of allocating — in two
+	// slots, for a task with two outputs.
+	scratch [2][]float64
 
 	// The read lease under the view Matrix handed out, the view itself, and
 	// the scratch the sections that cannot alias the lease live in — the
@@ -38,15 +42,6 @@ type ExecContext struct {
 	leases []*storage.Lease
 }
 
-// execScratch holds one worker's reusable buffers. Executors that cannot
-// write straight into a lease view (big-endian hosts, the doocdebug build)
-// stage results here instead of allocating — in two slots, for a task with
-// two outputs.
-type execScratch struct {
-	vec  [2][]float64
-	seen map[string]bool
-}
-
 // ScratchFloats returns a reusable []float64 of length n with unspecified
 // contents. At most one scratch vector is live per task; a second call
 // invalidates the first.
@@ -54,19 +49,10 @@ func (c *ExecContext) ScratchFloats(n int) []float64 { return c.scratchFloats(0,
 
 // scratchFloats is ScratchFloats of slot 0 or 1; the two never alias.
 func (c *ExecContext) scratchFloats(slot, n int) []float64 {
-	if cap(c.scratch.vec[slot]) < n {
-		c.scratch.vec[slot] = make([]float64, n)
+	if cap(c.scratch[slot]) < n {
+		c.scratch[slot] = make([]float64, n)
 	}
-	return c.scratch.vec[slot][:n]
-}
-
-// ScratchSeen returns an empty reusable string-set.
-func (c *ExecContext) ScratchSeen() map[string]bool {
-	if c.scratch.seen == nil {
-		c.scratch.seen = make(map[string]bool, 8)
-	}
-	clear(c.scratch.seen)
-	return c.scratch.seen
+	return c.scratch[slot][:n]
 }
 
 // reset points the context at a new task, keeping scratch and lease-slice
@@ -151,21 +137,11 @@ func (c *ExecContext) releaseMatrix() {
 	c.matLease, c.mat = nil, nil
 }
 
-// Request leases an interval through the task's lease tracker. Executors
-// should prefer this over ctx.Store.Request: if the executor errors or
+// RequestBlock leases a block through the task's lease tracker. Executors
+// should prefer this over ctx.Store.RequestBlock: if the executor errors or
 // panics before releasing, the engine abandons the lease — read leases are
 // returned, unpublished write intervals revert to unwritten — so a
 // re-execution of the task can acquire them again.
-func (c *ExecContext) Request(array string, lo, hi int64, perm storage.Perm) (*storage.Lease, error) {
-	l, err := c.Store.Request(array, lo, hi, perm)
-	if err != nil {
-		return nil, err
-	}
-	c.track(l)
-	return l, nil
-}
-
-// RequestBlock is the tracked variant of ctx.Store.RequestBlock.
 func (c *ExecContext) RequestBlock(array string, block int, perm storage.Perm) (*storage.Lease, error) {
 	l, err := c.Store.RequestBlock(array, block, perm)
 	if err != nil {

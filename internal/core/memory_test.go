@@ -220,9 +220,7 @@ func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 	if !within(float64(heap2), float64(heap4)) {
 		t.Errorf("heap in use at the first reduction %d bytes at 10² iterations, %d at 10⁴: want within 1.5×", heap2, heap4)
 	}
-	// The doocdebug build keeps every released float64 view's copy for
-	// storage.ViewValid, so its heap grows with the tasks a run has done.
-	if !viewsAreCopies() && !within(float64(heapLast[100]), float64(heapLast[10000])) {
+	if !within(float64(heapLast[100]), float64(heapLast[10000])) {
 		t.Errorf("heap in use at the last reduction %d bytes at 10² iterations, %d at 10⁴: want within 1.5×", heapLast[100], heapLast[10000])
 	}
 }

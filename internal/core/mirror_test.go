@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"dooc/internal/sparse"
-	"dooc/internal/spmv"
 )
 
 // largestBlock is the size of the largest block file under root.
@@ -175,29 +173,5 @@ func TestMirroredStagingBalance(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMirroredSplitRefused: a row split over a mirrored set is refused with
-// the named error before anything is created.
-func TestMirroredSplitRefused(t *testing.T) {
-	const dim, k = 40, 2
-	m := symmetricTestMatrix(t, dim, 3)
-	sys, err := NewSystem(Options{Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	cfg := SpMVConfig{Dim: dim, K: k, Iters: 1, Nodes: 1, SplitWays: 2}
-	if err := LoadMatrixInMemory(sys, m, cfg); err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunIteratedSpMV(sys, cfg, make([]float64, dim))
-	if !errors.Is(err, spmv.ErrMirroredSplit) {
-		t.Fatalf("split run over a mirrored set: err = %v, want %v", err, spmv.ErrMirroredSplit)
-	}
-	cfg.SplitWays = 1
-	if _, err := RunIteratedSpMV(sys, cfg, make([]float64, dim)); err != nil {
-		t.Fatalf("the same run unsplit: %v", err)
 	}
 }

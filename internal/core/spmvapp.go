@@ -26,11 +26,6 @@ type SpMVConfig struct {
 	// Tag namespaces the run's transient arrays (vectors, partials) so
 	// successive runs over the same staged matrix do not collide.
 	Tag string
-	// SplitWays, when > 1, decomposes every multiply into that many
-	// row-range sub-tasks, each writing a disjoint interval of the shared
-	// partial array — the paper's local-scheduler task splitting
-	// demonstrated through the storage layer's interval write leases.
-	SplitWays int
 	// Trace, when valid, is the causal parent (a job's running-phase span)
 	// the engine attaches this run's per-iteration and per-task spans
 	// under. Zero leaves task spans unannotated, exactly as before.
@@ -54,8 +49,8 @@ const MaxProgramTasks = 1 << 18
 var ErrProgramTooLarge = errors.New("core: program too large")
 
 // iterTasks is the tasks of one iteration over the full grid: a multiply for
-// every block and each of its SplitWays parts, and K sums.
-func (c SpMVConfig) iterTasks() int { return c.K*c.K*max(c.SplitWays, 1) + c.K }
+// every block and K sums.
+func (c SpMVConfig) iterTasks() int { return c.K*c.K + c.K }
 
 // Validate checks the configuration, the size of one iteration's program
 // included.
@@ -66,8 +61,8 @@ func (c SpMVConfig) Validate() error {
 	if c.K > c.Dim {
 		return fmt.Errorf("core: K=%d exceeds dimension %d", c.K, c.Dim)
 	}
-	if c.K > MaxProgramTasks || max(c.SplitWays, 1) > MaxProgramTasks/(c.K*c.K) || c.iterTasks() > MaxProgramTasks {
-		return fmt.Errorf("%w: an iteration at K = %d, SplitWays %d exceeds %d tasks", ErrProgramTooLarge, c.K, c.SplitWays, MaxProgramTasks)
+	if c.K > MaxProgramTasks || c.iterTasks() > MaxProgramTasks {
+		return fmt.Errorf("%w: an iteration at K = %d exceeds %d tasks", ErrProgramTooLarge, c.K, MaxProgramTasks)
 	}
 	return nil
 }
@@ -509,16 +504,12 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, first int, x []float64, opts s
 	if err != nil {
 		return nil, err
 	}
-	// Never split below one row per part: an empty stripe would leave its
-	// partial array incompletely written and stall the reduction.
-	cfg.SplitWays = min(cfg.SplitWays, p.Size(cfg.K-1))
 	pcfg := spmv.ProgramConfig{
-		K:         cfg.K,
-		SubBytes:  a00.Size,
-		VecBytes:  8 * int64(p.Size(0)),
-		Prefix:    cfg.prefix(),
-		SplitWays: cfg.SplitWays,
-		Layout:    layout,
+		K:        cfg.K,
+		SubBytes: a00.Size,
+		VecBytes: 8 * int64(p.Size(0)),
+		Prefix:   cfg.prefix(),
+		Layout:   layout,
 	}
 	per := max(segmentTasks/cfg.iterTasks(), 1)
 	var stats *RunStats
@@ -663,7 +654,6 @@ func SpMVExecutors() map[string]Executor {
 	return map[string]Executor{
 		"multiply":        execMultiply,
 		"multiply-mirror": execMultiply,
-		"multiply-part":   execMultiplyPart,
 		"sum":             execSum,
 	}
 }
@@ -726,72 +716,14 @@ func execMultiply(ctx *ExecContext) error {
 	return nil
 }
 
-// execMultiplyPart computes rows [r0, r1) of xp[t][u][v] = A[u][v]*x[t-1][v]
-// and publishes them through an interval write lease on the shared partial
-// array — disjoint sub-task outputs need no coordination beyond the
-// immutable-interval discipline.
-func execMultiplyPart(ctx *ExecContext) error {
-	t := ctx.Task
-	if len(t.Inputs) != 2 || len(t.Outputs) != 1 {
-		return fmt.Errorf("multiply-part task %s has unexpected shape", t.ID)
-	}
-	aRef, xRef, outRef := t.Inputs[0], t.Inputs[1], t.Outputs[0]
-	_, _, _, p, ways, err := spmv.ParseMultPart(t.ID)
-	if err != nil {
-		return err
-	}
-	if ways < 1 {
-		return fmt.Errorf("multiply-part task %s declares %d ways", t.ID, ways)
-	}
-
-	a, err := ctx.Matrix(aRef.Array)
-	if err != nil {
-		return fmt.Errorf("decoding %s: %w", aRef.Array, err)
-	}
-	xLease, err := ctx.RequestBlock(xRef.Array, 0, storage.PermRead)
-	if err != nil {
-		return err
-	}
-	xv := storage.Float64View(xLease)
-
-	// Row range of this part: contiguous stripes covering all rows.
-	rows := a.Rows
-	r0 := rows * p / ways
-	r1 := rows * (p + 1) / ways
-	if r0 >= r1 {
-		xLease.Release()
-		return nil // more parts than rows: this stripe is empty
-	}
-	out, err := ctx.Request(outRef.Array, int64(8*r0), int64(8*r1), storage.PermWrite)
-	if err != nil {
-		xLease.Release()
-		return err
-	}
-	y, direct := storage.Float64WriteView(out)
-	if !direct {
-		y = ctx.ScratchFloats(r1 - r0)
-	}
-	sparse.MulVecRows(a, xv, y, r0, r1)
-	if !direct {
-		storage.PutFloat64s(out, y)
-	}
-	out.Release()
-	xLease.Release()
-	return nil
-}
-
-// execSum computes x[t][u] = Σ_v xp[t][u][v]. Inputs may list the same
-// partial array several times (once per written part); each array is summed
-// exactly once.
+// execSum computes x[t][u] = Σ_v xp[t][u][v], in input order.
 func execSum(ctx *ExecContext) error {
 	t := ctx.Task
 	if len(t.Outputs) != 1 || len(t.Inputs) == 0 {
 		return fmt.Errorf("sum task %s has unexpected shape", t.ID)
 	}
-	// The accumulator is the output write lease itself: the first part is
-	// copied in, the rest added in place. Accumulation order (task input
-	// order, first occurrence of each array) is unchanged, so results stay
-	// bit-identical to the copying implementation.
+	// The accumulator is the output write lease itself: the first partial is
+	// copied in, the rest added in place, in task input order.
 	out, err := ctx.RequestBlock(t.Outputs[0].Array, 0, storage.PermWrite)
 	if err != nil {
 		return err
@@ -800,21 +732,14 @@ func execSum(ctx *ExecContext) error {
 	if !direct {
 		acc = ctx.ScratchFloats(len(out.Data) / 8)
 	}
-	first := true
-	seen := ctx.ScratchSeen()
-	for _, in := range t.Inputs {
-		if seen[in.Array] {
-			continue
-		}
-		seen[in.Array] = true
+	for i, in := range t.Inputs {
 		l, err := ctx.RequestBlock(in.Array, 0, storage.PermRead)
 		if err != nil {
 			out.Abandon()
 			return err
 		}
-		if first {
+		if i == 0 {
 			storage.DecodeFloat64sInto(acc, l.Data)
-			first = false
 		} else {
 			sparse.Sum(acc, storage.Float64View(l))
 		}

@@ -63,7 +63,7 @@ func testMatrix(t *testing.T, seed int64) *sparse.CSR {
 // gave — the SHA is what the last commit with a decode cache printed for its
 // cached run — whether the matrix stays resident (a budget of twice the staged
 // set) or passes through two blocks of memory a node; for V1 and V2 blocks,
-// whole and split multiplies, one and two computing filters per node. The
+// one, two and four computing filters per node. The
 // in-core system's second run is warm: it reads nothing, prefetches nothing
 // and its views copy nothing. Afterwards no lease on a matrix block is left.
 func TestInCoreAndOutOfCoreRunsMatch(t *testing.T) {
@@ -78,9 +78,9 @@ func TestInCoreAndOutOfCoreRunsMatch(t *testing.T) {
 	x0 := randVec(rand.New(rand.NewSource(3)), dim)
 	ref := referenceIterate(m, x0, iters)
 
-	run := func(t *testing.T, compressed, inCore bool, split, workers int) {
+	run := func(t *testing.T, compressed, inCore bool, workers int) {
 		root := t.TempDir()
-		cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes, SplitWays: split}
+		cfg := SpMVConfig{Dim: dim, K: k, Iters: iters, Nodes: nodes}
 		stage := stageV1
 		if compressed {
 			stage = StageMatrix
@@ -144,13 +144,11 @@ func TestInCoreAndOutOfCoreRunsMatch(t *testing.T) {
 	}
 
 	for _, compressed := range []bool{false, true} {
-		for _, split := range []int{1, 2} {
-			for _, workers := range []int{1, 2, 4} {
-				for _, inCore := range []bool{true, false} {
-					t.Run(fmt.Sprintf("v2=%v/split=%d/workers=%d/incore=%v", compressed, split, workers, inCore), func(t *testing.T) {
-						run(t, compressed, inCore, split, workers)
-					})
-				}
+		for _, workers := range []int{1, 2, 4} {
+			for _, inCore := range []bool{true, false} {
+				t.Run(fmt.Sprintf("v2=%v/workers=%d/incore=%v", compressed, workers, inCore), func(t *testing.T) {
+					run(t, compressed, inCore, workers)
+				})
 			}
 		}
 	}

@@ -15,34 +15,24 @@ import (
 
 // Ref names a datum: a block of an array (Block == Whole means the whole
 // array). Bytes is the datum's size, used for affinity and cache decisions.
-//
-// Part subdivides a block for split tasks: when the local scheduler splits
-// a task to match a node's parallelism (paper §III-C), each sub-task writes
-// a disjoint Part of the same output block through an interval write lease.
-// Part 0 is the undivided datum.
 type Ref struct {
 	Array string
 	Block int
-	Part  int
 	Bytes int64
 }
 
 // Whole marks a Ref that covers its entire array.
 const Whole = -1
 
-// Key returns a map key identifying the datum: "array[block]" with a
-// "#part" suffix for split refs. Built with strconv appends — Key runs once
-// per ref per scheduler pass, where fmt's formatting state is measurable.
+// Key returns a map key identifying the datum: "array[block]". Built with
+// strconv appends — Key runs once per ref per scheduler pass, where fmt's
+// formatting state is measurable.
 func (r Ref) Key() string {
 	b := make([]byte, 0, len(r.Array)+16)
 	b = append(b, r.Array...)
 	b = append(b, '[')
 	b = strconv.AppendInt(b, int64(r.Block), 10)
 	b = append(b, ']')
-	if r.Part != 0 {
-		b = append(b, '#')
-		b = strconv.AppendInt(b, int64(r.Part), 10)
-	}
 	return string(b)
 }
 
@@ -95,11 +85,11 @@ type Graph struct {
 // datum for every ref of every task, and string keys would dominate its
 // allocation profile.
 type refID struct {
-	array       string
-	block, part int
+	array string
+	block int
 }
 
-func (r Ref) id() refID { return refID{r.Array, r.Block, r.Part} }
+func (r Ref) id() refID { return refID{r.Array, r.Block} }
 
 // Build derives the DAG. It rejects duplicate task IDs, multiple writers of
 // one datum, and cycles.

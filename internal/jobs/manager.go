@@ -344,7 +344,6 @@ func (m *Manager) dispatchLocked() {
 		// re-queues the job from its queued record — same outcome, repeated
 		// queue wait.
 		m.journalLocked(best)
-		m.m.queueWait.Observe(best.queueWait.Seconds())
 		m.m.queuedG.Set(int64(m.queued))
 		m.m.runningG.Set(int64(m.running))
 		go m.run(best)

@@ -84,11 +84,11 @@ func RoundRobin(tasks []*dag.Task, nodes int) map[string]int {
 // refKey identifies a datum like dag.Ref.Key() but as a comparable struct,
 // so the policy's maps never build key strings on the pick path.
 type refKey struct {
-	array       string
-	block, part int
+	array string
+	block int
 }
 
-func keyOf(r dag.Ref) refKey { return refKey{r.Array, r.Block, r.Part} }
+func keyOf(r dag.Ref) refKey { return refKey{r.Array, r.Block} }
 
 // Policy is one node's local-scheduler task selection state. A Policy is not
 // safe for concurrent use; the engine serializes all calls per node.

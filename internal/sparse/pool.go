@@ -250,8 +250,7 @@ func (p *Pool) MulVecAxpyDot(a *CSR, x, prev []float64, beta float64, y []float6
 }
 
 // MulVecRows computes rows [lo, hi) of A*x into y (length hi-lo), each row
-// bit-identical to MulVec — the kernel behind the engine's multiply and
-// split multiply-part tasks.
+// bit-identical to MulVec — the kernel behind the engine's multiply tasks.
 func MulVecRows(a *CSR, x, y []float64, lo, hi int) {
 	if lo < 0 || hi > a.Rows || lo > hi || len(x) != a.Cols || len(y) != hi-lo {
 		panic(fmt.Sprintf("sparse: MulVecRows shapes: A %dx%d, rows [%d,%d), x %d, y %d",

@@ -1,9 +1,6 @@
 package spmv
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Layout says which blocks of the K×K grid are staged. The zero Layout is
 // the full grid, every block staged. A mirrored layout is what staging makes
@@ -78,9 +75,3 @@ func (l Layout) Staged(u, v int) bool {
 	}
 	return l.lower[v*l.k+u]
 }
-
-// ErrMirroredSplit refuses SplitWays > 1 over a mirrored layout: a split
-// task computes a range of its block's rows, and the scatter into the
-// mirror's partial touches all of them — cutting it by rows would change
-// the order every element of that partial is summed in.
-var ErrMirroredSplit = errors.New("spmv: a mirrored matrix cannot be split by rows")

@@ -66,7 +66,7 @@ func parseIntSep(s string, sep byte) (val int, rest string, ok bool) {
 }
 
 // TaskIter extracts the iteration index t from a program task ID
-// ("mult:<t>:<u>:<v>[...]" or "reduce:<t>:<u>") — the engine's hook for
+// ("mult:<t>:<u>:<v>" or "reduce:<t>:<u>") — the engine's hook for
 // rolling task spans up into per-iteration spans. Alloc-free, like the
 // array-name parsers, though it only runs when tracing is enabled.
 func TaskIter(id string) (int, bool) {

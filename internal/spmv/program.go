@@ -37,13 +37,6 @@ type ProgramConfig struct {
 	// matrix never collide. Matrix array names are never prefixed: the
 	// matrix is shared across runs.
 	Prefix string
-	// SplitWays, when > 1, splits every multiply into that many sub-tasks
-	// over disjoint row ranges of its output — the paper's local-scheduler
-	// task decomposition ("splits them (if possible) to match the
-	// parallelism available on the node"). Each sub-task writes its row
-	// range through an interval write lease on the shared partial array.
-	// A mirrored Layout refuses it (ErrMirroredSplit).
-	SplitWays int
 	// Layout says which blocks are staged; the zero Layout is all K².
 	Layout Layout
 }
@@ -92,47 +85,6 @@ func MultTaskID(t, u, v int) string {
 	return string(b)
 }
 
-// MultPartTaskID names row-part p (of `ways`) of a split multiply.
-func MultPartTaskID(t, u, v, p, ways int) string {
-	b := make([]byte, 0, 32)
-	b = append(b, MultTaskID(t, u, v)...)
-	b = append(b, ":part"...)
-	b = strconv.AppendInt(b, int64(p), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(ways), 10)
-	return string(b)
-}
-
-// ParseMultPart recovers (t, u, v, p, ways) from a split-multiply task ID.
-func ParseMultPart(id string) (t, u, v, p, ways int, err error) {
-	bad := func() (int, int, int, int, int, error) {
-		return 0, 0, 0, 0, 0, fmt.Errorf("spmv: bad split-multiply id %q", id)
-	}
-	rest, ok := cutPrefix(id, "mult:")
-	if !ok {
-		return bad()
-	}
-	if t, rest, ok = parseIntSep(rest, ':'); !ok {
-		return bad()
-	}
-	if u, rest, ok = parseIntSep(rest, ':'); !ok {
-		return bad()
-	}
-	if v, rest, ok = parseIntSep(rest, ':'); !ok {
-		return bad()
-	}
-	if rest, ok = cutPrefix(rest, "part"); !ok {
-		return bad()
-	}
-	if p, rest, ok = parseIntSep(rest, '/'); !ok {
-		return bad()
-	}
-	if ways, rest, ok = parseIntSep(rest, 0); !ok || rest != "" {
-		return bad()
-	}
-	return t, u, v, p, ways, nil
-}
-
 // ReduceTaskID names the reduction producing x[t][u].
 func ReduceTaskID(t, u int) string {
 	b := make([]byte, 0, 20)
@@ -158,20 +110,13 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 	if cfg.K <= 0 || cfg.Iters <= 0 || cfg.First < 0 {
 		return nil, fmt.Errorf("spmv: invalid program K=%d iters=%d first=%d", cfg.K, cfg.Iters, cfg.First)
 	}
-	ways := cfg.SplitWays
-	if ways < 1 {
-		ways = 1
-	}
 	mirrored := cfg.Layout.Mirrored()
 	if mirrored && cfg.Layout.k != cfg.K {
 		return nil, fmt.Errorf("spmv: a %d×%d layout for a K=%d program", cfg.Layout.k, cfg.Layout.k, cfg.K)
 	}
-	if mirrored && ways > 1 {
-		return nil, ErrMirroredSplit
-	}
 	// Tasks and refs come from two exactly-sized backing arrays: per
-	// iteration one multiply per staged block and row part (4 refs each, 6
-	// for a mirrored pair) and K reductions (K*ways inputs + 1 output each).
+	// iteration one multiply per staged block (4 refs each, 6 for a mirrored
+	// pair) and K reductions (K inputs + 1 output each).
 	// The capacities must be exact — task pointers and ref sub-slices alias
 	// the backing arrays, so growth would strand earlier entries.
 	staged, pairs := cfg.K*cfg.K, 0
@@ -179,16 +124,16 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 		pairs = cfg.K * (cfg.K - 1) / 2
 		staged = cfg.K + pairs
 	}
-	nTasks := cfg.Iters * (staged*ways + cfg.K)
-	nRefs := cfg.Iters * (staged*ways*4 + pairs*2 + cfg.K*(cfg.K*ways+1))
+	nTasks := cfg.Iters * (staged + cfg.K)
+	nRefs := cfg.Iters * (staged*4 + pairs*2 + cfg.K*(cfg.K+1))
 	taskBuf := make([]dag.Task, 0, nTasks)
 	refs := make([]dag.Ref, 0, nRefs)
 	tasks := make([]*dag.Task, 0, nTasks)
 	cut := func(start int) []dag.Ref { return refs[start:len(refs):len(refs)] }
 	// Each distinct array name is built exactly once: every name is
-	// referenced several times per build (a matrix block 2×ways×Iters
-	// times), and the prefix concatenation in the Ref helpers would
-	// otherwise re-allocate the same strings throughout the loop.
+	// referenced several times per build (a matrix block 2×Iters times), and
+	// the prefix concatenation in the Ref helpers would otherwise re-allocate
+	// the same strings throughout the loop.
 	matNames := make([]string, cfg.K*cfg.K)
 	for u := 0; u < cfg.K; u++ {
 		for v := 0; v < cfg.K; v++ {
@@ -216,13 +161,8 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 	vecRef := func(t, u int) dag.Ref {
 		return dag.Ref{Array: vecNames[(t-first)*cfg.K+u], Block: 0, Bytes: cfg.VecBytes}
 	}
-	// partRef is row part p of partial x[t][u][v]; Part 0 means undivided.
-	partRef := func(t, u, v, p int) dag.Ref {
-		r := dag.Ref{Array: partNames[((t-first-1)*cfg.K+u)*cfg.K+v], Block: 0, Bytes: cfg.VecBytes}
-		if ways > 1 {
-			r.Part, r.Bytes = p+1, cfg.VecBytes/int64(ways)
-		}
-		return r
+	partRef := func(t, u, v int) dag.Ref {
+		return dag.Ref{Array: partNames[((t-first-1)*cfg.K+u)*cfg.K+v], Block: 0, Bytes: cfg.VecBytes}
 	}
 	for t := first + 1; t <= last; t++ {
 		for u := 0; u < cfg.K; u++ {
@@ -231,51 +171,43 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 					continue
 				}
 				pair := mirrored && u != v
-				for p := 0; p < ways; p++ {
-					s := len(refs)
-					refs = append(refs, matRef(u, v), vecRef(t-1, v))
-					if pair {
-						refs = append(refs, vecRef(t-1, u))
-					}
-					in := cut(s)
-					s = len(refs)
-					refs = append(refs, partRef(t, u, v, p))
-					if pair {
-						refs = append(refs, partRef(t, v, u, p))
-					}
-					out := cut(s)
-					s = len(refs)
-					refs = append(refs, matRef(u, v))
-					heavy := cut(s)
-					task := dag.Task{
-						ID:      MultTaskID(t, u, v),
-						Kind:    "multiply",
-						Inputs:  in,
-						Outputs: out,
-						Heavy:   heavy,
-						Flops:   cfg.FlopsPerMult,
-					}
-					switch {
-					case ways > 1:
-						task.ID, task.Kind = MultPartTaskID(t, u, v, p, ways), "multiply-part"
-						task.Flops /= float64(ways)
-					case mirrored:
-						task.Kind = "multiply-mirror"
-						if pair {
-							task.Flops *= 2
-						}
-					}
-					taskBuf = append(taskBuf, task)
-					tasks = append(tasks, &taskBuf[len(taskBuf)-1])
+				s := len(refs)
+				refs = append(refs, matRef(u, v), vecRef(t-1, v))
+				if pair {
+					refs = append(refs, vecRef(t-1, u))
 				}
+				in := cut(s)
+				s = len(refs)
+				refs = append(refs, partRef(t, u, v))
+				if pair {
+					refs = append(refs, partRef(t, v, u))
+				}
+				out := cut(s)
+				s = len(refs)
+				refs = append(refs, matRef(u, v))
+				heavy := cut(s)
+				task := dag.Task{
+					ID:      MultTaskID(t, u, v),
+					Kind:    "multiply",
+					Inputs:  in,
+					Outputs: out,
+					Heavy:   heavy,
+					Flops:   cfg.FlopsPerMult,
+				}
+				if mirrored {
+					task.Kind = "multiply-mirror"
+					if pair {
+						task.Flops *= 2
+					}
+				}
+				taskBuf = append(taskBuf, task)
+				tasks = append(tasks, &taskBuf[len(taskBuf)-1])
 			}
 		}
 		for u := 0; u < cfg.K; u++ {
 			s := len(refs)
 			for v := 0; v < cfg.K; v++ {
-				for p := 0; p < ways; p++ {
-					refs = append(refs, partRef(t, u, v, p))
-				}
+				refs = append(refs, partRef(t, u, v))
 			}
 			in := cut(s)
 			s = len(refs)
@@ -300,22 +232,11 @@ func Program(cfg ProgramConfig) ([]*dag.Task, error) {
 // output part. K must equal the node count.
 func RowAssignment(cfg ProgramConfig) map[string]int {
 	assign := make(map[string]int)
-	ways := cfg.SplitWays
-	if ways < 1 {
-		ways = 1
-	}
 	for t := cfg.First + 1; t <= cfg.First+cfg.Iters; t++ {
 		for u := 0; u < cfg.K; u++ {
 			for v := 0; v < cfg.K; v++ {
-				if !cfg.Layout.Staged(u, v) {
-					continue
-				}
-				if ways == 1 {
+				if cfg.Layout.Staged(u, v) {
 					assign[MultTaskID(t, u, v)] = u
-					continue
-				}
-				for p := 0; p < ways; p++ {
-					assign[MultPartTaskID(t, u, v, p, ways)] = u
 				}
 			}
 			assign[ReduceTaskID(t, u)] = u

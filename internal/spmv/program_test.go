@@ -1,7 +1,6 @@
 package spmv
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -79,7 +78,6 @@ func TestGraphDependencies(t *testing.T) {
 func TestChainedProgramsAreOneProgram(t *testing.T) {
 	for _, cfg := range []ProgramConfig{
 		{K: 3, SubBytes: 100, VecBytes: 8, Prefix: "r:"},
-		{K: 2, SubBytes: 100, VecBytes: 16, SplitWays: 2},
 		{K: 3, SubBytes: 100, VecBytes: 8, Layout: MirroredLayout(3, func(u, v int) bool { return u == 0 })},
 	} {
 		whole := cfg
@@ -126,63 +124,6 @@ func TestRowAssignment(t *testing.T) {
 	}
 	if len(assign) != 9+3 {
 		t.Errorf("assignment covers %d tasks", len(assign))
-	}
-}
-
-func TestSplitProgramShape(t *testing.T) {
-	cfg := ProgramConfig{K: 2, Iters: 2, SubBytes: 100, VecBytes: 16, SplitWays: 3}
-	tasks, err := Program(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per iteration: K*K*ways multiply-parts + K sums.
-	wantMult := 2 * 2 * 2 * 3
-	mults, sums := 0, 0
-	for _, tk := range tasks {
-		switch tk.Kind {
-		case "multiply-part":
-			mults++
-			tt, u, v, p, ways, err := ParseMultPart(tk.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ways != 3 || p < 0 || p >= 3 || tt < 1 || tt > 2 || u < 0 || u > 1 || v < 0 || v > 1 {
-				t.Fatalf("bad parsed fields from %s", tk.ID)
-			}
-			if tk.Outputs[0].Part != p+1 {
-				t.Fatalf("%s output part = %d, want %d", tk.ID, tk.Outputs[0].Part, p+1)
-			}
-		case "multiply":
-			t.Fatalf("unsplit multiply %s in split program", tk.ID)
-		case "sum":
-			sums++
-			if len(tk.Inputs) != 2*3 { // K*ways partial parts
-				t.Fatalf("sum %s has %d inputs", tk.ID, len(tk.Inputs))
-			}
-		}
-	}
-	if mults != wantMult || sums != 4 {
-		t.Fatalf("mults=%d sums=%d, want %d and 4", mults, sums, wantMult)
-	}
-	// The derived DAG keeps the same critical structure: every part of
-	// iteration 2 depends on exactly one reduce of iteration 1.
-	g, err := dag.Build(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := g.Preds(MultPartTaskID(2, 0, 1, 2, 3))
-	if len(preds) != 1 || preds[0] != ReduceTaskID(1, 1) {
-		t.Fatalf("preds = %v", preds)
-	}
-	// Assignment covers every task.
-	assign := RowAssignment(cfg)
-	for _, tk := range tasks {
-		if _, ok := assign[tk.ID]; !ok {
-			t.Fatalf("task %s unassigned", tk.ID)
-		}
-	}
-	if _, _, _, _, _, err := ParseMultPart("mult:1:2:3"); err == nil {
-		t.Fatal("unsplit ID parsed as split")
 	}
 }
 
@@ -246,10 +187,6 @@ func TestProgramMirrored(t *testing.T) {
 	}
 	if assign := RowAssignment(cfg); len(assign) != len(tasks) {
 		t.Fatalf("row assignment places %d of %d tasks", len(assign), len(tasks))
-	}
-	cfg.SplitWays = 2
-	if _, err := Program(cfg); !errors.Is(err, ErrMirroredSplit) {
-		t.Fatalf("split over a mirrored layout: err = %v", err)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 
 // doocdebug build: view-lifetime enforcement. Every Float64View becomes a
 // tracked decoded copy registered against its lease; Release/Abandon fills
-// the copy with a poison NaN and marks it invalid, so a use-after-release
-// bug produces loud NaNs (and a false ViewValid) in tests instead of
-// silently reading whatever block the arena recycled the buffer into.
+// the copy with a poison NaN and forgets it, so a use-after-release bug
+// produces loud NaNs (and a false ViewValid) in tests instead of silently
+// reading whatever block the arena recycled the buffer into. A released
+// copy is reachable only from the slices its holder kept.
 // Float64WriteView reports unavailable, forcing executors down the
 // scratch+PutFloat64s fallback — which keeps the bit-identity tests
 // meaningful for that path too.
@@ -31,8 +32,6 @@ var viewDebug struct {
 	mu sync.Mutex
 	// live maps a view's backing-array pointer to the lease it aliases.
 	live map[*float64]*Lease
-	// dead records backing arrays whose lease has been released.
-	dead map[*float64]bool
 }
 
 func viewKey(v []float64) *float64 {
@@ -49,7 +48,6 @@ func viewDebugMake(l *Lease) ([]float64, bool) {
 		viewDebug.mu.Lock()
 		if viewDebug.live == nil {
 			viewDebug.live = make(map[*float64]*Lease)
-			viewDebug.dead = make(map[*float64]bool)
 		}
 		viewDebug.live[k] = l
 		viewDebug.mu.Unlock()
@@ -66,7 +64,6 @@ func invalidateViews(l *Lease) {
 			continue
 		}
 		delete(viewDebug.live, k)
-		viewDebug.dead[k] = true
 		// Poison the whole copy (its length is the lease span) so stale
 		// reads scream.
 		n := int(l.Hi-l.Lo) / 8
@@ -76,17 +73,15 @@ func invalidateViews(l *Lease) {
 	}
 }
 
-// ViewValid reports whether v is still backed by an unreleased lease. A
-// slice that never was a view (or an empty one) is vacuously valid.
+// ViewValid reports whether v is still backed by an unreleased lease: a
+// released view holds the poison from its first element on. A slice that
+// never was a view (or an empty one) is vacuously valid. The lock orders the
+// read after any poisoning.
 func ViewValid(v []float64) bool {
-	k := viewKey(v)
-	if k == nil {
+	if len(v) == 0 {
 		return true
 	}
 	viewDebug.mu.Lock()
 	defer viewDebug.mu.Unlock()
-	if viewDebug.dead[k] {
-		return false
-	}
-	return true
+	return math.Float64bits(v[0]) != math.Float64bits(viewPoison)
 }
