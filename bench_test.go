@@ -421,7 +421,10 @@ func BenchmarkAblationPlacement(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				moved = sys.Cluster().TotalNetworkBytes()
+				moved = 0
+				for n := 0; n < sys.Nodes(); n++ {
+					moved += sys.Store(n).Stats().BytesFetchedPeer
+				}
 				sys.Close()
 			}
 			b.ReportMetric(float64(moved)/1e6, "network-MB/run")

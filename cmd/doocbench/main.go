@@ -617,7 +617,7 @@ func realRun() error {
 		line := fmt.Sprintf("  %-16s time %-12v disk-read %8.1f MB  network %6.2f MB",
 			label, res.Stats.Wall.Round(1000000),
 			float64(res.Stats.BytesReadDisk())/1e6,
-			float64(sys.Cluster().TotalNetworkBytes())/1e6)
+			float64(res.Stats.PeerBytes())/1e6)
 		if inj != nil {
 			line += fmt.Sprintf("  (%d faults injected, %d task retries)", inj.Counts().Total(), res.Stats.TaskRetries)
 		}

@@ -176,7 +176,6 @@ func main() {
 			float64(raw)/float64(stored), raw, stored, st.CompressBailouts())
 	}
 	fmt.Printf("peer bytes      %d\n", st.PeerBytes())
-	fmt.Printf("network bytes   %d\n", sys.Cluster().TotalNetworkBytes())
 	for n := 0; n < info.Nodes; n++ {
 		fmt.Printf("node %d tasks    %d\n", n, st.TasksPerNode[n])
 	}

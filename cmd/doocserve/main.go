@@ -28,17 +28,19 @@
 // typed errors, never queued blocking. The HTTP listener additionally
 // serves GET /jobs, a JSON array of every job's status.
 //
-// Jobs mode also runs the proxy result plane (on by default, -proxy=false
-// to disable): every completed job registers its iterate as a refcounted
-// handle (name@epoch[@scope]) that clients stat, addref, release, and
-// resolve over the wire, and that a later job can consume as its starting
-// vector (doocrun -input-proxy) without the payload ever crossing a
-// client link. Handles journal through -job-store and survive restart,
-// resolving from the job's result file; a handle's in-memory copy of the
-// result is freed on its last reference drop, -proxy-ttl bounds
-// unclaimed origin leases, and -proxy-max / -proxy-bytes cap per-tenant
-// handles and resident bytes. The HTTP listener serves GET /proxies, the
-// live handle table as JSON.
+// A job's result lives in the proxy result plane: every completed job
+// registers its iterate as a refcounted handle (name@epoch[@scope]) that
+// clients stat, addref, release, and resolve over the wire, and that a
+// later job can consume as its starting vector (doocrun -input-proxy)
+// without the payload ever crossing a client link. The handle holds the
+// server's one in-memory copy of the result and frees it on its last
+// reference drop (doocrun -release); collecting a result by value does not
+// drop it. Handles journal through -job-store and survive restart,
+// resolving from the job's result file; without -job-store a released
+// result is gone, and a result the per-tenant caps refuse fails its job.
+// -proxy-ttl bounds unclaimed origin leases, and -proxy-max / -proxy-bytes
+// cap per-tenant handles and resident bytes. The HTTP listener serves GET
+// /proxies, the live handle table as JSON.
 //
 // With -node-id (and -peers), the process joins a peer-to-peer sharded
 // storage ring spanning several doocserve processes: written blocks are
@@ -143,7 +145,6 @@ func main() {
 		sloQueue  = flag.Int64("slo-queue-ms", 0, "jobs mode: queue-wait SLO objective in milliseconds (0 = track latency without breach accounting)")
 		sloRun    = flag.Int64("slo-run-ms", 0, "jobs mode: run-latency SLO objective in milliseconds (0 = track latency without breach accounting)")
 		flightN   = flag.Int("flight-events", 0, "jobs mode: per-job flight-recorder ring size (0 = default)")
-		proxyOn   = flag.Bool("proxy", true, "jobs mode: register job results as refcounted proxy handles (pass-by-reference results and job chaining)")
 		proxyTTL  = flag.Duration("proxy-ttl", 0, "jobs mode: TTL on a result handle's origin lease (0 = never expires)")
 		proxyMax  = flag.Int("proxy-max", 0, "jobs mode: per-tenant live proxy-handle cap (0 = unlimited)")
 		proxyByte = flag.Int64("proxy-bytes", 0, "jobs mode: per-tenant resident proxy payload byte cap (0 = unlimited)")
@@ -312,22 +313,20 @@ func main() {
 			defer store.Close()
 			jcfg.Store = store
 		}
-		if *proxyOn {
-			// The proxy registry shares the job store's WAL, so handles and
-			// refcounts survive restart alongside the jobs that made them.
-			proxyReg = proxy.NewRegistry(proxy.Config{
-				Store:             jcfg.Store,
-				Obs:               reg,
-				Scope:             *nodeID,
-				TTL:               *proxyTTL,
-				MaxPerTenant:      *proxyMax,
-				MaxBytesPerTenant: *proxyByte,
-			})
-			defer proxyReg.Close()
-			jcfg.Proxy = proxyReg
-			if clusterNode != nil {
-				jcfg.ProxyFetch = clusterNode.ProxyFetch
-			}
+		// The proxy registry shares the job store's WAL, so handles and
+		// refcounts survive restart alongside the jobs that made them.
+		proxyReg = proxy.NewRegistry(proxy.Config{
+			Store:             jcfg.Store,
+			Obs:               reg,
+			Scope:             *nodeID,
+			TTL:               *proxyTTL,
+			MaxPerTenant:      *proxyMax,
+			MaxBytesPerTenant: *proxyByte,
+		})
+		defer proxyReg.Close()
+		jcfg.Proxy = proxyReg
+		if clusterNode != nil {
+			jcfg.ProxyFetch = clusterNode.ProxyFetch
 		}
 		svc = jobs.NewSolverService(sys,
 			core.SpMVConfig{Dim: info.Dim, K: info.K, Nodes: info.Nodes},
@@ -354,22 +353,20 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("job service on %s (max-jobs=%d queue-depth=%d job-mem=%d)", srv.Addr(), *maxJobs, *queueDep, *jobMem)
-		if proxyReg != nil {
-			log.Printf("proxy result plane on (ttl=%v max-per-tenant=%d bytes-per-tenant=%d)", *proxyTTL, *proxyMax, *proxyByte)
-			if *proxyTTL > 0 {
-				// TTL sweeper: expire origin leases a quarter-TTL late at worst.
-				period := *proxyTTL / 4
-				if period < 100*time.Millisecond {
-					period = 100 * time.Millisecond
-				}
-				go func() {
-					for range time.Tick(period) {
-						if n := proxyReg.Sweep(time.Now()); n > 0 {
-							log.Printf("proxy: expired %d origin leases", n)
-						}
-					}
-				}()
+		log.Printf("proxy result plane on (ttl=%v max-per-tenant=%d bytes-per-tenant=%d)", *proxyTTL, *proxyMax, *proxyByte)
+		if *proxyTTL > 0 {
+			// TTL sweeper: expire origin leases a quarter-TTL late at worst.
+			period := *proxyTTL / 4
+			if period < 100*time.Millisecond {
+				period = 100 * time.Millisecond
 			}
+			go func() {
+				for range time.Tick(period) {
+					if n := proxyReg.Sweep(time.Now()); n > 0 {
+						log.Printf("proxy: expired %d origin leases", n)
+					}
+				}
+			}()
 		}
 		// /healthz detail: SLO standings per tenant, so a probe shows burn
 		// without scraping /metrics.
@@ -410,8 +407,6 @@ func main() {
 			http.HandleFunc("/jobs", svc.ServeJobs)
 			http.HandleFunc("/jobs/history", svc.ServeHistory)
 			http.HandleFunc("/jobs/", svc.ServeJobItem)
-		}
-		if proxyReg != nil {
 			http.HandleFunc("/proxies", func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
 				enc := json.NewEncoder(w)

@@ -115,12 +115,14 @@ func main() {
 	default:
 		log.Fatalf("unknown solver %q", *solver)
 	}
-	var disk int64
+	var disk, peer int64
 	for n := 0; n < sys.Nodes(); n++ {
-		disk += sys.Store(n).Stats().BytesReadDisk
+		st := sys.Store(n).Stats()
+		disk += st.BytesReadDisk
+		peer += st.BytesFetchedPeer
 	}
 	fmt.Printf("out-of-core traffic: %.1f MB disk, %.2f MB network\n",
-		float64(disk)/1e6, float64(sys.Cluster().TotalNetworkBytes())/1e6)
+		float64(disk)/1e6, float64(peer)/1e6)
 }
 
 func norm(x []float64) float64 {

@@ -81,10 +81,12 @@ func main() {
 		fmt.Printf("  E%d = %12.6f   (residual ~ %.2e)\n", i, ev, res.Residuals[i])
 	}
 
-	var disk int64
+	var disk, peer int64
 	for n := 0; n < sys.Nodes(); n++ {
-		disk += sys.Store(n).Stats().BytesReadDisk
+		st := sys.Store(n).Stats()
+		disk += st.BytesReadDisk
+		peer += st.BytesFetchedPeer
 	}
 	fmt.Printf("\nout-of-core traffic: %.1f MB read from scratch, %.2f MB over the network\n",
-		float64(disk)/1e6, float64(sys.Cluster().TotalNetworkBytes())/1e6)
+		float64(disk)/1e6, float64(peer)/1e6)
 }

@@ -24,7 +24,6 @@ import (
 	"dooc/internal/compress"
 	"dooc/internal/faults"
 	"dooc/internal/obs"
-	"dooc/internal/simnet"
 	"dooc/internal/sparse"
 	"dooc/internal/storage"
 )
@@ -111,9 +110,8 @@ func (o *Options) fill() {
 // System is a running DOoC instance: an in-process cluster of nodes, each
 // with a storage filter, I/O filters, and computing filters.
 type System struct {
-	opts    Options
-	cluster *simnet.Cluster
-	stores  []*storage.Store
+	opts   Options
+	stores []*storage.Store
 
 	// View scratches between runs. ExecContext is built per Run, and a
 	// scratch regrown from nothing on every Operator.Apply would allocate a
@@ -137,15 +135,10 @@ type System struct {
 // NewSystem builds and starts a system.
 func NewSystem(opts Options) (*System, error) {
 	opts.fill()
-	cluster, err := simnet.New(simnet.Config{Nodes: opts.Nodes})
-	if err != nil {
-		return nil, err
-	}
 	stores, err := storage.NewNetwork(opts.Nodes, func(node int, cfg *storage.Config) {
 		cfg.MemoryBudget = opts.MemoryBudget
 		cfg.IOWorkers = opts.IOWorkers
 		cfg.Seed = opts.Seed + int64(node)
-		cfg.Ledger = cluster.Transfer
 		cfg.Eviction = opts.Eviction
 		cfg.Faults = opts.Faults
 		cfg.Obs = opts.Obs
@@ -164,7 +157,6 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	sys := &System{
 		opts:        opts,
-		cluster:     cluster,
 		stores:      stores,
 		runs:        make(map[*engineRun]struct{}),
 		failedNodes: make(map[int]bool),
@@ -226,9 +218,6 @@ func (s *System) ScratchRoot() string { return s.opts.ScratchRoot }
 
 // Store returns node i's storage filter.
 func (s *System) Store(i int) *storage.Store { return s.stores[i] }
-
-// Cluster returns the interconnect ledger.
-func (s *System) Cluster() *simnet.Cluster { return s.cluster }
 
 // FailNode simulates the death of a compute node: its workers stop picking
 // tasks, its running tasks are re-executed on surviving nodes, and future

@@ -237,7 +237,7 @@ func TestIteratedSpMVMatchesInCoreMultiNode(t *testing.T) {
 			t.Fatalf("nodes=%d: out-of-core differs by %v", nodes, d)
 		}
 		// Multi-node runs must move vector parts across nodes.
-		if nodes > 1 && sys.Cluster().TotalNetworkBytes() == 0 {
+		if nodes > 1 && res.Stats.PeerBytes() == 0 {
 			t.Errorf("nodes=%d: no network traffic recorded", nodes)
 		}
 		sys.Close()

@@ -161,12 +161,12 @@ func TestOverBudgetAllocsReadable(t *testing.T) {
 }
 
 // TestFirstMultiplyIndependentOfIters: a run holds one segment of its
-// iterations, so the time from the call to its first multiply
-// (Events[0].Start) and the Go heap in use at its first reduction, right
-// after the first multiplies, are the same at 10² and 10⁴ iterations, within
-// 1.5×; so is the heap at its last reduction, which would hold whatever the
-// run kept of its finished segments. Each is the least of five runs, against
-// scheduling noise.
+// iterations, so the tasks it builds before its first multiply — the first
+// segment's, which are the run's Stats.Events — number the same at 10² and
+// 10⁴ iterations, and the Go heap in use at its first reduction, right after
+// the first multiplies, is the same within 1.5×; so is the heap at its last
+// reduction, which would hold whatever the run kept of its finished
+// segments. Each heap is the least of five runs, against scheduling noise.
 func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 	const dim, k, nodes = 64, 2, 1
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 4, Seed: 5})
@@ -184,7 +184,7 @@ func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 	x0 := randVec(rand.New(rand.NewSource(6)), dim)
 	// Runs alternate between the two lengths, so load on the machine falls
 	// on both alike.
-	first := map[int]time.Duration{100: time.Hour, 10000: time.Hour}
+	built := map[int]int{}
 	heap := map[int]int64{100: 1 << 62, 10000: 1 << 62}
 	heapLast := map[int]int64{100: 1 << 62, 10000: 1 << 62}
 	for rep := 0; rep < 5; rep++ {
@@ -202,20 +202,19 @@ func TestFirstMultiplyIndependentOfIters(t *testing.T) {
 			// Collect and return the last run's garbage now, not while this
 			// run sets up.
 			debug.FreeOSMemory()
-			call := time.Now()
 			res, err := runIteratedSpMV(sys, cfg, 0, x0, spmvRunOpts{sum: probe})
 			if err != nil {
 				t.Fatal(err)
 			}
-			first[iters], heap[iters] = min(first[iters], res.Stats.Events[0].Start.Sub(call)), min(heap[iters], inUse)
+			built[iters], heap[iters] = len(res.Stats.Events), min(heap[iters], inUse)
 			heapLast[iters] = min(heapLast[iters], inUseLast)
 		}
 	}
-	first2, heap2, first4, heap4 := first[100], heap[100], first[10000], heap[10000]
-	t.Logf("first multiply after %v at 10² iterations, %v at 10⁴; heap in use %d and %d bytes, at the last reduction %d and %d", first2, first4, heap2, heap4, heapLast[100], heapLast[10000])
+	built2, heap2, built4, heap4 := built[100], heap[100], built[10000], heap[10000]
+	t.Logf("%d tasks before the first multiply at 10² iterations, %d at 10⁴; heap in use %d and %d bytes, at the last reduction %d and %d", built2, built4, heap2, heap4, heapLast[100], heapLast[10000])
 	within := func(a, b float64) bool { return a <= 1.5*b && b <= 1.5*a }
-	if !within(float64(first2), float64(first4)) {
-		t.Errorf("time to first multiply %v at 10² iterations, %v at 10⁴: want within 1.5×", first2, first4)
+	if built2 == 0 || built2 != built4 {
+		t.Errorf("%d tasks built before the first multiply at 10² iterations, %d at 10⁴: want the same", built2, built4)
 	}
 	if !within(float64(heap2), float64(heap4)) {
 		t.Errorf("heap in use at the first reduction %d bytes at 10² iterations, %d at 10⁴: want within 1.5×", heap2, heap4)

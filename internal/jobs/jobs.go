@@ -1,5 +1,5 @@
 // Package jobs turns DOoC's single-run engine into a multi-tenant solver
-// service: a job manager with bounded per-tenant queues, weighted-priority
+// service: a job manager with bounded per-tenant queues, priority
 // scheduling with aging, admission control that rejects instead of
 // blocking, per-job resource quotas enforced by the storage layer, and
 // cancellation that propagates through the engine's task retirement and
@@ -90,15 +90,15 @@ var (
 	// ErrCancelled is the result error of a job cancelled before or during
 	// execution.
 	ErrCancelled = errors.New("jobs: job cancelled")
-	// ErrNoProxy reports a result-proxy request for a job that registered no
-	// handle (no proxy registry, or registration was rejected by quota).
+	// ErrNoProxy reports a result-proxy request for a durable job whose
+	// handle the registry refused (tenant quota, closed registry).
 	ErrNoProxy = errors.New("jobs: job has no proxy handle")
 )
 
 // Request carries a submission's scheduling and resource parameters.
 type Request struct {
 	Tenant   string
-	Priority int // higher runs earlier; weighted per tenant
+	Priority int // higher runs earlier
 	// MemoryBytes is the job's aggregate cache-budget request, counted
 	// against Config.MemoryBudget at admission and sliced per node into a
 	// storage quota by the solver service. 0 requests no reservation.

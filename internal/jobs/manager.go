@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,14 +28,12 @@ type Config struct {
 	// AgingStep is the queue age that buys one effective priority point,
 	// preventing starvation of low-priority tenants (default 1s).
 	AgingStep time.Duration
-	// TenantWeight scales a tenant's priorities (default 1 per tenant).
-	TenantWeight map[string]int
 	// Obs receives the manager's metric series (nil disables).
 	Obs *obs.Registry
 	// Store, when non-nil, makes the manager durable: every lifecycle
 	// transition is journaled (fsynced) before it is acknowledged, done
 	// results persist as store files, and Recover rebuilds the control
-	// plane after a restart.
+	// plane and the proxy handles after a restart.
 	Store *jobstore.Store
 	// Retire, when non-nil, is called (outside the manager lock) after a
 	// job reaches a terminal state — the service's hook for purging the
@@ -52,10 +51,10 @@ type Config struct {
 	// (obs.DefaultFlightEvents when 0). The ring snapshot is journaled with
 	// every record, so the bound also caps journal-entry growth.
 	FlightEvents int
-	// Proxy, when non-nil, is the pass-by-reference result plane: the
-	// solver service registers each done job's iterate as a refcounted
-	// handle instead of eagerly deleting its arrays, and retirement routes
-	// through the registry's refcounts.
+	// Proxy is the result plane: the manager registers each done job's
+	// payload as a refcounted handle, the one copy of it in memory, until
+	// the handle's last reference drops. NewManager builds one from Store
+	// and Obs when it is nil.
 	Proxy *proxy.Registry
 	// ProxyFetch, when non-nil, materializes a foreign-scope proxy from its
 	// origin node over the cluster tier (owner-forwarded fetch) — how a
@@ -73,6 +72,9 @@ func (c *Config) fill() {
 	}
 	if c.AgingStep <= 0 {
 		c.AgingStep = time.Second
+	}
+	if c.Proxy == nil {
+		c.Proxy = proxy.NewRegistry(proxy.Config{Store: c.Store, Obs: c.Obs})
 	}
 }
 
@@ -98,14 +100,11 @@ type Job struct {
 	started, finished time.Time
 	queueWait         time.Duration
 	cancelRequested   bool
-	// result is a done job's payload when the manager has no store — its
-	// only copy. Under a store it stays nil: the result file is the durable
-	// copy, and the proxy handle, if any, holds the in-memory one until its
-	// last release.
-	result      []byte
-	err         error
-	resumed     int
-	resultSHA   string
+	err               error
+	resumed           int
+	resultSHA         string
+	// proxyHandle names a done job's result in the registry; the manager
+	// keeps no copy of the bytes.
 	proxyHandle proxy.Handle
 
 	// trace is the job's root span context (the anchor every lifecycle and
@@ -120,7 +119,7 @@ type Job struct {
 }
 
 // Manager owns job lifecycle: admission, per-tenant FIFO queues under
-// weighted priorities with aging, a bounded run pool, cancellation, and
+// priorities with aging, a bounded run pool, cancellation, and
 // result retrieval. Dispatch is event-driven — every submit, completion,
 // and cancellation re-evaluates the queues; no timers are involved.
 //
@@ -288,19 +287,11 @@ func (m *Manager) recordLocked(j *Job) jobstore.Record {
 	return rec
 }
 
-func (m *Manager) weight(tenant string) int {
-	if w, ok := m.cfg.TenantWeight[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// score ranks a queued job: weighted priority plus queue-age measured in
-// AgingSteps, so any job's effective priority eventually dominates and
-// starvation is bounded.
+// score ranks a queued job: priority plus queue-age measured in AgingSteps,
+// so any job's effective priority eventually dominates and starvation is
+// bounded.
 func (m *Manager) score(j *Job, now time.Time) float64 {
-	return float64(m.weight(j.Tenant)*j.Priority) +
-		float64(now.Sub(j.submitted))/float64(m.cfg.AgingStep)
+	return float64(j.Priority) + float64(now.Sub(j.submitted))/float64(m.cfg.AgingStep)
 }
 
 // dispatchLocked starts queued jobs while run slots are free. Only tenant
@@ -364,39 +355,33 @@ func (m *Manager) run(j *Job) {
 
 	result, err := j.work(j.ID, j.cancel)
 
-	// Persist the result before taking the lock: the job is still
-	// StateRunning, so its fields are stable, and a multi-MB write + fsync
-	// must not serialize Submit/Status/List/Cancel behind disk I/O.
-	var resultSHA string
-	var saveErr error
-	if err == nil && m.cfg.Store != nil {
-		resultSHA, saveErr = m.cfg.Store.SaveResult(j.ID, result)
+	// Hand the result to its holders before taking the lock: the job is
+	// still StateRunning, so its fields are stable, and a multi-MB write +
+	// fsync must not serialize Submit/Status/List/Cancel behind disk I/O.
+	var h proxy.Handle
+	var sha string
+	var holdErr error
+	if err == nil {
+		h, sha, holdErr = m.hold(j, result)
 	}
 
 	m.mu.Lock()
 	j.finished = time.Now()
 	j.err = err
-	if m.cfg.Store == nil {
-		j.result = result
-	}
 	switch {
+	case err == nil && holdErr != nil:
+		j.state = StateFailed
+		j.err = holdErr
 	case err == nil:
 		// A completion that raced a cancel request still counts as done:
 		// the result is valid.
 		j.state = StateDone
+		j.resultSHA, j.proxyHandle = sha, h
 	case j.cancelRequested:
 		j.state = StateCancelled
 		j.err = fmt.Errorf("%w: %v", ErrCancelled, err)
 	default:
 		j.state = StateFailed
-	}
-	if j.state == StateDone && m.cfg.Store != nil {
-		if saveErr == nil {
-			j.resultSHA = resultSHA
-		} else {
-			j.state = StateFailed
-			j.err = fmt.Errorf("jobs: persisting result: %w", saveErr)
-		}
 	}
 	terminalAttrs := map[string]string{}
 	if j.err != nil {
@@ -425,8 +410,46 @@ func (m *Manager) run(j *Job) {
 	final := j.state
 	m.finishLocked(j)
 	m.mu.Unlock()
+	m.retired(j.ID, final)
+}
+
+// hold hands a finished job's payload to its holders: the store's result
+// file, the durable copy, and the registry, whose handle is the one copy in
+// memory. It returns the handle and, under a store, the file's SHA-256.
+// Without a store a registration the registry refuses (tenant quota, closed
+// registry) fails the job, since nothing else can hold the payload; with
+// one the job stays done, without a handle, and serves its result from the
+// file.
+func (m *Manager) hold(j *Job, result []byte) (proxy.Handle, string, error) {
+	sha := fmt.Sprintf("%x", sha256.Sum256(result))
+	if m.cfg.Store != nil {
+		if _, err := m.cfg.Store.SaveResult(j.ID, result); err != nil {
+			return proxy.Handle{}, "", fmt.Errorf("jobs: persisting result: %w", err)
+		}
+	}
+	h, err := m.cfg.Proxy.Register(proxy.RegisterRequest{
+		Name:    fmt.Sprintf("job%d", j.ID),
+		Tenant:  j.Tenant,
+		JobID:   j.ID,
+		SHA256:  sha,
+		Length:  int64(len(result)),
+		Payload: result,
+	})
+	if m.cfg.Store == nil {
+		return h, "", err
+	}
+	return h, sha, nil
+}
+
+// retired runs a terminal job's hooks outside the manager lock: a job that
+// did not finish done loses its handle (a failed or cancelled result must
+// not stay resolvable), then Config.Retire runs.
+func (m *Manager) retired(id int64, final State) {
+	if final != StateDone {
+		m.cfg.Proxy.RetireJob(id)
+	}
 	if m.cfg.Retire != nil {
-		m.cfg.Retire(j.ID, final)
+		m.cfg.Retire(id, final)
 	}
 }
 
@@ -500,9 +523,6 @@ func (m *Manager) rememberLocked(j *Job) {
 
 // namedLocked reports whether a live proxy handle names job id.
 func (m *Manager) namedLocked(id int64) bool {
-	if m.cfg.Proxy == nil {
-		return false
-	}
 	_, named := m.cfg.Proxy.HandleForJob(id)
 	return named
 }
@@ -562,20 +582,19 @@ func (m *Manager) Cancel(id int64) error {
 		}
 	}
 	m.mu.Unlock()
-	if retired && m.cfg.Retire != nil {
-		m.cfg.Retire(j.ID, StateCancelled)
+	if retired {
+		m.retired(j.ID, StateCancelled)
 	}
 	return nil
 }
 
 // Result blocks until the job finishes and returns its payload or error.
-// Without a store the payload is the manager's own copy. Under a durable
-// store the manager keeps none: every call, for a job finished in this
-// process or recovered from an earlier one, reads the job's result file and
-// checks its frame CRC and journaled SHA-256. The read runs outside the
-// manager lock, so a multi-MB load never serializes
-// Submit/Status/List/Cancel behind disk I/O. SolverService.Result serves a
-// job whose proxy handle is still live from the handle's bytes instead.
+// The manager keeps no copy: the bytes come from the job's live handle,
+// read under a pin so a racing last release cannot reclaim them mid-read,
+// else from the store's result file, checked against its frame CRC and
+// journaled SHA-256. Without a store a released result is gone
+// (proxy.ErrProxyGone). No read holds the manager lock, so a multi-MB load
+// never serializes Submit/Status/List/Cancel behind disk I/O.
 func (m *Manager) Result(id int64) ([]byte, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -585,10 +604,20 @@ func (m *Manager) Result(id int64) ([]byte, error) {
 	}
 	<-j.done
 	m.mu.Lock()
-	result, jerr, sha := j.result, j.err, j.resultSHA
+	jerr, sha, h := j.err, j.resultSHA, j.proxyHandle
 	m.mu.Unlock()
-	if jerr != nil || sha == "" || m.cfg.Store == nil {
-		return result, jerr
+	if jerr != nil {
+		return nil, jerr
+	}
+	if pin, err := m.cfg.Proxy.Acquire(h.Ref()); err == nil {
+		data := pin.Payload
+		pin.Close()
+		if data != nil || h.Length == 0 {
+			return data, nil
+		}
+	}
+	if m.cfg.Store == nil {
+		return nil, fmt.Errorf("%w: job %d's result was released", proxy.ErrProxyGone, id)
 	}
 	return m.cfg.Store.LoadResult(id, sha)
 }
@@ -596,8 +625,8 @@ func (m *Manager) Result(id int64) ([]byte, error) {
 // ResultProxy blocks until the job finishes and returns its registered
 // result handle — the pass-by-reference alternative to Result: ~100 bytes
 // naming the iterate instead of the iterate itself. Fails with the job's
-// error for failed/cancelled jobs and with ErrNoProxy when no handle was
-// registered (no registry configured, or registration rejected by quota).
+// error for failed/cancelled jobs and with ErrNoProxy when a durable job's
+// registration was refused (tenant quota, closed registry).
 func (m *Manager) ResultProxy(id int64) (proxy.Handle, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -615,17 +644,6 @@ func (m *Manager) ResultProxy(id int64) (proxy.Handle, error) {
 		return proxy.Handle{}, fmt.Errorf("%w: job %d", ErrNoProxy, id)
 	}
 	return j.proxyHandle, nil
-}
-
-// SetProxy records a job's registered result handle (the solver service
-// calls it at registration time and again when recovery re-associates
-// journal-recovered handles with their jobs).
-func (m *Manager) SetProxy(id int64, h proxy.Handle) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		j.proxyHandle = h
-	}
 }
 
 // Status returns a snapshot of one job.
@@ -735,16 +753,21 @@ type cancelledError string
 func (e cancelledError) Error() string { return string(e) }
 func (e cancelledError) Unwrap() error { return ErrCancelled }
 
-// Recover replays the durable store into the manager: terminal jobs become
-// history, queued jobs re-queue in original submission order, and
-// interrupted (admitted/running) jobs re-admit with their Resumed count
-// bumped — their rebuilt work functions pick up from the newest checkpoint.
-// Call once, after NewManager and before serving traffic. No-op without a
-// store.
+// Recover replays the durable store into the manager: the registry's
+// handles come back first, so history pruning spares the jobs they name,
+// then terminal jobs become history, queued jobs re-queue in original
+// submission order, and interrupted (admitted/running) jobs re-admit with
+// their Resumed count bumped — their rebuilt work functions pick up from the
+// newest checkpoint. Last, each recovered handle is re-associated with its
+// job. Call once, after NewManager and before serving traffic. No-op
+// without a store.
 func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 	st := m.cfg.Store
 	if st == nil {
 		return RecoveryStats{}, nil
+	}
+	if _, err := m.cfg.Proxy.Recover(); err != nil {
+		return RecoveryStats{}, err
 	}
 	info := st.ReplayInfo()
 	stats := RecoveryStats{Torn: info.Torn, ReplayDuration: info.Duration}
@@ -842,6 +865,11 @@ func (m *Manager) Recover(rebuild RebuildWork) (RecoveryStats, error) {
 		m.queues[j.Tenant] = append(m.queues[j.Tenant], j)
 		m.queued++
 		m.memInUse += j.MemoryBytes
+	}
+	for _, ps := range m.cfg.Proxy.List() {
+		if j, ok := m.jobs[ps.JobID]; ok {
+			j.proxyHandle = ps.Handle
+		}
 	}
 	m.m.queuedG.Set(int64(m.queued))
 	m.dispatchLocked()

@@ -46,7 +46,9 @@ func TestSubmitRunsAndReturnsResult(t *testing.T) {
 
 // TestHistoryBounded: the manager forgets the oldest terminal jobs beyond
 // the retention bound, as the store's compaction does on disk, so its
-// history stops growing with the jobs it has run.
+// history stops growing with the jobs it has run. Each result is collected
+// and its handle released, as a client that is done with it does: a live
+// handle keeps its job remembered (TestLiveHandleKeepsJobInMemory).
 func TestHistoryBounded(t *testing.T) {
 	m := NewManager(Config{MaxRunning: 2})
 	for i := 0; i < 1100; i++ {
@@ -57,6 +59,13 @@ func TestHistoryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := m.Result(j.ID); err != nil {
+			t.Fatal(err)
+		}
+		h, err := m.ResultProxy(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.cfg.Proxy.Release(h.Ref(), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,27 +174,6 @@ func TestPriorityOrderAndTenantFIFO(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("dispatch order = %v, want %v (first=%d)", order, want, first.ID)
 		}
-	}
-}
-
-func TestWeightedTenants(t *testing.T) {
-	m := NewManager(Config{
-		MaxRunning:   1,
-		AgingStep:    time.Hour,
-		TenantWeight: map[string]int{"gold": 10},
-	})
-	release := make(chan struct{})
-	started := make(chan int64, 8)
-	blocker, _ := m.Submit(Request{Tenant: "x"}, gatedWork(started, release))
-	<-started
-	_ = blocker
-
-	silver, _ := m.Submit(Request{Tenant: "silver", Priority: 5}, gatedWork(started, release))
-	gold, _ := m.Submit(Request{Tenant: "gold", Priority: 1}, gatedWork(started, release))
-
-	close(release)
-	if got := []int64{<-started, <-started}; got[0] != gold.ID || got[1] != silver.ID {
-		t.Fatalf("order = %v, want gold %d before silver %d", got, gold.ID, silver.ID)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestCancelledConsumerReleasesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := svc.ResultProxy(a.ID)
+	h, err := svc.Manager.ResultProxy(a.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestProxyRecoveryReassociates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := svc.ResultProxy(st.ID)
+	h, err := svc.Manager.ResultProxy(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestProxyRecoveryReassociates(t *testing.T) {
 	if _, err := svc2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := svc2.ResultProxy(st.ID)
+	h2, err := svc2.Manager.ResultProxy(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,22 +289,43 @@ func TestProxyRecoveryReassociates(t *testing.T) {
 	svc2.Manager.Drain()
 }
 
-// TestResultProxyWithoutRegistry: the by-reference surface fails typed, not
-// silently, when the proxy plane is disabled.
-func TestResultProxyWithoutRegistry(t *testing.T) {
-	svc, _ := newTestService(t, Config{MaxRunning: 1})
-	st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Manager.Result(st.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Manager.ResultProxy(st.ID); !errors.Is(err, ErrNoProxy) {
-		t.Fatalf("ResultProxy without registry: %v", err)
-	}
-	if _, err := svc.ResolveProxy(proxy.Ref{Name: "job1", Epoch: 1}); !errors.Is(err, ErrNoProxy) {
-		t.Fatalf("ResolveProxy without registry: %v", err)
+// TestRefusedPayload: a registry that refuses a finished job's payload (here
+// a one-byte tenant quota) fails a store-less job with the typed quota
+// error, since nothing else can hold the bytes; a durable job stays done
+// without a handle and serves Result from its file.
+func TestRefusedPayload(t *testing.T) {
+	base, root, storeDir := durableFixture(t)
+	sys := durableSystem(t, root)
+	defer sys.Close()
+	want := serialReference(t, sys, base, SolveRequest{Iters: 2, Seed: 3}, "refusedref")
+	for _, durable := range []bool{false, true} {
+		cfg := Config{MaxRunning: 1, QueueDepth: 4}
+		var store *jobstore.Store
+		if durable {
+			var err error
+			if store, err = jobstore.Open(storeDir, jobstore.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Store = store
+		}
+		cfg.Proxy = proxy.NewRegistry(proxy.Config{Store: store, MaxBytesPerTenant: 1})
+		svc := NewSolverService(sys, base, cfg)
+		st, err := svc.Submit(SolveRequest{Tenant: "a", Iters: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := svc.Manager.Result(st.ID)
+		_, perr := svc.Manager.ResultProxy(st.ID)
+		final, _ := svc.Manager.Status(st.ID)
+		svc.Manager.Drain()
+		if durable {
+			store.Close()
+			if err != nil || !bytes.Equal(data, want) || final.State != "done" || !errors.Is(perr, ErrNoProxy) {
+				t.Fatalf("durable job: %s, %d bytes (%v), ResultProxy %v; want done, the reference bytes and ErrNoProxy", final.State, len(data), err, perr)
+			}
+		} else if !errors.Is(err, proxy.ErrProxyQuota) || !errors.Is(perr, proxy.ErrProxyQuota) || final.State != "failed" {
+			t.Fatalf("store-less job: %s, Result %v, ResultProxy %v; want failed with ErrProxyQuota", final.State, err, perr)
+		}
 	}
 }
 
@@ -351,7 +372,7 @@ func TestByReferenceJobKeepsNoArrays(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := svc.ResultProxy(st.ID)
+			h, err := svc.Manager.ResultProxy(st.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +450,7 @@ func TestLiveHandleOutlivesHistoryPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := svc.ResultProxy(first.ID)
+	h, err := svc.Manager.ResultProxy(first.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +464,7 @@ func TestLiveHandleOutlivesHistoryPruning(t *testing.T) {
 		if _, err := svc.Manager.Result(st.ID); err != nil {
 			t.Fatal(err)
 		}
-		hn, err := svc.ResultProxy(st.ID)
+		hn, err := svc.Manager.ResultProxy(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +543,7 @@ func TestLiveHandleKeepsJobInMemory(t *testing.T) {
 		if _, err := svc.Manager.Result(st.ID); err != nil {
 			t.Fatal(err)
 		}
-		h, err := svc.ResultProxy(st.ID)
+		h, err := svc.Manager.ResultProxy(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,7 +559,7 @@ func TestLiveHandleKeepsJobInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := svc.ResultProxy(first)
+	h, err := svc.Manager.ResultProxy(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +572,7 @@ func TestLiveHandleKeepsJobInMemory(t *testing.T) {
 	if got, err := svc.Manager.Result(first); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Result of job %d with a live handle: %d bytes, %v", first, len(got), err)
 	}
-	if got, err := svc.ResultProxy(first); err != nil || got != h {
+	if got, err := svc.Manager.ResultProxy(first); err != nil || got != h {
 		t.Fatalf("ResultProxy of job %d with a live handle: %+v, %v", first, got, err)
 	}
 	if got, err := svc.ResolveProxy(h.Ref()); err != nil || !bytes.Equal(got, want) {
@@ -601,7 +622,7 @@ func TestLegacyStoreResolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", job.id, err)
 		}
-		h, err := svc.ResultProxy(job.id)
+		h, err := svc.Manager.ResultProxy(job.id)
 		if err != nil {
 			t.Fatalf("job %d: %v", job.id, err)
 		}

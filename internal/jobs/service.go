@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"dooc/internal/core"
 	"dooc/internal/jobstore"
@@ -74,8 +73,8 @@ type SolverService struct {
 	sys     *core.System
 	base    core.SpMVConfig
 	store   *jobstore.Store
-	// reg is the pass-by-reference result plane (nil disables): done jobs
-	// register their iterate as a refcounted handle that holds its bytes.
+	// reg is the manager's result plane: each done job's iterate is a
+	// refcounted handle that holds its bytes.
 	reg *proxy.Registry
 	// fetch materializes a foreign-scope handle from its origin peer over
 	// the cluster tier (nil = local resolution only).
@@ -92,40 +91,29 @@ type SolverService struct {
 
 // NewSolverService wraps a system whose matrix is already staged or
 // loaded. base carries Dim/K/Nodes; per-job Iters and Tag are filled per
-// submission. With cfg.Store set the service is durable: it installs its
-// artifact-retirement hook and journals every lifecycle transition. With
-// cfg.Proxy set it is a dataflow node: results register as proxy handles
-// and jobs may consume other jobs' results by reference.
+// submission. Every service is a dataflow node: results are proxy handles
+// (cfg.Proxy, or the manager's own registry) and jobs may consume other
+// jobs' results by reference. With cfg.Store set the service is durable:
+// it journals every lifecycle transition and purges a retired job's
+// checkpoints.
 func NewSolverService(sys *core.System, base core.SpMVConfig, cfg Config) *SolverService {
 	s := &SolverService{
 		sys:        sys,
 		base:       base,
 		store:      cfg.Store,
-		reg:        cfg.Proxy,
 		fetch:      cfg.ProxyFetch,
 		itersSaved: cfg.Obs.Counter("dooc_jobs_resume_iters_saved_total", "iterations recovered from checkpoints instead of recomputed"),
 		inputs:     make(map[int64]proxy.Ref),
 	}
-	if cfg.Store != nil || cfg.Proxy != nil {
-		cfg.Retire = s.retire
-	}
+	cfg.Retire = s.retire
 	s.Manager = NewManager(cfg)
+	s.reg = s.Manager.cfg.Proxy
 	return s
 }
 
-// ProxyEnabled reports whether this service registers and resolves proxy
-// handles (the remote server advertises the capability from it).
-func (s *SolverService) ProxyEnabled() bool { return s.reg != nil }
-
-// Proxies exposes the registry (nil when the proxy plane is disabled).
-func (s *SolverService) Proxies() *proxy.Registry { return s.reg }
-
-// scope is the service's origin scope ("" without a registry).
-func (s *SolverService) scope() string {
-	if s.reg == nil {
-		return ""
-	}
-	return s.reg.Scope()
+// local reports whether a ref names a handle of this service's registry.
+func (s *SolverService) local(ref proxy.Ref) bool {
+	return ref.Scope == "" || ref.Scope == s.reg.Scope()
 }
 
 // Base returns the service's matrix geometry.
@@ -144,13 +132,10 @@ func (s *SolverService) Submit(req SolveRequest) (JobStatus, error) {
 	}
 	p := solvePayload{Iters: req.Iters, Seed: req.Seed}
 	if req.Input.Valid() {
-		if s.reg == nil {
-			return JobStatus{}, fmt.Errorf("%w: proxy inputs need a proxy registry", proxy.ErrUnknownProxy)
-		}
 		// A local handle is validated at admission so a dead ref fails the
 		// submit, not the run. Foreign-scope refs resolve at run time over
 		// the cluster tier.
-		if req.Input.Scope == "" || req.Input.Scope == s.scope() {
+		if s.local(req.Input) {
 			if _, _, err := s.reg.Stat(req.Input); err != nil {
 				return JobStatus{}, err
 			}
@@ -187,7 +172,7 @@ func (s *SolverService) trackInput(id int64, ref proxy.Ref) {
 	s.inputsMu.Lock()
 	s.inputs[id] = ref
 	s.inputsMu.Unlock()
-	if s.reg != nil && (ref.Scope == "" || ref.Scope == s.scope()) {
+	if s.local(ref) {
 		// Best-effort: a handle that went gone between Stat and here fails
 		// the job at run time with the typed resolve error.
 		s.reg.AddRef(ref, fmt.Sprintf("job%d", id))
@@ -200,23 +185,18 @@ func (s *SolverService) releaseInput(id int64) {
 	ref, ok := s.inputs[id]
 	delete(s.inputs, id)
 	s.inputsMu.Unlock()
-	if ok && s.reg != nil && (ref.Scope == "" || ref.Scope == s.scope()) {
+	if ok && s.local(ref) {
 		s.reg.Release(ref, fmt.Sprintf("job%d", id))
 	}
 }
 
-// Recover replays the durable store into the manager, rebuilding each
-// interrupted job's work function from its journaled payload, re-associates
-// journal-recovered proxy handles with their jobs, and re-takes live
-// consumer jobs' input references (terminal ones are reconciled released —
-// a crash between the terminal journal entry and the retire hook must not
-// leak a reference). Call once on startup, before serving traffic.
+// Recover replays the durable store into the manager (handles included),
+// rebuilding each interrupted job's work function from its journaled
+// payload, and re-takes live consumer jobs' input references (terminal ones
+// are reconciled released — a crash between the terminal journal entry and
+// the retire hook must not leak a reference). Call once on startup, before
+// serving traffic.
 func (s *SolverService) Recover() (RecoveryStats, error) {
-	if s.reg != nil {
-		if _, err := s.reg.Recover(); err != nil {
-			return RecoveryStats{}, err
-		}
-	}
 	stats, err := s.Manager.Recover(func(rec jobstore.Record) (Work, error) {
 		p, ref, perr := s.parsePayload(rec.ID, rec.Payload)
 		if perr != nil {
@@ -230,19 +210,13 @@ func (s *SolverService) Recover() (RecoveryStats, error) {
 	if err != nil || s.store == nil {
 		return stats, err
 	}
-	if s.reg != nil {
-		for _, st := range s.reg.List() {
-			s.Manager.SetProxy(st.JobID, st.Handle)
+	// Reconcile terminal consumers: their input refs release idempotently.
+	for _, rec := range s.store.Records() {
+		if !rec.Terminal() {
+			continue
 		}
-		// Reconcile terminal consumers: their input refs release idempotently.
-		for _, rec := range s.store.Records() {
-			if !rec.Terminal() {
-				continue
-			}
-			if _, ref, perr := s.parsePayload(rec.ID, rec.Payload); perr == nil && ref.Valid() &&
-				(ref.Scope == "" || ref.Scope == s.scope()) {
-				s.reg.Release(ref, fmt.Sprintf("job%d", rec.ID))
-			}
+		if _, ref, perr := s.parsePayload(rec.ID, rec.Payload); perr == nil && ref.Valid() && s.local(ref) {
+			s.reg.Release(ref, fmt.Sprintf("job%d", rec.ID))
 		}
 	}
 	return stats, nil
@@ -276,11 +250,10 @@ func (s *SolverService) durable() bool {
 
 // work builds the job body: install per-node quota slices, materialize the
 // input vector (seed-derived, or resolved from a proxy handle for chained
-// jobs), run the (checkpointed, when durable) cancellable solve, encode the
-// final vector and register it as a proxy handle. The run leaves no array
-// behind, done or not: the handle holds the payload. The parameters are
-// exactly what solvePayload journals, so recovery rebuilds an identical
-// closure.
+// jobs), run the (checkpointed, when durable) cancellable solve and encode
+// the final vector, which the manager registers as the job's handle. The
+// run leaves no array behind, done or not. The parameters are exactly what
+// solvePayload journals, so recovery rebuilds an identical closure.
 func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes, scratchBytes int64) Work {
 	return func(id int64, cancel <-chan struct{}) ([]byte, error) {
 		cfg := s.base
@@ -317,36 +290,7 @@ func (s *SolverService) work(iters int, seed int64, input proxy.Ref, memoryBytes
 			return nil, err
 		}
 		s.itersSaved.Add(int64(start))
-		payload := EncodeFloat64s(res.X)
-		s.registerResult(id, payload)
-		return payload, nil
-	}
-}
-
-// registerResult publishes a finished job's iterate as a proxy handle named
-// after the job. The handle takes the payload itself: it is the result's one
-// in-memory copy until the handle's last reference drops. Registration
-// failure (quota, closed registry) degrades gracefully: the job still
-// succeeds by value.
-func (s *SolverService) registerResult(id int64, payload []byte) {
-	if s.reg == nil {
-		return
-	}
-	tenant := ""
-	if st, err := s.Manager.Status(id); err == nil {
-		tenant = st.Tenant
-	}
-	sum := sha256.Sum256(payload)
-	h, err := s.reg.Register(proxy.RegisterRequest{
-		Name:    fmt.Sprintf("job%d", id),
-		Tenant:  tenant,
-		JobID:   id,
-		SHA256:  fmt.Sprintf("%x", sum),
-		Length:  int64(len(payload)),
-		Payload: payload,
-	})
-	if err == nil {
-		s.Manager.SetProxy(id, h)
+		return EncodeFloat64s(res.X), nil
 	}
 }
 
@@ -367,18 +311,14 @@ func (s *SolverService) startVector(seed int64, input proxy.Ref) ([]float64, err
 }
 
 // retire is the manager's terminal hook: always release the job's consumer
-// input reference; retire a non-done job's own handle (a failed or
-// cancelled result must not stay resolvable); and under a durable store
-// purge a done or cancelled job's checkpoints and stray arrays. No
-// resolve reads them: a handle resolves from its payload or the result
-// file. A FAILED job keeps its artifacts — the dominant failure mode is
-// process death or drain-interrupt, and its checkpoints are exactly what
-// the post-restart resume needs.
+// input reference, and under a durable store purge a done or cancelled
+// job's checkpoints and stray arrays. No resolve reads them: a handle
+// resolves from its payload or the result file. A FAILED job keeps its
+// artifacts — the dominant failure mode is process death or
+// drain-interrupt, and its checkpoints are exactly what the post-restart
+// resume needs.
 func (s *SolverService) retire(id int64, final State) {
 	s.releaseInput(id)
-	if s.reg != nil && final != StateDone {
-		s.reg.RetireJob(id)
-	}
 	if s.store == nil || (final != StateDone && final != StateCancelled) {
 		return
 	}
@@ -392,14 +332,11 @@ func (s *SolverService) retire(id int64, final State) {
 // proxy.ErrProxyGone (typed) when the last reference dropped — never
 // partial bytes.
 func (s *SolverService) ResolveProxy(ref proxy.Ref) ([]byte, error) {
-	start := time.Now()
 	data, err := s.resolve(ref)
 	if err != nil {
 		return nil, err
 	}
-	if s.reg != nil {
-		s.reg.ObserveResolve(int64(len(data)), time.Since(start).Seconds())
-	}
+	s.reg.ObserveResolve(int64(len(data)))
 	return data, nil
 }
 
@@ -409,7 +346,6 @@ func (s *SolverService) ResolveProxy(ref proxy.Ref) ([]byte, error) {
 // the job's result file for every chunk — and the resolve metrics observe
 // only the first chunk so one logical resolve counts once.
 func (s *SolverService) ResolveProxyRange(ref proxy.Ref, lo, hi int64) ([]byte, int64, error) {
-	start := time.Now()
 	data, err := s.resolve(ref)
 	if err != nil {
 		return nil, 0, err
@@ -421,21 +357,18 @@ func (s *SolverService) ResolveProxyRange(ref proxy.Ref, lo, hi int64) ([]byte, 
 	if hi > total {
 		hi = total
 	}
-	if s.reg != nil && lo == 0 {
-		s.reg.ObserveResolve(total, time.Since(start).Seconds())
+	if lo == 0 {
+		s.reg.ObserveResolve(total)
 	}
 	return data[lo:hi], total, nil
 }
 
 func (s *SolverService) resolve(ref proxy.Ref) ([]byte, error) {
-	if s.reg == nil {
-		return nil, fmt.Errorf("%w: proxy plane disabled", ErrNoProxy)
-	}
 	pin, err := s.reg.Acquire(ref)
 	if err != nil {
 		// A foreign-scope handle this node has never seen lives on its origin
 		// peer; forward over the cluster tier.
-		if errors.Is(err, proxy.ErrUnknownProxy) && ref.Scope != "" && ref.Scope != s.scope() && s.fetch != nil {
+		if errors.Is(err, proxy.ErrUnknownProxy) && !s.local(ref) && s.fetch != nil {
 			return s.fetch(ref.Scope, ref.Name, ref.Epoch)
 		}
 		return nil, err
@@ -475,51 +408,18 @@ func (s *SolverService) pinnedBytes(pin *proxy.Pin) ([]byte, error) {
 	return s.store.LoadResult(pin.JobID, pin.Handle.SHA256)
 }
 
-// Result blocks until the job finishes and returns its payload or error, as
-// Manager.Result does. While the job's proxy handle is live the bytes come
-// from the handle — the one in-memory copy — read under a pin so a racing
-// last release cannot reclaim them mid-read; otherwise from Manager.Result.
-func (s *SolverService) Result(id int64) ([]byte, error) {
-	if s.reg != nil {
-		if h, err := s.Manager.ResultProxy(id); err == nil {
-			if pin, err := s.reg.Acquire(h.Ref()); err == nil {
-				data := pin.Payload
-				pin.Close()
-				if data != nil {
-					return data, nil
-				}
-			}
-		}
-	}
-	return s.Manager.Result(id)
-}
-
-// ResultProxy returns a finished job's handle — see Manager.ResultProxy.
-func (s *SolverService) ResultProxy(id int64) (proxy.Handle, error) {
-	return s.Manager.ResultProxy(id)
-}
-
 // ProxyStat, ProxyAddRef, and ProxyRelease are the remote layer's
-// pass-throughs to the registry (ErrNoProxy when the plane is disabled).
+// pass-throughs to the registry.
 
 func (s *SolverService) ProxyStat(ref proxy.Ref) (proxy.Handle, int, error) {
-	if s.reg == nil {
-		return proxy.Handle{}, 0, fmt.Errorf("%w: proxy plane disabled", ErrNoProxy)
-	}
 	return s.reg.Stat(ref)
 }
 
 func (s *SolverService) ProxyAddRef(ref proxy.Ref, owner string) (proxy.Handle, error) {
-	if s.reg == nil {
-		return proxy.Handle{}, fmt.Errorf("%w: proxy plane disabled", ErrNoProxy)
-	}
 	return s.reg.AddRef(ref, owner)
 }
 
 func (s *SolverService) ProxyRelease(ref proxy.Ref, owner string) (int, error) {
-	if s.reg == nil {
-		return 0, fmt.Errorf("%w: proxy plane disabled", ErrNoProxy)
-	}
 	return s.reg.Release(ref, owner)
 }
 

@@ -233,7 +233,6 @@ func (r *Registry) Register(req RegisterRequest) (Handle, error) {
 		return h, nil
 	}
 	if err := r.quotaLocked(req.Tenant, req.Length); err != nil {
-		r.m.quotaRejects.Inc()
 		r.mu.Unlock()
 		return Handle{}, err
 	}
@@ -406,7 +405,6 @@ func (r *Registry) releasedLocked(e *entry, owner string) (int, error) {
 		r.mu.Unlock()
 		return 0, err
 	}
-	r.m.released.Inc()
 	var reclaim *entry
 	if e.gone && e.pins == 0 {
 		reclaim = e
@@ -567,7 +565,6 @@ func (r *Registry) Sweep(now time.Time) int {
 	}
 	for _, e := range victims {
 		delete(e.owners, OwnerOrigin)
-		r.m.expired.Inc()
 		r.releasedLocked(e, OwnerOrigin)
 		r.mu.Lock()
 	}
@@ -576,11 +573,10 @@ func (r *Registry) Sweep(now time.Time) int {
 }
 
 // ObserveResolve feeds the resolve-side series: call once per successful
-// end-to-end resolution with the payload size and wall seconds.
-func (r *Registry) ObserveResolve(bytes int64, seconds float64) {
+// end-to-end resolution with the payload size.
+func (r *Registry) ObserveResolve(bytes int64) {
 	r.m.resolved.Inc()
 	r.m.resolvedBytes.Add(bytes)
-	r.m.resolveSeconds.Observe(seconds)
 }
 
 // Status is one handle's externally visible state (the /proxies endpoint).

@@ -39,7 +39,7 @@ type Options struct {
 	// CompressMin is the smallest payload worth compressing (default 1 KiB).
 	CompressMin int
 	// Handshake is inert: every connection opens with the capability hello,
-	// so the server's mask (ClusterCapable, ProxyCapable) is always known.
+	// so the server's mask (ClusterCapable) is always known.
 	// The field stays declared only because bench/ sets it.
 	Handshake bool
 }

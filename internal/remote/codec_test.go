@@ -161,6 +161,9 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 	// A version-2 peer sends refusals without their error code.
 	versionTwo := append([]byte(nil), hello...)
 	versionTwo[5] = 2
+	// A version-3 peer reads hello bit 6 as the proxy registry's.
+	versionThree := append([]byte(nil), hello...)
+	versionThree[5] = 3
 
 	for _, tc := range []struct {
 		name string
@@ -171,6 +174,7 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 		{"hello with version 0", append(versionZero, gobFirst.Bytes()...)},
 		{"hello with version 1", append(versionOne, gobFirst.Bytes()...)},
 		{"hello with version 2", append(versionTwo, gobFirst.Bytes()...)},
+		{"hello with version 3", append(versionThree, gobFirst.Bytes()...)},
 		{"hello marker then gob", append([]byte{helloByte}, gobFirst.Bytes()...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

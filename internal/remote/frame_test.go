@@ -214,6 +214,11 @@ func TestDialRefusesVersion1Server(t *testing.T) { testDialRefusesVersion(t, 1) 
 // the hello instead, naming both versions.
 func TestDialRefusesVersion2Server(t *testing.T) { testDialRefusesVersion(t, 2) }
 
+// TestDialRefusesVersion3Server: a version-3 server sets hello bit 6 only
+// when it has a proxy registry, and its client refuses the proxy verbs to a
+// server that does not; the dial fails at the hello, naming both versions.
+func TestDialRefusesVersion3Server(t *testing.T) { testDialRefusesVersion(t, 3) }
+
 func testDialRefusesVersion(t *testing.T, version byte) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -16,11 +16,7 @@
 
 package remote
 
-import (
-	"fmt"
-
-	"dooc/internal/jobs"
-)
+import "dooc/internal/jobs"
 
 // jobWire carries job-verb parameters inside a request. Submit fills the
 // solve fields; status/cancel/result address an existing job by ID.
@@ -72,12 +68,6 @@ func (cl *Client) SubmitJob(req jobs.SolveRequest) (jobs.JobStatus, error) {
 		TraceSpan:    req.Trace.Span.Word(),
 	}}
 	if req.Input.Valid() {
-		// A chained input is a proxy-plane feature: refuse locally rather
-		// than let a server without the plane silently run from the seed
-		// vector.
-		if !cl.ProxyCapable() {
-			return jobs.JobStatus{}, fmt.Errorf("%w (submit with -input-proxy)", ErrLegacyProxy)
-		}
 		wire.Job.InputProxy = req.Input.String()
 	}
 	var resp *response

@@ -20,8 +20,7 @@ import "errors"
 
 // ClusterCapBit is the handshake hello mask bit advertising the cluster
 // peer verbs. The low bits of the mask byte carry codec capabilities
-// (compress.Mask, IDs 0..3); bit 7 is reserved for this and bit 6 for
-// ProxyCapBit.
+// (compress.Mask, IDs 0..3); bit 7 is reserved for this.
 const ClusterCapBit uint8 = 1 << 7
 
 // PeerMember identifies one cluster member on the wire.

@@ -19,11 +19,12 @@
 // corruption at the protocol layer instead of as a wrong eigenvalue.
 //
 // Every verb is one row of the opcode table (verbs.go): its wire value, its
-// name, the role a server must play to serve it — storage (always), jobs,
-// cluster peer or proxy — and its handler. The server's one dispatch refuses
-// a verb of a role it does not play, in band; the hello advertises the peer
-// and proxy roles, from the same predicate, and the client refuses a verb of
-// a role the server's hello lacked before sending anything.
+// name, the role a server must play to serve it — storage (always), jobs
+// (the proxy verbs among them) or cluster peer — and its handler. The
+// server's one dispatch refuses a verb of a role it does not play, in band;
+// the hello advertises the peer role, from the same predicate, and the
+// client refuses a peer verb to a server whose hello lacked it before
+// sending anything.
 //
 // A refused request's response carries the error's message and its code in
 // the wire error table (errors.go), so a remote caller identifies a failure
@@ -127,14 +128,17 @@ type response struct {
 // sides may send compressed payloads the peer's mask admits. There is no
 // plain-gob connection: a server drops a peer whose first bytes are not a
 // well-formed hello of this protocol version, and a client fails the dial
-// when the reply is not one. Version 3 adds the response's error Code;
+// when the reply is not one. Version 4 frees the hello's bit 6, which
+// version 3 set for a job service with a proxy registry: every job service
+// now has one, and a version-3 client would refuse the proxy verbs to a
+// server that does not set it. Version 3 added the response's error Code;
 // version 2 is the same header-then-payload frame without it, so a peer of
 // either would read the other's refusals untyped. Version 1 carried the
 // payload inside the gob message.
 const (
 	helloByte    = 0x00
 	helloLen     = 8
-	protoVersion = 3
+	protoVersion = 4
 
 	// maxFramePayload is the longest payload a frame header may declare:
 	// 1 GiB, gob's own message ceiling on 64-bit platforms and so the
@@ -191,7 +195,7 @@ func parseHello(b []byte) (mask, pref uint8, err error) {
 // clientHandshake sends a hello and waits (bounded) for the server's reply.
 // It returns the negotiated encode codec (nil when no codec was requested
 // or the server cannot decode it) and the server's raw capability mask —
-// codec bits plus ClusterCapBit and ProxyCapBit. An error means the peer
+// codec bits plus ClusterCapBit. An error means the peer
 // did not answer with a hello; the caller must discard the connection.
 // codec may be nil: the hello is then a pure capability probe.
 func clientHandshake(raw net.Conn, codec compress.Codec) (compress.Codec, uint8, error) {
@@ -201,7 +205,7 @@ func clientHandshake(raw net.Conn, codec compress.Codec) (compress.Codec, uint8,
 	}
 	raw.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer raw.SetDeadline(time.Time{})
-	if _, err := raw.Write(helloFrame(compress.Mask()&^(ClusterCapBit|ProxyCapBit), pref)); err != nil {
+	if _, err := raw.Write(helloFrame(compress.Mask()&^ClusterCapBit, pref)); err != nil {
 		return nil, 0, err
 	}
 	reply := make([]byte, helloLen)

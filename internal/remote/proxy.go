@@ -1,18 +1,13 @@
-// Proxy-object verbs: the remote protocol's fourth personality. A server
-// whose job service carries a proxy registry advertises ProxyCapBit in its
-// handshake hello, and clients then pass job results around BY REFERENCE: a
+// Proxy-object verbs: every job service keeps its results in a proxy
+// registry, so clients pass job results around BY REFERENCE: a
 // stat/addref/release manage a handle's refcounted lifetime, a resolve
 // streams its payload in codec-framed chunks, and a job-proxy fetches a
-// finished job's handle instead of its bytes. Chunk payloads ride the
-// normal payload path — raw bytes after the frame's gob header — so they
-// get wire compression and checksum protection for free; the whole
-// reassembled payload is additionally verified against the handle's
-// registered SHA-256, end to end.
-//
-// Capability gating mirrors the cluster tier: the proxy verbs (job-proxy
-// among them) are the opcode table's roleProxy rows, a server running
-// without a registry never advertises the bit, and the client refuses every
-// proxy verb to it with the typed ErrLegacyProxy instead of sending it.
+// finished job's handle instead of its bytes. They are job-service verbs
+// (roleJobs rows of the opcode table). Chunk payloads ride the normal
+// payload path — raw bytes after the frame's gob header — so they get wire
+// compression and checksum protection for free; the whole reassembled
+// payload is additionally verified against the handle's registered
+// SHA-256, end to end.
 
 package remote
 
@@ -25,24 +20,10 @@ import (
 	"dooc/internal/storage"
 )
 
-// ProxyCapBit is the handshake hello mask bit advertising the proxy-object
-// verbs. The low bits of the mask byte carry codec capabilities
-// (compress.Mask, IDs 0..3); bit 7 is ClusterCapBit, bit 6 is this.
-const ProxyCapBit uint8 = 1 << 6
-
-// ErrLegacyProxy reports a proxy verb aimed at a server that did not
-// advertise ProxyCapBit: one running without a proxy registry.
-var ErrLegacyProxy = fmt.Errorf("remote: server does not speak the proxy-object verbs")
-
 // resolveChunk is the payload size of one proxy-resolve round-trip. Result
 // vectors are a few MiB at most; 256 KiB chunks keep any single frame
 // bounded while giving the wire codec enough bytes to bite on.
 const resolveChunk = 256 << 10
-
-// ProxyCapable reports whether the server at the other end advertised the
-// proxy-object verbs in the last (re)connect's handshake. False for a
-// server running without a proxy registry.
-func (cl *Client) ProxyCapable() bool { return cl.advertises(roleProxy) }
 
 // ProxyStat fetches a handle's metadata and live reference count without
 // touching its payload.

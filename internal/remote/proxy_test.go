@@ -10,9 +10,9 @@ import (
 	"dooc/internal/proxy"
 )
 
-// newProxyServer is newJobServer with the proxy result plane enabled and a
-// capability-handshaking client (the proxy verbs require the hello). When o
-// is non-nil it receives both the client's and the proxy registry's series.
+// newProxyServer is newJobServer with a scoped proxy registry and a client of
+// its own. When o is non-nil it receives both the client's and the proxy
+// registry's series.
 func newProxyServer(t *testing.T, o *obs.Registry) (*Client, *jobs.SolverService, string) {
 	t.Helper()
 	reg := proxy.NewRegistry(proxy.Config{Scope: "nodeA", Obs: o})
@@ -23,9 +23,6 @@ func newProxyServer(t *testing.T, o *obs.Registry) (*Client, *jobs.SolverService
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	if !cl.ProxyCapable() {
-		t.Fatal("proxy-enabled server did not advertise ProxyCapBit")
-	}
 	return cl, svc, addr
 }
 
@@ -194,36 +191,9 @@ func bServerRef(t *testing.T, svc *jobs.SolverService, iters int, seed int64) in
 	return st.ID
 }
 
-// TestProxyLegacyRejection: against a server whose proxy plane is off, the
-// hello carries no ProxyCapBit and every proxy verb fails fast, client-side,
-// with the typed ErrLegacyProxy.
-func TestProxyLegacyRejection(t *testing.T) {
-	_, _, _, plainAddr := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4})
-	cl, err := Dial(plainAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.ProxyCapable() {
-		t.Fatal("proxy-less server advertised ProxyCapBit")
-	}
-	ref := proxy.Ref{Name: "job1", Epoch: 1}
-	if _, _, err := cl.ProxyStat(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("stat against proxy-less server: %v", err)
-	}
-	if _, _, err := cl.ResolveProxy(ref); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("resolve against proxy-less server: %v", err)
-	}
-	if _, _, err := cl.JobProxy(1); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("job-proxy against proxy-less server: %v", err)
-	}
-	if _, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1, Input: ref}); !errors.Is(err, ErrLegacyProxy) {
-		t.Fatalf("chained submit against proxy-less server: %v", err)
-	}
-}
-
 // TestProxyTypedErrorsOverWire: registry lifetime errors survive the wire
-// round trip as errors.Is-able values.
+// round trip as errors.Is-able values, and so does the quota refusal that
+// fails a store-less job whose payload the registry will not hold.
 func TestProxyTypedErrorsOverWire(t *testing.T) {
 	cl, _, _ := newProxyServer(t, nil)
 	if _, _, err := cl.ProxyStat(proxy.Ref{Name: "job99", Epoch: 1}); !errors.Is(err, proxy.ErrUnknownProxy) {
@@ -246,5 +216,16 @@ func TestProxyTypedErrorsOverWire(t *testing.T) {
 	// A chained submit naming the dead handle is rejected typed, up front.
 	if _, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "alice", Iters: 1, Input: h.Ref()}); !errors.Is(err, proxy.ErrProxyGone) {
 		t.Fatalf("chained submit on dead handle: %v", err)
+	}
+
+	capped, _, _, _ := newJobServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 4, Proxy: proxy.NewRegistry(proxy.Config{MaxBytesPerTenant: 1})})
+	if st, err = capped.SubmitJob(jobs.SolveRequest{Tenant: "alice", Iters: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := capped.JobResult(st.ID); !errors.Is(err, proxy.ErrProxyQuota) {
+		t.Fatalf("result of a refused payload: %v, want ErrProxyQuota", err)
+	}
+	if _, _, err := capped.JobProxy(st.ID); !errors.Is(err, proxy.ErrProxyQuota) {
+		t.Fatalf("handle of a refused payload: %v, want ErrProxyQuota", err)
 	}
 }

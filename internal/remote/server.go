@@ -29,8 +29,9 @@ type ServerOptions struct {
 	// CompressMin is the smallest payload worth compressing (default 1 KiB).
 	CompressMin int
 	// Jobs, when non-nil, enables the job-service verbs (submit, status,
-	// cancel, result, list) against this solver service. When nil those
-	// verbs fail cleanly; plain storage servers are unaffected.
+	// cancel, result, list, and the proxy verbs) against this solver
+	// service. When nil those verbs fail cleanly; plain storage servers are
+	// unaffected.
 	Jobs *jobs.SolverService
 	// Peer, when non-nil, enables the cluster peer verbs (peer-put,
 	// peer-get, peer-del, peer-view) and advertises ClusterCapBit in the
@@ -164,7 +165,7 @@ func (s *Server) negotiate(c *conn) error {
 	if err != nil {
 		return err
 	}
-	replyMask := compress.Mask() &^ (ClusterCapBit | ProxyCapBit)
+	replyMask := compress.Mask() &^ ClusterCapBit
 	for r, ri := range roles {
 		if s.plays(role(r)) {
 			replyMask |= ri.bit

@@ -48,7 +48,6 @@ const (
 	roleStorage role = iota
 	roleJobs         // ServerOptions.Jobs is set
 	rolePeer         // ServerOptions.Peer is set
-	roleProxy        // the job service has a proxy registry
 )
 
 // roles names each role in refusals and gives the hello mask bit that
@@ -62,7 +61,6 @@ var roles = [...]struct {
 	roleStorage: {what: "storage"},
 	roleJobs:    {what: "job service"},
 	rolePeer:    {what: "cluster peer role", bit: ClusterCapBit},
-	roleProxy:   {what: "proxy registry", bit: ProxyCapBit},
 }
 
 // advertisedIn reports whether a hello mask admits the role's verbs.
@@ -162,7 +160,7 @@ var verbs = [...]verb{
 	}},
 	opJobResult: {"job-result", roleJobs, func(s *Server, req *request) (*response, error) {
 		id := deref(req.Job).ID
-		data, err := s.opts.Jobs.Result(id)
+		data, err := s.opts.Jobs.Manager.Result(id)
 		if err != nil {
 			return nil, err
 		}
@@ -201,11 +199,11 @@ var verbs = [...]verb{
 		return &response{View: &v}, nil
 	}},
 
-	opProxyStat: {"proxy-stat", roleProxy, withRef(func(svc *jobs.SolverService, ref proxy.Ref, _ *request) (*response, error) {
+	opProxyStat: {"proxy-stat", roleJobs, withRef(func(svc *jobs.SolverService, ref proxy.Ref, _ *request) (*response, error) {
 		h, refs, err := svc.ProxyStat(ref)
 		return &response{Proxy: &h, Refs: refs, Total: h.Length}, err
 	})},
-	opProxyAddRef: {"proxy-addref", roleProxy, withRef(func(svc *jobs.SolverService, ref proxy.Ref, req *request) (*response, error) {
+	opProxyAddRef: {"proxy-addref", roleJobs, withRef(func(svc *jobs.SolverService, ref proxy.Ref, req *request) (*response, error) {
 		h, err := svc.ProxyAddRef(ref, deref(req.Job).Key)
 		if err != nil {
 			return nil, err
@@ -213,17 +211,17 @@ var verbs = [...]verb{
 		_, refs, _ := svc.ProxyStat(ref)
 		return &response{Proxy: &h, Refs: refs}, nil
 	})},
-	opProxyRelease: {"proxy-release", roleProxy, withRef(func(svc *jobs.SolverService, ref proxy.Ref, req *request) (*response, error) {
+	opProxyRelease: {"proxy-release", roleJobs, withRef(func(svc *jobs.SolverService, ref proxy.Ref, req *request) (*response, error) {
 		refs, err := svc.ProxyRelease(ref, deref(req.Job).Key)
 		return &response{Refs: refs}, err
 	})},
-	opProxyResolve: {"proxy-resolve", roleProxy, withRef(func(svc *jobs.SolverService, ref proxy.Ref, req *request) (*response, error) {
+	opProxyResolve: {"proxy-resolve", roleJobs, withRef(func(svc *jobs.SolverService, ref proxy.Ref, req *request) (*response, error) {
 		data, total, err := svc.ResolveProxyRange(ref, req.Lo, req.Hi)
 		return &response{data: data, Total: total}, err
 	})},
-	opJobProxy: {"job-proxy", roleProxy, func(s *Server, req *request) (*response, error) {
+	opJobProxy: {"job-proxy", roleJobs, func(s *Server, req *request) (*response, error) {
 		id := deref(req.Job).ID
-		h, err := s.opts.Jobs.ResultProxy(id)
+		h, err := s.opts.Jobs.Manager.ResultProxy(id)
 		if err != nil {
 			return nil, err
 		}
@@ -268,8 +266,6 @@ func (s *Server) plays(r role) bool {
 		return s.opts.Jobs != nil
 	case rolePeer:
 		return s.opts.Peer != nil
-	case roleProxy:
-		return s.opts.Jobs != nil && s.opts.Jobs.ProxyEnabled()
 	}
 	return true
 }
@@ -298,9 +294,6 @@ func (s *Server) dispatch(req *request) *response {
 // refusal is the client's error for a verb whose role the server's hello did
 // not advertise; nothing was sent.
 func refusal(req *request, r role) error {
-	if r == roleProxy {
-		return fmt.Errorf("%w (%s %q)", ErrLegacyProxy, req.Op, req.Array)
-	}
 	return fmt.Errorf("remote: %s: %s not enabled on the server (its hello lacks the capability bit)", req.Op, roles[r].what)
 }
 

@@ -46,11 +46,11 @@ func TestOpcodeTablePinned(t *testing.T) {
 		{opPeerGet, 17, "peer-get", rolePeer},
 		{opPeerDel, 18, "peer-del", rolePeer},
 		{opPeerView, 19, "peer-view", rolePeer},
-		{opProxyStat, 20, "proxy-stat", roleProxy},
-		{opProxyAddRef, 21, "proxy-addref", roleProxy},
-		{opProxyRelease, 22, "proxy-release", roleProxy},
-		{opProxyResolve, 23, "proxy-resolve", roleProxy},
-		{opJobProxy, 24, "job-proxy", roleProxy},
+		{opProxyStat, 20, "proxy-stat", roleJobs},
+		{opProxyAddRef, 21, "proxy-addref", roleJobs},
+		{opProxyRelease, 22, "proxy-release", roleJobs},
+		{opProxyResolve, 23, "proxy-resolve", roleJobs},
+		{opJobProxy, 24, "job-proxy", roleJobs},
 	}
 	if len(verbs) != len(want)+1 {
 		t.Fatalf("the opcode table has %d rows, want %d (and row 0 empty)", len(verbs)-1, len(want))
@@ -65,8 +65,8 @@ func TestOpcodeTablePinned(t *testing.T) {
 			t.Errorf("opcode %d is outside the table but reads as %q", uint8(op), op)
 		}
 	}
-	if protoVersion != 3 || ClusterCapBit != 1<<7 || ProxyCapBit != 1<<6 {
-		t.Errorf("protocol version %d, cluster bit %#x, proxy bit %#x: want 3, 0x80, 0x40", protoVersion, ClusterCapBit, ProxyCapBit)
+	if protoVersion != 4 || ClusterCapBit != 1<<7 {
+		t.Errorf("protocol version %d, cluster bit %#x: want 4, 0x80", protoVersion, ClusterCapBit)
 	}
 }
 
@@ -114,11 +114,11 @@ func TestErrorTablePinned(t *testing.T) {
 }
 
 // TestPlainServerRefusesRoleVerbs walks every opcode on a server that plays
-// no role but storage. A verb whose role has a hello bit is refused by the
-// client before anything is sent; a job verb (no bit) reaches the server and
-// is refused in band; every role-gated verb that does reach the server gets
-// its "not enabled" error; an opcode outside the table gets "unknown opcode".
-// The connection stays usable throughout.
+// no role but storage. A peer verb (its role has a hello bit) is refused by
+// the client before anything is sent; a job verb, the proxy verbs among
+// them, reaches the server and is refused in band; every role-gated verb
+// that does reach the server gets its "not enabled" error; an opcode outside
+// the table gets "unknown opcode". The connection stays usable throughout.
 func TestPlainServerRefusesRoleVerbs(t *testing.T) {
 	srv, cl := startServer(t, "")
 	for op := opcode(1); op <= opJobProxy; op++ {
@@ -141,10 +141,6 @@ func TestPlainServerRefusesRoleVerbs(t *testing.T) {
 		case rolePeer:
 			if err == nil || !strings.Contains(err.Error(), "peer role not enabled") || sent != 0 {
 				t.Errorf("%s: %v after %d requests, want a refusal before sending", op, err, sent)
-			}
-		case roleProxy:
-			if !errors.Is(err, ErrLegacyProxy) || sent != 0 {
-				t.Errorf("%s: %v after %d requests, want ErrLegacyProxy before sending", op, err, sent)
 			}
 		}
 	}

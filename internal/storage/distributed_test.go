@@ -154,16 +154,11 @@ func TestRemoteFetchFromDisk(t *testing.T) {
 	}
 }
 
-func TestLedgerAccountsCrossNodeTraffic(t *testing.T) {
-	var mu sync.Mutex
-	moved := int64(0)
+// TestPeerBytesCountCrossNodeTraffic: a block one node fetches from another
+// is counted once, by the node that received it.
+func TestPeerBytesCountCrossNodeTraffic(t *testing.T) {
 	stores, err := NewNetwork(2, func(node int, cfg *Config) {
 		cfg.MemoryBudget = 1 << 20
-		cfg.Ledger = func(from, to int, bytes int64) {
-			mu.Lock()
-			moved += bytes
-			mu.Unlock()
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +174,8 @@ func TestLedgerAccountsCrossNodeTraffic(t *testing.T) {
 	if _, err := stores[1].ReadAll("t"); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if moved != 256 {
-		t.Fatalf("ledger moved = %d, want 256", moved)
+	if got0, got1 := stores[0].Stats().BytesFetchedPeer, stores[1].Stats().BytesFetchedPeer; got0 != 0 || got1 != 256 {
+		t.Fatalf("BytesFetchedPeer = %d and %d, want 0 and 256", got0, got1)
 	}
 }
 

@@ -230,12 +230,11 @@ type blockState struct {
 	// reserved caches whether the block's bytes are counted in
 	// loopState.reserved (see reserve).
 	reserved bool
-	// Shard-tier state: shardBacked+shardDurable mark a block whose bytes
-	// enough remote cluster peers acknowledged to survive any single peer
-	// death — such a block is evictable without a local disk spill and is
+	// Shard-tier state: shardDurable marks a block whose bytes enough
+	// remote cluster peers acknowledged to survive any single peer death —
+	// such a block is evictable without a local disk spill and is
 	// refetched over the ring first. shardPushing guards one background
 	// push at a time.
-	shardBacked  bool
 	shardDurable bool
 	shardPushing bool
 	waiters      []readWaiter
@@ -946,7 +945,7 @@ func (s *Store) startFetch(st *loopState, ast *arrayState, bi int, b *blockState
 	// bytes live on remote peers, not local disk. Refetch over the ring —
 	// a miss (owner died) falls back to the paths below via
 	// handleShardDone.
-	if s.cfg.Shard != nil && b.shardBacked {
+	if s.cfg.Shard != nil && b.shardDurable {
 		b.fetching = true
 		go s.shardFetch(name, bi)
 		return
@@ -1032,7 +1031,6 @@ func (s *Store) handleQuery(st *loopState, m msgQuery) {
 			copy(reply.data, b.buf)
 			st.tick++
 			b.lastUse = st.tick
-			s.ledger(s.cfg.NodeID, m.from, int64(len(reply.data)))
 			s.peers[m.from].post(reply)
 			return
 		}
@@ -1073,7 +1071,7 @@ func (s *Store) handleQuery(st *loopState, m msgQuery) {
 // read back: on its scratch, or pushed durably to the shard tier.
 func blockDurable(ast *arrayState, bi int) bool {
 	b, ok := ast.blocks[bi]
-	return ok && (b.persistedLocal || b.shardBacked && b.shardDurable)
+	return ok && (b.persistedLocal || b.shardDurable)
 }
 
 // forwardOnLoad builds a one-shot waiter reply channel that, when the local
@@ -1091,7 +1089,6 @@ func (s *Store) forwardOnLoad(m msgQuery) chan leaseResult {
 			reply.data = sharedArena.Get(len(res.lease.Data))
 			copy(reply.data, res.lease.Data)
 			res.lease.Release()
-			s.ledger(s.cfg.NodeID, m.from, int64(len(reply.data)))
 		}
 		s.peers[m.from].post(reply)
 	}()
@@ -1289,7 +1286,7 @@ func (s *Store) collectVictims(st *loopState, protectArray string, protectBlock 
 			if b.buf == nil || b.refcnt > 0 || b.fetching || b.flushing || len(b.waiters) > 0 || len(b.writing) > 0 {
 				continue
 			}
-			if !(b.persistedLocal || b.remoteBacked || ast.diskNodes[s.cfg.NodeID] || (b.shardBacked && b.shardDurable)) {
+			if !s.copiedElsewhere(ast, b) {
 				continue
 			}
 			var key int64
@@ -1344,6 +1341,14 @@ func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState
 	s.tellHome(st, msgNotify{array: ast.info.Name, block: idx, node: s.cfg.NodeID, gone: true})
 }
 
+// copiedElsewhere reports whether a copy of block b outlives dropping its
+// buffer — on local scratch, with a peer it was fetched from, in this
+// node's copy of the whole array on disk, or durably on the shard tier —
+// which is what makes a resident block evictable.
+func (s *Store) copiedElsewhere(ast *arrayState, b *blockState) bool {
+	return b.persistedLocal || b.remoteBacked || ast.diskNodes[s.cfg.NodeID] || b.shardDurable
+}
+
 // handleEvict implements the programmer-driven eviction (the paper:
 // "explicit memory management can also be directly provided by the
 // programmer"), under the same safety rules as automatic reclamation.
@@ -1362,7 +1367,7 @@ func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 	if b.fetching || b.flushing || len(b.waiters) > 0 || len(b.writing) > 0 {
 		return fmt.Errorf("storage: %q block %d has activity in flight", m.array, m.block)
 	}
-	if !(b.persistedLocal || b.remoteBacked || ast.diskNodes[s.cfg.NodeID] || (b.shardBacked && b.shardDurable)) {
+	if !s.copiedElsewhere(ast, b) {
 		return fmt.Errorf("storage: %q block %d is the only copy (flush it first)", m.array, m.block)
 	}
 	s.dropBlock(st, ast, m.block, b)

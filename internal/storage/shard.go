@@ -188,7 +188,6 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 	if b.shardDurable {
 		s.tellHome(st, msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true, gone: true})
 	}
-	b.shardBacked = false
 	b.shardDurable = false
 	if len(b.waiters) > 0 {
 		s.ensureBlockData(st, ast, m.block, b)
@@ -250,7 +249,6 @@ func (s *Store) handleShardPushed(st *loopState, m shardPushed) {
 	}
 	b.shardPushing = false
 	if m.durable {
-		b.shardBacked = true
 		b.shardDurable = true
 		st.stats.ShardDurablePushes++
 		s.metrics.shardDurable.Inc()

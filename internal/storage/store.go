@@ -86,9 +86,6 @@ type Config struct {
 	IOWorkers int
 	// Seed drives random peer probing deterministically in tests.
 	Seed int64
-	// Ledger, when non-nil, is invoked for every cross-node data transfer
-	// (typically (*simnet.Cluster).Transfer).
-	Ledger func(from, to int, bytes int64)
 	// IORetries is how many times a transient disk read/write failure is
 	// retried before the error becomes terminal (default 2, so 3 attempts).
 	IORetries int
@@ -598,12 +595,5 @@ func (s *Store) releaseClosed(l *Lease) {
 	if h.refs--; h.refs == 0 {
 		sharedArena.Put(h.buf)
 		delete(s.left.leased, k)
-	}
-}
-
-// ledger records a cross-node transfer if configured.
-func (s *Store) ledger(from, to int, bytes int64) {
-	if s.cfg.Ledger != nil && from != to {
-		s.cfg.Ledger(from, to, bytes)
 	}
 }
