@@ -339,7 +339,7 @@ func clusterTierRun() error {
 				return err
 			}
 			for b := 0; b < blocks; b++ {
-				lease, err := drv.Request(name, int64(b)*blockSize, int64(b+1)*blockSize, storage.PermWrite)
+				lease, err := drv.RequestBlock(name, b, storage.PermWrite)
 				if err != nil {
 					return err
 				}
@@ -360,7 +360,7 @@ func clusterTierRun() error {
 			}
 			for pass := 0; pass < passes; pass++ {
 				for b := 0; b < blocks; b++ {
-					lease, err := drv.Request(name, int64(b)*blockSize, int64(b+1)*blockSize, storage.PermRead)
+					lease, err := drv.RequestBlock(name, b, storage.PermRead)
 					if err != nil {
 						return err
 					}

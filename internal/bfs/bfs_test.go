@@ -1,11 +1,13 @@
 package bfs
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
 	"dooc/internal/core"
 	"dooc/internal/sparse"
+	"dooc/internal/storage"
 )
 
 func TestRMATProperties(t *testing.T) {
@@ -227,6 +229,70 @@ func TestOutOfCoreBFSMirrored(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("K=%d nodes=%d: distances %v, want %v", k, nodes, got, want)
+			}
+		}
+	}
+}
+
+// TestDriverLeavesNoArrays: a traversal deletes every array it created, on
+// success and when a level fails. The failure is forced at level 2 by an
+// array already holding the name of that level's first frontier part; that
+// array was not created by the traversal, so it stays.
+func TestDriverLeavesNoArrays(t *testing.T) {
+	g, err := RMAT(RMATConfig{Scale: 8, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Reference(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := int(slices.Max(want)) + 2
+	for _, failAt := range []int{0, 2} {
+		sys, err := core.NewSystem(core.Options{Nodes: 2, Reorder: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		cfg := core.SpMVConfig{Dim: g.Rows, K: 4, Iters: 1, Nodes: 2, Tag: "leak"}
+		if err := core.LoadMatrixInMemory(sys, g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		drv := &Driver{Sys: sys, Cfg: cfg}
+		planted := ""
+		if failAt > 0 {
+			planted = drv.frontier(failAt, 0)
+			if err := sys.Store(cfg.OwnerOf(0)).Create(planted, 8, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := drv.Run(0)
+		switch {
+		case failAt == 0 && err != nil:
+			t.Fatal(err)
+		case failAt == 0 && !slices.Equal(got, want):
+			t.Fatalf("distances %v, want %v", got, want)
+		case failAt > 0 && !errors.Is(err, storage.ErrArrayExists):
+			t.Fatalf("run over a planted %s: %v, want ErrArrayExists", planted, err)
+		}
+		for level := 0; level <= levels; level++ {
+			for u := 0; u < cfg.K; u++ {
+				names := []string{drv.frontier(level, u), drv.visited(level, u)}
+				for v := 0; v < cfg.K; v++ {
+					names = append(names, drv.partial(level, u, v))
+				}
+				for _, name := range names {
+					for n := 0; n < sys.Nodes(); n++ {
+						_, err := sys.Store(n).Info(name)
+						if name == planted {
+							if err != nil {
+								t.Fatalf("the planted %s is gone from node %d: %v", name, n, err)
+							}
+						} else if !errors.Is(err, storage.ErrUnknownArray) {
+							t.Fatalf("failAt %d: %s left on node %d (%v)", failAt, name, n, err)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -31,7 +31,9 @@ func (d *Driver) visited(level, u int) string {
 	return fmt.Sprintf("%s:bfs:vis_%d_%d", d.Cfg.Tag, level, u)
 }
 
-// Run traverses from source and returns per-vertex distances.
+// Run traverses from source and returns per-vertex distances. Every array
+// the traversal creates is deleted before Run returns, whether it succeeds
+// or fails.
 func (d *Driver) Run(source int) ([]int32, error) {
 	cfg := d.Cfg
 	if err := cfg.Validate(); err != nil {
@@ -54,6 +56,17 @@ func (d *Driver) Run(source int) ([]int32, error) {
 	}
 	dist[source] = 0
 
+	// made lists every array this run created. The engine deletes most of
+	// them as their last reader retires; what it leaves — the last level's
+	// frontier and visited sets, or everything of a failed level — goes
+	// here, and a name already gone costs one refused delete.
+	var made []string
+	defer func() {
+		for _, name := range made {
+			_ = d.Sys.Store(0).Delete(name)
+		}
+	}()
+
 	// Seed level 0: frontier = {source}; visited = frontier.
 	for u := 0; u < cfg.K; u++ {
 		bits := make([]byte, BitsetBytes(p.Size(u)))
@@ -61,16 +74,16 @@ func (d *Driver) Run(source int) ([]int32, error) {
 			SetBit(bits, source-p.Start(u))
 		}
 		owner := d.Sys.Store(cfg.OwnerOf(u))
-		if err := owner.WriteArray(d.frontier(0, u), bits, 0); err != nil {
-			return nil, err
-		}
-		if err := owner.WriteArray(d.visited(0, u), bits, 0); err != nil {
-			return nil, err
+		for _, name := range []string{d.frontier(0, u), d.visited(0, u)} {
+			if err := owner.WriteArray(name, bits, 0); err != nil {
+				return nil, err
+			}
+			made = append(made, name)
 		}
 	}
 
 	for level := 1; level <= cfg.Dim; level++ {
-		grew, err := d.level(level, p)
+		grew, err := d.level(level, p, &made)
 		if err != nil {
 			return nil, err
 		}
@@ -95,25 +108,24 @@ func (d *Driver) Run(source int) ([]int32, error) {
 }
 
 // level executes one BFS level program; reports whether the new frontier is
-// non-empty.
-func (d *Driver) level(level int, p sparse.GridPartition) (bool, error) {
+// non-empty. It appends each array it creates to made.
+func (d *Driver) level(level int, p sparse.GridPartition, made *[]string) (bool, error) {
 	cfg := d.Cfg
 	// Create this level's arrays.
 	ephemeral := map[string]bool{}
 	for u := 0; u < cfg.K; u++ {
 		owner := d.Sys.Store(cfg.OwnerOf(u))
 		fbytes := int64(BitsetBytes(p.Size(u)))
-		for _, name := range []string{d.frontier(level, u), d.visited(level, u)} {
-			if err := owner.Create(name, fbytes, fbytes); err != nil {
-				return false, err
-			}
-		}
+		names := []string{d.frontier(level, u), d.visited(level, u)}
 		for v := 0; v < cfg.K; v++ {
-			name := d.partial(level, u, v)
+			names = append(names, d.partial(level, u, v))
+			ephemeral[names[len(names)-1]] = true
+		}
+		for _, name := range names {
 			if err := owner.Create(name, fbytes, fbytes); err != nil {
 				return false, err
 			}
-			ephemeral[name] = true
+			*made = append(*made, name)
 		}
 		// Previous-level frontier and visited die after this level.
 		ephemeral[d.frontier(level-1, u)] = true

@@ -140,7 +140,7 @@ func (c *ExecContext) releaseMatrix() {
 // RequestBlock leases a block through the task's lease tracker. Executors
 // should prefer this over ctx.Store.RequestBlock: if the executor errors or
 // panics before releasing, the engine abandons the lease — read leases are
-// returned, unpublished write intervals revert to unwritten — so a
+// returned, unpublished write blocks revert to unwritten — so a
 // re-execution of the task can acquire them again.
 func (c *ExecContext) RequestBlock(array string, block int, perm storage.Perm) (*storage.Lease, error) {
 	l, err := c.Store.RequestBlock(array, block, perm)
@@ -199,7 +199,7 @@ type RunSpec struct {
 	// tasks, in-flight executors finish (their leases are released or
 	// abandoned on the usual paths), and Run returns ErrCancelled. A task is
 	// only ever started with all its inputs published, so cancellation at
-	// task granularity cannot strand a reader on an unwritten interval.
+	// task granularity cannot strand a reader on an unwritten block.
 	Cancel <-chan struct{}
 	// Span, when valid, is the causal parent for this run: task spans are
 	// annotated with trace/span/parent IDs and rolled up into per-iteration
@@ -543,7 +543,7 @@ func (r *engineRun) worker(node, lane int) {
 		r.stats.TasksPerNode[node]++
 		if err != nil {
 			// Return the task's unreleased leases before re-execution:
-			// abandoned write intervals revert to unwritten so the retry can
+			// abandoned write blocks revert to unwritten so the retry can
 			// publish them itself.
 			r.mu.Unlock()
 			ctx.reclaim()

@@ -527,7 +527,7 @@ func runIteratedSpMV(sys *System, cfg SpMVConfig, first int, x []float64, opts s
 	// Collect the final vector, then retire it (results live in the caller's
 	// memory; keeping dead generations would defeat the reclamation story).
 	// The result is sized once and each sub-vector decodes straight into its
-	// interval — no per-chunk staging buffers.
+	// place — no per-chunk staging buffers.
 	x = make([]float64, cfg.Dim)
 	for u := 0; u < cfg.K; u++ {
 		name := pcfg.Prefix + spmv.VecArray(cfg.Iters, u)
@@ -583,7 +583,7 @@ func runSegment(sys *System, cfg SpMVConfig, pcfg spmv.ProgramConfig, p sparse.G
 		if x == nil {
 			continue
 		}
-		w, err := owner.Request(pcfg.Prefix+spmv.VecArray(first, u), 0, sz, storage.PermWrite)
+		w, err := owner.RequestBlock(pcfg.Prefix+spmv.VecArray(first, u), 0, storage.PermWrite)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ import (
 // Options tunes a Client's recovery behavior.
 type Options struct {
 	// Timeout bounds each request round trip. Zero disables deadlines —
-	// the default, because a read of a not-yet-written interval legally
+	// the default, because a read of a not-yet-written block legally
 	// blocks server-side for as long as the producer takes.
 	Timeout time.Duration
 	// MaxRetries is how many reconnect-and-replay attempts follow a lost
@@ -73,7 +73,7 @@ type pendingCall struct {
 
 // Client is a compute node's handle on a remote storage server. It is safe
 // for concurrent use; requests are multiplexed over one TCP connection and
-// matched to responses by ID, so a read blocked on an unwritten interval
+// matched to responses by ID, so a read blocked on an unwritten block
 // does not stall other requests. When the connection is lost the client
 // reconnects with backoff and replays in-flight calls: reads are idempotent,
 // and mutations are resolved against the server's immutable-array state
@@ -362,7 +362,7 @@ func (cl *Client) acceptResponse(req *request, resp *response) (*response, error
 		arena.Put(resp.data)
 		if err != nil {
 			cl.metrics.checksumFails.Inc()
-			return nil, fmt.Errorf("remote: %s %q [%d,%d): decoding wire frame: %w", req.Op, req.Array, req.Lo, req.Hi, err)
+			return nil, fmt.Errorf("remote: %s %q: decoding wire frame: %w", req.Op, req.Array, err)
 		}
 		resp.data, resp.Enc = data, false
 	}
@@ -436,20 +436,20 @@ func (cl *Client) call(req *request) (*response, error) {
 // exact: a write that landed is byte-identical on read-back, a create that
 // landed left matching metadata, a delete that landed left nothing.
 // inconclusive means the verification itself hit a transport fault (or
-// found the interval unwritten) and the caller should replay the mutation.
+// found the block unwritten) and the caller should replay the mutation.
 func (cl *Client) resolveReplay(req *request, err error) (resolved, inconclusive bool) {
 	switch req.Op {
 	case opWrite:
 		if !errors.Is(err, storage.ErrImmutable) {
 			return false, false
 		}
-		// Bound the read-back: if the interval is not fully written the
-		// verification read would park server-side forever.
+		// Bound the read-back: if the block is not written the verification
+		// read would park server-side forever.
 		verifyTimeout := cl.opts.Timeout
 		if verifyTimeout <= 0 {
 			verifyTimeout = 500 * time.Millisecond
 		}
-		resp, rerr := cl.roundTrip(&request{Op: opRead, Array: req.Array, Lo: req.Lo, Hi: req.Hi}, verifyTimeout)
+		resp, rerr := cl.roundTrip(&request{Op: opRead, Array: req.Array, Block: req.Block}, verifyTimeout)
 		if rerr != nil {
 			return false, retryable(rerr)
 		}
@@ -488,26 +488,27 @@ func (cl *Client) Delete(name string) error {
 	return err
 }
 
-// ReadInterval fetches [lo, hi) of an array, blocking (server-side) until
-// the interval has been written. The returned bytes are the caller's.
-func (cl *Client) ReadInterval(array string, lo, hi int64) ([]byte, error) {
-	resp, err := cl.call(&request{Op: opRead, Array: array, Lo: lo, Hi: hi})
+// ReadBlock fetches block `block` of an array, blocking (server-side) until
+// the block has been written. The returned bytes are the caller's.
+func (cl *Client) ReadBlock(array string, block int) ([]byte, error) {
+	resp, err := cl.call(&request{Op: opRead, Array: array, Block: block})
 	if err != nil {
 		return nil, err
 	}
 	return heapPayload(resp), nil
 }
 
-// WriteInterval publishes [lo, hi) of an array. The interval must not have
-// been written before (immutability is enforced by the server's store).
-func (cl *Client) WriteInterval(array string, lo, hi int64, data []byte) error {
-	_, err := cl.call(&request{Op: opWrite, Array: array, Lo: lo, Hi: hi, data: data})
+// WriteBlock publishes block `block` of an array; data must be exactly the
+// block's length. The block must not have been written before (immutability
+// is enforced by the server's store).
+func (cl *Client) WriteBlock(array string, block int, data []byte) error {
+	_, err := cl.call(&request{Op: opWrite, Array: array, Block: block, data: data})
 	return err
 }
 
-// Prefetch warms the server-side cache for [lo, hi).
-func (cl *Client) Prefetch(array string, lo, hi int64) error {
-	_, err := cl.call(&request{Op: opPrefetch, Array: array, Lo: lo, Hi: hi})
+// PrefetchBlock warms the server-side cache with one block.
+func (cl *Client) PrefetchBlock(array string, block int) error {
+	_, err := cl.call(&request{Op: opPrefetch, Array: array, Block: block})
 	return err
 }
 
@@ -550,12 +551,7 @@ func (cl *Client) ReadAll(array string) ([]byte, error) {
 	}
 	out := make([]byte, 0, info.Size)
 	for b := 0; b < info.NumBlocks(); b++ {
-		lo := int64(b) * info.BlockSize
-		hi := lo + info.BlockSize
-		if hi > info.Size {
-			hi = info.Size
-		}
-		resp, err := cl.call(&request{Op: opRead, Array: array, Lo: lo, Hi: hi})
+		resp, err := cl.call(&request{Op: opRead, Array: array, Block: b})
 		if err != nil {
 			return nil, err
 		}

@@ -87,10 +87,10 @@ func TestWireCompressionRoundTrip(t *testing.T) {
 			if err := cl.Create("v", int64(len(payload)), int64(len(payload))); err != nil {
 				t.Fatal(err)
 			}
-			if err := cl.WriteInterval("v", 0, int64(len(payload)), payload); err != nil {
+			if err := cl.WriteBlock("v", 0, payload); err != nil {
 				t.Fatal(err)
 			}
-			got, err := cl.ReadInterval("v", 0, int64(len(payload)))
+			got, err := cl.ReadBlock("v", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,10 +119,10 @@ func TestWireCompressionBailsOutOnRandomPayload(t *testing.T) {
 	if err := cl.Create("r", int64(len(payload)), int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("r", 0, int64(len(payload)), payload); err != nil {
+	if err := cl.WriteBlock("r", 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ReadInterval("r", 0, int64(len(payload)))
+	got, err := cl.ReadBlock("r", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +164,10 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 	// A version-3 peer reads hello bit 6 as the proxy registry's.
 	versionThree := append([]byte(nil), hello...)
 	versionThree[5] = 3
+	// A version-4 peer names a byte range where this version reads a block
+	// index: its write of [8,16) would land on block 0.
+	versionFour := append([]byte(nil), hello...)
+	versionFour[5] = 4
 
 	for _, tc := range []struct {
 		name string
@@ -175,6 +179,7 @@ func TestServerDropsPeerWithoutHello(t *testing.T) {
 		{"hello with version 1", append(versionOne, gobFirst.Bytes()...)},
 		{"hello with version 2", append(versionTwo, gobFirst.Bytes()...)},
 		{"hello with version 3", append(versionThree, gobFirst.Bytes()...)},
+		{"hello with version 4", append(versionFour, frameStream(t, nil, &request{ID: 2, Op: opWrite, Array: "smuggled", Lo: 8, Hi: 16, data: make([]byte, 8)})...)},
 		{"hello marker then gob", append([]byte{helloByte}, gobFirst.Bytes()...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,11 +237,11 @@ func TestWireCompressionMetricsReconcile(t *testing.T) {
 	if err := cl.Create("m", int64(len(payload)), int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("m", 0, int64(len(payload)), payload); err != nil {
+	if err := cl.WriteBlock("m", 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := cl.ReadInterval("m", 0, int64(len(payload))); err != nil {
+		if _, err := cl.ReadBlock("m", 0); err != nil {
 			t.Fatal(err)
 		}
 	}

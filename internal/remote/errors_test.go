@@ -85,7 +85,7 @@ func TestRemoteCorruptBlockKeepsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, cl := startServer(t, dir)
-	_, err = cl.ReadInterval("T", 0, int64(len(payload)))
+	_, err = cl.ReadBlock("T", 0)
 	if !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("read of a truncated block: %v, want compress.ErrCorrupt", err)
 	}

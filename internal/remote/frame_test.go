@@ -71,9 +71,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frameStream(f, nil, &request{ID: 1, Op: opCreate, Array: "a", Size: 64, BlockSize: 16}))
 	f.Add(frameStream(f, nil,
-		&request{ID: 2, Op: opWrite, Array: "a", Lo: 0, Hi: 16, data: bytes.Repeat([]byte{7}, 16)},
+		&request{ID: 2, Op: opWrite, Array: "a", data: bytes.Repeat([]byte{7}, 16)},
 		&request{ID: 3, Op: opPeerPut, Array: "b", Block: 1, Epoch: 4, data: wirePayload(3000)}))
-	f.Add(frameStream(f, compress.Default(), &request{ID: 4, Op: opWrite, Array: "c", Hi: 4096, data: wirePayload(4096)}))
+	f.Add(frameStream(f, compress.Default(), &request{ID: 4, Op: opWrite, Array: "c", data: wirePayload(4096)}))
 	var oversized bytes.Buffer
 	if err := gob.NewEncoder(&oversized).Encode(&request{ID: 5, Op: opWrite, Len: maxFramePayload + 1}); err != nil {
 		f.Fatal(err)
@@ -83,6 +83,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameStream(f, nil, &request{ID: 7, Op: 0}, &request{ID: 8, Op: opJobProxy + 1}, &request{ID: 9, Op: 255}))
 	f.Add(frameStream(f, nil, &request{ID: 10, Op: opJobSubmit, Job: &jobWire{Tenant: "a", Iters: 1}},
 		&request{ID: 11, Op: opPeerView, View: &PeerView{From: "n0"}}, &request{ID: 12, Op: opStats}))
+	f.Add(frameStream(f, nil, &request{ID: 13, Op: opRead, Array: "a", Block: 3}))
+	f.Add(frameStream(f, nil, &request{ID: 14, Op: opWrite, Array: "a", Block: 2, data: bytes.Repeat([]byte{5}, 16)}))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		hello := helloFrame(compress.Mask(), compress.Default().ID())
@@ -180,7 +182,7 @@ func TestServerClosesOnOversizedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(&request{ID: 1, Op: opWrite, Array: "a", Hi: 8, Len: maxFramePayload + 1}); err != nil {
+	if err := gob.NewEncoder(&hdr).Encode(&request{ID: 1, Op: opWrite, Array: "a", Len: maxFramePayload + 1}); err != nil {
 		t.Fatal(err)
 	}
 	requests := srv.Requests()
@@ -218,6 +220,11 @@ func TestDialRefusesVersion2Server(t *testing.T) { testDialRefusesVersion(t, 2) 
 // when it has a proxy registry, and its client refuses the proxy verbs to a
 // server that does not; the dial fails at the hello, naming both versions.
 func TestDialRefusesVersion3Server(t *testing.T) { testDialRefusesVersion(t, 3) }
+
+// TestDialRefusesVersion4Server: a version-4 server reads a read, write or
+// prefetch as a byte range, where this version sends a block index; the
+// dial fails at the hello, naming both versions.
+func TestDialRefusesVersion4Server(t *testing.T) { testDialRefusesVersion(t, 4) }
 
 func testDialRefusesVersion(t *testing.T, version byte) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

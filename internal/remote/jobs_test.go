@@ -154,9 +154,10 @@ func TestJobTypedErrorsOverWire(t *testing.T) {
 		t.Fatalf("submit err = %v, want ErrQuotaExceeded", err)
 	}
 
-	// Queue full: occupy the single run slot with a long job, fill the
-	// 1-deep queue, and watch the third submission bounce.
-	long, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 500, Seed: 1})
+	// Queue full: occupy the single run slot with a job that runs until it
+	// is cancelled, fill the 1-deep queue, and watch the third submission
+	// bounce.
+	long, err := cl.SubmitJob(jobs.SolveRequest{Tenant: "a", Iters: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

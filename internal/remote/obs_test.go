@@ -45,14 +45,14 @@ func TestRemoteMetricsReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("ab"), 16)
-	if err := cl.WriteInterval("arr", 0, 32, payload); err != nil {
+	if err := cl.WriteBlock("arr", 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("arr", 32, 64, payload); err != nil {
+	if err := cl.WriteBlock("arr", 1, payload); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := cl.ReadInterval("arr", 0, 32); err != nil {
+		if _, err := cl.ReadBlock("arr", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	// client while Shutdown is draining: the parked reply must still arrive.
 	readDone := make(chan error, 1)
 	go func() {
-		_, err := cl.ReadInterval("arr", 0, 32)
+		_, err := cl.ReadBlock("arr", 0)
 		readDone <- err
 	}()
 	// Give the read time to reach the server and park.
@@ -140,7 +140,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	}()
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		if err := cl2.WriteInterval("arr", 0, 32, bytes.Repeat([]byte("z"), 32)); err != nil {
+		if err := cl2.WriteBlock("arr", 0, bytes.Repeat([]byte("z"), 32)); err != nil {
 			t.Errorf("drain-time write failed: %v", err)
 		}
 	}()

@@ -3,12 +3,13 @@
 // ("Data is streamed from the I/O nodes to the requesting compute nodes
 // using the 4X QDR InfiniBand interconnect"). A server wraps one storage
 // filter (typically scanning an I/O node's scratch directory); clients on
-// other processes read and write intervals of its immutable arrays.
+// other processes read and write blocks of its immutable arrays.
 //
-// The wire protocol is deliberately interval-granular, mirroring the
-// storage layer's lease API: a read round-trip blocks server-side until the
-// interval has been written (the immutable-array discipline travels over
-// the network unchanged), and a write publishes atomically on receipt.
+// The wire protocol is block-granular, mirroring the storage layer's lease
+// API: read, write and prefetch name a block by index, a read round-trip
+// blocks server-side until the block has been written (the immutable-array
+// discipline travels over the network unchanged), and a write publishes
+// atomically on receipt.
 //
 // After the capability hello, every message is one frame: a gob-encoded
 // header (the request or response fields, the payload's length among them)
@@ -56,7 +57,8 @@ import (
 // the payload's length on the wire and Sum its CRC32 (IEEE), both set by the
 // sender; the receiver reads Len bytes and verifies Sum. When Enc is true,
 // the payload is an adaptive compress frame and Len and Sum describe the
-// wire (encoded) bytes.
+// wire (encoded) bytes. Block names the block of read, write, prefetch and
+// evict; Lo and Hi are the byte range of a proxy resolve.
 type request struct {
 	ID              uint64
 	Op              opcode
@@ -128,17 +130,20 @@ type response struct {
 // sides may send compressed payloads the peer's mask admits. There is no
 // plain-gob connection: a server drops a peer whose first bytes are not a
 // well-formed hello of this protocol version, and a client fails the dial
-// when the reply is not one. Version 4 frees the hello's bit 6, which
-// version 3 set for a job service with a proxy registry: every job service
-// now has one, and a version-3 client would refuse the proxy verbs to a
-// server that does not set it. Version 3 added the response's error Code;
+// when the reply is not one. Version 5 names the block of a read, write or
+// prefetch by index (the request's Block) where version 4 sent a byte range
+// (Lo, Hi): a version-4 request would reach this server as block 0. Version 4
+// frees the hello's bit 6, which version 3 set for a job service with a proxy
+// registry: every job service now has one, and a version-3 client would
+// refuse the proxy verbs to a server that does not set it. Version 3 added
+// the response's error Code;
 // version 2 is the same header-then-payload frame without it, so a peer of
 // either would read the other's refusals untyped. Version 1 carried the
 // payload inside the gob message.
 const (
 	helloByte    = 0x00
 	helloLen     = 8
-	protoVersion = 4
+	protoVersion = 5
 
 	// maxFramePayload is the longest payload a frame header may declare:
 	// 1 GiB, gob's own message ceiling on 64-bit platforms and so the
@@ -235,8 +240,8 @@ func payloadSum(data []byte) uint32 {
 // request provides attribution.
 func verifyPayload(req *request, what string, data []byte, sum uint32) error {
 	if got := payloadSum(data); got != sum {
-		return fmt.Errorf("remote: %s %q [%d,%d): %s checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
-			req.Op, req.Array, req.Lo, req.Hi, what, got, sum)
+		return fmt.Errorf("remote: %s %q: %s checksum mismatch (crc %08x, frame says %08x): corrupted in flight",
+			req.Op, req.Array, what, got, sum)
 	}
 	return nil
 }

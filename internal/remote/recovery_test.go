@@ -35,7 +35,7 @@ func TestClientFailsWhenServerDiesMidRequest(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.ReadInterval("never", 0, 8) // parks server-side: never written
+		_, err := cl.ReadBlock("never", 0) // parks server-side: never written
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -61,7 +61,7 @@ func TestClientRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = cl.ReadInterval("slow", 0, 8) // never written: deadline must fire
+	_, err = cl.ReadBlock("slow", 0) // never written: deadline must fire
 	if err == nil {
 		t.Fatal("deadline never fired")
 	}
@@ -113,10 +113,10 @@ func TestClientReconnectsAndReplays(t *testing.T) {
 		if err := cl.Create(name, 64, 32); err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
-		if err := cl.WriteInterval(name, 0, 32, payload[:32]); err != nil {
+		if err := cl.WriteBlock(name, 0, payload[:32]); err != nil {
 			t.Fatalf("write %s lo: %v", name, err)
 		}
-		if err := cl.WriteInterval(name, 32, 64, payload[32:]); err != nil {
+		if err := cl.WriteBlock(name, 1, payload[32:]); err != nil {
 			t.Fatalf("write %s hi: %v", name, err)
 		}
 		payloads[name] = payload
@@ -148,19 +148,19 @@ func TestReplayResolvesLandedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("LANDED!!")
-	if err := cl.WriteInterval("w", 0, 8, payload); err != nil {
+	if err := cl.WriteBlock("w", 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	se := cl.WriteInterval("w", 0, 8, payload)
+	se := cl.WriteBlock("w", 0, payload)
 	if !errors.Is(se, storage.ErrImmutable) {
 		t.Fatalf("second write: %v, want storage.ErrImmutable", se)
 	}
-	resolved, inconclusive := cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, data: payload}, se)
+	resolved, inconclusive := cl.resolveReplay(&request{Op: opWrite, Array: "w", Block: 0, data: payload}, se)
 	if !resolved || inconclusive {
 		t.Fatalf("landed write not resolved: %v %v", resolved, inconclusive)
 	}
 	// Different bytes at the same interval: genuinely conflicting write.
-	resolved, _ = cl.resolveReplay(&request{Op: opWrite, Array: "w", Lo: 0, Hi: 8, data: []byte("DIFFER!!")}, se)
+	resolved, _ = cl.resolveReplay(&request{Op: opWrite, Array: "w", Block: 0, data: []byte("DIFFER!!")}, se)
 	if resolved {
 		t.Fatal("conflicting write wrongly resolved as landed")
 	}
@@ -220,10 +220,10 @@ func TestCorruptionDetectedServerToClient(t *testing.T) {
 	if err := cl.Create("pay", 32, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("pay", 0, 32, bytes.Repeat([]byte{9}, 32)); err != nil {
+	if err := cl.WriteBlock("pay", 0, bytes.Repeat([]byte{9}, 32)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cl.ReadInterval("pay", 0, 32)
+	_, err = cl.ReadBlock("pay", 0)
 	if err == nil {
 		t.Fatal("corrupted payload accepted")
 	}
@@ -260,7 +260,7 @@ func TestCorruptionDetectedClientToServer(t *testing.T) {
 	if err := cl.Create("up", 16, 16); err != nil {
 		t.Fatal(err)
 	}
-	err = cl.WriteInterval("up", 0, 16, bytes.Repeat([]byte{3}, 16))
+	err = cl.WriteBlock("up", 0, bytes.Repeat([]byte{3}, 16))
 	if err == nil {
 		t.Fatal("corrupted write accepted")
 	}
@@ -276,7 +276,7 @@ func TestCorruptionDetectedClientToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	if err := clean.WriteInterval("up", 0, 16, bytes.Repeat([]byte{3}, 16)); err != nil {
+	if err := clean.WriteBlock("up", 0, bytes.Repeat([]byte{3}, 16)); err != nil {
 		t.Fatalf("interval poisoned by rejected corrupt write: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -48,17 +49,17 @@ func TestRemoteCreateWriteRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("xy"), 16) // 32 bytes
-	if err := cl.WriteInterval("arr", 0, 32, payload); err != nil {
+	if err := cl.WriteBlock("arr", 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("arr", 32, 64, payload); err != nil {
+	if err := cl.WriteBlock("arr", 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ReadInterval("arr", 2, 10)
+	got, err := cl.ReadBlock("arr", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload[2:10]) {
+	if !bytes.Equal(got, payload) {
 		t.Fatalf("read %q", got)
 	}
 	all, err := cl.ReadAll("arr")
@@ -75,22 +76,71 @@ func TestRemoteCreateWriteRead(t *testing.T) {
 
 func TestRemoteImmutability(t *testing.T) {
 	_, cl := startServer(t, "")
-	if err := cl.Create("imm", 16, 16); err != nil {
+	if err := cl.Create("imm", 16, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("imm", 0, 8, make([]byte, 8)); err != nil {
+	if err := cl.WriteBlock("imm", 0, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("imm", 4, 12, make([]byte, 8)); err == nil {
-		t.Fatal("overlapping remote write accepted")
+	if err := cl.WriteBlock("imm", 0, make([]byte, 8)); !errors.Is(err, storage.ErrImmutable) {
+		t.Fatalf("remote rewrite: %v, want ErrImmutable", err)
 	}
-	if err := cl.WriteInterval("imm", 8, 16, make([]byte, 4)); err == nil {
-		t.Fatal("short payload accepted")
+	if err := cl.WriteBlock("imm", 1, make([]byte, 8)); err != nil {
+		t.Fatalf("write of the other block: %v", err)
+	}
+}
+
+// TestWriteBlockPayloadMustFitBlock: a write whose payload is shorter or
+// longer than its block is refused, and the block stays unwritten — a
+// parked reader keeps waiting, and the next writer with the right length is
+// granted.
+func TestWriteBlockPayloadMustFitBlock(t *testing.T) {
+	srv, cl := startServer(t, "")
+	if err := cl.Create("fit", 16, 8); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		data, _ := reader.ReadBlock("fit", 1)
+		got <- data
+	}()
+	for _, n := range []int{4, 12} {
+		err := cl.WriteBlock("fit", 1, bytes.Repeat([]byte("x"), n))
+		if err == nil || errors.Is(err, storage.ErrImmutable) {
+			t.Fatalf("%d-byte write of an 8-byte block: %v, want a length refusal", n, err)
+		}
+	}
+	if srv.store.Resident([]storage.BlockRef{{Array: "fit", Block: 1}}, nil)[0] {
+		t.Fatal("a refused write left the block resident")
+	}
+	if used := srv.store.Stats().MemUsed; used != 0 {
+		t.Fatalf("refused writes left %d bytes in memory", used)
+	}
+	select {
+	case data := <-got:
+		t.Fatalf("reader woke with %q after refused writes", data)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := cl.WriteBlock("fit", 1, []byte("RIGHTLEN")); err != nil {
+		t.Fatalf("write after refused ones: %v", err)
+	}
+	select {
+	case data := <-got:
+		if string(data) != "RIGHTLEN" {
+			t.Fatalf("reader saw %q, want the published bytes", data)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader never woke")
 	}
 }
 
 func TestRemoteReadBlocksUntilWritten(t *testing.T) {
-	// Two clients: one reads an unwritten interval (blocking server-side),
+	// Two clients: one reads an unwritten block (blocking server-side),
 	// the other writes it; the read must then complete. This proves the
 	// immutable-array discipline crosses the network, and that a blocked
 	// read does not stall the connection.
@@ -105,7 +155,7 @@ func TestRemoteReadBlocksUntilWritten(t *testing.T) {
 	}
 	got := make(chan []byte, 1)
 	go func() {
-		data, err := reader.ReadInterval("late", 0, 8)
+		data, err := reader.ReadBlock("late", 0)
 		if err != nil {
 			got <- nil
 			return
@@ -122,7 +172,7 @@ func TestRemoteReadBlocksUntilWritten(t *testing.T) {
 	if _, err := reader.Info("late"); err != nil {
 		t.Fatalf("connection stalled by blocked read: %v", err)
 	}
-	if err := writer.WriteInterval("late", 0, 8, []byte("ARRIVED!")); err != nil {
+	if err := writer.WriteBlock("late", 0, []byte("ARRIVED!")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -198,7 +248,7 @@ func TestRemoteConcurrentClients(t *testing.T) {
 				}
 				payload := make([]byte, size)
 				rng.Read(payload)
-				if err := cl.WriteInterval(name, 0, size, payload); err != nil {
+				if err := cl.WriteBlock(name, 0, payload); err != nil {
 					errs <- err
 					return
 				}
@@ -223,7 +273,7 @@ func TestRemoteConcurrentClients(t *testing.T) {
 
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, cl := startServer(t, "")
-	if _, err := cl.ReadInterval("ghost", 0, 8); err == nil {
+	if _, err := cl.ReadBlock("ghost", 0); err == nil {
 		t.Error("read of unknown array succeeded")
 	}
 	if _, err := cl.Info("ghost"); err == nil {
@@ -236,7 +286,7 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	if err := cl.Create("f", 8, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteInterval("f", 0, 8, make([]byte, 8)); err != nil {
+	if err := cl.WriteBlock("f", 0, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Flush("f"); err == nil {
@@ -251,7 +301,7 @@ func TestRemoteClientCloseFailsInflight(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.ReadInterval("never", 0, 8) // blocks: never written
+		_, err := cl.ReadBlock("never", 0) // blocks: never written
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -350,13 +400,13 @@ func BenchmarkRemoteRead(b *testing.B) {
 	if err := cl.Create("big", size, size); err != nil {
 		b.Fatal(err)
 	}
-	if err := cl.WriteInterval("big", 0, size, make([]byte, size)); err != nil {
+	if err := cl.WriteBlock("big", 0, make([]byte, size)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.ReadInterval("big", 0, size); err != nil {
+		if _, err := cl.ReadBlock("big", 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,7 +101,7 @@ func (s *Server) Close() { s.Shutdown(0) }
 
 // Shutdown drains the server gracefully: it stops accepting, waits up to
 // timeout for in-flight requests to finish, then closes the connections.
-// Requests parked on unwritten intervals cannot finish on their own, so the
+// Requests parked on unwritten blocks cannot finish on their own, so the
 // drain is bounded; whatever is still active when the timeout expires is cut
 // off exactly as Close would.
 func (s *Server) Shutdown(timeout time.Duration) {
@@ -200,7 +200,7 @@ func (s *Server) handleConn(c *conn) {
 	// Handlers may block (reads wait for writers), so each request runs in
 	// its own goroutine; the per-connection write lock serializes replies.
 	// Handlers are deliberately NOT waited for on teardown: a read parked on
-	// a never-written interval unblocks only when the interval is written or
+	// a never-written block unblocks only when the block is written or
 	// the underlying store closes (ErrClosed), at which point the handler's
 	// reply to the dead connection is a no-op. Waiting here would deadlock
 	// Server.Close against the storage layer's read-blocks-until-written
@@ -246,7 +246,7 @@ func (s *Server) serve(req *request) *response {
 		data, err := decodePayload(req.data, s.metrics.wire)
 		if err != nil {
 			s.metrics.checksumFails.Inc()
-			return refused(fmt.Errorf("remote: %s %q [%d,%d): decoding wire frame: %w", req.Op, req.Array, req.Lo, req.Hi, err))
+			return refused(fmt.Errorf("remote: %s %q: decoding wire frame: %w", req.Op, req.Array, err))
 		}
 		arena.Put(req.data)
 		req.data, req.Enc = data, false

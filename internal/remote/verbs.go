@@ -78,7 +78,7 @@ type verb struct {
 // verbs is the opcode table, the one place a verb is defined: its name, the
 // role a server must play to serve it, and its handler. Each handler runs in
 // its own goroutine (see Server.handleConn), so a read parked on an unwritten
-// interval or a result wait stalls nothing else.
+// block or a result wait stalls nothing else.
 var verbs = [...]verb{
 	opCreate: {"create", roleStorage, func(s *Server, req *request) (*response, error) {
 		return nil, s.store.Create(req.Array, req.Size, req.BlockSize)
@@ -87,7 +87,7 @@ var verbs = [...]verb{
 		return nil, s.store.Delete(req.Array)
 	}},
 	opRead: {"read", roleStorage, func(s *Server, req *request) (*response, error) {
-		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermRead)
+		lease, err := s.store.RequestBlock(req.Array, req.Block, storage.PermRead)
 		if err != nil {
 			return nil, err
 		}
@@ -96,19 +96,20 @@ var verbs = [...]verb{
 		return &response{data: lease.Data, release: lease.Release}, nil
 	}},
 	opWrite: {"write", roleStorage, func(s *Server, req *request) (*response, error) {
-		if int64(len(req.data)) != req.Hi-req.Lo {
-			return nil, fmt.Errorf("remote: write payload %d bytes for interval [%d,%d)", len(req.data), req.Lo, req.Hi)
-		}
-		lease, err := s.store.Request(req.Array, req.Lo, req.Hi, storage.PermWrite)
+		lease, err := s.store.RequestBlock(req.Array, req.Block, storage.PermWrite)
 		if err != nil {
 			return nil, err
+		}
+		if len(req.data) != len(lease.Data) {
+			lease.Abandon() // the block stays unwritten
+			return nil, fmt.Errorf("remote: write payload %d bytes for %q block %d of %d bytes", len(req.data), req.Array, req.Block, len(lease.Data))
 		}
 		copy(lease.Data, req.data)
 		lease.Release()
 		return nil, nil
 	}},
 	opPrefetch: {"prefetch", roleStorage, func(s *Server, req *request) (*response, error) {
-		s.store.Prefetch(req.Array, req.Lo, req.Hi)
+		s.store.PrefetchBlock(req.Array, req.Block)
 		return nil, nil
 	}},
 	opFlush: {"flush", roleStorage, func(s *Server, req *request) (*response, error) {

@@ -65,8 +65,8 @@ func TestOpcodeTablePinned(t *testing.T) {
 			t.Errorf("opcode %d is outside the table but reads as %q", uint8(op), op)
 		}
 	}
-	if protoVersion != 4 || ClusterCapBit != 1<<7 {
-		t.Errorf("protocol version %d, cluster bit %#x: want 4, 0x80", protoVersion, ClusterCapBit)
+	if protoVersion != 5 || ClusterCapBit != 1<<7 {
+		t.Errorf("protocol version %d, cluster bit %#x: want 5, 0x80", protoVersion, ClusterCapBit)
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 // multiples. Get rounds a request up to the next class, so a buffer above
 // 512 B is never more than 25 % larger than its request. A resident block
 // therefore holds at most 1.25 × the bytes MemoryBudget counts for it.
-// Buffers are NOT zeroed on reuse — every consumer either overwrites its
-// interval fully before publishing (the write-lease discipline) or adopts
-// fully-written block images.
+// Buffers are NOT zeroed on reuse — every consumer either clears a fresh
+// write block (the write-lease discipline) or adopts written block images.
 //
 // The small classes are sync.Pools on the Go heap, and Put files a buffer
 // under the largest class that fits its capacity, so foreign buffers (grown

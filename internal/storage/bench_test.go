@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func BenchmarkLeaseHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := s.Request("hot", 0, 4096, PermRead)
+		l, err := s.RequestBlock("hot", 0, PermRead)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func BenchmarkPeerFetch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := stores[1].Request("remote", 0, size, PermRead)
+		l, err := stores[1].RequestBlock("remote", 0, PermRead)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func BenchmarkOOCReadThrough(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := s.Request("disk", 0, size, PermRead)
+		l, err := s.RequestBlock("disk", 0, PermRead)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func BenchmarkFloat64View(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		l, err := s.Request("view", 0, 8*elems, PermRead)
+		l, err := s.RequestBlock("view", 0, PermRead)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,8 +250,11 @@ func BenchmarkReadBlockFloat64s(b *testing.B) {
 // BenchmarkResidentQuery measures the residency question of one scheduling
 // pick: 8 candidate blocks asked about in one Resident call, on a store
 // holding 16 readable arrays and on one holding 256 (the arrays a node holds
-// at K = 4 and at K = 16). The two alternate in one loop; ns/op is the
-// 256-array store's, and "x-16" is its time over the 16-array store's. A
+// at K = 4 and at K = 16). The two alternate in batches of residentBatch
+// calls, the side that goes first alternating too; ns/op is the 256-array
+// store's mean, and "x-16" is its fastest batch over the 16-array store's
+// fastest. A batch that a busy host preempts is slower, never faster, so the
+// minimum over many batches is what the code costs, whatever else runs. A
 // question costs its candidates, not what else is resident: allocs/op (both
 // calls) must be 0 and x-16 at most 1.25 (`make perf-gate`).
 func BenchmarkResidentQuery(b *testing.B) {
@@ -287,17 +291,33 @@ func BenchmarkResidentQuery(b *testing.B) {
 			}
 		}
 	}
+	batch := func(s *Store, refs []BlockRef, n int) time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			out = s.Resident(refs, out)
+		}
+		return time.Since(start)
+	}
+	n := min(residentBatch, b.N)
+	smallMin, largeMin := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	var largeTime time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
-	var smallTime, largeTime time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		out = small.Resident(smallRefs, out)
-		t1 := time.Now()
-		out = large.Resident(largeRefs, out)
-		smallTime += t1.Sub(t0)
-		largeTime += time.Since(t1)
+	for done, k := 0, 0; done+n <= b.N; done, k = done+n, k+1 {
+		var ts, tl time.Duration
+		if k%2 == 0 {
+			ts, tl = batch(small, smallRefs, n), batch(large, largeRefs, n)
+		} else {
+			tl, ts = batch(large, largeRefs, n), batch(small, smallRefs, n)
+		}
+		smallMin, largeMin = min(smallMin, ts), min(largeMin, tl)
+		largeTime += tl
 	}
-	b.ReportMetric(float64(largeTime)/float64(b.N), "ns/op")
-	b.ReportMetric(float64(largeTime)/float64(smallTime), "x-16")
+	b.ReportMetric(float64(largeTime)/float64(b.N/n*n), "ns/op")
+	b.ReportMetric(float64(largeMin)/float64(smallMin), "x-16")
 }
+
+// residentBatch is BenchmarkResidentQuery's batch: at about a microsecond a
+// call, far shorter than a scheduler time slice, so most batches run
+// unpreempted.
+const residentBatch = 50

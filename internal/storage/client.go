@@ -11,7 +11,7 @@ import (
 // asynchronous message protocol. Any goroutine may call these methods.
 
 // Create declares a new immutable array across the whole storage network.
-// Every byte of the array starts unwritten.
+// Every block of the array starts unwritten.
 func (s *Store) Create(name string, size, blockSize int64) error {
 	// One shared ack channel, sized for every peer, replaces a channel per
 	// peer: the fan-in order does not matter, only that all acks arrive.
@@ -68,21 +68,13 @@ func collectAcks(ack chan error, n int) error {
 	return first
 }
 
-// Request leases the interval [lo, hi) of an array with the given
-// permission, blocking until it can be granted. Read leases block until the
-// interval has been written and is resident; write leases fail on any
-// overlap with already-written data (immutability).
-func (s *Store) Request(array string, lo, hi int64, perm Perm) (*Lease, error) {
-	c := reqPool.Get().(*cmdRequest)
-	c.array, c.lo, c.hi, c.perm = array, lo, hi, perm
-	return s.request(c)
-}
-
-// RequestBlock leases a whole block by index. The span is resolved inside
-// the storage loop, so no metadata round-trip precedes the request.
+// RequestBlock leases a whole block by index with the given permission,
+// blocking until it can be granted. A read lease waits until the block has
+// been written and is resident; a write lease fails with ErrImmutable once
+// the block is written or being written.
 func (s *Store) RequestBlock(array string, block int, perm Perm) (*Lease, error) {
 	c := reqPool.Get().(*cmdRequest)
-	c.array, c.block, c.byBlock, c.perm = array, block, true, perm
+	c.array, c.block, c.perm = array, block, perm
 	return s.request(c)
 }
 
@@ -108,19 +100,11 @@ func (s *Store) request(c *cmdRequest) (*Lease, error) {
 	return res.lease, res.err
 }
 
-// Prefetch asynchronously pulls the blocks covering [lo, hi) toward this
-// node's memory. It never blocks and never fails; a later Request reaps the
-// benefit.
-func (s *Store) Prefetch(array string, lo, hi int64) {
-	c := prefetchPool.Get().(*cmdPrefetch)
-	c.array, c.lo, c.hi = array, lo, hi
-	s.post(c)
-}
-
-// PrefetchBlock prefetches one block by index.
+// PrefetchBlock asynchronously pulls one block toward this node's memory.
+// It never blocks and never fails; a later RequestBlock reaps the benefit.
 func (s *Store) PrefetchBlock(array string, block int) {
 	c := prefetchPool.Get().(*cmdPrefetch)
-	c.array, c.block, c.byBlock = array, block, true
+	c.array, c.block = array, block
 	s.post(c)
 }
 
@@ -227,7 +211,7 @@ func (s *Store) WriteArray(name string, data []byte, blockSize int64) error {
 	info := ArrayInfo{Name: name, Size: int64(len(data)), BlockSize: blockSize}
 	for b := 0; b < info.NumBlocks(); b++ {
 		bs := info.BlockSpan(b)
-		l, err := s.Request(name, bs.Lo, bs.Hi, PermWrite)
+		l, err := s.RequestBlock(name, b, PermWrite)
 		if err != nil {
 			return err
 		}
@@ -239,7 +223,7 @@ func (s *Store) WriteArray(name string, data []byte, blockSize int64) error {
 
 // ReadAll is a convenience that reads an entire array into a fresh slice.
 // The result is sized up front and each block is copied out straight into
-// its interval — one allocation, one copy per block.
+// its place — one allocation, one copy per block.
 func (s *Store) ReadAll(name string) ([]byte, error) {
 	info, err := s.Info(name)
 	if err != nil {
@@ -260,13 +244,13 @@ func (s *Store) ReadAll(name string) ([]byte, error) {
 // under the storage loop; a block durable on this node's scratch is read by
 // an I/O filter straight into dst; neither installs or evicts anything.
 // Anything else — a block on a peer, on its way in, or not yet written —
-// is read through a lease, as Request would, and copied out of it.
+// is read through a lease, as RequestBlock would, and copied out of it.
 func (s *Store) readBlockInto(array string, block int, dst []byte) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("storage: copy of %q block %d into no bytes", array, block)
 	}
 	c := reqPool.Get().(*cmdRequest)
-	c.array, c.block, c.byBlock, c.perm, c.dst = array, block, true, PermRead, dst
+	c.array, c.block, c.perm, c.dst = array, block, PermRead, dst
 	l, err := s.request(c)
 	if l != nil {
 		copy(dst, l.Data)

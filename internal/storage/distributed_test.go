@@ -54,7 +54,7 @@ func TestRemoteReadAfterRemoteWrite(t *testing.T) {
 	if err := stores[0].Create("v", 64, 64); err != nil {
 		t.Fatal(err)
 	}
-	w, err := stores[0].Request("v", 0, 64, PermWrite)
+	w, err := stores[0].RequestBlock("v", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestRemoteReadAfterRemoteWrite(t *testing.T) {
 	w.Release()
 	// Another node reads: the block must be located via probe/home and
 	// fetched.
-	r, err := stores[2].Request("v", 16, 32, PermRead)
+	r, err := stores[2].RequestBlock("v", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(r.Data, bytes.Repeat([]byte("R"), 16)) {
+	if !bytes.Equal(r.Data, bytes.Repeat([]byte("R"), 64)) {
 		t.Fatalf("remote read = %q", r.Data)
 	}
 	r.Release()
@@ -82,7 +82,7 @@ func TestRemoteReadBlocksUntilWritten(t *testing.T) {
 	}
 	got := make(chan []byte, 1)
 	go func() {
-		r, err := stores[1].Request("late", 0, 32, PermRead)
+		r, err := stores[1].RequestBlock("late", 0, PermRead)
 		if err != nil {
 			got <- nil
 			return
@@ -96,7 +96,7 @@ func TestRemoteReadBlocksUntilWritten(t *testing.T) {
 		t.Fatal("read completed before any write")
 	case <-time.After(50 * time.Millisecond):
 	}
-	w, err := stores[2].Request("late", 0, 32, PermWrite)
+	w, err := stores[2].RequestBlock("late", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}

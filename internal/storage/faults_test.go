@@ -305,10 +305,10 @@ func TestAbandonWriteLeaseAllowsRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Create("ab", 16, 16); err != nil {
+	if err := st.Create("ab", 8, 8); err != nil {
 		t.Fatal(err)
 	}
-	l, err := st.Request("ab", 0, 8, PermWrite)
+	l, err := st.RequestBlock("ab", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +319,10 @@ func TestAbandonWriteLeaseAllowsRewrite(t *testing.T) {
 	}
 	l.Abandon() // idempotent
 
-	// A reader must still block: the abandoned interval was never published.
+	// A reader must still block: the abandoned block was never published.
 	read := make(chan []byte, 1)
 	go func() {
-		rl, err := st.Request("ab", 0, 8, PermRead)
+		rl, err := st.RequestBlock("ab", 0, PermRead)
 		if err != nil {
 			read <- nil
 			return
@@ -337,8 +337,8 @@ func TestAbandonWriteLeaseAllowsRewrite(t *testing.T) {
 	case <-time.After(30 * time.Millisecond):
 	}
 
-	// The same interval is writable again — no immutability violation.
-	l2, err := st.Request("ab", 0, 8, PermWrite)
+	// The same block is writable again — no immutability violation.
+	l2, err := st.RequestBlock("ab", 0, PermWrite)
 	if err != nil {
 		t.Fatalf("rewrite after abandon: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestAbandonAfterReleaseIsNoop(t *testing.T) {
 	if err := st.Create("nr", 8, 8); err != nil {
 		t.Fatal(err)
 	}
-	l, err := st.Request("nr", 0, 8, PermWrite)
+	l, err := st.RequestBlock("nr", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}

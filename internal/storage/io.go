@@ -95,7 +95,6 @@ func (p *ioPool) stop() {
 
 // submit queues a job; its completion comes back to the loop as the job.
 func (p *ioPool) submit(j *ioJob) {
-	p.store.metrics.ioQueueDepth.Add(1)
 	p.jobs.put(j)
 }
 
@@ -114,7 +113,6 @@ func (p *ioPool) worker(idx int) {
 			return
 		}
 		j := item.(*ioJob)
-		p.store.metrics.ioQueueDepth.Add(-1)
 		start := time.Now()
 		if j.kind == ioSpill {
 			p.spill(j)

@@ -22,8 +22,8 @@ var ErrUnknownArray = errors.New("storage: unknown array")
 // ErrArrayExists reports a Create of a name the store already holds.
 var ErrArrayExists = errors.New("storage: array already exists")
 
-// ErrImmutable reports a write to an interval that is already written or
-// being written: arrays are immutable.
+// ErrImmutable reports a write to a block that is already written or being
+// written: arrays are immutable.
 var ErrImmutable = errors.New("storage: immutable violation")
 
 // ---- message types ----
@@ -34,15 +34,10 @@ type leaseResult struct {
 }
 
 type cmdRequest struct {
-	array  string
-	lo, hi int64
-	// byBlock requests the whole block by index instead of a byte interval;
-	// the loop resolves the span from the array's metadata, saving the
-	// client an Info round-trip per block request.
-	block   int
-	byBlock bool
-	perm    Perm
-	reply   chan leaseResult
+	array string
+	block int
+	perm  Perm
+	reply chan leaseResult
 	// dst, on a whole-block read, asks for a copy-out instead of a lease:
 	// the block's bytes land in dst and the reply carries no lease — unless
 	// the loop can only get them through one, which the client then copies
@@ -52,7 +47,7 @@ type cmdRequest struct {
 
 type cmdRelease struct {
 	lease *Lease
-	// abandon skips publication of a write lease: the interval reverts to
+	// abandon skips publication of a write lease: the block reverts to
 	// unwritten instead of becoming readable.
 	abandon bool
 }
@@ -73,10 +68,8 @@ var (
 )
 
 type cmdPrefetch struct {
-	array   string
-	lo, hi  int64
-	block   int
-	byBlock bool
+	array string
+	block int
 }
 
 type cmdFlush struct {
@@ -199,22 +192,22 @@ type codecStats struct {
 
 // ---- in-loop state ----
 
-type readWaiter struct {
-	lo, hi int64
-	reply  chan leaseResult
-}
+// blockPhase is where a block stands in its one write.
+type blockPhase uint8
+
+const (
+	unwritten blockPhase = iota
+	writing              // one writer holds the block's write lease
+	written
+)
 
 type blockState struct {
 	buf []byte
-	// written is the immutability record: every byte range ever written.
-	// It never shrinks while the array exists — in particular it survives
-	// eviction, so a rewrite of evicted-but-durable data is still rejected.
-	written intervalSet
-	// resident is the coverage of buf: which ranges currently hold valid
-	// data in memory. Equal to written until an eviction clears it; a
-	// refetch restores it to full.
-	resident       intervalSet
-	writing        []span
+	// phase is the immutability record. Once written, a block stays written
+	// while its array exists — in particular across eviction, so a rewrite
+	// of evicted-but-durable data is still rejected. A written block is
+	// resident when buf is set; a refetch restores it.
+	phase          blockPhase
 	refcnt         int
 	persistedLocal bool
 	remoteBacked   bool
@@ -237,7 +230,7 @@ type blockState struct {
 	// push at a time.
 	shardDurable bool
 	shardPushing bool
-	waiters      []readWaiter
+	waiters      []chan leaseResult
 	lastUse      int64
 	loadTick     int64 // when buf was (re)allocated, for FIFO eviction
 	// check is what Config.VerifyBlock or a lease's Vouch vouched for in
@@ -313,12 +306,11 @@ func (s *Store) setBuf(st *loopState, b *blockState, buf []byte) {
 	s.metrics.memUsed.Set(st.resident)
 }
 
-// readable reports whether the block, whose span is bs, is resident: its
-// buffer holds all of it. It is the loop's one definition of resident: what
-// Store.Resident answers, a peer is served from, a flush spills and a
-// prefetch need not fetch.
-func (b *blockState) readable(bs span) bool {
-	return b.buf != nil && b.resident.full(bs.Hi-bs.Lo)
+// readable reports whether the block is written and resident. It is the
+// loop's one definition of resident: what Store.Resident answers, a peer is
+// served from, a flush spills and a prefetch need not fetch.
+func (b *blockState) readable() bool {
+	return b.buf != nil && b.phase == written
 }
 
 // reserve re-derives whether block bi's bytes are spoken for: under a lease
@@ -388,7 +380,7 @@ func (s *Store) dispatch(st *loopState, m any) {
 			m.out[i] = false
 			if ast, ok := st.arrays[r.Array]; ok {
 				b, ok := ast.blocks[r.Block]
-				m.out[i] = ok && b.readable(ast.info.BlockSpan(r.Block))
+				m.out[i] = ok && b.readable()
 			}
 		}
 		m.done <- struct{}{}
@@ -456,7 +448,7 @@ func (s *Store) teardown(st *loopState) {
 	for _, ast := range st.arrays {
 		for bi, b := range ast.blocks {
 			for _, w := range b.waiters {
-				w.reply <- leaseResult{err: ErrClosed}
+				w <- leaseResult{err: ErrClosed}
 			}
 			b.waiters = nil
 			switch {
@@ -504,12 +496,7 @@ func (s *Store) newBlockState() *blockState {
 // recycled.
 func (s *Store) recycleBlockState(b *blockState) {
 	clear(b.waiters)
-	*b = blockState{
-		written:  intervalSet{spans: b.written.spans[:0]},
-		resident: intervalSet{spans: b.resident.spans[:0]},
-		writing:  b.writing[:0],
-		waiters:  b.waiters[:0],
-	}
+	*b = blockState{waiters: b.waiters[:0]}
 	s.blockFree = append(s.blockFree, b)
 }
 
@@ -573,7 +560,7 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	// Fail any read waiters (data will never arrive).
 	for _, b := range ast.blocks {
 		for _, w := range b.waiters {
-			w.reply <- leaseResult{err: fmt.Errorf("storage: array %q deleted", name)}
+			w <- leaseResult{err: fmt.Errorf("storage: array %q deleted", name)}
 		}
 	}
 	if ast.quota != nil {
@@ -668,34 +655,21 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 		c.reply <- leaseResult{err: fmt.Errorf("%w %q", ErrUnknownArray, c.array)}
 		return
 	}
-	if c.byBlock {
-		bs := ast.info.BlockSpan(c.block)
-		if bs.empty() {
-			c.reply <- leaseResult{err: fmt.Errorf("storage: block %d out of array %q", c.block, c.array)}
-			return
-		}
-		c.lo, c.hi = bs.Lo, bs.Hi
-	}
-	if c.lo < 0 || c.hi > ast.info.Size || c.lo >= c.hi {
-		c.reply <- leaseResult{err: fmt.Errorf("storage: interval [%d,%d) out of array %q size %d", c.lo, c.hi, c.array, ast.info.Size)}
+	if !ast.info.hasBlock(c.block) {
+		c.reply <- leaseResult{err: fmt.Errorf("storage: block %d out of array %q (%d blocks)", c.block, c.array, ast.info.NumBlocks())}
 		return
 	}
-	bi := ast.info.BlockOf(c.lo)
-	if ast.info.BlockOf(c.hi-1) != bi {
-		c.reply <- leaseResult{err: fmt.Errorf("storage: interval [%d,%d) spans blocks (block size %d); use one interval per block", c.lo, c.hi, ast.info.BlockSize)}
-		return
-	}
+	bi := c.block
 	b := s.getBlock(ast, bi)
-	want := span{c.lo, c.hi}
 	switch c.perm {
 	case PermWrite:
-		s.grantWrite(st, ast, bi, b, want, c.reply)
+		s.grantWrite(st, ast, bi, b, c.reply)
 	case PermRead:
-		if c.dst != nil && int64(len(c.dst)) != c.hi-c.lo {
-			c.reply <- leaseResult{err: fmt.Errorf("storage: copy of %q block %d (%d bytes) into %d bytes", c.array, bi, c.hi-c.lo, len(c.dst))}
+		if bs := ast.info.BlockSpan(bi); c.dst != nil && int64(len(c.dst)) != bs.Hi-bs.Lo {
+			c.reply <- leaseResult{err: fmt.Errorf("storage: copy of %q block %d (%d bytes) into %d bytes", c.array, bi, bs.Hi-bs.Lo, len(c.dst))}
 			return
 		}
-		if b.buf != nil && b.resident.covers(relSpan(ast.info, bi, want)) {
+		if b.readable() {
 			st.stats.Hits++
 			s.metrics.hits.Inc()
 			if b.prefetched {
@@ -707,7 +681,7 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 				c.reply <- leaseResult{}
 				return
 			}
-			c.reply <- leaseResult{lease: s.makeLease(st, c.array, bi, ast, b, want, PermRead)}
+			c.reply <- leaseResult{lease: s.makeLease(st, ast, bi, b, PermRead)}
 			return
 		}
 		st.stats.Misses++
@@ -715,7 +689,7 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 		if c.dst != nil && s.copyOutDurable(st, ast, bi, b, c.dst, c.reply) {
 			return
 		}
-		b.waiters = append(b.waiters, readWaiter{lo: c.lo, hi: c.hi, reply: c.reply})
+		b.waiters = append(b.waiters, c.reply)
 		s.ensureBlockData(st, ast, bi, b)
 	default:
 		c.reply <- leaseResult{err: fmt.Errorf("storage: invalid permission %v", c.perm)}
@@ -738,7 +712,7 @@ func (s *Store) copyResident(st *loopState, ast *arrayState, bi int, b *blockSta
 // straight into dst: no buffer, no install, no eviction, no directory
 // update. The reply goes out when the loop sees the read land.
 func (s *Store) copyOutDurable(st *loopState, ast *arrayState, bi int, b *blockState, dst []byte, reply chan leaseResult) bool {
-	if s.cfg.ScratchDir == "" || b.fetching || b.probing || len(b.writing) > 0 ||
+	if s.cfg.ScratchDir == "" || b.fetching || b.probing || b.phase == writing ||
 		!(b.persistedLocal || ast.diskNodes[s.cfg.NodeID]) {
 		return false
 	}
@@ -773,51 +747,25 @@ func (s *Store) newIOJob(kind ioKind, ast *arrayState, bi int) *ioJob {
 	return j
 }
 
-// relSpan converts a global interval to block-relative coordinates.
-func relSpan(info ArrayInfo, bi int, gs span) span {
-	base := info.BlockSpan(bi).Lo
-	return span{gs.Lo - base, gs.Hi - base}
-}
-
-func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState, want span, reply chan leaseResult) {
-	rs := relSpan(ast.info, bi, want)
-	if b.written.covers(rs) || b.overlapsAny(rs) {
-		reply <- leaseResult{err: fmt.Errorf("%w: %q[%d,%d) already written or being written", ErrImmutable, ast.info.Name, want.Lo, want.Hi)}
+func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState, reply chan leaseResult) {
+	if b.phase != unwritten {
+		reply <- leaseResult{err: fmt.Errorf("%w: %q block %d already written or being written", ErrImmutable, ast.info.Name, bi)}
 		return
 	}
-	// Also reject partial overlap with written spans.
-	for _, w := range b.written.spans {
-		if w.overlaps(rs) {
-			reply <- leaseResult{err: fmt.Errorf("%w: %q[%d,%d) overlaps written data", ErrImmutable, ast.info.Name, want.Lo, want.Hi)}
-			return
-		}
-	}
-	if b.buf == nil {
-		bs := ast.info.BlockSpan(bi)
-		s.setBuf(st, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
-		// Recycled buffers carry stale bytes; a fresh write block must start
-		// from zeroes (the abandon path and partial writers rely on it).
-		clear(b.buf)
-		st.tick++
-		b.loadTick = st.tick
-		s.reclaim(st, ast.info.Name, bi)
-		s.reclaimQuota(st, ast.quota, ast.info.Name, bi)
-	}
-	b.writing = append(b.writing, rs)
-	reply <- leaseResult{lease: s.makeLease(st, ast.info.Name, bi, ast, b, want, PermWrite)}
+	// An unwritten block holds no buffer. Recycled buffers carry stale
+	// bytes; a write block starts from zeroes.
+	bs := ast.info.BlockSpan(bi)
+	s.setBuf(st, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
+	clear(b.buf)
+	st.tick++
+	b.loadTick = st.tick
+	s.reclaim(st, ast.info.Name, bi)
+	s.reclaimQuota(st, ast.quota, ast.info.Name, bi)
+	b.phase = writing
+	reply <- leaseResult{lease: s.makeLease(st, ast, bi, b, PermWrite)}
 }
 
-func (b *blockState) overlapsAny(rs span) bool {
-	for _, w := range b.writing {
-		if w.overlaps(rs) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, b *blockState, want span, perm Perm) *Lease {
-	rs := relSpan(ast.info, bi, want)
+func (s *Store) makeLease(st *loopState, ast *arrayState, bi int, b *blockState, perm Perm) *Lease {
 	b.refcnt++
 	b.prefetched = false // the first lease on the block spends the prefetch
 	st.reserve(ast.info, bi, b)
@@ -829,15 +777,13 @@ func (s *Store) makeLease(st *loopState, array string, bi int, ast *arrayState, 
 	}
 	return &Lease{
 		store:    s,
-		Array:    array,
+		Array:    ast.info.Name,
+		Block:    bi,
 		Perm:     perm,
-		Lo:       want.Lo,
-		Hi:       want.Hi,
-		Data:     b.buf[rs.Lo:rs.Hi],
+		Data:     b.buf,
 		CRC:      crc,
 		Verified: b.check.ok,
 		Vouched:  b.content.ok && b.content.crc == crc,
-		block:    bi,
 	}
 }
 
@@ -847,68 +793,49 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 	if !ok {
 		return // array deleted with lease outstanding; nothing to update
 	}
-	b, ok := ast.blocks[l.block]
+	b, ok := ast.blocks[l.Block]
 	if !ok {
 		return
 	}
 	b.refcnt--
-	st.reserve(ast.info, l.block, b)
+	st.reserve(ast.info, l.Block, b)
 	st.tick++
 	b.lastUse = st.tick
-	if l.vouch.ok && l.Perm == PermRead && !c.abandon && ast.info.BlockSpan(l.block) == (span{l.Lo, l.Hi}) {
+	if l.vouch.ok && l.Perm == PermRead && !c.abandon {
 		b.check, b.content = l.vouch, l.vouch
 	}
-	if l.Perm == PermWrite {
-		rs := relSpan(ast.info, l.block, span{l.Lo, l.Hi})
-		for i, w := range b.writing {
-			if w == rs {
-				b.writing = append(b.writing[:i], b.writing[i+1:]...)
-				break
-			}
+	switch {
+	case l.Perm == PermWrite && c.abandon:
+		// The writer failed before filling the block: leave it unwritten so
+		// a re-executed task can lease it again, and give its buffer back —
+		// the next writer gets a cleared one, and waiters keep blocking
+		// until a write publishes. A block a fetch installed meanwhile is
+		// written and stays.
+		if b.phase == writing {
+			b.phase = unwritten
+			sharedArena.Put(b.buf)
+			s.setBuf(st, b, nil)
 		}
-		if c.abandon {
-			// The writer failed before filling the interval: leave it
-			// unwritten so a re-executed task can lease it again. Clear the
-			// buffer bytes — the next writer starts from zeroes, and waiters
-			// keep blocking until a successful write publishes.
-			for i := rs.Lo; i < rs.Hi; i++ {
-				b.buf[i] = 0
-			}
-			s.reclaim(st, "", -1)
-			return
-		}
-		if err := b.written.add(rs); err != nil {
-			// Cannot happen: the span was validated at grant time.
-			panic(fmt.Sprintf("storage: release bookkeeping: %v", err))
-		}
-		if err := b.resident.add(rs); err != nil {
-			panic(fmt.Sprintf("storage: residency bookkeeping: %v", err))
-		}
-		s.wakeWaiters(st, ast, l.block, b)
-		if b.readable(ast.info.BlockSpan(l.block)) {
-			s.tellHome(st, msgNotify{array: l.Array, block: l.block, node: s.cfg.NodeID})
-		}
-		s.maybeShardPush(st, ast, l.block, b)
+	case l.Perm == PermWrite:
+		b.phase = written
+		s.wakeWaiters(st, ast, l.Block, b)
+		s.tellHome(st, msgNotify{array: l.Array, block: l.Block, node: s.cfg.NodeID})
+		s.maybeShardPush(st, ast, l.Block, b)
 	}
 	s.reclaim(st, "", -1)
 	s.reclaimQuota(st, ast.quota, "", -1)
 }
 
-// wakeWaiters grants read waiters whose intervals are now covered.
+// wakeWaiters grants every read waiter once the block is readable.
 func (s *Store) wakeWaiters(st *loopState, ast *arrayState, bi int, b *blockState) {
-	if b.buf == nil {
+	if !b.readable() {
 		return
 	}
-	var rest []readWaiter
 	for _, w := range b.waiters {
-		ws := span{w.lo, w.hi}
-		if b.resident.covers(relSpan(ast.info, bi, ws)) {
-			w.reply <- leaseResult{lease: s.makeLease(st, ast.info.Name, bi, ast, b, ws, PermRead)}
-		} else {
-			rest = append(rest, w)
-		}
+		w <- leaseResult{lease: s.makeLease(st, ast, bi, b, PermRead)}
 	}
-	b.waiters = rest
+	clear(b.waiters)
+	b.waiters = b.waiters[:0]
 }
 
 // ---- data movement ----
@@ -919,11 +846,10 @@ func (s *Store) ensureBlockData(st *loopState, ast *arrayState, bi int, b *block
 	if b.fetching || b.probing {
 		return
 	}
-	// A local writer holds an unreleased lease covering part of this block;
-	// the release will wake waiters. (If the writer never covers the waited
-	// interval the request legitimately blocks forever — same semantics as
-	// the paper's "can not be read before being written".)
-	if len(b.writing) > 0 {
+	// A local writer holds the block's write lease; its release wakes the
+	// waiters, and an abandon leaves them waiting for the next writer (the
+	// paper's "can not be read before being written").
+	if b.phase == writing {
 		return
 	}
 	s.startFetch(st, ast, bi, b)
@@ -1024,7 +950,7 @@ func (s *Store) newQueryReply(array string, block int, kind queryKind) *msgQuery
 func (s *Store) handleQuery(st *loopState, m msgQuery) {
 	ast, ok := st.arrays[m.array]
 	if ok {
-		if b, has := ast.blocks[m.block]; has && b.readable(ast.info.BlockSpan(m.block)) {
+		if b, has := ast.blocks[m.block]; has && b.readable() {
 			reply := s.newQueryReply(m.array, m.block, m.kind)
 			reply.outcome = replyData
 			reply.data = sharedArena.Get(len(b.buf))
@@ -1037,10 +963,10 @@ func (s *Store) handleQuery(st *loopState, m msgQuery) {
 		// Not resident but durable here — on local scratch, or on the shard
 		// tier, which only this node knows it pushed the block to: serve via
 		// an implicit read, then forward (the paper's storage reads from its
-		// file system implicitly when a non-resident interval is requested).
+		// file system implicitly when a non-resident block is requested).
 		if ast.diskNodes[s.cfg.NodeID] || blockDurable(ast, m.block) {
 			b := s.getBlock(ast, m.block)
-			b.waiters = append(b.waiters, readWaiter{lo: ast.info.BlockSpan(m.block).Lo, hi: ast.info.BlockSpan(m.block).Hi, reply: s.forwardOnLoad(m)})
+			b.waiters = append(b.waiters, s.forwardOnLoad(m))
 			s.ensureBlockData(st, ast, m.block, b)
 			return
 		}
@@ -1197,19 +1123,16 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 	bs := ast.info.BlockSpan(bi)
 	if int64(len(data)) != bs.Hi-bs.Lo {
 		for _, w := range b.waiters {
-			w.reply <- leaseResult{err: fmt.Errorf("storage: block %s[%d] has %d bytes, want %d", ast.info.Name, bi, len(data), bs.Hi-bs.Lo)}
+			w <- leaseResult{err: fmt.Errorf("storage: block %s[%d] has %d bytes, want %d", ast.info.Name, bi, len(data), bs.Hi-bs.Lo)}
 		}
 		b.waiters = nil
 		sharedArena.Put(data)
 		return
 	}
-	if b.buf != nil {
-		// A stale resident buffer (e.g. a partially-written block superseded
-		// by a complete remote copy) is replaced; recycle it. refcnt must be
-		// zero here — fetches are only started when no lease pins the block.
-		if b.refcnt == 0 {
-			sharedArena.Put(b.buf)
-		}
+	if b.buf != nil && b.refcnt == 0 {
+		// A stale buffer (an abandoned write's zeroes) is replaced; recycle
+		// it. A leased one stays with its lease.
+		sharedArena.Put(b.buf)
 	}
 	s.setBuf(st, b, data)
 	b.check = check
@@ -1218,17 +1141,8 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
 	st.stats.BlockLoads++
 	s.metrics.blockLoads.Inc()
-	// A durable or remote copy is by definition fully written; restore both
-	// the residency coverage and the immutability record to full (keeping
-	// the span backing — this runs on every block load).
-	b.resident.spans = b.resident.spans[:0]
-	if err := b.resident.add(span{0, int64(len(data))}); err != nil {
-		panic(err)
-	}
-	b.written.spans = b.written.spans[:0]
-	if err := b.written.add(span{0, int64(len(data))}); err != nil {
-		panic(err)
-	}
+	// A durable or remote copy is by definition written.
+	b.phase = written
 	b.remoteBacked = b.remoteBacked || remoteBacked
 	b.persistedLocal = b.persistedLocal || persisted
 	s.wakeWaiters(st, ast, bi, b)
@@ -1283,7 +1197,7 @@ func (s *Store) collectVictims(st *loopState, protectArray string, protectBlock 
 			if name == protectArray && idx == protectBlock {
 				continue
 			}
-			if b.buf == nil || b.refcnt > 0 || b.fetching || b.flushing || len(b.waiters) > 0 || len(b.writing) > 0 {
+			if b.buf == nil || b.refcnt > 0 || b.fetching || b.flushing || len(b.waiters) > 0 {
 				continue
 			}
 			if !s.copiedElsewhere(ast, b) {
@@ -1331,11 +1245,10 @@ func (v victimSlice) Less(i, j int) bool {
 // dropBlock releases a block's buffer and retracts this node from the
 // block's directory entry. Callers account the eviction.
 func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState) {
-	// Eviction preconditions (no leases, waiters, writers, or I/O in flight)
-	// mean nothing aliases buf; recycle it.
+	// Eviction preconditions (no leases, waiters, or I/O in flight) mean
+	// nothing aliases buf; recycle it. A written block stays written.
 	sharedArena.Put(b.buf)
 	s.setBuf(st, b, nil)
-	b.resident.spans = b.resident.spans[:0]
 	b.prefetched = false
 	st.reserve(ast.info, idx, b)
 	s.tellHome(st, msgNotify{array: ast.info.Name, block: idx, node: s.cfg.NodeID, gone: true})
@@ -1364,7 +1277,7 @@ func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 	if b.refcnt > 0 {
 		return fmt.Errorf("storage: %q block %d is leased", m.array, m.block)
 	}
-	if b.fetching || b.flushing || len(b.waiters) > 0 || len(b.writing) > 0 {
+	if b.fetching || b.flushing || len(b.waiters) > 0 {
 		return fmt.Errorf("storage: %q block %d has activity in flight", m.array, m.block)
 	}
 	if !s.copiedElsewhere(ast, b) {
@@ -1391,39 +1304,27 @@ func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 	if !ok {
 		return
 	}
-	if c.byBlock {
-		bs := ast.info.BlockSpan(c.block)
-		if bs.empty() {
-			return
-		}
-		c.lo, c.hi = bs.Lo, bs.Hi
-	}
-	if c.lo < 0 || c.hi > ast.info.Size || c.lo >= c.hi {
+	if !ast.info.hasBlock(c.block) {
 		return
 	}
 	st.stats.PrefetchIssued++
 	s.metrics.prefetchIssued.Inc()
-	first := ast.info.BlockOf(c.lo)
-	last := ast.info.BlockOf(c.hi - 1)
-	for bi := first; bi <= last; bi++ {
-		b := s.getBlock(ast, bi)
-		bs := ast.info.BlockSpan(bi)
-		// Already resident, or already on its way (a block in flight from a
-		// demand miss stays a plain miss): nothing to start, nothing to credit.
-		if b.readable(bs) || b.fetching || b.probing {
-			continue
-		}
-		if st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
-			st.stats.PrefetchDeferred++
-			s.metrics.prefetchDeferred.Inc()
-			continue
-		}
-		s.ensureBlockData(st, ast, bi, b)
-		if b.fetching || b.probing {
-			b.prefetched = true // reserved already: it is in flight
-			st.stats.PrefetchLoads++
-			s.metrics.prefetchLoads.Inc()
-		}
+	b := s.getBlock(ast, c.block)
+	// Already resident, or already on its way (a block in flight from a
+	// demand miss stays a plain miss): nothing to start, nothing to credit.
+	if b.readable() || b.fetching || b.probing {
+		return
+	}
+	if bs := ast.info.BlockSpan(c.block); st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
+		st.stats.PrefetchDeferred++
+		s.metrics.prefetchDeferred.Inc()
+		return
+	}
+	s.ensureBlockData(st, ast, c.block, b)
+	if b.fetching || b.probing {
+		b.prefetched = true // reserved already: it is in flight
+		st.stats.PrefetchLoads++
+		s.metrics.prefetchLoads.Inc()
 	}
 }
 
@@ -1459,7 +1360,7 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 		var pending int64
 		for idx, b := range ast.blocks {
 			bs := ast.info.BlockSpan(idx)
-			if b.persistedLocal || !b.readable(bs) {
+			if b.persistedLocal || !b.readable() {
 				continue
 			}
 			pending += bs.Hi - bs.Lo
@@ -1477,7 +1378,7 @@ func (s *Store) handleFlush(st *loopState, c cmdFlush) {
 	}
 	fs := &flushState{reply: c.reply}
 	for idx, b := range ast.blocks {
-		if b.persistedLocal || !b.readable(ast.info.BlockSpan(idx)) {
+		if b.persistedLocal || !b.readable() {
 			continue
 		}
 		b.flushing = true
@@ -1564,7 +1465,7 @@ func (s *Store) handleIODone(st *loopState, m *ioJob) {
 		// The I/O filter already attributed the error (array, block, path,
 		// offset, attempts); pass it through.
 		for _, w := range b.waiters {
-			w.reply <- leaseResult{err: m.err}
+			w <- leaseResult{err: m.err}
 		}
 		b.waiters = nil
 		return

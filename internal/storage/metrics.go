@@ -38,7 +38,6 @@ type storeMetrics struct {
 	shardFetchBytes *obs.Counter
 
 	memUsed              *obs.Gauge
-	ioQueueDepth         *obs.Gauge
 	compressRatioPercent *obs.Gauge
 
 	leaseWait      *obs.Histogram
@@ -130,8 +129,7 @@ func newStoreMetrics(cfg *Config) storeMetrics {
 		peerBytes:        reg.Counter("dooc_storage_peer_fetch_bytes_total", "bytes fetched from peer stores", l),
 		ioRetries:        reg.Counter("dooc_storage_io_retries_total", "transient disk errors survived by the retry policy", l),
 
-		memUsed:      reg.Gauge("dooc_storage_mem_used_bytes", "resident block bytes", l),
-		ioQueueDepth: reg.Gauge("dooc_storage_io_queue_depth", "jobs queued for the asynchronous I/O filters", l),
+		memUsed: reg.Gauge("dooc_storage_mem_used_bytes", "resident block bytes", l),
 
 		leaseWait:      reg.Histogram("dooc_storage_lease_wait_seconds", "time from lease request to grant", nil, l),
 		ioReadSeconds:  reg.Histogram("dooc_storage_io_read_seconds", "block read latency incl. retries", nil, l),

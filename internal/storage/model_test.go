@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,10 +15,10 @@ import (
 )
 
 // Model-based property test: a random sequence of storage operations is
-// checked against a trivial in-memory oracle. The storage layer may cache,
-// evict, flush, and fetch however it likes — every read, through a lease or
-// a copy-out, must still return exactly the bytes the oracle says were
-// written.
+// checked against a trivial in-memory oracle: each block is unwritten, being
+// written or written. The storage layer may cache, evict, flush, and fetch
+// however it likes — every read, through a lease or a copy-out, must still
+// return exactly the bytes the oracle says were written.
 
 // accountingError recomputes what the loop keeps incrementally from its
 // definition by a full walk — the walk the bookkeeping replaced — and reports
@@ -26,7 +27,8 @@ import (
 // unread, and each block's cached reserved flag against the same definition.
 // It also checks the heap a resident block costs beyond what the budget
 // counts: a buffer of at least the arena's smallest class has at most a
-// quarter more capacity than length.
+// quarter more capacity than length. A block being written has its buffer
+// and its writer's lease; an unwritten block holds no buffer.
 func accountingError(st *loopState) error {
 	var resident, reserved int64
 	for name, ast := range st.arrays {
@@ -47,6 +49,12 @@ func accountingError(st *loopState) error {
 			if b.refcnt > 0 && b.prefetched {
 				return fmt.Errorf("%s[%d]: leased and still marked prefetched-unread", name, idx)
 			}
+			if b.phase == writing && (b.buf == nil || b.refcnt == 0) {
+				return fmt.Errorf("%s[%d]: being written without a buffer or a lease (refcnt %d)", name, idx, b.refcnt)
+			}
+			if b.phase == unwritten && b.buf != nil {
+				return fmt.Errorf("%s[%d]: unwritten and holding %d bytes", name, idx, len(b.buf))
+			}
 		}
 	}
 	if st.resident != resident {
@@ -60,7 +68,7 @@ func accountingError(st *loopState) error {
 
 // residentError answers a Resident question through the loop's dispatch and
 // holds every answer to the same full walk, not to the loop's lookup: a
-// block is resident when it has a buffer that holds all of it. The caller's
+// block is resident when it is written and has a buffer. The caller's
 // done is signalled only after the check, so the answers are read while the
 // asker still waits.
 func residentError(s *Store, st *loopState, q *cmdResident) error {
@@ -73,8 +81,8 @@ func residentError(s *Store, st *loopState, q *cmdResident) error {
 		want := false
 		for name, ast := range st.arrays {
 			for idx, b := range ast.blocks {
-				if bs := ast.info.BlockSpan(idx); name == r.Array && idx == r.Block {
-					want = b.buf != nil && b.resident.full(bs.Hi-bs.Lo)
+				if name == r.Array && idx == r.Block {
+					want = b.buf != nil && b.phase == written
 				}
 			}
 		}
@@ -128,77 +136,46 @@ func newCheckedLocal(t *testing.T, cfg Config) *Store {
 	return s
 }
 
-// cellBytes is the granularity of the modeled intervals.
-const cellBytes = 16
-
 // modelArray is the oracle's view of one array.
 type modelArray struct {
-	info    ArrayInfo
-	data    []byte
-	written []bool // per cell
+	info  ArrayInfo
+	data  []byte
+	phase []blockPhase
+	// open holds the write lease of each block being written.
+	open map[int]*Lease
 }
 
-func (ma *modelArray) cellsPerBlock() int { return int(ma.info.BlockSize) / cellBytes }
-
-// randomUnwrittenRun picks a run of unwritten cells inside one block.
-func (ma *modelArray) randomUnwrittenRun(rng *rand.Rand) (lo, hi int64, ok bool) {
-	blocks := ma.info.NumBlocks()
+// randomBlock picks a block of the array in phase want.
+func (ma *modelArray) randomBlock(rng *rand.Rand, want blockPhase) (int, bool) {
 	for attempt := 0; attempt < 8; attempt++ {
-		b := rng.Intn(blocks)
-		cpb := ma.cellsPerBlock()
-		start := b*cpb + rng.Intn(cpb)
-		if ma.written[start] {
-			continue
-		}
-		end := start
-		maxEnd := (b + 1) * cpb
-		for end+1 < maxEnd && !ma.written[end+1] && rng.Intn(3) > 0 {
-			end++
-		}
-		return int64(start) * cellBytes, int64(end+1) * cellBytes, true
-	}
-	return 0, 0, false
-}
-
-// randomWrittenRun picks a run of written cells inside one block.
-func (ma *modelArray) randomWrittenRun(rng *rand.Rand) (lo, hi int64, ok bool) {
-	blocks := ma.info.NumBlocks()
-	for attempt := 0; attempt < 8; attempt++ {
-		b := rng.Intn(blocks)
-		cpb := ma.cellsPerBlock()
-		start := b*cpb + rng.Intn(cpb)
-		if !ma.written[start] {
-			continue
-		}
-		end := start
-		maxEnd := (b + 1) * cpb
-		for end+1 < maxEnd && ma.written[end+1] && rng.Intn(3) > 0 {
-			end++
-		}
-		return int64(start) * cellBytes, int64(end+1) * cellBytes, true
-	}
-	return 0, 0, false
-}
-
-// fullBlock reports whether every cell of block b has been written.
-func (ma *modelArray) fullBlock(b int) bool {
-	bs := ma.info.BlockSpan(b)
-	for c := bs.Lo / cellBytes; c < bs.Hi/cellBytes; c++ {
-		if !ma.written[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// randomFullBlock picks a fully written block of the array.
-func (ma *modelArray) randomFullBlock(rng *rand.Rand) (int, bool) {
-	for attempt := 0; attempt < 8; attempt++ {
-		if b := rng.Intn(ma.info.NumBlocks()); ma.fullBlock(b) {
+		if b := rng.Intn(ma.info.NumBlocks()); ma.phase[b] == want {
 			return b, true
 		}
 	}
 	return 0, false
+}
+
+// finish ends the open write of block b: it publishes the lease's bytes, or
+// abandons them and the block is unwritten again.
+func (ma *modelArray) finish(b int, abandon bool) {
+	l := ma.open[b]
+	delete(ma.open, b)
+	if abandon {
+		l.Abandon()
+		ma.phase[b] = unwritten
+		return
+	}
+	bs := ma.info.BlockSpan(b)
+	copy(ma.data[bs.Lo:bs.Hi], l.Data)
+	l.Release()
+	ma.phase[b] = written
+}
+
+// publishAll publishes every open write of the array.
+func (ma *modelArray) publishAll() {
+	for b := range ma.open {
+		ma.finish(b, false)
+	}
 }
 
 func TestStorageAgainstOracle(t *testing.T) {
@@ -235,12 +212,12 @@ func TestStorageAgainstOracle(t *testing.T) {
 		var answers []bool
 		const ops = 160
 		for op := 0; op < ops; op++ {
-			switch choice := rng.Intn(17); {
+			switch choice := rng.Intn(18); {
 			case choice == 0 || len(names) == 0: // create
 				name := fmt.Sprintf("m%d", created)
 				created++
 				blocks := 1 + rng.Intn(3)
-				blockSize := int64(cellBytes * (1 + rng.Intn(4)))
+				blockSize := int64(16 * (1 + rng.Intn(4)))
 				if rng.Intn(3) == 0 {
 					blockSize *= 37 // 592 to 2,368 B: past the arena's smallest class
 				}
@@ -249,39 +226,42 @@ func TestStorageAgainstOracle(t *testing.T) {
 					t.Fatalf("create %s: %v", name, err)
 				}
 				oracle[name] = &modelArray{
-					info:    ArrayInfo{Name: name, Size: size, BlockSize: blockSize},
-					data:    make([]byte, size),
-					written: make([]bool, size/cellBytes),
+					info:  ArrayInfo{Name: name, Size: size, BlockSize: blockSize},
+					data:  make([]byte, size),
+					phase: make([]blockPhase, blocks),
+					open:  map[int]*Lease{},
 				}
 				names = append(names, name)
-			case choice <= 3: // write an unwritten interval
+			case choice <= 3: // write an unwritten block, now or by a later op
 				ma := oracle[names[rng.Intn(len(names))]]
-				lo, hi, ok := ma.randomUnwrittenRun(rng)
+				b, ok := ma.randomBlock(rng, unwritten)
 				if !ok {
 					continue
 				}
-				l, err := s.Request(ma.info.Name, lo, hi, PermWrite)
+				l, err := s.RequestBlock(ma.info.Name, b, PermWrite)
 				if err != nil {
-					t.Fatalf("write %s [%d,%d): %v", ma.info.Name, lo, hi, err)
+					t.Fatalf("write %s block %d: %v", ma.info.Name, b, err)
+				}
+				if bs := ma.info.BlockSpan(b); len(l.Data) != int(bs.Hi-bs.Lo) {
+					t.Fatalf("write lease of %s block %d holds %d bytes, want %d", ma.info.Name, b, len(l.Data), bs.Hi-bs.Lo)
 				}
 				rng.Read(l.Data)
-				copy(ma.data[lo:hi], l.Data)
-				for c := lo / cellBytes; c < hi/cellBytes; c++ {
-					ma.written[c] = true
+				ma.phase[b], ma.open[b] = writing, l
+				if rng.Intn(3) > 0 {
+					ma.finish(b, false)
 				}
-				l.Release()
-			case choice <= 6: // read a written interval
+			case choice <= 6: // read a written block
 				ma := oracle[names[rng.Intn(len(names))]]
-				lo, hi, ok := ma.randomWrittenRun(rng)
+				b, ok := ma.randomBlock(rng, written)
 				if !ok {
 					continue
 				}
-				l, err := s.Request(ma.info.Name, lo, hi, PermRead)
+				l, err := s.RequestBlock(ma.info.Name, b, PermRead)
 				if err != nil {
-					t.Fatalf("read %s [%d,%d): %v", ma.info.Name, lo, hi, err)
+					t.Fatalf("read %s block %d: %v", ma.info.Name, b, err)
 				}
-				if !bytes.Equal(l.Data, ma.data[lo:hi]) {
-					t.Fatalf("seed %d: %s [%d,%d) mismatch", seed, ma.info.Name, lo, hi)
+				if bs := ma.info.BlockSpan(b); !bytes.Equal(l.Data, ma.data[bs.Lo:bs.Hi]) {
+					t.Fatalf("seed %d: %s block %d mismatch", seed, ma.info.Name, b)
 				}
 				l.Release()
 			case choice == 7: // flush
@@ -289,14 +269,14 @@ func TestStorageAgainstOracle(t *testing.T) {
 				if err := s.Flush(name); err != nil {
 					t.Fatalf("flush %s: %v", name, err)
 				}
-			case choice == 8: // double-write attempt must fail
+			case choice == 8: // a second write of a written or open block must fail
 				ma := oracle[names[rng.Intn(len(names))]]
-				lo, hi, ok := ma.randomWrittenRun(rng)
+				b, ok := ma.randomBlock(rng, []blockPhase{writing, written}[rng.Intn(2)])
 				if !ok {
 					continue
 				}
-				if _, err := s.Request(ma.info.Name, lo, hi, PermWrite); err == nil {
-					t.Fatalf("double write of %s [%d,%d) accepted", ma.info.Name, lo, hi)
+				if _, err := s.RequestBlock(ma.info.Name, b, PermWrite); !errors.Is(err, ErrImmutable) {
+					t.Fatalf("second write of %s block %d (phase %d): %v, want ErrImmutable", ma.info.Name, b, ma.phase[b], err)
 				}
 			case choice == 9: // explicit evict of a random block (best effort)
 				ma := oracle[names[rng.Intn(len(names))]]
@@ -306,12 +286,12 @@ func TestStorageAgainstOracle(t *testing.T) {
 				s.PrefetchBlock(ma.info.Name, rng.Intn(ma.info.NumBlocks()))
 			case choice == 12: // copy-out, wherever the block happens to be
 				ma := oracle[names[rng.Intn(len(names))]]
-				if b, ok := ma.randomFullBlock(rng); ok {
+				if b, ok := ma.randomBlock(rng, written); ok {
 					copyOut(ma, b, "any")
 				}
 			case choice == 13: // copy-out from scratch: flushed and evicted first
 				ma := oracle[names[rng.Intn(len(names))]]
-				b, ok := ma.randomFullBlock(rng)
+				b, ok := ma.randomBlock(rng, written)
 				if !ok {
 					continue
 				}
@@ -322,13 +302,14 @@ func TestStorageAgainstOracle(t *testing.T) {
 				copyOut(ma, b, "scratch")
 			case choice == 14: // copy-out behind the fetch a prefetch started
 				ma := oracle[names[rng.Intn(len(names))]]
-				if b, ok := ma.randomFullBlock(rng); ok {
+				if b, ok := ma.randomBlock(rng, written); ok {
 					s.PrefetchBlock(ma.info.Name, b)
 					copyOut(ma, b, "fetching")
 				}
 			case choice == 15: // delete; a copy-out of it then fails
 				i := rng.Intn(len(names))
 				name := names[i]
+				oracle[name].publishAll()
 				var err error
 				for try := 0; try < 1000; try++ { // a prefetch may still be reading it
 					if err = s.Delete(name); err == nil || !strings.Contains(err.Error(), "in flight") {
@@ -342,14 +323,14 @@ func TestStorageAgainstOracle(t *testing.T) {
 				names = slices.Delete(names, i, i+1)
 				delete(oracle, name)
 				deleted = append(deleted, name)
-				if err := s.readBlockInto(name, 0, make([]byte, cellBytes)); err == nil {
+				if err := s.readBlockInto(name, 0, make([]byte, 16)); err == nil {
 					t.Fatalf("copy-out of deleted array %s succeeded", name)
 				}
 			case choice == 16: // ask whether random blocks are resident; the loop checks each answer
 				var refs []BlockRef
 				for n := 1 + rng.Intn(6); len(refs) < n; {
 					ma := oracle[names[rng.Intn(len(names))]]
-					ref := BlockRef{ma.info.Name, rng.Intn(ma.info.NumBlocks())} // often partly written
+					ref := BlockRef{ma.info.Name, rng.Intn(ma.info.NumBlocks())} // often unwritten or open
 					switch rng.Intn(6) {
 					case 0: // an unknown array: deleted, or not created yet
 						ref.Array = fmt.Sprintf("m%d", created)
@@ -365,9 +346,14 @@ func TestStorageAgainstOracle(t *testing.T) {
 				}
 				answers = s.Resident(refs, answers)
 				for i, r := range refs {
-					if ma := oracle[r.Array]; answers[i] && (ma == nil || r.Block < 0 || r.Block >= ma.info.NumBlocks() || !ma.fullBlock(r.Block)) {
-						t.Fatalf("seed %d: %s block %d answered resident; it is unknown or not fully written", seed, r.Array, r.Block)
+					if ma := oracle[r.Array]; answers[i] && (ma == nil || r.Block < 0 || r.Block >= ma.info.NumBlocks() || ma.phase[r.Block] != written) {
+						t.Fatalf("seed %d: %s block %d answered resident; it is unknown or not written", seed, r.Array, r.Block)
 					}
+				}
+			case choice == 17: // end an open write: publish it, or abandon it
+				ma := oracle[names[rng.Intn(len(names))]]
+				if b, ok := ma.randomBlock(rng, writing); ok {
+					ma.finish(b, rng.Intn(2) == 0)
 				}
 			}
 		}
@@ -376,16 +362,17 @@ func TestStorageAgainstOracle(t *testing.T) {
 				t.Fatalf("deleted array %s still known", name)
 			}
 		}
-		// Final sweep: every fully-written block must read back verbatim.
+		// Final sweep: every written block must read back verbatim.
 		for _, name := range names {
 			ma := oracle[name]
+			ma.publishAll()
 			for b := 0; b < ma.info.NumBlocks(); b++ {
 				bs := ma.info.BlockSpan(b)
-				if !ma.fullBlock(b) {
+				if ma.phase[b] != written {
 					continue
 				}
 				copyOut(ma, b, "final")
-				l, err := s.Request(name, bs.Lo, bs.Hi, PermRead)
+				l, err := s.RequestBlock(name, b, PermRead)
 				if err != nil {
 					t.Fatalf("final read %s block %d: %v", name, b, err)
 				}

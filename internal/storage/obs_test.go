@@ -76,7 +76,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < blocks; i++ {
-		w, err := s.Request("a", int64(i*blockSize), int64((i+1)*blockSize), PermWrite)
+		w, err := s.RequestBlock("a", i, PermWrite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < blocks; i++ {
 			for rep := 0; rep < 2; rep++ {
-				r, err := s.Request("a", int64(i*blockSize), int64((i+1)*blockSize), PermRead)
+				r, err := s.RequestBlock("a", i, PermRead)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	// Prefetch a block that was evicted by the passes above, wait until the
 	// load lands, then read it: one prefetch load and one prefetch hit.
 	before := s.Stats()
-	s.Prefetch("a", 0, blockSize)
+	s.PrefetchBlock("a", 0)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().BlockLoads == before.BlockLoads {
 		if time.Now().After(deadline) {
@@ -118,7 +118,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r, err := s.Request("a", 0, blockSize, PermRead)
+	r, err := s.RequestBlock("a", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	prefetch(6, false) // deferred: a leased and an unread block fill the budget
 	prefetch(5, false) // resident
 	r.Release()
-	if r, err = s.Request("a", 5*blockSize, 6*blockSize, PermRead); err != nil {
+	if r, err = s.RequestBlock("a", 5, PermRead); err != nil {
 		t.Fatal(err)
 	}
 	r.Release()
@@ -338,7 +338,7 @@ func TestMetricsReconcileAcrossNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		w, err := stores[i%len(stores)].Request("x", int64(i*blockSize), int64((i+1)*blockSize), PermWrite)
+		w, err := stores[i%len(stores)].RequestBlock("x", i, PermWrite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestMetricsReconcileAcrossNodes(t *testing.T) {
 	// Every node reads every block: most reads resolve via peer fetches.
 	for _, s := range stores {
 		for i := 0; i < 4; i++ {
-			r, err := s.Request("x", int64(i*blockSize), int64((i+1)*blockSize), PermRead)
+			r, err := s.RequestBlock("x", i, PermRead)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ func (h *byHand) landed(name string) {
 func (h *byHand) request(name string) chan leaseResult {
 	h.t.Helper()
 	reply := make(chan leaseResult, 1)
-	h.s.handleRequest(h.st, &cmdRequest{array: name, byBlock: true, perm: PermRead, reply: reply})
+	h.s.handleRequest(h.st, &cmdRequest{array: name, perm: PermRead, reply: reply})
 	h.check()
 	return reply
 }
@@ -83,7 +83,7 @@ func (h *byHand) read(name string) { h.t.Helper(); h.release(h.lease(name)) }
 func (h *byHand) prefetch(name string) bool {
 	h.t.Helper()
 	was := h.block(name) != nil && h.block(name).fetching
-	h.s.handlePrefetch(h.st, &cmdPrefetch{array: name, byBlock: true})
+	h.s.handlePrefetch(h.st, &cmdPrefetch{array: name})
 	h.check()
 	return !was && h.block(name).fetching
 }

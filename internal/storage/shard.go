@@ -203,7 +203,7 @@ func (s *Store) maybeShardPush(st *loopState, ast *arrayState, bi int, b *blockS
 	if s.cfg.Shard == nil || b.shardPushing {
 		return
 	}
-	if !b.readable(ast.info.BlockSpan(bi)) {
+	if !b.readable() {
 		return
 	}
 	name := ast.info.Name

@@ -99,7 +99,7 @@ func writeShardArray(t *testing.T, s *Store, name string, blocks int, blockSize 
 	}
 	payload := make([][]byte, blocks)
 	for b := 0; b < blocks; b++ {
-		lease, err := s.Request(name, int64(b)*blockSize, int64(b+1)*blockSize, PermWrite)
+		lease, err := s.RequestBlock(name, b, PermWrite)
 		if err != nil {
 			t.Fatalf("write lease block %d: %v", b, err)
 		}
@@ -155,7 +155,7 @@ func TestShardDurableEvictRefetch(t *testing.T) {
 	waitShard(t, s, "durable pushes", func(st Stats) bool { return st.ShardDurablePushes == 4 })
 	waitShard(t, s, "evictions", func(st Stats) bool { return st.Evictions > 0 })
 	for b := 0; b < 4; b++ {
-		lease, err := s.Request("a", int64(b)*blockSize, int64(b+1)*blockSize, PermRead)
+		lease, err := s.RequestBlock("a", b, PermRead)
 		if err != nil {
 			t.Fatalf("read block %d: %v", b, err)
 		}
@@ -190,7 +190,9 @@ func TestShardFallbackOnLoss(t *testing.T) {
 	shard.setLost(true)
 	// Prefetch drives the fetch without a blocking waiter, so the miss
 	// surfaces as a counted fallback instead of a parked read.
-	s.Prefetch("a", 0, 4*blockSize)
+	for b := 0; b < 4; b++ {
+		s.PrefetchBlock("a", b)
+	}
 	waitShard(t, s, "a fallback", func(st Stats) bool { return st.ShardFallbacks > 0 })
 }
 
@@ -337,7 +339,7 @@ func TestShardDurableBlockServedToPeer(t *testing.T) {
 			}
 			done := make(chan result, 1)
 			go func() {
-				lease, err := reader.Request(name, 0, blockSize, PermRead)
+				lease, err := reader.RequestBlock(name, 0, PermRead)
 				if err != nil {
 					done <- result{err: err}
 					return

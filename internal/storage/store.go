@@ -1,3 +1,13 @@
+// Package storage implements DOoC's distributed data storage layer
+// (Section III-B of the paper): immutable, block-structured one-dimensional
+// arrays exposed to filters through block leases with read or write
+// permission, with prefetching, reference-counted LRU memory reclamation,
+// an out-of-core scratch directory serviced by asynchronous I/O filters,
+// and a partitioned (non-replicated) global map with random-peer lookup.
+//
+// A block is the unit of every lease. It is unwritten, being written (one
+// writer holds its write lease) or written; a read waits until the block is
+// written and resident, and a second write is refused (ErrImmutable).
 package storage
 
 import (
@@ -23,7 +33,7 @@ const (
 	// PermRead grants read access; the data is guaranteed resident until the
 	// lease is released.
 	PermRead Perm = iota + 1
-	// PermWrite grants write access to a not-yet-written interval; the data
+	// PermWrite grants write access to a not-yet-written block; the data
 	// becomes readable by others only after the lease is released.
 	PermWrite
 )
@@ -143,6 +153,11 @@ func (a ArrayInfo) NumBlocks() int {
 	return int((a.Size + a.BlockSize - 1) / a.BlockSize)
 }
 
+// span is a half-open byte range [Lo, Hi).
+type span struct {
+	Lo, Hi int64
+}
+
 // BlockSpan returns the global byte range of block idx.
 func (a ArrayInfo) BlockSpan(idx int) span {
 	lo := int64(idx) * a.BlockSize
@@ -153,18 +168,18 @@ func (a ArrayInfo) BlockSpan(idx int) span {
 	return span{lo, hi}
 }
 
-// BlockOf returns the block index containing global offset off.
-func (a ArrayInfo) BlockOf(off int64) int { return int(off / a.BlockSize) }
+// hasBlock reports whether idx names a block of the array.
+func (a ArrayInfo) hasBlock(idx int) bool { return idx >= 0 && idx < a.NumBlocks() }
 
-// Lease is a granted interval access. Release it exactly once. The Data
-// slice aliases the block buffer and must not be used after release.
+// Lease is a granted access to one whole block. Release it exactly once.
+// The Data slice aliases the block buffer and must not be used after
+// release.
 type Lease struct {
 	store *Store
 	Array string
+	Block int
 	Perm  Perm
-	// Lo and Hi are the global byte offsets of the interval.
-	Lo, Hi int64
-	// Data is the interval's bytes: len(Data) == Hi-Lo.
+	// Data is the block's bytes.
 	Data []byte
 	// Verified reports that this residency's bytes were checked, CRC the
 	// checksum that passed: by the I/O filter that read the block from
@@ -179,24 +194,23 @@ type Lease struct {
 	Verified bool
 	Vouched  bool
 
-	released bool // shares CRC's word: a Lease stays in the 96-byte size class
+	released bool // shares CRC's word: a Lease stays in the 80-byte size class
 	vouch    blockCheck
-	block    int
 }
 
 // Vouch records that the lease's bytes have checksum crc and valid content,
 // for the store to remember when the lease is released (Lease.Verified,
 // Lease.Vouched on later leases); until then the lease pins the residency
-// it vouches for. A vouch on a write lease, on a lease of less than a whole
-// block or on an abandoned lease changes nothing.
+// it vouches for. A vouch on a write lease or on an abandoned lease changes
+// nothing.
 func (l *Lease) Vouch(crc uint32) { l.vouch = blockCheck{ok: true, crc: crc} }
 
 // Release returns the lease to the store. For write leases this publishes
-// the interval: it becomes readable by other filters. Releasing twice
-// panics, as it would corrupt reference counts.
+// the block: it becomes readable by other filters. Releasing twice panics,
+// as it would corrupt reference counts.
 func (l *Lease) Release() {
 	if l.released {
-		panic(fmt.Sprintf("storage: double release of %s lease on %s[%d,%d)", l.Perm, l.Array, l.Lo, l.Hi))
+		panic(fmt.Sprintf("storage: double release of %s lease on %s block %d", l.Perm, l.Array, l.Block))
 	}
 	l.released = true
 	invalidateViews(l)
@@ -206,9 +220,9 @@ func (l *Lease) Release() {
 }
 
 // Abandon returns the lease without publishing. For a write lease the
-// interval stays unwritten and may be leased again — the recovery path for
-// an executor that failed mid-write, since publishing a half-filled buffer
-// would poison every downstream reader. For a read lease Abandon equals
+// block goes back to unwritten, holding no memory, and may be leased again —
+// the recovery path for an executor that failed mid-write, since publishing
+// a half-filled buffer would poison every downstream reader. For a read lease Abandon equals
 // Release. Abandoning an already-released lease is a no-op, so cleanup code
 // can abandon unconditionally.
 func (l *Lease) Abandon() {
@@ -585,7 +599,7 @@ func (s *Store) dropped(m any) {
 // returned the rest.
 func (s *Store) releaseClosed(l *Lease) {
 	<-s.left.stopped
-	k := blockKey{l.Array, l.block}
+	k := blockKey{l.Array, l.Block}
 	s.left.mu.Lock()
 	defer s.left.mu.Unlock()
 	h := s.left.leased[k]

@@ -2,11 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 )
@@ -56,18 +56,18 @@ func TestWriteThenRead(t *testing.T) {
 	if err := s.Create("v", 16, 16); err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Request("v", 0, 16, PermWrite)
+	w, err := s.RequestBlock("v", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(w.Data, []byte("0123456789abcdef"))
 	w.Release()
-	r, err := s.Request("v", 4, 8, PermRead)
+	r, err := s.RequestBlock("v", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(r.Data) != "4567" {
-		t.Errorf("read %q, want 4567", r.Data)
+	if string(r.Data) != "0123456789abcdef" {
+		t.Errorf("read %q, want 0123456789abcdef", r.Data)
 	}
 	r.Release()
 }
@@ -77,13 +77,13 @@ func TestReadBlocksUntilWriteReleased(t *testing.T) {
 	if err := s.Create("v", 8, 8); err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Request("v", 0, 8, PermWrite)
+	w, err := s.RequestBlock("v", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 1)
 	go func() {
-		r, err := s.Request("v", 0, 8, PermRead)
+		r, err := s.RequestBlock("v", 0, PermRead)
 		if err != nil {
 			got <- "error: " + err.Error()
 			return
@@ -108,48 +108,65 @@ func TestReadBlocksUntilWriteReleased(t *testing.T) {
 	}
 }
 
+// TestImmutabilityViolations: a block has one writer and is written once —
+// a second write lease, a rewrite after release and a rewrite after the
+// flushed block was evicted are all ErrImmutable, while another block of the
+// same array is leased freely.
 func TestImmutabilityViolations(t *testing.T) {
-	s := newTestStore(t, 1<<20, false)
-	if err := s.Create("v", 16, 16); err != nil {
+	s := newTestStore(t, 1<<20, true)
+	if err := s.Create("v", 16, 8); err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Request("v", 0, 8, PermWrite)
+	w, err := s.RequestBlock("v", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overlapping in-flight write.
-	if _, err := s.Request("v", 4, 12, PermWrite); err == nil {
-		t.Error("overlapping write lease granted")
+	if _, err := s.RequestBlock("v", 0, PermWrite); !errors.Is(err, ErrImmutable) {
+		t.Errorf("second write lease: %v, want ErrImmutable", err)
 	}
-	// Disjoint in-flight write is fine.
-	w2, err := s.Request("v", 8, 16, PermWrite)
+	w2, err := s.RequestBlock("v", 1, PermWrite)
 	if err != nil {
-		t.Fatalf("disjoint write rejected: %v", err)
+		t.Fatalf("write of another block rejected: %v", err)
 	}
 	w.Release()
 	w2.Release()
-	// Rewrite after release.
-	if _, err := s.Request("v", 0, 4, PermWrite); err == nil {
-		t.Error("rewrite of written interval granted")
+	if _, err := s.RequestBlock("v", 0, PermWrite); !errors.Is(err, ErrImmutable) {
+		t.Errorf("rewrite after release: %v, want ErrImmutable", err)
+	}
+	if err := s.Flush("v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Evict("v", 1); err != nil {
+		t.Fatal(err)
+	}
+	if residentBlock(s, "v", 1) {
+		t.Fatal("block 1 still resident after evict")
+	}
+	if _, err := s.RequestBlock("v", 1, PermWrite); !errors.Is(err, ErrImmutable) {
+		t.Errorf("rewrite after eviction: %v, want ErrImmutable", err)
 	}
 }
 
-func TestIntervalSpanningBlocksRejected(t *testing.T) {
+// TestBlockIndexOutOfRangeRejected: a lease names a block of a known array.
+func TestBlockIndexOutOfRangeRejected(t *testing.T) {
 	s := newTestStore(t, 1<<20, false)
 	if err := s.Create("v", 16, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Request("v", 4, 12, PermRead); err == nil || !strings.Contains(err.Error(), "spans blocks") {
-		t.Fatalf("err = %v, want spans-blocks error", err)
+	for _, bi := range []int{-1, 2} {
+		for _, perm := range []Perm{PermRead, PermWrite} {
+			if _, err := s.RequestBlock("v", bi, perm); err == nil {
+				t.Errorf("%s lease of block %d of a 2-block array granted", perm, bi)
+			}
+		}
 	}
-	if _, err := s.Request("v", 0, 17, PermRead); err == nil {
-		t.Error("out-of-range interval accepted")
+	if _, err := s.RequestBlock("ghost", 0, PermRead); !errors.Is(err, ErrUnknownArray) {
+		t.Errorf("unknown array: %v, want ErrUnknownArray", err)
 	}
-	if _, err := s.Request("v", 8, 8, PermRead); err == nil {
-		t.Error("empty interval accepted")
-	}
-	if _, err := s.Request("ghost", 0, 1, PermRead); err == nil {
-		t.Error("unknown array accepted")
+	// An out-of-range prefetch is dropped without a trace.
+	s.PrefetchBlock("v", 2)
+	if n := s.Stats().PrefetchIssued; n != 0 {
+		t.Errorf("PrefetchIssued = %d after an out-of-range prefetch", n)
 	}
 }
 
@@ -158,7 +175,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 	if err := s.Create("v", 8, 8); err != nil {
 		t.Fatal(err)
 	}
-	w, _ := s.Request("v", 0, 8, PermWrite)
+	w, _ := s.RequestBlock("v", 0, PermWrite)
 	w.Release()
 	defer func() {
 		if recover() == nil {
@@ -173,10 +190,10 @@ func TestFloat64Helpers(t *testing.T) {
 	if err := s.Create("x", 8*4, 8*4); err != nil {
 		t.Fatal(err)
 	}
-	w, _ := s.Request("x", 0, 32, PermWrite)
+	w, _ := s.RequestBlock("x", 0, PermWrite)
 	PutFloat64s(w, []float64{1, -2.5, 3e100, 0})
 	w.Release()
-	r, _ := s.Request("x", 0, 32, PermRead)
+	r, _ := s.RequestBlock("x", 0, PermRead)
 	vals := GetFloat64s(r)
 	r.Release()
 	if vals[0] != 1 || vals[1] != -2.5 || vals[2] != 3e100 || vals[3] != 0 {
@@ -238,7 +255,7 @@ func TestStatsHitsAndMisses(t *testing.T) {
 	if err := s.WriteArray("a", data, 64); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := s.Request("a", 0, 8, PermRead)
+	r, _ := s.RequestBlock("a", 0, PermRead)
 	r.Release()
 	st := s.Stats()
 	if st.Hits < 1 {
@@ -387,7 +404,7 @@ func TestPinnedBlocksSurviveEviction(t *testing.T) {
 	if err := s.Flush("pinned"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Request("pinned", 0, 64, PermRead)
+	r, err := s.RequestBlock("pinned", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +432,7 @@ func TestDeleteSemantics(t *testing.T) {
 	if err := s.WriteArray("d", []byte("data"), 4); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := s.Request("d", 0, 4, PermRead)
+	r, _ := s.RequestBlock("d", 0, PermRead)
 	if err := s.Delete("d"); err == nil {
 		t.Fatal("delete succeeded with outstanding lease")
 	}
@@ -423,7 +440,7 @@ func TestDeleteSemantics(t *testing.T) {
 	if err := s.Delete("d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Request("d", 0, 4, PermRead); err == nil {
+	if _, err := s.RequestBlock("d", 0, PermRead); err == nil {
 		t.Fatal("deleted array still readable")
 	}
 	if err := s.Delete("d"); err == nil {
@@ -442,7 +459,7 @@ func TestPrefetchWarmsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Prefetch("warm", 0, 256)
+	s.PrefetchBlock("warm", 0)
 	// Wait for the prefetch to land.
 	deadline := time.Now().Add(2 * time.Second)
 	for !residentBlock(s, "warm", 0) {
@@ -451,7 +468,7 @@ func TestPrefetchWarmsCache(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r, err := s.Request("warm", 0, 8, PermRead)
+	r, err := s.RequestBlock("warm", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +496,7 @@ func TestCorruptScratchReadFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Request("bad", 0, 100, PermRead); err == nil {
+	if _, err := s.RequestBlock("bad", 0, PermRead); err == nil {
 		t.Fatal("truncated file read succeeded")
 	}
 }
@@ -494,7 +511,7 @@ func TestCloseFailsPendingRequests(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Request("never", 0, 8, PermRead)
+		_, err := s.RequestBlock("never", 0, PermRead)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -520,14 +537,14 @@ func TestClosedStoreAnswers(t *testing.T) {
 	s.Close()
 	done := make(chan []error, 1)
 	go func() {
-		_, reqErr := s.Request("a", 0, 8, PermRead)
+		_, reqErr := s.RequestBlock("a", 0, PermRead)
 		_, blkErr := s.RequestBlock("a", 0, PermWrite)
 		_, infoErr := s.Info("a")
 		s.Stats()
 		s.SetQuota("a", 1, 1)
 		s.Quota("a")
 		s.ClearQuota("a")
-		s.Prefetch("a", 0, 8)
+		s.PrefetchBlock("a", 0)
 		done <- []error{reqErr, blkErr, infoErr, s.Create("a", 8, 8), s.Delete("a"), s.Flush("a"), s.Evict("a", 0)}
 	}()
 	select {
@@ -561,7 +578,7 @@ func TestExplicitEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Leased: refuse.
-	l, err := s.Request("ev", 0, 8, PermRead)
+	l, err := s.RequestBlock("ev", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +640,7 @@ func TestEvictionPolicies(t *testing.T) {
 		before := s.Stats().Hits
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < blocks; i++ {
-				l, err := s.Request(fmt.Sprintf("b%d", i), 0, 64, PermRead)
+				l, err := s.RequestBlock(fmt.Sprintf("b%d", i), 0, PermRead)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -46,8 +46,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 				// Write every block with a recognizable pattern.
 				info := ArrayInfo{Name: name, Size: size, BlockSize: blockSize}
 				for b := 0; b < info.NumBlocks(); b++ {
-					bs := info.BlockSpan(b)
-					w, err := home.Request(name, bs.Lo, bs.Hi, PermWrite)
+					w, err := home.RequestBlock(name, b, PermWrite)
 					if err != nil {
 						errs <- err
 						return
@@ -58,29 +57,25 @@ func TestConcurrentClientsStress(t *testing.T) {
 					binary.LittleEndian.PutUint32(w.Data, uint32(c*1000+a))
 					w.Release()
 				}
-				// Random peers read it back, including sub-intervals.
+				// Random peers read blocks back.
 				for trial := 0; trial < 3; trial++ {
 					reader := stores[rng.Intn(nodes)]
 					b := rng.Intn(info.NumBlocks())
-					bs := info.BlockSpan(b)
-					lo := bs.Lo + int64(rng.Intn(int(bs.Hi-bs.Lo)))
-					hi := lo + 1 + int64(rng.Intn(int(bs.Hi-lo)))
-					l, err := reader.Request(name, lo, hi, PermRead)
+					l, err := reader.RequestBlock(name, b, PermRead)
 					if err != nil {
-						errs <- fmt.Errorf("%s [%d,%d): %w", name, lo, hi, err)
+						errs <- fmt.Errorf("%s block %d: %w", name, b, err)
 						return
 					}
 					for i, v := range l.Data {
-						off := lo + int64(i) - bs.Lo
-						if off >= 4 && v != byte(b) {
-							errs <- fmt.Errorf("%s block %d byte %d = %d, want %d", name, b, off, v, b)
+						if i >= 4 && v != byte(b) {
+							errs <- fmt.Errorf("%s block %d byte %d = %d, want %d", name, b, i, v, b)
 							l.Release()
 							return
 						}
 					}
 					l.Release()
 					if rng.Intn(3) == 0 {
-						reader.Prefetch(name, bs.Lo, bs.Hi)
+						reader.PrefetchBlock(name, b)
 					}
 				}
 				if rng.Intn(2) == 0 {
@@ -106,7 +101,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 }
 
 // TestMultiBlockArrayThroughNetwork verifies block-granular remote fetches:
-// a peer reading one interval must pull only that block, not the array.
+// a peer reading one block must pull only that block, not the array.
 func TestMultiBlockArrayThroughNetwork(t *testing.T) {
 	stores, err := NewNetwork(2, func(node int, cfg *Config) {
 		cfg.MemoryBudget = 1 << 20
@@ -124,13 +119,12 @@ func TestMultiBlockArrayThroughNetwork(t *testing.T) {
 	if err := stores[0].WriteArray("striped", payload, blockSize); err != nil {
 		t.Fatal(err)
 	}
-	// Peer reads one interval inside block 5.
-	lo := int64(5*blockSize + 10)
-	l, err := stores[1].Request("striped", lo, lo+16, PermRead)
+	// Peer reads block 5.
+	l, err := stores[1].RequestBlock("striped", 5, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(l.Data, payload[lo:lo+16]) {
+	if !bytes.Equal(l.Data, payload[5*blockSize:6*blockSize]) {
 		t.Fatalf("data mismatch: %q", l.Data)
 	}
 	l.Release()

@@ -33,7 +33,7 @@ func TestStorageSpansEmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < blocks; i++ {
-		w, err := s.Request("a", int64(i*blockSize), int64((i+1)*blockSize), PermWrite)
+		w, err := s.RequestBlock("a", i, PermWrite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestStorageSpansEmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < blocks; i++ {
-		r, err := s.Request("a", int64(i*blockSize), int64((i+1)*blockSize), PermRead)
+		r, err := s.RequestBlock("a", i, PermRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestStorageUntracedEmitsNothing(t *testing.T) {
 	if err := s.Create("a", 4096, 1024); err != nil {
 		t.Fatal(err)
 	}
-	w, err := s.Request("a", 0, 1024, PermWrite)
+	w, err := s.RequestBlock("a", 0, PermWrite)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,13 +171,7 @@ func TestVouchOutlivesResidencyNotArray(t *testing.T) {
 	if l := lease("M", false); l.Verified || !l.Vouched || l.CRC != crc {
 		t.Fatalf("lease after eviction: %s, want the content vouched for under %#x and the residency unverified", report(l), crc)
 	}
-	// A part of a block, an abandoned lease: the residency stays unverified.
-	part, err := st.Request("M", 0, 100, PermRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part.Vouch(crc)
-	part.Release()
+	// A vouch on an abandoned lease: the residency stays unverified.
 	abandoned, err := st.RequestBlock("M", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +179,7 @@ func TestVouchOutlivesResidencyNotArray(t *testing.T) {
 	abandoned.Vouch(crc)
 	abandoned.Abandon()
 	if l := lease("M", false); l.Verified {
-		t.Fatalf("a vouch on part of a block or on an abandoned lease verified the residency: %s", report(l))
+		t.Fatalf("a vouch on an abandoned lease verified the residency: %s", report(l))
 	}
 
 	if err := st.Delete("M"); err != nil {

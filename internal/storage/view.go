@@ -56,7 +56,7 @@ func castFloat64s(b []byte) ([]float64, bool) {
 // decoded copy (bit-identical values, no lifetime hazard).
 func Float64View(l *Lease) []float64 {
 	if l.released {
-		panic(fmt.Sprintf("storage: Float64View of released %s lease on %s[%d,%d)", l.Perm, l.Array, l.Lo, l.Hi))
+		panic(fmt.Sprintf("storage: Float64View of released %s lease on %s block %d", l.Perm, l.Array, l.Block))
 	}
 	if v, ok := viewDebugMake(l); ok {
 		return v
@@ -74,7 +74,7 @@ func Float64View(l *Lease) []float64 {
 // step). Same lifetime rule as Float64View.
 func Float64WriteView(l *Lease) ([]float64, bool) {
 	if l.released {
-		panic(fmt.Sprintf("storage: Float64WriteView of released %s lease on %s[%d,%d)", l.Perm, l.Array, l.Lo, l.Hi))
+		panic(fmt.Sprintf("storage: Float64WriteView of released %s lease on %s block %d", l.Perm, l.Array, l.Block))
 	}
 	if l.Perm != PermWrite {
 		panic(fmt.Sprintf("storage: Float64WriteView needs a write lease, got %s on %s", l.Perm, l.Array))

@@ -64,9 +64,9 @@ func invalidateViews(l *Lease) {
 			continue
 		}
 		delete(viewDebug.live, k)
-		// Poison the whole copy (its length is the lease span) so stale
-		// reads scream.
-		n := int(l.Hi-l.Lo) / 8
+		// Poison the whole copy (its length is the block's) so stale reads
+		// scream.
+		n := len(l.Data) / 8
 		for i, s := 0, unsafe.Slice(k, n); i < n; i++ {
 			s[i] = viewPoison
 		}

@@ -28,7 +28,7 @@ func TestUseAfterReleasePoisonsView(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err := s.Request("v", 0, int64(len(buf)), PermRead)
+	l, err := s.RequestBlock("v", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAbandonPoisonsView(t *testing.T) {
 	if err := s.WriteArray("w", buf, int64(len(buf))); err != nil {
 		t.Fatal(err)
 	}
-	l, err := s.Request("w", 0, int64(len(buf)), PermRead)
+	l, err := s.RequestBlock("w", 0, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}

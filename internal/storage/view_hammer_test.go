@@ -59,7 +59,7 @@ func TestPooledBufferHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				a := rng.Intn(arrays)
 				name := fmt.Sprintf("h%d", a)
-				l, err := s.Request(name, 0, arrayBy, PermRead)
+				l, err := s.RequestBlock(name, 0, PermRead)
 				if err != nil {
 					errs <- fmt.Errorf("request %s: %w", name, err)
 					return
