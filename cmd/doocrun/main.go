@@ -62,7 +62,7 @@ func main() {
 		iters     = flag.Int("iters", 4, "SpMV iterations")
 		workers   = flag.Int("workers", 2, "computing filters per node")
 		mem       = flag.Int64("mem", 1<<30, "per-node memory budget in bytes")
-		prefetch  = flag.Int("prefetch", 2, "prefetch window (heavy blocks)")
+		prefetch  = flag.Int("prefetch", 2, "prefetch window: ready tasks whose data are kept in memory, the one picked included (0 or 1: none prefetched)")
 		reorder   = flag.Bool("reorder", true, "enable data-aware task reordering")
 		seed      = flag.Int64("seed", 1, "starting-vector seed")
 		gantt     = flag.Bool("gantt", false, "print an ASCII Gantt of the execution")
@@ -354,6 +354,7 @@ func printMetrics(reg *obs.Registry) {
 		fmt.Printf("prefetch hit rate: %.1f%% (%d of %d prefetched blocks were hit)\n",
 			100*float64(phits)/float64(loads), phits, loads)
 	}
+	fmt.Printf("allocations over the memory budget: %d\n", reg.Sum("dooc_storage_over_budget_allocs_total"))
 	fmt.Println("\nfull exposition:")
 	if err := reg.WritePrometheus(os.Stdout); err != nil {
 		log.Printf("metrics: %v", err)

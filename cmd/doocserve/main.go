@@ -263,15 +263,15 @@ func main() {
 		if clusterNode != nil {
 			shard = clusterNode
 		}
-		// Data-aware reordering cannot change a result: a sum reads its
-		// inputs in a fixed order whatever order the multiplies ran in.
-		// Prefetching stays off (PrefetchWindow 0): a window can take a
-		// store past its memory budget (ROADMAP item 17).
+		// Neither data-aware reordering nor prefetching can change a
+		// result: a sum reads its inputs in a fixed order whatever order
+		// the multiplies ran in.
 		sys, err := core.NewSystem(core.Options{
 			Nodes:          info.Nodes,
 			WorkersPerNode: *workers,
 			MemoryBudget:   *mem,
 			ScratchRoot:    *scratch,
+			PrefetchWindow: 2,
 			Reorder:        true,
 			Obs:            reg,
 			Codec:          codec,

@@ -36,7 +36,7 @@ func main() {
 		maxIter  = flag.Int("maxiter", 5000, "cg/jacobi/power: iteration cap")
 		mem      = flag.Int64("mem", 1<<28, "per-node memory budget in bytes")
 		workers  = flag.Int("workers", 2, "computing filters per node")
-		prefetch = flag.Int("prefetch", 2, "prefetch window")
+		prefetch = flag.Int("prefetch", 2, "prefetch window: ready tasks whose data are kept in memory, the one picked included (0 or 1: none prefetched)")
 		seed     = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()

@@ -17,8 +17,6 @@ type nodeMetrics struct {
 	legacyRejections  *obs.Counter
 	servedGets        *obs.Counter
 	servedPuts        *obs.Counter
-	proxyFetches      *obs.Counter
-	proxyFetchBytes   *obs.Counter
 
 	members     *obs.Gauge
 	viewVersion *obs.Gauge
@@ -40,8 +38,6 @@ func newNodeMetrics(reg *obs.Registry, self string) nodeMetrics {
 		legacyRejections:  reg.Counter("dooc_cluster_legacy_rejections_total", "peers rejected from membership for lacking the cluster capability", l),
 		servedGets:        reg.Counter("dooc_cluster_served_gets_total", "peer-get requests answered from the local block table", l),
 		servedPuts:        reg.Counter("dooc_cluster_served_puts_total", "peer-put requests accepted into the local block table", l),
-		proxyFetches:      reg.Counter("dooc_cluster_proxy_fetches_total", "proxy payloads resolved from their origin peer over the cluster", l),
-		proxyFetchBytes:   reg.Counter("dooc_cluster_proxy_fetch_bytes_total", "proxy payload bytes fetched from origin peers", l),
 
 		members:     reg.Gauge("dooc_cluster_members", "live members in the current view", l),
 		viewVersion: reg.Gauge("dooc_cluster_view_version", "version of the current membership view", l),

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dooc/internal/obs"
 	"dooc/internal/remote"
 	"dooc/internal/storage"
 )
@@ -669,8 +670,10 @@ func TestNodeLegacyRejection(t *testing.T) {
 	}
 	defer legacy.Close()
 
+	reg := obs.NewRegistry()
 	peers := startTestCluster(t, 2, func(i int, cfg *Config) {
 		cfg.Peers = append(cfg.Peers, Member{ID: "old", Addr: legacy.Addr()})
+		cfg.Obs = reg
 	})
 	n := peers[0].node
 	if _, err := n.client("old"); !errors.Is(err, ErrLegacyPeer) {
@@ -682,6 +685,9 @@ func TestNodeLegacyRejection(t *testing.T) {
 	}
 	if c := n.Counters(); c.LegacyRejections != 1 {
 		t.Fatalf("legacy rejections = %d, want 1", c.LegacyRejections)
+	}
+	if got := reg.SumWhere("dooc_cluster_legacy_rejections_total", "peer", peers[0].id); got != 1 {
+		t.Fatalf("dooc_cluster_legacy_rejections_total{peer=%s} = %d, want 1", peers[0].id, got)
 	}
 	st := n.Status()
 	if len(st.Dead) != 1 || st.Dead[0] != "old" {

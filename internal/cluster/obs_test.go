@@ -69,13 +69,29 @@ func TestClusterObsReconcile(t *testing.T) {
 	if hotFwd != 2 {
 		t.Errorf("%s forwarded %d of 2 reads of the vector block", hotPeer.id, hotFwd)
 	}
-	// Node.Counters reads the same series, peer by peer.
-	var pushes int64
+	// Node.Counters — what the /cluster endpoint serves — reads the same
+	// series, peer by peer.
+	var pushes, pushBytes, exchanges, rejections int64
 	for _, p := range peers {
-		pushes += p.node.Counters().Pushes
+		c := p.node.Counters()
+		pushes += c.Pushes
+		pushBytes += c.PushBytes
+		exchanges += c.ViewExchanges
+		rejections += c.LegacyRejections
 	}
 	if got := reg.Sum("dooc_cluster_pushes_total"); got != 8 || pushes != 8 {
 		t.Errorf("pushes: registry %d, Counters %d, scenario made 8", got, pushes)
+	}
+	if got := reg.Sum("dooc_cluster_push_bytes_total"); got != 8*int64(len(payload)) || pushBytes != got {
+		t.Errorf("push bytes: registry %d, Counters %d, scenario pushed 8 × %d", got, pushBytes, len(payload))
+	}
+	// The one explicit gossip round completes with at least one peer; the
+	// prober is off.
+	if got := reg.Sum("dooc_cluster_view_exchanges_total"); got < 1 || exchanges != got {
+		t.Errorf("view exchanges: registry %d, Counters %d, want them equal and at least 1", got, exchanges)
+	}
+	if got := reg.Sum("dooc_cluster_legacy_rejections_total"); got != 0 || rejections != 0 {
+		t.Errorf("legacy rejections: registry %d, Counters %d, in a cluster of current peers", got, rejections)
 	}
 
 	// Residency gauges track the live table state per peer.

@@ -37,7 +37,5 @@ func (n *Node) ProxyFetch(scope, name string, epoch uint64) ([]byte, error) {
 		return nil, err
 	}
 	n.markSeen(scope)
-	n.metrics.proxyFetches.Inc()
-	n.metrics.proxyFetchBytes.Add(int64(len(data)))
 	return data, nil
 }

@@ -40,6 +40,11 @@ type ExecContext struct {
 
 	mu     sync.Mutex
 	leases []*storage.Lease
+	// prefetch holds the blocks the pick that chose Task asked to warm. The
+	// task's first lease request carries them (Store.RequestBlockPrefetch),
+	// so their admission counts that lease; the worker posts whatever no
+	// request carried once the executor returns.
+	prefetch []storage.BlockRef
 }
 
 // ScratchFloats returns a reusable []float64 of length n with unspecified
@@ -80,7 +85,7 @@ func (c *ExecContext) reset(t *dag.Task) {
 // fails either names its array and wraps compress.ErrCorrupt. Executors must
 // not keep the matrix, or anything sliced from it, past their return.
 func (c *ExecContext) Matrix(array string) (*sparse.CSR, error) {
-	lease, err := c.Store.RequestBlock(array, 0, storage.PermRead)
+	lease, err := c.request(array, 0, storage.PermRead)
 	if err != nil {
 		return nil, err
 	}
@@ -143,12 +148,22 @@ func (c *ExecContext) releaseMatrix() {
 // returned, unpublished write blocks revert to unwritten — so a
 // re-execution of the task can acquire them again.
 func (c *ExecContext) RequestBlock(array string, block int, perm storage.Perm) (*storage.Lease, error) {
-	l, err := c.Store.RequestBlock(array, block, perm)
+	l, err := c.request(array, block, perm)
 	if err != nil {
 		return nil, err
 	}
 	c.track(l)
 	return l, nil
+}
+
+// request leases a block, carrying the pick's prefetches if no earlier
+// request of the task has.
+func (c *ExecContext) request(array string, block int, perm storage.Perm) (*storage.Lease, error) {
+	c.mu.Lock()
+	prefetch := c.prefetch
+	c.prefetch = c.prefetch[:0]
+	c.mu.Unlock()
+	return c.Store.RequestBlockPrefetch(array, block, perm, prefetch)
 }
 
 func (c *ExecContext) track(l *storage.Lease) {
@@ -499,12 +514,12 @@ func (r *engineRun) worker(node, lane int) {
 					return i >= 0 && answers[i]
 				}
 				task = r.policies[node].Pick(mine, resident)
-				// Keep the prefetch window full with the runner-up tasks'
-				// heavy data.
-				if w := r.sys.opts.PrefetchWindow; w > 0 {
-					for _, ref := range r.policies[node].PrefetchTargets(mine, resident, w) {
-						store.PrefetchBlock(ref.Array, blockOrZero(ref))
-					}
+				// Keep the window's runners-up in memory: the task's first
+				// lease request asks the store, after itself, to fetch their
+				// missing heavy data and hold their resident ones.
+				ctx.prefetch = ctx.prefetch[:0]
+				for _, ref := range r.policies[node].PrefetchTargets(mine, resident, r.sys.opts.PrefetchWindow) {
+					ctx.prefetch = append(ctx.prefetch, storage.BlockRef{Array: ref.Array, Block: blockOrZero(ref)})
 				}
 				break
 			}
@@ -526,6 +541,9 @@ func (r *engineRun) worker(node, lane int) {
 		ctx.reset(task)
 		err := executeTask(r.spec.Executors[task.Kind], ctx)
 		ctx.releaseMatrix()
+		for _, ref := range ctx.prefetch {
+			store.PrefetchBlock(ref.Array, ref.Block)
+		}
 		ev.End = time.Now()
 		if r.trace.Enabled() {
 			args := map[string]any{"kind": task.Kind, "ok": err == nil}

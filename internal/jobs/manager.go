@@ -187,7 +187,6 @@ func (m *Manager) Submit(req Request, work Work) (*Job, error) {
 	defer m.mu.Unlock()
 	if req.Key != "" {
 		if j, ok := m.byKey[req.Key]; ok {
-			m.m.dedupedC.Inc()
 			return j, nil
 		}
 	}

@@ -14,7 +14,6 @@ type managerMetrics struct {
 	queuedG  *obs.Gauge
 	runningG *obs.Gauge
 	resumedC *obs.Counter // dooc_jobs_resumed_total
-	dedupedC *obs.Counter // dooc_jobs_deduped_total
 
 	perTenant map[string]*obs.Counter // dooc_jobs_submitted_total
 	perReason map[string]*obs.Counter // dooc_jobs_rejected_total
@@ -27,7 +26,6 @@ func newManagerMetrics(reg *obs.Registry) managerMetrics {
 		queuedG:   reg.Gauge("dooc_jobs_queued", "jobs waiting for a run slot"),
 		runningG:  reg.Gauge("dooc_jobs_running", "jobs currently executing"),
 		resumedC:  reg.Counter("dooc_jobs_resumed_total", "interrupted jobs re-admitted by recovery"),
-		dedupedC:  reg.Counter("dooc_jobs_deduped_total", "keyed submissions matched to an existing job"),
 		perTenant: make(map[string]*obs.Counter),
 		perReason: make(map[string]*obs.Counter),
 		perState:  make(map[State]*obs.Counter),

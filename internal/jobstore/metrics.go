@@ -6,18 +6,12 @@ import "dooc/internal/obs"
 // operation is a no-op (the obs types are nil-safe).
 type storeMetrics struct {
 	appends       *obs.Counter   // dooc_jobstore_appends_total
-	compactions   *obs.Counter   // dooc_jobstore_compactions_total
-	compactErrors *obs.Counter   // dooc_jobstore_compact_errors_total
-	pruned        *obs.Counter   // dooc_jobstore_pruned_total
 	replaySeconds *obs.Histogram // dooc_jobstore_replay_seconds
 }
 
 func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	return storeMetrics{
 		appends:       reg.Counter("dooc_jobstore_appends_total", "journal entries appended and fsynced"),
-		compactions:   reg.Counter("dooc_jobstore_compactions_total", "WAL compactions into the snapshot"),
-		compactErrors: reg.Counter("dooc_jobstore_compact_errors_total", "failed compaction attempts (journal stays intact)"),
-		pruned:        reg.Counter("dooc_jobstore_pruned_total", "terminal records dropped by the retention policy"),
 		replaySeconds: reg.Histogram("dooc_jobstore_replay_seconds", "snapshot+WAL replay duration at Open", nil),
 	}
 }

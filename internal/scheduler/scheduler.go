@@ -240,32 +240,38 @@ func (p *Policy) Order(ready []*dag.Task, resident func(dag.Ref) bool) []*dag.Ta
 	return out
 }
 
-// PrefetchTargets returns up to `window` heavy, non-resident data refs from
-// the most desirable ready tasks, in the order the prefetcher should issue
-// them. This is how the local scheduler keeps "a given number of ready
-// tasks whose data are in memory". The returned slice is scratch owned by
-// the policy — valid until the next PrefetchTargets call.
+// PrefetchTargets returns the heavy data refs of the ready tasks Order
+// ranks second to window-th, each once, in that order, leaving out the
+// first's. This is how the local scheduler keeps "a given number of ready
+// tasks whose data are in memory": window counts tasks, resident or not, not
+// fetches. The first of them is the task Pick chooses, whose own reads bring
+// its data in, so window 1 names nothing. The prefetcher fetches the refs
+// that are missing and holds the resident ones in memory, so a window never
+// evicts data of the tasks it names to make room for others. The returned
+// slice is scratch owned by the policy — valid until the next
+// PrefetchTargets call.
 func (p *Policy) PrefetchTargets(ready []*dag.Task, resident func(dag.Ref) bool, window int) []dag.Ref {
-	if window <= 0 {
+	if window <= 1 || len(ready) < 2 {
 		return nil
 	}
-	out := p.refScratch[:0]
+	order := p.Order(ready, resident)
+	if len(order) > window {
+		order = order[:window]
+	}
 	if p.seenScratch == nil {
 		p.seenScratch = make(map[refKey]bool, 8)
 	}
 	seen := p.seenScratch
 	clear(seen)
-	for _, t := range p.Order(ready, resident) {
+	for _, r := range order[0].HeavyInputs() {
+		seen[keyOf(r)] = true
+	}
+	out := p.refScratch[:0]
+	for _, t := range order[1:] {
 		for _, r := range t.HeavyInputs() {
-			if resident(r) || seen[keyOf(r)] {
-				continue
-			}
-			seen[keyOf(r)] = true
-			out = append(out, r)
-			if len(out) == window {
-				p.refScratch = out[:0]
-				p.PrefetchRefs.Add(int64(len(out)))
-				return out
+			if !seen[keyOf(r)] {
+				seen[keyOf(r)] = true
+				out = append(out, r)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"testing"
 
 	"dooc/internal/dag"
@@ -112,6 +113,10 @@ func TestPolicyEmptyReady(t *testing.T) {
 	}
 }
 
+// TestPrefetchTargets: the window counts ready tasks, the picked one and
+// those whose data are resident included. It names the runners-up's heavy
+// refs, resident ones too (the prefetcher holds those), each once, and
+// never the picked task's: its own read loads it.
 func TestPrefetchTargets(t *testing.T) {
 	p := NewPolicy()
 	ready := []*dag.Task{
@@ -119,24 +124,28 @@ func TestPrefetchTargets(t *testing.T) {
 		mkTask("t2", "m2"),
 		mkTask("t3", "m1"), // duplicate heavy ref must not repeat
 		mkTask("t4", "m3"),
+		mkTask("t5", "m4"),
 	}
-	resident := func(r dag.Ref) bool { return r.Array == "m2" }
-	got := p.PrefetchTargets(ready, resident, 2)
-	if len(got) != 2 {
-		t.Fatalf("targets = %v", got)
-	}
-	seen := map[string]bool{}
-	for _, r := range got {
-		if r.Array == "m2" {
-			t.Fatal("prefetched a resident ref")
+	resident := func(r dag.Ref) bool { return r.Array == "m2" || r.Array == "m3" }
+	// Order: t2 and t4 (resident), then t1, t3, t5.
+	for _, tc := range []struct {
+		window int
+		want   []string
+	}{
+		{0, nil},
+		{1, nil},                        // the picked task t2 alone
+		{2, []string{"m3"}},             // t4 resident: held, not fetched
+		{3, []string{"m3", "m1"}},       // t1 misses m1
+		{4, []string{"m3", "m1"}},       // t3 misses m1 too: named once
+		{9, []string{"m3", "m1", "m4"}}, // every runner-up
+	} {
+		var got []string
+		for _, r := range p.PrefetchTargets(ready, resident, tc.window) {
+			got = append(got, r.Array)
 		}
-		if seen[r.Array] {
-			t.Fatal("duplicate prefetch target")
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("window %d: targets %v, want %v", tc.window, got, tc.want)
 		}
-		seen[r.Array] = true
-	}
-	if p.PrefetchTargets(ready, resident, 0) != nil {
-		t.Fatal("window 0 should yield nothing")
 	}
 }
 
@@ -218,11 +227,9 @@ func TestPrefetchTargetsFollowOrder(t *testing.T) {
 	p.Touch([]dag.Ref{{Array: "b", Block: 0, Bytes: 1}})
 	ready := []*dag.Task{mkTask("ta", "a"), mkTask("tb", "b"), mkTask("tc", "c")}
 	got := p.PrefetchTargets(ready, func(dag.Ref) bool { return false }, 3)
-	if len(got) != 3 {
-		t.Fatalf("targets = %d", len(got))
-	}
-	// The MRU task's datum leads the prefetch queue.
-	if got[0].Array != "b" {
-		t.Fatalf("first prefetch = %s, want b", got[0].Array)
+	// The MRU task tb is the pick: its datum is its own read, not a
+	// prefetch. The runners-up follow in order.
+	if len(got) != 2 || got[0].Array != "a" || got[1].Array != "c" {
+		t.Fatalf("targets = %v, want a then c", got)
 	}
 }

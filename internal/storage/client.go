@@ -73,15 +73,26 @@ func collectAcks(ack chan error, n int) error {
 // been written and is resident; a write lease fails with ErrImmutable once
 // the block is written or being written.
 func (s *Store) RequestBlock(array string, block int, perm Perm) (*Lease, error) {
-	c := reqPool.Get().(*cmdRequest)
-	c.array, c.block, c.perm = array, block, perm
-	return s.request(c)
+	return s.RequestBlockPrefetch(array, block, perm, nil)
 }
 
-// request posts a pooled command and waits for its single reply. The loop
-// returns the command struct to its pool; the reply channel comes back here
-// once the reply has been received.
-func (s *Store) request(c *cmdRequest) (*Lease, error) {
+// RequestBlockPrefetch is RequestBlock that also prefetches the named
+// blocks, as PrefetchBlock does, after posting the request and before
+// waiting for its reply. The store's loop takes the request first, so the
+// prefetches' admission counts the requested block as reserved — leased
+// when it is resident, in flight when it is not — and none of them waits
+// for it.
+func (s *Store) RequestBlockPrefetch(array string, block int, perm Perm, prefetch []BlockRef) (*Lease, error) {
+	c := reqPool.Get().(*cmdRequest)
+	c.array, c.block, c.perm = array, block, perm
+	return s.request(c, prefetch)
+}
+
+// request posts a pooled command, then a prefetch of each of the named
+// blocks, and waits for the command's single reply. The loop returns the
+// command struct to its pool; the reply channel comes back here once the
+// reply has been received.
+func (s *Store) request(c *cmdRequest, prefetch []BlockRef) (*Lease, error) {
 	reply := leaseReplyPool.Get().(chan leaseResult)
 	c.reply = reply
 	// The loop recycles c before the reply lands; capture the label first.
@@ -91,6 +102,9 @@ func (s *Store) request(c *cmdRequest) (*Lease, error) {
 	}
 	start := time.Now()
 	s.post(c)
+	for _, r := range prefetch {
+		s.PrefetchBlock(r.Array, r.Block)
+	}
 	res := <-reply
 	leaseReplyPool.Put(reply)
 	s.metrics.leaseWait.Observe(time.Since(start).Seconds())
@@ -251,7 +265,7 @@ func (s *Store) readBlockInto(array string, block int, dst []byte) error {
 	}
 	c := reqPool.Get().(*cmdRequest)
 	c.array, c.block, c.perm, c.dst = array, block, PermRead, dst
-	l, err := s.request(c)
+	l, err := s.request(c, nil)
 	if l != nil {
 		copy(dst, l.Data)
 		l.Release()

@@ -220,6 +220,9 @@ type blockState struct {
 	// it, whichever path grants it; it is a prefetch hit only when the block
 	// was already resident when that request arrived.
 	prefetched bool
+	// held marks a resident block a prefetch named: the window holds it in
+	// memory, as it holds a prefetched one, until the first lease on it.
+	held bool
 	// reserved caches whether the block's bytes are counted in
 	// loopState.reserved (see reserve).
 	reserved bool
@@ -291,19 +294,20 @@ type loopState struct {
 	tick    int64
 	// resident is the sum of len(buf) over every block, kept by setBuf.
 	resident int64
-	// reserved is the sum of the full sizes of the blocks whose bytes a
-	// prefetch may not claim, kept by reserve.
+	// reserved is the sum of the full sizes of the blocks no eviction may
+	// free, kept by reserve.
 	reserved int64
 }
 
 // setBuf is the one place a block's buffer changes hands, so that
 // st.resident — and the gauge that publishes it — always equals the bytes
-// held.
-func (s *Store) setBuf(st *loopState, b *blockState, buf []byte) {
+// held, and st.reserved counts a buffer that holds the block's only copy.
+func (s *Store) setBuf(st *loopState, ast *arrayState, bi int, b *blockState, buf []byte) {
 	st.resident += int64(len(buf)) - int64(len(b.buf))
 	b.buf = buf
 	b.check = blockCheck{}
 	s.metrics.memUsed.Set(st.resident)
+	s.reserve(st, ast, bi, b)
 }
 
 // readable reports whether the block is written and resident. It is the
@@ -314,19 +318,22 @@ func (b *blockState) readable() bool {
 }
 
 // reserve re-derives whether block bi's bytes are spoken for: under a lease
-// (a writer holds one too), on their way in a fetch, or prefetched and not
-// yet read. st.reserved sums the full size of every such block; a prefetch
-// is admitted only if its block fits in the memory budget beside that sum,
-// because reclamation could make room for it only by evicting one of them or
-// not at all. Call after any change to refcnt, fetching, probing or
-// prefetched.
-func (st *loopState) reserve(info ArrayInfo, bi int, b *blockState) {
-	want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched
+// (a writer holds one too), on their way in a fetch, prefetched or held and
+// not yet read, or resident as the block's only copy — a written vector or
+// partial nothing else holds, which no eviction may take (copiedElsewhere).
+// st.reserved sums the full size of every such block; a prefetch is
+// admitted only if its block fits in the memory budget beside that sum,
+// because reclamation could make room for it only by evicting one of them
+// or not at all. Call after any change to refcnt, fetching, probing,
+// prefetched, held, buf (setBuf calls it) or what copiedElsewhere reads.
+func (s *Store) reserve(st *loopState, ast *arrayState, bi int, b *blockState) {
+	want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched || b.held ||
+		(b.buf != nil && !s.copiedElsewhere(ast, b))
 	if want == b.reserved {
 		return
 	}
 	b.reserved = want
-	if bs := info.BlockSpan(bi); want {
+	if bs := ast.info.BlockSpan(bi); want {
 		st.reserved += bs.Hi - bs.Lo
 	} else {
 		st.reserved -= bs.Hi - bs.Lo
@@ -571,12 +578,11 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	// Recycle the blocks' buffers and state: the preconditions above
 	// guarantee nothing aliases them.
 	for idx, b := range ast.blocks {
-		sharedArena.Put(b.buf)
-		s.setBuf(st, b, nil)
 		// No lease and no disk fetch, checked above; a probe's reply will
 		// find no array and an unread prefetch has nothing left to read.
-		b.probing, b.prefetched = false, false
-		st.reserve(ast.info, idx, b)
+		b.probing, b.prefetched, b.held = false, false, false
+		sharedArena.Put(b.buf)
+		s.setBuf(st, ast, idx, b, nil)
 		s.recycleBlockState(b)
 	}
 	delete(st.arrays, name)
@@ -617,7 +623,15 @@ func (s *Store) handleAnnounce(st *loopState, m msgAnnounce) {
 		}
 		st.arrays[m.info.Name] = ast
 	}
+	ownCopy := m.diskNode == s.cfg.NodeID && !ast.diskNodes[m.diskNode]
 	ast.diskNodes[m.diskNode] = true
+	if ownCopy {
+		// Every block of the array now has a copy on this node's disk: a
+		// resident one is no longer the only copy.
+		for bi, b := range ast.blocks {
+			s.reserve(st, ast, bi, b)
+		}
+	}
 	if m.compressed && m.diskNode == s.cfg.NodeID {
 		ast.localCompressed = true
 	}
@@ -700,8 +714,8 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 // the loop, and the read counts as a use of the block, as a lease would.
 func (s *Store) copyResident(st *loopState, ast *arrayState, bi int, b *blockState, dst []byte) {
 	copy(dst, b.buf)
-	b.prefetched = false
-	st.reserve(ast.info, bi, b)
+	b.prefetched, b.held = false, false
+	s.reserve(st, ast, bi, b)
 	st.tick++
 	b.lastUse = st.tick
 }
@@ -755,11 +769,11 @@ func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState
 	// An unwritten block holds no buffer. Recycled buffers carry stale
 	// bytes; a write block starts from zeroes.
 	bs := ast.info.BlockSpan(bi)
-	s.setBuf(st, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
+	s.setBuf(st, ast, bi, b, sharedArena.Get(int(bs.Hi-bs.Lo)))
 	clear(b.buf)
 	st.tick++
 	b.loadTick = st.tick
-	s.reclaim(st, ast.info.Name, bi)
+	s.granted(st, ast.info.Name, bi)
 	s.reclaimQuota(st, ast.quota, ast.info.Name, bi)
 	b.phase = writing
 	reply <- leaseResult{lease: s.makeLease(st, ast, bi, b, PermWrite)}
@@ -767,8 +781,8 @@ func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState
 
 func (s *Store) makeLease(st *loopState, ast *arrayState, bi int, b *blockState, perm Perm) *Lease {
 	b.refcnt++
-	b.prefetched = false // the first lease on the block spends the prefetch
-	st.reserve(ast.info, bi, b)
+	b.prefetched, b.held = false, false // the first lease on the block spends the prefetch
+	s.reserve(st, ast, bi, b)
 	st.tick++
 	b.lastUse = st.tick
 	crc := b.check.crc
@@ -798,7 +812,7 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 		return
 	}
 	b.refcnt--
-	st.reserve(ast.info, l.Block, b)
+	s.reserve(st, ast, l.Block, b)
 	st.tick++
 	b.lastUse = st.tick
 	if l.vouch.ok && l.Perm == PermRead && !c.abandon {
@@ -814,7 +828,7 @@ func (s *Store) handleRelease(st *loopState, c *cmdRelease) {
 		if b.phase == writing {
 			b.phase = unwritten
 			sharedArena.Put(b.buf)
-			s.setBuf(st, b, nil)
+			s.setBuf(st, ast, l.Block, b, nil)
 		}
 	case l.Perm == PermWrite:
 		b.phase = written
@@ -853,7 +867,7 @@ func (s *Store) ensureBlockData(st *loopState, ast *arrayState, bi int, b *block
 		return
 	}
 	s.startFetch(st, ast, bi, b)
-	st.reserve(ast.info, bi, b)
+	s.reserve(st, ast, bi, b)
 }
 
 // startFetch picks the source block bi comes from — local scratch, the shard
@@ -1050,7 +1064,7 @@ func (s *Store) handleQueryReply(st *loopState, m msgQueryReply) {
 		b.fetching = true
 		s.postQuery(m.holder, m.array, m.block, queryFetch)
 	}
-	st.reserve(ast.info, m.block, b)
+	s.reserve(st, ast, m.block, b)
 }
 
 func (s *Store) handleNotify(st *loopState, m msgNotify) {
@@ -1102,7 +1116,7 @@ func (s *Store) wakePending(st *loopState, k blockKey, de *dirEntry) {
 				b := s.getBlock(ast, k.block)
 				if b.buf == nil && !b.fetching {
 					b.fetching = true
-					st.reserve(ast.info, k.block, b)
+					s.reserve(st, ast, k.block, b)
 					s.postQuery(holder, k.array, k.block, queryFetch)
 				}
 			}
@@ -1134,20 +1148,28 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 		// it. A leased one stays with its lease.
 		sharedArena.Put(b.buf)
 	}
-	s.setBuf(st, b, data)
+	// A durable or remote copy is by definition written.
+	b.phase = written
+	b.remoteBacked = b.remoteBacked || remoteBacked
+	b.persistedLocal = b.persistedLocal || persisted
+	s.setBuf(st, ast, bi, b, data)
 	b.check = check
 	st.tick++
 	b.loadTick = st.tick
 	b.lastUse = st.tick // a load is a use: a prefetched block must not carry last iteration's stamp into the LRU order
 	st.stats.BlockLoads++
 	s.metrics.blockLoads.Inc()
-	// A durable or remote copy is by definition written.
-	b.phase = written
-	b.remoteBacked = b.remoteBacked || remoteBacked
-	b.persistedLocal = b.persistedLocal || persisted
 	s.wakeWaiters(st, ast, bi, b)
 	s.tellHome(st, msgNotify{array: ast.info.Name, block: bi, node: s.cfg.NodeID})
-	s.reclaim(st, ast.info.Name, bi)
+	// A prefetched block nobody waits for is not protected: landing with no
+	// room left (admission counted what was reserved then, not what a
+	// demand fetch reserved since), it is the last victim, not a grant
+	// above the budget.
+	protect := bi
+	if b.prefetched {
+		protect = -1
+	}
+	s.granted(st, ast.info.Name, protect)
 	s.reclaimQuota(st, ast.quota, ast.info.Name, bi)
 }
 
@@ -1157,10 +1179,11 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 // reclaimable only when unpinned and backed by a durable or remote copy —
 // the paper's rule ("reclaims blocks that are stored on the disk of any node
 // and which are not currently used"). protect identifies a block that must
-// survive this pass (typically the one just installed).
-func (s *Store) reclaim(st *loopState, protectArray string, protectBlock int) {
+// survive this pass (typically the one just installed). It reports whether
+// the store is still over its budget.
+func (s *Store) reclaim(st *loopState, protectArray string, protectBlock int) bool {
 	if st.resident <= s.cfg.MemoryBudget {
-		return
+		return false
 	}
 	for _, v := range s.collectVictims(st, protectArray, protectBlock, nil) {
 		if st.resident <= s.cfg.MemoryBudget {
@@ -1171,8 +1194,15 @@ func (s *Store) reclaim(st *loopState, protectArray string, protectBlock int) {
 		s.metrics.evictions.Inc()
 		s.traceEvict(v.name, v.idx)
 	}
-	if st.resident > s.cfg.MemoryBudget {
+	return st.resident > s.cfg.MemoryBudget
+}
+
+// granted reclaims after an allocation — a write grant or an install — and
+// counts it if it leaves the store over its budget.
+func (s *Store) granted(st *loopState, protectArray string, protectBlock int) {
+	if s.reclaim(st, protectArray, protectBlock) {
 		st.stats.OverBudgetAllocs++
+		s.metrics.overBudget.Inc()
 	}
 }
 
@@ -1230,8 +1260,8 @@ type victimSlice []victim
 func (v victimSlice) Len() int      { return len(v) }
 func (v victimSlice) Swap(i, j int) { v[i], v[j] = v[j], v[i] }
 func (v victimSlice) Less(i, j int) bool {
-	if v[i].b.prefetched != v[j].b.prefetched {
-		return v[j].b.prefetched
+	if wi, wj := v[i].b.prefetched || v[i].b.held, v[j].b.prefetched || v[j].b.held; wi != wj {
+		return wj
 	}
 	if v[i].key != v[j].key {
 		return v[i].key < v[j].key
@@ -1247,10 +1277,9 @@ func (v victimSlice) Less(i, j int) bool {
 func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState) {
 	// Eviction preconditions (no leases, waiters, or I/O in flight) mean
 	// nothing aliases buf; recycle it. A written block stays written.
+	b.prefetched, b.held = false, false
 	sharedArena.Put(b.buf)
-	s.setBuf(st, b, nil)
-	b.prefetched = false
-	st.reserve(ast.info, idx, b)
+	s.setBuf(st, ast, idx, b, nil)
 	s.tellHome(st, msgNotify{array: ast.info.Name, block: idx, node: s.cfg.NodeID, gone: true})
 }
 
@@ -1310,9 +1339,17 @@ func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
 	st.stats.PrefetchIssued++
 	s.metrics.prefetchIssued.Inc()
 	b := s.getBlock(ast, c.block)
-	// Already resident, or already on its way (a block in flight from a
+	// Already resident: the window holds it until it is read, unless a
+	// lease does already. Already on its way (a block in flight from a
 	// demand miss stays a plain miss): nothing to start, nothing to credit.
-	if b.readable() || b.fetching || b.probing {
+	if b.readable() {
+		if b.refcnt == 0 {
+			b.held = true
+			s.reserve(st, ast, c.block, b)
+		}
+		return
+	}
+	if b.fetching || b.probing {
 		return
 	}
 	if bs := ast.info.BlockSpan(c.block); st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
@@ -1458,7 +1495,7 @@ func (s *Store) handleIODone(st *loopState, m *ioJob) {
 	if m.err != nil {
 		b.prefetched = false // nothing arrived to be read
 	}
-	st.reserve(ast.info, m.block, b)
+	s.reserve(st, ast, m.block, b)
 	st.stats.IORetries += int64(m.retries)
 	s.metrics.ioRetries.Add(int64(m.retries))
 	if m.err != nil {
@@ -1516,6 +1553,7 @@ func (s *Store) handleIOWrote(st *loopState, m *ioJob) {
 		b.flushing = false
 		if m.err == nil {
 			b.persistedLocal = true
+			s.reserve(st, ast, m.block, b)
 			n := ast.info.BlockSpan(m.block).Hi - ast.info.BlockSpan(m.block).Lo
 			if m.stats.framed {
 				n = m.stats.storedBytes

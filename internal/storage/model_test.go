@@ -23,13 +23,15 @@ import (
 // accountingError recomputes what the loop keeps incrementally from its
 // definition by a full walk — the walk the bookkeeping replaced — and reports
 // the first disagreement: st.resident against Σ len(buf), st.reserved against
-// the full size of every block that is leased, in flight or prefetched and
-// unread, and each block's cached reserved flag against the same definition.
+// the full size of every block that is leased, in flight, prefetched and
+// unread, or resident with no copy anywhere else (on node self's scratch,
+// with a peer, on the shard tier), and each block's cached reserved flag
+// against the same definition.
 // It also checks the heap a resident block costs beyond what the budget
 // counts: a buffer of at least the arena's smallest class has at most a
 // quarter more capacity than length. A block being written has its buffer
 // and its writer's lease; an unwritten block holds no buffer.
-func accountingError(st *loopState) error {
+func accountingError(st *loopState, self int) error {
 	var resident, reserved int64
 	for name, ast := range st.arrays {
 		for idx, b := range ast.blocks {
@@ -37,17 +39,18 @@ func accountingError(st *loopState) error {
 			if n := len(b.buf); n >= 1<<arenaMinShift && cap(b.buf) > n+n/4 {
 				return fmt.Errorf("%s[%d]: %d resident bytes hold a %d-byte buffer, more than 1.25 ×", name, idx, n, cap(b.buf))
 			}
-			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched
+			onlyCopy := b.buf != nil && !(b.persistedLocal || b.remoteBacked || ast.diskNodes[self] || b.shardDurable)
+			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched || b.held || onlyCopy
 			if b.reserved != want {
-				return fmt.Errorf("%s[%d]: reserved flag %v, definition says %v (refcnt %d fetching %v probing %v prefetched %v)",
-					name, idx, b.reserved, want, b.refcnt, b.fetching, b.probing, b.prefetched)
+				return fmt.Errorf("%s[%d]: reserved flag %v, definition says %v (refcnt %d fetching %v probing %v prefetched %v only copy %v)",
+					name, idx, b.reserved, want, b.refcnt, b.fetching, b.probing, b.prefetched, onlyCopy)
 			}
 			if want {
 				bs := ast.info.BlockSpan(idx)
 				reserved += bs.Hi - bs.Lo
 			}
-			if b.refcnt > 0 && b.prefetched {
-				return fmt.Errorf("%s[%d]: leased and still marked prefetched-unread", name, idx)
+			if b.refcnt > 0 && (b.prefetched || b.held) {
+				return fmt.Errorf("%s[%d]: leased and still marked prefetched or held unread", name, idx)
 			}
 			if b.phase == writing && (b.buf == nil || b.refcnt == 0) {
 				return fmt.Errorf("%s[%d]: being written without a buffer or a lease (refcnt %d)", name, idx, b.refcnt)
@@ -124,7 +127,7 @@ func newCheckedLocal(t *testing.T, cfg Config) *Store {
 				s.dispatch(st, m)
 			}
 			if err == nil {
-				err = accountingError(st)
+				err = accountingError(st, s.cfg.NodeID)
 			}
 			if err != nil && !failed {
 				failed = true

@@ -176,6 +176,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		{"dooc_storage_disk_write_bytes_total", st.BytesWrittenDisk},
 		{"dooc_storage_peer_fetch_bytes_total", st.BytesFetchedPeer},
 		{"dooc_storage_io_retries_total", st.IORetries},
+		{"dooc_storage_over_budget_allocs_total", st.OverBudgetAllocs},
 	}
 	for _, c := range counters {
 		if got := seriesValue(t, snap, c.name, 0); got != c.want {
@@ -195,6 +196,11 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Error("no evictions despite a two-block budget over eight blocks")
+	}
+	// The third to eighth writes, before the flush, each hold a block no
+	// eviction may take beside two others in a two-block budget.
+	if st.OverBudgetAllocs != blocks-2 {
+		t.Errorf("over-budget allocations = %d, want %d: the writes past the budget before the flush", st.OverBudgetAllocs, blocks-2)
 	}
 	// Every request round-trips through client.Request, which observes the
 	// lease-wait histogram exactly once per request.

@@ -31,7 +31,7 @@ func newByHand(t *testing.T, budget int64, names ...string) *byHand {
 
 func (h *byHand) check() {
 	h.t.Helper()
-	if err := accountingError(h.st); err != nil {
+	if err := accountingError(h.st, h.s.cfg.NodeID); err != nil {
 		h.t.Fatal(err)
 	}
 }
@@ -215,4 +215,88 @@ func TestPrefetchAdmission(t *testing.T) {
 	if got := h.st.stats.PrefetchLoads; got != 2 {
 		t.Errorf("prefetch loads = %d, want 2", got)
 	}
+}
+
+// TestPrefetchHoldsResidentBlock: a prefetch that names a resident block
+// holds it until it is read — reserved, and behind every idle block in the
+// eviction order — so a window's later fetch evicts the idle B, not the
+// older A the window is about to read. The read is a plain hit, not a
+// prefetch hit, and spends the hold.
+func TestPrefetchHoldsResidentBlock(t *testing.T) {
+	h := newByHand(t, 2*handBlockBytes+handBlockBytes/2, "A", "B", "C")
+	h.read("A")
+	h.read("B")
+	if h.prefetch("A") {
+		t.Fatal("a prefetch of a resident block started a read")
+	}
+	if !h.block("A").held || h.st.reserved != handBlockBytes {
+		t.Fatalf("A held %v, reserved %d; want held, one block", h.block("A").held, h.st.reserved)
+	}
+	if !h.prefetch("C") {
+		t.Fatal("C fits beside the held A and was not admitted")
+	}
+	h.landed("C")
+	if h.block("A").buf == nil || h.block("B").buf != nil {
+		t.Fatalf("after C landed: A resident %v, B resident %v; want C to have evicted the idle B, not the held A",
+			h.block("A").buf != nil, h.block("B").buf != nil)
+	}
+	h.read("A")
+	if h.block("A").held {
+		t.Error("A is still held after it was read")
+	}
+	if st := h.st.stats; st.PrefetchHits != 0 || st.PrefetchLoads != 1 {
+		t.Errorf("prefetch hits %d loads %d, want 0 and 1: only C was fetched, and it is unread", st.PrefetchHits, st.PrefetchLoads)
+	}
+}
+
+// TestAdmissionCountsOnlyCopies: a written block that exists nowhere but in
+// this store's memory cannot be evicted, so admission counts it as it counts
+// a lease; once a spill lands it has a copy on scratch, and its bytes are
+// free again.
+func TestAdmissionCountsOnlyCopies(t *testing.T) {
+	h := newByHand(t, 2*handBlockBytes+handBlockBytes/2, "A", "B")
+	if err := h.s.handleCreate(h.st, ArrayInfo{Name: "y", Size: handBlockBytes, BlockSize: handBlockBytes}); err != nil {
+		t.Fatal(err)
+	}
+	reply := make(chan leaseResult, 1)
+	h.s.handleRequest(h.st, &cmdRequest{array: "y", perm: PermWrite, reply: reply})
+	h.check()
+	h.release((<-reply).lease)
+	if h.st.reserved != handBlockBytes {
+		t.Fatalf("reserved %d after the only copy of y was written, want %d", h.st.reserved, handBlockBytes)
+	}
+	a := h.lease("A")
+	if h.prefetch("B") {
+		t.Fatal("B admitted beside a leased A and y, which no eviction may take")
+	}
+	h.s.handleIOWrote(h.st, &ioJob{kind: ioSpill, array: "y", block: 0, length: handBlockBytes})
+	h.check()
+	if !h.prefetch("B") {
+		t.Fatal("B not admitted once y has a copy on scratch")
+	}
+	h.release(a)
+}
+
+// TestLandedPrefetchIsLastVictim: admission counts what is reserved when the
+// prefetch arrives; a demand fetch admitted after it may leave no room by
+// the time the prefetched block lands. Budget two blocks, no slack: A is
+// leased, B admitted, then C read on demand. B lands last with nobody
+// waiting for it, and is dropped rather than held above the budget.
+func TestLandedPrefetchIsLastVictim(t *testing.T) {
+	h := newByHand(t, 2*handBlockBytes, "A", "B", "C")
+	a := h.lease("A")
+	if !h.prefetch("B") {
+		t.Fatal("B fits beside the leased A and was not admitted")
+	}
+	c := h.request("C")
+	h.landed("C")
+	h.landed("B")
+	if h.block("B").buf != nil {
+		t.Error("B is resident beside two leased blocks in a two-block budget")
+	}
+	if got := h.st.stats.OverBudgetAllocs; got != 0 {
+		t.Errorf("%d allocations above the budget", got)
+	}
+	h.release((<-c).lease)
+	h.release(a)
 }

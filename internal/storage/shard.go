@@ -171,7 +171,7 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 	if !m.ok && len(b.waiters) == 0 {
 		b.prefetched = false // a prefetch alone does not chase the block further
 	}
-	st.reserve(ast.info, m.block, b)
+	s.reserve(st, ast, m.block, b)
 	if m.ok {
 		st.stats.ShardFetches++
 		st.stats.BytesFetchedShard += int64(len(m.data))
@@ -189,6 +189,7 @@ func (s *Store) handleShardDone(st *loopState, m shardDone) {
 		s.tellHome(st, msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true, gone: true})
 	}
 	b.shardDurable = false
+	s.reserve(st, ast, m.block, b)
 	if len(b.waiters) > 0 {
 		s.ensureBlockData(st, ast, m.block, b)
 	}
@@ -250,6 +251,7 @@ func (s *Store) handleShardPushed(st *loopState, m shardPushed) {
 	b.shardPushing = false
 	if m.durable {
 		b.shardDurable = true
+		s.reserve(st, ast, m.block, b)
 		st.stats.ShardDurablePushes++
 		s.metrics.shardDurable.Inc()
 		s.tellHome(st, msgNotify{array: m.array, block: m.block, node: s.cfg.NodeID, onDisk: true})

@@ -254,11 +254,11 @@ type Stats struct {
 	BytesFetchedPeer  int64
 	PeerProbes        int64 // random-peer probe messages sent
 	PeerProbeMisses   int64 // probes answered "not here"
-	OverBudgetAllocs  int64 // allocations granted above the memory budget
+	OverBudgetAllocs  int64 // write grants and installs that left the store over its memory budget
 	PrefetchIssued    int64
 	PrefetchLoads     int64 // block fetches initiated by prefetch
 	PrefetchHits      int64 // cache hits on blocks a prefetch brought in
-	PrefetchDeferred  int64 // prefetched blocks not admitted: no room beside reserved bytes
+	PrefetchDeferred  int64 // prefetched blocks not admitted: no room beside leased, in-flight, prefetched or held unread, and only-copy bytes
 	ImplicitDiskReads int64
 	IORetries         int64 // transient disk errors survived by the retry policy
 
