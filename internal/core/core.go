@@ -46,9 +46,8 @@ type Options struct {
 	// PrefetchWindow is how many ready tasks a node's local scheduler keeps
 	// with their heavy data in memory, the one it picks included: at each
 	// pick it asks the store, after the picked task's first lease request,
-	// to hold the runners-up's resident blocks and fetch the missing ones,
-	// within the budget (storage admission). 0, the zero value, and 1
-	// prefetch nothing.
+	// to fetch the runners-up's missing heavy blocks, within the budget
+	// (storage admission). 0, the zero value, and 1 prefetch nothing.
 	PrefetchWindow int
 	// Reorder enables the local scheduler's data-aware reordering; false,
 	// the zero value, runs ready tasks in program order.

@@ -516,7 +516,7 @@ func (r *engineRun) worker(node, lane int) {
 				task = r.policies[node].Pick(mine, resident)
 				// Keep the window's runners-up in memory: the task's first
 				// lease request asks the store, after itself, to fetch their
-				// missing heavy data and hold their resident ones.
+				// missing heavy data.
 				ctx.prefetch = ctx.prefetch[:0]
 				for _, ref := range r.policies[node].PrefetchTargets(mine, resident, r.sys.opts.PrefetchWindow) {
 					ctx.prefetch = append(ctx.prefetch, storage.BlockRef{Array: ref.Array, Block: blockOrZero(ref)})

@@ -118,22 +118,38 @@ func TestNodeMemoryBounded(t *testing.T) {
 }
 
 // TestOverBudgetAllocsReadable: at a budget of two average blocks and no
-// slack, at K = 4 and K = 8 and at prefetch windows 0, 1, 2 and 4, no store
-// grants an allocation above its budget, and RunStats.OverBudgetAllocs
-// reports exactly what the stores counted. The window is what used to break
-// the bound (window 2 granted 58–64 at K = 4): a prefetch admitted before the
-// picked task's lease, and admission that did not count written blocks no
-// eviction may take.
+// slack, at prefetch windows 0, 1, 2 and 4, RunStats.OverBudgetAllocs reports
+// exactly what the stores counted, and no store grants an allocation above
+// its budget — at 2000² and K = 4, the shape this test first read the
+// breach at, and at 3000² and K = 4 and 8. The window is what used to break
+// the bound there (2000², K = 4: 63 at window 2, 0 at window 0): a prefetch
+// admitted before the picked task's lease, and admission that did not count
+// written blocks no eviction may take.
+//
+// 2000² at K = 8 is a known failure (ROADMAP item 17, written blocks): one
+// iteration's partials and vectors, the only copies of their bytes, do not
+// fit beside two matrix blocks, so even window 0 grants above the budget
+// (127–235 in ten iterations). The case checks that the breach is read and
+// still there; once it reads 0, the budget bounds written blocks as well and
+// the case belongs with the others.
 func TestOverBudgetAllocsReadable(t *testing.T) {
-	const dim, nodes = 3000, 2
-	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := randVec(rand.New(rand.NewSource(3)), dim)
-	for _, k := range []int{4, 8} {
+	const nodes = 2
+	for _, tc := range []struct {
+		dim, k      int
+		knownBreach bool
+	}{
+		{2000, 4, false},
+		{3000, 4, false},
+		{3000, 8, false},
+		{2000, 8, true},
+	} {
+		m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: tc.dim, Cols: tc.dim, D: 8, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x0 := randVec(rand.New(rand.NewSource(3)), tc.dim)
 		root := t.TempDir()
-		cfg := SpMVConfig{Dim: dim, K: k, Iters: 10, Nodes: nodes}
+		cfg := SpMVConfig{Dim: tc.dim, K: tc.k, Iters: 10, Nodes: nodes}
 		if err := StageMatrix(root, m, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +157,13 @@ func TestOverBudgetAllocsReadable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		block := info.Bytes / int64(k*k)
-		for _, window := range []int{0, 1, 2, 4} {
-			t.Run(fmt.Sprintf("K%d/window%d", k, window), func(t *testing.T) {
+		block := info.Bytes / int64(tc.k*tc.k)
+		windows := []int{0, 1, 2, 4}
+		if tc.knownBreach {
+			windows = []int{0}
+		}
+		for _, window := range windows {
+			t.Run(fmt.Sprintf("%d/K%d/window%d", tc.dim, tc.k, window), func(t *testing.T) {
 				sys, err := NewSystem(Options{Nodes: nodes, ScratchRoot: root, MemoryBudget: 2 * block, PrefetchWindow: window, Reorder: true})
 				if err != nil {
 					t.Fatal(err)
@@ -161,8 +181,16 @@ func TestOverBudgetAllocsReadable(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, want := res.Stats.OverBudgetAllocs(), granted()-before
-				if got != want || got != 0 {
-					t.Fatalf("RunStats.OverBudgetAllocs = %d, the stores counted %d, above a %d-byte budget; want both 0", got, want, 2*block)
+				if got != want {
+					t.Fatalf("RunStats.OverBudgetAllocs = %d, the stores counted %d", got, want)
+				}
+				switch {
+				case tc.knownBreach && got == 0:
+					t.Fatalf("no allocation granted above a %d-byte budget: the written-blocks breach of ROADMAP item 17 is gone; assert 0 here as in the other cases", 2*block)
+				case tc.knownBreach:
+					t.Logf("known breach (ROADMAP item 17): %d allocations granted above a %d-byte budget", got, 2*block)
+				case got != 0:
+					t.Fatalf("%d allocations granted above a %d-byte budget, want 0", got, 2*block)
 				}
 			})
 		}
@@ -174,20 +202,24 @@ func TestOverBudgetAllocsReadable(t *testing.T) {
 // = 8, 2 nodes of one worker, a budget of two average blocks + 128 KiB — and
 // at the same budget without the slack, a window of 2 reads from scratch at
 // most prefetchReadBound × what window 0 reads, at K = 4 and K = 8, summed
-// over 40 runs of 5 iterations. Before the window counted tasks and
+// over 10 runs of 5 iterations. Before the window counted tasks and
 // admission counted every byte no eviction may free, it read 1.33 × at K = 4
-// and 1.12 × at K = 8 with the slack, and 1.73 × at both without; a
-// window whose runners-up are admitted before the picked task's block is
-// counted reads 1.78 × and 1.86 × without the slack. Runs of this probe on a
-// 2-vCPU host read 1.07–1.14 × (K = 4, 19 runs) and 1.01–1.03 × (K = 8)
-// with the slack, 1.05–1.08 × and 1.01–1.02 × without (4 runs): the order
-// in which tasks become ready moves from run to run, so the bound keeps a
-// margin over the worst reading.
+// and 1.12 × at K = 8 with the slack, and 1.73 × at both without; a window
+// whose runners-up are admitted before the picked task's block is counted
+// reads 1.78 × and 1.86 × without the slack.
+//
+// prefetchReadBound is a regression guard, not the goal: the goal is 1.10
+// ×, and K = 4 does not meet it in every run (ROADMAP item 10). Eight runs
+// of this test on a 2-vCPU host read 1.04–1.13 × (K = 4) and 1.01–1.03 ×
+// (K = 8) with the slack, 1.02–1.10 × and 0.99–1.03 × without; at
+// GOMAXPROCS 1, 1.07 ×, 1.07 ×, 1.03 × and 1.01 ×. The order in which tasks
+// become ready moves from run to run, and the guard keeps a margin over the
+// worst reading.
 func TestPrefetchReadsNoMoreThanWindowZero(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's slowdown reorders when tasks become ready, which is what the bound measures")
 	}
-	const dim, nodes, runs, iters, prefetchReadBound = 3000, 2, 40, 5, 1.20
+	const dim, nodes, runs, iters, prefetchReadBound = 3000, 2, 10, 5, 1.20
 	m, err := sparse.GapMatrix(sparse.GapGenConfig{Rows: dim, Cols: dim, D: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

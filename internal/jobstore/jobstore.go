@@ -565,9 +565,12 @@ func (s *Store) append(e *entry) error {
 	s.m.appends.Inc()
 	s.appends++
 	if s.appends >= s.opts.CompactEvery {
-		// The journal itself is intact if compaction fails; replay only
-		// stays longer, and the next append tries again.
-		_ = s.compactLocked()
+		if err := s.compactLocked(); err != nil {
+			// The journal itself is intact; a failed compaction only means
+			// replay stays longer, and the next append tries again. Surface
+			// it without failing the append.
+			s.m.compactErrors.Inc()
+		}
 	}
 	return nil
 }

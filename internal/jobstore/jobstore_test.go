@@ -245,6 +245,52 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestFailedCompactionCounted: an automatic compaction that cannot write
+// its snapshot leaves the append acknowledged and counts one
+// dooc_jobstore_compact_errors_total per attempt — every append past the
+// threshold tries again — until one succeeds and empties the WAL.
+func TestFailedCompactionCounted(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s, err := Open(dir, Options{CompactEvery: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A directory where the snapshot's temporary file goes fails its open.
+	block := filepath.Join(dir, snapshotName+".tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	errs := reg.Counter("dooc_jobstore_compact_errors_total", "")
+	for i := int64(1); i <= 4; i++ {
+		if err := s.Append(rec(i, "queued")); err != nil {
+			t.Fatalf("append %d failed with its compaction: %v", i, err)
+		}
+		if want := i - 1; errs.Value() != want {
+			t.Fatalf("after %d appends: %d compaction errors, want %d", i, errs.Value(), want)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() == 0 {
+		t.Fatalf("WAL empty after failed compactions: %v", err)
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(rec(5, "queued")); err != nil {
+		t.Fatal(err)
+	}
+	if errs.Value() != 3 {
+		t.Errorf("%d compaction errors after one succeeded, want 3", errs.Value())
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != 0 {
+		t.Fatalf("WAL not truncated by the compaction that succeeded: %v", err)
+	}
+	if got := len(s.Records()); got != 5 {
+		t.Errorf("%d records, want 5", got)
+	}
+}
+
 // TestResultRoundTrip: SaveResult/LoadResult round-trips the payload, the
 // SHA matches, and corruption is detected.
 func TestResultRoundTrip(t *testing.T) {

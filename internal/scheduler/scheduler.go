@@ -240,16 +240,15 @@ func (p *Policy) Order(ready []*dag.Task, resident func(dag.Ref) bool) []*dag.Ta
 	return out
 }
 
-// PrefetchTargets returns the heavy data refs of the ready tasks Order
-// ranks second to window-th, each once, in that order, leaving out the
-// first's. This is how the local scheduler keeps "a given number of ready
-// tasks whose data are in memory": window counts tasks, resident or not, not
-// fetches. The first of them is the task Pick chooses, whose own reads bring
-// its data in, so window 1 names nothing. The prefetcher fetches the refs
-// that are missing and holds the resident ones in memory, so a window never
-// evicts data of the tasks it names to make room for others. The returned
-// slice is scratch owned by the policy — valid until the next
-// PrefetchTargets call.
+// PrefetchTargets returns the non-resident heavy data refs of the ready
+// tasks Order ranks second to window-th, each once, in that order, leaving
+// out the first's. This is how the local scheduler keeps "a given number of
+// ready tasks whose data are in memory": window counts tasks, resident or
+// not, not fetches, so a ready task whose data are already in memory fills
+// its place in the window without a fetch that would evict other data. The
+// first of them is the task Pick chooses, whose own reads bring its data in,
+// so window 1 names nothing. The returned slice is scratch owned by the
+// policy — valid until the next PrefetchTargets call.
 func (p *Policy) PrefetchTargets(ready []*dag.Task, resident func(dag.Ref) bool, window int) []dag.Ref {
 	if window <= 1 || len(ready) < 2 {
 		return nil
@@ -269,7 +268,7 @@ func (p *Policy) PrefetchTargets(ready []*dag.Task, resident func(dag.Ref) bool,
 	out := p.refScratch[:0]
 	for _, t := range order[1:] {
 		for _, r := range t.HeavyInputs() {
-			if !seen[keyOf(r)] {
+			if !seen[keyOf(r)] && !resident(r) {
 				seen[keyOf(r)] = true
 				out = append(out, r)
 			}

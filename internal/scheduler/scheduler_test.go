@@ -114,9 +114,8 @@ func TestPolicyEmptyReady(t *testing.T) {
 }
 
 // TestPrefetchTargets: the window counts ready tasks, the picked one and
-// those whose data are resident included. It names the runners-up's heavy
-// refs, resident ones too (the prefetcher holds those), each once, and
-// never the picked task's: its own read loads it.
+// those whose data are resident included. It names the runners-up's missing
+// heavy refs, each once, and never the picked task's: its own read loads it.
 func TestPrefetchTargets(t *testing.T) {
 	p := NewPolicy()
 	ready := []*dag.Task{
@@ -133,11 +132,11 @@ func TestPrefetchTargets(t *testing.T) {
 		want   []string
 	}{
 		{0, nil},
-		{1, nil},                        // the picked task t2 alone
-		{2, []string{"m3"}},             // t4 resident: held, not fetched
-		{3, []string{"m3", "m1"}},       // t1 misses m1
-		{4, []string{"m3", "m1"}},       // t3 misses m1 too: named once
-		{9, []string{"m3", "m1", "m4"}}, // every runner-up
+		{1, nil},                  // the picked task t2 alone
+		{2, nil},                  // t4 is resident: its place needs no fetch
+		{3, []string{"m1"}},       // t1 misses m1
+		{4, []string{"m1"}},       // t3 misses m1 too: named once
+		{9, []string{"m1", "m4"}}, // every runner-up's missing data
 	} {
 		var got []string
 		for _, r := range p.PrefetchTargets(ready, resident, tc.window) {

@@ -77,22 +77,20 @@ func (s *Store) RequestBlock(array string, block int, perm Perm) (*Lease, error)
 }
 
 // RequestBlockPrefetch is RequestBlock that also prefetches the named
-// blocks, as PrefetchBlock does, after posting the request and before
-// waiting for its reply. The store's loop takes the request first, so the
-// prefetches' admission counts the requested block as reserved — leased
-// when it is resident, in flight when it is not — and none of them waits
-// for it.
+// blocks, as PrefetchBlock does. The store's loop takes them after the
+// request and before it replies, so their admission counts the requested
+// block as reserved — leased when it is resident, in flight when it is not
+// (handleRequest). The loop is done with prefetch once the call returns.
 func (s *Store) RequestBlockPrefetch(array string, block int, perm Perm, prefetch []BlockRef) (*Lease, error) {
 	c := reqPool.Get().(*cmdRequest)
-	c.array, c.block, c.perm = array, block, perm
-	return s.request(c, prefetch)
+	c.array, c.block, c.perm, c.prefetch = array, block, perm, prefetch
+	return s.request(c)
 }
 
-// request posts a pooled command, then a prefetch of each of the named
-// blocks, and waits for the command's single reply. The loop returns the
-// command struct to its pool; the reply channel comes back here once the
-// reply has been received.
-func (s *Store) request(c *cmdRequest, prefetch []BlockRef) (*Lease, error) {
+// request posts a pooled command and waits for its single reply. The loop
+// returns the command struct to its pool; the reply channel comes back here
+// once the reply has been received.
+func (s *Store) request(c *cmdRequest) (*Lease, error) {
 	reply := leaseReplyPool.Get().(chan leaseResult)
 	c.reply = reply
 	// The loop recycles c before the reply lands; capture the label first.
@@ -102,9 +100,6 @@ func (s *Store) request(c *cmdRequest, prefetch []BlockRef) (*Lease, error) {
 	}
 	start := time.Now()
 	s.post(c)
-	for _, r := range prefetch {
-		s.PrefetchBlock(r.Array, r.Block)
-	}
 	res := <-reply
 	leaseReplyPool.Put(reply)
 	s.metrics.leaseWait.Observe(time.Since(start).Seconds())
@@ -265,7 +260,7 @@ func (s *Store) readBlockInto(array string, block int, dst []byte) error {
 	}
 	c := reqPool.Get().(*cmdRequest)
 	c.array, c.block, c.perm, c.dst = array, block, PermRead, dst
-	l, err := s.request(c, nil)
+	l, err := s.request(c)
 	if l != nil {
 		copy(dst, l.Data)
 		l.Release()

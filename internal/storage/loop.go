@@ -43,6 +43,8 @@ type cmdRequest struct {
 	// the loop can only get them through one, which the client then copies
 	// out of and releases.
 	dst []byte
+	// prefetch names blocks to prefetch (see handleRequest).
+	prefetch []BlockRef
 }
 
 type cmdRelease struct {
@@ -220,9 +222,6 @@ type blockState struct {
 	// it, whichever path grants it; it is a prefetch hit only when the block
 	// was already resident when that request arrived.
 	prefetched bool
-	// held marks a resident block a prefetch named: the window holds it in
-	// memory, as it holds a prefetched one, until the first lease on it.
-	held bool
 	// reserved caches whether the block's bytes are counted in
 	// loopState.reserved (see reserve).
 	reserved bool
@@ -318,16 +317,16 @@ func (b *blockState) readable() bool {
 }
 
 // reserve re-derives whether block bi's bytes are spoken for: under a lease
-// (a writer holds one too), on their way in a fetch, prefetched or held and
-// not yet read, or resident as the block's only copy — a written vector or
+// (a writer holds one too), on their way in a fetch, prefetched and not yet
+// read, or resident as the block's only copy — a written vector or
 // partial nothing else holds, which no eviction may take (copiedElsewhere).
 // st.reserved sums the full size of every such block; a prefetch is
 // admitted only if its block fits in the memory budget beside that sum,
 // because reclamation could make room for it only by evicting one of them
 // or not at all. Call after any change to refcnt, fetching, probing,
-// prefetched, held, buf (setBuf calls it) or what copiedElsewhere reads.
+// prefetched, buf (setBuf calls it) or what copiedElsewhere reads.
 func (s *Store) reserve(st *loopState, ast *arrayState, bi int, b *blockState) {
-	want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched || b.held ||
+	want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched ||
 		(b.buf != nil && !s.copiedElsewhere(ast, b))
 	if want == b.reserved {
 		return
@@ -376,7 +375,7 @@ func (s *Store) dispatch(st *loopState, m any) {
 		*m = cmdRelease{}
 		relPool.Put(m)
 	case *cmdPrefetch:
-		s.handlePrefetch(st, m)
+		s.prefetch(st, m.array, m.block)
 		*m = cmdPrefetch{}
 		prefetchPool.Put(m)
 	case cmdFlush:
@@ -580,7 +579,7 @@ func (s *Store) handleDelete(st *loopState, name string) error {
 	for idx, b := range ast.blocks {
 		// No lease and no disk fetch, checked above; a probe's reply will
 		// find no array and an unread prefetch has nothing left to read.
-		b.probing, b.prefetched, b.held = false, false, false
+		b.probing, b.prefetched = false, false
 		sharedArena.Put(b.buf)
 		s.setBuf(st, ast, idx, b, nil)
 		s.recycleBlockState(b)
@@ -656,7 +655,61 @@ func (s *Store) dirOf(st *loopState, k blockKey) *dirEntry {
 
 // ---- leases ----
 
+// handleRequest serves a lease request and then the prefetches it carries,
+// before its reply wakes the requester. Its block is leased by then, or on
+// its way, so their admission counts it as reserved; and the I/O filters
+// they set going are woken before the requester is, so the requester runs
+// next where the loop ran instead of queueing behind a read.
+//
+// A requester that waits for a read uses no idle block meanwhile, so the
+// reads it waits beside — its own and its prefetches' — make their room as
+// they start, not as they land, until the store's resident blocks and those
+// reads' buffers fit its budget together. The room comes from blocks like the
+// ones coming in, at least half the smallest read's size, so the small
+// blocks the requester reads next beside its big one (vectors, partials)
+// stay; a landing evicts them only if it must.
 func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
+	res, answered := s.lease(st, c)
+	for _, r := range c.prefetch {
+		s.prefetch(st, r.Array, r.Block)
+	}
+	if answered {
+		c.reply <- res
+		return
+	}
+	incoming := s.incomingBytes(st, c.array, c.block)
+	smallest := incoming
+	for _, r := range c.prefetch {
+		if n := s.incomingBytes(st, r.Array, r.Block); n > 0 {
+			incoming += n
+			if smallest == 0 || n < smallest {
+				smallest = n
+			}
+		}
+	}
+	if incoming > 0 {
+		s.reclaimFor(st, incoming, smallest/2, "", -1)
+	}
+}
+
+// incomingBytes is the size of block bi of array if a fetch of it is under
+// way, and 0 otherwise.
+func (s *Store) incomingBytes(st *loopState, array string, bi int) int64 {
+	ast, ok := st.arrays[array]
+	if !ok {
+		return 0
+	}
+	if b, ok := ast.blocks[bi]; ok && b.buf == nil && (b.fetching || b.probing) {
+		bs := ast.info.BlockSpan(bi)
+		return bs.Hi - bs.Lo
+	}
+	return 0
+}
+
+// lease serves a lease request: it returns the answer if there is one now,
+// or false if the reply goes out later — a copy-out in flight, or a waiter
+// for a block on its way.
+func (s *Store) lease(st *loopState, c *cmdRequest) (leaseResult, bool) {
 	if c.perm == PermWrite {
 		st.stats.WriteRequests++
 		s.metrics.writeReqs.Inc()
@@ -666,22 +719,19 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 	}
 	ast, ok := st.arrays[c.array]
 	if !ok {
-		c.reply <- leaseResult{err: fmt.Errorf("%w %q", ErrUnknownArray, c.array)}
-		return
+		return leaseResult{err: fmt.Errorf("%w %q", ErrUnknownArray, c.array)}, true
 	}
 	if !ast.info.hasBlock(c.block) {
-		c.reply <- leaseResult{err: fmt.Errorf("storage: block %d out of array %q (%d blocks)", c.block, c.array, ast.info.NumBlocks())}
-		return
+		return leaseResult{err: fmt.Errorf("storage: block %d out of array %q (%d blocks)", c.block, c.array, ast.info.NumBlocks())}, true
 	}
 	bi := c.block
 	b := s.getBlock(ast, bi)
 	switch c.perm {
 	case PermWrite:
-		s.grantWrite(st, ast, bi, b, c.reply)
+		return s.grantWrite(st, ast, bi, b), true
 	case PermRead:
 		if bs := ast.info.BlockSpan(bi); c.dst != nil && int64(len(c.dst)) != bs.Hi-bs.Lo {
-			c.reply <- leaseResult{err: fmt.Errorf("storage: copy of %q block %d (%d bytes) into %d bytes", c.array, bi, bs.Hi-bs.Lo, len(c.dst))}
-			return
+			return leaseResult{err: fmt.Errorf("storage: copy of %q block %d (%d bytes) into %d bytes", c.array, bi, bs.Hi-bs.Lo, len(c.dst))}, true
 		}
 		if b.readable() {
 			st.stats.Hits++
@@ -692,29 +742,27 @@ func (s *Store) handleRequest(st *loopState, c *cmdRequest) {
 			}
 			if c.dst != nil {
 				s.copyResident(st, ast, bi, b, c.dst)
-				c.reply <- leaseResult{}
-				return
+				return leaseResult{}, true
 			}
-			c.reply <- leaseResult{lease: s.makeLease(st, ast, bi, b, PermRead)}
-			return
+			return leaseResult{lease: s.makeLease(st, ast, bi, b, PermRead)}, true
 		}
 		st.stats.Misses++
 		s.metrics.misses.Inc()
 		if c.dst != nil && s.copyOutDurable(st, ast, bi, b, c.dst, c.reply) {
-			return
+			return leaseResult{}, false
 		}
 		b.waiters = append(b.waiters, c.reply)
 		s.ensureBlockData(st, ast, bi, b)
-	default:
-		c.reply <- leaseResult{err: fmt.Errorf("storage: invalid permission %v", c.perm)}
+		return leaseResult{}, false
 	}
+	return leaseResult{err: fmt.Errorf("storage: invalid permission %v", c.perm)}, true
 }
 
 // copyResident is a copy-out of a resident block: the bytes are copied under
 // the loop, and the read counts as a use of the block, as a lease would.
 func (s *Store) copyResident(st *loopState, ast *arrayState, bi int, b *blockState, dst []byte) {
 	copy(dst, b.buf)
-	b.prefetched, b.held = false, false
+	b.prefetched = false
 	s.reserve(st, ast, bi, b)
 	st.tick++
 	b.lastUse = st.tick
@@ -761,10 +809,9 @@ func (s *Store) newIOJob(kind ioKind, ast *arrayState, bi int) *ioJob {
 	return j
 }
 
-func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState, reply chan leaseResult) {
+func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState) leaseResult {
 	if b.phase != unwritten {
-		reply <- leaseResult{err: fmt.Errorf("%w: %q block %d already written or being written", ErrImmutable, ast.info.Name, bi)}
-		return
+		return leaseResult{err: fmt.Errorf("%w: %q block %d already written or being written", ErrImmutable, ast.info.Name, bi)}
 	}
 	// An unwritten block holds no buffer. Recycled buffers carry stale
 	// bytes; a write block starts from zeroes.
@@ -776,12 +823,12 @@ func (s *Store) grantWrite(st *loopState, ast *arrayState, bi int, b *blockState
 	s.granted(st, ast.info.Name, bi)
 	s.reclaimQuota(st, ast.quota, ast.info.Name, bi)
 	b.phase = writing
-	reply <- leaseResult{lease: s.makeLease(st, ast, bi, b, PermWrite)}
+	return leaseResult{lease: s.makeLease(st, ast, bi, b, PermWrite)}
 }
 
 func (s *Store) makeLease(st *loopState, ast *arrayState, bi int, b *blockState, perm Perm) *Lease {
 	b.refcnt++
-	b.prefetched, b.held = false, false // the first lease on the block spends the prefetch
+	b.prefetched = false // the first lease on the block spends the prefetch
 	s.reserve(st, ast, bi, b)
 	st.tick++
 	b.lastUse = st.tick
@@ -1182,19 +1229,30 @@ func (s *Store) installBlock(st *loopState, ast *arrayState, bi int, b *blockSta
 // survive this pass (typically the one just installed). It reports whether
 // the store is still over its budget.
 func (s *Store) reclaim(st *loopState, protectArray string, protectBlock int) bool {
-	if st.resident <= s.cfg.MemoryBudget {
+	return s.reclaimFor(st, 0, 0, protectArray, protectBlock)
+}
+
+// reclaimFor is reclaim that also makes room for incoming bytes on their
+// way in, evicting only blocks of at least minVictim bytes: it evicts until
+// the incoming bytes fit beside what is resident, and reports whether they
+// do not.
+func (s *Store) reclaimFor(st *loopState, incoming, minVictim int64, protectArray string, protectBlock int) bool {
+	if st.resident+incoming <= s.cfg.MemoryBudget {
 		return false
 	}
 	for _, v := range s.collectVictims(st, protectArray, protectBlock, nil) {
-		if st.resident <= s.cfg.MemoryBudget {
+		if st.resident+incoming <= s.cfg.MemoryBudget {
 			break
+		}
+		if int64(len(v.b.buf)) < minVictim {
+			continue
 		}
 		s.dropBlock(st, v.ast, v.idx, v.b)
 		st.stats.Evictions++
 		s.metrics.evictions.Inc()
 		s.traceEvict(v.name, v.idx)
 	}
-	return st.resident > s.cfg.MemoryBudget
+	return st.resident+incoming > s.cfg.MemoryBudget
 }
 
 // granted reclaims after an allocation — a write grant or an install — and
@@ -1260,8 +1318,8 @@ type victimSlice []victim
 func (v victimSlice) Len() int      { return len(v) }
 func (v victimSlice) Swap(i, j int) { v[i], v[j] = v[j], v[i] }
 func (v victimSlice) Less(i, j int) bool {
-	if wi, wj := v[i].b.prefetched || v[i].b.held, v[j].b.prefetched || v[j].b.held; wi != wj {
-		return wj
+	if v[i].b.prefetched != v[j].b.prefetched {
+		return v[j].b.prefetched
 	}
 	if v[i].key != v[j].key {
 		return v[i].key < v[j].key
@@ -1277,7 +1335,7 @@ func (v victimSlice) Less(i, j int) bool {
 func (s *Store) dropBlock(st *loopState, ast *arrayState, idx int, b *blockState) {
 	// Eviction preconditions (no leases, waiters, or I/O in flight) mean
 	// nothing aliases buf; recycle it. A written block stays written.
-	b.prefetched, b.held = false, false
+	b.prefetched = false
 	sharedArena.Put(b.buf)
 	s.setBuf(st, ast, idx, b, nil)
 	s.tellHome(st, msgNotify{array: ast.info.Name, block: idx, node: s.cfg.NodeID, gone: true})
@@ -1321,43 +1379,35 @@ func (s *Store) handleEvict(st *loopState, m cmdEvict) error {
 
 // ---- prefetch, flush, map ----
 
-// handlePrefetch starts fetching the blocks a prefetch names, each only if
-// it is admitted: the block must fit in the memory budget beside the bytes no
+// prefetch starts fetching a block toward this node, only if it is
+// admitted: the block must fit in the memory budget beside the bytes no
 // eviction may make room with — st.reserved. A block that does not fit is
 // dropped, not queued: whoever issued the prefetch (the engine, at its next
 // pick) asks again, and a demand read needs no admission. Without this a
 // window of prefetches over a budget of as many blocks evicts its own unread
 // predecessors and every one of them is read from scratch twice.
-func (s *Store) handlePrefetch(st *loopState, c *cmdPrefetch) {
-	ast, ok := st.arrays[c.array]
+func (s *Store) prefetch(st *loopState, array string, block int) {
+	ast, ok := st.arrays[array]
 	if !ok {
 		return
 	}
-	if !ast.info.hasBlock(c.block) {
+	if !ast.info.hasBlock(block) {
 		return
 	}
 	st.stats.PrefetchIssued++
 	s.metrics.prefetchIssued.Inc()
-	b := s.getBlock(ast, c.block)
-	// Already resident: the window holds it until it is read, unless a
-	// lease does already. Already on its way (a block in flight from a
+	b := s.getBlock(ast, block)
+	// Already resident, or already on its way (a block in flight from a
 	// demand miss stays a plain miss): nothing to start, nothing to credit.
-	if b.readable() {
-		if b.refcnt == 0 {
-			b.held = true
-			s.reserve(st, ast, c.block, b)
-		}
+	if b.readable() || b.fetching || b.probing {
 		return
 	}
-	if b.fetching || b.probing {
-		return
-	}
-	if bs := ast.info.BlockSpan(c.block); st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
+	if bs := ast.info.BlockSpan(block); st.reserved+bs.Hi-bs.Lo > s.cfg.MemoryBudget {
 		st.stats.PrefetchDeferred++
 		s.metrics.prefetchDeferred.Inc()
 		return
 	}
-	s.ensureBlockData(st, ast, c.block, b)
+	s.ensureBlockData(st, ast, block, b)
 	if b.fetching || b.probing {
 		b.prefetched = true // reserved already: it is in flight
 		st.stats.PrefetchLoads++

@@ -122,7 +122,7 @@ func newStoreMetrics(cfg *Config) storeMetrics {
 		prefetchIssued:   reg.Counter("dooc_storage_prefetch_issued_total", "prefetch requests received", l),
 		prefetchLoads:    reg.Counter("dooc_storage_prefetch_loads_total", "block fetches initiated by prefetch", l),
 		prefetchHits:     reg.Counter("dooc_storage_prefetch_hits_total", "cache hits on prefetched blocks", l),
-		prefetchDeferred: reg.Counter("dooc_storage_prefetch_deferred_total", "prefetched blocks dropped at admission: no room in the budget beside bytes no eviction may free (leased, in flight, prefetched or held and unread, or a written block's only copy)", l),
+		prefetchDeferred: reg.Counter("dooc_storage_prefetch_deferred_total", "prefetched blocks dropped at admission: no room in the budget beside bytes no eviction may free (leased, in flight, prefetched and unread, or a written block's only copy)", l),
 		overBudget:       reg.Counter("dooc_storage_over_budget_allocs_total", "allocations granted above the memory budget", l),
 		peerProbes:       reg.Counter("dooc_storage_peer_probes_total", "random-peer probe messages sent", l),
 		peerProbeMisses:  reg.Counter("dooc_storage_peer_probe_misses_total", "probes answered \"not here\"", l),

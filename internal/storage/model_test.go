@@ -40,7 +40,7 @@ func accountingError(st *loopState, self int) error {
 				return fmt.Errorf("%s[%d]: %d resident bytes hold a %d-byte buffer, more than 1.25 ×", name, idx, n, cap(b.buf))
 			}
 			onlyCopy := b.buf != nil && !(b.persistedLocal || b.remoteBacked || ast.diskNodes[self] || b.shardDurable)
-			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched || b.held || onlyCopy
+			want := b.refcnt > 0 || b.fetching || b.probing || b.prefetched || onlyCopy
 			if b.reserved != want {
 				return fmt.Errorf("%s[%d]: reserved flag %v, definition says %v (refcnt %d fetching %v probing %v prefetched %v only copy %v)",
 					name, idx, b.reserved, want, b.refcnt, b.fetching, b.probing, b.prefetched, onlyCopy)
@@ -49,8 +49,8 @@ func accountingError(st *loopState, self int) error {
 				bs := ast.info.BlockSpan(idx)
 				reserved += bs.Hi - bs.Lo
 			}
-			if b.refcnt > 0 && (b.prefetched || b.held) {
-				return fmt.Errorf("%s[%d]: leased and still marked prefetched or held unread", name, idx)
+			if b.refcnt > 0 && b.prefetched {
+				return fmt.Errorf("%s[%d]: leased and still marked prefetched unread", name, idx)
 			}
 			if b.phase == writing && (b.buf == nil || b.refcnt == 0) {
 				return fmt.Errorf("%s[%d]: being written without a buffer or a lease (refcnt %d)", name, idx, b.refcnt)

@@ -83,7 +83,7 @@ func (h *byHand) read(name string) { h.t.Helper(); h.release(h.lease(name)) }
 func (h *byHand) prefetch(name string) bool {
 	h.t.Helper()
 	was := h.block(name) != nil && h.block(name).fetching
-	h.s.handlePrefetch(h.st, &cmdPrefetch{array: name})
+	h.s.prefetch(h.st, name, 0)
 	h.check()
 	return !was && h.block(name).fetching
 }
@@ -217,38 +217,6 @@ func TestPrefetchAdmission(t *testing.T) {
 	}
 }
 
-// TestPrefetchHoldsResidentBlock: a prefetch that names a resident block
-// holds it until it is read — reserved, and behind every idle block in the
-// eviction order — so a window's later fetch evicts the idle B, not the
-// older A the window is about to read. The read is a plain hit, not a
-// prefetch hit, and spends the hold.
-func TestPrefetchHoldsResidentBlock(t *testing.T) {
-	h := newByHand(t, 2*handBlockBytes+handBlockBytes/2, "A", "B", "C")
-	h.read("A")
-	h.read("B")
-	if h.prefetch("A") {
-		t.Fatal("a prefetch of a resident block started a read")
-	}
-	if !h.block("A").held || h.st.reserved != handBlockBytes {
-		t.Fatalf("A held %v, reserved %d; want held, one block", h.block("A").held, h.st.reserved)
-	}
-	if !h.prefetch("C") {
-		t.Fatal("C fits beside the held A and was not admitted")
-	}
-	h.landed("C")
-	if h.block("A").buf == nil || h.block("B").buf != nil {
-		t.Fatalf("after C landed: A resident %v, B resident %v; want C to have evicted the idle B, not the held A",
-			h.block("A").buf != nil, h.block("B").buf != nil)
-	}
-	h.read("A")
-	if h.block("A").held {
-		t.Error("A is still held after it was read")
-	}
-	if st := h.st.stats; st.PrefetchHits != 0 || st.PrefetchLoads != 1 {
-		t.Errorf("prefetch hits %d loads %d, want 0 and 1: only C was fetched, and it is unread", st.PrefetchHits, st.PrefetchLoads)
-	}
-}
-
 // TestAdmissionCountsOnlyCopies: a written block that exists nowhere but in
 // this store's memory cannot be evicted, so admission counts it as it counts
 // a lease; once a spill lands it has a copy on scratch, and its bytes are
@@ -299,4 +267,90 @@ func TestLandedPrefetchIsLastVictim(t *testing.T) {
 	}
 	h.release((<-c).lease)
 	h.release(a)
+}
+
+// requestCarrying asks for a read lease of name's block carrying prefetches
+// of the named blocks, as an executor's first request does.
+func (h *byHand) requestCarrying(name string, prefetch ...string) chan leaseResult {
+	h.t.Helper()
+	reply := make(chan leaseResult, 1)
+	c := &cmdRequest{array: name, perm: PermRead, reply: reply}
+	for _, p := range prefetch {
+		c.prefetch = append(c.prefetch, BlockRef{Array: p})
+	}
+	h.s.handleRequest(h.st, c)
+	h.check()
+	return reply
+}
+
+// TestRequestPrefetchesCountTheLease: the prefetches a request carries are
+// taken after its block is leased, so their admission counts it. Budget two
+// and a half blocks: y, written and the only copy of its bytes, and A are
+// resident. Carried by a request for A, B does not fit beside y and the
+// leased A; asked for alone while A is idle, it fits, and its landing
+// evicts A.
+func TestRequestPrefetchesCountTheLease(t *testing.T) {
+	h := newByHand(t, 2*handBlockBytes+handBlockBytes/2, "A", "B")
+	if err := h.s.handleCreate(h.st, ArrayInfo{Name: "y", Size: handBlockBytes, BlockSize: handBlockBytes}); err != nil {
+		t.Fatal(err)
+	}
+	reply := make(chan leaseResult, 1)
+	h.s.handleRequest(h.st, &cmdRequest{array: "y", perm: PermWrite, reply: reply})
+	h.release((<-reply).lease)
+	h.read("A")
+
+	reply = h.requestCarrying("A", "B")
+	if len(reply) == 0 {
+		t.Fatal("no reply to a request for the resident A")
+	}
+	a := (<-reply).lease
+	if h.block("B").fetching || h.st.stats.PrefetchDeferred != 1 {
+		t.Fatalf("B fetching %v, deferred %d: admitted beside y and the leased A in a two-and-a-half-block budget",
+			h.block("B").fetching, h.st.stats.PrefetchDeferred)
+	}
+	h.release(a)
+	if !h.prefetch("B") {
+		t.Fatal("B fits beside y once A is idle and was not admitted")
+	}
+	h.landed("B")
+	if h.block("A").buf != nil || h.st.stats.OverBudgetAllocs != 0 {
+		t.Errorf("A resident %v, %d allocations over the budget; want A evicted for B, none over",
+			h.block("A").buf != nil, h.st.stats.OverBudgetAllocs)
+	}
+}
+
+// TestMissedRequestMakesRoom: a request that waits for a read makes room for
+// that read and for the reads its prefetches start when they start, not when
+// they land, so resident blocks and reads in flight fit the budget together.
+// The room comes from blocks at least half the size of the smallest read:
+// the small v, which a task reads beside its big block, stays though it is
+// the least recently used. Budget two and a half blocks: v, C and D are
+// resident when a request for A misses carrying a prefetch of B.
+func TestMissedRequestMakesRoom(t *testing.T) {
+	const small = handBlockBytes / 4
+	h := newByHand(t, 2*handBlockBytes+handBlockBytes/2, "A", "B", "C", "D")
+	h.s.handleAnnounce(h.st, msgAnnounce{info: ArrayInfo{Name: "v", Size: small, BlockSize: small}})
+	v := h.request("v")
+	h.s.handleIODone(h.st, &ioJob{array: "v", data: make([]byte, small), length: small})
+	h.release((<-v).lease)
+	h.read("C")
+	h.read("D")
+
+	reply := h.requestCarrying("A", "B")
+	if len(reply) != 0 || !h.block("A").fetching || !h.block("B").fetching {
+		t.Fatalf("A fetching %v, B fetching %v; want both reads started and the request waiting", h.block("A").fetching, h.block("B").fetching)
+	}
+	if h.block("C").buf != nil || h.block("D").buf != nil {
+		t.Errorf("C resident %v, D resident %v: two reads started beside two resident blocks in a two-and-a-half-block budget",
+			h.block("C").buf != nil, h.block("D").buf != nil)
+	}
+	if h.st.arrays["v"].blocks[0].buf == nil {
+		t.Error("v, a quarter of a block, was evicted to make room for whole blocks")
+	}
+	h.landed("A")
+	h.landed("B")
+	h.release((<-reply).lease)
+	if st := h.st.stats; st.Evictions != 2 || st.OverBudgetAllocs != 0 {
+		t.Errorf("%d evictions, %d allocations over the budget; want 2 and 0", st.Evictions, st.OverBudgetAllocs)
+	}
 }

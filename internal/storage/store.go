@@ -258,7 +258,7 @@ type Stats struct {
 	PrefetchIssued    int64
 	PrefetchLoads     int64 // block fetches initiated by prefetch
 	PrefetchHits      int64 // cache hits on blocks a prefetch brought in
-	PrefetchDeferred  int64 // prefetched blocks not admitted: no room beside leased, in-flight, prefetched or held unread, and only-copy bytes
+	PrefetchDeferred  int64 // prefetched blocks not admitted: no room beside leased, in-flight, prefetched-unread and only-copy bytes
 	ImplicitDiskReads int64
 	IORetries         int64 // transient disk errors survived by the retry policy
 
